@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +52,6 @@ class RunConfig:
 
     command: str
     fmt: str = "json"
-    threads: int = 1
     seed: int = 0
     problem: str | None = None
     params: dict | None = None
@@ -389,7 +387,7 @@ def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
     (x,) = _require(cfg, x=cfg.x)
     t = _tables_for(cfg, extra=int(x))
     if cfg.scan_q is not None:
-        scan = bv_scan(int(x), cfg.scan_q, t, threads=cfg.threads)
+        scan = bv_scan(int(x), cfg.scan_q, t)
         rows = [{"k": k, "E1": e} for k, e in scan.rows]
         if cfg.fmt == "json":
             out = {"x": scan.x, "q_max": scan.q_max, "rows": rows, "total": scan.total}
@@ -413,9 +411,9 @@ def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    results = [run_suite(cfg.suite, cfg.budget, cfg.seed, cfg.threads)]
+    results = [run_suite(cfg.suite, cfg.budget, cfg.seed)]
     if cfg.extended and cfg.suite == "all":
-        results.append(run_suite("extended", cfg.budget, cfg.seed, cfg.threads))
+        results.append(run_suite("extended", cfg.budget, cfg.seed))
     passed = all(r.passed for r in results)
     if cfg.fmt == "json":
         out = [
@@ -458,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default=None)
     common.add_argument("--config", default=None, help="JSON file of flag defaults")
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
 
     prob = argparse.ArgumentParser(add_help=False)
@@ -549,7 +546,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         v = getattr(args, name, None)
         return fallback if v is None else v
 
-    threads_default = int(os.environ.get("SIEVELAB_THREADS", "1"))
     s_list: tuple[float, ...] = ()
     raw_s = get("s")
     if raw_s is not None:
@@ -566,7 +562,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         fmt=get("format", "json"),
-        threads=int(get("threads", threads_default)),
         seed=int(get("seed", 0)),
         problem=get("problem"),
         params=params,

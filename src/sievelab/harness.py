@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -606,6 +605,11 @@ def _suite_chen(budget, seed) -> SuiteResult:
     return res
 
 
+#: most evaluations bv_scan takes on; one modulus costs pi(x) + _BV_SCAN_K_COST
+BV_SCAN_MAX_WORK = 10**8
+_BV_SCAN_K_COST = 2_000
+
+
 @dataclass(frozen=True)
 class BVScanResult:
     """Max progression errors per modulus and their running total."""
@@ -645,13 +649,16 @@ def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
     return li, li[-1] + tail
 
 
-def bv_scan(x: int, q_max: int, tables: PrimeTables, threads: int = 1) -> BVScanResult:
+def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     """Worst progression error per modulus k <= q_max, scanned exactly.
 
     For each k and each residue l coprime to k this takes the max over all
     prime jump points y <= x (both sides of each jump, and the endpoint) of
     |pi(y; k, l) - Li(y)/phi(k)|, then keeps the largest l.  k = 1 measures
-    |pi(y) - Li(y)| itself.
+    |pi(y) - Li(y)| itself.  Li(y)/phi(k) only grows between two jumps of a
+    class, so only the jumps and y = x are evaluated: O(pi(x)) per modulus.
+    Scans beyond BV_SCAN_MAX_WORK, or with q_max beyond the tables, raise
+    CapacityError before they start.
     """
     if x < 2:
         raise InputError(f"need x >= 2, got {x}")
@@ -659,32 +666,39 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables, threads: int = 1) -> BVScan
         raise CapacityError(f"x={x} exceeds table limit {tables.limit}")
     if q_max < 1:
         raise InputError(f"need q_max >= 1, got {q_max}")
-    ps = tables.primes[tables.primes <= x]
+    if q_max > tables.limit:
+        raise CapacityError(f"q_max={q_max} exceeds table limit {tables.limit}")
+    n = prime_pi(x, tables)
+    if q_max * (n + _BV_SCAN_K_COST) > BV_SCAN_MAX_WORK:
+        raise CapacityError(f"{q_max} moduli over {n} primes: cap is {BV_SCAN_MAX_WORK}")
+    ps = tables.primes[:n]
     li, li_x = _li_at_primes(ps, x)
-
-    def one_k(k: int) -> tuple[int, float]:
+    rem_type = np.int16 if q_max <= np.iinfo(np.int16).max else np.int64
+    rows = []
+    for k in range(1, q_max + 1):
         phi = mult_stats(k, tables).phi
-        target = li / phi
-        end = li_x / phi
-        best = 0.0
-        residues = [l for l in range(k) if math.gcd(l, k) == 1] or [0]
-        rem = ps % k if k > 1 else None
-        for l in residues:
-            mask = (rem == l) if k > 1 else np.ones(ps.size, dtype=bool)
-            c = np.cumsum(mask)
-            after = float(np.max(np.abs(c - target)))
-            before = float(np.max(np.abs((c - mask) - target)))
-            tail = abs(float(c[-1]) - end)
-            best = max(best, after, before, tail)
-        return k, best
-
-    ks = list(range(1, q_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_k, ks))
-    else:
-        rows = [one_k(k) for k in ks]
-    rows.sort()
+        target, end = li / phi, li_x / phi
+        rem = (ps % k).astype(rem_type)
+        # a stable sort of small ints is a radix sort: positions ascend per class
+        order = np.argsort(rem, kind="stable")
+        coprime = np.gcd(rem[order], k) == 1
+        pos, cls = order[coprime], rem[order][coprime]
+        starts = np.flatnonzero(np.diff(cls, prepend=-1))
+        counts = np.diff(starts, append=pos.size)
+        # the j-th prime of a class lifts its count from j - 1 to j
+        j = np.arange(1, pos.size + 1) - np.repeat(starts, counts)
+        at = target[pos]
+        jumps = np.maximum(np.abs(j - at), np.abs((j - 1) - at))
+        run = np.maximum(np.maximum.reduceat(jumps, starts), np.abs(counts - target[-1]))
+        peak = np.maximum(run, np.abs(counts - end))
+        best = float(np.max(peak, initial=0.0))
+        # a scan class by class keeps the first maximum it meets, which is a
+        # numpy scalar when the endpoint term of that class reached it
+        from_end = peak.size > 0 and run[np.argmax(peak)] < best
+        if starts.size < phi and end > best:
+            # a coprime class without primes counts 0; its error peaks at y = x
+            best, from_end = float(end), target[-1] < end
+        rows.append((k, np.float64(best) if from_end else best))
     return BVScanResult(
         x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)
     )
@@ -895,28 +909,18 @@ def coverage_problems() -> list[str]:
     return problems
 
 
-def run_suite(
-    name: str, budget: float | None = None, seed: int = 0, threads: int = 1
-) -> SuiteResult:
+def run_suite(name: str, budget: float | None = None, seed: int = 0) -> SuiteResult:
     """Run one registered suite, or 'all' for every suite in order.
 
     budget is an advisory wall-clock target in seconds recorded alongside
     the result; the required cases always run.  seed feeds the sampled
-    checks, threads fans out independent suites when running 'all'.
+    checks.
     """
     if name == "all":
         shared_tables()
         shared_grid()
         agg = SuiteResult("all")
-        names = [n for n in SUITES if n != "extended"]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda n: run_suite(n, budget, seed), names)
-                )
-        else:
-            results = [run_suite(n, budget, seed) for n in names]
-        for sub in results:
+        for sub in (run_suite(n, budget, seed) for n in SUITES if n != "extended"):
             agg.cases += sub.cases
             agg.elapsed += sub.elapsed
             for cid, rel, obs in sub.failures:

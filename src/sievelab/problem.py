@@ -314,6 +314,8 @@ def _factor_squarefree(d: int, tables: PrimeTables) -> list[int]:
 def count_Ad(p: SieveProblem, d: int) -> int:
     """Exact number of members of A divisible by d (d squarefree, d >= 1)."""
     fac = _factor_squarefree(d, p.tables)
+    if d > p.n_bound:  # every member is positive and at most n_bound
+        return 0
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
         return (x + y) // d - x // d

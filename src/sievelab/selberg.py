@@ -150,14 +150,28 @@ def big_G(
     shifted sum appearing in the weight formula.
     """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    total = Fraction(0)
-    for _, facs in _support(ps, xi, skip):
-        term = Fraction(1)
-        for p in facs:
-            w = omega.at_prime(p)
-            term *= Fraction(w, p - w)
-        total += term
-    return total
+    w_at = {p: omega.at_prime(p) for p in ps}
+    g = _multiplicative(_support(ps, xi, skip), {p: w / (p - w) for p, w in w_at.items()})
+    return sum(g.values(), Fraction(0))
+
+
+def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
+    """f(d) for each (d, factors) of a support, f multiplicative with f(p) = at[p].
+
+    Every d must follow d / (its largest prime), as in ``_support``.
+    """
+    out: dict[int, Fraction] = {}
+    for d, facs in support:
+        out[d] = out[d // facs[-1]] * at[facs[-1]] if facs else Fraction(1)
+    return out
+
+
+def _divisors(facs: tuple[int, ...]) -> list[int]:
+    """Every divisor of the squarefree product of the primes in ``facs``."""
+    divs = [1]
+    for p in facs:
+        divs += [d * p for d in divs]
+    return divs
 
 
 def lambda_weights(
@@ -169,6 +183,9 @@ def lambda_weights(
 ) -> SelbergWeights:
     """Compute the optimal weights lambda_d for squarefree d < xi.
 
+    lambda_d = mu(d) (d / w(d)) sum of g(m) over support multiples m of d, / G;
+    each g(m) is added into its 2^nu(m) divisors, not |support|^2 pair tests.
+
     lambda_1 is exactly 1 and every |lambda_d| <= 1; both are consequences
     of the closed-form solution and are asserted by the test suite rather
     than enforced here.
@@ -176,40 +193,29 @@ def lambda_weights(
     ps = _relevant_primes(z, omega, prime_set, tables)
     support = _support(ps, xi)
     exact = len(support) <= MAX_EXACT_SUPPORT
-    g_values: dict[int, Fraction] = {}
-    factors: dict[int, tuple[int, ...]] = {}
-    for d, facs in support:
-        term = Fraction(1)
-        for p in facs:
-            w = omega.at_prime(p)
-            term *= Fraction(w, p - w)
-        g_values[d] = term
-        factors[d] = facs
+    w_at = {p: omega.at_prime(p) for p in ps}
+    g_values = _multiplicative(support, {p: w / (p - w) for p, w in w_at.items()})
+    w_values = _multiplicative(support, w_at)
     G = sum(g_values.values(), Fraction(0))
     if G == 0:
         raise ZeroDensityError("G(xi, z) = 0: no usable divisors below xi")
+    if exact:
+        g, total = g_values, G
+    else:
+        g = {d: float(v) for d, v in g_values.items()}
+        total = math.fsum(g.values())
+    multiples = dict.fromkeys(g, Fraction(0) if exact else 0.0)
+    for m, facs in support:
+        for d in _divisors(facs):
+            multiples[d] += g[m]
     lambdas: dict[int, Fraction] = {}
-    if not exact:
-        g_float = {d: float(v) for d, v in g_values.items()}
-        G_f = math.fsum(g_float.values())
     for d, facs in support:
-        shifted = Fraction(0) if exact else 0.0
-        bound = xi / d
-        for l, lf in support:
-            if l < bound and all(l % p for p in facs):
-                shifted += g_values[l] if exact else g_float[l]
-        corr = Fraction(1)
-        for p in facs:
-            w = omega.at_prime(p)
-            corr *= Fraction(p, p - w)
+        scale = d / w_values[d] if exact else d / float(w_values[d])
         sign = -1 if len(facs) % 2 else 1
-        if exact:
-            lambdas[d] = sign * corr * shifted / G
-        else:
-            lambdas[d] = sign * float(corr) * shifted / G_f
+        lambdas[d] = sign * scale * multiples[d] / total
     return SelbergWeights(
         xi=float(xi), z=float(z), G=G, lambdas=lambdas,
-        g_values=g_values, factors=factors, omega=omega, primes=ps, exact=exact,
+        g_values=g_values, factors=dict(support), omega=omega, primes=ps, exact=exact,
     )
 
 
@@ -231,19 +237,12 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
 
 def y_values(w: SelbergWeights) -> dict[int, Fraction]:
     """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d."""
-    omega_d: dict[int, Fraction] = {}
-    for d, facs in w.factors.items():
-        om = Fraction(1)
-        for p in facs:
-            om *= w.omega.at_prime(p)
-        omega_d[d] = om
-    out: dict[int, Fraction] = {}
-    for l in w.lambdas:
-        acc = Fraction(0)
-        for d, lam in w.lambdas.items():
-            if d % l == 0:
-                acc += omega_d[d] * lam / d
-        out[l] = acc
+    w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
+    out: dict[int, Fraction] = dict.fromkeys(w.lambdas, Fraction(0))
+    for d, lam in w.lambdas.items():
+        term = w_values[d] * lam / d
+        for l in _divisors(w.factors[d]):
+            out[l] += term
     return out
 
 

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from sievelab import harness
-from sievelab.cli import _build_parser, _config_from_args, _json_value, main
+from sievelab.cli import _json_value, main
 from sievelab.harness import SuiteResult
 
 
@@ -156,6 +157,20 @@ def test_brun_titchmarsh_report_and_scan(capsys):
     assert len(lines) == 4
 
 
+def test_progression_scan_cap(capsys):
+    start = time.perf_counter()
+    rc, _, err = run(capsys, ["brun-titchmarsh", "--x", "1000000", "--scan-q",
+                              "100000"])
+    assert rc == 2 and "cap is" in err
+    # refused before the scan starts, not after minutes of it
+    assert time.perf_counter() - start < 10
+    rc, out, _ = run(capsys, ["brun-titchmarsh", "--x", "1000000", "--scan-q",
+                              "200"])
+    assert rc == 0
+    d = json.loads(out)
+    assert [row["k"] for row in d["rows"]] == list(range(1, 201))
+
+
 def test_verify_suite_passes(capsys):
     rc, out, _ = run(capsys, ["verify", "--suite", "mertens-products",
                               "--format", "table"])
@@ -179,14 +194,3 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
                               "--format", "table"])
     assert rc == 1
     assert "FAIL" in out and "1 vs 2" in out
-
-
-def test_threads_default_from_environment(monkeypatch):
-    parser = _build_parser()
-    monkeypatch.setenv("SIEVELAB_THREADS", "3")
-    cfg = _config_from_args(parser.parse_args(["verify", "--suite", "all"]))
-    assert cfg.threads == 3
-    cfg = _config_from_args(
-        parser.parse_args(["verify", "--suite", "all", "--threads", "2"])
-    )
-    assert cfg.threads == 2

@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from sievelab.arith import li_eval, prime_pi
+from sievelab.arith import li_eval, mult_stats, prime_pi
 from sievelab.errors import CapacityError, InputError
 from sievelab.harness import (
     ACCEPTANCE_SUITES,
     STATIC_INVARIANTS,
     SUITES,
     SuiteResult,
+    _li_at_primes,
     bv_scan,
     coverage_problems,
     run_suite,
@@ -93,10 +95,38 @@ def test_bv_scan_k1_tracks_prime_count_error(tables_small):
     assert scan.rows[0][1] >= endpoint - 1e-6
 
 
-def test_bv_scan_threads_match(tables_small):
-    a = bv_scan(10_000, 12, tables_small)
-    b = bv_scan(10_000, 12, tables_small, threads=3)
-    assert a.rows == b.rows
+def _cumsum_scan(x, q_max, tables):
+    """Reference scan: one cumulative count over all primes per residue class."""
+    ps = tables.primes[tables.primes <= x]
+    li, li_x = _li_at_primes(ps, x)
+    rows = []
+    for k in range(1, q_max + 1):
+        phi = mult_stats(k, tables).phi
+        target = li / phi
+        end = li_x / phi
+        best = 0.0
+        residues = [l for l in range(k) if math.gcd(l, k) == 1] or [0]
+        rem = ps % k if k > 1 else None
+        for l in residues:
+            mask = (rem == l) if k > 1 else np.ones(ps.size, dtype=bool)
+            c = np.cumsum(mask)
+            after = float(np.max(np.abs(c - target)))
+            before = float(np.max(np.abs((c - mask) - target)))
+            tail = abs(float(c[-1]) - end)
+            best = max(best, after, before, tail)
+        rows.append((k, best))
+    return rows, math.fsum(e for _, e in rows)
+
+
+@pytest.mark.parametrize("x", [2, 97, 10_000, 200_000])
+def test_bv_scan_equals_cumsum_reference(x, tables_mid):
+    # q = 60 > x = 2 leaves coprime classes without primes, as does k = 3
+    # at x = 2 (only 2 = 2 mod 3); k = 1 is the whole prime count
+    scan = bv_scan(x, 60, tables_mid)
+    rows, total = _cumsum_scan(x, 60, tables_mid)
+    assert scan.rows == rows
+    assert [repr(e) for _, e in scan.rows] == [repr(e) for _, e in rows]
+    assert scan.total == total
 
 
 def test_bv_scan_rejects_bad_ranges(tables_small):
@@ -106,3 +136,11 @@ def test_bv_scan_rejects_bad_ranges(tables_small):
         bv_scan(100, 0, tables_small)
     with pytest.raises(CapacityError):
         bv_scan(20_000, 5, tables_small)
+    with pytest.raises(CapacityError, match="table limit"):
+        bv_scan(100, 20_000, tables_small)
+
+
+def test_bv_scan_work_cap(tables_mid):
+    # 17,984 primes to 2e5 over 10^4 moduli is past the cap
+    with pytest.raises(CapacityError, match="cap is"):
+        bv_scan(200_000, 10_000, tables_mid)

@@ -12,7 +12,7 @@ from sievelab.legendre import (
     mertens_products,
     problem_W,
 )
-from sievelab.problem import make_problem, sift_exact
+from sievelab.problem import make_problem, sieve_primes, sift_exact
 
 
 def test_interval_30_by_hand(tables_small):
@@ -51,6 +51,17 @@ def test_bracket_from_remainders(tables_small):
             w = problem_W(prob, z)
             spread = legendre_remainder_sum(prob, z)
             assert abs(s - prob.X * w.W) <= spread + 1e-9, (kind, z)
+
+
+def test_remainder_sum_past_int64_divisors(tables_small):
+    # the 13 sieve primes of n^2 + 1 below 102 multiply past 2^63, so the
+    # largest divisors cannot be taken modulo the int64 members
+    prob = make_problem("square_plus_one", {"x": 10_500}, tables_small)
+    assert math.prod(int(q) for q in sieve_primes(prob, 102)) >= 2**63
+    spread = legendre_remainder_sum(prob, 102)
+    assert math.isfinite(spread)
+    s = sift_exact(prob, 102)
+    assert abs(s - prob.X * problem_W(prob, 102).W) <= spread
 
 
 def test_mertens_products_exact(tables_small):

@@ -140,6 +140,42 @@ def test_weight_contracts_on_grid(omega, z, xi, tables_small):
         assert abs(v) <= 3**nu
 
 
+def _quadratic_lambdas(w, omega):
+    """Reference weights: one pass over the support for each shifted sum."""
+    out = {}
+    for d, facs in w.factors.items():
+        shifted = sum(
+            (g for l, g in w.g_values.items() if l < w.xi / d and all(l % p for p in facs)),
+            Fraction(0),
+        )
+        corr = Fraction(1)
+        for p in facs:
+            corr *= Fraction(p, p - omega.at_prime(p))
+        out[d] = (-1) ** len(facs) * corr * shifted / w.G
+    return out
+
+
+def _quadratic_y(w, omega):
+    """Reference y_l: one pass over the weights for each l."""
+    return {
+        l: sum(
+            (omega.at_squarefree(list(w.factors[d])) * lam / d
+             for d, lam in w.lambdas.items() if d % l == 0),
+            Fraction(0),
+        )
+        for l in w.lambdas
+    }
+
+
+@pytest.mark.parametrize("omega,z,xi", GRID)
+def test_weights_equal_quadratic_reference(omega, z, xi, tables_small):
+    w = lambda_weights(xi, z, omega, ALL, tables_small)
+    assert w.G == big_G(xi, z, omega, ALL, tables_small)
+    assert all(g == g_value(d, omega) for d, g in w.g_values.items())
+    assert w.lambdas == _quadratic_lambdas(w, omega)
+    assert y_values(w) == _quadratic_y(w, omega)
+
+
 def test_mu_plus_dominates_indicator(tables_small):
     w = lambda_weights(100, 30, ONES, ALL, tables_small)
     mp = mu_plus(w)
