@@ -82,8 +82,10 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
     between the integral-form value of f and its closed form, a direct
     measure of the panel scheme's accuracy.
     """
-    if s_max != int(s_max) or s_max < 6:
+    if not math.isfinite(s_max) or s_max != int(s_max) or s_max < 6:
         raise InputError(f"s_max must be an integer >= 6, got {s_max}")
+    if not math.isfinite(step) or step <= 0:
+        raise InputError(f"step must be a finite number > 0, got {step}")
     m = round(1.0 / step)
     if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
         raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
@@ -20,9 +20,9 @@ from .errors import CapacityError, DensityRangeError, InputError
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
-from .problem import make_problem
+from .problem import ALL_KINDS, make_problem
 from .rosser import combinatorial_bounds
-from .selberg import brun_titchmarsh, fundamental_upper_bound
+from .selberg import SieveReport, brun_titchmarsh, fundamental_upper_bound
 from .weighted import (
     WeightedConfig,
     W_exact,
@@ -34,16 +34,6 @@ from .weighted import (
 )
 
 MAX_CLI_TABLES = 20_000_200
-
-PROBLEM_KINDS = (
-    "interval",
-    "arithmetic_progression",
-    "goldbach_product",
-    "shifted_prime",
-    "square_plus_one",
-    "liouville_plus",
-    "liouville_minus",
-)
 
 
 @dataclass(frozen=True)
@@ -74,7 +64,6 @@ class RunConfig:
     l: int | None = None
     scan_q: int | None = None
     suite: str = "all"
-    budget: float | None = None
     extended: bool = False
 
 
@@ -148,21 +137,15 @@ def emit_report(report, fmt: str) -> str:
     return _table_text(rows)
 
 
-def _sieve_dict(rep) -> dict:
-    return {
-        "problem": rep.problem,
-        "z": rep.z,
-        "y": rep.y,
-        "s": rep.s,
-        "X": rep.X,
-        "main_term": rep.main_term,
-        "remainder_bound": rep.remainder_bound,
-        "upper_bound": rep.upper_bound,
-        "lower_bound": rep.lower_bound,
-        "exact_count": rep.exact_count,
-        "ratio": rep.ratio,
-        "notes": rep.notes,
-    }
+#: the fields of a sieve report, in output order
+_SIEVE_FIELDS = (
+    "problem", "z", "y", "s", "X", "main_term", "remainder_bound", "upper_bound",
+    "lower_bound", "exact_count", "ratio", "notes",
+)
+
+
+def _sieve_dict(rep: SieveReport) -> dict:
+    return {name: getattr(rep, name) for name in _SIEVE_FIELDS}
 
 
 def _require(cfg: RunConfig, **named) -> list:
@@ -177,7 +160,7 @@ def _require(cfg: RunConfig, **named) -> list:
 def _problem_params(cfg: RunConfig) -> tuple[str, dict]:
     kind = cfg.problem
     if kind is None:
-        raise InputError(f"{cfg.command} needs --problem (one of {', '.join(PROBLEM_KINDS)})")
+        raise InputError(f"{cfg.command} needs --problem (one of {', '.join(ALL_KINDS)})")
     p = cfg.params or {}
     if kind == "interval":
         (x,) = _require(cfg, x=p.get("x"))
@@ -198,6 +181,13 @@ def _problem_params(cfg: RunConfig) -> tuple[str, dict]:
     raise InputError(f"unknown problem kind {kind!r}")
 
 
+#: the parameter each kind needs factor tables up to (an interval needs none)
+_TABLE_PARAM = {
+    "arithmetic_progression": "x", "goldbach_product": "two_N", "shifted_prime": "N",
+    "square_plus_one": "x", "liouville_plus": "x", "liouville_minus": "x",
+}
+
+
 def _tables_for(cfg: RunConfig, extra: int = 0) -> PrimeTables:
     need = max(10_000, extra)
     for v in (cfg.z, cfg.y):
@@ -205,14 +195,8 @@ def _tables_for(cfg: RunConfig, extra: int = 0) -> PrimeTables:
             need = max(need, int(v) + 1)
     if cfg.problem is not None:
         kind, params = _problem_params(cfg)
-        if kind == "arithmetic_progression":
-            need = max(need, params["x"] + 1)
-        elif kind == "goldbach_product":
-            need = max(need, params["two_N"] + 1)
-        elif kind == "shifted_prime":
-            need = max(need, params["N"] + 1)
-        elif kind in ("square_plus_one", "liouville_plus", "liouville_minus"):
-            need = max(need, params["x"] + 1)
+        if kind in _TABLE_PARAM:
+            need = max(need, params[_TABLE_PARAM[kind]] + 1)
     if need > MAX_CLI_TABLES:
         raise InputError(
             f"parameters need factor tables to {need}; the command line caps"
@@ -237,21 +221,12 @@ def _cmd_legendre(cfg: RunConfig) -> tuple[str, int]:
         rem = legendre_remainder_sum(p, z)
     except (CapacityError, InputError):
         rem = None
-    out = {
-        "problem": p.label,
-        "z": z,
-        "y": None,
-        "s": None,
-        "X": p.X,
-        "main_term": main,
-        "remainder_bound": rem,
-        "upper_bound": None,
-        "lower_bound": None,
-        "exact_count": count,
-        "ratio": count / main if main > 0 else None,
-        "notes": "exact inclusion-exclusion count; ratio = exact / (X W)",
-    }
-    return emit_report(out, cfg.fmt), 0
+    rep = SieveReport(
+        problem=p.label, X=p.X, z=z, main_term=main, remainder_bound=rem,
+        exact_count=count, ratio=count / main if main > 0 else None,
+        notes="exact inclusion-exclusion count; ratio = exact / (X W)",
+    )
+    return emit_report(_sieve_dict(rep), cfg.fmt), 0
 
 
 def _cmd_selberg(cfg: RunConfig) -> tuple[str, int]:
@@ -385,7 +360,7 @@ def _cmd_chen(cfg: RunConfig) -> tuple[str, int]:
 
 def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
     (x,) = _require(cfg, x=cfg.x)
-    t = _tables_for(cfg, extra=int(x))
+    t = _tables_for(cfg, extra=max(int(x), cfg.scan_q or 0) + 1)
     if cfg.scan_q is not None:
         scan = bv_scan(int(x), cfg.scan_q, t)
         rows = [{"k": k, "E1": e} for k, e in scan.rows]
@@ -411,9 +386,9 @@ def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    results = [run_suite(cfg.suite, cfg.budget, cfg.seed)]
+    results = [run_suite(cfg.suite, cfg.seed)]
     if cfg.extended and cfg.suite == "all":
-        results.append(run_suite("extended", cfg.budget, cfg.seed))
+        results.append(run_suite("extended", cfg.seed))
     passed = all(r.passed for r in results)
     if cfg.fmt == "json":
         out = [
@@ -459,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
 
     prob = argparse.ArgumentParser(add_help=False)
-    prob.add_argument("--problem", choices=PROBLEM_KINDS, default=None)
+    prob.add_argument("--problem", choices=ALL_KINDS, default=None)
     prob.add_argument("--x", type=float, default=None)
     prob.add_argument("--len", type=float, default=None, dest="length")
     prob.add_argument("--k", type=int, default=None)
@@ -475,25 +450,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("legendre", parents=[common, prob])
     sp.add_argument("--z", type=float, default=None)
 
-    sp = sub.add_parser("selberg", parents=[common, prob])
-    sp.add_argument("--y", type=float, default=None)
-    sp.add_argument("--z", type=float, default=None)
-    sp.add_argument(
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--y", type=float, default=None)
+    level.add_argument("--z", type=float, default=None)
+    level.add_argument(
         "--skip-exact", action="store_const", const=True, default=None,
         dest="skip_exact",
     )
 
-    sp = sub.add_parser("rosser", parents=[common, prob])
-    sp.add_argument("--y", type=float, default=None)
-    sp.add_argument("--z", type=float, default=None)
+    sub.add_parser("selberg", parents=[common, prob, level])
+
+    sp = sub.add_parser("rosser", parents=[common, prob, level])
     sp.add_argument(
         "--level-exponent", type=float, default=None, dest="level_exponent"
     )
     sp.add_argument("--log-power", type=float, default=None, dest="log_power")
-    sp.add_argument(
-        "--skip-exact", action="store_const", const=True, default=None,
-        dest="skip_exact",
-    )
 
     sp = sub.add_parser("buchstab", parents=[common])
     sp.add_argument("--s-max", type=float, default=None, dest="s_max")
@@ -521,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", parents=[common])
     sp.add_argument("--suite", default=None, choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--budget", type=float, default=None)
     sp.add_argument(
         "--extended", action="store_const", const=True, default=None
     )
@@ -551,42 +521,38 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if raw_s is not None:
         parts = str(raw_s).split(",")
         s_list = tuple(float(p) for p in parts if p.strip())
-    params = {
-        "x": get("x"),
-        "length": get("length"),
-        "k": get("k"),
-        "l": get("l"),
-        "two_n": get("two_n"),
-        "n_value": get("n_value"),
-    }
+    params = {name: get(name) for name in ("x", "length", "k", "l", "two_n", "n_value")}
+    passed = ("problem", "cache", "r", "alpha", "beta", "gamma_level", "n_value", "x",
+              "k", "l", "scan_q")
     return RunConfig(
         command=args.command,
         fmt=get("format", "json"),
         seed=int(get("seed", 0)),
-        problem=get("problem"),
         params=params,
-        z=get("z"),
-        y=get("y"),
+        z=None if get("z") is None else float(get("z")),
+        y=None if get("y") is None else float(get("y")),
         s_list=s_list,
         level_exponent=float(get("level_exponent", 0.5)),
         log_power=float(get("log_power", 0.0)),
         skip_exact=bool(get("skip_exact", False)),
         s_max=float(get("s_max", 30.0)),
         step=float(get("step", 1e-4)),
-        cache=get("cache"),
-        r=get("r"),
-        alpha=get("alpha"),
-        beta=get("beta"),
-        gamma_level=get("gamma_level"),
-        n_value=get("n_value"),
-        x=get("x"),
-        k=get("k"),
-        l=get("l"),
-        scan_q=get("scan_q"),
         suite=get("suite", "all"),
-        budget=get("budget"),
         extended=bool(get("extended", False)),
+        **{name: get(name) for name in passed},
     )
+
+
+def _check_domain(cfg: RunConfig) -> None:
+    """Reject non-finite numbers, and a sieve level y or cut z at or below 1."""
+    numbers = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]
+    numbers += list((cfg.params or {}).items()) + [("s", s) for s in cfg.s_list]
+    for name, v in numbers:
+        flag = "--" + {"length": "len", "n_value": "n"}.get(name, name).replace("_", "-")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"{flag} must be a finite number, got {v}")
+        if name in ("y", "z") and v is not None and v <= 1:
+            raise InputError(f"{flag} must be > 1, got {v}")
 
 
 def parse_and_dispatch(argv=None) -> int:
@@ -599,6 +565,7 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         _apply_config(args)
         cfg = _config_from_args(args)
+        _check_domain(cfg)
         text, code = _COMMANDS[cfg.command](cfg)
         if text:
             print(text)

@@ -103,7 +103,7 @@ class SuiteResult:
             )
 
 
-def _suite_legendre(budget, seed) -> SuiteResult:
+def _suite_legendre(seed) -> SuiteResult:
     res = SuiteResult("legendre-exactness")
     t = shared_tables()
     start = time.monotonic()
@@ -165,7 +165,7 @@ def _contract_densities() -> list[tuple[str, MultiplicativeDensity, PrimeSet]]:
     ]
 
 
-def _suite_selberg_weights(budget, seed) -> SuiteResult:
+def _suite_selberg_weights(seed) -> SuiteResult:
     res = SuiteResult("selberg-validity")
     t = shared_tables()
     for name, omega, pset in _contract_densities():
@@ -212,7 +212,7 @@ def _suite_selberg_weights(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_sieve_validity(budget, seed) -> SuiteResult:
+def _suite_sieve_validity(seed) -> SuiteResult:
     res = SuiteResult("sieve-validity")
     t = shared_tables()
     # quadratic-form upper weights dominate the coprimality indicator
@@ -308,7 +308,7 @@ def _sandwich_configs(t: PrimeTables) -> list[tuple]:
     ]
 
 
-def _suite_bound_sandwich(budget, seed) -> SuiteResult:
+def _suite_bound_sandwich(seed) -> SuiteResult:
     res = SuiteResult("bound-sandwich")
     t = shared_tables()
     start = time.monotonic()
@@ -335,7 +335,7 @@ def _suite_bound_sandwich(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_mertens(budget, seed) -> SuiteResult:
+def _suite_mertens(seed) -> SuiteResult:
     res = SuiteResult("mertens-products")
     t = shared_tables()
     ones = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
@@ -351,7 +351,7 @@ def _suite_mertens(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_delay_grid(budget, seed) -> SuiteResult:
+def _suite_delay_grid(seed) -> SuiteResult:
     res = SuiteResult("delay-grid")
     g = shared_grid()
     eg = math.exp(EULER_GAMMA)
@@ -400,7 +400,7 @@ def _suite_delay_grid(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_fundamental_lemma(budget, seed) -> SuiteResult:
+def _suite_fundamental_lemma(seed) -> SuiteResult:
     res = SuiteResult("fundamental-lemma")
     t = shared_tables()
     g = shared_grid()
@@ -415,7 +415,7 @@ def _suite_fundamental_lemma(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_parity(budget, seed) -> SuiteResult:
+def _suite_parity(seed) -> SuiteResult:
     res = SuiteResult("parity-extremal")
     t = shared_tables()
     g = shared_grid()
@@ -466,7 +466,7 @@ def _suite_parity(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_brun_titchmarsh(budget, seed) -> SuiteResult:
+def _suite_brun_titchmarsh(seed) -> SuiteResult:
     res = SuiteResult("brun-titchmarsh")
     t = shared_tables()
     x = 1_000_000
@@ -488,7 +488,7 @@ def _suite_brun_titchmarsh(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_pair_bounds(budget, seed) -> SuiteResult:
+def _suite_pair_bounds(seed) -> SuiteResult:
     res = SuiteResult("pair-bounds")
     t = shared_tables()
     small = twin_report(1000, 1, t)
@@ -524,7 +524,7 @@ def _suite_pair_bounds(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_weighted(budget, seed) -> SuiteResult:
+def _suite_weighted(seed) -> SuiteResult:
     res = SuiteResult("weighted-margins")
     t = shared_tables()
     g = shared_grid()
@@ -588,7 +588,7 @@ def _suite_weighted(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_chen(budget, seed) -> SuiteResult:
+def _suite_chen(seed) -> SuiteResult:
     res = SuiteResult("chen-almost-primes")
     t = shared_tables()
     res.check(
@@ -704,7 +704,7 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     )
 
 
-def _suite_bv(budget, seed) -> SuiteResult:
+def _suite_bv(seed) -> SuiteResult:
     res = SuiteResult("progression-errors")
     t = shared_tables()
     scan = bv_scan(1_000_000, 50, t)
@@ -725,7 +725,7 @@ def _suite_bv(budget, seed) -> SuiteResult:
     return res
 
 
-def _suite_extended(budget, seed) -> SuiteResult:
+def _suite_extended(seed) -> SuiteResult:
     """Spot checks rerun at ten times the quick-suite scale.
 
     Not part of 'all'; the command line gates it behind its own flag
@@ -909,18 +909,16 @@ def coverage_problems() -> list[str]:
     return problems
 
 
-def run_suite(name: str, budget: float | None = None, seed: int = 0) -> SuiteResult:
+def run_suite(name: str, seed: int = 0) -> SuiteResult:
     """Run one registered suite, or 'all' for every suite in order.
 
-    budget is an advisory wall-clock target in seconds recorded alongside
-    the result; the required cases always run.  seed feeds the sampled
-    checks.
+    seed feeds the sampled checks.
     """
     if name == "all":
         shared_tables()
         shared_grid()
         agg = SuiteResult("all")
-        for sub in (run_suite(n, budget, seed) for n in SUITES if n != "extended"):
+        for sub in (run_suite(n, seed) for n in SUITES if n != "extended"):
             agg.cases += sub.cases
             agg.elapsed += sub.elapsed
             for cid, rel, obs in sub.failures:
@@ -929,6 +927,6 @@ def run_suite(name: str, budget: float | None = None, seed: int = 0) -> SuiteRes
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
     start = time.monotonic()
-    result = SUITES[name][0](budget, seed)
+    result = SUITES[name][0](seed)
     result.elapsed = time.monotonic() - start
     return result

@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .arith import EULER_GAMMA, PrimeTables
 from .errors import CapacityError
-from .problem import MultiplicativeDensity, PrimeSet, SieveProblem, count_Ad, sieve_primes
+from .problem import (
+    MultiplicativeDensity,
+    PrimeSet,
+    SieveProblem,
+    divisor_walk,
+    remainder,
+    sieve_primes,
+)
 
 #: switch from exact rational products to compensated floats above this z
 EXACT_PRODUCT_Z = 10_000
@@ -103,20 +110,8 @@ def legendre_count(p: SieveProblem, z: float, max_primes: int = MAX_SUBSET_PRIME
         CapacityError: more than max_primes sieve primes below z.
     """
     rp = _subset_primes(p, z, max_primes)
-    total = 0
-    stack: list[tuple[int, int, int]] = [(0, 1, 1)]
-    while stack:
-        i, d, sign = stack.pop()
-        c = count_Ad(p, d)
-        total += sign * c
-        if c == 0:
-            continue
-        for j in range(i, len(rp)):
-            nd = d * rp[j]
-            if nd > p.n_bound:
-                break
-            stack.append((j + 1, nd, -sign))
-    return total
+    walk = divisor_walk(p, rp, lambda d, nu, q: d * q <= p.n_bound, prune_empty=True)
+    return sum(-c if nu % 2 else c for _, nu, _, c in walk)
 
 
 def legendre_remainder_sum(
@@ -126,14 +121,8 @@ def legendre_remainder_sum(
 
     Together with X W(z; w) this brackets the sifted count from both sides.
     """
-    from .problem import remainder
-
     rp = _subset_primes(p, z, max_primes)
-    terms: list[float] = []
-    stack: list[tuple[int, int]] = [(0, 1)]
-    while stack:
-        i, d = stack.pop()
-        terms.append(abs(remainder(p, d).r))
-        for j in range(i, len(rp)):
-            stack.append((j + 1, d * rp[j]))
-    return math.fsum(terms)
+    return math.fsum(
+        abs(remainder(p, d, c, w).r)
+        for d, _, w, c in divisor_walk(p, rp, lambda d, nu, q: True)
+    )

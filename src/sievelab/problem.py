@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,9 @@ SCAN_KINDS = (
     "liouville_minus",
 )
 ALL_KINDS = ("interval", "arithmetic_progression") + SCAN_KINDS
+
+#: kinds whose #A_d is a closed formula, not a scan of the members
+_FORMULA_KINDS = ("interval", "arithmetic_progression", "liouville_plus", "liouville_minus")
 
 
 @dataclass(frozen=True)
@@ -311,11 +314,8 @@ def _factor_squarefree(d: int, tables: PrimeTables) -> list[int]:
     return out
 
 
-def count_Ad(p: SieveProblem, d: int) -> int:
-    """Exact number of members of A divisible by d (d squarefree, d >= 1)."""
-    fac = _factor_squarefree(d, p.tables)
-    if d > p.n_bound:  # every member is positive and at most n_bound
-        return 0
+def _closed_count(p: SieveProblem, d: int, nu: int) -> int:
+    """#A_d by formula for the kinds with no member scan; nu = nu(d)."""
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
         return (x + y) // d - x // d
@@ -329,25 +329,86 @@ def count_Ad(p: SieveProblem, d: int) -> int:
         if c == 0:
             return x // (d * k)
         return (x - c) // (d * k) + 1 if c <= x else 0
-    if p.kind in ("liouville_plus", "liouville_minus"):
-        x = p.params["x"]
-        m_top = x // d
-        if m_top == 0:
-            return 0
-        liou_d = 1 if len(fac) % 2 == 0 else -1
-        target = -1 if p.kind == "liouville_plus" else 1
-        want_plus = target * liou_d == 1
-        plus = int(p._prefix_plus[m_top])
-        return plus if want_plus else m_top - plus
+    # liouville kinds: lambda(d m) = lambda(d) lambda(m) and lambda(d) = (-1)^nu
+    m_top = p.params["x"] // d
+    target = -1 if p.kind == "liouville_plus" else 1
+    plus = int(p._prefix_plus[m_top])
+    return plus if target == (-1) ** nu else m_top - plus
+
+
+def count_Ad(p: SieveProblem, d: int) -> int:
+    """Exact number of members of A divisible by d (d squarefree, d >= 1)."""
+    fac = _factor_squarefree(d, p.tables)
+    if d > p.n_bound:  # every member is positive and at most n_bound
+        return 0
+    if p.kind in _FORMULA_KINDS:
+        return _closed_count(p, d, len(fac))
     return int(np.count_nonzero(p.members % d == 0))
 
 
-def remainder(p: SieveProblem, d: int) -> RemainderRecord:
-    """Exact count of A_d against its expected share X w(d)/d."""
-    fac = _factor_squarefree(d, p.tables)
-    count = count_Ad(p, d)
-    main = float(p.X) * float(p.omega.at_squarefree(fac)) / d
+def remainder(
+    p: SieveProblem, d: int, count: int | None = None, w: Fraction | int | None = None
+) -> RemainderRecord:
+    """Exact count of A_d against its expected share X w(d)/d.
+
+    A divisor walk passes the #A_d and w(d) it carried; otherwise both are
+    rebuilt from d.
+    """
+    if w is None:
+        w = p.omega.at_squarefree(_factor_squarefree(d, p.tables))
+    if count is None:
+        count = count_Ad(p, d)
+    main = float(p.X) * float(w) / d
     return RemainderRecord(d=d, count=count, main=main, r=count - main)
+
+
+def divisor_walk(
+    p: SieveProblem,
+    primes: Sequence[int],
+    admit: Callable[[int, int, int], bool],
+    factors: dict | None = None,
+    counts: bool = True,
+    prune_empty: bool = False,
+    max_nodes: int | None = None,
+) -> Iterator[tuple[int, int, object, int | None]]:
+    """Depth-first walk of the squarefree d built from ``primes``, in their order.
+
+    A node d extends to d q for each later prime q that ``admit(d, nu(d), q)``
+    accepts, and yields (d, nu(d), v(d), #A_d), carried down one step per
+    node: v(d) = v(d / q) factors[q] (default factors w(q), so v(d) = w(d)),
+    and #A_d is the kind's formula or, for the member-scan kinds, the count
+    of the parent's surviving members that q divides.  counts=False yields
+    None for #A_d; prune_empty skips the subtree below a node with #A_d = 0.
+
+    Raises:
+        CapacityError: more than max_nodes nodes.
+    """
+    primes = [int(q) for q in primes]
+    if factors is None:  # whole w(q) as ints: as exact as Fractions, and cheaper
+        factors = {q: p.omega.at_prime(q) for q in primes}
+        factors = {q: w.numerator if w.denominator == 1 else w for q, w in factors.items()}
+    scan = counts and p.kind not in _FORMULA_KINDS
+    nodes = 0
+    # (index of the next prime, d, nu(d), v(d), members divisible by d / q)
+    stack: list = [(0, 1, 0, 1, p.members if scan else None)]
+    while stack:
+        i, d, nu, v, sub = stack.pop()
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise CapacityError(f"divisor walk exceeds {max_nodes} nodes")
+        if scan:
+            if i and sub.size:  # i > 0: d = (d / q) q with q = primes[i - 1]
+                sub = sub[sub % primes[i - 1] == 0]
+            count = sub.size
+        else:
+            count = _closed_count(p, d, nu) if counts else None
+        yield d, nu, v, count
+        if prune_empty and count == 0:
+            continue
+        for j in range(i, len(primes)):
+            q = primes[j]
+            if admit(d, nu, q):
+                stack.append((j + 1, d * q, nu + 1, v * factors[q], sub))
 
 
 def sieve_primes(p: SieveProblem, z: float) -> np.ndarray:

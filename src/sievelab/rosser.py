@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .buchstab import BuchstabGrid, evaluate
 from .errors import CapacityError, InputError
 from .legendre import problem_W
-from .problem import SieveProblem, _factor_squarefree, remainder, sift_exact
+from .problem import SieveProblem, _factor_squarefree, divisor_walk, remainder, sift_exact
 from .selberg import SieveReport, _relevant_primes
 
 #: hard ceiling on the number of support elements enumerated per call
@@ -67,35 +67,19 @@ def truncated_mu(d: int, y: float, sign: int, tables) -> int:
     return -1 if len(facs) % 2 else 1
 
 
-def _iter_support(
-    primes_desc: Sequence[int], y: float, sign: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Depth-first walk of the support, largest prime chosen first.
+def _chain_admit(y: float, sign: int):
+    """The support's step rule for a walk over the primes, largest first.
 
-    Yields (d, factors) pairs including d = 1.  A branch that fails its
-    position condition is dropped whole: every extension keeps the same
-    failing prefix, so nothing below it can be a member.
+    q at position nu + 1 (odd positions for sign = +1, even ones otherwise)
+    fails when d q^3 >= y; every extension keeps that prefix, so the whole
+    branch goes.
     """
-    want_odd = sign == 1
-    yield 1, ()
-    n = 1
-    stack = [(0, 1, ())]
-    while stack:
-        idx, prod, facs = stack.pop()
-        pos_checked = ((len(facs) + 1) % 2 == 1) == want_odd
-        for j in range(idx, len(primes_desc)):
-            p = primes_desc[j]
-            if pos_checked and prod * p * p * p >= y:
-                continue
-            nd = prod * p
-            n += 1
-            if n > MAX_CHAIN_NODES:
-                raise CapacityError(
-                    f"truncated support exceeds {MAX_CHAIN_NODES} elements"
-                )
-            nf = facs + (p,)
-            yield nd, nf
-            stack.append((j + 1, nd, nf))
+    checked = 0 if sign == 1 else 1  # parity of nu(d) when position nu + 1 is checked
+
+    def admit(d: int, nu: int, q: int) -> bool:
+        return nu % 2 != checked or d * q * q * q < y
+
+    return admit
 
 
 def truncated_mobius_sum(
@@ -106,29 +90,22 @@ def truncated_mobius_sum(
     Computes the sum of mu(d) w(d) / d over support members built from the
     problem's sieve primes below z.  Exact rational arithmetic is the
     default while few primes are in play; pass ``exact`` to force either
-    path.
+    path.  The float path carries each term as the product of w(q)/q in the
+    order the walk adds the primes, largest first.
     """
     if y <= 1:
         raise InputError(f"need y > 1, got {y}")
     primes = _relevant_primes(z, p.omega, p.prime_set, p.tables)
     if exact is None:
         exact = len(primes) <= 30
-    desc = primes[::-1]
-    if exact:
-        total = Fraction(0)
-        for _, facs in _iter_support(desc, y, sign):
-            term = Fraction(1)
-            for q in facs:
-                term *= Fraction(p.omega.at_prime(q), q)
-            total += -term if len(facs) % 2 else term
-        return total
-    terms = []
-    for _, facs in _iter_support(desc, y, sign):
-        t = 1.0
-        for q in facs:
-            t *= float(p.omega.at_prime(q)) / q
-        terms.append(-t if len(facs) % 2 else t)
-    return math.fsum(terms)
+    ratio = Fraction if exact else lambda w, q: float(w) / q
+    factors = {q: ratio(p.omega.at_prime(q), q) for q in primes}
+    walk = divisor_walk(
+        p, primes[::-1], _chain_admit(y, sign), factors=factors, counts=False,
+        max_nodes=MAX_CHAIN_NODES,
+    )
+    terms = (-t if nu % 2 else t for _, nu, t, _ in walk)
+    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
 
 
 @dataclass
@@ -156,17 +133,13 @@ def combinatorial_bounds(
         raise InputError(f"need 1 < z <= y, got z={z}, y={y}")
     s = math.log(y) / math.log(z)
     mv = problem_W(p, z)
-    primes = _relevant_primes(z, p.omega, p.prime_set, p.tables)
-    desc = primes[::-1]
+    desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
     exact = sift_exact(p, z) if with_exact else None
     out = {}
     for sign in (1, -1):
         m = truncated_mobius_sum(p, y, z, sign)
-        rem_terms = []
-        for d, _ in _iter_support(desc, y, sign):
-            if d < y:
-                rem_terms.append(abs(remainder(p, d).r))
-        rem = math.fsum(rem_terms)
+        walk = divisor_walk(p, desc, _chain_admit(y, sign), max_nodes=MAX_CHAIN_NODES)
+        rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c in walk if d < y)
         main = p.X * float(m)
         notes = f"X*W(z) = {p.X * mv.W:.6g}"
         if grid is not None and 0 < s <= grid.s_max:

@@ -23,6 +23,7 @@ from .problem import (
     MultiplicativeDensity,
     PrimeSet,
     SieveProblem,
+    divisor_walk,
     make_problem,
     remainder,
     sieve_primes,
@@ -34,6 +35,9 @@ MAX_EXACT_SUPPORT = 100_000
 
 #: refuse supports larger than this outright
 MAX_SUPPORT = 400_000
+
+#: refuse mu+ expansions over more (d1, d2) pairs than this (xi = 1000: 3.7e5)
+MAX_MU_PLUS_PAIRS = 1_000_000
 
 
 @dataclass
@@ -225,8 +229,15 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
     mu+(d) = sum of lambda_d1 lambda_d2 over pairs with [d1, d2] = d, so
     sum over d | n of mu+(d) = (sum of lambda_d over d | n)^2 >= 0, with
     value exactly 1 when n shares no prime with the sieve support.
+
+    Raises:
+        CapacityError: |support|^2 pairs exceed MAX_MU_PLUS_PAIRS.
     """
     items = list(w.lambdas.items())
+    if len(items) ** 2 > MAX_MU_PLUS_PAIRS:
+        raise CapacityError(
+            f"mu+ over {len(items)} weights is {len(items) ** 2} pairs; cap is {MAX_MU_PLUS_PAIRS}"
+        )
     values: dict[int, Fraction] = {}
     for d1, l1 in items:
         for d2, l2 in items:
@@ -260,10 +271,8 @@ def fundamental_upper_bound(
     G = big_G(xi, z, p.omega, p.prime_set, p.tables)
     main = float(p.X) / float(G)
     ps = _relevant_primes(z, p.omega, p.prime_set, p.tables)
-    terms: list[float] = []
-    for d, facs in _support(ps, y):
-        terms.append(3 ** len(facs) * abs(remainder(p, d).r))
-    rem = math.fsum(terms)
+    walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
+    rem = math.fsum(3**nu * abs(remainder(p, d, c, w).r) for d, nu, w, c in walk)
     report = SieveReport(
         problem=p.label, X=float(p.X), z=float(z), y=float(y),
         s=math.log(y) / math.log(z) if z > 1 else None,

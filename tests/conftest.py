@@ -26,3 +26,20 @@ def grid():
     from sievelab.buchstab import build_grid
 
     return build_grid(30, 1e-4)
+
+
+@pytest.fixture(scope="session")
+def kind_problems(tables_small):
+    """One small problem of each kind, the member-scan kinds included."""
+    from sievelab.problem import make_problem
+
+    cases = [
+        ("interval", {"x": 137, "y": 4_000}),
+        ("arithmetic_progression", {"x": 9_000, "k": 7, "l": 3}),
+        ("goldbach_product", {"two_N": 2_000}),
+        ("shifted_prime", {"N": 5_000}),
+        ("square_plus_one", {"x": 90}),
+        ("liouville_plus", {"x": 8_000}),
+        ("liouville_minus", {"x": 6_000}),
+    ]
+    return [make_problem(kind, params, tables_small) for kind, params in cases]

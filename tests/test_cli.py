@@ -184,7 +184,7 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    def bad(budget, seed):
+    def bad(seed):
         r = SuiteResult("always-bad")
         r.check("one", "x == y", False, "1 vs 2")
         return r
@@ -194,3 +194,31 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
                               "--format", "table"])
     assert rc == 1
     assert "FAIL" in out and "1 vs 2" in out
+
+
+def test_progression_scan_sizes_tables_for_q(capsys):
+    # q_max beyond x: the tables cover the moduli, not only the primes up to x
+    rc, out, err = run(capsys, ["brun-titchmarsh", "--x", "1000", "--scan-q", "20000"])
+    assert rc == 0, err
+    assert len(json.loads(out)["rows"]) == 20_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selberg", "--problem", "interval", "--len", "1000", "--x", "0", "--y", "inf"],
+        ["selberg", "--problem", "interval", "--len", "1000", "--x", "0", "--y", "100",
+         "--z", "-5"],
+        ["selberg", "--problem", "interval", "--len", "nan", "--x", "0", "--y", "100"],
+        ["rosser", "--problem", "interval", "--len", "1000", "--x", "0", "--y", "1"],
+        ["legendre", "--problem", "interval", "--len", "1000", "--x", "0", "--z", "1"],
+        ["buchstab", "--step", "0"],
+        ["buchstab", "--step=-0.0001"],
+        ["buchstab", "--s-max", "inf"],
+        ["parity", "--x", "1000", "--s", "2,nan"],
+    ],
+)
+def test_numbers_outside_the_domain_exit_2(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

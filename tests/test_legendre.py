@@ -12,7 +12,14 @@ from sievelab.legendre import (
     mertens_products,
     problem_W,
 )
-from sievelab.problem import make_problem, sieve_primes, sift_exact
+from sievelab.problem import (
+    count_Ad,
+    divisor_walk,
+    make_problem,
+    remainder,
+    sieve_primes,
+    sift_exact,
+)
 
 
 def test_interval_30_by_hand(tables_small):
@@ -107,3 +114,56 @@ def test_progression_with_sieve_set_excluding_k(tables_small):
     mv = problem_W(prob, 12)
     assert mv.W_exact == (1 - Fraction(1, 5)) * (1 - Fraction(1, 7)) * (1 - Fraction(1, 11))
     assert legendre_count(prob, 12) == sift_exact(prob, 12)
+
+
+def _reference_count(p, z):
+    """Inclusion-exclusion one node at a time, #A_d rebuilt from each d."""
+    rp = [int(q) for q in sieve_primes(p, z)]
+    total = 0
+    stack = [(0, 1, 1)]
+    while stack:
+        i, d, sign = stack.pop()
+        c = count_Ad(p, d)
+        total += sign * c
+        if c == 0:
+            continue
+        for j in range(i, len(rp)):
+            nd = d * rp[j]
+            if nd > p.n_bound:
+                break
+            stack.append((j + 1, nd, -sign))
+    return total
+
+
+def _reference_remainder_sum(p, z):
+    """Every |R_d| one node at a time, R_d rebuilt from each d."""
+    rp = [int(q) for q in sieve_primes(p, z)]
+    terms = []
+    stack = [(0, 1)]
+    while stack:
+        i, d = stack.pop()
+        terms.append(abs(remainder(p, d).r))
+        for j in range(i, len(rp)):
+            stack.append((j + 1, d * rp[j]))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("z", [2, 7, 23, 32])
+def test_walk_equals_per_node_reference(kind_problems, z):
+    for p in kind_problems:
+        assert legendre_count(p, z) == _reference_count(p, z), (p.kind, z)
+        assert legendre_remainder_sum(p, z) == _reference_remainder_sum(p, z), (p.kind, z)
+
+
+def test_carried_state_equals_rebuilt(kind_problems):
+    # past n_bound (8,101 for n^2 + 1 at x = 90) the carried members run empty
+    for p in kind_problems:
+        rp = [int(q) for q in sieve_primes(p, 30)]
+        seen = 0
+        for d, nu, w, c in divisor_walk(p, rp, lambda d, nu, q: True):
+            fac = [q for q in rp if d % q == 0]
+            assert (nu, w, c) == (len(fac), p.omega.at_squarefree(fac), count_Ad(p, d)), (
+                p.kind, d,
+            )
+            seen += 1
+        assert seen == 2 ** len(rp)

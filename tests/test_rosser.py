@@ -10,7 +10,7 @@ import sievelab.rosser as rosser
 from sievelab.buchstab import evaluate
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import problem_W
-from sievelab.problem import make_problem, sift_exact
+from sievelab.problem import divisor_walk, make_problem, remainder, sift_exact
 from sievelab.rosser import (
     chain_member,
     combinatorial_bounds,
@@ -19,6 +19,7 @@ from sievelab.rosser import (
     truncated_mobius_sum,
     truncated_mu,
 )
+from sievelab.selberg import _relevant_primes
 
 
 def test_frozen_small_sums(tables_small):
@@ -72,12 +73,10 @@ def _oracle_support(primes: list[int], y: float, sign: int) -> dict[int, int]:
 def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     oracle = _oracle_support(primes, y, sign)
-    walked = dict(
-        (d, -1 if len(f) % 2 else 1)
-        for d, f in rosser._iter_support(primes[::-1], y, sign)
-    )
-    assert walked == oracle
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
+    walk = divisor_walk(p, primes[::-1], rosser._chain_admit(y, sign), counts=False)
+    walked = {d: -1 if nu % 2 else 1 for d, nu, _, _ in walk}
+    assert walked == oracle
     expect = sum(Fraction(mu, d) for d, mu in oracle.items())
     assert truncated_mobius_sum(p, y, 30, sign, exact=True) == expect
 
@@ -143,5 +142,84 @@ def test_validation_and_capacity(tables_small, monkeypatch):
     with pytest.raises(InputError):
         truncated_mobius_sum(p, 1.0, 5.0, 1)
     monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", 5)
+    with pytest.raises(CapacityError):
+        truncated_mobius_sum(p, 1000.0, 30.0, -1)
+
+
+def _reference_support(primes_desc, y, sign):
+    """The support walk that rebuilds each term from its factor tuple."""
+    want_odd = sign == 1
+    yield 1, ()
+    stack = [(0, 1, ())]
+    while stack:
+        idx, prod, facs = stack.pop()
+        pos_checked = ((len(facs) + 1) % 2 == 1) == want_odd
+        for j in range(idx, len(primes_desc)):
+            q = primes_desc[j]
+            if pos_checked and prod * q * q * q >= y:
+                continue
+            yield prod * q, facs + (q,)
+            stack.append((j + 1, prod * q, facs + (q,)))
+
+
+def _reference_mobius(p, y, z, sign, exact):
+    desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
+    if exact:
+        total = Fraction(0)
+        for _, facs in _reference_support(desc, y, sign):
+            term = Fraction(1)
+            for q in facs:
+                term *= Fraction(p.omega.at_prime(q), q)
+            total += -term if len(facs) % 2 else term
+        return total
+    terms = []
+    for _, facs in _reference_support(desc, y, sign):
+        t = 1.0
+        for q in facs:
+            t *= float(p.omega.at_prime(q)) / q
+        terms.append(-t if len(facs) % 2 else t)
+    return math.fsum(terms)
+
+
+def _reference_bounds(p, y, z):
+    desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
+    out = []
+    for sign in (1, -1):
+        main = p.X * float(_reference_mobius(p, y, z, sign, len(desc) <= 30))
+        rem = math.fsum(
+            abs(remainder(p, d).r) for d, _ in _reference_support(desc, y, sign) if d < y
+        )
+        out.append(main + sign * rem)
+    return out
+
+
+# 945 = 7 * 5 * 3^3 and 189 = 7 * 3^3 sit on the step rule's boundary
+@pytest.mark.parametrize(
+    "y,z", [(100.0, 10.0), (189.0, 10.0), (945.0, 10.0), (3_000.0, 25.0), (20_000.0, 40.0)]
+)
+def test_bounds_equal_per_node_reference(kind_problems, y, z):
+    for p in kind_problems:
+        bp = combinatorial_bounds(p, y, z, with_exact=False)
+        got = [bp.upper.upper_bound, bp.lower.lower_bound]
+        assert got == _reference_bounds(p, y, z), (p.kind, y, z)
+
+
+@pytest.mark.parametrize(
+    "y,z,exact",
+    [(1e4, 50.0, True), (1e6, 100.0, True), (1e6, 100.0, False), (1e6, 1000.0, False)],
+)
+def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact):
+    for p in kind_problems:
+        for sign in (1, -1):
+            got = truncated_mobius_sum(p, y, z, sign, exact=exact)
+            assert got == _reference_mobius(p, y, z, sign, exact), (p.kind, y, z, sign)
+
+
+def test_chain_cap_fires_past_its_size(tables_small, monkeypatch):
+    p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
+    size = len(list(_reference_support([29, 23, 19, 17, 13, 11, 7, 5, 3, 2], 1000.0, -1)))
+    monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", size)
+    truncated_mobius_sum(p, 1000.0, 30.0, -1)
+    monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", size - 1)
     with pytest.raises(CapacityError):
         truncated_mobius_sum(p, 1000.0, 30.0, -1)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab.errors import InputError, ZeroDensityError
-from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, sift_exact
+import sievelab.selberg as sb
+from sievelab.errors import CapacityError, InputError, ZeroDensityError
+from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, remainder, sift_exact
 from sievelab.selberg import (
+    _relevant_primes,
+    _support,
     big_G,
     brun_titchmarsh,
     dimension_diagnostics,
@@ -209,6 +212,43 @@ def test_fundamental_upper_bound_is_upper(tables_small):
         assert rep.upper_bound == pytest.approx(rep.main_term + rep.remainder_bound)
         assert rep.exact_count == sift_exact(prob, z)
         assert rep.upper_bound >= rep.exact_count
+
+
+def _reference_upper_bound(p, y, z):
+    """The quadratic-form bound with every R_d rebuilt from d, one node at a time."""
+    ps = _relevant_primes(z, p.omega, p.prime_set, p.tables)
+    G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
+    rem = math.fsum(3 ** len(f) * abs(remainder(p, d).r) for d, f in _support(ps, y))
+    return float(p.X) / float(G) + rem, rem
+
+
+@pytest.mark.parametrize("y,z", [(100, 10), (2_000, 20), (20_000, 40)])
+def test_upper_bound_equals_per_node_reference(kind_problems, y, z):
+    for p in kind_problems:
+        rep = fundamental_upper_bound(p, y, z, with_exact=False)
+        assert (rep.upper_bound, rep.remainder_bound) == _reference_upper_bound(p, y, z), (
+            p.kind, y, z,
+        )
+
+
+def test_support_cap_fires_past_its_size(tables_small, monkeypatch):
+    p = make_problem("interval", {"x": 0, "y": 10_000}, tables_small)
+    size = len(_support(_relevant_primes(20, p.omega, p.prime_set, p.tables), 400))
+    monkeypatch.setattr(sb, "MAX_SUPPORT", size)
+    fundamental_upper_bound(p, 400, 20, with_exact=False)
+    monkeypatch.setattr(sb, "MAX_SUPPORT", size - 1)
+    with pytest.raises(CapacityError):
+        fundamental_upper_bound(p, 400, 20, with_exact=False)
+
+
+def test_mu_plus_pair_cap(tables_small, monkeypatch):
+    w = lambda_weights(100, 30, ONES, ALL, tables_small)
+    pairs = len(w.lambdas) ** 2
+    monkeypatch.setattr(sb, "MAX_MU_PLUS_PAIRS", pairs)
+    assert mu_plus(w).values[1] == 1
+    monkeypatch.setattr(sb, "MAX_MU_PLUS_PAIRS", pairs - 1)
+    with pytest.raises(CapacityError, match="cap is"):
+        mu_plus(w)
 
 
 def test_brun_titchmarsh_small(tables_small):
