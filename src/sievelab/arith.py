@@ -41,16 +41,29 @@ class PrimeTables:
     _big_omega: np.ndarray | None = field(default=None, repr=False)
     _mobius: np.ndarray | None = field(default=None, repr=False)
 
+    def _prime_factor_counts(self, powers: bool) -> np.ndarray:
+        """int16 count of the prime factors of each n <= limit (Omega if powers, else nu).
+
+        A prime above sqrt(limit) divides n at most once, so those primes are
+        added by cofactor m: all q <= limit/m at once.
+        """
+        lim = self.limit
+        out = np.zeros(lim + 1, dtype=np.int16)
+        split = int(np.searchsorted(self.primes, math.isqrt(lim), side="right"))
+        for p in self.primes[:split].tolist():
+            q = p
+            while q <= lim:
+                out[q::q] += 1
+                q = q * p if powers else lim + 1  # nu counts each prime once
+        large = self.primes[split:]
+        for m in range(1, lim // (math.isqrt(lim) + 1) + 1):
+            out[m * large[: np.searchsorted(large, lim // m, side="right")]] += 1
+        return out
+
     def big_omega_table(self) -> np.ndarray:
         """int16 array with Omega(n) (prime factors with multiplicity)."""
         if self._big_omega is None:
-            big = np.zeros(self.limit + 1, dtype=np.int16)
-            for p in self.primes:
-                q = int(p)
-                while q <= self.limit:
-                    big[q::q] += 1
-                    q *= int(p)
-            self._big_omega = big
+            self._big_omega = self._prime_factor_counts(powers=True)
         return self._big_omega
 
     def liouville_table(self) -> np.ndarray:
@@ -65,13 +78,8 @@ class PrimeTables:
     def mobius_table(self) -> np.ndarray:
         """int8 array with mu(n); entry 0 is unused and set to 0."""
         if self._mobius is None:
-            nu = np.zeros(self.limit + 1, dtype=np.int16)
-            for p in self.primes:
-                nu[p::p] += 1
-            squarefree = np.ones(self.limit + 1, dtype=bool)
-            for p in self.primes[self.primes <= math.isqrt(self.limit)]:
-                sq = int(p) * int(p)
-                squarefree[sq::sq] = False
+            nu = self._prime_factor_counts(powers=False)
+            squarefree = nu == self.big_omega_table()
             mu = np.where(squarefree, np.where(nu & 1, -1, 1), 0).astype(np.int8)
             mu[0] = 0
             self._mobius = mu

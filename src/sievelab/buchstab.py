@@ -16,18 +16,26 @@ The grid builder integrates the equivalent integral forms
 one unit-length panel at a time with cumulative composite Simpson on a step
 that divides 1 exactly, so the delayed argument t - 1 always lands back on
 the grid.  Closed forms override the grid on their validity ranges.
+
+Building a grid costs far less than parsing one back from text, so the CSV
+cache of ``grid_cached`` is an export only: it is written, never read.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .arith import EULER_GAMMA
-from .errors import InputError
+from .errors import CapacityError, InputError
+
+#: most grid points build_grid allocates (three float64 arrays of this length)
+MAX_GRID_CELLS = 5_000_000
+_SAVE_CHUNK = 8192  # rows formatted per write
 
 
 @dataclass
@@ -78,6 +86,11 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
         s_max: integer >= 6; the grid covers (0, s_max].
         step: grid spacing; 1/step must be an even integer and step <= 1e-3.
 
+    Raises:
+        InputError: s_max or step outside the domain above.
+        CapacityError: s_max/step exceeds MAX_GRID_CELLS; checked before
+            anything is allocated.
+
     The returned ``join_error`` is the largest difference on 2 < s <= 4
     between the integral-form value of f and its closed form, a direct
     measure of the panel scheme's accuracy.
@@ -91,6 +104,10 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
         raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
     smax = int(s_max)
     k_top = smax * m
+    if k_top > MAX_GRID_CELLS:
+        raise CapacityError(
+            f"grid of s_max/step = {k_top} points exceeds the cap of {MAX_GRID_CELLS}"
+        )
     s = np.arange(k_top + 1, dtype=np.float64) / m
     s[0] = np.nan
     F = np.full(k_top + 1, np.nan)
@@ -125,12 +142,41 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
     )
 
 
+def _csv_rows(grid: BuchstabGrid, lo: int, hi: int) -> str:
+    cols = (grid.s[lo:hi].tolist(), grid.F_values[lo:hi].tolist(), grid.f_values[lo:hi].tolist())
+    return "".join(f"{s:.17g},{F:.17g},{f:.17g}\n" for s, F, f in zip(*cols))
+
+
 def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
-    """Write the grid as CSV with header s,F,f at 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("s,F,f\n")
-        for k in range(1, grid.s.size):
-            fh.write(f"{grid.s[k]:.17g},{grid.F_values[k]:.17g},{grid.f_values[k]:.17g}\n")
+    """Write the grid as CSV with header s,F,f at 17 significant digits.
+
+    A temporary file beside ``path`` replaces it when complete, so ``path``
+    never holds a partly written grid.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("s,F,f\n")
+            for lo in range(1, grid.s.size, _SAVE_CHUNK):
+                fh.write(_csv_rows(grid, lo, min(lo + _SAVE_CHUNK, grid.s.size)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _holds_grid(path: str | Path, grid: BuchstabGrid) -> bool:
+    """Whether ``path`` has the header, first row (step) and last row (s_max) of this grid."""
+    head = ("s,F,f\n" + _csv_rows(grid, 1, 2)).encode()
+    tail = ("\n" + _csv_rows(grid, grid.s.size - 1, grid.s.size)).encode()
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(head)) != head or fh.seek(0, os.SEEK_END) < len(head) + len(tail):
+                return False
+            fh.seek(-len(tail), os.SEEK_END)
+            return fh.read() == tail
+    except FileNotFoundError:
+        return False
 
 
 def load_grid(path: str | Path) -> BuchstabGrid:
@@ -142,25 +188,20 @@ def load_grid(path: str | Path) -> BuchstabGrid:
         data = np.loadtxt(fh, delimiter=",")
     if data.ndim != 2 or data.shape[1] != 3:
         raise InputError(f"malformed grid file {path}")
-    k = data.shape[0]
-    s = np.concatenate(([np.nan], data[:, 0]))
-    F = np.concatenate(([np.nan], data[:, 1]))
-    f = np.concatenate(([np.nan], data[:, 2]))
-    step = float(data[0, 0])
+    s, F, f = (np.concatenate(([np.nan], col)) for col in data.T)
     return BuchstabGrid(
-        step=step, s_max=float(round(data[-1, 0])), s=s, F_values=F, f_values=f,
+        step=float(data[0, 0]), s_max=float(round(data[-1, 0])), s=s, F_values=F, f_values=f,
         join_error=float("nan"),
     )
 
 
 def grid_cached(s_max: float = 30.0, step: float = 1e-4, cache: str | Path | None = None) -> BuchstabGrid:
-    """Build the grid, reusing ``cache`` when it matches the parameters."""
-    if cache is not None and Path(cache).exists():
-        g = load_grid(cache)
-        if abs(g.step - step) < 1e-12 and g.s_max == float(int(s_max)):
-            return g
+    """Build the grid and, with ``cache``, export it there unless the file already holds it.
+
+    The file is never read back, so the grid always carries its ``join_error``.
+    """
     g = build_grid(s_max, step)
-    if cache is not None:
+    if cache is not None and not _holds_grid(cache, g):
         save_grid(g, cache)
     return g
 

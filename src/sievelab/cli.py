@@ -246,45 +246,29 @@ def _cmd_rosser(cfg: RunConfig) -> tuple[str, int]:
         base = max(p.X, 3.0)
         y = base**cfg.level_exponent * math.log(base) ** cfg.log_power
     z = cfg.z if cfg.z is not None else math.sqrt(y)
+    if z > t.limit:  # a cut derived from X can outgrow the tables the parameters need
+        t = _tables_for(cfg, extra=math.ceil(z))
+        p = _make_problem(cfg, t)
     pair = combinatorial_bounds(p, y, z, with_exact=not cfg.skip_exact)
     up = _sieve_dict(pair.upper)
     lo = _sieve_dict(pair.lower)
     if cfg.fmt == "json":
         return emit_report({"upper": up, "lower": lo}, "json"), 0
-    up["side"] = "upper"
-    lo["side"] = "lower"
-    rows = [{"side": d.pop("side"), **d} for d in (up, lo)]
+    rows = [{"side": side, **d} for side, d in (("upper", up), ("lower", lo))]
     return emit_report(rows, cfg.fmt), 0
 
 
 def _cmd_buchstab(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.cache:
-        grid = grid_cached(cfg.s_max, cfg.step, cfg.cache)
-    else:
-        grid = build_grid(cfg.s_max, cfg.step)
+    grid = grid_cached(cfg.s_max, cfg.step, cfg.cache or None)
     if cfg.fmt == "csv":
-        lines = ["s,F,f"]
-        for s, fv, fl in zip(grid.s[1:], grid.F_values[1:], grid.f_values[1:]):
-            lines.append(f"{s:.12g},{fv:.12g},{fl:.12g}")
-        return "\n".join(lines), 0
-    rows = []
-    s_int = 2
-    while s_int <= cfg.s_max:
-        rows.append(
-            {
-                "s": float(s_int),
-                "F": evaluate(grid, float(s_int), "F"),
-                "f": evaluate(grid, float(s_int), "f"),
-            }
-        )
-        s_int += 1
+        cols = (grid.s[1:].tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
+        return "\n".join(["s,F,f", *(f"{s:.12g},{F:.12g},{f:.12g}" for s, F, f in zip(*cols))]), 0
+    rows = [
+        {"s": float(s), "F": evaluate(grid, float(s), "F"), "f": evaluate(grid, float(s), "f")}
+        for s in range(2, int(grid.s_max) + 1)
+    ]
     if cfg.fmt == "json":
-        out = {
-            "s_max": grid.s_max,
-            "step": grid.step,
-            "join_error": grid.join_error,
-            "rows": rows,
-        }
+        out = {"s_max": grid.s_max, "step": grid.step, "join_error": grid.join_error, "rows": rows}
         return emit_report(out, "json"), 0
     return emit_report(rows, cfg.fmt), 0
 
@@ -469,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("buchstab", parents=[common])
     sp.add_argument("--s-max", type=float, default=None, dest="s_max")
     sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--cache", default=None)
+    sp.add_argument("--cache", default=None, help="export the grid to this CSV (never read)")
 
     sp = sub.add_parser("weighted", parents=[common, prob])
     sp.add_argument("--r", type=int, default=None)

@@ -24,7 +24,6 @@ from .arith import (
     integrate_adaptive,
     li_eval,
     mult_stats,
-    pi_ap,
     prime_pi,
 )
 from .buchstab import BuchstabGrid, build_grid, evaluate
@@ -34,11 +33,10 @@ from .parity import S_pm_exact, recursion_check, prediction_row
 from .problem import (
     MultiplicativeDensity,
     PrimeSet,
-    _factor_squarefree,
     make_problem,
     sift_exact,
 )
-from .rosser import combinatorial_bounds, fundamental_lemma_report
+from .rosser import combinatorial_bounds, fundamental_lemma_report, sandwich_values
 from .selberg import (
     fundamental_upper_bound,
     goldbach_report,
@@ -212,68 +210,45 @@ def _suite_selberg_weights(seed) -> SuiteResult:
     return res
 
 
+def _mu_plus_divisor_sums(values: dict[int, Fraction], n_max: int) -> tuple[np.ndarray, int]:
+    """(sums, den): den is the lcm of the denominators, sums[n] is den * (sum over d | n) as int64."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    scaled = {d: int(v * den) for d, v in values.items()}
+    if sum(map(abs, scaled.values())) >= 2**63:
+        raise CapacityError(f"divisor sums scaled by {den} could overflow int64")
+    sums = np.zeros(n_max + 1, dtype=np.int64)
+    for d, v in scaled.items():
+        sums[d::d] += v
+    return sums, den
+
+
 def _suite_sieve_validity(seed) -> SuiteResult:
     res = SuiteResult("sieve-validity")
     t = shared_tables()
     # quadratic-form upper weights dominate the coprimality indicator
     ones = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
     w = lambda_weights(30.0, 20.0, ones, PrimeSet("all"), t)
-    mp = mu_plus(w)
     n_max = 100_000
-    sums = [Fraction(0)] * (n_max + 1)
-    for d, v in mp.values.items():
-        for m in range(d, n_max + 1, d):
-            sums[m] += v
-    coprime = np.ones(n_max + 1, dtype=bool)
-    coprime[0] = False
+    sums, den = _mu_plus_divisor_sums(mu_plus(w).values, n_max)
+    coprime = np.ones(n_max + 1, dtype=np.int64)
     for q in (2, 3, 5, 7, 11, 13, 17, 19):
-        coprime[q::q] = False
-    bad: list[str] = []
-    for n in range(1, n_max + 1):
-        floor = 1 if coprime[n] else 0
-        if sums[n] < floor:
-            bad.append(f"n={n} sum={sums[n]}")
+        coprime[q::q] = 0
+    low = np.flatnonzero(sums[1:] < coprime[1:] * den) + 1
     res.check_bulk(
         "sum of mu+(d) over d | n, n <= 1e5",
         ">= [gcd(n, P) = 1]",
         n_max,
-        bad,
+        [f"n={n} sum={Fraction(int(sums[n]), den)}" for n in low.tolist()],
     )
     # the chain supports bracket the unit indicator on every divisor sum
     mob = t.mobius_table()
-    ys = (100.0, 1000.0, 10_000.0)
-    bad_lo: list[str] = []
-    bad_hi: list[str] = []
-    total = 0
-    for m in range(1, 10_001):
-        if m > 1 and mob[m] == 0:
-            continue
-        facs = sorted(_factor_squarefree(m, t), reverse=True)
-        k = len(facs)
-        mid = 1 if m == 1 else 0
-        subs: list[tuple[int, int, int]] = []  # (mu, thr_plus, thr_minus)
-        for mask in range(1 << k):
-            combo = [facs[i] for i in range(k) if mask >> i & 1]
-            mu = -1 if len(combo) % 2 else 1
-            thr_p = 0
-            thr_m = 0
-            prefix = 1
-            for i, q in enumerate(combo):
-                cube = prefix * q * q * q
-                if (i + 1) % 2:
-                    thr_p = max(thr_p, cube)
-                else:
-                    thr_m = max(thr_m, cube)
-                prefix *= q
-            subs.append((mu, thr_p, thr_m))
-        for y in ys:
-            lo = sum(mu for mu, _, tm in subs if tm < y)
-            hi = sum(mu for mu, tp, _ in subs if tp < y)
-            total += 1
-            if not lo <= mid:
-                bad_lo.append(f"m={m} y={y} lo={lo}")
-            if not mid <= hi:
-                bad_hi.append(f"m={m} y={y} hi={hi}")
+    chains = [
+        (m, y, *sandwich_values(m, y, t))
+        for m in range(1, 10_001) if mob[m] != 0 for y in (100.0, 1000.0, 10_000.0)
+    ]
+    total = len(chains)
+    bad_lo = [f"m={m} y={y} lo={lo}" for m, y, lo, mid, _ in chains if not lo <= mid]
+    bad_hi = [f"m={m} y={y} hi={hi}" for m, y, _, mid, hi in chains if not mid <= hi]
     res.check_bulk(
         "lower chain sum, squarefree m <= 1e4", "<= [m = 1]", total, bad_lo
     )
@@ -466,25 +441,27 @@ def _suite_parity(seed) -> SuiteResult:
     return res
 
 
+def _progression_cases(x: int, k_max: int, tables: PrimeTables):
+    """(k, l, pi(x; k, l), 2x / (phi(k) log(x/k))) for k <= k_max and l coprime to k."""
+    ps = tables.primes[: np.searchsorted(tables.primes, x, side="right")]
+    for k in range(1, k_max + 1):
+        ceiling = 2.0 * x / (mult_stats(k, tables).phi * math.log(x / k))
+        counts = np.bincount(ps % k, minlength=k).tolist()
+        yield from ((k, l, counts[l], ceiling) for l in range(k) if math.gcd(l, k) == 1)
+
+
+def _check_progressions(res: SuiteResult, x: int, k_max: int, tables: PrimeTables) -> None:
+    cases = list(_progression_cases(x, k_max, tables))
+    bad = [f"k={k} l={l}: {got} > {cap:.1f}" for k, l, got, cap in cases if not got <= cap]
+    res.check_bulk(
+        f"pi(1e{round(math.log10(x))}; k, l) for k <= {k_max}",
+        "<= 2x / (phi(k) log(x/k))", len(cases), bad,
+    )
+
+
 def _suite_brun_titchmarsh(seed) -> SuiteResult:
     res = SuiteResult("brun-titchmarsh")
-    t = shared_tables()
-    x = 1_000_000
-    bad: list[str] = []
-    total = 0
-    for k in range(1, 51):
-        phi = mult_stats(k, t).phi
-        ceiling = 2.0 * x / (phi * math.log(x / k))
-        for l in range(k if k > 1 else 1):
-            if math.gcd(l, k) != 1 and k > 1:
-                continue
-            total += 1
-            got = pi_ap(x, k, l, t)
-            if not got <= ceiling:
-                bad.append(f"k={k} l={l}: {got} > {ceiling:.1f}")
-    res.check_bulk(
-        "pi(1e6; k, l) for k <= 50", "<= 2x / (phi(k) log(x/k))", total, bad
-    )
+    _check_progressions(res, 1_000_000, 50, shared_tables())
     return res
 
 
@@ -753,21 +730,7 @@ def _suite_extended(seed) -> SuiteResult:
         rep.bound >= rep.exact and 2.5 <= rep.ratio <= 4.5,
         f"ratio={rep.ratio:.3f}",
     )
-    bad: list[str] = []
-    total = 0
-    for k in range(1, 21):
-        phi = mult_stats(k, t).phi
-        ceiling = 2.0 * x / (phi * math.log(x / k))
-        for l in range(k if k > 1 else 1):
-            if math.gcd(l, k) != 1 and k > 1:
-                continue
-            total += 1
-            got_ap = pi_ap(x, k, l, t)
-            if not got_ap <= ceiling:
-                bad.append(f"k={k} l={l}: {got_ap} > {ceiling:.1f}")
-    res.check_bulk(
-        "pi(1e7; k, l) for k <= 20", "<= 2x / (phi(k) log(x/k))", total, bad
-    )
+    _check_progressions(res, x, 20, t)
     for s in (1.5, 2.0):
         v = S_pm_exact(x, s, -1, t)
         res.check(f"minus x=1e7 s={s}", "count <= 2 below s = 2", v <= 2, str(v))

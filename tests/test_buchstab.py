@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sievelab import buchstab
 from sievelab.arith import EULER_GAMMA, integrate_adaptive
 from sievelab.buchstab import build_grid, evaluate, grid_cached, load_grid, save_grid
-from sievelab.errors import InputError
+from sievelab.errors import CapacityError, InputError
 
 EG = math.exp(EULER_GAMMA)
 
@@ -92,10 +93,72 @@ def test_grid_cache_reuse_and_rebuild(tmp_path):
     path = tmp_path / "cache.csv"
     g1 = grid_cached(8, 1e-3, cache=path)
     assert path.exists()
+    stamp = path.stat().st_mtime_ns
     g2 = grid_cached(8, 1e-3, cache=path)
     assert np.array_equal(g1.F_values[1:], g2.F_values[1:])
+    assert path.stat().st_mtime_ns == stamp  # a matching export is left untouched
+    # the file is never read back: a hit carries the built grid's join_error
+    assert g2.join_error == build_grid(8, 1e-3).join_error
     g3 = grid_cached(10, 1e-3, cache=path)
     assert g3.s_max == 10.0
+    assert load_grid(path).s_max == 10.0
+    grid_cached(10, 5e-4, cache=path)
+    assert load_grid(path).step == 5e-4
+    assert [f.name for f in tmp_path.iterdir()] == ["cache.csv"]
+
+
+def test_cache_with_a_cut_body_is_rewritten(tmp_path):
+    path = tmp_path / "cache.csv"
+    grid_cached(6, 1e-3, cache=path)
+    whole = path.read_bytes()
+    # last row cut mid-line, last row missing, first row cut, empty file
+    for cut in (whole[:-10], whole[: whole.rindex(b"\n", 0, -1) + 1], whole[:40], b""):
+        path.write_bytes(cut)
+        grid_cached(6, 1e-3, cache=path)
+        assert path.read_bytes() == whole
+
+
+def _reference_save(grid, path):
+    """The per-row writer save_grid replaced."""
+    with open(path, "w") as fh:
+        fh.write("s,F,f\n")
+        for k in range(1, grid.s.size):
+            fh.write(f"{grid.s[k]:.17g},{grid.F_values[k]:.17g},{grid.f_values[k]:.17g}\n")
+
+
+def test_chunked_writer_equals_per_row_writer(grid, tmp_path):
+    save_grid(grid, tmp_path / "new.csv")
+    _reference_save(grid, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_save_grid_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "grid.csv"
+    path.write_text("previous export\n")
+    g = build_grid(6, 1e-3)
+    calls = []
+
+    def failing_rows(grid, lo, hi):
+        calls.append(lo)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return "partial\n"
+
+    monkeypatch.setattr(buchstab, "_SAVE_CHUNK", 1000)
+    monkeypatch.setattr(buchstab, "_csv_rows", failing_rows)
+    with pytest.raises(OSError):
+        save_grid(g, path)
+    assert path.read_text() == "previous export\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["grid.csv"]
+
+
+def test_grid_cell_cap_is_predicted(monkeypatch):
+    with pytest.raises(CapacityError):
+        build_grid(1e9, 1e-4)  # 1e13 points: refused before anything is allocated
+    monkeypatch.setattr(buchstab, "MAX_GRID_CELLS", 6000)
+    assert build_grid(6, 1e-3).s.size == 6001
+    with pytest.raises(CapacityError):
+        build_grid(7, 1e-3)
 
 
 def test_input_errors(grid):

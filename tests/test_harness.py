@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sievelab.arith import li_eval, mult_stats, prime_pi
+from sievelab.arith import li_eval, mult_stats, pi_ap, prime_pi
 from sievelab.errors import CapacityError, InputError
 from sievelab.harness import (
     ACCEPTANCE_SUITES,
@@ -11,6 +12,8 @@ from sievelab.harness import (
     SUITES,
     SuiteResult,
     _li_at_primes,
+    _mu_plus_divisor_sums,
+    _progression_cases,
     bv_scan,
     coverage_problems,
     run_suite,
@@ -144,3 +147,39 @@ def test_bv_scan_work_cap(tables_mid):
     # 17,984 primes to 2e5 over 10^4 moduli is past the cap
     with pytest.raises(CapacityError, match="cap is"):
         bv_scan(200_000, 10_000, tables_mid)
+
+
+def test_mu_plus_int_sums_equal_fraction_loop(tables_big):
+    # the sieve-validity weights: w = 1 on all primes, xi = 30, z = 20
+    from sievelab.problem import MultiplicativeDensity, PrimeSet
+    from sievelab.selberg import lambda_weights, mu_plus
+
+    ones = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
+    values = mu_plus(lambda_weights(30.0, 20.0, ones, PrimeSet("all"), tables_big)).values
+    n_max = 100_000
+    ref = [Fraction(0)] * (n_max + 1)
+    for d, v in values.items():
+        for m in range(d, n_max + 1, d):
+            ref[m] += v
+    sums, den = _mu_plus_divisor_sums(values, n_max)
+    assert sums.dtype == np.int64
+    assert all(Fraction(int(sums[n]), den) == ref[n] for n in range(n_max + 1))
+
+
+def test_mu_plus_int_sums_refuse_int64_overflow():
+    # each scaled term fits int64, but sums[2] would wrap: refused before any add
+    with pytest.raises(CapacityError):
+        _mu_plus_divisor_sums({1: Fraction(2**62), 2: Fraction(2**62)}, 10)
+    sums, _ = _mu_plus_divisor_sums({1: Fraction(2**62), 2: Fraction(2**62 - 1)}, 2)
+    assert int(sums[2]) == 2**63 - 1
+    sums, den = _mu_plus_divisor_sums({1: Fraction(1), 2: Fraction(-1, 3)}, 6)
+    assert den == 3 and sums.tolist() == [0, 3, 2, 3, 2, 3, 2]
+
+
+def test_progression_counts_equal_pi_ap(tables_big):
+    cases = list(_progression_cases(1_000_000, 50, tables_big))
+    assert len(cases) == 774
+    for k, l, got, ceiling in cases:
+        assert got == pi_ap(1_000_000, k, l, tables_big), (k, l)
+        assert ceiling == 2.0 * 1_000_000 / (mult_stats(k, tables_big).phi * math.log(1_000_000 / k))
+    assert {(k, l) for k, l, _, _ in cases if k <= 4} == {(1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)}
