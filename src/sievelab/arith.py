@@ -151,6 +151,39 @@ def factorize(n: int, tables: PrimeTables) -> list[tuple[int, int]]:
     return out
 
 
+def squarefree_primes(d: int, tables: PrimeTables) -> list[int]:
+    """Prime factors of a squarefree d, ascending.
+
+    Within the table this is ``factorize``; above it, trial division by the
+    table primes, whose cofactor must be 1 or a prime they certify.
+
+    Raises:
+        InputError: d < 1 or d not squarefree.
+        CapacityError: a cofactor the table primes cannot certify.
+    """
+    if d <= tables.limit:
+        fac = factorize(d, tables)
+        if any(e > 1 for _, e in fac):
+            raise InputError(f"{d} is not squarefree")
+        return [q for q, _ in fac]
+    out: list[int] = []
+    m = d
+    for q in tables.primes:
+        q = int(q)
+        if q * q > m:
+            break
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                raise InputError(f"{d} is not squarefree")
+            out.append(q)
+    if m > 1:
+        if m > tables.limit and math.isqrt(m) > tables.limit:
+            raise CapacityError(f"cannot certify factor {m} with tables")
+        out.append(m)
+    return out
+
+
 def mult_stats(n: int, tables: PrimeTables) -> MultStats:
     """Compute (mu, nu, Omega, (-1)**Omega, phi) for one integer via the spf table.
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
@@ -331,15 +331,7 @@ def _cmd_parity(cfg: RunConfig) -> tuple[str, int]:
 def _cmd_chen(cfg: RunConfig) -> tuple[str, int]:
     (n,) = _require(cfg, n=cfg.n_value)
     t = _tables_for(cfg, extra=int(n))
-    rep = chen_report(int(n), t)
-    out = {
-        "N": rep.N,
-        "count": rep.count,
-        "reference": rep.reference,
-        "ratio": rep.ratio,
-        "triple_count": rep.triple_count,
-    }
-    return emit_report(out, cfg.fmt), 0
+    return emit_report(asdict(chen_report(int(n), t)), cfg.fmt), 0
 
 
 def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
@@ -356,17 +348,7 @@ def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
             text += f"\ntotal  {scan.total:.12g}"
         return text, 0
     k, l = _require(cfg, k=cfg.k, l=cfg.l)
-    rep = brun_titchmarsh(int(x), k, l, t)
-    out = {
-        "x": rep.x,
-        "k": rep.k,
-        "l": rep.l,
-        "z": rep.z,
-        "sieve_bound": rep.sieve_bound,
-        "asymptotic_bound": rep.asymptotic_bound,
-        "exact": rep.exact,
-    }
-    return emit_report(out, cfg.fmt), 0
+    return emit_report(asdict(brun_titchmarsh(int(x), k, l, t)), cfg.fmt), 0
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:

@@ -669,13 +669,10 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
         run = np.maximum(np.maximum.reduceat(jumps, starts), np.abs(counts - target[-1]))
         peak = np.maximum(run, np.abs(counts - end))
         best = float(np.max(peak, initial=0.0))
-        # a scan class by class keeps the first maximum it meets, which is a
-        # numpy scalar when the endpoint term of that class reached it
-        from_end = peak.size > 0 and run[np.argmax(peak)] < best
-        if starts.size < phi and end > best:
+        if starts.size < phi:
             # a coprime class without primes counts 0; its error peaks at y = x
-            best, from_end = float(end), target[-1] < end
-        rows.append((k, np.float64(best) if from_end else best))
+            best = max(best, float(end))
+        rows.append((k, best))
     return BVScanResult(
         x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)
     )

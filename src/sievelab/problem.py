@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import PrimeTables, li_eval
+from .arith import PrimeTables, li_eval, squarefree_primes
 from .errors import CapacityError, DensityRangeError, InputError
 
 SCAN_KINDS = (
@@ -81,15 +81,6 @@ class PrimeSet:
 
     kind: str = "all"
     m: int = 1
-
-    def contains(self, p: int) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "coprime":
-            return self.m % p != 0
-        if self.kind == "two_or_one_mod_four":
-            return p == 2 or p % 4 == 1
-        raise InputError(f"unknown prime set kind {self.kind!r}")
 
     def select(self, primes: np.ndarray) -> np.ndarray:
         if self.kind == "all":
@@ -283,37 +274,6 @@ def members_array(p: SieveProblem) -> np.ndarray:
     raise InputError(f"no member generator for kind {p.kind!r}")
 
 
-def _factor_squarefree(d: int, tables: PrimeTables) -> list[int]:
-    """Prime factors of a squarefree d; InputError if d is not squarefree."""
-    if d < 1:
-        raise InputError(f"divisor must be >= 1, got {d}")
-    out: list[int] = []
-    m = d
-    if m <= tables.limit:
-        spf = tables.spf
-        while m > 1:
-            q = int(spf[m])
-            m //= q
-            if m % q == 0:
-                raise InputError(f"{d} is not squarefree")
-            out.append(q)
-        return out
-    for q in tables.primes:
-        q = int(q)
-        if q * q > m:
-            break
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                raise InputError(f"{d} is not squarefree")
-            out.append(q)
-    if m > 1:
-        if m > tables.limit and math.isqrt(m) > tables.limit:
-            raise CapacityError(f"cannot certify factor {m} with tables")
-        out.append(m)
-    return out
-
-
 def _closed_count(p: SieveProblem, d: int, nu: int) -> int:
     """#A_d by formula for the kinds with no member scan; nu = nu(d)."""
     if p.kind == "interval":
@@ -338,7 +298,7 @@ def _closed_count(p: SieveProblem, d: int, nu: int) -> int:
 
 def count_Ad(p: SieveProblem, d: int) -> int:
     """Exact number of members of A divisible by d (d squarefree, d >= 1)."""
-    fac = _factor_squarefree(d, p.tables)
+    fac = squarefree_primes(d, p.tables)
     if d > p.n_bound:  # every member is positive and at most n_bound
         return 0
     if p.kind in _FORMULA_KINDS:
@@ -355,7 +315,7 @@ def remainder(
     rebuilt from d.
     """
     if w is None:
-        w = p.omega.at_squarefree(_factor_squarefree(d, p.tables))
+        w = p.omega.at_squarefree(squarefree_primes(d, p.tables))
     if count is None:
         count = count_Ad(p, d)
     main = float(p.X) * float(w) / d
@@ -363,11 +323,10 @@ def remainder(
 
 
 def divisor_walk(
-    p: SieveProblem,
+    p: SieveProblem | None,
     primes: Sequence[int],
     admit: Callable[[int, int, int], bool],
     factors: dict | None = None,
-    counts: bool = True,
     prune_empty: bool = False,
     max_nodes: int | None = None,
 ) -> Iterator[tuple[int, int, object, int | None]]:
@@ -377,8 +336,9 @@ def divisor_walk(
     accepts, and yields (d, nu(d), v(d), #A_d), carried down one step per
     node: v(d) = v(d / q) factors[q] (default factors w(q), so v(d) = w(d)),
     and #A_d is the kind's formula or, for the member-scan kinds, the count
-    of the parent's surviving members that q divides.  counts=False yields
-    None for #A_d; prune_empty skips the subtree below a node with #A_d = 0.
+    of the parent's surviving members that q divides.  With p = None the
+    walk needs ``factors`` and yields None for #A_d; prune_empty skips the
+    subtree below a node with #A_d = 0.
 
     Raises:
         CapacityError: more than max_nodes nodes.
@@ -387,7 +347,7 @@ def divisor_walk(
     if factors is None:  # whole w(q) as ints: as exact as Fractions, and cheaper
         factors = {q: p.omega.at_prime(q) for q in primes}
         factors = {q: w.numerator if w.denominator == 1 else w for q, w in factors.items()}
-    scan = counts and p.kind not in _FORMULA_KINDS
+    scan = p is not None and p.kind not in _FORMULA_KINDS
     nodes = 0
     # (index of the next prime, d, nu(d), v(d), members divisible by d / q)
     stack: list = [(0, 1, 0, 1, p.members if scan else None)]
@@ -401,7 +361,7 @@ def divisor_walk(
                 sub = sub[sub % primes[i - 1] == 0]
             count = sub.size
         else:
-            count = _closed_count(p, d, nu) if counts else None
+            count = None if p is None else _closed_count(p, d, nu)
         yield d, nu, v, count
         if prune_empty and count == 0:
             continue
@@ -424,20 +384,15 @@ def sift_exact(p: SieveProblem, z: float) -> int:
     This is the brute-force ground truth: every relevant prime below z is
     tested by divisibility against every member.
     """
-    rp = sieve_primes(p, z)
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
         keep = np.ones(y, dtype=bool)
-        for q in rp:
+        for q in sieve_primes(p, z):
             q = int(q)
             start = (-(x + 1)) % q
             keep[start::q] = False
         return int(np.count_nonzero(keep))
-    mem = members_array(p)
-    keep = np.ones(mem.size, dtype=bool)
-    for q in rp:
-        np.logical_and(keep, mem % int(q) != 0, out=keep)
-    return int(np.count_nonzero(keep))
+    return sifted_members(p, z).size
 
 
 def sifted_members(p: SieveProblem, z: float) -> np.ndarray:

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
 from .errors import CapacityError, InputError
 from .legendre import problem_W
-from .problem import SieveProblem, _factor_squarefree, divisor_walk, remainder, sift_exact
+from .problem import SieveProblem, divisor_walk, remainder, sift_exact
 from .selberg import SieveReport, _relevant_primes
 
 #: hard ceiling on the number of support elements enumerated per call
@@ -39,15 +40,12 @@ def chain_member(factors: Sequence[int], y: float, sign: int) -> bool:
     lower-bound one (even positions).  d = 1 (no factors) is a member of
     both supports.
     """
-    if sign not in (1, -1):
-        raise InputError(f"sign must be +1 or -1, got {sign}")
-    ps = sorted(factors, reverse=True)
-    want_odd = sign == 1
-    prefix = 1
-    for i, p in enumerate(ps):
-        if ((i + 1) % 2 == 1) == want_odd and prefix * p * p * p >= y:
+    admit = _chain_admit(y, sign)
+    d = 1
+    for nu, q in enumerate(sorted(factors, reverse=True)):
+        if not admit(d, nu, q):
             return False
-        prefix *= p
+        d *= q
     return True
 
 
@@ -59,7 +57,7 @@ def truncated_mu(d: int, y: float, sign: int, tables) -> int:
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
     try:
-        facs = _factor_squarefree(d, tables)
+        facs = squarefree_primes(d, tables)
     except InputError:
         return 0
     if not chain_member(facs, y, sign):
@@ -73,7 +71,12 @@ def _chain_admit(y: float, sign: int):
     q at position nu + 1 (odd positions for sign = +1, even ones otherwise)
     fails when d q^3 >= y; every extension keeps that prefix, so the whole
     branch goes.
+
+    Raises:
+        InputError: sign is neither +1 nor -1.
     """
+    if sign not in (1, -1):
+        raise InputError(f"sign must be +1 or -1, got {sign}")
     checked = 0 if sign == 1 else 1  # parity of nu(d) when position nu + 1 is checked
 
     def admit(d: int, nu: int, q: int) -> bool:
@@ -95,15 +98,13 @@ def truncated_mobius_sum(
     """
     if y <= 1:
         raise InputError(f"need y > 1, got {y}")
+    admit = _chain_admit(y, sign)
     primes = _relevant_primes(z, p.omega, p.prime_set, p.tables)
     if exact is None:
         exact = len(primes) <= 30
     ratio = Fraction if exact else lambda w, q: float(w) / q
     factors = {q: ratio(p.omega.at_prime(q), q) for q in primes}
-    walk = divisor_walk(
-        p, primes[::-1], _chain_admit(y, sign), factors=factors, counts=False,
-        max_nodes=MAX_CHAIN_NODES,
-    )
+    walk = divisor_walk(None, primes[::-1], admit, factors, max_nodes=MAX_CHAIN_NODES)
     terms = (-t if nu % 2 else t for _, nu, t, _ in walk)
     return sum(terms, Fraction(0)) if exact else math.fsum(terms)
 
@@ -176,17 +177,14 @@ def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
     of the construction is lower_sum <= indicator <= upper_sum with
     indicator = 1 exactly when m = 1.
     """
-    facs = _factor_squarefree(m, tables)
+    facs = squarefree_primes(m, tables)
     if len(facs) > 20:
         raise CapacityError(f"{m} has {len(facs)} prime factors; cap is 20")
-    lo = hi = 0
-    for mask in range(1 << len(facs)):
-        sub = [facs[i] for i in range(len(facs)) if mask >> i & 1]
-        mu = -1 if len(sub) % 2 else 1
-        if chain_member(sub, y, -1):
-            lo += mu
-        if chain_member(sub, y, 1):
-            hi += mu
+    mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
+    lo, hi = (
+        sum(v for _, _, v, _ in divisor_walk(None, facs[::-1], _chain_admit(y, s), mu))
+        for s in (-1, 1)
+    )
     return lo, (1 if m == 1 else 0), hi
 
 

@@ -12,12 +12,12 @@ forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import EULER_GAMMA, PrimeTables, factorize, pi_ap
+from .arith import EULER_GAMMA, PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
 from .errors import CapacityError, InputError, ZeroDensityError
 from .problem import (
     MultiplicativeDensity,
@@ -26,7 +26,6 @@ from .problem import (
     divisor_walk,
     make_problem,
     remainder,
-    sieve_primes,
     sift_exact,
 )
 
@@ -81,33 +80,15 @@ class SieveWeights:
     values: dict[int, Fraction]
 
 
-def _trial_factor_squarefree(d: int) -> list[int]:
-    if d < 1:
-        raise InputError(f"need d >= 1, got {d}")
-    out = []
-    m = d
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            m //= f
-            if m % f == 0:
-                raise InputError(f"{d} is not squarefree")
-            out.append(f)
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def g_value(d: int, omega: MultiplicativeDensity) -> Fraction:
+def g_value(d: int, omega: MultiplicativeDensity, tables: PrimeTables) -> Fraction:
     """The multiplicative weight g(d) = prod over p | d of w(p)/(p - w(p)).
 
     Raises:
-        InputError: d not squarefree.
+        InputError: d < 1 or d not squarefree.
         ZeroDensityError: w(p) = 0 for some p | d.
     """
     g = Fraction(1)
-    for p in _trial_factor_squarefree(d):
+    for p in squarefree_primes(d, tables):
         w = omega.at_prime(p)
         if w == 0:
             raise ZeroDensityError(f"w({p}) = 0 makes g({d}) undefined")
@@ -315,13 +296,10 @@ def brun_titchmarsh(x: float, k: int, l: int, tables: PrimeTables) -> BrunTitchm
     z_eff = max(z, 2.0)
     prob = make_problem("arithmetic_progression", {"x": int(x), "k": k, "l": l}, tables)
     rep = fundamental_upper_bound(prob, y=max(z_eff * z_eff, 4.0), z=z_eff, with_exact=False)
-    phi = 1
-    for q, e in factorize(k, tables):
-        phi *= (q - 1) * q ** (e - 1)
     return BrunTitchmarshReport(
         x=float(x), k=k, l=l % k, z=z,
         sieve_bound=rep.upper_bound + 1.0 + z_eff / k,
-        asymptotic_bound=2.0 * x / (phi * logq),
+        asymptotic_bound=2.0 * x / (mult_stats(k, tables).phi * logq),
         exact=pi_ap(x, k, l, tables),
     )
 
@@ -342,6 +320,15 @@ def twin_constant(bound: int = 10_000_000) -> float:
         ps = np.nonzero(sieve)[0][1:].astype(np.float64)  # odd primes
         _C2_CACHE[bound] = 2.0 * math.exp(float(np.log1p(-((ps - 1.0) ** -2)).sum()))
     return _C2_CACHE[bound]
+
+
+def singular_factor(n: int, tables: PrimeTables) -> float:
+    """prod over odd primes p | n of (p - 1)/(p - 2), multiplied in ascending p."""
+    prod = 1.0
+    for q, _ in factorize(n, tables):
+        if q > 2:
+            prod *= (q - 1) / (q - 2)
+    return prod
 
 
 @dataclass(frozen=True)
@@ -369,11 +356,7 @@ def goldbach_report(n_half: int, tables: PrimeTables) -> PairBoundReport:
     spf = tables.spf
     ps = tables.primes[tables.primes <= two_n - 2]
     exact = int(np.count_nonzero(spf[two_n - ps] == (two_n - ps)))
-    prod = 1.0
-    for q, _ in factorize(two_n, tables):
-        if q > 2:
-            prod *= (q - 1) / (q - 2)
-    a_val = prod * twin_constant() * two_n / math.log(n_half) ** 2
+    a_val = singular_factor(two_n, tables) * twin_constant() * two_n / math.log(n_half) ** 2
     return PairBoundReport(
         kind="goldbach", scale=two_n, exact=exact, reference=a_val,
         bound=4.0 * a_val, ratio=4.0 * a_val / exact if exact else None,
@@ -389,10 +372,7 @@ def twin_report(x: int, k: int, tables: PrimeTables) -> PairBoundReport:
     spf = tables.spf
     ps = tables.primes[tables.primes <= x]
     exact = int(np.count_nonzero(spf[ps + 2 * k] == (ps + 2 * k)))
-    prod = 1.0
-    for q, _ in factorize(2 * k, tables):
-        if q > 2:
-            prod *= (q - 1) / (q - 2)
+    prod = singular_factor(2 * k, tables)
     bound = 4.0 * prod * twin_constant() * x / math.log(x) ** 2
     return PairBoundReport(
         kind="twin", scale=x, exact=exact, reference=prod * twin_constant(),

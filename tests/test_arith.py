@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievelab.arith import (
     build_tables,
@@ -13,6 +14,7 @@ from sievelab.arith import (
     mult_stats,
     pi_ap,
     prime_pi,
+    squarefree_primes,
 )
 from sievelab.errors import CapacityError, InputError
 
@@ -161,3 +163,39 @@ def test_input_errors(tables_small):
         pi_ap(100, 0, 1, tables_small)
     with pytest.raises(CapacityError):
         mult_stats(10**7, tables_small)
+
+
+def _trial_primes(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+# tables_small has limit 1e4, so most draws take the trial-division branch
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=10**8))
+def test_squarefree_primes_against_trial_division(tables_small, n):
+    want = _trial_primes(n)
+    if len(set(want)) < len(want):
+        with pytest.raises(InputError, match="not squarefree"):
+            squarefree_primes(n, tables_small)
+    else:
+        assert squarefree_primes(n, tables_small) == want
+
+
+def test_squarefree_primes_domain(tables_small):
+    assert squarefree_primes(1, tables_small) == []
+    assert squarefree_primes(9973 * 10007, tables_small) == [9973, 10007]
+    for bad in (0, -6):
+        with pytest.raises(InputError):
+            squarefree_primes(bad, tables_small)
+    with pytest.raises(InputError):
+        squarefree_primes(4 * 10007, tables_small)
+    # a cofactor above limit^2 cannot be certified prime by the table primes
+    with pytest.raises(CapacityError):
+        squarefree_primes(10007 * 10009, tables_small)

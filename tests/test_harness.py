@@ -68,6 +68,13 @@ def test_all_aggregates_and_passes():
     assert r.elapsed > 0.0
 
 
+@pytest.mark.parametrize("seed", [57, 146])
+def test_weighted_margins_pass_at_once_failing_seeds(seed):
+    # a 1e-8 quadrature tolerance put the two margin forms 1.1e-6 and
+    # 3.8e-5 apart at these seeds, against the suite's 1e-6
+    assert run_suite("weighted-margins", seed).passed
+
+
 def test_bv_scan_matches_direct_recomputation(tables_small):
     x = 3000
     scan = bv_scan(x, 4, tables_small)
@@ -128,7 +135,7 @@ def test_bv_scan_equals_cumsum_reference(x, tables_mid):
     scan = bv_scan(x, 60, tables_mid)
     rows, total = _cumsum_scan(x, 60, tables_mid)
     assert scan.rows == rows
-    assert [repr(e) for _, e in scan.rows] == [repr(e) for _, e in rows]
+    assert all(type(e) is float for _, e in scan.rows)
     assert scan.total == total
 
 

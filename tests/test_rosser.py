@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sievelab.rosser as rosser
+from sievelab.arith import squarefree_primes
 from sievelab.buchstab import evaluate
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import problem_W
@@ -48,23 +50,23 @@ def test_membership_examples(tables_small):
         truncated_mu(0, 100, 1, tables_small)
 
 
+def _position_rule(facs, y: float, sign: int) -> bool:
+    """The chain check by positions: p1 > p2 > ..., p1...p_{l-1} p_l^3 < y at checked l."""
+    prefix = 1
+    for i, q in enumerate(sorted(facs, reverse=True)):
+        if ((i + 1) % 2 == 1) == (sign == 1) and prefix * q**3 >= y:
+            return False
+        prefix *= q
+    return True
+
+
 def _oracle_support(primes: list[int], y: float, sign: int) -> dict[int, int]:
     """Exhaustive squarefree enumeration with an independent chain check."""
     out = {1: 1}
-    want_odd = sign == 1
     for r in range(1, len(primes) + 1):
-        for combo in combinations(sorted(primes, reverse=True), r):
-            ok = True
-            prefix = 1
-            for i, q in enumerate(combo):
-                checked = ((i + 1) % 2 == 1) if want_odd else ((i + 1) % 2 == 0)
-                if checked and prefix * q**3 >= y:
-                    ok = False
-                    break
-                prefix *= q
-            if ok:
-                d = math.prod(combo)
-                out[d] = -1 if r % 2 else 1
+        for combo in combinations(primes, r):
+            if _position_rule(combo, y, sign):
+                out[math.prod(combo)] = -1 if r % 2 else 1
     return out
 
 
@@ -74,8 +76,9 @@ def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     oracle = _oracle_support(primes, y, sign)
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
-    walk = divisor_walk(p, primes[::-1], rosser._chain_admit(y, sign), counts=False)
-    walked = {d: -1 if nu % 2 else 1 for d, nu, _, _ in walk}
+    # with factors -1 the carried product is mu(d)
+    walk = divisor_walk(None, primes[::-1], rosser._chain_admit(y, sign), dict.fromkeys(primes, -1))
+    walked = {d: mu for d, _, mu, _ in walk}
     assert walked == oracle
     expect = sum(Fraction(mu, d) for d, mu in oracle.items())
     assert truncated_mobius_sum(p, y, 30, sign, exact=True) == expect
@@ -90,6 +93,50 @@ def test_divisor_sums_bracket_unit_indicator(tables_small):
             lo, mid, hi = sandwich_values(m, y, tables_small)
             assert lo <= mid <= hi, (m, y)
     assert sandwich_values(1, 100.0, tables_small) == (1, 1, 1)
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+PROPS = settings(deadline=None, max_examples=200)
+
+
+@PROPS
+@given(
+    st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=9),
+    st.floats(min_value=2.0, max_value=1e7),
+    st.sampled_from([1, -1]),
+)
+def test_chain_member_is_membership_in_walked_support(primes, y, sign):
+    desc = sorted(primes, reverse=True)
+    walk = divisor_walk(None, desc, rosser._chain_admit(y, sign), dict.fromkeys(desc, -1))
+    support = {d for d, _, _, _ in walk}
+    assert support == set(_oracle_support(primes, y, sign))
+    for r in range(len(primes) + 1):
+        for sub in combinations(primes, r):
+            assert chain_member(sub, y, sign) == (math.prod(sub) in support), (sub, y, sign)
+
+
+def _bitmask_sandwich(m, y, tables):
+    """The 2^k subset loop sandwich_values replaced, on the position rule."""
+    facs = squarefree_primes(m, tables)
+    lo = hi = 0
+    for mask in range(1 << len(facs)):
+        sub = [facs[i] for i in range(len(facs)) if mask >> i & 1]
+        mu = -1 if len(sub) % 2 else 1
+        lo += mu if _position_rule(sub, y, -1) else 0
+        hi += mu if _position_rule(sub, y, 1) else 0
+    return lo, (1 if m == 1 else 0), hi
+
+
+# products of up to 9 of these pass 1e4, the table limit, so both branches of
+# squarefree_primes are drawn
+@PROPS
+@given(
+    st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=9),
+    st.floats(min_value=2.0, max_value=1e7),
+)
+def test_sandwich_values_equal_bitmask_loop(tables_small, primes, y):
+    m = math.prod(primes)
+    assert sandwich_values(m, y, tables_small) == _bitmask_sandwich(m, y, tables_small)
 
 
 def test_two_sided_bounds_trap_exact(tables_mid, grid):
@@ -141,6 +188,8 @@ def test_validation_and_capacity(tables_small, monkeypatch):
         combinatorial_bounds(p, 10.0, 50.0)
     with pytest.raises(InputError):
         truncated_mobius_sum(p, 1.0, 5.0, 1)
+    with pytest.raises(InputError, match="sign"):
+        truncated_mobius_sum(p, 100.0, 5.0, 0)
     monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", 5)
     with pytest.raises(CapacityError):
         truncated_mobius_sum(p, 1000.0, 30.0, -1)

@@ -39,17 +39,17 @@ DENSITIES = [ONES, TWIN, GOLDBACH20, QUAD]
 ALL = PrimeSet("all")
 
 
-def test_g_value_closed_forms():
-    assert g_value(1, ONES) == 1
-    assert g_value(2, ONES) == 1
-    assert g_value(15, ONES) == Fraction(1, 2) * Fraction(1, 4)
+def test_g_value_closed_forms(tables_small):
+    assert g_value(1, ONES, tables_small) == 1
+    assert g_value(2, ONES, tables_small) == 1
+    assert g_value(15, ONES, tables_small) == Fraction(1, 2) * Fraction(1, 4)
     # twin-type density gives g(p) = 1/(p-2)
     for p in (3, 5, 7, 11):
-        assert g_value(p, TWIN) == Fraction(1, p - 2)
+        assert g_value(p, TWIN, tables_small) == Fraction(1, p - 2)
     with pytest.raises(ZeroDensityError):
-        g_value(3, QUAD)
+        g_value(3, QUAD, tables_small)
     with pytest.raises(InputError):
-        g_value(12, ONES)
+        g_value(12, ONES, tables_small)
 
 
 def test_big_G_frozen(tables_small):
@@ -174,7 +174,7 @@ def _quadratic_y(w, omega):
 def test_weights_equal_quadratic_reference(omega, z, xi, tables_small):
     w = lambda_weights(xi, z, omega, ALL, tables_small)
     assert w.G == big_G(xi, z, omega, ALL, tables_small)
-    assert all(g == g_value(d, omega) for d, g in w.g_values.items())
+    assert all(g == g_value(d, omega, tables_small) for d, g in w.g_values.items())
     assert w.lambdas == _quadratic_lambdas(w, omega)
     assert y_values(w) == _quadratic_y(w, omega)
 
