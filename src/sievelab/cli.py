@@ -11,16 +11,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
 from .buchstab import build_grid, evaluate, grid_cached
-from .errors import CapacityError, DensityRangeError, InputError
+from .errors import CapacityError, DensityRangeError, InputError, ZeroDensityError
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
-from .problem import ALL_KINDS, make_problem
+from .problem import ALL_KINDS, KINDS, make_problem
 from .rosser import combinatorial_bounds
 from .selberg import SieveReport, brun_titchmarsh, fundamental_upper_bound
 from .weighted import (
@@ -35,36 +35,8 @@ from .weighted import (
 
 MAX_CLI_TABLES = 20_000_200
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, problem, knobs, output shape."""
-
-    command: str
-    fmt: str = "json"
-    seed: int = 0
-    problem: str | None = None
-    params: dict | None = None
-    z: float | None = None
-    y: float | None = None
-    s_list: tuple[float, ...] = ()
-    level_exponent: float = 0.5
-    log_power: float = 0.0
-    skip_exact: bool = False
-    s_max: float = 30.0
-    step: float = 1e-4
-    cache: str | None = None
-    r: int | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    gamma_level: float | None = None
-    n_value: float | None = None
-    x: float | None = None
-    k: int | None = None
-    l: int | None = None
-    scan_q: int | None = None
-    suite: str = "all"
-    extended: bool = False
+#: the problem parameters whose flag is spelled differently
+_PARAM_FLAG = {"y": "len", "two_N": "two-n", "N": "n"}
 
 
 def _num(v) -> str:
@@ -148,55 +120,35 @@ def _sieve_dict(rep: SieveReport) -> dict:
     return {name: getattr(rep, name) for name in _SIEVE_FIELDS}
 
 
-def _require(cfg: RunConfig, **named) -> list:
+def _require(args: argparse.Namespace, **named) -> list:
     vals = []
     for name, v in named.items():
         if v is None:
-            raise InputError(f"{cfg.command} needs --{name.replace('_', '-')}")
+            raise InputError(f"{args.command} needs --{name.replace('_', '-')}")
         vals.append(v)
     return vals
 
 
-def _problem_params(cfg: RunConfig) -> tuple[str, dict]:
-    kind = cfg.problem
+def _problem_params(args: argparse.Namespace) -> tuple[str, dict]:
+    kind = args.problem
     if kind is None:
-        raise InputError(f"{cfg.command} needs --problem (one of {', '.join(ALL_KINDS)})")
-    p = cfg.params or {}
-    if kind == "interval":
-        (x,) = _require(cfg, x=p.get("x"))
-        (ln,) = _require(cfg, len=p.get("length"))
-        return kind, {"x": int(x), "y": int(ln)}
-    if kind == "arithmetic_progression":
-        x, k, l = _require(cfg, x=p.get("x"), k=p.get("k"), l=p.get("l"))
-        return kind, {"x": int(x), "k": int(k), "l": int(l)}
-    if kind == "goldbach_product":
-        (tn,) = _require(cfg, two_n=p.get("two_n"))
-        return kind, {"two_N": int(tn)}
-    if kind == "shifted_prime":
-        (n,) = _require(cfg, n=p.get("n_value"))
-        return kind, {"N": int(n)}
-    if kind in ("square_plus_one", "liouville_plus", "liouville_minus"):
-        (x,) = _require(cfg, x=p.get("x"))
-        return kind, {"x": int(x)}
-    raise InputError(f"unknown problem kind {kind!r}")
+        raise InputError(f"{args.command} needs --problem (one of {', '.join(ALL_KINDS)})")
+    names = KINDS[kind][0]
+    dests = [_PARAM_FLAG.get(name, name).replace("-", "_") for name in names]
+    values = _require(args, **{dest: getattr(args, dest) for dest in dests})
+    return kind, {name: int(v) for name, v in zip(names, values)}
 
 
-#: the parameter each kind needs factor tables up to (an interval needs none)
-_TABLE_PARAM = {
-    "arithmetic_progression": "x", "goldbach_product": "two_N", "shifted_prime": "N",
-    "square_plus_one": "x", "liouville_plus": "x", "liouville_minus": "x",
-}
-
-
-def _tables_for(cfg: RunConfig, extra: int = 0) -> PrimeTables:
+def _tables_for(args: argparse.Namespace, extra: int = 0) -> PrimeTables:
     need = max(10_000, extra)
-    for v in (cfg.z, cfg.y):
+    for v in (getattr(args, "z", None), getattr(args, "y", None)):
         if v is not None:
             need = max(need, int(v) + 1)
-    if cfg.problem is not None:
-        kind, params = _problem_params(cfg)
-        if kind in _TABLE_PARAM:
-            need = max(need, params[_TABLE_PARAM[kind]] + 1)
+    if getattr(args, "problem", None) is not None:
+        kind, params = _problem_params(args)
+        size = KINDS[kind][1]
+        if size is not None:
+            need = max(need, params[size] + 1)
     if need > MAX_CLI_TABLES:
         raise InputError(
             f"parameters need factor tables to {need}; the command line caps"
@@ -205,15 +157,14 @@ def _tables_for(cfg: RunConfig, extra: int = 0) -> PrimeTables:
     return build_tables(need + 200)
 
 
-def _make_problem(cfg: RunConfig, tables: PrimeTables):
-    kind, params = _problem_params(cfg)
-    return make_problem(kind, params, tables)
+def _make_problem(args: argparse.Namespace, tables: PrimeTables):
+    return make_problem(*_problem_params(args), tables)
 
 
-def _cmd_legendre(cfg: RunConfig) -> tuple[str, int]:
-    (z,) = _require(cfg, z=cfg.z)
-    t = _tables_for(cfg)
-    p = _make_problem(cfg, t)
+def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
+    (z,) = _require(args, z=args.z)
+    t = _tables_for(args)
+    p = _make_problem(args, t)
     count = legendre_count(p, z)
     mv = problem_W(p, z)
     main = p.X * mv.W
@@ -226,94 +177,86 @@ def _cmd_legendre(cfg: RunConfig) -> tuple[str, int]:
         exact_count=count, ratio=count / main if main > 0 else None,
         notes="exact inclusion-exclusion count; ratio = exact / (X W)",
     )
-    return emit_report(_sieve_dict(rep), cfg.fmt), 0
+    return emit_report(_sieve_dict(rep), args.format), 0
 
 
-def _cmd_selberg(cfg: RunConfig) -> tuple[str, int]:
-    (y,) = _require(cfg, y=cfg.y)
-    z = cfg.z if cfg.z is not None else math.sqrt(y)
-    t = _tables_for(cfg)
-    p = _make_problem(cfg, t)
-    rep = fundamental_upper_bound(p, y, z, with_exact=not cfg.skip_exact)
-    return emit_report(_sieve_dict(rep), cfg.fmt), 0
+def _cmd_selberg(args: argparse.Namespace) -> tuple[str, int]:
+    (y,) = _require(args, y=args.y)
+    z = args.z if args.z is not None else math.sqrt(y)
+    t = _tables_for(args)
+    p = _make_problem(args, t)
+    rep = fundamental_upper_bound(p, y, z, with_exact=not args.skip_exact)
+    return emit_report(_sieve_dict(rep), args.format), 0
 
 
-def _cmd_rosser(cfg: RunConfig) -> tuple[str, int]:
-    t = _tables_for(cfg)
-    p = _make_problem(cfg, t)
-    y = cfg.y
+def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
+    t = _tables_for(args)
+    p = _make_problem(args, t)
+    y = args.y
     if y is None:
         base = max(p.X, 3.0)
-        y = base**cfg.level_exponent * math.log(base) ** cfg.log_power
-    z = cfg.z if cfg.z is not None else math.sqrt(y)
+        try:
+            y = base**args.level_exponent * math.log(base) ** args.log_power
+        except OverflowError:
+            y = math.inf
+        if math.isinf(y):
+            raise InputError("--level-exponent and --log-power overflow the level y")
+    z = args.z if args.z is not None else math.sqrt(y)
     if z > t.limit:  # a cut derived from X can outgrow the tables the parameters need
-        t = _tables_for(cfg, extra=math.ceil(z))
-        p = _make_problem(cfg, t)
-    pair = combinatorial_bounds(p, y, z, with_exact=not cfg.skip_exact)
+        t = _tables_for(args, extra=math.ceil(z))
+        p = _make_problem(args, t)
+    pair = combinatorial_bounds(p, y, z, with_exact=not args.skip_exact)
     up = _sieve_dict(pair.upper)
     lo = _sieve_dict(pair.lower)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return emit_report({"upper": up, "lower": lo}, "json"), 0
     rows = [{"side": side, **d} for side, d in (("upper", up), ("lower", lo))]
-    return emit_report(rows, cfg.fmt), 0
+    return emit_report(rows, args.format), 0
 
 
-def _cmd_buchstab(cfg: RunConfig) -> tuple[str, int]:
-    grid = grid_cached(cfg.s_max, cfg.step, cfg.cache or None)
-    if cfg.fmt == "csv":
+def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
+    grid = grid_cached(args.s_max, args.step, args.cache or None)
+    if args.format == "csv":
         cols = (grid.s[1:].tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
         return "\n".join(["s,F,f", *(f"{s:.12g},{F:.12g},{f:.12g}" for s, F, f in zip(*cols))]), 0
     rows = [
         {"s": float(s), "F": evaluate(grid, float(s), "F"), "f": evaluate(grid, float(s), "f")}
         for s in range(2, int(grid.s_max) + 1)
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = {"s_max": grid.s_max, "step": grid.step, "join_error": grid.join_error, "rows": rows}
         return emit_report(out, "json"), 0
-    return emit_report(rows, cfg.fmt), 0
+    return emit_report(rows, args.format), 0
 
 
-def _cmd_weighted(cfg: RunConfig) -> tuple[str, int]:
-    (r,) = _require(cfg, r=cfg.r)
+def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
+    (r,) = _require(args, r=args.r)
     out: dict = {"r": r, "threshold": lambda_r(r)}
-    have_geometry = None not in (cfg.alpha, cfg.beta, cfg.gamma_level)
+    have_geometry = None not in (args.alpha, args.beta, args.gamma_level)
     if have_geometry:
-        (n,) = _require(cfg, n=cfg.n_value)
-        wc = WeightedConfig(
-            N=int(n),
-            r=r,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            gamma_level=cfg.gamma_level,
-        )
-        grid = build_grid(30.0, 1e-4)
-        mi, mc = level_condition(wc, grid)
-        out.update(
-            {
-                "alpha": wc.alpha,
-                "beta": wc.beta,
-                "gamma_level": wc.gamma_level,
-                "margin_integral": mi,
-                "margin_closed": mc,
-            }
-        )
-        if cfg.problem is not None:
-            t = _tables_for(cfg, extra=wc.N)
-            p = _make_problem(cfg, t)
+        (n,) = _require(args, n=args.n)
+        wc = WeightedConfig(N=int(n), r=r, alpha=args.alpha, beta=args.beta,
+                            gamma_level=args.gamma_level)
+        mi, mc = level_condition(wc, build_grid(30.0, 1e-4))
+        out.update(alpha=wc.alpha, beta=wc.beta, gamma_level=wc.gamma_level,
+                   margin_integral=mi, margin_closed=mc)
+        if args.problem is not None:
+            t = _tables_for(args, extra=wc.N)
+            p = _make_problem(args, t)
             out["weighted_sum"] = W_exact(p, wc)
             out["almost_prime_count"] = pr_count(p, r, wc.alpha, N=wc.N)
             out["square_factor_correction"] = repeated_window_factor_count(p, wc)
-    return emit_report(out, cfg.fmt), 0
+    return emit_report(out, args.format), 0
 
 
-def _cmd_parity(cfg: RunConfig) -> tuple[str, int]:
-    (x,) = _require(cfg, x=cfg.x)
-    if not cfg.s_list:
+def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
+    (x,) = _require(args, x=args.x)
+    if not args.s:
         raise InputError("parity needs --s (comma-separated list)")
-    t = _tables_for(cfg, extra=int(x))
+    t = _tables_for(args, extra=int(x))
     grid = build_grid(30.0, 1e-4)
     rows = []
-    for s in cfg.s_list:
+    for s in args.s:
         row = prediction_row(int(x), s, grid, t)
         rows.append(
             {
@@ -325,38 +268,38 @@ def _cmd_parity(cfg: RunConfig) -> tuple[str, int]:
                 "predict-": row.predict_minus,
             }
         )
-    return emit_report(rows, cfg.fmt), 0
+    return emit_report(rows, args.format), 0
 
 
-def _cmd_chen(cfg: RunConfig) -> tuple[str, int]:
-    (n,) = _require(cfg, n=cfg.n_value)
-    t = _tables_for(cfg, extra=int(n))
-    return emit_report(asdict(chen_report(int(n), t)), cfg.fmt), 0
+def _cmd_chen(args: argparse.Namespace) -> tuple[str, int]:
+    (n,) = _require(args, n=args.n)
+    t = _tables_for(args, extra=int(n))
+    return emit_report(asdict(chen_report(int(n), t)), args.format), 0
 
 
-def _cmd_brun_titchmarsh(cfg: RunConfig) -> tuple[str, int]:
-    (x,) = _require(cfg, x=cfg.x)
-    t = _tables_for(cfg, extra=max(int(x), cfg.scan_q or 0) + 1)
-    if cfg.scan_q is not None:
-        scan = bv_scan(int(x), cfg.scan_q, t)
+def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
+    (x,) = _require(args, x=args.x)
+    t = _tables_for(args, extra=max(int(x), args.scan_q or 0) + 1)
+    if args.scan_q is not None:
+        scan = bv_scan(int(x), args.scan_q, t)
         rows = [{"k": k, "E1": e} for k, e in scan.rows]
-        if cfg.fmt == "json":
+        if args.format == "json":
             out = {"x": scan.x, "q_max": scan.q_max, "rows": rows, "total": scan.total}
             return emit_report(out, "json"), 0
-        text = emit_report(rows, cfg.fmt)
-        if cfg.fmt == "table":
+        text = emit_report(rows, args.format)
+        if args.format == "table":
             text += f"\ntotal  {scan.total:.12g}"
         return text, 0
-    k, l = _require(cfg, k=cfg.k, l=cfg.l)
-    return emit_report(asdict(brun_titchmarsh(int(x), k, l, t)), cfg.fmt), 0
+    k, l = _require(args, k=args.k, l=args.l)
+    return emit_report(asdict(brun_titchmarsh(int(x), k, l, t)), args.format), 0
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    results = [run_suite(cfg.suite, cfg.seed)]
-    if cfg.extended and cfg.suite == "all":
-        results.append(run_suite("extended", cfg.seed))
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    results = [run_suite(args.suite, args.seed)]
+    if args.extended and args.suite == "all":
+        results.append(run_suite("extended", args.seed))
     passed = all(r.passed for r in results)
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = [
             {
                 "suite": r.name,
@@ -393,20 +336,29 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _float_list(text: str) -> tuple[float, ...]:
+    """The comma-separated numbers of --s."""
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json", "csv"), default=None)
+    common.add_argument("--format", choices=("table", "json", "csv"), default="json")
     common.add_argument("--config", default=None, help="JSON file of flag defaults")
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=int, default=0)
 
     prob = argparse.ArgumentParser(add_help=False)
     prob.add_argument("--problem", choices=ALL_KINDS, default=None)
     prob.add_argument("--x", type=float, default=None)
-    prob.add_argument("--len", type=float, default=None, dest="length")
+    prob.add_argument("--len", type=float, default=None, metavar="LENGTH")
     prob.add_argument("--k", type=int, default=None)
     prob.add_argument("--l", type=int, default=None)
-    prob.add_argument("--two-n", type=float, default=None, dest="two_n")
-    prob.add_argument("--n", type=float, default=None, dest="n_value")
+    prob.add_argument("--two-n", type=float, default=None)
+    prob.add_argument("--n", type=float, default=None, metavar="N_VALUE")
 
     parser = argparse.ArgumentParser(
         prog="sievelab", description="sieve bounds, extremal sequences, reports"
@@ -419,129 +371,97 @@ def _build_parser() -> argparse.ArgumentParser:
     level = argparse.ArgumentParser(add_help=False)
     level.add_argument("--y", type=float, default=None)
     level.add_argument("--z", type=float, default=None)
-    level.add_argument(
-        "--skip-exact", action="store_const", const=True, default=None,
-        dest="skip_exact",
-    )
+    level.add_argument("--skip-exact", action="store_true")
 
     sub.add_parser("selberg", parents=[common, prob, level])
 
     sp = sub.add_parser("rosser", parents=[common, prob, level])
-    sp.add_argument(
-        "--level-exponent", type=float, default=None, dest="level_exponent"
-    )
-    sp.add_argument("--log-power", type=float, default=None, dest="log_power")
+    sp.add_argument("--level-exponent", type=float, default=0.5)
+    sp.add_argument("--log-power", type=float, default=0.0)
 
     sp = sub.add_parser("buchstab", parents=[common])
-    sp.add_argument("--s-max", type=float, default=None, dest="s_max")
-    sp.add_argument("--step", type=float, default=None)
+    sp.add_argument("--s-max", type=float, default=30.0)
+    sp.add_argument("--step", type=float, default=1e-4)
     sp.add_argument("--cache", default=None, help="export the grid to this CSV (never read)")
 
     sp = sub.add_parser("weighted", parents=[common, prob])
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--gamma-level", type=float, default=None, dest="gamma_level")
+    sp.add_argument("--gamma-level", type=float, default=None)
 
     sp = sub.add_parser("parity", parents=[common])
     sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--s", default=None, help="comma-separated list of s values")
+    sp.add_argument("--s", type=_float_list, default=None,
+                    help="comma-separated list of s values")
 
     sp = sub.add_parser("chen", parents=[common])
-    sp.add_argument("--n", type=float, default=None, dest="n_value")
+    sp.add_argument("--n", type=float, default=None, metavar="N_VALUE")
 
     sp = sub.add_parser("brun-titchmarsh", parents=[common])
     sp.add_argument("--x", type=float, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--scan-q", type=int, default=None, dest="scan_q")
+    sp.add_argument("--scan-q", type=int, default=None)
 
     sp = sub.add_parser("verify", parents=[common])
-    sp.add_argument("--suite", default=None, choices=sorted(SUITES) + ["all"])
-    sp.add_argument(
-        "--extended", action="store_const", const=True, default=None
-    )
-    return parser
+    sp.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
+    sp.add_argument("--extended", action="store_true")
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        data = json.load(fh)
+def _config_flags(args: argparse.Namespace, options: dict) -> list[str]:
+    """The --config file as flags: each key names a flag of the subcommand
+    ('_' may stand for '-'); true gives the bare flag, false and null none."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputError(f"config {args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"config {args.config} must hold a JSON object")
+    flags = []
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        flag = "--" + key.replace("_", "-")
+        if flag not in options:
+            raise InputError(f"config key {key!r} is not a flag of {args.command}")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    def get(name, fallback=None):
-        v = getattr(args, name, None)
-        return fallback if v is None else v
-
-    s_list: tuple[float, ...] = ()
-    raw_s = get("s")
-    if raw_s is not None:
-        parts = str(raw_s).split(",")
-        s_list = tuple(float(p) for p in parts if p.strip())
-    params = {name: get(name) for name in ("x", "length", "k", "l", "two_n", "n_value")}
-    passed = ("problem", "cache", "r", "alpha", "beta", "gamma_level", "n_value", "x",
-              "k", "l", "scan_q")
-    return RunConfig(
-        command=args.command,
-        fmt=get("format", "json"),
-        seed=int(get("seed", 0)),
-        params=params,
-        z=None if get("z") is None else float(get("z")),
-        y=None if get("y") is None else float(get("y")),
-        s_list=s_list,
-        level_exponent=float(get("level_exponent", 0.5)),
-        log_power=float(get("log_power", 0.0)),
-        skip_exact=bool(get("skip_exact", False)),
-        s_max=float(get("s_max", 30.0)),
-        step=float(get("step", 1e-4)),
-        suite=get("suite", "all"),
-        extended=bool(get("extended", False)),
-        **{name: get(name) for name in passed},
-    )
-
-
-def _check_domain(cfg: RunConfig) -> None:
+def _check_domain(args: argparse.Namespace) -> None:
     """Reject non-finite numbers, and a sieve level y or cut z at or below 1."""
-    numbers = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]
-    numbers += list((cfg.params or {}).items()) + [("s", s) for s in cfg.s_list]
-    for name, v in numbers:
-        flag = "--" + {"length": "len", "n_value": "n"}.get(name, name).replace("_", "-")
-        if isinstance(v, float) and not math.isfinite(v):
-            raise InputError(f"{flag} must be a finite number, got {v}")
+    for name, v in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        for u in v if isinstance(v, tuple) else (v,):
+            if isinstance(u, float) and not math.isfinite(u):
+                raise InputError(f"{flag} must be a finite number, got {u}")
         if name in ("y", "z") and v is not None and v <= 1:
             raise InputError(f"{flag} must be > 1, got {v}")
 
 
 def parse_and_dispatch(argv=None) -> int:
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    try:
-        _apply_config(args)
-        cfg = _config_from_args(args)
-        _check_domain(cfg)
-        text, code = _COMMANDS[cfg.command](cfg)
+        if args.config:  # its flags go first, so the command line's own win
+            at = argv.index(args.command) + 1
+            options = subcommands[args.command]._option_string_actions
+            args = parser.parse_args(argv[:at] + _config_flags(args, options) + argv[at:])
+        _check_domain(args)
+        text, code = _COMMANDS[args.command](args)
         if text:
             print(text)
         return code
+    except SystemExit as exc:  # argparse: 0 after --help, else a usage error
+        return 0 if exc.code == 0 else 2
     except BrokenPipeError:
         return 0
-    except (InputError, CapacityError, DensityRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, CapacityError, DensityRangeError, ZeroDensityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -135,6 +135,8 @@ def prediction_row(
     z = x^(1/s).
     """
     _check_range(x, tables)
+    if x < 2:  # log x = 0 leaves the prediction's scale undefined
+        raise InputError(f"need x >= 2 for a prediction, got {x}")
     if not 1 < s <= grid.s_max:
         raise InputError(f"need 1 < s <= {grid.s_max}, got {s}")
     scale = (x / 2.0) / (math.exp(EULER_GAMMA) * math.log(x) / s)

@@ -34,14 +34,20 @@ import numpy as np
 from .arith import PrimeTables, li_eval, squarefree_primes
 from .errors import CapacityError, DensityRangeError, InputError
 
-SCAN_KINDS = (
-    "goldbach_product",
-    "shifted_prime",
-    "square_plus_one",
-    "liouville_plus",
-    "liouville_minus",
-)
-ALL_KINDS = ("interval", "arithmetic_progression") + SCAN_KINDS
+#: kind -> (its integer parameters, in order; the one its factor tables must reach)
+KINDS = {
+    "interval": (("x", "y"), None),
+    "arithmetic_progression": (("x", "k", "l"), "x"),
+    "goldbach_product": (("two_N",), "two_N"),
+    "shifted_prime": (("N",), "N"),
+    "square_plus_one": (("x",), "x"),
+    "liouville_plus": (("x",), "x"),
+    "liouville_minus": (("x",), "x"),
+}
+ALL_KINDS = tuple(KINDS)
+
+#: exact scans refuse problems with more members than this (a 100 MB interval mask)
+MAX_SCAN_MEMBERS = 100_000_000
 
 #: kinds whose #A_d is a closed formula, not a scan of the members
 _FORMULA_KINDS = ("interval", "arithmetic_progression", "liouville_plus", "liouville_minus")
@@ -127,12 +133,20 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     """Build one of the supported sieve problems.
 
     Raises:
-        InputError: unknown kind or parameters outside the kind's domain.
+        InputError: unknown kind, a missing parameter, or parameters outside
+            the kind's domain.
         CapacityError: members would not fit in the supplied tables where
             the kind needs factorization support (liouville kinds).
     """
+    if kind not in KINDS:
+        raise InputError(f"unknown problem kind {kind!r}")
+    missing = [name for name in KINDS[kind][0] if params.get(name) is None]
+    if missing:
+        raise InputError(f"{kind} needs parameter {', '.join(missing)}")
+    ints = [int(params[name]) for name in KINDS[kind][0]]
+
     if kind == "interval":
-        x, y = int(params["x"]), int(params["y"])
+        x, y = ints
         if x < 0 or y < 1:
             raise InputError(f"interval needs x >= 0, y >= 1, got x={x} y={y}")
         return SieveProblem(
@@ -147,7 +161,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         )
 
     if kind == "arithmetic_progression":
-        x, k, l = int(params["x"]), int(params["k"]), int(params["l"])
+        x, k, l = ints
         if x < 1 or k < 1:
             raise InputError(f"progression needs x >= 1, k >= 1, got x={x} k={k}")
         if math.gcd(l, k) != 1:
@@ -167,7 +181,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         )
 
     if kind == "goldbach_product":
-        two_n = int(params["two_N"])
+        (two_n,) = ints
         if two_n < 6 or two_n % 2:
             raise InputError(f"goldbach_product needs even 2N >= 6, got {two_n}")
         n = np.arange(2, two_n - 1, dtype=np.int64)
@@ -187,7 +201,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         )
 
     if kind == "shifted_prime":
-        n_par = int(params["N"])
+        (n_par,) = ints
         if n_par < 8 or n_par % 2:
             raise InputError(f"shifted_prime needs even N >= 8, got {n_par}")
         if n_par > tables.limit:
@@ -211,7 +225,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         )
 
     if kind == "square_plus_one":
-        x = int(params["x"])
+        (x,) = ints
         if x < 1:
             raise InputError(f"square_plus_one needs x >= 1, got {x}")
         n = np.arange(1, x + 1, dtype=np.int64)
@@ -232,44 +246,54 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
             n_bound=x * x + 1,
         )
 
-    if kind in ("liouville_plus", "liouville_minus"):
-        x = int(params["x"])
-        if x < 1:
-            raise InputError(f"{kind} needs x >= 1, got {x}")
-        if x > tables.limit:
-            raise CapacityError(f"x={x} exceeds table limit {tables.limit}")
-        target = -1 if kind == "liouville_plus" else 1
-        liou = tables.liouville_table()
-        members = np.nonzero(liou[: x + 1] == target)[0].astype(np.int64)
-        sign = "+" if kind == "liouville_plus" else "-"
-        prob = SieveProblem(
-            kind=kind,
-            label=f"liouville{sign} x={x}",
-            params={"x": x},
-            X=x / 2.0,
-            omega=MultiplicativeDensity(lambda p: Fraction(1), "w = 1"),
-            prime_set=PrimeSet("all"),
-            tables=tables,
-            members=members,
-            n_bound=x,
-        )
-        prob._prefix_plus = _liouville_prefix(tables, x)
-        return prob
+    (x,) = ints  # liouville_plus or liouville_minus
+    if x < 1:
+        raise InputError(f"{kind} needs x >= 1, got {x}")
+    if x > tables.limit:
+        raise CapacityError(f"x={x} exceeds table limit {tables.limit}")
+    target = -1 if kind == "liouville_plus" else 1
+    liou = tables.liouville_table()
+    members = np.nonzero(liou[: x + 1] == target)[0].astype(np.int64)
+    sign = "+" if kind == "liouville_plus" else "-"
+    prob = SieveProblem(
+        kind=kind,
+        label=f"liouville{sign} x={x}",
+        params={"x": x},
+        X=x / 2.0,
+        omega=MultiplicativeDensity(lambda p: Fraction(1), "w = 1"),
+        prime_set=PrimeSet("all"),
+        tables=tables,
+        members=members,
+        n_bound=x,
+    )
+    prob._prefix_plus = _liouville_prefix(tables, x)
+    return prob
 
-    raise InputError(f"unknown problem kind {kind!r}")
+
+def _check_scan_size(p: SieveProblem, size: int) -> None:
+    if size > MAX_SCAN_MEMBERS:
+        raise CapacityError(
+            f"{p.label} has {size} members; exact scans stop at {MAX_SCAN_MEMBERS}"
+        )
 
 
 def members_array(p: SieveProblem) -> np.ndarray:
     """The members of A as an int64 array (generated on the fly for the
-    closed-form kinds, stored for the scan kinds)."""
+    closed-form kinds, stored for the scan kinds).
+
+    Raises:
+        CapacityError: more than MAX_SCAN_MEMBERS members to generate.
+    """
     if p.members is not None:
         return p.members
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
+        _check_scan_size(p, y)
         return np.arange(x + 1, x + y + 1, dtype=np.int64)
     if p.kind == "arithmetic_progression":
         x, k, l = p.params["x"], p.params["k"], p.params["l"]
         first = l if l >= 1 else k
+        _check_scan_size(p, -(-x // k))
         return np.arange(first, x + 1, k, dtype=np.int64)
     raise InputError(f"no member generator for kind {p.kind!r}")
 
@@ -383,9 +407,13 @@ def sift_exact(p: SieveProblem, z: float) -> int:
 
     This is the brute-force ground truth: every relevant prime below z is
     tested by divisibility against every member.
+
+    Raises:
+        CapacityError: more than MAX_SCAN_MEMBERS members to scan.
     """
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
+        _check_scan_size(p, y)
         keep = np.ones(y, dtype=bool)
         for q in sieve_primes(p, z):
             q = int(q)

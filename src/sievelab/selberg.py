@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import EULER_GAMMA, PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
+from .arith import EULER_GAMMA, PrimeTables, factorize, mult_stats, pi_ap
 from .errors import CapacityError, InputError, ZeroDensityError
 from .problem import (
     MultiplicativeDensity,
@@ -78,22 +78,6 @@ class SieveWeights:
 
     y: float
     values: dict[int, Fraction]
-
-
-def g_value(d: int, omega: MultiplicativeDensity, tables: PrimeTables) -> Fraction:
-    """The multiplicative weight g(d) = prod over p | d of w(p)/(p - w(p)).
-
-    Raises:
-        InputError: d < 1 or d not squarefree.
-        ZeroDensityError: w(p) = 0 for some p | d.
-    """
-    g = Fraction(1)
-    for p in squarefree_primes(d, tables):
-        w = omega.at_prime(p)
-        if w == 0:
-            raise ZeroDensityError(f"w({p}) = 0 makes g({d}) undefined")
-        g *= Fraction(w, p - w)
-    return g
 
 
 def _relevant_primes(

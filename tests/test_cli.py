@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab import harness
 from sievelab.cli import _json_value, main
 from sievelab.harness import SuiteResult
+from sievelab.problem import ALL_KINDS
 
 
 def run(capsys, argv):
@@ -76,6 +81,44 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     d = json.loads(out)
     assert d["z"] == 3
     assert d["exact_count"] == 5000
+
+
+@pytest.mark.parametrize(
+    "data,argv,flags",
+    [
+        ({"len": 10000, "z": 11}, ["legendre", "--problem", "interval", "--x", "0"],
+         ["--len", "10000", "--z", "11"]),
+        ({"n": 10000}, ["chen"], ["--n", "10000"]),
+        ({"s_max": 6, "step": 0.001, "format": "csv"}, ["buchstab"],
+         ["--s-max", "6", "--step", "1e-3", "--format", "csv"]),
+        ({"s-max": 6, "step": 0.001, "format": "csv"}, ["buchstab"],
+         ["--s-max", "6", "--step", "1e-3", "--format", "csv"]),
+        ({"two_n": 1000, "skip_exact": True, "z": None},
+         ["selberg", "--problem", "goldbach_product", "--y", "100"],
+         ["--two-n", "1000", "--skip-exact"]),
+        ({"problem": "goldbach_product", "two-n": 1000, "skip-exact": False},
+         ["selberg", "--y", "100"], ["--problem", "goldbach_product", "--two-n", "1000"]),
+    ],
+)
+def test_config_keys_are_flags(tmp_path, capsys, data, argv, flags):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data))
+    want = run(capsys, argv + flags)
+    assert want[0] == 0
+    assert run(capsys, argv + ["--config", str(cfg)]) == want
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"frob": 1}, {"length": 10000}, {"le": 10000}, {"scan_q": 3}, {"z": "abc"},
+     {"format": "xml"}, {"skip_exact": 1}],
+)
+def test_bad_config_key_or_value_exits_2(tmp_path, capsys, data):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data))
+    rc, out, err = run(capsys, ["selberg", "--problem", "interval", "--x", "0",
+                                "--len", "100", "--y", "100", "--config", str(cfg)])
+    assert rc == 2 and out == "" and "Traceback" not in err
 
 
 def test_buchstab_csv_grid(capsys):
@@ -227,9 +270,62 @@ def test_progression_scan_sizes_tables_for_q(capsys):
         ["buchstab", "--s-max", "inf"],
         ["parity", "--x", "1000", "--s", "2,nan"],
         ["buchstab", "--s-max", "1e9"],
+        ["parity", "--x", "1", "--s", "2"],
+        ["rosser", "--problem", "interval", "--len", "1000", "--x", "0",
+         "--level-exponent", "1e12"],
     ],
 )
 def test_numbers_outside_the_domain_exit_2(capsys, argv):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_huge_exact_scan_refused_before_it_allocates(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["selberg", "--problem", "interval", "--x", "0",
+                                "--len", "1e12", "--y", "100"])
+    assert rc == 2 and out == "" and "exact scans stop at" in err
+    assert time.perf_counter() - start < 1
+
+
+# the valid sizes stay below z = 97: at 25 primes legendre's remainder sum walks
+# all 2^25 divisors, which the prime cap allows but which takes minutes
+_FUZZ_VALUES = st.sampled_from(
+    ["0", "1", "1.5", "-5", "1e12", "nan", "inf", "2", "3", "7", "30", "50", "500", "2.5"]
+)
+_PROBLEM_FLAGS = ["--x", "--len", "--k", "--l", "--two-n", "--n"]
+_FUZZ_FLAGS = {
+    "legendre": _PROBLEM_FLAGS + ["--z"],
+    "selberg": _PROBLEM_FLAGS + ["--y", "--z"],
+    "rosser": _PROBLEM_FLAGS + ["--y", "--z", "--level-exponent", "--log-power"],
+    "buchstab": ["--s-max", "--step"],
+    "weighted": _PROBLEM_FLAGS + ["--r", "--alpha", "--beta", "--gamma-level"],
+    "parity": ["--x", "--s"],
+    "chen": ["--n"],
+    "brun-titchmarsh": ["--x", "--k", "--l", "--scan-q"],
+}
+
+
+@st.composite
+def _command_lines(draw):
+    cmd = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [cmd, "--format", draw(st.sampled_from(["json", "table", "csv"]))]
+    if "--len" in _FUZZ_FLAGS[cmd]:
+        argv += ["--problem", draw(st.sampled_from(ALL_KINDS))]
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[cmd]), unique=True)):
+        if flag == "--s":
+            argv += [flag, ",".join(draw(st.lists(_FUZZ_VALUES, min_size=1, max_size=3)))]
+        else:
+            argv += [flag, draw(_FUZZ_VALUES)]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(argv=_command_lines())
+def test_cli_fuzz_exits_0_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

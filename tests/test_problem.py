@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievelab.errors import DensityRangeError, InputError
+import sievelab.problem as problem
+from sievelab.errors import CapacityError, DensityRangeError, InputError
 from sievelab.problem import (
+    KINDS,
     count_Ad,
     make_problem,
     members_array,
@@ -143,6 +145,40 @@ def test_input_validation(tables_small):
     p = make_problem("interval", {"x": 0, "y": 10}, tables_small)
     with pytest.raises(InputError):
         count_Ad(p, 12)  # not squarefree
+
+
+def test_missing_parameter_is_an_input_error(tables_small):
+    with pytest.raises(InputError, match="needs parameter y"):
+        make_problem("interval", {"x": 0}, tables_small)
+    with pytest.raises(InputError, match="needs parameter k, l"):
+        make_problem("arithmetic_progression", {"x": 100, "l": None}, tables_small)
+    for names, size in KINDS.values():
+        assert size is None or size in names
+
+
+def test_exact_scans_refuse_more_members_than_the_cap(monkeypatch, tables_small):
+    huge = make_problem("interval", {"x": 0, "y": 10**12}, tables_small)
+    with pytest.raises(CapacityError):
+        sift_exact(huge, 100)  # a 10^12-byte mask, refused before it is allocated
+    with pytest.raises(CapacityError):
+        members_array(huge)
+    monkeypatch.setattr(problem, "MAX_SCAN_MEMBERS", 1000)
+    at_cap = [
+        make_problem("interval", {"x": 5, "y": 1000}, tables_small),
+        make_problem("arithmetic_progression", {"x": 3000, "k": 3, "l": 1}, tables_small),
+    ]
+    for p in at_cap:
+        assert members_array(p).size == 1000
+        assert sift_exact(p, 30) == brute_sift(members_array(p), sieve_primes(p, 30), 30)
+    over = [
+        make_problem("interval", {"x": 5, "y": 1001}, tables_small),
+        make_problem("arithmetic_progression", {"x": 3001, "k": 3, "l": 1}, tables_small),
+    ]
+    for p in over:
+        with pytest.raises(CapacityError):
+            members_array(p)
+        with pytest.raises(CapacityError):
+            sift_exact(p, 30)
 
 
 def test_density_range_guard():

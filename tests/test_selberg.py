@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import sievelab.selberg as sb
-from sievelab.errors import CapacityError, InputError, ZeroDensityError
+from sievelab.errors import CapacityError, InputError
 from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, remainder, sift_exact
 from sievelab.selberg import (
     _relevant_primes,
@@ -15,7 +15,6 @@ from sievelab.selberg import (
     brun_titchmarsh,
     dimension_diagnostics,
     fundamental_upper_bound,
-    g_value,
     goldbach_report,
     lambda_weights,
     mu_plus,
@@ -40,16 +39,14 @@ ALL = PrimeSet("all")
 
 
 def test_g_value_closed_forms(tables_small):
-    assert g_value(1, ONES, tables_small) == 1
-    assert g_value(2, ONES, tables_small) == 1
-    assert g_value(15, ONES, tables_small) == Fraction(1, 2) * Fraction(1, 4)
+    g = lambda_weights(20, 20, ONES, ALL, tables_small).g_values
+    assert g[1] == 1
+    assert g[2] == 1
+    assert g[15] == Fraction(1, 2) * Fraction(1, 4)
     # twin-type density gives g(p) = 1/(p-2)
+    g = lambda_weights(20, 20, TWIN, ALL, tables_small).g_values
     for p in (3, 5, 7, 11):
-        assert g_value(p, TWIN, tables_small) == Fraction(1, p - 2)
-    with pytest.raises(ZeroDensityError):
-        g_value(3, QUAD, tables_small)
-    with pytest.raises(InputError):
-        g_value(12, ONES, tables_small)
+        assert g[p] == Fraction(1, p - 2)
 
 
 def test_big_G_frozen(tables_small):
@@ -174,7 +171,10 @@ def _quadratic_y(w, omega):
 def test_weights_equal_quadratic_reference(omega, z, xi, tables_small):
     w = lambda_weights(xi, z, omega, ALL, tables_small)
     assert w.G == big_G(xi, z, omega, ALL, tables_small)
-    assert all(g == g_value(d, omega, tables_small) for d, g in w.g_values.items())
+    assert all(
+        g == math.prod(Fraction(omega.at_prime(p), p - omega.at_prime(p)) for p in w.factors[d])
+        for d, g in w.g_values.items()
+    )
     assert w.lambdas == _quadratic_lambdas(w, omega)
     assert y_values(w) == _quadratic_y(w, omega)
 
