@@ -243,6 +243,9 @@ def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
         if args.problem is not None:
             t = _tables_for(args, extra=wc.N)
             p = _make_problem(args, t)
+            if p.n_bound > t.limit:  # the members it factors can outgrow the parameters
+                t = _tables_for(args, extra=p.n_bound)
+                p = _make_problem(args, t)
             out["weighted_sum"] = W_exact(p, wc)
             out["almost_prime_count"] = pr_count(p, r, wc.alpha, N=wc.N)
             out["square_factor_correction"] = repeated_window_factor_count(p, wc)

@@ -28,6 +28,9 @@ EXACT_PRODUCT_Z = 10_000
 #: refuse inclusion-exclusion over more primes than this
 MAX_SUBSET_PRIMES = 25
 
+#: refuse the remainder sum, which walks all 2^k divisors, over more primes than this
+MAX_REMAINDER_PRIMES = 20
+
 
 @dataclass(frozen=True)
 class MertensValue:
@@ -99,7 +102,7 @@ def _subset_primes(p: SieveProblem, z: float, max_primes: int) -> list[int]:
     return rp
 
 
-def legendre_count(p: SieveProblem, z: float, max_primes: int = MAX_SUBSET_PRIMES) -> int:
+def legendre_count(p: SieveProblem, z: float) -> int:
     """Exact sifted count by inclusion-exclusion over the primes below z.
 
     Equals the member-scan count; subtrees whose divisor already exceeds the
@@ -107,21 +110,22 @@ def legendre_count(p: SieveProblem, z: float, max_primes: int = MAX_SUBSET_PRIME
     term is zero.
 
     Raises:
-        CapacityError: more than max_primes sieve primes below z.
+        CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z.
     """
-    rp = _subset_primes(p, z, max_primes)
+    rp = _subset_primes(p, z, MAX_SUBSET_PRIMES)
     walk = divisor_walk(p, rp, lambda d, nu, q: d * q <= p.n_bound, prune_empty=True)
     return sum(-c if nu % 2 else c for _, nu, _, c in walk)
 
 
-def legendre_remainder_sum(
-    p: SieveProblem, z: float, max_primes: int = MAX_SUBSET_PRIMES
-) -> float:
+def legendre_remainder_sum(p: SieveProblem, z: float) -> float:
     """Sum of |R_d| over every squarefree d composed of sieve primes below z.
 
     Together with X W(z; w) this brackets the sifted count from both sides.
+
+    Raises:
+        CapacityError: more than MAX_REMAINDER_PRIMES sieve primes below z.
     """
-    rp = _subset_primes(p, z, max_primes)
+    rp = _subset_primes(p, z, MAX_REMAINDER_PRIMES)
     return math.fsum(
         abs(remainder(p, d, c, w).r)
         for d, _, w, c in divisor_walk(p, rp, lambda d, nu, q: True)

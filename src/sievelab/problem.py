@@ -356,13 +356,19 @@ def divisor_walk(
 ) -> Iterator[tuple[int, int, object, int | None]]:
     """Depth-first walk of the squarefree d built from ``primes``, in their order.
 
-    A node d extends to d q for each later prime q that ``admit(d, nu(d), q)``
-    accepts, and yields (d, nu(d), v(d), #A_d), carried down one step per
-    node: v(d) = v(d / q) factors[q] (default factors w(q), so v(d) = w(d)),
-    and #A_d is the kind's formula or, for the member-scan kinds, the count
-    of the parent's surviving members that q divides.  With p = None the
-    walk needs ``factors`` and yields None for #A_d; prune_empty skips the
-    subtree below a node with #A_d = 0.
+    ``primes`` is strictly ascending or strictly descending, and the walk
+    reads the direction from it.  A node d extends to d q for each later
+    prime q that ``admit(d, nu(d), q)`` accepts, and yields (d, nu(d), v(d),
+    #A_d), carried down one step per node: v(d) = v(d / q) factors[q]
+    (default factors w(q), so v(d) = w(d)), and #A_d is the kind's formula
+    or, for the member-scan kinds, the count of the parent's surviving
+    members that q divides.  With p = None the walk needs ``factors`` and
+    yields None for #A_d; prune_empty skips the subtree below a node with
+    #A_d = 0.
+
+    ``admit`` must be downward-closed in q: once it refuses q it refuses
+    every larger q.  The walk scans a node's candidates smallest first and
+    stops at the first refusal.
 
     Raises:
         CapacityError: more than max_nodes nodes.
@@ -372,6 +378,7 @@ def divisor_walk(
         factors = {q: p.omega.at_prime(q) for q in primes}
         factors = {q: w.numerator if w.denominator == 1 else w for q, w in factors.items()}
     scan = p is not None and p.kind not in _FORMULA_KINDS
+    n, ascending = len(primes), len(primes) < 2 or primes[0] < primes[1]
     nodes = 0
     # (index of the next prime, d, nu(d), v(d), members divisible by d / q)
     stack: list = [(0, 1, 0, 1, p.members if scan else None)]
@@ -389,10 +396,11 @@ def divisor_walk(
         yield d, nu, v, count
         if prune_empty and count == 0:
             continue
-        for j in range(i, len(primes)):
+        for j in range(i, n) if ascending else range(n - 1, i - 1, -1):
             q = primes[j]
-            if admit(d, nu, q):
-                stack.append((j + 1, d * q, nu + 1, v * factors[q], sub))
+            if not admit(d, nu, q):
+                break
+            stack.append((j + 1, d * q, nu + 1, v * factors[q], sub))
 
 
 def sieve_primes(p: SieveProblem, z: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import EULER_GAMMA, PrimeTables, factorize, mult_stats, pi_ap
+from .arith import EULER_GAMMA, PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
 from .errors import CapacityError, InputError, ZeroDensityError
 from .problem import (
     MultiplicativeDensity,
@@ -87,22 +87,10 @@ def _relevant_primes(
     return [int(q) for q in prime_set.select(ps) if omega.at_prime(int(q)) > 0]
 
 
-def _support(ps: list[int], bound: float, skip: tuple[int, ...] = ()) -> list[tuple[int, tuple[int, ...]]]:
-    """All squarefree products d < bound of primes from ps avoiding ``skip``."""
-    items: list[tuple[int, tuple[int, ...]]] = []
-    usable = [p for p in ps if p not in skip]
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, ())]
-    while stack:
-        i, d, facs = stack.pop()
-        items.append((d, facs))
-        if len(items) > MAX_SUPPORT:
-            raise CapacityError(f"support exceeds {MAX_SUPPORT} divisors")
-        for j in range(i, len(usable)):
-            nd = d * usable[j]
-            if nd >= bound:
-                break
-            stack.append((j + 1, nd, facs + (usable[j],)))
-    return items
+def _g_walk(xi: float, ps: list[int], omega: MultiplicativeDensity):
+    """Walk the squarefree d < xi from ps, carrying g(d): g(p) = w(p)/(p - w(p))."""
+    g_at = {p: (w := omega.at_prime(p)) / (p - w) for p in ps}
+    return divisor_walk(None, ps, lambda d, nu, q: d * q < xi, g_at, max_nodes=MAX_SUPPORT)
 
 
 def big_G(
@@ -111,23 +99,16 @@ def big_G(
     omega: MultiplicativeDensity,
     prime_set: PrimeSet,
     tables: PrimeTables,
-    skip: tuple[int, ...] = (),
 ) -> Fraction:
-    """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes.
-
-    ``skip`` restricts the sum to l coprime to the given primes, which is the
-    shifted sum appearing in the weight formula.
-    """
+    """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes."""
     ps = _relevant_primes(z, omega, prime_set, tables)
-    w_at = {p: omega.at_prime(p) for p in ps}
-    g = _multiplicative(_support(ps, xi, skip), {p: w / (p - w) for p, w in w_at.items()})
-    return sum(g.values(), Fraction(0))
+    return sum((g for _, _, g, _ in _g_walk(xi, ps, omega)), Fraction(0))
 
 
 def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
     """f(d) for each (d, factors) of a support, f multiplicative with f(p) = at[p].
 
-    Every d must follow d / (its largest prime), as in ``_support``.
+    Every d must follow d / (its largest prime), as in an ascending walk.
     """
     out: dict[int, Fraction] = {}
     for d, facs in support:
@@ -160,11 +141,11 @@ def lambda_weights(
     than enforced here.
     """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    support = _support(ps, xi)
+    g_values = {d: g for d, _, g, _ in _g_walk(xi, ps, omega)}
+    g_values[1] = Fraction(1)  # the walk starts from the int 1
+    support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
     exact = len(support) <= MAX_EXACT_SUPPORT
-    w_at = {p: omega.at_prime(p) for p in ps}
-    g_values = _multiplicative(support, {p: w / (p - w) for p, w in w_at.items()})
-    w_values = _multiplicative(support, w_at)
+    w_values = _multiplicative(support, {p: omega.at_prime(p) for p in ps})
     G = sum(g_values.values(), Fraction(0))
     if G == 0:
         raise ZeroDensityError("G(xi, z) = 0: no usable divisors below xi")

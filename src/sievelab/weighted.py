@@ -139,14 +139,11 @@ def member_weight_term(n: int, cfg: WeightedConfig, tables: PrimeTables) -> floa
     return 1.0 - total
 
 
-def W_exact(
-    p: SieveProblem, cfg: WeightedConfig, tables: PrimeTables | None = None
-) -> float:
+def W_exact(p: SieveProblem, cfg: WeightedConfig) -> float:
     """Exact weighted count over the survivors of the pre-sieve at N^alpha."""
-    tables = tables or p.tables
     z = cfg.N**cfg.alpha
     terms = [
-        member_weight_term(int(n), cfg, tables) for n in sifted_members(p, z)
+        member_weight_term(int(n), cfg, p.tables) for n in sifted_members(p, z)
     ]
     return math.fsum(terms)
 
@@ -170,17 +167,14 @@ def pr_count(p: SieveProblem, r: int, alpha: float, N: int | None = None) -> int
     return int(np.count_nonzero(big[surv] <= r))
 
 
-def repeated_window_factor_count(
-    p: SieveProblem, cfg: WeightedConfig, tables: PrimeTables | None = None
-) -> int:
+def repeated_window_factor_count(p: SieveProblem, cfg: WeightedConfig) -> int:
     """Survivors divisible by p^2 for some window prime p in [N^a, N^b)."""
-    tables = tables or p.tables
     z = cfg.N**cfg.alpha
     lo = cfg.alpha * math.log(cfg.N)
     hi = cfg.beta * math.log(cfg.N)
     count = 0
     for n in sifted_members(p, z):
-        for q, e in factorize(int(n), tables):
+        for q, e in factorize(int(n), p.tables):
             if e >= 2 and lo <= math.log(q) < hi:
                 count += 1
                 break

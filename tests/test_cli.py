@@ -195,6 +195,33 @@ def test_weighted_threshold_only(capsys):
     assert d["threshold"] == pytest.approx(1.834043767146470, abs=1e-9)
 
 
+_WEIGHTED = ["weighted", "--r", "3", "--alpha", "0.1225", "--beta", "0.4725",
+             "--gamma-level", "0.49", "--n", "10000"]
+
+
+def test_weighted_sizes_tables_for_the_members_it_factors(capsys):
+    # the products n(2N - n) reach N^2 / 4 = 250,000, past the tables --n asks for
+    rc, out, _ = run(capsys, _WEIGHTED + ["--problem", "goldbach_product", "--two-n", "1000"])
+    assert rc == 0
+    d = json.loads(out)
+    assert d["weighted_sum"] == pytest.approx(114.175457263, rel=1e-9)
+    assert d["almost_prime_count"] == 114
+    # n^2 + 1 up to 1e8 + 1 is past the command line's table cap
+    rc, out, err = run(capsys, _WEIGHTED + ["--problem", "square_plus_one", "--x", "10000"])
+    assert rc == 2 and out == "" and "caps" in err
+
+
+def test_remainder_sum_refused_before_it_walks(capsys):
+    # 25 sieve primes below 100: the count runs, the 2^25-term remainder sum does not
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["legendre", "--problem", "liouville_plus", "--x", "3",
+                              "--z", "100"])
+    assert rc == 0
+    d = json.loads(out)
+    assert d["exact_count"] == 0 and d["remainder_bound"] is None
+    assert time.perf_counter() - start < 2
+
+
 def test_brun_titchmarsh_report_and_scan(capsys):
     rc, out, _ = run(capsys, ["brun-titchmarsh", "--x", "10000", "--k", "3",
                               "--l", "2"])
@@ -289,10 +316,9 @@ def test_huge_exact_scan_refused_before_it_allocates(capsys):
     assert time.perf_counter() - start < 1
 
 
-# the valid sizes stay below z = 97: at 25 primes legendre's remainder sum walks
-# all 2^25 divisors, which the prime cap allows but which takes minutes
 _FUZZ_VALUES = st.sampled_from(
-    ["0", "1", "1.5", "-5", "1e12", "nan", "inf", "2", "3", "7", "30", "50", "500", "2.5"]
+    ["0", "1", "1.5", "-5", "1e12", "nan", "inf", "2", "3", "7", "30", "50", "100", "200",
+     "500", "2.5"]
 )
 _PROBLEM_FLAGS = ["--x", "--len", "--k", "--l", "--two-n", "--n"]
 _FUZZ_FLAGS = {
@@ -321,7 +347,7 @@ def _command_lines(draw):
     return argv
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(argv=_command_lines())
 def test_cli_fuzz_exits_0_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()

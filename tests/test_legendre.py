@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sievelab.legendre as lg
 from sievelab.errors import CapacityError
 from sievelab.legendre import (
     legendre_count,
@@ -13,6 +16,7 @@ from sievelab.legendre import (
     problem_W,
 )
 from sievelab.problem import (
+    ALL_KINDS,
     count_Ad,
     divisor_walk,
     make_problem,
@@ -101,11 +105,14 @@ def test_mertens_normalization_drifts_to_one(tables_big):
         assert abs(problem_W(p, z).v_normalized() - 1.0) <= 0.05
 
 
-def test_subset_cap(tables_small):
+def test_subset_cap(tables_small, monkeypatch):
     p = make_problem("interval", {"x": 0, "y": 10_000}, tables_small)
+    monkeypatch.setattr(lg, "MAX_SUBSET_PRIMES", 10)
     with pytest.raises(CapacityError) as err:
-        legendre_count(p, 200, max_primes=10)
+        legendre_count(p, 40)  # 12 primes
     assert "2^" in str(err.value)
+    with pytest.raises(CapacityError, match="cap is 20 primes"):
+        legendre_remainder_sum(p, 74)  # 21 primes, refused before the walk
 
 
 def test_progression_with_sieve_set_excluding_k(tables_small):
@@ -167,3 +174,29 @@ def test_carried_state_equals_rebuilt(kind_problems):
             )
             seen += 1
         assert seen == 2 ** len(rp)
+
+
+@st.composite
+def _problems(draw):
+    """A kind and parameters inside the 10,000 tables."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    if kind == "interval":
+        return kind, {"x": draw(st.integers(0, 5_000)), "y": draw(st.integers(1, 5_000))}
+    if kind == "arithmetic_progression":
+        k = draw(st.integers(1, 60))
+        l = draw(st.integers(0, k - 1).filter(lambda l: math.gcd(l, k) == 1))
+        return kind, {"x": draw(st.integers(1, 10_000)), "k": k, "l": l}
+    if kind == "goldbach_product":
+        return kind, {"two_N": 2 * draw(st.integers(3, 2_000))}
+    if kind == "shifted_prime":
+        return kind, {"N": 2 * draw(st.integers(4, 5_000))}
+    if kind == "square_plus_one":
+        return kind, {"x": draw(st.integers(1, 300))}
+    return kind, {"x": draw(st.integers(1, 10_000))}
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(problem=_problems(), z=st.floats(1.5, 100.0))
+def test_legendre_count_equals_member_scan(tables_small, problem, z):
+    p = make_problem(*problem, tables_small)
+    assert legendre_count(p, z) == sift_exact(p, z)

@@ -195,3 +195,34 @@ def test_x_matches_member_scale(tables_small):
     ap = make_problem("arithmetic_progression", {"x": 1000, "k": 8, "l": 1}, tables_small)
     assert ap.X == 125.0
     assert abs(members_array(ap).size - ap.X) <= 1.0
+
+
+def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
+    # a node refuses at most one prime, so admit runs at most twice per node
+    import sievelab.legendre as lg
+    import sievelab.rosser as rs
+    import sievelab.selberg as sb
+
+    tallies = []  # [admit calls, nodes] per walk
+
+    def counting_walk(p, primes, admit, *args, **kwargs):
+        tally = [0, 0]
+        tallies.append(tally)
+
+        def counted(d, nu, q):
+            tally[0] += 1
+            return admit(d, nu, q)
+
+        for node in problem.divisor_walk(p, primes, counted, *args, **kwargs):
+            tally[1] += 1
+            yield node
+
+    for module in (lg, rs, sb):
+        monkeypatch.setattr(module, "divisor_walk", counting_walk)
+    p = make_problem("liouville_minus", {"x": 995_000}, tables_big)
+    lg.legendre_count(p, 100)
+    sb.fundamental_upper_bound(p, 1e6, 100, with_exact=False)
+    rs.combinatorial_bounds(p, 1e6, 100, with_exact=False)
+    for calls, nodes in tallies:
+        assert calls <= 2 * nodes
+    assert len(tallies) == 7  # legendre, G, quadratic remainder, M+ and M- with their remainders

@@ -21,7 +21,7 @@ from sievelab.rosser import (
     truncated_mobius_sum,
     truncated_mu,
 )
-from sievelab.selberg import _relevant_primes
+from sievelab.selberg import _relevant_primes, fundamental_upper_bound
 
 
 def test_frozen_small_sums(tables_small):
@@ -272,3 +272,13 @@ def test_chain_cap_fires_past_its_size(tables_small, monkeypatch):
     monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", size - 1)
     with pytest.raises(CapacityError):
         truncated_mobius_sum(p, 1000.0, 30.0, -1)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(which=st.integers(0, 6), z=st.floats(2.0, 60.0), y_over_z=st.floats(1.0, 2_000.0))
+def test_chain_bounds_trap_exact_under_quadratic_upper(kind_problems, which, z, y_over_z):
+    p, y = kind_problems[which], z * y_over_z
+    pair = combinatorial_bounds(p, y, z, with_exact=False)
+    quad = fundamental_upper_bound(p, y, z, with_exact=False)
+    exact = sift_exact(p, z)
+    assert pair.lower.lower_bound <= exact <= min(pair.upper.upper_bound, quad.upper_bound)
