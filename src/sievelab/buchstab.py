@@ -179,22 +179,6 @@ def _holds_grid(path: str | Path, grid: BuchstabGrid) -> bool:
         return False
 
 
-def load_grid(path: str | Path) -> BuchstabGrid:
-    """Read a grid written by save_grid."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "s,F,f":
-            raise InputError(f"unexpected grid header {header!r} in {path}")
-        data = np.loadtxt(fh, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise InputError(f"malformed grid file {path}")
-    s, F, f = (np.concatenate(([np.nan], col)) for col in data.T)
-    return BuchstabGrid(
-        step=float(data[0, 0]), s_max=float(round(data[-1, 0])), s=s, F_values=F, f_values=f,
-        join_error=float("nan"),
-    )
-
-
 def grid_cached(s_max: float = 30.0, step: float = 1e-4, cache: str | Path | None = None) -> BuchstabGrid:
     """Build the grid and, with ``cache``, export it there unless the file already holds it.
 

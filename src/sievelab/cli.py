@@ -20,7 +20,7 @@ from .errors import CapacityError, DensityRangeError, InputError, ZeroDensityErr
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
-from .problem import ALL_KINDS, KINDS, make_problem
+from .problem import ALL_KINDS, KINDS, SieveProblem, kind_shape, make_problem
 from .rosser import combinatorial_bounds
 from .selberg import SieveReport, brun_titchmarsh, fundamental_upper_bound
 from .weighted import (
@@ -139,32 +139,34 @@ def _problem_params(args: argparse.Namespace) -> tuple[str, dict]:
     return kind, {name: int(v) for name, v in zip(names, values)}
 
 
-def _tables_for(args: argparse.Namespace, extra: int = 0) -> PrimeTables:
-    need = max(10_000, extra)
-    for v in (getattr(args, "z", None), getattr(args, "y", None)):
-        if v is not None:
-            need = max(need, int(v) + 1)
-    if getattr(args, "problem", None) is not None:
-        kind, params = _problem_params(args)
-        size = KINDS[kind][1]
-        if size is not None:
-            need = max(need, params[size] + 1)
+def _tables(*needs: float) -> PrimeTables:
+    """A command's one table build, reaching the largest of its needs.
+
+    The needs are z + 1 for a cut z (so every prime below z is listed), the
+    problem kind's own need, and whatever the command itself factors or
+    counts.  The level y is never factored, so it is not a need.
+    """
+    need = max(10_000, *needs)
     if need > MAX_CLI_TABLES:
         raise InputError(
-            f"parameters need factor tables to {need}; the command line caps"
+            f"parameters need factor tables to {need:.0f}; the command line caps"
             f" them at {MAX_CLI_TABLES}"
         )
-    return build_tables(need + 200)
+    return build_tables(int(need) + 200)
 
 
-def _make_problem(args: argparse.Namespace, tables: PrimeTables):
-    return make_problem(*_problem_params(args), tables)
+def _problem(args: argparse.Namespace, z: float, factored: bool = False) -> SieveProblem:
+    """The command's problem, on tables for the cut z, the kind's need and,
+    when the command factors the members, the largest member."""
+    kind, params = _problem_params(args)
+    shape = kind_shape(kind, params)
+    t = _tables(z + 1, shape.need, shape.n_bound if factored else 0)
+    return make_problem(kind, params, t)
 
 
 def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
     (z,) = _require(args, z=args.z)
-    t = _tables_for(args)
-    p = _make_problem(args, t)
+    p = _problem(args, z)
     count = legendre_count(p, z)
     mv = problem_W(p, z)
     main = p.X * mv.W
@@ -183,18 +185,15 @@ def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_selberg(args: argparse.Namespace) -> tuple[str, int]:
     (y,) = _require(args, y=args.y)
     z = args.z if args.z is not None else math.sqrt(y)
-    t = _tables_for(args)
-    p = _make_problem(args, t)
+    p = _problem(args, z)
     rep = fundamental_upper_bound(p, y, z, with_exact=not args.skip_exact)
     return emit_report(_sieve_dict(rep), args.format), 0
 
 
 def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
-    t = _tables_for(args)
-    p = _make_problem(args, t)
     y = args.y
     if y is None:
-        base = max(p.X, 3.0)
+        base = max(kind_shape(*_problem_params(args)).X, 3.0)
         try:
             y = base**args.level_exponent * math.log(base) ** args.log_power
         except OverflowError:
@@ -202,9 +201,7 @@ def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
         if math.isinf(y):
             raise InputError("--level-exponent and --log-power overflow the level y")
     z = args.z if args.z is not None else math.sqrt(y)
-    if z > t.limit:  # a cut derived from X can outgrow the tables the parameters need
-        t = _tables_for(args, extra=math.ceil(z))
-        p = _make_problem(args, t)
+    p = _problem(args, z)
     pair = combinatorial_bounds(p, y, z, with_exact=not args.skip_exact)
     up = _sieve_dict(pair.upper)
     lo = _sieve_dict(pair.lower)
@@ -241,11 +238,11 @@ def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
         out.update(alpha=wc.alpha, beta=wc.beta, gamma_level=wc.gamma_level,
                    margin_integral=mi, margin_closed=mc)
         if args.problem is not None:
-            t = _tables_for(args, extra=wc.N)
-            p = _make_problem(args, t)
-            if p.n_bound > t.limit:  # the members it factors can outgrow the parameters
-                t = _tables_for(args, extra=p.n_bound)
-                p = _make_problem(args, t)
+            try:
+                z = wc.N**wc.alpha  # the pre-sieve cut
+            except OverflowError:
+                z = math.inf
+            p = _problem(args, z, factored=True)
             out["weighted_sum"] = W_exact(p, wc)
             out["almost_prime_count"] = pr_count(p, r, wc.alpha, N=wc.N)
             out["square_factor_correction"] = repeated_window_factor_count(p, wc)
@@ -256,7 +253,7 @@ def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
     (x,) = _require(args, x=args.x)
     if not args.s:
         raise InputError("parity needs --s (comma-separated list)")
-    t = _tables_for(args, extra=int(x))
+    t = _tables(int(x))
     grid = build_grid(30.0, 1e-4)
     rows = []
     for s in args.s:
@@ -276,13 +273,13 @@ def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_chen(args: argparse.Namespace) -> tuple[str, int]:
     (n,) = _require(args, n=args.n)
-    t = _tables_for(args, extra=int(n))
+    t = _tables(int(n))
     return emit_report(asdict(chen_report(int(n), t)), args.format), 0
 
 
 def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
     (x,) = _require(args, x=args.x)
-    t = _tables_for(args, extra=max(int(x), args.scan_q or 0) + 1)
+    t = _tables(max(int(x), args.scan_q or 0) + 1)
     if args.scan_q is not None:
         scan = bv_scan(int(x), args.scan_q, t)
         rows = [{"k": k, "E1": e} for k, e in scan.rows]

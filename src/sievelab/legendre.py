@@ -18,6 +18,7 @@ from .problem import (
     PrimeSet,
     SieveProblem,
     divisor_walk,
+    primes_below,
     remainder,
     sieve_primes,
 )
@@ -63,9 +64,7 @@ def mertens_products(
     Raises:
         CapacityError: z exceeds what the tables cover.
     """
-    if z > tables.limit + 1:
-        raise CapacityError(f"z={z} beyond table limit {tables.limit}")
-    ps_all = tables.primes[tables.primes < z]
+    ps_all = primes_below(z, PrimeSet(), tables)
     ps_sel = prime_set.select(ps_all)
     if z <= EXACT_PRODUCT_Z:
         v_exact = Fraction(1)
@@ -96,8 +95,8 @@ def _subset_primes(p: SieveProblem, z: float, max_primes: int) -> list[int]:
     rp = [int(q) for q in sieve_primes(p, z)]
     if len(rp) > max_primes:
         raise CapacityError(
-            f"inclusion-exclusion over {len(rp)} primes needs "
-            f"2^{len(rp)} = {2 ** len(rp)} divisors; cap is {max_primes} primes"
+            f"inclusion-exclusion over {len(rp)} primes needs 2^{len(rp)} divisors;"
+            f" cap is {max_primes} primes"
         )
     return rp
 

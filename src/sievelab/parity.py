@@ -19,6 +19,9 @@ from .arith import EULER_GAMMA, PrimeTables
 from .buchstab import BuchstabGrid, evaluate
 from .errors import InputError
 
+#: root_ceiling settles t**a >= x**b in integers while both have at most this many bits
+ROOT_EXACT_BITS = 1 << 16
+
 __all__ = [
     "ParityRow",
     "L_summatory",
@@ -59,21 +62,24 @@ def L_summatory(x: int, tables: PrimeTables) -> int:
 def root_ceiling(x: int, s: float) -> int:
     """Smallest integer t with t**s >= x, i.e. the ceiling of x^(1/s).
 
-    Integer exponents are settled in exact integer arithmetic so perfect
-    powers land on the boundary instead of drifting across it; fractional
-    exponents get a float estimate with a small snap.
+    s is taken at its exact binary value a/b.  While x**b and t**a stay
+    within ROOT_EXACT_BITS bits (every integer s, and dyadic s such as 2.5
+    or 3.75 at any x this package tabulates) t**a >= x**b is settled in
+    integers, so perfect powers land on the boundary instead of drifting
+    across it.  Other exponents keep the float estimate with a small snap.
     """
     if x < 1:
         raise InputError(f"need x >= 1, got {x}")
     if s <= 0:
         raise InputError(f"need s > 0, got {s}")
     t = max(1, math.ceil(x ** (1.0 / s) - 1e-9))
-    if float(s).is_integer():
-        e = int(round(s))
-        while t > 1 and (t - 1) ** e >= x:
-            t -= 1
-        while t**e < x:
-            t += 1
+    a, b = float(s).as_integer_ratio()
+    if max(a * t.bit_length(), b * x.bit_length()) <= ROOT_EXACT_BITS:
+        n = x**b  # t = ceil(n^(1/a)), by integer Newton steps from the float estimate
+        t = ((a - 1) * t + n // t ** (a - 1)) // a  # now at or above floor(n^(1/a))
+        while (nxt := ((a - 1) * t + n // t ** (a - 1)) // a) < t:
+            t = nxt
+        t += t**a < n
     return t
 
 

@@ -34,18 +34,6 @@ import numpy as np
 from .arith import PrimeTables, li_eval, squarefree_primes
 from .errors import CapacityError, DensityRangeError, InputError
 
-#: kind -> (its integer parameters, in order; the one its factor tables must reach)
-KINDS = {
-    "interval": (("x", "y"), None),
-    "arithmetic_progression": (("x", "k", "l"), "x"),
-    "goldbach_product": (("two_N",), "two_N"),
-    "shifted_prime": (("N",), "N"),
-    "square_plus_one": (("x",), "x"),
-    "liouville_plus": (("x",), "x"),
-    "liouville_minus": (("x",), "x"),
-}
-ALL_KINDS = tuple(KINDS)
-
 #: exact scans refuse problems with more members than this (a 100 MB interval mask)
 MAX_SCAN_MEMBERS = 100_000_000
 
@@ -108,6 +96,128 @@ class RemainderRecord:
     r: float
 
 
+@dataclass(frozen=True)
+class KindShape:
+    """What a problem kind states from its parameters alone, before any table is built.
+
+    ``need`` is the table limit the kind's own construction reads (0 when it
+    reads none); ``members`` builds the stored members from the tables, for
+    the kinds counted by a member scan.
+    """
+
+    label: str
+    params: dict
+    X: float
+    n_bound: int  # the largest member
+    need: int
+    omega: MultiplicativeDensity
+    prime_set: PrimeSet
+    members: Callable[[PrimeTables], np.ndarray] | None = None
+
+
+_W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
+
+
+def _interval(x: int, y: int) -> KindShape:
+    if x < 0 or y < 1:
+        raise InputError(f"interval needs x >= 0, y >= 1, got x={x} y={y}")
+    return KindShape(f"interval[{x + 1}..{x + y}]", {"x": x, "y": y}, float(y), x + y, 0,
+                     _W_ONE, PrimeSet("all"))
+
+
+def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
+    if x < 1 or k < 1:
+        raise InputError(f"progression needs x >= 1, k >= 1, got x={x} k={k}")
+    if math.gcd(l, k) != 1:
+        raise InputError(f"residue {l} not coprime to modulus {k}")
+    omega = MultiplicativeDensity(
+        lambda p: Fraction(0) if k % p == 0 else Fraction(1), f"w(p) = 1 off p | {k}"
+    )
+    return KindShape(f"progression x={x} k={k} l={l % k}", {"x": x, "k": k, "l": l % k},
+                     x / k, x, 0, omega, PrimeSet("coprime", k))
+
+
+def _goldbach_product(two_n: int) -> KindShape:
+    if two_n < 6 or two_n % 2:
+        raise InputError(f"goldbach_product needs even 2N >= 6, got {two_n}")
+
+    label = f"goldbach 2N={two_n}"
+
+    def members(tables: PrimeTables) -> np.ndarray:
+        _check_scan_size(label, two_n - 3)
+        n = np.arange(2, two_n - 1, dtype=np.int64)
+        return n * (two_n - n)
+
+    omega = MultiplicativeDensity(
+        lambda p: Fraction(1) if two_n % p == 0 else Fraction(2),
+        f"w(p) = 1 if p | {two_n} else 2",
+    )
+    return KindShape(label, {"two_N": two_n}, float(two_n), two_n**2 // 4, 0,
+                     omega, PrimeSet("all"), members)
+
+
+def _shifted_prime(n_par: int) -> KindShape:
+    if n_par < 8 or n_par % 2:
+        raise InputError(f"shifted_prime needs even N >= 8, got {n_par}")
+
+    def members(tables: PrimeTables) -> np.ndarray:
+        ps = tables.primes
+        ps = ps[(ps >= 3) & (ps <= n_par - 3)]
+        return (n_par - ps[n_par % ps != 0]).astype(np.int64)
+
+    omega = MultiplicativeDensity(
+        lambda p: Fraction(0) if n_par % p == 0 else Fraction(p, p - 1),
+        f"w(p) = p/(p-1) off p | {n_par}",
+    )
+    return KindShape(f"shifted N={n_par}", {"N": n_par}, li_eval(n_par), n_par - 3, n_par,
+                     omega, PrimeSet("coprime", n_par), members)
+
+
+def _square_plus_one(x: int) -> KindShape:
+    if x < 1:
+        raise InputError(f"square_plus_one needs x >= 1, got {x}")
+
+    label = f"square_plus_one x={x}"
+
+    def members(tables: PrimeTables) -> np.ndarray:
+        _check_scan_size(label, x)
+        n = np.arange(1, x + 1, dtype=np.int64)
+        return n * n + 1
+
+    omega = MultiplicativeDensity(
+        lambda p: Fraction(1) if p == 2 else (Fraction(2) if p % 4 == 1 else Fraction(0)),
+        "w(2) = 1, w(p) = 2 for p = 1 mod 4, else 0",
+    )
+    return KindShape(label, {"x": x}, float(x), x * x + 1, 0,
+                     omega, PrimeSet("two_or_one_mod_four"), members)
+
+
+def _liouville(x: int, target: int) -> KindShape:
+    """n <= x with lambda(n) = target; the members come from the Liouville table."""
+    kind, sign = ("liouville_plus", "+") if target == -1 else ("liouville_minus", "-")
+    if x < 1:
+        raise InputError(f"{kind} needs x >= 1, got {x}")
+
+    def members(tables: PrimeTables) -> np.ndarray:
+        return np.nonzero(tables.liouville_table()[: x + 1] == target)[0].astype(np.int64)
+
+    return KindShape(f"liouville{sign} x={x}", {"x": x}, x / 2.0, x, x, _W_ONE, PrimeSet("all"),
+                     members)
+
+
+#: kind -> (its integer parameters, in order; its shape from them)
+KINDS: dict[str, tuple[tuple[str, ...], Callable[..., KindShape]]] = {
+    "interval": (("x", "y"), _interval),
+    "arithmetic_progression": (("x", "k", "l"), _arithmetic_progression),
+    "goldbach_product": (("two_N",), _goldbach_product),
+    "shifted_prime": (("N",), _shifted_prime),
+    "square_plus_one": (("x",), _square_plus_one),
+    "liouville_plus": (("x",), lambda x: _liouville(x, -1)),
+    "liouville_minus": (("x",), lambda x: _liouville(x, 1)),
+}
+ALL_KINDS = tuple(KINDS)
+
+
 @dataclass
 class SieveProblem:
     kind: str
@@ -129,152 +239,49 @@ def _liouville_prefix(tables: PrimeTables, x: int) -> np.ndarray:
     return pref
 
 
-def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
-    """Build one of the supported sieve problems.
+def kind_shape(kind: str, params: dict) -> KindShape:
+    """A kind's label, X, largest member and table need, from its parameters alone.
 
     Raises:
         InputError: unknown kind, a missing parameter, or parameters outside
             the kind's domain.
-        CapacityError: members would not fit in the supplied tables where
-            the kind needs factorization support (liouville kinds).
     """
     if kind not in KINDS:
         raise InputError(f"unknown problem kind {kind!r}")
-    missing = [name for name in KINDS[kind][0] if params.get(name) is None]
+    names, shape = KINDS[kind]
+    missing = [name for name in names if params.get(name) is None]
     if missing:
         raise InputError(f"{kind} needs parameter {', '.join(missing)}")
-    ints = [int(params[name]) for name in KINDS[kind][0]]
+    return shape(*(int(params[name]) for name in names))
 
-    if kind == "interval":
-        x, y = ints
-        if x < 0 or y < 1:
-            raise InputError(f"interval needs x >= 0, y >= 1, got x={x} y={y}")
-        return SieveProblem(
-            kind=kind,
-            label=f"interval[{x + 1}..{x + y}]",
-            params={"x": x, "y": y},
-            X=float(y),
-            omega=MultiplicativeDensity(lambda p: Fraction(1), "w = 1"),
-            prime_set=PrimeSet("all"),
-            tables=tables,
-            n_bound=x + y,
+
+def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
+    """Build one of the supported sieve problems.
+
+    Raises:
+        InputError: as kind_shape.
+        CapacityError: the kind's construction reads past the supplied tables,
+            or it would store more than MAX_SCAN_MEMBERS members.
+    """
+    shape = kind_shape(kind, params)
+    if shape.need > tables.limit:
+        raise CapacityError(
+            f"{shape.label} reads factor tables to {shape.need}; they stop at {tables.limit}"
         )
-
-    if kind == "arithmetic_progression":
-        x, k, l = ints
-        if x < 1 or k < 1:
-            raise InputError(f"progression needs x >= 1, k >= 1, got x={x} k={k}")
-        if math.gcd(l, k) != 1:
-            raise InputError(f"residue {l} not coprime to modulus {k}")
-        return SieveProblem(
-            kind=kind,
-            label=f"progression x={x} k={k} l={l % k}",
-            params={"x": x, "k": k, "l": l % k},
-            X=x / k,
-            omega=MultiplicativeDensity(
-                lambda p, k=k: Fraction(0) if k % p == 0 else Fraction(1),
-                f"w(p) = 1 off p | {k}",
-            ),
-            prime_set=PrimeSet("coprime", k),
-            tables=tables,
-            n_bound=x,
-        )
-
-    if kind == "goldbach_product":
-        (two_n,) = ints
-        if two_n < 6 or two_n % 2:
-            raise InputError(f"goldbach_product needs even 2N >= 6, got {two_n}")
-        n = np.arange(2, two_n - 1, dtype=np.int64)
-        return SieveProblem(
-            kind=kind,
-            label=f"goldbach 2N={two_n}",
-            params={"two_N": two_n},
-            X=float(two_n),
-            omega=MultiplicativeDensity(
-                lambda p, m=two_n: Fraction(1) if m % p == 0 else Fraction(2),
-                f"w(p) = 1 if p | {two_n} else 2",
-            ),
-            prime_set=PrimeSet("all"),
-            tables=tables,
-            members=n * (two_n - n),
-            n_bound=int(two_n) ** 2 // 4,
-        )
-
-    if kind == "shifted_prime":
-        (n_par,) = ints
-        if n_par < 8 or n_par % 2:
-            raise InputError(f"shifted_prime needs even N >= 8, got {n_par}")
-        if n_par > tables.limit:
-            raise CapacityError(f"N={n_par} exceeds table limit {tables.limit}")
-        ps = tables.primes
-        ps = ps[(ps >= 3) & (ps <= n_par - 3)]
-        ps = ps[n_par % ps != 0]
-        return SieveProblem(
-            kind=kind,
-            label=f"shifted N={n_par}",
-            params={"N": n_par},
-            X=li_eval(n_par),
-            omega=MultiplicativeDensity(
-                lambda p, m=n_par: Fraction(0) if m % p == 0 else Fraction(p, p - 1),
-                f"w(p) = p/(p-1) off p | {n_par}",
-            ),
-            prime_set=PrimeSet("coprime", n_par),
-            tables=tables,
-            members=(n_par - ps).astype(np.int64),
-            n_bound=n_par - 3,
-        )
-
-    if kind == "square_plus_one":
-        (x,) = ints
-        if x < 1:
-            raise InputError(f"square_plus_one needs x >= 1, got {x}")
-        n = np.arange(1, x + 1, dtype=np.int64)
-        return SieveProblem(
-            kind=kind,
-            label=f"square_plus_one x={x}",
-            params={"x": x},
-            X=float(x),
-            omega=MultiplicativeDensity(
-                lambda p: Fraction(1)
-                if p == 2
-                else (Fraction(2) if p % 4 == 1 else Fraction(0)),
-                "w(2) = 1, w(p) = 2 for p = 1 mod 4, else 0",
-            ),
-            prime_set=PrimeSet("two_or_one_mod_four"),
-            tables=tables,
-            members=n * n + 1,
-            n_bound=x * x + 1,
-        )
-
-    (x,) = ints  # liouville_plus or liouville_minus
-    if x < 1:
-        raise InputError(f"{kind} needs x >= 1, got {x}")
-    if x > tables.limit:
-        raise CapacityError(f"x={x} exceeds table limit {tables.limit}")
-    target = -1 if kind == "liouville_plus" else 1
-    liou = tables.liouville_table()
-    members = np.nonzero(liou[: x + 1] == target)[0].astype(np.int64)
-    sign = "+" if kind == "liouville_plus" else "-"
     prob = SieveProblem(
-        kind=kind,
-        label=f"liouville{sign} x={x}",
-        params={"x": x},
-        X=x / 2.0,
-        omega=MultiplicativeDensity(lambda p: Fraction(1), "w = 1"),
-        prime_set=PrimeSet("all"),
-        tables=tables,
-        members=members,
-        n_bound=x,
+        kind=kind, label=shape.label, params=shape.params, X=shape.X, omega=shape.omega,
+        prime_set=shape.prime_set, tables=tables,
+        members=None if shape.members is None else shape.members(tables),
+        n_bound=shape.n_bound,
     )
-    prob._prefix_plus = _liouville_prefix(tables, x)
+    if kind in ("liouville_plus", "liouville_minus"):
+        prob._prefix_plus = _liouville_prefix(tables, shape.params["x"])
     return prob
 
 
-def _check_scan_size(p: SieveProblem, size: int) -> None:
+def _check_scan_size(label: str, size: int) -> None:
     if size > MAX_SCAN_MEMBERS:
-        raise CapacityError(
-            f"{p.label} has {size} members; exact scans stop at {MAX_SCAN_MEMBERS}"
-        )
+        raise CapacityError(f"{label} has {size} members; exact scans stop at {MAX_SCAN_MEMBERS}")
 
 
 def members_array(p: SieveProblem) -> np.ndarray:
@@ -288,12 +295,12 @@ def members_array(p: SieveProblem) -> np.ndarray:
         return p.members
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
-        _check_scan_size(p, y)
+        _check_scan_size(p.label, y)
         return np.arange(x + 1, x + y + 1, dtype=np.int64)
     if p.kind == "arithmetic_progression":
         x, k, l = p.params["x"], p.params["k"], p.params["l"]
         first = l if l >= 1 else k
-        _check_scan_size(p, -(-x // k))
+        _check_scan_size(p.label, -(-x // k))
         return np.arange(first, x + 1, k, dtype=np.int64)
     raise InputError(f"no member generator for kind {p.kind!r}")
 
@@ -403,11 +410,20 @@ def divisor_walk(
             stack.append((j + 1, d * q, nu + 1, v * factors[q], sub))
 
 
+def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarray:
+    """Primes of the prime set below z (strict), ascending.
+
+    Raises:
+        CapacityError: z > tables.limit + 1, where the tables would cut the list short.
+    """
+    if z > tables.limit + 1:
+        raise CapacityError(f"z={z} beyond table limit {tables.limit}")
+    return prime_set.select(tables.primes[tables.primes < z])
+
+
 def sieve_primes(p: SieveProblem, z: float) -> np.ndarray:
     """Primes of the problem's prime set below z (strict), ascending."""
-    ps = p.tables.primes
-    ps = ps[ps < z]
-    return p.prime_set.select(ps)
+    return primes_below(z, p.prime_set, p.tables)
 
 
 def sift_exact(p: SieveProblem, z: float) -> int:
@@ -421,7 +437,7 @@ def sift_exact(p: SieveProblem, z: float) -> int:
     """
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
-        _check_scan_size(p, y)
+        _check_scan_size(p.label, y)
         keep = np.ones(y, dtype=bool)
         for q in sieve_primes(p, z):
             q = int(q)

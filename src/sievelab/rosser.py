@@ -49,22 +49,6 @@ def chain_member(factors: Sequence[int], y: float, sign: int) -> bool:
     return True
 
 
-def truncated_mu(d: int, y: float, sign: int, tables) -> int:
-    """mu(d) when d sits in the chosen truncated support, else 0.
-
-    Non-squarefree d gives 0 like mu itself does.
-    """
-    if d < 1:
-        raise InputError(f"need d >= 1, got {d}")
-    try:
-        facs = squarefree_primes(d, tables)
-    except InputError:
-        return 0
-    if not chain_member(facs, y, sign):
-        return 0
-    return -1 if len(facs) % 2 else 1
-
-
 def _chain_admit(y: float, sign: int):
     """The support's step rule for a walk over the primes, largest first.
 

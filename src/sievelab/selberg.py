@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import EULER_GAMMA, PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
+from .arith import PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
 from .errors import CapacityError, InputError, ZeroDensityError
 from .problem import (
     MultiplicativeDensity,
@@ -25,6 +25,7 @@ from .problem import (
     SieveProblem,
     divisor_walk,
     make_problem,
+    primes_below,
     remainder,
     sift_exact,
 )
@@ -83,8 +84,7 @@ class SieveWeights:
 def _relevant_primes(
     z: float, omega: MultiplicativeDensity, prime_set: PrimeSet, tables: PrimeTables
 ) -> list[int]:
-    ps = tables.primes[tables.primes < z]
-    return [int(q) for q in prime_set.select(ps) if omega.at_prime(int(q)) > 0]
+    return [int(q) for q in primes_below(z, prime_set, tables) if omega.at_prime(int(q)) > 0]
 
 
 def _g_walk(xi: float, ps: list[int], omega: MultiplicativeDensity):
@@ -213,12 +213,13 @@ def fundamental_upper_bound(
     """
     if y <= 1:
         raise InputError(f"need level y > 1, got {y}")
-    xi = math.sqrt(y)
-    G = big_G(xi, z, p.omega, p.prime_set, p.tables)
-    main = float(p.X) / float(G)
     ps = _relevant_primes(z, p.omega, p.prime_set, p.tables)
+    # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
+    # the cap is refused here before G's exact sum is spent on it
     walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
     rem = math.fsum(3**nu * abs(remainder(p, d, c, w).r) for d, nu, w, c in walk)
+    G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
+    main = float(p.X) / float(G)
     report = SieveReport(
         problem=p.label, X=float(p.X), z=float(z), y=float(y),
         s=math.log(y) / math.log(z) if z > 1 else None,
@@ -342,64 +343,4 @@ def twin_report(x: int, k: int, tables: PrimeTables) -> PairBoundReport:
     return PairBoundReport(
         kind="twin", scale=x, exact=exact, reference=prod * twin_constant(),
         bound=bound, ratio=bound / exact if exact else None,
-    )
-
-
-@dataclass(frozen=True)
-class DimensionReport:
-    """Fitted sieve dimension and the classical sanity bounds around it."""
-
-    w: float
-    z: float
-    kappa_hat: float
-    drift: float
-    rounded_kappa: float
-    main_term: float
-    envelope_bounds_ok: bool
-
-
-def dimension_diagnostics(p: SieveProblem, w: float, z: float) -> DimensionReport:
-    """Fit kappa from sum of w(q) log q / q over w <= q < z and report it.
-
-    The main term readout is X W(z) e^(gamma kappa) Gamma(kappa + 1) with
-    kappa rounded to the nearest half integer; the envelope check verifies
-    sum over d < x of mu(d)^2 h^nu(d) <= x (1 + log x)^h (and the /d variant
-    <= (1 + log x)^h) for h in {1, 2, 3} on a small grid of x.
-    """
-    if not 2 <= w < z:
-        raise InputError(f"need 2 <= w < z, got w={w} z={z}")
-    ps = p.tables.primes[(p.tables.primes >= w) & (p.tables.primes < z)]
-    ps = p.prime_set.select(ps)
-    log_zw = math.log(z / w)
-    acc = 0.0
-    partials: list[tuple[float, float]] = []
-    for q in ps:
-        q = int(q)
-        acc += float(p.omega.at_prime(q)) * math.log(q) / q
-        partials.append((math.log(q / w), acc))
-    kappa_hat = acc / log_zw
-    drift = max((abs(s - kappa_hat * lg) for lg, s in partials), default=0.0)
-    rounded = round(2 * kappa_hat) / 2
-    from .legendre import problem_W
-
-    mw = problem_W(p, z)
-    main = float(p.X) * mw.W * math.exp(EULER_GAMMA * rounded) * math.gamma(rounded + 1)
-
-    mu = p.tables.mobius_table()
-    ok = True
-    for x in (100, 1_000, 10_000):
-        nu = np.zeros(x, dtype=np.int16)
-        for q in p.tables.primes[p.tables.primes < x]:
-            nu[int(q):: int(q)] += 1
-        sf = mu[:x] != 0
-        d = np.arange(x)
-        for h in (1, 2, 3):
-            powers = np.power(float(h), nu[sf][1:])
-            s1 = powers.sum()
-            s2 = (powers / d[sf][1:]).sum()
-            cap = (1 + math.log(x)) ** h
-            ok = ok and s1 <= x * cap and s2 <= cap
-    return DimensionReport(
-        w=float(w), z=float(z), kappa_hat=kappa_hat, drift=drift,
-        rounded_kappa=rounded, main_term=main, envelope_bounds_ok=bool(ok),
     )

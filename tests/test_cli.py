@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import harness
+from sievelab import cli, harness
+from sievelab.arith import build_tables
 from sievelab.cli import _json_value, main
 from sievelab.harness import SuiteResult
 from sievelab.problem import ALL_KINDS
@@ -17,6 +22,19 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def table_builds():
+    """The limit of every cli.build_tables call made inside the block."""
+    calls = []
+
+    def spy(limit, *args, **kwargs):
+        calls.append(limit)
+        return build_tables(limit, *args, **kwargs)
+
+    with mock.patch.object(cli, "build_tables", spy):
+        yield calls
 
 
 FIXED_FIELDS = [
@@ -179,9 +197,11 @@ def test_rosser_emits_both_sides(capsys):
 
 def test_rosser_level_exponent_sizes_tables_for_derived_z(capsys):
     # y = 5000^2.2 gives z = sqrt(y) = 11,718, beyond the 10,200 tables x = 5000 needs
-    rc, out, err = run(capsys, ["rosser", "--problem", "square_plus_one", "--x", "5000",
-                                "--level-exponent", "2.2"])
+    with table_builds() as builds:
+        rc, out, err = run(capsys, ["rosser", "--problem", "square_plus_one", "--x", "5000",
+                                    "--level-exponent", "2.2"])
     assert rc == 0, err
+    assert builds == [11_919]  # z + 1, built once
     d = json.loads(out)
     assert d["upper"]["z"] > 10_200
     assert d["lower"]["lower_bound"] <= d["upper"]["exact_count"] <= d["upper"]["upper_bound"]
@@ -201,14 +221,31 @@ _WEIGHTED = ["weighted", "--r", "3", "--alpha", "0.1225", "--beta", "0.4725",
 
 def test_weighted_sizes_tables_for_the_members_it_factors(capsys):
     # the products n(2N - n) reach N^2 / 4 = 250,000, past the tables --n asks for
-    rc, out, _ = run(capsys, _WEIGHTED + ["--problem", "goldbach_product", "--two-n", "1000"])
+    with table_builds() as builds:
+        rc, out, _ = run(capsys, _WEIGHTED + ["--problem", "goldbach_product", "--two-n", "1000"])
     assert rc == 0
+    assert builds == [250_200]
     d = json.loads(out)
     assert d["weighted_sum"] == pytest.approx(114.175457263, rel=1e-9)
     assert d["almost_prime_count"] == 114
-    # n^2 + 1 up to 1e8 + 1 is past the command line's table cap
-    rc, out, err = run(capsys, _WEIGHTED + ["--problem", "square_plus_one", "--x", "10000"])
+    # n^2 + 1 up to 1e8 + 1 is past the command line's table cap: refused before any build
+    with table_builds() as builds:
+        rc, out, err = run(capsys, _WEIGHTED + ["--problem", "square_plus_one", "--x", "10000"])
     assert rc == 2 and out == "" and "caps" in err
+    assert builds == []
+
+
+@pytest.mark.parametrize("command", ["selberg", "rosser"])
+def test_level_is_never_factored(capsys, command):
+    # y = 1e8 once sized the tables past the command line's cap; z = 100 needs 10,200
+    with table_builds() as builds:
+        rc, out, err = run(capsys, [command, "--problem", "interval", "--x", "0",
+                                    "--len", "1000000", "--y", "1e8", "--z", "100"])
+    assert rc == 0, err
+    assert builds == [10_200]
+    d = json.loads(out)
+    up, lo = (d["upper"], d["lower"]) if command == "rosser" else (d, {"lower_bound": 0})
+    assert lo["lower_bound"] <= up["exact_count"] == 120_760 <= up["upper_bound"]
 
 
 def test_remainder_sum_refused_before_it_walks(capsys):
@@ -300,6 +337,8 @@ def test_progression_scan_sizes_tables_for_q(capsys):
         ["parity", "--x", "1", "--s", "2"],
         ["rosser", "--problem", "interval", "--len", "1000", "--x", "0",
          "--level-exponent", "1e12"],
+        # 78,495 sieve primes: the refusal names 2^78495 without writing out its digits
+        ["legendre", "--problem", "shifted_prime", "--n", "30", "--z", "1e6"],
     ],
 )
 def test_numbers_outside_the_domain_exit_2(capsys, argv):
@@ -351,7 +390,34 @@ def _command_lines(draw):
 @given(argv=_command_lines())
 def test_cli_fuzz_exits_0_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), table_builds() as builds:
         rc = main(argv)
     assert rc in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert len(builds) <= 1, (argv, builds)
+
+
+def _readme_lines() -> list[str]:
+    """The shell lines of the README's sh blocks, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    return "\n".join(blocks).replace("\\\n", " ").splitlines()
+
+
+def test_readme_commands_build_tables_at_most_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in _readme_lines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["echo"]:  # echo TEXT > FILE
+            Path(words[3]).write_text(words[1])
+        # verify builds its own tables in the harness, not through the command line
+        if words[:1] != ["sievelab"] or words[1] == "verify":
+            continue
+        argv = words[1 : words.index(">")] if ">" in words else words[1:]
+        with table_builds() as builds:
+            rc, _, err = run(capsys, argv)
+        assert rc == 0, (line, err)
+        assert len(builds) <= 1, (line, builds)
+        ran += 1
+    assert ran >= 12

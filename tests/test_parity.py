@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievelab.arith import EULER_GAMMA, prime_pi
 from sievelab.errors import InputError
@@ -43,6 +44,40 @@ def test_root_ceiling():
         root_ceiling(0, 2)
     with pytest.raises(InputError):
         root_ceiling(10, 0.0)
+
+
+def _root_ceiling_reference(x: int, s: float) -> int:
+    """Smallest t with t**a >= x**b for s = a/b, by bisection in integers."""
+    a, b = s.as_integer_ratio()
+    xb = x**b
+    lo, hi = 0, 1
+    while hi**a < xb:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # lo**a < xb <= hi**a
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**a < xb else (lo, mid)
+    return hi
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    s=st.sampled_from([1.5, 2.25, 2.5, 3.75]),
+    root=st.integers(2, 3_000_000),
+    offset=st.integers(-2, 2),
+)
+def test_root_ceiling_at_dyadic_s_near_perfect_powers(s, root, offset):
+    # x = root**a is the s-th power of the integer root**b, so t lands on the boundary
+    a, _ = s.as_integer_ratio()
+    x = max(1, root**a + offset)
+    if x.bit_length() > 200:
+        x = max(1, (root % 1000 + 2) ** a + offset)
+    assert root_ceiling(x, s) == _root_ceiling_reference(x, s)
+
+
+def test_root_ceiling_at_fractional_s_past_float_precision():
+    x = 8 * 10**18 + 1  # (4 * 10**12)**1.5 = 8 * 10**18 < x
+    assert root_ceiling(x, 1.5) == 4 * 10**12 + 1
+    assert root_ceiling(x - 1, 1.5) == 4 * 10**12
 
 
 def test_signed_count_basics(tables_small):

@@ -7,16 +7,21 @@ import numpy as np
 import pytest
 
 import sievelab.problem as problem
+from sievelab.arith import build_tables
 from sievelab.errors import CapacityError, DensityRangeError, InputError
+from sievelab.legendre import legendre_count, mertens_products
 from sievelab.problem import (
     KINDS,
+    PrimeSet,
     count_Ad,
+    kind_shape,
     make_problem,
     members_array,
     remainder,
     sieve_primes,
     sift_exact,
 )
+from sievelab.selberg import big_G, fundamental_upper_bound
 
 
 def brute_sift(members, primes, z) -> int:
@@ -152,8 +157,9 @@ def test_missing_parameter_is_an_input_error(tables_small):
         make_problem("interval", {"x": 0}, tables_small)
     with pytest.raises(InputError, match="needs parameter k, l"):
         make_problem("arithmetic_progression", {"x": 100, "l": None}, tables_small)
-    for names, size in KINDS.values():
-        assert size is None or size in names
+    for kind, (names, _) in KINDS.items():
+        shape = kind_shape(kind, {name: 1 if name == "l" else 1000 for name in names})
+        assert shape.need in (0, 1000)  # a kind's own table need is one of its parameters
 
 
 def test_exact_scans_refuse_more_members_than_the_cap(monkeypatch, tables_small):
@@ -226,3 +232,39 @@ def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
     for calls, nodes in tallies:
         assert calls <= 2 * nodes
     assert len(tallies) == 7  # legendre, G, quadratic remainder, M+ and M- with their remainders
+
+
+def test_kind_shape_states_sizes_without_tables(kind_problems):
+    for p in kind_problems:
+        shape = kind_shape(p.kind, p.params)
+        assert (shape.label, shape.X, shape.n_bound) == (p.label, p.X, p.n_bound)
+        assert int(members_array(p).max()) <= shape.n_bound
+        # tables to exactly the kind's need are enough; one short of it is refused
+        lo = max(shape.need, 30)
+        assert make_problem(p.kind, p.params, build_tables(lo)).n_bound == p.n_bound
+        if shape.need:
+            with pytest.raises(CapacityError):
+                make_problem(p.kind, p.params, build_tables(shape.need - 1))
+
+
+def test_stored_members_past_the_scan_cap_are_refused_before_they_are_built(tables_small):
+    for kind, params in (("goldbach_product", {"two_N": 10**12}),
+                         ("square_plus_one", {"x": 10**10})):
+        assert kind_shape(kind, params).need == 0
+        with pytest.raises(CapacityError, match="exact scans stop at"):
+            make_problem(kind, params, tables_small)
+
+
+def test_prime_cut_past_the_tables_is_refused():
+    t = build_tables(30)
+    p = make_problem("interval", {"x": 0, "y": 10_000}, t)
+    assert sift_exact(p, 31) == legendre_count(p, 31)  # z = limit + 1 still lists every prime
+    for call in (
+        lambda: sift_exact(p, 60),
+        lambda: legendre_count(p, 60),
+        lambda: fundamental_upper_bound(p, 10_000, 60).exact_count,
+        lambda: big_G(100, 60, p.omega, p.prime_set, t),
+        lambda: mertens_products(60, p.omega, PrimeSet(), t),
+    ):
+        with pytest.raises(CapacityError, match="beyond table limit 30"):
+            call()

@@ -19,7 +19,6 @@ from sievelab.rosser import (
     fundamental_lemma_report,
     sandwich_values,
     truncated_mobius_sum,
-    truncated_mu,
 )
 from sievelab.selberg import _relevant_primes, fundamental_upper_bound
 
@@ -40,14 +39,8 @@ def test_membership_examples(tables_small):
     # 5 * 3^3 = 135 blocks position two of the lower support
     assert not chain_member([3, 5], 100, -1)
     assert not chain_member([3, 5], 100, 1)  # 5^3 already too big
-    assert truncated_mu(10, 100, -1, tables_small) == 1
-    assert truncated_mu(15, 100, -1, tables_small) == 0
-    assert truncated_mu(12, 100, 1, tables_small) == 0  # not squarefree
-    assert truncated_mu(1, 100, 1, tables_small) == 1
     with pytest.raises(InputError):
         chain_member([2], 100, 0)
-    with pytest.raises(InputError):
-        truncated_mu(0, 100, 1, tables_small)
 
 
 def _position_rule(facs, y: float, sign: int) -> bool:

@@ -12,7 +12,6 @@ from sievelab.selberg import (
     _relevant_primes,
     big_G,
     brun_titchmarsh,
-    dimension_diagnostics,
     fundamental_upper_bound,
     goldbach_report,
     lambda_weights,
@@ -303,11 +302,3 @@ def test_twin_frozen(tables_small):
     rep6 = twin_report(1_000, 3, tables_small)
     assert rep6.reference == pytest.approx(2.0 * twin_constant())
 
-
-def test_dimension_diagnostics(tables_mid):
-    prob = make_problem("interval", {"x": 0, "y": 100_000}, tables_mid)
-    rep = dimension_diagnostics(prob, 100, 100_000)
-    assert 0.9 <= rep.kappa_hat <= 1.1
-    assert rep.rounded_kappa == 1.0
-    assert rep.envelope_bounds_ok
-    assert rep.main_term > 0
