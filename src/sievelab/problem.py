@@ -4,7 +4,11 @@ A sieve problem packages a finite integer sequence A, a scale X, a
 multiplicative local density w with w(p)/p approximating the proportion of A
 divisible by p, and the set of primes the sieve is allowed to use.  The
 exact operations here (count_Ad, sift_exact) are deliberately brute force;
-they are the ground truth every bound module is checked against.
+they are the ground truth every bound module is checked against.  The sift
+tests each prime only against the members the smaller primes left, and a
+problem keeps each exact sifted count it has computed, keyed by its sieve-prime
+cut (how many sieve primes lie below z), so bounds that share a cut share one
+scan.
 
 Supported kinds:
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,8 +90,7 @@ class PrimeSet:
         raise InputError(f"unknown prime set kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class RemainderRecord:
+class RemainderRecord(NamedTuple):
     """One divisor's exact count against its expected share."""
 
     d: int
@@ -230,6 +233,8 @@ class SieveProblem:
     members: np.ndarray | None = None
     n_bound: int = 0
     _prefix_plus: np.ndarray | None = field(default=None, repr=False)
+    #: sift_exact's counts, keyed by the number of sieve primes below z
+    _sifted: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _liouville_prefix(tables: PrimeTables, x: int) -> np.ndarray:
@@ -353,6 +358,16 @@ def remainder(
     return RemainderRecord(d=d, count=count, main=main, r=count - main)
 
 
+def whole_densities(omega: MultiplicativeDensity, primes: Sequence[int]) -> dict:
+    """w(q) for each prime, as an int where it is whole: as exact as a
+    Fraction, and cheaper to multiply down a divisor walk."""
+    out = {}
+    for q in primes:
+        w = omega.at_prime(int(q))
+        out[int(q)] = w.numerator if w.denominator == 1 else w
+    return out
+
+
 def divisor_walk(
     p: SieveProblem | None,
     primes: Sequence[int],
@@ -381,9 +396,8 @@ def divisor_walk(
         CapacityError: more than max_nodes nodes.
     """
     primes = [int(q) for q in primes]
-    if factors is None:  # whole w(q) as ints: as exact as Fractions, and cheaper
-        factors = {q: p.omega.at_prime(q) for q in primes}
-        factors = {q: w.numerator if w.denominator == 1 else w for q, w in factors.items()}
+    if factors is None:
+        factors = whole_densities(p.omega, primes)
     scan = p is not None and p.kind not in _FORMULA_KINDS
     n, ascending = len(primes), len(primes) < 2 or primes[0] < primes[1]
     nodes = 0
@@ -430,28 +444,48 @@ def sift_exact(p: SieveProblem, z: float) -> int:
     """Count members of A with no prime factor p < z from the prime set.
 
     This is the brute-force ground truth: every relevant prime below z is
-    tested by divisibility against every member.
+    tested by divisibility against the members (the interval by striking
+    its multiples from a mask).  The count is kept on the problem, keyed by
+    the number of sieve primes below z, so a later call at any z with the
+    same primes below it returns it without a second scan.
 
     Raises:
-        CapacityError: more than MAX_SCAN_MEMBERS members to scan.
+        CapacityError: z beyond the tables, or more than MAX_SCAN_MEMBERS
+            members to scan.
     """
+    rp = sieve_primes(p, z)
+    cut = rp.size
+    if cut not in p._sifted:
+        p._sifted[cut] = _count_survivors(p, rp)
+    return p._sifted[cut]
+
+
+def _count_survivors(p: SieveProblem, rp: np.ndarray) -> int:
+    """The brute-force scan behind sift_exact, for the sieve primes rp."""
     if p.kind == "interval":
         x, y = p.params["x"], p.params["y"]
         _check_scan_size(p.label, y)
         keep = np.ones(y, dtype=bool)
-        for q in sieve_primes(p, z):
+        for q in rp:
             q = int(q)
             start = (-(x + 1)) % q
             keep[start::q] = False
         return int(np.count_nonzero(keep))
-    return sifted_members(p, z).size
+    return _survivors(members_array(p), rp).size
 
 
 def sifted_members(p: SieveProblem, z: float) -> np.ndarray:
-    """The members surviving the cut at z, as values."""
+    """The members surviving the cut at z, as values, in member order.
+
+    Brute force: each prime below z, smallest first, is tested only against
+    the members no smaller prime divides.
+    """
     rp = sieve_primes(p, z)
-    mem = members_array(p)
-    keep = np.ones(mem.size, dtype=bool)
+    return _survivors(members_array(p), rp)
+
+
+def _survivors(mem: np.ndarray, rp: np.ndarray) -> np.ndarray:
+    """The members of mem no prime of rp divides, as a new array."""
     for q in rp:
-        np.logical_and(keep, mem % int(q) != 0, out=keep)
-    return mem[keep]
+        mem = mem[mem % int(q) != 0]
+    return mem if rp.size else mem.copy()

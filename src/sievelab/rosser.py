@@ -25,7 +25,7 @@ from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
 from .errors import CapacityError, InputError
 from .legendre import problem_W
-from .problem import SieveProblem, divisor_walk, remainder, sift_exact
+from .problem import SieveProblem, divisor_walk, remainder, sift_exact, whole_densities
 from .selberg import SieveReport, _relevant_primes
 
 #: hard ceiling on the number of support elements enumerated per call
@@ -77,8 +77,10 @@ def truncated_mobius_sum(
     Computes the sum of mu(d) w(d) / d over support members built from the
     problem's sieve primes below z.  Exact rational arithmetic is the
     default while few primes are in play; pass ``exact`` to force either
-    path.  The float path carries each term as the product of w(q)/q in the
-    order the walk adds the primes, largest first.
+    path.  The exact path sums mu(d) w(d) (L / d), an integer wherever w is,
+    with L the product of the primes, and divides by L once at the end.  The
+    float path carries each term as the product of -w(q)/q in the order the
+    walk adds the primes, largest first.
     """
     if y <= 1:
         raise InputError(f"need y > 1, got {y}")
@@ -86,11 +88,16 @@ def truncated_mobius_sum(
     primes = _relevant_primes(z, p.omega, p.prime_set, p.tables)
     if exact is None:
         exact = len(primes) <= 30
-    ratio = Fraction if exact else lambda w, q: float(w) / q
-    factors = {q: ratio(p.omega.at_prime(q), q) for q in primes}
+    # negated factors: the walk's carried product is mu(d) w(d), or mu(d) w(d) / d
+    if exact:
+        factors = {q: -w for q, w in whole_densities(p.omega, primes).items()}
+    else:
+        factors = {q: -float(p.omega.at_prime(q)) / q for q in primes}
     walk = divisor_walk(None, primes[::-1], admit, factors, max_nodes=MAX_CHAIN_NODES)
-    terms = (-t if nu % 2 else t for _, nu, t, _ in walk)
-    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
+    if not exact:
+        return math.fsum(t for _, _, t, _ in walk)
+    lcm = math.prod(primes)
+    return Fraction(sum(t * (lcm // d) for d, _, t, _ in walk)) / lcm
 
 
 @dataclass

@@ -20,6 +20,7 @@ from sievelab.problem import (
     remainder,
     sieve_primes,
     sift_exact,
+    sifted_members,
 )
 from sievelab.selberg import big_G, fundamental_upper_bound
 
@@ -268,3 +269,47 @@ def test_prime_cut_past_the_tables_is_refused():
     ):
         with pytest.raises(CapacityError, match="beyond table limit 30"):
             call()
+
+
+def _mask_scan(p, z):
+    """The full-mask scan: every prime against every member."""
+    mem = members_array(p)
+    keep = np.ones(mem.size, dtype=bool)
+    for q in sieve_primes(p, z):
+        np.logical_and(keep, mem % int(q) != 0, out=keep)
+    return mem[keep]
+
+
+def test_shrinking_scan_keeps_the_mask_scans_values_in_order(kind_problems):
+    for p in kind_problems:
+        for z in (1.5, 2, 3, 30, 60):
+            got, want = sifted_members(p, z), _mask_scan(p, z)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (p.kind, z)
+        assert sifted_members(p, 2) is not members_array(p)  # a new array, as the mask gave
+
+
+def test_one_scan_per_problem_and_prime_cut(tables_small, monkeypatch):
+    from sievelab.rosser import combinatorial_bounds
+
+    scans = []
+    count_survivors = problem._count_survivors
+    monkeypatch.setattr(
+        problem, "_count_survivors", lambda p, rp: scans.append(rp.size) or count_survivors(p, rp)
+    )
+    for kind, params in (("interval", {"x": 137, "y": 4_000}),
+                         ("liouville_plus", {"x": 8_000})):
+        p = make_problem(kind, params, tables_small)
+        pair = combinatorial_bounds(p, 1e4, 30, with_exact=True)
+        quad = fundamental_upper_bound(p, 1e4, 30)
+        assert pair.upper.exact_count == quad.exact_count == _mask_scan(p, 30).size
+        assert scans == [10]
+        assert sift_exact(p, 31) == quad.exact_count and scans == [10]  # 31 adds no prime
+        assert sift_exact(p, 32) == _mask_scan(p, 32).size and scans == [10, 11]
+        again = make_problem(kind, params, tables_small)
+        assert repr(again) == repr(p) and "_sifted" not in repr(p)  # the memo is not shown
+        assert sift_exact(again, 30) == quad.exact_count and scans == [10, 11, 10]
+        scans.clear()
+    # nor part of the problem's value (shown on an interval, the kind whose rebuilds compare equal)
+    p, again = (make_problem("interval", {"x": 0, "y": 100}, tables_small) for _ in range(2))
+    sift_exact(p, 30)
+    assert p._sifted and not again._sifted and p == again

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,7 @@ from sievelab.arith import squarefree_primes
 from sievelab.buchstab import evaluate
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import problem_W
-from sievelab.problem import divisor_walk, make_problem, remainder, sift_exact
+from sievelab.problem import PrimeSet, divisor_walk, make_problem, remainder, sift_exact
 from sievelab.rosser import (
     chain_member,
     combinatorial_bounds,
@@ -246,15 +247,26 @@ def test_bounds_equal_per_node_reference(kind_problems, y, z):
         assert got == _reference_bounds(p, y, z), (p.kind, y, z)
 
 
+# z <= 2: no sieve prime, the sum is 1; y <= 8: the upper support is d = 1 alone
 @pytest.mark.parametrize(
     "y,z,exact",
-    [(1e4, 50.0, True), (1e6, 100.0, True), (1e6, 100.0, False), (1e6, 1000.0, False)],
+    [(1e4, 50.0, True), (1e6, 100.0, True), (1e6, 100.0, False), (1e6, 1000.0, False),
+     (1e4, 2.0, True), (1e4, 1.5, False), (8.0, 50.0, True), (5.0, 100.0, False)],
 )
 def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact):
-    for p in kind_problems:
+    quad = next(p for p in kind_problems if p.kind == "square_plus_one")
+    # w(p) = 0 for p = 3 mod 4: with every prime offered, those primes must drop out
+    every_prime = dataclasses.replace(quad, prime_set=PrimeSet("all"))
+    for p in [*kind_problems, every_prime]:
         for sign in (1, -1):
             got = truncated_mobius_sum(p, y, z, sign, exact=exact)
             assert got == _reference_mobius(p, y, z, sign, exact), (p.kind, y, z, sign)
+            assert isinstance(got, Fraction if exact else float)
+            if z <= 2 or (y <= 8 and sign == 1):
+                assert got == 1
+    assert truncated_mobius_sum(every_prime, 1e4, 50.0, 1) == truncated_mobius_sum(
+        quad, 1e4, 50.0, 1
+    )
 
 
 def test_chain_cap_fires_past_its_size(tables_small, monkeypatch):
