@@ -19,7 +19,7 @@ from .errors import CapacityError, InputError
 
 EULER_GAMMA = 0.5772156649015329
 
-#: Hard ceiling on table size (entries), configurable per build call.
+#: Hard ceiling on table size (entries).
 MAX_TABLE_ENTRIES = 200_000_000
 
 
@@ -97,22 +97,21 @@ class MultStats:
     phi: int
 
 
-def build_tables(limit: int, max_entries: int = MAX_TABLE_ENTRIES) -> PrimeTables:
+def build_tables(limit: int) -> PrimeTables:
     """Sieve smallest prime factors for 0..limit and collect the primes.
 
     Args:
         limit: inclusive upper end of the table, at least 2.
-        max_entries: refuse to allocate more table entries than this.
 
     Raises:
         InputError: limit < 2.
-        CapacityError: limit + 1 > max_entries.
+        CapacityError: limit + 1 > MAX_TABLE_ENTRIES.
     """
     if limit < 2:
         raise InputError(f"table limit must be >= 2, got {limit}")
-    if limit + 1 > max_entries:
+    if limit + 1 > MAX_TABLE_ENTRIES:
         raise CapacityError(
-            f"table of {limit + 1} entries exceeds the cap of {max_entries}"
+            f"table of {limit + 1} entries exceeds the cap of {MAX_TABLE_ENTRIES}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):

@@ -30,12 +30,7 @@ from .buchstab import BuchstabGrid, build_grid, evaluate
 from .errors import CapacityError, InputError
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
-from .problem import (
-    MultiplicativeDensity,
-    PrimeSet,
-    make_problem,
-    sift_exact,
-)
+from .problem import MultiplicativeDensity, PrimeSet, kind_shape, make_problem, sift_exact
 from .rosser import combinatorial_bounds, fundamental_lemma_report, sandwich_values
 from .selberg import (
     fundamental_upper_bound,
@@ -141,26 +136,14 @@ def _suite_legendre(seed) -> SuiteResult:
 
 
 def _contract_densities() -> list[tuple[str, MultiplicativeDensity, PrimeSet]]:
-    ones = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
-    twin = MultiplicativeDensity(
-        lambda p: Fraction(1) if p == 2 else Fraction(2), "w(2) = 1 else 2"
-    )
-    gold = MultiplicativeDensity(
-        lambda p: Fraction(1) if 20 % p == 0 else Fraction(2), "pair density for 20"
-    )
-    quad = MultiplicativeDensity(
-        lambda p: Fraction(1)
-        if p == 2
-        else (Fraction(2) if p % 4 == 1 else Fraction(0)),
-        "quadratic-residue density",
-    )
-    every = PrimeSet("all")
-    return [
-        ("ones", ones, every),
-        ("twin", twin, every),
-        ("gold20", gold, every),
-        ("quad", quad, PrimeSet("two_or_one_mod_four")),
+    """(name, w, prime set) of four problem kinds; "twin" is the Goldbach w at 2N = 8."""
+    shapes = [
+        ("ones", kind_shape("interval", {"x": 0, "y": 1})),
+        ("twin", kind_shape("goldbach_product", {"two_N": 8})),
+        ("gold20", kind_shape("goldbach_product", {"two_N": 20})),
+        ("quad", kind_shape("square_plus_one", {"x": 1})),
     ]
+    return [(name, shape.omega, shape.prime_set) for name, shape in shapes]
 
 
 def _suite_selberg_weights(seed) -> SuiteResult:
@@ -226,8 +209,8 @@ def _suite_sieve_validity(seed) -> SuiteResult:
     res = SuiteResult("sieve-validity")
     t = shared_tables()
     # quadratic-form upper weights dominate the coprimality indicator
-    ones = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
-    w = lambda_weights(30.0, 20.0, ones, PrimeSet("all"), t)
+    ones = kind_shape("interval", {"x": 0, "y": 1})  # w = 1 on every prime
+    w = lambda_weights(30.0, 20.0, ones.omega, ones.prime_set, t)
     n_max = 100_000
     sums, den = _mu_plus_divisor_sums(mu_plus(w).values, n_max)
     coprime = np.ones(n_max + 1, dtype=np.int64)
@@ -313,9 +296,9 @@ def _suite_bound_sandwich(seed) -> SuiteResult:
 def _suite_mertens(seed) -> SuiteResult:
     res = SuiteResult("mertens-products")
     t = shared_tables()
-    ones = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
+    ones = kind_shape("interval", {"x": 0, "y": 1})  # w = 1 on every prime
     for z in (1000.0, 10_000.0, 100_000.0):
-        mv = mertens_products(z, ones, PrimeSet("all"), t)
+        mv = mertens_products(z, ones.omega, ones.prime_set, t)
         drift = abs(mv.v_normalized() - 1.0)
         res.check(
             f"z={z:g}",

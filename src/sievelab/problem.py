@@ -2,28 +2,31 @@
 
 A sieve problem packages a finite integer sequence A, a scale X, a
 multiplicative local density w with w(p)/p approximating the proportion of A
-divisible by p, and the set of primes the sieve is allowed to use.  The
-exact operations here (count_Ad, sift_exact) are deliberately brute force;
-they are the ground truth every bound module is checked against.  The sift
-tests each prime only against the members the smaller primes left, and a
-problem keeps each exact sifted count it has computed, keyed by its sieve-prime
-cut (how many sieve primes lie below z), so bounds that share a cut share one
-scan.
+divisible by p, and the set of primes the sieve is allowed to use; the prime
+set is exactly the primes with w(p) > 0.  Each kind's record in KINDS states
+everything the kind decides: its sizes, its table need, its members, and how
+#A_d is counted (a closed formula in d and nu(d), or a scan of the stored
+members).  A problem's value is its kind, parameters and tables.  The exact
+operations here (count_Ad, sift_exact) are deliberately brute force; they are
+the ground truth every bound module is checked against.  The sift tests each
+prime only against the members the smaller primes left, and a problem keeps
+each exact sifted count it has computed, keyed by its sieve-prime cut (how
+many sieve primes lie below z), so bounds that share a cut share one scan.
 
-Supported kinds:
+Supported kinds (#A_d by formula F or member scan S):
 
-=====================  ====================================================
-interval               {x+1, ..., x+y}, X = y, w = 1
-arithmetic_progression {n <= x : n = l mod k}, X = x/k, w(p) = 1 for p not | k
-goldbach_product       {n(2N-n) : 2 <= n <= 2N-2}, X = 2N,
-                       w(p) = 1 if p | 2N else 2
-shifted_prime          {N-p : p prime, 3 <= p <= N-3, p not | N}, X = Li(N),
-                       w(p) = p/(p-1) for p not | N
-square_plus_one        {n^2+1 : n <= x}, X = x, w(2) = 1,
-                       w(p) = 2 if p = 1 mod 4 else 0
-liouville_plus         {n <= x with an odd number of prime factors}, X = x/2
-liouville_minus        {n <= x with an even number of prime factors}, X = x/2
-=====================  ====================================================
+=====================  ===  ===============================================
+interval               F    {x+1, ..., x+y}, X = y, w = 1
+arithmetic_progression F    {n <= x : n = l mod k}, X = x/k, w(p) = 1 for p not | k
+goldbach_product       S    {n(2N-n) : 2 <= n <= 2N-2}, X = 2N,
+                            w(p) = 1 if p | 2N else 2
+shifted_prime          S    {N-p : p prime, 3 <= p <= N-3, p not | N}, X = Li(N),
+                            w(p) = p/(p-1) for p not | N
+square_plus_one        S    {n^2+1 : n <= x}, X = x, w(2) = 1,
+                            w(p) = 2 if p = 1 mod 4 else 0
+liouville_plus         F    {n <= x with an odd number of prime factors}, X = x/2
+liouville_minus        F    {n <= x with an even number of prime factors}, X = x/2
+=====================  ===  ===============================================
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ from .errors import CapacityError, DensityRangeError, InputError
 
 #: exact scans refuse problems with more members than this (a 100 MB interval mask)
 MAX_SCAN_MEMBERS = 100_000_000
-
-#: kinds whose #A_d is a closed formula, not a scan of the members
-_FORMULA_KINDS = ("interval", "arithmetic_progression", "liouville_plus", "liouville_minus")
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,10 @@ class KindShape:
     """What a problem kind states from its parameters alone, before any table is built.
 
     ``need`` is the table limit the kind's own construction reads (0 when it
-    reads none); ``members`` builds the stored members from the tables, for
-    the kinds counted by a member scan.
+    reads none).  ``members`` builds the members from the tables.  ``count``,
+    for the kinds with a closed formula for #A_d, binds that formula to the
+    tables, giving #A_d from (d, nu(d)); it is None for the kinds counted by a
+    scan of their stored members.
     """
 
     label: str
@@ -115,7 +117,8 @@ class KindShape:
     need: int
     omega: MultiplicativeDensity
     prime_set: PrimeSet
-    members: Callable[[PrimeTables], np.ndarray] | None = None
+    members: Callable[[PrimeTables], np.ndarray]
+    count: Callable[[PrimeTables], Callable[[int, int], int]] | None = None
 
 
 _W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
@@ -124,8 +127,14 @@ _W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
 def _interval(x: int, y: int) -> KindShape:
     if x < 0 or y < 1:
         raise InputError(f"interval needs x >= 0, y >= 1, got x={x} y={y}")
-    return KindShape(f"interval[{x + 1}..{x + y}]", {"x": x, "y": y}, float(y), x + y, 0,
-                     _W_ONE, PrimeSet("all"))
+    label = f"interval[{x + 1}..{x + y}]"
+
+    def members(tables: PrimeTables) -> np.ndarray:
+        _check_scan_size(label, y)
+        return np.arange(x + 1, x + y + 1, dtype=np.int64)
+
+    return KindShape(label, {"x": x, "y": y}, float(y), x + y, 0, _W_ONE, PrimeSet("all"),
+                     members, lambda tables: lambda d, nu: (x + y) // d - x // d)
 
 
 def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
@@ -133,11 +142,28 @@ def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
         raise InputError(f"progression needs x >= 1, k >= 1, got x={x} k={k}")
     if math.gcd(l, k) != 1:
         raise InputError(f"residue {l} not coprime to modulus {k}")
+    l %= k
+    label = f"progression x={x} k={k} l={l}"
+
+    def members(tables: PrimeTables) -> np.ndarray:
+        _check_scan_size(label, -(-x // k))
+        return np.arange(l if l >= 1 else k, x + 1, k, dtype=np.int64)
+
+    def count(d: int, nu: int) -> int:
+        if math.gcd(d, k) != 1:
+            return 0
+        # n = 0 mod d and n = l mod k; lift to the class c mod dk
+        inv = pow(d % k, -1, k) if k > 1 else 0
+        c = d * ((l * inv) % k) if k > 1 else d
+        if c == 0:
+            return x // (d * k)
+        return (x - c) // (d * k) + 1 if c <= x else 0
+
     omega = MultiplicativeDensity(
         lambda p: Fraction(0) if k % p == 0 else Fraction(1), f"w(p) = 1 off p | {k}"
     )
-    return KindShape(f"progression x={x} k={k} l={l % k}", {"x": x, "k": k, "l": l % k},
-                     x / k, x, 0, omega, PrimeSet("coprime", k))
+    return KindShape(label, {"x": x, "k": k, "l": l}, x / k, x, 0, omega, PrimeSet("coprime", k),
+                     members, lambda tables: count)
 
 
 def _goldbach_product(two_n: int) -> KindShape:
@@ -204,8 +230,20 @@ def _liouville(x: int, target: int) -> KindShape:
     def members(tables: PrimeTables) -> np.ndarray:
         return np.nonzero(tables.liouville_table()[: x + 1] == target)[0].astype(np.int64)
 
+    def count(tables: PrimeTables) -> Callable[[int, int], int]:
+        prefix = np.zeros(x + 1, dtype=np.int64)  # prefix[m] = #{n <= m : lambda(n) = 1}
+        np.cumsum(tables.liouville_table()[1 : x + 1] == 1, out=prefix[1:])
+
+        def count_d(d: int, nu: int) -> int:
+            # lambda(d m) = lambda(d) lambda(m) and lambda(d) = (-1)^nu
+            m_top = x // d
+            plus = int(prefix[m_top])
+            return plus if target == (-1) ** nu else m_top - plus
+
+        return count_d
+
     return KindShape(f"liouville{sign} x={x}", {"x": x}, x / 2.0, x, x, _W_ONE, PrimeSet("all"),
-                     members)
+                     members, count)
 
 
 #: kind -> (its integer parameters, in order; its shape from them)
@@ -223,25 +261,25 @@ ALL_KINDS = tuple(KINDS)
 
 @dataclass
 class SieveProblem:
+    """One sifting problem (A, X, w, P), as make_problem builds it.
+
+    Its value is its kind, parameters and tables; every other field follows
+    from them.  ``members`` is stored only for the kinds counted by a member
+    scan, and ``count`` gives #A_d from (d, nu(d)) for the others.
+    """
+
     kind: str
-    label: str
     params: dict
-    X: float
-    omega: MultiplicativeDensity
-    prime_set: PrimeSet
     tables: PrimeTables
-    members: np.ndarray | None = None
-    n_bound: int = 0
-    _prefix_plus: np.ndarray | None = field(default=None, repr=False)
+    label: str = field(compare=False)
+    X: float = field(compare=False)
+    omega: MultiplicativeDensity = field(compare=False)
+    prime_set: PrimeSet = field(compare=False)
+    members: np.ndarray | None = field(default=None, compare=False)
+    n_bound: int = field(default=0, compare=False)
+    count: Callable[[int, int], int] | None = field(default=None, repr=False, compare=False)
     #: sift_exact's counts, keyed by the number of sieve primes below z
     _sifted: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _liouville_prefix(tables: PrimeTables, x: int) -> np.ndarray:
-    liou = tables.liouville_table()
-    pref = np.zeros(x + 1, dtype=np.int64)
-    np.cumsum(liou[1 : x + 1] == 1, out=pref[1:])
-    return pref
 
 
 def kind_shape(kind: str, params: dict) -> KindShape:
@@ -273,15 +311,13 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         raise CapacityError(
             f"{shape.label} reads factor tables to {shape.need}; they stop at {tables.limit}"
         )
-    prob = SieveProblem(
-        kind=kind, label=shape.label, params=shape.params, X=shape.X, omega=shape.omega,
-        prime_set=shape.prime_set, tables=tables,
-        members=None if shape.members is None else shape.members(tables),
-        n_bound=shape.n_bound,
+    scan = shape.count is None
+    return SieveProblem(
+        kind=kind, params=shape.params, tables=tables, label=shape.label, X=shape.X,
+        omega=shape.omega, prime_set=shape.prime_set, n_bound=shape.n_bound,
+        members=shape.members(tables) if scan else None,
+        count=None if scan else shape.count(tables),
     )
-    if kind in ("liouville_plus", "liouville_minus"):
-        prob._prefix_plus = _liouville_prefix(tables, shape.params["x"])
-    return prob
 
 
 def _check_scan_size(label: str, size: int) -> None:
@@ -290,46 +326,13 @@ def _check_scan_size(label: str, size: int) -> None:
 
 
 def members_array(p: SieveProblem) -> np.ndarray:
-    """The members of A as an int64 array (generated on the fly for the
-    closed-form kinds, stored for the scan kinds).
+    """The members of A as an int64 array (stored for the member-scan kinds,
+    generated on the fly for the others).
 
     Raises:
         CapacityError: more than MAX_SCAN_MEMBERS members to generate.
     """
-    if p.members is not None:
-        return p.members
-    if p.kind == "interval":
-        x, y = p.params["x"], p.params["y"]
-        _check_scan_size(p.label, y)
-        return np.arange(x + 1, x + y + 1, dtype=np.int64)
-    if p.kind == "arithmetic_progression":
-        x, k, l = p.params["x"], p.params["k"], p.params["l"]
-        first = l if l >= 1 else k
-        _check_scan_size(p.label, -(-x // k))
-        return np.arange(first, x + 1, k, dtype=np.int64)
-    raise InputError(f"no member generator for kind {p.kind!r}")
-
-
-def _closed_count(p: SieveProblem, d: int, nu: int) -> int:
-    """#A_d by formula for the kinds with no member scan; nu = nu(d)."""
-    if p.kind == "interval":
-        x, y = p.params["x"], p.params["y"]
-        return (x + y) // d - x // d
-    if p.kind == "arithmetic_progression":
-        x, k, l = p.params["x"], p.params["k"], p.params["l"]
-        if math.gcd(d, k) != 1:
-            return 0
-        # n = 0 mod d and n = l mod k; lift to the class c mod dk
-        inv = pow(d % k, -1, k) if k > 1 else 0
-        c = d * ((l * inv) % k) if k > 1 else d
-        if c == 0:
-            return x // (d * k)
-        return (x - c) // (d * k) + 1 if c <= x else 0
-    # liouville kinds: lambda(d m) = lambda(d) lambda(m) and lambda(d) = (-1)^nu
-    m_top = p.params["x"] // d
-    target = -1 if p.kind == "liouville_plus" else 1
-    plus = int(p._prefix_plus[m_top])
-    return plus if target == (-1) ** nu else m_top - plus
+    return kind_shape(p.kind, p.params).members(p.tables) if p.members is None else p.members
 
 
 def count_Ad(p: SieveProblem, d: int) -> int:
@@ -337,9 +340,9 @@ def count_Ad(p: SieveProblem, d: int) -> int:
     fac = squarefree_primes(d, p.tables)
     if d > p.n_bound:  # every member is positive and at most n_bound
         return 0
-    if p.kind in _FORMULA_KINDS:
-        return _closed_count(p, d, len(fac))
-    return int(np.count_nonzero(p.members % d == 0))
+    if p.count is None:
+        return int(np.count_nonzero(p.members % d == 0))
+    return p.count(d, len(fac))
 
 
 def remainder(
@@ -398,7 +401,7 @@ def divisor_walk(
     primes = [int(q) for q in primes]
     if factors is None:
         factors = whole_densities(p.omega, primes)
-    scan = p is not None and p.kind not in _FORMULA_KINDS
+    scan = p is not None and p.count is None
     n, ascending = len(primes), len(primes) < 2 or primes[0] < primes[1]
     nodes = 0
     # (index of the next prime, d, nu(d), v(d), members divisible by d / q)
@@ -413,7 +416,7 @@ def divisor_walk(
                 sub = sub[sub % primes[i - 1] == 0]
             count = sub.size
         else:
-            count = None if p is None else _closed_count(p, d, nu)
+            count = None if p is None else p.count(d, nu)
         yield d, nu, v, count
         if prune_empty and count == 0:
             continue

@@ -25,11 +25,21 @@ from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
 from .errors import CapacityError, InputError
 from .legendre import problem_W
-from .problem import SieveProblem, divisor_walk, remainder, sift_exact, whole_densities
-from .selberg import SieveReport, _relevant_primes
+from .problem import (
+    SieveProblem,
+    divisor_walk,
+    remainder,
+    sieve_primes,
+    sift_exact,
+    whole_densities,
+)
+from .selberg import SieveReport
 
 #: hard ceiling on the number of support elements enumerated per call
 MAX_CHAIN_NODES = 2_000_000
+
+#: truncated_mobius_sum is exact with at most this many sieve primes, float above
+EXACT_MOBIUS_PRIMES = 30
 
 
 def chain_member(factors: Sequence[int], y: float, sign: int) -> bool:
@@ -69,25 +79,22 @@ def _chain_admit(y: float, sign: int):
     return admit
 
 
-def truncated_mobius_sum(
-    p: SieveProblem, y: float, z: float, sign: int, exact: bool | None = None
-) -> Fraction | float:
+def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Fraction | float:
     """Main-term density sum over the truncated support.
 
     Computes the sum of mu(d) w(d) / d over support members built from the
-    problem's sieve primes below z.  Exact rational arithmetic is the
-    default while few primes are in play; pass ``exact`` to force either
-    path.  The exact path sums mu(d) w(d) (L / d), an integer wherever w is,
-    with L the product of the primes, and divides by L once at the end.  The
-    float path carries each term as the product of -w(q)/q in the order the
-    walk adds the primes, largest first.
+    problem's sieve primes below z: an exact rational with at most
+    EXACT_MOBIUS_PRIMES primes, a float with more.  The exact path sums
+    mu(d) w(d) (L / d), an integer wherever w is, with L the product of the
+    primes, and divides by L once at the end.  The float path carries each
+    term as the product of -w(q)/q in the order the walk adds the primes,
+    largest first.
     """
     if y <= 1:
         raise InputError(f"need y > 1, got {y}")
     admit = _chain_admit(y, sign)
-    primes = _relevant_primes(z, p.omega, p.prime_set, p.tables)
-    if exact is None:
-        exact = len(primes) <= 30
+    primes = sieve_primes(p, z).tolist()
+    exact = len(primes) <= EXACT_MOBIUS_PRIMES
     # negated factors: the walk's carried product is mu(d) w(d), or mu(d) w(d) / d
     if exact:
         factors = {q: -w for q, w in whole_densities(p.omega, primes).items()}
@@ -125,13 +132,13 @@ def combinatorial_bounds(
         raise InputError(f"need 1 < z <= y, got z={z}, y={y}")
     s = math.log(y) / math.log(z)
     mv = problem_W(p, z)
-    desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
+    desc = sieve_primes(p, z).tolist()[::-1]
     exact = sift_exact(p, z) if with_exact else None
     out = {}
     for sign in (1, -1):
         m = truncated_mobius_sum(p, y, z, sign)
         walk = divisor_walk(p, desc, _chain_admit(y, sign), max_nodes=MAX_CHAIN_NODES)
-        rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c in walk if d < y)
+        rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c in walk)
         main = p.X * float(m)
         notes = f"X*W(z) = {p.X * mv.W:.6g}"
         if grid is not None and 0 < s <= grid.s_max:

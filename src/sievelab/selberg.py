@@ -11,6 +11,7 @@ forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .problem import (
     make_problem,
     primes_below,
     remainder,
+    sieve_primes,
     sift_exact,
 )
 
@@ -213,7 +215,7 @@ def fundamental_upper_bound(
     """
     if y <= 1:
         raise InputError(f"need level y > 1, got {y}")
-    ps = _relevant_primes(z, p.omega, p.prime_set, p.tables)
+    ps = sieve_primes(p, z).tolist()
     # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
     # the cap is refused here before G's exact sum is spent on it
     walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
@@ -270,22 +272,17 @@ def brun_titchmarsh(x: float, k: int, l: int, tables: PrimeTables) -> BrunTitchm
     )
 
 
-_C2_CACHE: dict[int, float] = {}
-
-
-def twin_constant(bound: int = 10_000_000) -> float:
-    """2 prod over odd primes p <= bound of (1 - (p-1)^-2); tail < 1e-7 at 1e7."""
-    if bound not in _C2_CACHE:
-        if bound < 100:
-            raise InputError(f"constant needs bound >= 100, got {bound}")
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for q in range(2, math.isqrt(bound) + 1):
-            if sieve[q]:
-                sieve[q * q :: q] = False
-        ps = np.nonzero(sieve)[0][1:].astype(np.float64)  # odd primes
-        _C2_CACHE[bound] = 2.0 * math.exp(float(np.log1p(-((ps - 1.0) ** -2)).sum()))
-    return _C2_CACHE[bound]
+@functools.cache
+def twin_constant() -> float:
+    """2 prod over odd primes p <= 1e7 of (1 - (p-1)^-2); the tail is below 1e-7."""
+    bound = 10_000_000
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    ps = np.nonzero(sieve)[0][1:].astype(np.float64)  # odd primes
+    return 2.0 * math.exp(float(np.log1p(-((ps - 1.0) ** -2)).sum()))
 
 
 def singular_factor(n: int, tables: PrimeTables) -> float:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievelab.arith import (
+    MAX_TABLE_ENTRIES,
     build_tables,
     factorize,
     integrate_adaptive,
@@ -156,7 +157,7 @@ def test_input_errors(tables_small):
     with pytest.raises(InputError):
         build_tables(1)
     with pytest.raises(CapacityError):
-        build_tables(10**9, max_entries=10**6)
+        build_tables(MAX_TABLE_ENTRIES)  # refused before it allocates
     with pytest.raises(InputError):
         li_eval(1.5)
     with pytest.raises(InputError):

@@ -246,6 +246,10 @@ def test_kind_shape_states_sizes_without_tables(kind_problems):
         if shape.need:
             with pytest.raises(CapacityError):
                 make_problem(p.kind, p.params, build_tables(shape.need - 1))
+        # the prime set is exactly {q : w(q) > 0}, so the sieves may read it as given
+        below = p.tables.primes[p.tables.primes < 1000].tolist()
+        positive = [q for q in below if p.omega.at_prime(q) > 0]
+        assert sieve_primes(p, 1000).tolist() == positive, p.kind
 
 
 def test_stored_members_past_the_scan_cap_are_refused_before_they_are_built(tables_small):
@@ -288,7 +292,7 @@ def test_shrinking_scan_keeps_the_mask_scans_values_in_order(kind_problems):
         assert sifted_members(p, 2) is not members_array(p)  # a new array, as the mask gave
 
 
-def test_one_scan_per_problem_and_prime_cut(tables_small, monkeypatch):
+def test_one_scan_per_problem_and_prime_cut(tables_small, kind_problems, monkeypatch):
     from sievelab.rosser import combinatorial_bounds
 
     scans = []
@@ -309,7 +313,11 @@ def test_one_scan_per_problem_and_prime_cut(tables_small, monkeypatch):
         assert repr(again) == repr(p) and "_sifted" not in repr(p)  # the memo is not shown
         assert sift_exact(again, 30) == quad.exact_count and scans == [10, 11, 10]
         scans.clear()
-    # nor part of the problem's value (shown on an interval, the kind whose rebuilds compare equal)
-    p, again = (make_problem("interval", {"x": 0, "y": 100}, tables_small) for _ in range(2))
-    sift_exact(p, 30)
-    assert p._sifted and not again._sifted and p == again
+    # nor part of the problem's value, which is its kind, parameters and tables
+    for q in kind_problems:
+        p, again = (make_problem(q.kind, q.params, tables_small) for _ in range(2))
+        sift_exact(p, 30)
+        assert p._sifted and not again._sifted and p == again == q, q.kind
+        first = KINDS[q.kind][0][0]
+        other = make_problem(q.kind, {**q.params, first: q.params[first] + 2}, tables_small)
+        assert p != other, q.kind

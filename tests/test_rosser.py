@@ -74,8 +74,9 @@ def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     walk = divisor_walk(None, primes[::-1], rosser._chain_admit(y, sign), dict.fromkeys(primes, -1))
     walked = {d: mu for d, _, mu, _ in walk}
     assert walked == oracle
+    assert all(d < y for d in oracle)  # so combinatorial_bounds needs no d < y filter
     expect = sum(Fraction(mu, d) for d, mu in oracle.items())
-    assert truncated_mobius_sum(p, y, 30, sign, exact=True) == expect
+    assert truncated_mobius_sum(p, y, 30, sign) == expect
 
 
 def test_divisor_sums_bracket_unit_indicator(tables_small):
@@ -152,19 +153,20 @@ def test_two_sided_bounds_trap_exact(tables_mid, grid):
         assert "F(s)" in bp.upper.notes and "f(s)" in bp.lower.notes
 
 
-def test_upper_main_term_tracks_limit_curve(tables_mid, grid):
+def test_upper_main_term_tracks_limit_curve(tables_mid, grid, monkeypatch):
+    monkeypatch.setattr(rosser, "EXACT_MOBIUS_PRIMES", -1)  # the float path at every z
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_mid)
     # the gap to the limit curve closes like a fractional power of 1/log y,
     # slow enough that 1e6 still sits ~12% out; 1e8 gets under 10%
     for y, tol in ((1e6, 0.15), (1e8, 0.10)):
         for s in (2.0, 3.0):
             z = y ** (1.0 / s)
-            m = truncated_mobius_sum(p, y, z, 1, exact=False)
+            m = truncated_mobius_sum(p, y, z, 1)
             w = problem_W(p, z).W
             curve = evaluate(grid, s, "F")
             assert m / w <= curve
             assert abs(m / w - curve) / curve <= tol, (y, s)
-            mlo = truncated_mobius_sum(p, y, z, -1, exact=False)
+            mlo = truncated_mobius_sum(p, y, z, -1)
             assert mlo / w >= evaluate(grid, s, "f")
 
 
@@ -253,13 +255,14 @@ def test_bounds_equal_per_node_reference(kind_problems, y, z):
     [(1e4, 50.0, True), (1e6, 100.0, True), (1e6, 100.0, False), (1e6, 1000.0, False),
      (1e4, 2.0, True), (1e4, 1.5, False), (8.0, 50.0, True), (5.0, 100.0, False)],
 )
-def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact):
+def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact, monkeypatch):
+    monkeypatch.setattr(rosser, "EXACT_MOBIUS_PRIMES", 10**9 if exact else -1)
     quad = next(p for p in kind_problems if p.kind == "square_plus_one")
     # w(p) = 0 for p = 3 mod 4: with every prime offered, those primes must drop out
     every_prime = dataclasses.replace(quad, prime_set=PrimeSet("all"))
     for p in [*kind_problems, every_prime]:
         for sign in (1, -1):
-            got = truncated_mobius_sum(p, y, z, sign, exact=exact)
+            got = truncated_mobius_sum(p, y, z, sign)
             assert got == _reference_mobius(p, y, z, sign, exact), (p.kind, y, z, sign)
             assert isinstance(got, Fraction if exact else float)
             if z <= 2 or (y <= 8 and sign == 1):
