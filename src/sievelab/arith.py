@@ -23,9 +23,11 @@ EULER_GAMMA = 0.5772156649015329
 MAX_TABLE_ENTRIES = 200_000_000
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class PrimeTables:
     """Smallest-prime-factor table and prime list up to ``limit``.
+
+    The arrays follow from ``limit``, so tables compare and hash by it alone.
 
     Attributes:
         limit: largest integer covered by the tables (inclusive).
@@ -35,11 +37,11 @@ class PrimeTables:
     """
 
     limit: int
-    spf: np.ndarray
-    primes: np.ndarray
-    _liouville: np.ndarray | None = field(default=None, repr=False)
-    _big_omega: np.ndarray | None = field(default=None, repr=False)
-    _mobius: np.ndarray | None = field(default=None, repr=False)
+    spf: np.ndarray = field(compare=False)
+    primes: np.ndarray = field(compare=False)
+    _liouville: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _big_omega: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _mobius: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def _prime_factor_counts(self, powers: bool) -> np.ndarray:
         """int16 count of the prime factors of each n <= limit (Omega if powers, else nu).

@@ -170,10 +170,7 @@ def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
     count = legendre_count(p, z)
     mv = problem_W(p, z)
     main = p.X * mv.W
-    try:
-        rem = legendre_remainder_sum(p, z)
-    except (CapacityError, InputError):
-        rem = None
+    rem = legendre_remainder_sum(p, z)
     rep = SieveReport(
         problem=p.label, X=p.X, z=z, main_term=main, remainder_bound=rem,
         exact_count=count, ratio=count / main if main > 0 else None,

@@ -3,10 +3,13 @@
 The inclusion-exclusion count over squarefree divisors of the product of
 sieve primes below z is exact but exponential in the number of primes, so
 it is capped; it serves as a second ground truth against the member scan.
+The remainder sum walks the count's pruned tree and adds what it prunes
+in closed form.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,18 +22,14 @@ from .problem import (
     SieveProblem,
     divisor_walk,
     primes_below,
-    remainder,
     sieve_primes,
 )
 
 #: switch from exact rational products to compensated floats above this z
 EXACT_PRODUCT_Z = 10_000
 
-#: refuse inclusion-exclusion over more primes than this
+#: refuse inclusion-exclusion, and its remainder sum, over more primes than this
 MAX_SUBSET_PRIMES = 25
-
-#: refuse the remainder sum, which walks all 2^k divisors, over more primes than this
-MAX_REMAINDER_PRIMES = 20
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,19 @@ def problem_W(p: SieveProblem, z: float) -> MertensValue:
     return mertens_products(z, p.omega, p.prime_set, p.tables)
 
 
-def _subset_primes(p: SieveProblem, z: float, max_primes: int) -> list[int]:
+def _subset_primes(p: SieveProblem, z: float) -> list[int]:
     rp = [int(q) for q in sieve_primes(p, z)]
-    if len(rp) > max_primes:
+    if len(rp) > MAX_SUBSET_PRIMES:
         raise CapacityError(
             f"inclusion-exclusion over {len(rp)} primes needs 2^{len(rp)} divisors;"
-            f" cap is {max_primes} primes"
+            f" cap is {MAX_SUBSET_PRIMES} primes"
         )
     return rp
+
+
+def _pruned_walk(p: SieveProblem, rp: list[int]):
+    """The divisors d <= n_bound, not below a node with #A_d = 0."""
+    return divisor_walk(p, rp, lambda d, nu, q: d * q <= p.n_bound, prune_empty=True)
 
 
 def legendre_count(p: SieveProblem, z: float) -> int:
@@ -111,21 +115,35 @@ def legendre_count(p: SieveProblem, z: float) -> int:
     Raises:
         CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z.
     """
-    rp = _subset_primes(p, z, MAX_SUBSET_PRIMES)
-    walk = divisor_walk(p, rp, lambda d, nu, q: d * q <= p.n_bound, prune_empty=True)
-    return sum(-c if nu % 2 else c for _, nu, _, c in walk)
+    return sum(-c if nu % 2 else c for _, nu, _, c, _ in _pruned_walk(p, _subset_primes(p, z)))
 
 
 def legendre_remainder_sum(p: SieveProblem, z: float) -> float:
     """Sum of |R_d| over every squarefree d composed of sieve primes below z.
 
     Together with X W(z; w) this brackets the sifted count from both sides.
+    It walks legendre_count's pruned tree.  A_dm lies in A_d, so below an
+    empty node, and below a child past the largest member, each |R_dm| is
+    its main term X w(dm)/dm.  With suf[j] the product of 1 + w(q)/q over
+    the sieve primes from the j-th on, an empty node whose later primes
+    start at the i-th adds X w(d)/d suf[i] (itself included), and any other
+    node |#A_d - X w(d)/d| plus X w(d)/d (suf[j] - 1) for its children
+    refused from the j-th prime on.
 
     Raises:
-        CapacityError: more than MAX_REMAINDER_PRIMES sieve primes below z.
+        CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z.
     """
-    rp = _subset_primes(p, z, MAX_REMAINDER_PRIMES)
-    return math.fsum(
-        abs(remainder(p, d, c, w).r)
-        for d, _, w, c in divisor_walk(p, rp, lambda d, nu, q: True)
-    )
+    rp = _subset_primes(p, z)
+    suf = [1.0] * (len(rp) + 1)
+    for j in range(len(rp) - 1, -1, -1):
+        suf[j] = suf[j + 1] * (1.0 + float(p.omega.at_prime(rp[j])) / rp[j])
+    X, top = float(p.X), p.n_bound
+    terms = []
+    for d, _, w, c, i in _pruned_walk(p, rp):
+        main = X * float(w) / d  # as remainder() computes it
+        if c == 0:
+            terms.append(main * suf[i])
+        else:
+            j = max(i, bisect.bisect_right(rp, top // d))
+            terms += (abs(c - main), main * (suf[j] - 1.0))
+    return math.fsum(terms)

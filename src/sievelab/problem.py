@@ -378,18 +378,18 @@ def divisor_walk(
     factors: dict | None = None,
     prune_empty: bool = False,
     max_nodes: int | None = None,
-) -> Iterator[tuple[int, int, object, int | None]]:
+) -> Iterator[tuple[int, int, object, int | None, int]]:
     """Depth-first walk of the squarefree d built from ``primes``, in their order.
 
     ``primes`` is strictly ascending or strictly descending, and the walk
     reads the direction from it.  A node d extends to d q for each later
     prime q that ``admit(d, nu(d), q)`` accepts, and yields (d, nu(d), v(d),
-    #A_d), carried down one step per node: v(d) = v(d / q) factors[q]
-    (default factors w(q), so v(d) = w(d)), and #A_d is the kind's formula
+    #A_d, i), carried down one step per node: v(d) = v(d / q) factors[q]
+    (default factors w(q), so v(d) = w(d)), #A_d is the kind's formula
     or, for the member-scan kinds, the count of the parent's surviving
-    members that q divides.  With p = None the walk needs ``factors`` and
-    yields None for #A_d; prune_empty skips the subtree below a node with
-    #A_d = 0.
+    members that q divides, and the later primes d may take are primes[i:].
+    With p = None the walk needs ``factors`` and yields None for #A_d;
+    prune_empty skips the subtree below a node with #A_d = 0.
 
     ``admit`` must be downward-closed in q: once it refuses q it refuses
     every larger q.  The walk scans a node's candidates smallest first and
@@ -417,7 +417,7 @@ def divisor_walk(
             count = sub.size
         else:
             count = None if p is None else p.count(d, nu)
-        yield d, nu, v, count
+        yield d, nu, v, count, i
         if prune_empty and count == 0:
             continue
         for j in range(i, n) if ascending else range(n - 1, i - 1, -1):

@@ -42,23 +42,6 @@ MAX_CHAIN_NODES = 2_000_000
 EXACT_MOBIUS_PRIMES = 30
 
 
-def chain_member(factors: Sequence[int], y: float, sign: int) -> bool:
-    """Membership test for the truncated Moebius support.
-
-    ``factors`` are the distinct prime factors of d, any order; ``sign``
-    +1 selects the upper-bound support (odd positions checked), -1 the
-    lower-bound one (even positions).  d = 1 (no factors) is a member of
-    both supports.
-    """
-    admit = _chain_admit(y, sign)
-    d = 1
-    for nu, q in enumerate(sorted(factors, reverse=True)):
-        if not admit(d, nu, q):
-            return False
-        d *= q
-    return True
-
-
 def _chain_admit(y: float, sign: int):
     """The support's step rule for a walk over the primes, largest first.
 
@@ -102,9 +85,9 @@ def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Frac
         factors = {q: -float(p.omega.at_prime(q)) / q for q in primes}
     walk = divisor_walk(None, primes[::-1], admit, factors, max_nodes=MAX_CHAIN_NODES)
     if not exact:
-        return math.fsum(t for _, _, t, _ in walk)
+        return math.fsum(t for _, _, t, _, _ in walk)
     lcm = math.prod(primes)
-    return Fraction(sum(t * (lcm // d) for d, _, t, _ in walk)) / lcm
+    return Fraction(sum(t * (lcm // d) for d, _, t, _, _ in walk)) / lcm
 
 
 @dataclass
@@ -138,7 +121,7 @@ def combinatorial_bounds(
     for sign in (1, -1):
         m = truncated_mobius_sum(p, y, z, sign)
         walk = divisor_walk(p, desc, _chain_admit(y, sign), max_nodes=MAX_CHAIN_NODES)
-        rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c in walk)
+        rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c, _ in walk)
         main = p.X * float(m)
         notes = f"X*W(z) = {p.X * mv.W:.6g}"
         if grid is not None and 0 < s <= grid.s_max:
@@ -180,7 +163,7 @@ def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
         raise CapacityError(f"{m} has {len(facs)} prime factors; cap is 20")
     mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
     lo, hi = (
-        sum(v for _, _, v, _ in divisor_walk(None, facs[::-1], _chain_admit(y, s), mu))
+        sum(v for _, _, v, _, _ in divisor_walk(None, facs[::-1], _chain_admit(y, s), mu))
         for s in (-1, 1)
     )
     return lo, (1 if m == 1 else 0), hi

@@ -104,7 +104,7 @@ def big_G(
 ) -> Fraction:
     """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes."""
     ps = _relevant_primes(z, omega, prime_set, tables)
-    return sum((g for _, _, g, _ in _g_walk(xi, ps, omega)), Fraction(0))
+    return sum((g for _, _, g, _, _ in _g_walk(xi, ps, omega)), Fraction(0))
 
 
 def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -143,7 +143,7 @@ def lambda_weights(
     than enforced here.
     """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    g_values = {d: g for d, _, g, _ in _g_walk(xi, ps, omega)}
+    g_values = {d: g for d, _, g, _, _ in _g_walk(xi, ps, omega)}
     g_values[1] = Fraction(1)  # the walk starts from the int 1
     support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
     exact = len(support) <= MAX_EXACT_SUPPORT
@@ -219,7 +219,7 @@ def fundamental_upper_bound(
     # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
     # the cap is refused here before G's exact sum is spent on it
     walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
-    rem = math.fsum(3**nu * abs(remainder(p, d, c, w).r) for d, nu, w, c in walk)
+    rem = math.fsum(3**nu * abs(remainder(p, d, c, w).r) for d, nu, w, c, _ in walk)
     G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
     main = float(p.X) / float(G)
     report = SieveReport(

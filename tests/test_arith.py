@@ -35,6 +35,19 @@ def test_primes_match_trial_division():
     assert t.primes.tolist() == oracle
 
 
+def test_tables_compare_and_hash_by_limit():
+    from sievelab.problem import make_problem
+
+    a, b = build_tables(1_000), build_tables(1_000)
+    a.mobius_table()  # a cache filled on one side only is not part of the value
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != build_tables(1_001) and a != a.limit
+    # so problems built on distinct but equal tables compare equal too
+    for kind in ("interval", "liouville_plus"):
+        params = {"x": 10, "y": 50} if kind == "interval" else {"x": 500}
+        assert make_problem(kind, params, a) == make_problem(kind, params, b), kind
+
+
 def test_spf_is_smallest_prime_factor(tables_small):
     spf = tables_small.spf
     assert spf[1] == 1

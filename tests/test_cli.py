@@ -248,14 +248,16 @@ def test_level_is_never_factored(capsys, command):
     assert lo["lower_bound"] <= up["exact_count"] == 120_760 <= up["upper_bound"]
 
 
-def test_remainder_sum_refused_before_it_walks(capsys):
-    # 25 sieve primes below 100: the count runs, the 2^25-term remainder sum does not
+def test_remainder_sum_at_25_primes_brackets_the_count(capsys):
+    # 25 sieve primes below 100: the remainder sum walks the count's pruned
+    # tree, not its 2^25 divisors
     start = time.perf_counter()
     rc, out, _ = run(capsys, ["legendre", "--problem", "liouville_plus", "--x", "3",
                               "--z", "100"])
     assert rc == 0
     d = json.loads(out)
-    assert d["exact_count"] == 0 and d["remainder_bound"] is None
+    assert d["exact_count"] == 0 and d["remainder_bound"] is not None
+    assert abs(d["exact_count"] - d["main_term"]) <= d["remainder_bound"]
     assert time.perf_counter() - start < 2
 
 

@@ -111,8 +111,8 @@ def test_subset_cap(tables_small, monkeypatch):
     with pytest.raises(CapacityError) as err:
         legendre_count(p, 40)  # 12 primes
     assert "2^" in str(err.value)
-    with pytest.raises(CapacityError, match="cap is 20 primes"):
-        legendre_remainder_sum(p, 74)  # 21 primes, refused before the walk
+    with pytest.raises(CapacityError, match="cap is 10 primes"):
+        legendre_remainder_sum(p, 40)  # the same cap, refused before the walk
 
 
 def test_progression_with_sieve_set_excluding_k(tables_small):
@@ -142,24 +142,79 @@ def _reference_count(p, z):
     return total
 
 
-def _reference_remainder_sum(p, z):
-    """Every |R_d| one node at a time, R_d rebuilt from each d."""
+def _reference_remainders(p, z):
+    """Every R_d one node at a time, rebuilt from each d."""
     rp = [int(q) for q in sieve_primes(p, z)]
-    terms = []
+    out = []
     stack = [(0, 1)]
     while stack:
         i, d = stack.pop()
-        terms.append(abs(remainder(p, d).r))
+        out.append(remainder(p, d))
         for j in range(i, len(rp)):
             stack.append((j + 1, d * rp[j]))
-    return math.fsum(terms)
+    return out
+
+
+def _exact_remainder_sum(p, z):
+    """Sum of |R_d| as an exact Fraction, X at its exact binary value.
+
+    Every d has main term X w(d)/d, and their sum over all d is X times the
+    product of 1 + w(q)/q; #A_d = 0 for d past the largest member, so only
+    the d up to it need their count, each rebuilt from d.
+    """
+    rp = [int(q) for q in sieve_primes(p, z)]
+    X = Fraction(p.X)
+    w = {q: p.omega.at_prime(q) for q in rp}
+    total = X * math.prod((1 + w[q] / q for q in rp), start=Fraction(1))
+    stack = [(0, 1, Fraction(1))]
+    while stack:
+        i, d, wd = stack.pop()
+        c, main = count_Ad(p, d), X * wd / d
+        if c:  # |R_d| = main where c = 0, and total already holds it
+            total += abs(c - main) - main
+        for j in range(i, len(rp)):
+            if d * rp[j] > p.n_bound:
+                break
+            stack.append((j + 1, d * rp[j], wd * w[rp[j]]))
+    return total
 
 
 @pytest.mark.parametrize("z", [2, 7, 23, 32])
 def test_walk_equals_per_node_reference(kind_problems, z):
+    # with no empty divisor the sum walks every node and adds no tail, so
+    # its terms are the per-node ones; otherwise the tails round differently
     for p in kind_problems:
         assert legendre_count(p, z) == _reference_count(p, z), (p.kind, z)
-        assert legendre_remainder_sum(p, z) == _reference_remainder_sum(p, z), (p.kind, z)
+        records = _reference_remainders(p, z)
+        got = legendre_remainder_sum(p, z)
+        if all(r.count for r in records):
+            assert got == math.fsum(abs(r.r) for r in records), (p.kind, z)
+        else:
+            assert math.isclose(got, _exact_remainder_sum(p, z), rel_tol=1e-12), (p.kind, z)
+
+
+@pytest.mark.parametrize("z", [2, 7, 23, 32, 60])
+def test_remainder_sum_equals_exact_reference(kind_problems, z):
+    for p in kind_problems:
+        exact = _exact_remainder_sum(p, z)
+        assert math.isclose(legendre_remainder_sum(p, z), exact, rel_tol=1e-12), (p.kind, z)
+
+
+def test_remainder_sum_walks_the_count_tree(kind_problems, monkeypatch):
+    walked = []
+
+    def recording_walk(*args, **kwargs):
+        nodes = list(divisor_walk(*args, **kwargs))
+        walked.append([node[0] for node in nodes])
+        return iter(nodes)
+
+    monkeypatch.setattr(lg, "divisor_walk", recording_walk)
+    for p in kind_problems:
+        for z in (7, 32, 60):
+            walked.clear()
+            legendre_count(p, z)
+            legendre_remainder_sum(p, z)
+            assert len(walked) == 2 and walked[0] == walked[1], (p.kind, z)
 
 
 def test_carried_state_equals_rebuilt(kind_problems):
@@ -167,11 +222,12 @@ def test_carried_state_equals_rebuilt(kind_problems):
     for p in kind_problems:
         rp = [int(q) for q in sieve_primes(p, 30)]
         seen = 0
-        for d, nu, w, c in divisor_walk(p, rp, lambda d, nu, q: True):
+        for d, nu, w, c, i in divisor_walk(p, rp, lambda d, nu, q: True):
             fac = [q for q in rp if d % q == 0]
             assert (nu, w, c) == (len(fac), p.omega.at_squarefree(fac), count_Ad(p, d)), (
                 p.kind, d,
             )
+            assert i == (rp.index(fac[-1]) + 1 if fac else 0), (p.kind, d)
             seen += 1
         assert seen == 2 ** len(rp)
 

@@ -15,7 +15,6 @@ from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import problem_W
 from sievelab.problem import PrimeSet, divisor_walk, make_problem, remainder, sift_exact
 from sievelab.rosser import (
-    chain_member,
     combinatorial_bounds,
     fundamental_lemma_report,
     sandwich_values,
@@ -31,17 +30,24 @@ def test_frozen_small_sums(tables_small):
     assert truncated_mobius_sum(p, 100, 5, 1) == Fraction(1, 3)
 
 
+def _in_factor_walk(facs, y: float, sign: int) -> bool:
+    """Whether the chain walk over d's own prime factors reaches d."""
+    desc = sorted(facs, reverse=True)
+    walk = divisor_walk(None, desc, rosser._chain_admit(y, sign), dict.fromkeys(desc, -1))
+    return math.prod(facs) in {d for d, _, _, _, _ in walk}
+
+
 def test_membership_examples(tables_small):
-    assert chain_member([], 100, 1) and chain_member([], 100, -1)
-    assert chain_member([2, 3], 100, 1) and chain_member([2, 3], 100, -1)
+    assert _in_factor_walk([], 100, 1) and _in_factor_walk([], 100, -1)
+    assert _in_factor_walk([2, 3], 100, 1) and _in_factor_walk([2, 3], 100, -1)
     # 5^3 = 125 blocks the first checked position upstairs but not down
-    assert not chain_member([5], 100, 1)
-    assert chain_member([5], 100, -1)
+    assert not _in_factor_walk([5], 100, 1)
+    assert _in_factor_walk([5], 100, -1)
     # 5 * 3^3 = 135 blocks position two of the lower support
-    assert not chain_member([3, 5], 100, -1)
-    assert not chain_member([3, 5], 100, 1)  # 5^3 already too big
+    assert not _in_factor_walk([3, 5], 100, -1)
+    assert not _in_factor_walk([3, 5], 100, 1)  # 5^3 already too big
     with pytest.raises(InputError):
-        chain_member([2], 100, 0)
+        rosser._chain_admit(100, 0)
 
 
 def _position_rule(facs, y: float, sign: int) -> bool:
@@ -72,7 +78,7 @@ def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
     # with factors -1 the carried product is mu(d)
     walk = divisor_walk(None, primes[::-1], rosser._chain_admit(y, sign), dict.fromkeys(primes, -1))
-    walked = {d: mu for d, _, mu, _ in walk}
+    walked = {d: mu for d, _, mu, _, _ in walk}
     assert walked == oracle
     assert all(d < y for d in oracle)  # so combinatorial_bounds needs no d < y filter
     expect = sum(Fraction(mu, d) for d, mu in oracle.items())
@@ -100,14 +106,15 @@ PROPS = settings(deadline=None, max_examples=200)
     st.floats(min_value=2.0, max_value=1e7),
     st.sampled_from([1, -1]),
 )
-def test_chain_member_is_membership_in_walked_support(primes, y, sign):
+def test_factor_walk_is_membership_in_walked_support(primes, y, sign):
     desc = sorted(primes, reverse=True)
     walk = divisor_walk(None, desc, rosser._chain_admit(y, sign), dict.fromkeys(desc, -1))
-    support = {d for d, _, _, _ in walk}
+    support = {d for d, _, _, _, _ in walk}
     assert support == set(_oracle_support(primes, y, sign))
+    # membership of d depends on d's own factors only
     for r in range(len(primes) + 1):
         for sub in combinations(primes, r):
-            assert chain_member(sub, y, sign) == (math.prod(sub) in support), (sub, y, sign)
+            assert _in_factor_walk(sub, y, sign) == (math.prod(sub) in support), (sub, y, sign)
 
 
 def _bitmask_sandwich(m, y, tables):
