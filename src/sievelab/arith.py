@@ -5,7 +5,11 @@ to a fixed limit plus the sorted array of primes below it.  Everything that
 needs factorizations, prime counts in progressions, or multiplicative
 statistics (mu, nu, Omega, the +-1 complete-multiplicativity indicator, phi)
 goes through one shared instance so the sieve work stays O(1) per query
-after a single table build.
+after a single table build.  The tables own two shared facts besides:
+whether a read at n fits them (``PrimeTables.reach``, the one place a
+request is held against ``limit``), and the Liouville summatory
+L(n) = sum of lambda(m) over m <= n (``liouville_summatory``), which the
+parity counts and both Liouville problem kinds read.
 """
 
 from __future__ import annotations
@@ -42,6 +46,19 @@ class PrimeTables:
     _liouville: np.ndarray | None = field(default=None, repr=False, compare=False)
     _big_omega: np.ndarray | None = field(default=None, repr=False, compare=False)
     _mobius: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _liouville_sum: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def reach(self, n, what: str | None = None) -> None:
+        """Check that a read at n fits the tables; ``what`` names the request.
+
+        Raises:
+            InputError: n is a float NaN or infinity.
+            CapacityError: n > limit.
+        """
+        if isinstance(n, float) and not math.isfinite(n):
+            raise InputError(f"{what or n} is not a finite number")
+        if n > self.limit:
+            raise CapacityError(f"{what or n} beyond table limit {self.limit}")
 
     def _prime_factor_counts(self, powers: bool) -> np.ndarray:
         """int16 count of the prime factors of each n <= limit (Omega if powers, else nu).
@@ -76,6 +93,12 @@ class PrimeTables:
             liou[0] = 0
             self._liouville = liou
         return self._liouville
+
+    def liouville_summatory(self) -> np.ndarray:
+        """int32 array with L(n) = sum of lambda(m) over 1 <= m <= n; L(0) = 0."""
+        if self._liouville_sum is None:
+            self._liouville_sum = np.cumsum(self.liouville_table(), dtype=np.int32)
+        return self._liouville_sum
 
     def mobius_table(self) -> np.ndarray:
         """int8 array with mu(n); entry 0 is unused and set to 0."""
@@ -133,12 +156,11 @@ def factorize(n: int, tables: PrimeTables) -> list[tuple[int, int]]:
 
     Raises:
         InputError: n < 1.
-        CapacityError: n > tables.limit.
+        CapacityError: n beyond the tables.
     """
     if n < 1:
         raise InputError(f"cannot factorize {n}")
-    if n > tables.limit:
-        raise CapacityError(f"{n} exceeds the table limit {tables.limit}")
+    tables.reach(n)
     out: list[tuple[int, int]] = []
     spf = tables.spf
     m = n
@@ -162,8 +184,11 @@ def squarefree_primes(d: int, tables: PrimeTables) -> list[int]:
         InputError: d < 1 or d not squarefree.
         CapacityError: a cofactor the table primes cannot certify.
     """
-    if d <= tables.limit:
+    try:
         fac = factorize(d, tables)
+    except CapacityError:  # d is past the table: trial division below
+        pass
+    else:
         if any(e > 1 for _, e in fac):
             raise InputError(f"{d} is not squarefree")
         return [q for q, _ in fac]
@@ -178,9 +203,8 @@ def squarefree_primes(d: int, tables: PrimeTables) -> list[int]:
             if m % q == 0:
                 raise InputError(f"{d} is not squarefree")
             out.append(q)
-    if m > 1:
-        if m > tables.limit and math.isqrt(m) > tables.limit:
-            raise CapacityError(f"cannot certify factor {m} with tables")
+    if m > 1:  # no table prime up to sqrt(m) divides m: prime if the table reaches sqrt(m)
+        tables.reach(math.isqrt(m), f"the root of cofactor {m}")
         out.append(m)
     return out
 
@@ -201,9 +225,13 @@ def mult_stats(n: int, tables: PrimeTables) -> MultStats:
 
 
 def prime_pi(x: float, tables: PrimeTables) -> int:
-    """Count primes <= x using the shared prime array."""
-    if x > tables.limit:
-        raise CapacityError(f"{x} exceeds the table limit {tables.limit}")
+    """Count primes <= x using the shared prime array.
+
+    Raises:
+        InputError: x is NaN or infinite.
+        CapacityError: x beyond the tables.
+    """
+    tables.reach(x, f"x={x}")
     return int(np.searchsorted(tables.primes, math.floor(x), side="right"))
 
 
@@ -216,13 +244,12 @@ def pi_ap(x: float, k: int, l: int, tables: PrimeTables) -> int:
         l: residue class; reduced mod k internally.
 
     Raises:
-        InputError: k < 1.
-        CapacityError: x > tables.limit.
+        InputError: k < 1, or x NaN or infinite.
+        CapacityError: x beyond the tables.
     """
     if k < 1:
         raise InputError(f"modulus must be positive, got {k}")
-    if x > tables.limit:
-        raise CapacityError(f"{x} exceeds the table limit {tables.limit}")
+    tables.reach(x, f"x={x}")
     ps = tables.primes[: np.searchsorted(tables.primes, math.floor(x), side="right")]
     return int(np.count_nonzero(ps % k == l % k))
 

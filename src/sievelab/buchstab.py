@@ -48,7 +48,6 @@ class BuchstabGrid:
     F_values: np.ndarray
     f_values: np.ndarray
     join_error: float
-    euler_gamma: float = EULER_GAMMA
 
 
 def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
@@ -197,11 +196,11 @@ def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
     four nearest grid points, kept inside the tabulated range.
 
     Raises:
-        InputError: s <= 0, s > s_max, or which not in {"F", "f"}.
+        InputError: s outside (0, s_max] (NaN included), or which not in {"F", "f"}.
     """
     if which not in ("F", "f"):
         raise InputError(f"which must be 'F' or 'f', got {which!r}")
-    if s <= 0 or s > grid.s_max:
+    if not 0 < s <= grid.s_max:
         raise InputError(f"s = {s} outside (0, {grid.s_max}]")
     if which == "F" and s <= 3.0:
         return 2.0 * math.exp(EULER_GAMMA) / s

@@ -622,12 +622,10 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     """
     if x < 2:
         raise InputError(f"need x >= 2, got {x}")
-    if x > tables.limit:
-        raise CapacityError(f"x={x} exceeds table limit {tables.limit}")
+    tables.reach(x, f"x={x}")
     if q_max < 1:
         raise InputError(f"need q_max >= 1, got {q_max}")
-    if q_max > tables.limit:
-        raise CapacityError(f"q_max={q_max} exceeds table limit {tables.limit}")
+    tables.reach(q_max, f"q_max={q_max}")
     n = prime_pi(x, tables)
     if q_max * (n + _BV_SCAN_K_COST) > BV_SCAN_MAX_WORK:
         raise CapacityError(f"{q_max} moduli over {n} primes: cap is {BV_SCAN_MAX_WORK}")

@@ -113,7 +113,8 @@ def legendre_count(p: SieveProblem, z: float) -> int:
     term is zero.
 
     Raises:
-        CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z.
+        CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z, or
+            a walk past problem.MAX_CHAIN_NODES nodes.
     """
     return sum(-c if nu % 2 else c for _, nu, _, c, _ in _pruned_walk(p, _subset_primes(p, z)))
 
@@ -131,7 +132,8 @@ def legendre_remainder_sum(p: SieveProblem, z: float) -> float:
     refused from the j-th prime on.
 
     Raises:
-        CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z.
+        CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z, or
+            a walk past problem.MAX_CHAIN_NODES nodes.
     """
     rp = _subset_primes(p, z)
     suf = [1.0] * (len(rp) + 1)

@@ -48,15 +48,13 @@ class ParityRow:
 def _check_range(x: int, tables: PrimeTables) -> None:
     if x < 1:
         raise InputError(f"need x >= 1, got {x}")
-    if x > tables.limit:
-        raise InputError(f"x={x} exceeds table limit {tables.limit}")
+    tables.reach(x, f"x={x}")
 
 
 def L_summatory(x: int, tables: PrimeTables) -> int:
-    """Exact partial sum of lambda(n) for n <= x."""
+    """Exact partial sum of lambda(n) for n <= x, read from the tables' summatory."""
     _check_range(x, tables)
-    liou = tables.liouville_table()
-    return int(liou[1 : x + 1].sum())
+    return int(tables.liouville_summatory()[x])
 
 
 def root_ceiling(x: int, s: float) -> int:
@@ -70,8 +68,8 @@ def root_ceiling(x: int, s: float) -> int:
     """
     if x < 1:
         raise InputError(f"need x >= 1, got {x}")
-    if s <= 0:
-        raise InputError(f"need s > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise InputError(f"need a finite s > 0, got {s}")
     t = max(1, math.ceil(x ** (1.0 / s) - 1e-9))
     a, b = float(s).as_integer_ratio()
     if max(a * t.bit_length(), b * x.bit_length()) <= ROOT_EXACT_BITS:

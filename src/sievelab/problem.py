@@ -44,6 +44,9 @@ from .errors import CapacityError, DensityRangeError, InputError
 #: exact scans refuse problems with more members than this (a 100 MB interval mask)
 MAX_SCAN_MEMBERS = 100_000_000
 
+#: a divisor walk refuses to visit more nodes than this unless its caller names a cap
+MAX_CHAIN_NODES = 2_000_000
+
 
 @dataclass(frozen=True)
 class MultiplicativeDensity:
@@ -222,7 +225,13 @@ def _square_plus_one(x: int) -> KindShape:
 
 
 def _liouville(x: int, target: int) -> KindShape:
-    """n <= x with lambda(n) = target; the members come from the Liouville table."""
+    """n <= x with lambda(n) = target.
+
+    The members come from the tables' Liouville table and #A_d from their
+    summatory L: the n = d m <= x with lambda(n) = target are the m <= t =
+    x // d with lambda(m) = s, s = target (-1)^nu(d), and there are
+    (t + s L(t)) / 2 of them.
+    """
     kind, sign = ("liouville_plus", "+") if target == -1 else ("liouville_minus", "-")
     if x < 1:
         raise InputError(f"{kind} needs x >= 1, got {x}")
@@ -231,14 +240,11 @@ def _liouville(x: int, target: int) -> KindShape:
         return np.nonzero(tables.liouville_table()[: x + 1] == target)[0].astype(np.int64)
 
     def count(tables: PrimeTables) -> Callable[[int, int], int]:
-        prefix = np.zeros(x + 1, dtype=np.int64)  # prefix[m] = #{n <= m : lambda(n) = 1}
-        np.cumsum(tables.liouville_table()[1 : x + 1] == 1, out=prefix[1:])
+        L = tables.liouville_summatory()
 
         def count_d(d: int, nu: int) -> int:
-            # lambda(d m) = lambda(d) lambda(m) and lambda(d) = (-1)^nu
-            m_top = x // d
-            plus = int(prefix[m_top])
-            return plus if target == (-1) ** nu else m_top - plus
+            t = x // d
+            return (t + (-target if nu % 2 else target) * int(L[t])) // 2
 
         return count_d
 
@@ -307,10 +313,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
             or it would store more than MAX_SCAN_MEMBERS members.
     """
     shape = kind_shape(kind, params)
-    if shape.need > tables.limit:
-        raise CapacityError(
-            f"{shape.label} reads factor tables to {shape.need}; they stop at {tables.limit}"
-        )
+    tables.reach(shape.need, f"{shape.label} (table need {shape.need})")
     scan = shape.count is None
     return SieveProblem(
         kind=kind, params=shape.params, tables=tables, label=shape.label, X=shape.X,
@@ -396,8 +399,11 @@ def divisor_walk(
     stops at the first refusal.
 
     Raises:
-        CapacityError: more than max_nodes nodes.
+        CapacityError: more than max_nodes nodes (MAX_CHAIN_NODES, read
+            when the walk starts, unless the caller names its own cap).
     """
+    if max_nodes is None:
+        max_nodes = MAX_CHAIN_NODES
     primes = [int(q) for q in primes]
     if factors is None:
         factors = whole_densities(p.omega, primes)
@@ -409,7 +415,7 @@ def divisor_walk(
     while stack:
         i, d, nu, v, sub = stack.pop()
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > max_nodes:
             raise CapacityError(f"divisor walk exceeds {max_nodes} nodes")
         if scan:
             if i and sub.size:  # i > 0: d = (d / q) q with q = primes[i - 1]
@@ -431,10 +437,10 @@ def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarr
     """Primes of the prime set below z (strict), ascending.
 
     Raises:
-        CapacityError: z > tables.limit + 1, where the tables would cut the list short.
+        InputError: z is NaN or infinite.
+        CapacityError: the list reads the tables at z - 1, past their limit.
     """
-    if z > tables.limit + 1:
-        raise CapacityError(f"z={z} beyond table limit {tables.limit}")
+    tables.reach(z - 1, f"z={z}")
     return prime_set.select(tables.primes[tables.primes < z])
 
 

@@ -33,10 +33,7 @@ from .problem import (
     sift_exact,
     whole_densities,
 )
-from .selberg import SieveReport
-
-#: hard ceiling on the number of support elements enumerated per call
-MAX_CHAIN_NODES = 2_000_000
+from .selberg import SieveReport, one_sided_report
 
 #: truncated_mobius_sum is exact with at most this many sieve primes, float above
 EXACT_MOBIUS_PRIMES = 30
@@ -83,7 +80,7 @@ def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Frac
         factors = {q: -w for q, w in whole_densities(p.omega, primes).items()}
     else:
         factors = {q: -float(p.omega.at_prime(q)) / q for q in primes}
-    walk = divisor_walk(None, primes[::-1], admit, factors, max_nodes=MAX_CHAIN_NODES)
+    walk = divisor_walk(None, primes[::-1], admit, factors)
     if not exact:
         return math.fsum(t for _, _, t, _, _ in walk)
     lcm = math.prod(primes)
@@ -98,13 +95,7 @@ class BoundPair:
     lower: SieveReport
 
 
-def combinatorial_bounds(
-    p: SieveProblem,
-    y: float,
-    z: float,
-    grid: BuchstabGrid | None = None,
-    with_exact: bool = True,
-) -> BoundPair:
+def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool = True) -> BoundPair:
     """Upper and lower sieve bounds from the truncated supports.
 
     The bound for each side is X * M(sign) plus/minus the sum of |R_d|
@@ -113,40 +104,15 @@ def combinatorial_bounds(
     """
     if not 1 < z <= y:
         raise InputError(f"need 1 < z <= y, got z={z}, y={y}")
-    s = math.log(y) / math.log(z)
-    mv = problem_W(p, z)
+    notes = f"X*W(z) = {p.X * problem_W(p, z).W:.6g}"
     desc = sieve_primes(p, z).tolist()[::-1]
     exact = sift_exact(p, z) if with_exact else None
     out = {}
     for sign in (1, -1):
         m = truncated_mobius_sum(p, y, z, sign)
-        walk = divisor_walk(p, desc, _chain_admit(y, sign), max_nodes=MAX_CHAIN_NODES)
+        walk = divisor_walk(p, desc, _chain_admit(y, sign))
         rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c, _ in walk)
-        main = p.X * float(m)
-        notes = f"X*W(z) = {p.X * mv.W:.6g}"
-        if grid is not None and 0 < s <= grid.s_max:
-            curve = evaluate(grid, s, "F" if sign == 1 else "f")
-            notes += f"; limit-curve reference X*W*{'F' if sign == 1 else 'f'}(s) = {p.X * mv.W * curve:.6g}"
-        rep = SieveReport(
-            problem=p.label,
-            X=p.X,
-            z=float(z),
-            y=float(y),
-            s=s,
-            main_term=main,
-            remainder_bound=rem,
-            exact_count=exact,
-            notes=notes,
-        )
-        if sign == 1:
-            rep.upper_bound = main + rem
-            if exact and exact > 0:
-                rep.ratio = rep.upper_bound / exact
-        else:
-            rep.lower_bound = main - rem
-            if exact and exact > 0:
-                rep.ratio = rep.lower_bound / exact
-        out[sign] = rep
+        out[sign] = one_sided_report(p, y, z, sign, p.X * float(m), rem, exact, notes)
     return BoundPair(upper=out[1], lower=out[-1])
 
 

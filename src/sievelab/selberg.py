@@ -11,7 +11,6 @@ forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +40,10 @@ MAX_SUPPORT = 400_000
 #: refuse mu+ expansions over more (d1, d2) pairs than this (xi = 1000: 3.7e5)
 MAX_MU_PLUS_PAIRS = 1_000_000
 
+#: the twin-prime constant C2 = 2 prod over odd primes p of (1 - (p-1)^-2), as
+#: 2 exp(numpy sum of log1p(-(p-1)^-2)) over the odd primes p <= 1e7 (tail below 1e-7)
+TWIN_CONSTANT = 1.3203236394309112
+
 
 @dataclass
 class SieveReport:
@@ -58,6 +61,26 @@ class SieveReport:
     exact_count: int | None = None
     ratio: float | None = None
     notes: str = ""
+
+
+def one_sided_report(
+    p: SieveProblem, y: float, z: float, sign: int, main: float, rem: float,
+    exact: int | None, notes: str,
+) -> SieveReport:
+    """The report of one bound main + rem (sign +1, upper) or main - rem (sign -1).
+
+    s = log y / log z (None for z <= 1); ratio = bound / exact for a positive
+    exact count.
+    """
+    bound = main + rem if sign == 1 else main - rem
+    return SieveReport(
+        problem=p.label, X=float(p.X), z=float(z), y=float(y),
+        s=math.log(y) / math.log(z) if z > 1 else None,
+        main_term=main, remainder_bound=rem,
+        upper_bound=bound if sign == 1 else None,
+        lower_bound=None if sign == 1 else bound,
+        exact_count=exact, ratio=bound / exact if exact else None, notes=notes,
+    )
 
 
 @dataclass
@@ -221,18 +244,10 @@ def fundamental_upper_bound(
     walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
     rem = math.fsum(3**nu * abs(remainder(p, d, c, w).r) for d, nu, w, c, _ in walk)
     G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
-    main = float(p.X) / float(G)
-    report = SieveReport(
-        problem=p.label, X=float(p.X), z=float(z), y=float(y),
-        s=math.log(y) / math.log(z) if z > 1 else None,
-        main_term=main, remainder_bound=rem, upper_bound=main + rem,
-        notes=f"quadratic-form sieve, G support primes={len(ps)}",
+    return one_sided_report(
+        p, y, z, 1, float(p.X) / float(G), rem, sift_exact(p, z) if with_exact else None,
+        f"quadratic-form sieve, G support primes={len(ps)}",
     )
-    if with_exact:
-        report.exact_count = sift_exact(p, z)
-        if report.exact_count > 0:
-            report.ratio = report.upper_bound / report.exact_count
-    return report
 
 
 @dataclass(frozen=True)
@@ -272,19 +287,6 @@ def brun_titchmarsh(x: float, k: int, l: int, tables: PrimeTables) -> BrunTitchm
     )
 
 
-@functools.cache
-def twin_constant() -> float:
-    """2 prod over odd primes p <= 1e7 of (1 - (p-1)^-2); the tail is below 1e-7."""
-    bound = 10_000_000
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(bound) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    ps = np.nonzero(sieve)[0][1:].astype(np.float64)  # odd primes
-    return 2.0 * math.exp(float(np.log1p(-((ps - 1.0) ** -2)).sum()))
-
-
 def singular_factor(n: int, tables: PrimeTables) -> float:
     """prod over odd primes p | n of (p - 1)/(p - 2), multiplied in ascending p."""
     prod = 1.0
@@ -314,12 +316,11 @@ def goldbach_report(n_half: int, tables: PrimeTables) -> PairBoundReport:
     two_n = 2 * n_half
     if n_half < 3:
         raise InputError(f"need N >= 3, got {n_half}")
-    if two_n - 2 > tables.limit:
-        raise CapacityError(f"2N={two_n} beyond table limit {tables.limit}")
+    tables.reach(two_n, f"2N={two_n}")  # singular_factor factors 2N
     spf = tables.spf
     ps = tables.primes[tables.primes <= two_n - 2]
     exact = int(np.count_nonzero(spf[two_n - ps] == (two_n - ps)))
-    a_val = singular_factor(two_n, tables) * twin_constant() * two_n / math.log(n_half) ** 2
+    a_val = singular_factor(two_n, tables) * TWIN_CONSTANT * two_n / math.log(n_half) ** 2
     return PairBoundReport(
         kind="goldbach", scale=two_n, exact=exact, reference=a_val,
         bound=4.0 * a_val, ratio=4.0 * a_val / exact if exact else None,
@@ -330,14 +331,13 @@ def twin_report(x: int, k: int, tables: PrimeTables) -> PairBoundReport:
     """Primes p <= x with p + 2k also prime, against the sieve bound."""
     if x < 3 or k < 1:
         raise InputError(f"need x >= 3 and k >= 1, got x={x} k={k}")
-    if x + 2 * k > tables.limit:
-        raise CapacityError(f"x + 2k = {x + 2 * k} beyond table limit {tables.limit}")
+    tables.reach(x + 2 * k, f"x + 2k = {x + 2 * k}")
     spf = tables.spf
     ps = tables.primes[tables.primes <= x]
     exact = int(np.count_nonzero(spf[ps + 2 * k] == (ps + 2 * k)))
     prod = singular_factor(2 * k, tables)
-    bound = 4.0 * prod * twin_constant() * x / math.log(x) ** 2
+    bound = 4.0 * prod * TWIN_CONSTANT * x / math.log(x) ** 2
     return PairBoundReport(
-        kind="twin", scale=x, exact=exact, reference=prod * twin_constant(),
+        kind="twin", scale=x, exact=exact, reference=prod * TWIN_CONSTANT,
         bound=bound, ratio=bound / exact if exact else None,
     )

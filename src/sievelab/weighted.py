@@ -21,9 +21,9 @@ import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables, factorize, integrate_adaptive
 from .buchstab import BuchstabGrid, evaluate
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .problem import SieveProblem, sifted_members
-from .selberg import singular_factor, twin_constant
+from .selberg import TWIN_CONSTANT, singular_factor
 
 __all__ = [
     "WeightedConfig",
@@ -148,21 +148,22 @@ def W_exact(p: SieveProblem, cfg: WeightedConfig) -> float:
     return math.fsum(terms)
 
 
-def pr_count(p: SieveProblem, r: int, alpha: float, N: int | None = None) -> int:
-    """Survivors of the pre-sieve carrying at most r prime factors.
+def pr_count(p: SieveProblem, r: int, alpha: float, N: int) -> int:
+    """Survivors of the pre-sieve at N^alpha carrying at most r prime factors.
 
-    Factors are counted with multiplicity; the unit has none.  N defaults
-    to the problem's own size bound.
+    Factors are counted with multiplicity; the unit has none.
+
+    Raises:
+        InputError: r < 0.
+        CapacityError: a survivor beyond the factor tables.
     """
     if r < 0:
         raise InputError(f"need r >= 0, got {r}")
-    scale = N if N is not None else p.n_bound
-    z = scale**alpha
-    surv = sifted_members(p, z)
+    surv = sifted_members(p, N**alpha)
     if surv.size == 0:
         return 0
-    if int(surv.max()) > p.tables.limit:
-        raise CapacityError("members exceed the factor tables")
+    top = int(surv.max())
+    p.tables.reach(top, f"member {top}")
     big = p.tables.big_omega_table()
     return int(np.count_nonzero(big[surv] <= r))
 
@@ -203,15 +204,14 @@ def chen_report(N: int, tables: PrimeTables) -> ChenReport:
     """
     if N % 2 or N < 6:
         raise InputError(f"need even N >= 6, got {N}")
-    if N > tables.limit:
-        raise CapacityError(f"N={N} exceeds table limit {tables.limit}")
+    tables.reach(N, f"N={N}")
     ps = tables.primes
     ps = ps[(ps >= 3) & (ps <= N - 3)]
     m = N - ps
     big = tables.big_omega_table()
     count = int(np.count_nonzero(big[m] <= 2))
 
-    reference = 0.335 * twin_constant() * singular_factor(N, tables) * N / math.log(N) ** 2
+    reference = 0.335 * TWIN_CONSTANT * singular_factor(N, tables) * N / math.log(N) ** 2
 
     cut = N ** (1.0 / 3.0)
     triple = 0

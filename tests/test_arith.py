@@ -213,3 +213,71 @@ def test_squarefree_primes_domain(tables_small):
     # a cofactor above limit^2 cannot be certified prime by the table primes
     with pytest.raises(CapacityError):
         squarefree_primes(10007 * 10009, tables_small)
+
+
+_REACH_LIMIT = 1000  # even, so the goldbach and chen boundaries fall on it
+
+
+def _root_prime(n):
+    """The smallest prime m with isqrt(m) == n (NaN passes through)."""
+    if n != n:
+        return n
+    return next(m for m in range(n * n, (n + 1) ** 2) if _is_prime_trial(m))
+
+
+def _reach_calls():
+    """Every call that holds a read against the tables, called to read at n; the
+    flag says whether a NaN n reaches the check."""
+    from sievelab.buchstab import build_grid
+    from sievelab.harness import bv_scan
+    from sievelab.parity import L_summatory, S_pm_exact, prediction_row, rough_signed_count
+    from sievelab.problem import PrimeSet, make_problem, primes_below, sift_exact
+    from sievelab.selberg import goldbach_report, twin_report
+    from sievelab.weighted import chen_report, pr_count
+
+    grid = build_grid(6, 1e-3)
+    interval = lambda t: make_problem("interval", {"x": 0, "y": 100}, t)
+    calls = [
+        ("factorize", lambda t, n: factorize(n, t), True),
+        ("squarefree_primes", lambda t, n: squarefree_primes(_root_prime(n), t), True),
+        ("prime_pi", lambda t, n: prime_pi(n, t), True),
+        ("pi_ap", lambda t, n: pi_ap(n, 3, 1, t), True),
+        # the need comes from integer parameters, so no NaN reaches it
+        ("make_problem", lambda t, n: make_problem("liouville_plus", {"x": n}, t), False),
+        ("primes_below", lambda t, n: primes_below(n + 1, PrimeSet(), t), True),
+        ("sift_exact", lambda t, n: sift_exact(interval(t), n + 1), True),
+        ("L_summatory", lambda t, n: L_summatory(n, t), True),
+        ("rough_signed_count", lambda t, n: rough_signed_count(n, 2, 1, t), True),
+        ("S_pm_exact", lambda t, n: S_pm_exact(n, 2, 1, t), True),
+        ("prediction_row", lambda t, n: prediction_row(n, 2.5, grid, t), True),
+        # 2N and N below are even: the read past the limit is at limit + 2
+        ("goldbach_report", lambda t, n: goldbach_report((n + 1) // 2, t), True),
+        ("twin_report", lambda t, n: twin_report(n - 2, 1, t), True),
+        ("chen_report", lambda t, n: chen_report(n + n % 2, t), True),
+        # a one-member problem sifted at z = 1: its survivor is n itself
+        ("pr_count", lambda t, n: pr_count(
+            make_problem("interval", {"x": n - 1, "y": 1}, t), 1, 0.0, N=2), False),
+        ("bv_scan x", lambda t, n: bv_scan(n, 1, t), True),
+        ("bv_scan q_max", lambda t, n: bv_scan(100, n, t), True),
+    ]
+    return [pytest.param(call, takes_nan, id=name) for name, call, takes_nan in calls]
+
+
+@pytest.mark.parametrize("call, takes_nan", _reach_calls())
+def test_every_table_read_passes_at_the_limit_and_not_past_it(call, takes_nan):
+    t = build_tables(_REACH_LIMIT)
+    call(t, _REACH_LIMIT)
+    with pytest.raises(CapacityError, match=f"beyond table limit {_REACH_LIMIT}"):
+        call(t, _REACH_LIMIT + 1)
+    if takes_nan:
+        with pytest.raises(InputError):
+            call(t, math.nan)
+
+
+def test_reach_refuses_non_finite_reads():
+    t = build_tables(100)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            t.reach(bad)
+    with pytest.raises(CapacityError):
+        t.reach(10**400)  # an int past any float still compares

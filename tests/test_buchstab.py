@@ -176,3 +176,6 @@ def test_input_errors(grid):
         evaluate(grid, 31.0, "f")
     with pytest.raises(InputError):
         evaluate(grid, 3.0, "g")
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            evaluate(grid, s, "F")

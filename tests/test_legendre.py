@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievelab.legendre as lg
+import sievelab.problem as problem
 from sievelab.errors import CapacityError
 from sievelab.legendre import (
     legendre_count,
@@ -113,6 +115,31 @@ def test_subset_cap(tables_small, monkeypatch):
     assert "2^" in str(err.value)
     with pytest.raises(CapacityError, match="cap is 10 primes"):
         legendre_remainder_sum(p, 40)  # the same cap, refused before the walk
+
+
+def _pruned_tree_size(x: int, y: int, ps: list[int]) -> int:
+    """Nodes of the interval (x, x+y]'s pruned tree: squarefree d <= x + y over ps
+    (ascending), each built from a parent d / max(d) with a multiple in the interval."""
+    count = lambda d: (x + y) // d - x // d
+    size = 0
+    for k in range(len(ps) + 1):
+        for sub in combinations(ps, k):
+            prefixes = [math.prod(sub[:i]) for i in range(1, k + 1)]
+            if all(d <= x + y for d in prefixes) and all(count(d) for d in prefixes[:-1]):
+                size += 1
+    return size
+
+
+def test_walk_cap_refuses_one_node_past_it(tables_small, monkeypatch):
+    p = make_problem("interval", {"x": 500, "y": 300}, tables_small)
+    size = _pruned_tree_size(500, 300, [int(q) for q in sieve_primes(p, 40)])
+    monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size)
+    assert legendre_count(p, 40) == sift_exact(p, 40)
+    legendre_remainder_sum(p, 40)
+    monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size - 1)
+    for call in (legendre_count, legendre_remainder_sum):
+        with pytest.raises(CapacityError, match=f"exceeds {size - 1} nodes"):
+            call(p, 40)
 
 
 def test_progression_with_sieve_set_excluding_k(tables_small):

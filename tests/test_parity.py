@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievelab.arith import EULER_GAMMA, prime_pi
-from sievelab.errors import InputError
+from sievelab.errors import CapacityError, InputError
 from sievelab.parity import (
     L_summatory,
     S_pm_exact,
@@ -25,8 +26,16 @@ def test_summatory_examples(tables_small, tables_big):
     assert abs(L_summatory(1_000_000, tables_big)) <= 0.01 * 1_000_000
     with pytest.raises(InputError):
         L_summatory(0, tables_small)
-    with pytest.raises(InputError):
+    with pytest.raises(CapacityError):
         L_summatory(tables_small.limit + 1, tables_small)
+
+
+def test_summatory_equals_a_local_cumsum(tables_small, tables_big):
+    want = np.cumsum(tables_small.liouville_table(), dtype=np.int64)  # limit 1e4
+    assert [L_summatory(x, tables_small) for x in range(1, 10_001)] == want[1:].tolist()
+    big = np.cumsum(tables_big.liouville_table(), dtype=np.int64)
+    assert L_summatory(tables_big.limit, tables_big) == big[-1]
+    assert tables_big.liouville_summatory().dtype == np.int32
 
 
 def test_root_ceiling():
@@ -38,6 +47,9 @@ def test_root_ceiling():
     assert root_ceiling(1, 5) == 1
     assert root_ceiling(10**12, 3) == 10**4
     assert root_ceiling(10**12 - 1, 3) == 10**4
+    for s in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InputError):
+            root_ceiling(10, s)
     assert root_ceiling(10**12 + 1, 3) == 10**4 + 1
     assert root_ceiling(1000, 2.5) == 16
     with pytest.raises(InputError):
@@ -95,7 +107,7 @@ def test_signed_count_basics(tables_small):
         S_pm_exact(100, 0.5, 1, tables_small)
     with pytest.raises(InputError):
         S_pm_exact(100, 2, 0, tables_small)
-    with pytest.raises(InputError):
+    with pytest.raises(CapacityError):
         S_pm_exact(tables_small.limit + 1, 2, 1, tables_small)
 
 
@@ -160,5 +172,5 @@ def test_row_validation(tables_small, grid):
         prediction_row(100, 1.0, grid, tables_small)
     with pytest.raises(InputError):
         prediction_row(100, grid.s_max + 1, grid, tables_small)
-    with pytest.raises(InputError):
+    with pytest.raises(CapacityError):
         prediction_row(tables_small.limit + 1, 2.5, grid, tables_small)

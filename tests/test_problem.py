@@ -101,12 +101,25 @@ def test_liouville_counts(tables_mid):
     lm = make_problem("liouville_minus", {"x": 10_000}, tables_mid)
     assert members_array(lp).size + members_array(lm).size == 10_000
     assert 1 in members_array(lm)
-    # count_Ad via the prefix table equals a direct scan
+    # count_Ad via the tables' summatory equals a direct scan
     for prob in (lp, lm):
         mem = members_array(prob)
         for d in (1, 2, 3, 5, 6, 30, 210):
             assert count_Ad(prob, d) == int(np.count_nonzero(mem % d == 0))
     assert sift_exact(lm, 10) > 0
+
+
+def test_liouville_counts_read_the_summatory_as_a_local_cumsum(tables_mid):
+    # the old per-problem prefix: plus[m] = #{n <= m : lambda(n) = 1}
+    x = 150_000
+    plus = np.concatenate(([0], np.cumsum(tables_mid.liouville_table()[1 : x + 1] == 1)))
+    mob = tables_mid.mobius_table()
+    for kind, target in (("liouville_plus", -1), ("liouville_minus", 1)):
+        p = make_problem(kind, {"x": x}, tables_mid)
+        for d in np.flatnonzero(mob[: 10_001]).tolist():
+            t = x // d
+            want = int(plus[t]) if target == mob[d] else t - int(plus[t])
+            assert count_Ad(p, d) == want, (kind, d)
 
 
 def test_liouville_minus_tiny(tables_small):

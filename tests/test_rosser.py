@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sievelab.problem as problem
 import sievelab.rosser as rosser
 from sievelab.arith import squarefree_primes
 from sievelab.buchstab import evaluate
@@ -141,7 +142,7 @@ def test_sandwich_values_equal_bitmask_loop(tables_small, primes, y):
     assert sandwich_values(m, y, tables_small) == _bitmask_sandwich(m, y, tables_small)
 
 
-def test_two_sided_bounds_trap_exact(tables_mid, grid):
+def test_two_sided_bounds_trap_exact(tables_mid):
     configs = [
         (make_problem("interval", {"x": 0, "y": 100_000}, tables_mid), 10_000.0, 50.0),
         (make_problem("interval", {"x": 5000, "y": 60_000}, tables_mid), 1000.0, 20.0),
@@ -151,13 +152,12 @@ def test_two_sided_bounds_trap_exact(tables_mid, grid):
         (make_problem("liouville_plus", {"x": 50_000}, tables_mid), 3000.0, 40.0),
     ]
     for p, y, z in configs:
-        bp = combinatorial_bounds(p, y, z, grid=grid)
+        bp = combinatorial_bounds(p, y, z)
         exact = bp.upper.exact_count
         assert exact is not None
         assert bp.lower.lower_bound <= exact <= bp.upper.upper_bound, p.label
         assert bp.upper.s == pytest.approx(math.log(y) / math.log(z))
         assert "X*W(z)" in bp.upper.notes
-        assert "F(s)" in bp.upper.notes and "f(s)" in bp.lower.notes
 
 
 def test_upper_main_term_tracks_limit_curve(tables_mid, grid, monkeypatch):
@@ -193,7 +193,7 @@ def test_validation_and_capacity(tables_small, monkeypatch):
         truncated_mobius_sum(p, 1.0, 5.0, 1)
     with pytest.raises(InputError, match="sign"):
         truncated_mobius_sum(p, 100.0, 5.0, 0)
-    monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", 5)
+    monkeypatch.setattr(problem, "MAX_CHAIN_NODES", 5)
     with pytest.raises(CapacityError):
         truncated_mobius_sum(p, 1000.0, 30.0, -1)
 
@@ -282,9 +282,9 @@ def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact, monkey
 def test_chain_cap_fires_past_its_size(tables_small, monkeypatch):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
     size = len(list(_reference_support([29, 23, 19, 17, 13, 11, 7, 5, 3, 2], 1000.0, -1)))
-    monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", size)
+    monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size)
     truncated_mobius_sum(p, 1000.0, 30.0, -1)
-    monkeypatch.setattr(rosser, "MAX_CHAIN_NODES", size - 1)
+    monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size - 1)
     with pytest.raises(CapacityError):
         truncated_mobius_sum(p, 1000.0, 30.0, -1)
 

@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import sievelab.selberg as sb
 from sievelab.errors import CapacityError, InputError
 from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, remainder, sift_exact
 from sievelab.selberg import (
+    TWIN_CONSTANT,
     _relevant_primes,
     big_G,
     brun_titchmarsh,
@@ -16,7 +18,6 @@ from sievelab.selberg import (
     goldbach_report,
     lambda_weights,
     mu_plus,
-    twin_constant,
     twin_report,
     y_values,
 )
@@ -284,8 +285,21 @@ def test_brun_titchmarsh_small(tables_small):
         brun_titchmarsh(10_000, 4, 2, tables_small)
 
 
+def _sieved_twin_constant() -> float:
+    """2 prod over odd primes p <= 1e7 of (1 - (p-1)^-2), from a sieve of its own."""
+    bound = 10_000_000
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    ps = np.nonzero(sieve)[0][1:].astype(np.float64)  # odd primes
+    return 2.0 * math.exp(float(np.log1p(-((ps - 1.0) ** -2)).sum()))
+
+
 def test_twin_constant_value():
-    assert abs(twin_constant() - 1.3203236) < 1e-6
+    assert TWIN_CONSTANT == _sieved_twin_constant()
+    assert abs(TWIN_CONSTANT - 1.3203236) < 1e-6
 
 
 def test_goldbach_frozen(tables_small):
@@ -300,5 +314,5 @@ def test_twin_frozen(tables_small):
     assert rep.bound >= rep.exact
     # shifted pairs p, p + 6 get the 3-adic correction factor 2
     rep6 = twin_report(1_000, 3, tables_small)
-    assert rep6.reference == pytest.approx(2.0 * twin_constant())
+    assert rep6.reference == pytest.approx(2.0 * TWIN_CONSTANT)
 

@@ -157,13 +157,13 @@ def test_weighted_sum_interval_edges(tables_mid):
 def test_pr_count_cases(tables_mid):
     iv = make_problem("interval", {"x": 0, "y": 100}, tables_mid)
     alpha11 = math.log(11) / math.log(100)
-    assert pr_count(iv, 1, alpha11) == 22
-    assert pr_count(iv, 0, alpha11) == 1  # just the unit
-    assert pr_count(iv, 50, alpha11) == sift_exact(iv, 11)
+    assert pr_count(iv, 1, alpha11, N=iv.n_bound) == 22
+    assert pr_count(iv, 0, alpha11, N=iv.n_bound) == 1  # just the unit
+    assert pr_count(iv, 50, alpha11, N=iv.n_bound) == sift_exact(iv, 11)
     gp = make_problem("goldbach_product", {"two_N": 800}, tables_mid)
     assert pr_count(gp, 3, 0.15, N=800) > 0
     with pytest.raises(InputError):
-        pr_count(iv, -1, alpha11)
+        pr_count(iv, -1, alpha11, N=iv.n_bound)
 
 
 def test_chen_counts(tables_mid):
