@@ -136,7 +136,7 @@ def _problem_params(args: argparse.Namespace) -> tuple[str, dict]:
     names = KINDS[kind][0]
     dests = [_PARAM_FLAG.get(name, name).replace("-", "_") for name in names]
     values = _require(args, **{dest: getattr(args, dest) for dest in dests})
-    return kind, {name: int(v) for name, v in zip(names, values)}
+    return kind, dict(zip(names, values))
 
 
 def _tables(*needs: float) -> PrimeTables:

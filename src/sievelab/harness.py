@@ -37,6 +37,7 @@ from .selberg import (
     goldbach_report,
     lambda_weights,
     mu_plus,
+    over_common_denominator,
     twin_report,
     y_values,
 )
@@ -170,33 +171,20 @@ def _suite_selberg_weights(seed) -> SuiteResult:
                     for l in w.lambdas
                 )
                 res.check(cid, "y_l == mu(l) g(l) / G exactly", ok, "identity broken")
-                mono = True
-                for d, facs in w.factors.items():
-                    shifted = sum(
-                        (
-                            w.g_values[l]
-                            for l in w.g_values
-                            if l < xi / d and all(l % p for p in facs)
-                        ),
-                        Fraction(0),
-                    )
-                    corr = Fraction(1)
-                    for p in facs:
-                        wp = omega.at_prime(p)
-                        corr *= Fraction(p) / (p - wp)
-                    if corr * shifted > w.G:
-                        mono = False
-                        break
-                res.check(
-                    cid, "restricted sum * correction <= G exactly", mono, "monotonicity"
+                mono = all(
+                    math.prod(Fraction(p) / (p - omega.at_prime(p)) for p in facs)
+                    * sum((g for l, g in w.g_values.items()
+                           if l < xi / d and all(l % p for p in facs)), Fraction(0))
+                    <= w.G
+                    for d, facs in w.factors.items()
                 )
+                res.check(cid, "restricted sum * correction <= G exactly", mono, "monotonicity")
     return res
 
 
 def _mu_plus_divisor_sums(values: dict[int, Fraction], n_max: int) -> tuple[np.ndarray, int]:
     """(sums, den): den is the lcm of the denominators, sums[n] is den * (sum over d | n) as int64."""
-    den = math.lcm(*(v.denominator for v in values.values()))
-    scaled = {d: int(v * den) for d, v in values.items()}
+    scaled, den = over_common_denominator(values)
     if sum(map(abs, scaled.values())) >= 2**63:
         raise CapacityError(f"divisor sums scaled by {den} could overflow int64")
     sums = np.zeros(n_max + 1, dtype=np.int64)
@@ -584,16 +572,9 @@ def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
     a = ps[:-1].astype(np.float64)
     b = ps[1:].astype(np.float64)
     h = (b - a) / 4.0
-    seg = (
-        h
-        / 3.0
-        * (
-            1.0 / np.log(a)
-            + 4.0 / np.log(a + h)
-            + 2.0 / np.log(a + 2 * h)
-            + 4.0 / np.log(a + 3 * h)
-            + 1.0 / np.log(b)
-        )
+    seg = h / 3.0 * (
+        1.0 / np.log(a) + 4.0 / np.log(a + h) + 2.0 / np.log(a + 2 * h)
+        + 4.0 / np.log(a + 3 * h) + 1.0 / np.log(b)
     )
     # fixed panels are not accurate enough while 1/log u is still curved
     for i in np.nonzero(a < 10_000.0)[0]:
@@ -619,6 +600,13 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     class, so only the jumps and y = x are evaluated: O(pi(x)) per modulus.
     Scans beyond BV_SCAN_MAX_WORK, or with q_max beyond the tables, raise
     CapacityError before they start.
+
+    Per k the residues are radix sorted (uint8 to q_max = 256, else uint16),
+    classes start where the sorted residue changes, ranks j come from one
+    repeat and coprimality is tested on the class labels.  With
+    t = Li(p)/phi(k), monotone rounding makes max(|j - t|, |(j - 1) - t|)
+    equal max(fl(j - t), fl(t - (j - 1))), and a class's error from its last
+    prime to x peaks at one of the two ends: the rows are bit-identical.
     """
     if x < 2:
         raise InputError(f"need x >= 2, got {x}")
@@ -631,29 +619,27 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
         raise CapacityError(f"{q_max} moduli over {n} primes: cap is {BV_SCAN_MAX_WORK}")
     ps = tables.primes[:n]
     li, li_x = _li_at_primes(ps, x)
-    rem_type = np.int16 if q_max <= np.iinfo(np.int16).max else np.int64
+    rem_type = np.uint8 if q_max <= 256 else np.uint16  # the cap admits < 2**16 moduli
+    ps32, ranks = ps.astype(np.uint32), np.arange(1.0, n + 1)
     rows = []
     for k in range(1, q_max + 1):
         phi = mult_stats(k, tables).phi
-        target, end = li / phi, li_x / phi
-        rem = (ps % k).astype(rem_type)
+        rem = (ps32 - ps32 // k * k).astype(rem_type)  # // by a scalar is vectorised; % is not
         # a stable sort of small ints is a radix sort: positions ascend per class
         order = np.argsort(rem, kind="stable")
-        coprime = np.gcd(rem[order], k) == 1
-        pos, cls = order[coprime], rem[order][coprime]
-        starts = np.flatnonzero(np.diff(cls, prepend=-1))
-        counts = np.diff(starts, append=pos.size)
+        cls = rem[order]
+        starts = np.flatnonzero(np.diff(cls, prepend=cls[:1] + 1))  # x + 1 != x, wrapped too
+        sizes = np.diff(starts, append=n)
         # the j-th prime of a class lifts its count from j - 1 to j
-        j = np.arange(1, pos.size + 1) - np.repeat(starts, counts)
-        at = target[pos]
-        jumps = np.maximum(np.abs(j - at), np.abs((j - 1) - at))
-        run = np.maximum(np.maximum.reduceat(jumps, starts), np.abs(counts - target[-1]))
-        peak = np.maximum(run, np.abs(counts - end))
-        best = float(np.max(peak, initial=0.0))
-        if starts.size < phi:
-            # a coprime class without primes counts 0; its error peaks at y = x
-            best = max(best, float(end))
-        rows.append((k, best))
+        j = ranks - np.repeat(starts, sizes)
+        at = li[order] / phi
+        jump = np.maximum.reduceat(np.maximum(j - at, at - (j - 1)), starts)
+        coprime = np.gcd(cls[starts], np.int64(k)) == 1
+        ends = np.abs(sizes[coprime] - li_x / phi)
+        # a coprime class without primes counts 0; its error peaks at y = x
+        empty = li_x / phi if ends.size < phi else 0.0
+        best = max(np.max(jump[coprime], initial=0.0), np.max(ends, initial=empty))
+        rows.append((k, float(best)))
     return BVScanResult(
         x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)
     )

@@ -32,6 +32,7 @@ liouville_minus        F    {n <= x with an even number of prime factors}, X = x
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -292,8 +293,8 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     """A kind's label, X, largest member and table need, from its parameters alone.
 
     Raises:
-        InputError: unknown kind, a missing parameter, or parameters outside
-            the kind's domain.
+        InputError: unknown kind, a missing parameter, a parameter that is not
+            an int or an integral float, or parameters outside the kind's domain.
     """
     if kind not in KINDS:
         raise InputError(f"unknown problem kind {kind!r}")
@@ -301,7 +302,11 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     missing = [name for name in names if params.get(name) is None]
     if missing:
         raise InputError(f"{kind} needs parameter {', '.join(missing)}")
-    return shape(*(int(params[name]) for name in names))
+    values = [params[name] for name in names]
+    for name, v in zip(names, values):
+        if not (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()):
+            raise InputError(f"{kind} parameter {name} must be an integer, got {v!r}")
+    return shape(*map(int, values))
 
 
 def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:

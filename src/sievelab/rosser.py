@@ -33,7 +33,7 @@ from .problem import (
     sift_exact,
     whole_densities,
 )
-from .selberg import SieveReport, one_sided_report
+from .selberg import SieveReport, check_levels, one_sided_report
 
 #: truncated_mobius_sum is exact with at most this many sieve primes, float above
 EXACT_MOBIUS_PRIMES = 30
@@ -102,7 +102,8 @@ def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool =
     over the support; every support member automatically has d < y once
     z <= y, so the remainder stays controlled by the level.
     """
-    if not 1 < z <= y:
+    check_levels(y, z)
+    if z > y:
         raise InputError(f"need 1 < z <= y, got z={z}, y={y}")
     notes = f"X*W(z) = {p.X * problem_W(p, z).W:.6g}"
     desc = sieve_primes(p, z).tolist()[::-1]

@@ -12,6 +12,8 @@ forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +63,13 @@ class SieveReport:
     exact_count: int | None = None
     ratio: float | None = None
     notes: str = ""
+
+
+def check_levels(y: float, z: float) -> None:
+    """Refuse a level y or a cut z that is not a finite number above 1."""
+    for name, v in (("level y", y), ("cut z", z)):
+        if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 1):
+            raise InputError(f"need a finite {name} > 1, got {v!r}")
 
 
 def one_sided_report(
@@ -128,6 +137,12 @@ def big_G(
     """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes."""
     ps = _relevant_primes(z, omega, prime_set, tables)
     return sum((g for _, _, g, _, _ in _g_walk(xi, ps, omega)), Fraction(0))
+
+
+def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """(nums, den): den is the lcm of the values' denominators, nums[k] = values[k] * den."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
 def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -199,33 +214,40 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
 
     mu+(d) = sum of lambda_d1 lambda_d2 over pairs with [d1, d2] = d, so
     sum over d | n of mu+(d) = (sum of lambda_d over d | n)^2 >= 0, with
-    value exactly 1 when n shares no prime with the sieve support.
+    value exactly 1 when n shares no prime with the sieve support.  With
+    lambda_d = a_d / D, each unordered pair adds the int a_d1 a_d2 (twice if
+    d1 != d2), and each mu+(d) is one Fraction over D^2.
 
     Raises:
         CapacityError: |support|^2 pairs exceed MAX_MU_PLUS_PAIRS.
     """
-    items = list(w.lambdas.items())
-    if len(items) ** 2 > MAX_MU_PLUS_PAIRS:
-        raise CapacityError(
-            f"mu+ over {len(items)} weights is {len(items) ** 2} pairs; cap is {MAX_MU_PLUS_PAIRS}"
-        )
-    values: dict[int, Fraction] = {}
-    for d1, l1 in items:
-        for d2, l2 in items:
-            m = d1 * d2 // math.gcd(d1, d2)
-            values[m] = values.get(m, Fraction(0)) + l1 * l2
-    return SieveWeights(y=w.xi * w.xi, values=values)
+    n = len(w.lambdas)
+    if n**2 > MAX_MU_PLUS_PAIRS:
+        raise CapacityError(f"mu+ over {n} weights is {n**2} pairs; cap is {MAX_MU_PLUS_PAIRS}")
+    nums, den = over_common_denominator(w.lambdas)
+    items = list(nums.items())
+    sums: dict[int, int] = defaultdict(int)
+    for i, (d1, a1) in enumerate(items):
+        sums[d1] += a1 * a1
+        for d2, a2 in items[i + 1:]:
+            sums[math.lcm(d1, d2)] += 2 * a1 * a2
+    den *= den
+    return SieveWeights(y=w.xi * w.xi, values={m: Fraction(a, den) for m, a in sums.items()})
 
 
 def y_values(w: SelbergWeights) -> dict[int, Fraction]:
-    """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d."""
+    """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d.
+
+    Exact weights add int numerators over one common denominator D.
+    """
     w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
-    out: dict[int, Fraction] = dict.fromkeys(w.lambdas, Fraction(0))
-    for d, lam in w.lambdas.items():
-        term = w_values[d] * lam / d
+    terms = {d: w_values[d] * lam / d for d, lam in w.lambdas.items()}
+    nums, den = over_common_denominator(terms) if w.exact else (terms, 1)
+    out = dict.fromkeys(w.lambdas, 0)
+    for d, a in nums.items():
         for l in _divisors(w.factors[d]):
-            out[l] += term
-    return out
+            out[l] += a
+    return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out
 
 
 def fundamental_upper_bound(
@@ -236,8 +258,7 @@ def fundamental_upper_bound(
     The remainder enumerates every squarefree d < y built from the sieve
     primes below z, including those with no multiples among the members.
     """
-    if y <= 1:
-        raise InputError(f"need level y > 1, got {y}")
+    check_levels(y, z)
     ps = sieve_primes(p, z).tolist()
     # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
     # the cap is refused here before G's exact sum is spent on it
@@ -277,7 +298,7 @@ def brun_titchmarsh(x: float, k: int, l: int, tables: PrimeTables) -> BrunTitchm
     logq = math.log(x / k)
     z = math.sqrt(x / k) / logq**3
     z_eff = max(z, 2.0)
-    prob = make_problem("arithmetic_progression", {"x": int(x), "k": k, "l": l}, tables)
+    prob = make_problem("arithmetic_progression", {"x": x, "k": k, "l": l}, tables)
     rep = fundamental_upper_bound(prob, y=max(z_eff * z_eff, 4.0), z=z_eff, with_exact=False)
     return BrunTitchmarshReport(
         x=float(x), k=k, l=l % k, z=z,

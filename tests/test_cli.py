@@ -349,6 +349,16 @@ def test_numbers_outside_the_domain_exit_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--x", "1.5", "--len", "100"], ["--x", "0", "--len", "100.5"]])
+def test_non_integral_problem_parameters_exit_2(capsys, flags):
+    rc, out, err = run(capsys, ["legendre", "--problem", "interval", *flags, "--z", "10"])
+    assert rc == 2 and out == ""
+    assert "must be an integer" in err
+    rc, out, _ = run(capsys, ["legendre", "--problem", "interval", "--x", "1e1", "--len", "1e2",
+                              "--z", "10"])
+    assert rc == 0 and "interval[11..110]" in out
+
+
 def test_huge_exact_scan_refused_before_it_allocates(capsys):
     start = time.perf_counter()
     rc, out, err = run(capsys, ["selberg", "--problem", "interval", "--x", "0",

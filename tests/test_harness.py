@@ -7,7 +7,9 @@ import pytest
 from sievelab.arith import li_eval, mult_stats, pi_ap, prime_pi
 from sievelab.errors import CapacityError, InputError
 from sievelab.harness import (
+    _BV_SCAN_K_COST,
     ACCEPTANCE_SUITES,
+    BV_SCAN_MAX_WORK,
     STATIC_INVARIANTS,
     SUITES,
     SuiteResult,
@@ -137,6 +139,50 @@ def test_bv_scan_equals_cumsum_reference(x, tables_mid):
     assert scan.rows == rows
     assert all(type(e) is float for _, e in scan.rows)
     assert scan.total == total
+
+
+def _sort_scan(x, q_max, tables):
+    """Reference scan: the int16/int64 argsort kernel with both absolute values."""
+    n = int(np.searchsorted(tables.primes, x, side="right"))
+    ps = tables.primes[:n]
+    li, li_x = _li_at_primes(ps, x)
+    rem_type = np.int16 if q_max <= np.iinfo(np.int16).max else np.int64
+    rows = []
+    for k in range(1, q_max + 1):
+        phi = mult_stats(k, tables).phi
+        target, end = li / phi, li_x / phi
+        rem = (ps % k).astype(rem_type)
+        order = np.argsort(rem, kind="stable")
+        coprime = np.gcd(rem[order], k) == 1
+        pos, cls = order[coprime], rem[order][coprime]
+        starts = np.flatnonzero(np.diff(cls, prepend=-1))
+        counts = np.diff(starts, append=pos.size)
+        j = np.arange(1, pos.size + 1) - np.repeat(starts, counts)
+        at = target[pos]
+        jumps = np.maximum(np.abs(j - at), np.abs((j - 1) - at))
+        run = np.maximum(np.maximum.reduceat(jumps, starts), np.abs(counts - target[-1]))
+        peak = np.maximum(run, np.abs(counts - end))
+        best = float(np.max(peak, initial=0.0))
+        if starts.size < phi:
+            best = max(best, float(end))
+        rows.append((k, best))
+    return rows, math.fsum(e for _, e in rows)
+
+
+@pytest.mark.parametrize("x", [2, 3, 97, 12_345, 200_000])
+@pytest.mark.parametrize("q_max", [1, 50, 255, 256, 257, 300])
+def test_bv_scan_equals_sort_reference(x, q_max, tables_mid):
+    # uint8 residues up to q_max = 256 and uint16 past it; small x leaves
+    # coprime classes without primes
+    scan = bv_scan(x, q_max, tables_mid)
+    rows, total = _sort_scan(x, q_max, tables_mid)
+    assert scan.rows == rows
+    assert scan.total == total
+
+
+def test_bv_scan_cap_keeps_residues_in_uint16():
+    # the cap admits q_max moduli only if q_max * (1 + _BV_SCAN_K_COST) <= BV_SCAN_MAX_WORK
+    assert BV_SCAN_MAX_WORK // (1 + _BV_SCAN_K_COST) < 2**16
 
 
 def test_bv_scan_rejects_bad_ranges(tables_small):

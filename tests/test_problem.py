@@ -176,6 +176,20 @@ def test_missing_parameter_is_an_input_error(tables_small):
         assert shape.need in (0, 1000)  # a kind's own table need is one of its parameters
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, "a", "100", Fraction(3, 2)])
+def test_non_integer_parameters_are_input_errors(bad, tables_small):
+    with pytest.raises(InputError, match="must be an integer"):
+        make_problem("liouville_plus", {"x": bad}, tables_small)
+    with pytest.raises(InputError, match="must be an integer"):
+        kind_shape("arithmetic_progression", {"x": 1000, "k": 7, "l": bad})
+
+
+def test_integral_floats_are_integer_parameters(tables_small):
+    ints = make_problem("interval", {"x": 10, "y": 100}, tables_small)
+    assert make_problem("interval", {"x": 10.0, "y": 1e2}, tables_small) == ints
+    assert make_problem("interval", {"x": np.int64(10), "y": 100}, tables_small) == ints
+
+
 def test_exact_scans_refuse_more_members_than_the_cap(monkeypatch, tables_small):
     huge = make_problem("interval", {"x": 0, "y": 10**12}, tables_small)
     with pytest.raises(CapacityError):

@@ -216,6 +216,59 @@ def test_mu_plus_dominates_indicator(tables_small):
             assert total == 1
 
 
+def _fraction_loop_y(w):
+    """Reference y_l: every term added to its divisors as a Fraction."""
+    out = dict.fromkeys(w.lambdas, Fraction(0))
+    for d, lam in w.lambdas.items():
+        term = w.omega.at_squarefree(list(w.factors[d])) * lam / d
+        for l in out:
+            if d % l == 0:
+                out[l] += term
+    return out
+
+
+def _fraction_loop_mu_plus(w):
+    """Reference mu+: every ordered pair added as a Fraction."""
+    values = {}
+    for d1, l1 in w.lambdas.items():
+        for d2, l2 in w.lambdas.items():
+            m = d1 * d2 // math.gcd(d1, d2)
+            values[m] = values.get(m, Fraction(0)) + l1 * l2
+    return values
+
+
+@pytest.mark.parametrize("omega", [ONES, TWIN, QUAD], ids=["ones", "twin", "quadratic"])
+@pytest.mark.parametrize("xi", [30, 200, 1000])
+def test_common_denominator_sums_equal_fraction_loops(omega, xi, tables_small):
+    w = lambda_weights(xi, 100, omega, ALL, tables_small)
+    assert y_values(w) == _fraction_loop_y(w)
+    if xi <= 200:
+        assert mu_plus(w).values == _fraction_loop_mu_plus(w)
+
+
+def test_mu_plus_equals_fraction_loop_on_a_wide_support(tables_small):
+    w = lambda_weights(1000, 100, ONES, ALL, tables_small)
+    assert len(w.lambdas) >= 300
+    assert mu_plus(w).values == _fraction_loop_mu_plus(w)
+
+
+@pytest.mark.parametrize(
+    "y,z", [(math.nan, 10.0), (100.0, 0.5), (100.0, 1.0), (1.0, 1.5), (math.inf, 10.0),
+            (100.0, math.nan), (100.0, math.inf), ("100", 10.0)],
+)
+def test_one_sided_bounds_refuse_levels_without_meaning(y, z, tables_small, monkeypatch):
+    import sievelab.rosser as rs
+    from sievelab.rosser import combinatorial_bounds
+
+    p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
+    # refused at the entry, before any prime cut, W(z), walk or exact sift
+    for module, name in ((sb, "sieve_primes"), (rs, "sieve_primes"), (rs, "problem_W")):
+        monkeypatch.setattr(module, name, None)
+    for bound in (fundamental_upper_bound, combinatorial_bounds):
+        with pytest.raises(InputError, match="finite"):
+            bound(p, y, z)
+
+
 def test_float_fallback_support(tables_small, monkeypatch):
     import sievelab.selberg as sb
 
@@ -283,6 +336,10 @@ def test_brun_titchmarsh_small(tables_small):
     assert rep.exact <= rep.asymptotic_bound
     with pytest.raises(InputError):
         brun_titchmarsh(10_000, 4, 2, tables_small)
+    assert brun_titchmarsh(10_000.0, 1, 0, tables_small) == rep
+    for x in (math.nan, math.inf, 10_000.5):
+        with pytest.raises(InputError, match="integer"):
+            brun_titchmarsh(x, 3, 1, tables_small)
 
 
 def _sieved_twin_constant() -> float:
