@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, finite, integer
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -52,12 +52,10 @@ class PrimeTables:
         """Check that a read at n fits the tables; ``what`` names the request.
 
         Raises:
-            InputError: n is a float NaN or infinity.
+            InputError: n is not a finite number.
             CapacityError: n > limit.
         """
-        if isinstance(n, float) and not math.isfinite(n):
-            raise InputError(f"{what or n} is not a finite number")
-        if n > self.limit:
+        if finite(n, what or "a table read") > self.limit:
             raise CapacityError(f"{what or n} beyond table limit {self.limit}")
 
     def _prime_factor_counts(self, powers: bool) -> np.ndarray:
@@ -129,11 +127,10 @@ def build_tables(limit: int) -> PrimeTables:
         limit: inclusive upper end of the table, at least 2.
 
     Raises:
-        InputError: limit < 2.
+        InputError: limit is not an integer >= 2.
         CapacityError: limit + 1 > MAX_TABLE_ENTRIES.
     """
-    if limit < 2:
-        raise InputError(f"table limit must be >= 2, got {limit}")
+    limit = integer(limit, "table limit", least=2)
     if limit + 1 > MAX_TABLE_ENTRIES:
         raise CapacityError(
             f"table of {limit + 1} entries exceeds the cap of {MAX_TABLE_ENTRIES}"
@@ -155,11 +152,10 @@ def factorize(n: int, tables: PrimeTables) -> list[tuple[int, int]]:
     """Return the factorization of n as (prime, exponent) pairs, ascending.
 
     Raises:
-        InputError: n < 1.
+        InputError: n is not an integer >= 1.
         CapacityError: n beyond the tables.
     """
-    if n < 1:
-        raise InputError(f"cannot factorize {n}")
+    n = integer(n, "n", least=1)
     tables.reach(n)
     out: list[tuple[int, int]] = []
     spf = tables.spf
@@ -244,12 +240,12 @@ def pi_ap(x: float, k: int, l: int, tables: PrimeTables) -> int:
         l: residue class; reduced mod k internally.
 
     Raises:
-        InputError: k < 1, or x NaN or infinite.
-        CapacityError: x beyond the tables.
+        InputError: k not an integer >= 1, l not an integer, or x not a finite number.
+        CapacityError: x or k beyond the tables.
     """
-    if k < 1:
-        raise InputError(f"modulus must be positive, got {k}")
+    k, l = integer(k, "modulus k", least=1), integer(l, "residue l")
     tables.reach(x, f"x={x}")
+    tables.reach(k, f"modulus k={k}")
     ps = tables.primes[: np.searchsorted(tables.primes, math.floor(x), side="right")]
     return int(np.count_nonzero(ps % k == l % k))
 
@@ -276,8 +272,12 @@ def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     Each interval is split until two successive refinements agree to the
     (proportionally shared) tolerance; the Richardson-extrapolated value is
     returned.
+
+    Raises:
+        InputError: a or b not a finite number, or rel_tol not a finite number > 0.
     """
-    if b <= a:
+    finite(rel_tol, "rel_tol", above=0)
+    if finite(b, "b") <= finite(a, "a"):
         return 0.0
     whole = _simpson(f, a, b)
     scale = max(abs(whole), 1e-30)
@@ -288,10 +288,7 @@ def li_eval(x: float) -> float:
     """Logarithmic integral from 2 to x of dt/log t.
 
     Raises:
-        InputError: x < 2.
+        InputError: x is not a finite number >= 2.
+        CapacityError: x is past the range of a float.
     """
-    if x < 2:
-        raise InputError(f"li_eval needs x >= 2, got {x}")
-    if x == 2:
-        return 0.0
-    return integrate_adaptive(lambda t: 1.0 / math.log(t), 2.0, float(x))
+    return integrate_adaptive(lambda t: 1.0 / math.log(t), 2.0, float(finite(x, "x", least=2)))

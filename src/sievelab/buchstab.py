@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import EULER_GAMMA
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, finite, integer
 
 #: most grid points build_grid allocates (three float64 arrays of this length)
 MAX_GRID_CELLS = 5_000_000
@@ -94,14 +94,10 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
     between the integral-form value of f and its closed form, a direct
     measure of the panel scheme's accuracy.
     """
-    if not math.isfinite(s_max) or s_max != int(s_max) or s_max < 6:
-        raise InputError(f"s_max must be an integer >= 6, got {s_max}")
-    if not math.isfinite(step) or step <= 0:
-        raise InputError(f"step must be a finite number > 0, got {step}")
-    m = round(1.0 / step)
+    smax = integer(s_max, "s_max", least=6)
+    m = round(1.0 / finite(step, "step", above=0))
     if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
         raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
-    smax = int(s_max)
     k_top = smax * m
     if k_top > MAX_GRID_CELLS:
         raise CapacityError(
@@ -196,11 +192,11 @@ def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
     four nearest grid points, kept inside the tabulated range.
 
     Raises:
-        InputError: s outside (0, s_max] (NaN included), or which not in {"F", "f"}.
+        InputError: s not a finite number in (0, s_max], or which not in {"F", "f"}.
     """
     if which not in ("F", "f"):
         raise InputError(f"which must be 'F' or 'f', got {which!r}")
-    if not 0 < s <= grid.s_max:
+    if finite(s, "s", above=0) > grid.s_max:
         raise InputError(f"s = {s} outside (0, {grid.s_max}]")
     if which == "F" and s <= 3.0:
         return 2.0 * math.exp(EULER_GAMMA) / s

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
 from .buchstab import build_grid, evaluate, grid_cached
-from .errors import CapacityError, DensityRangeError, InputError, ZeroDensityError
+from .errors import CapacityError, DensityRangeError, InputError, ZeroDensityError, finite, integer
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
@@ -30,6 +30,7 @@ from .weighted import (
     lambda_r,
     level_condition,
     pr_count,
+    presieve_cut,
     repeated_window_factor_count,
 )
 
@@ -160,7 +161,7 @@ def _problem(args: argparse.Namespace, z: float, factored: bool = False) -> Siev
     when the command factors the members, the largest member."""
     kind, params = _problem_params(args)
     shape = kind_shape(kind, params)
-    t = _tables(z + 1, shape.need, shape.n_bound if factored else 0)
+    t = _tables(finite(z, "cut z") + 1, shape.need, shape.n_bound if factored else 0)
     return make_problem(kind, params, t)
 
 
@@ -181,7 +182,7 @@ def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_selberg(args: argparse.Namespace) -> tuple[str, int]:
     (y,) = _require(args, y=args.y)
-    z = args.z if args.z is not None else math.sqrt(y)
+    z = args.z if args.z is not None else math.sqrt(finite(y, "level y", above=1))
     p = _problem(args, z)
     rep = fundamental_upper_bound(p, y, z, with_exact=not args.skip_exact)
     return emit_report(_sieve_dict(rep), args.format), 0
@@ -193,11 +194,9 @@ def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
         base = max(kind_shape(*_problem_params(args)).X, 3.0)
         try:
             y = base**args.level_exponent * math.log(base) ** args.log_power
-        except OverflowError:
+        except OverflowError:  # refused below as a level that is not finite
             y = math.inf
-        if math.isinf(y):
-            raise InputError("--level-exponent and --log-power overflow the level y")
-    z = args.z if args.z is not None else math.sqrt(y)
+    z = args.z if args.z is not None else math.sqrt(finite(y, "level y", above=1))
     p = _problem(args, z)
     pair = combinatorial_bounds(p, y, z, with_exact=not args.skip_exact)
     up = _sieve_dict(pair.upper)
@@ -229,17 +228,13 @@ def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
     have_geometry = None not in (args.alpha, args.beta, args.gamma_level)
     if have_geometry:
         (n,) = _require(args, n=args.n)
-        wc = WeightedConfig(N=int(n), r=r, alpha=args.alpha, beta=args.beta,
+        wc = WeightedConfig(N=n, r=r, alpha=args.alpha, beta=args.beta,
                             gamma_level=args.gamma_level)
         mi, mc = level_condition(wc, build_grid(30.0, 1e-4))
         out.update(alpha=wc.alpha, beta=wc.beta, gamma_level=wc.gamma_level,
                    margin_integral=mi, margin_closed=mc)
         if args.problem is not None:
-            try:
-                z = wc.N**wc.alpha  # the pre-sieve cut
-            except OverflowError:
-                z = math.inf
-            p = _problem(args, z, factored=True)
+            p = _problem(args, presieve_cut(wc.N, wc.alpha), factored=True)
             out["weighted_sum"] = W_exact(p, wc)
             out["almost_prime_count"] = pr_count(p, r, wc.alpha, N=wc.N)
             out["square_factor_correction"] = repeated_window_factor_count(p, wc)
@@ -250,11 +245,11 @@ def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
     (x,) = _require(args, x=args.x)
     if not args.s:
         raise InputError("parity needs --s (comma-separated list)")
-    t = _tables(int(x))
+    t = _tables(integer(x, "x"))
     grid = build_grid(30.0, 1e-4)
     rows = []
     for s in args.s:
-        row = prediction_row(int(x), s, grid, t)
+        row = prediction_row(x, s, grid, t)
         rows.append(
             {
                 "x": row.x,
@@ -270,15 +265,16 @@ def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_chen(args: argparse.Namespace) -> tuple[str, int]:
     (n,) = _require(args, n=args.n)
-    t = _tables(int(n))
-    return emit_report(asdict(chen_report(int(n), t)), args.format), 0
+    t = _tables(integer(n, "N"))
+    return emit_report(asdict(chen_report(n, t)), args.format), 0
 
 
 def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
     (x,) = _require(args, x=args.x)
-    t = _tables(max(int(x), args.scan_q or 0) + 1)
-    if args.scan_q is not None:
-        scan = bv_scan(int(x), args.scan_q, t)
+    q = args.scan_q
+    t = _tables(integer(x, "x") + 1, 0 if q is None else integer(q, "q_max") + 1)
+    if q is not None:
+        scan = bv_scan(x, q, t)
         rows = [{"k": k, "E1": e} for k, e in scan.rows]
         if args.format == "json":
             out = {"x": scan.x, "q_max": scan.q_max, "rows": rows, "total": scan.total}
@@ -288,7 +284,7 @@ def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
             text += f"\ntotal  {scan.total:.12g}"
         return text, 0
     k, l = _require(args, k=args.k, l=args.l)
-    return emit_report(asdict(brun_titchmarsh(int(x), k, l, t)), args.format), 0
+    return emit_report(asdict(brun_titchmarsh(x, k, l, t)), args.format), 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -346,14 +342,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="json")
     common.add_argument("--config", default=None, help="JSON file of flag defaults")
-    common.add_argument("--seed", type=int, default=0)
 
     prob = argparse.ArgumentParser(add_help=False)
     prob.add_argument("--problem", choices=ALL_KINDS, default=None)
     prob.add_argument("--x", type=float, default=None)
     prob.add_argument("--len", type=float, default=None, metavar="LENGTH")
-    prob.add_argument("--k", type=int, default=None)
-    prob.add_argument("--l", type=int, default=None)
+    prob.add_argument("--k", type=float, default=None)
+    prob.add_argument("--l", type=float, default=None)
     prob.add_argument("--two-n", type=float, default=None)
     prob.add_argument("--n", type=float, default=None, metavar="N_VALUE")
 
@@ -382,7 +377,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--cache", default=None, help="export the grid to this CSV (never read)")
 
     sp = sub.add_parser("weighted", parents=[common, prob])
-    sp.add_argument("--r", type=int, default=None)
+    sp.add_argument("--r", type=float, default=None)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--gamma-level", type=float, default=None)
@@ -397,13 +392,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("brun-titchmarsh", parents=[common])
     sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--scan-q", type=int, default=None)
+    sp.add_argument("--k", type=float, default=None)
+    sp.add_argument("--l", type=float, default=None)
+    sp.add_argument("--scan-q", type=float, default=None)
 
     sp = sub.add_parser("verify", parents=[common])
     sp.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--extended", action="store_true")
+    sp.add_argument("--seed", type=int, default=0)
     return parser, sub.choices
 
 
@@ -429,18 +425,8 @@ def _config_flags(args: argparse.Namespace, options: dict) -> list[str]:
     return flags
 
 
-def _check_domain(args: argparse.Namespace) -> None:
-    """Reject non-finite numbers, and a sieve level y or cut z at or below 1."""
-    for name, v in vars(args).items():
-        flag = "--" + name.replace("_", "-")
-        for u in v if isinstance(v, tuple) else (v,):
-            if isinstance(u, float) and not math.isfinite(u):
-                raise InputError(f"{flag} must be a finite number, got {u}")
-        if name in ("y", "z") and v is not None and v <= 1:
-            raise InputError(f"{flag} must be > 1, got {v}")
-
-
-def parse_and_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
+    """Run one command line; the exit code is 0, 1 (a failed verification) or 2 (an error)."""
     parser, subcommands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -449,7 +435,6 @@ def parse_and_dispatch(argv=None) -> int:
             at = argv.index(args.command) + 1
             options = subcommands[args.command]._option_string_actions
             args = parser.parse_args(argv[:at] + _config_flags(args, options) + argv[at:])
-        _check_domain(args)
         text, code = _COMMANDS[args.command](args)
         if text:
             print(text)
@@ -461,10 +446,6 @@ def parse_and_dispatch(argv=None) -> int:
     except (InputError, CapacityError, DensityRangeError, ZeroDensityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

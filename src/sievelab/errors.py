@@ -1,4 +1,7 @@
-"""Exception types shared across the sieve modules."""
+"""Exception types shared across the sieve modules, and the one check of a number's domain."""
+
+import math
+import numbers
 
 
 class InputError(ValueError):
@@ -15,3 +18,35 @@ class ZeroDensityError(ValueError):
 
 class DensityRangeError(ValueError):
     """Raised when a local density at a prime p falls outside [0, p)."""
+
+
+def finite(v, name: str, above=None, least=None):
+    """v, checked to be a finite real number, > ``above`` and >= ``least`` where given.
+
+    Raises:
+        InputError: v is not a real number, is NaN or infinite, or is out of bounds.
+        CapacityError: v is an int (or a Fraction) past the range of a float.
+    """
+    try:
+        ok = isinstance(v, (int, float, numbers.Real)) and math.isfinite(v)  # ints, floats first
+    except OverflowError:  # every quantity is read as a float somewhere
+        raise CapacityError(f"{name} is past the range of a float") from None
+    if ok and (above is None or v > above) and (least is None or v >= least):
+        return v
+    bound = f" > {above}" if above is not None else f" >= {least}" if least is not None else ""
+    raise InputError(f"{name} must be a finite number{bound}, got {v!r}")
+
+
+def integer(v, name: str, least=None) -> int:
+    """v as an int: an int, or a float with an integral value; >= ``least`` where given.
+
+    Raises:
+        InputError: v is not an integer, or is below ``least``.
+        CapacityError: v is past the range of a float.
+    """
+    if isinstance(v, (int, numbers.Integral)) or isinstance(v, float) and v.is_integer():
+        v = int(finite(v, name))
+        if least is None or v >= least:
+            return v
+    bound = f" >= {least}" if least is not None else ""
+    raise InputError(f"{name} must be an integer{bound}, got {v!r}")

@@ -27,7 +27,7 @@ from .arith import (
     prime_pi,
 )
 from .buchstab import BuchstabGrid, build_grid, evaluate
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, integer
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
 from .problem import MultiplicativeDensity, PrimeSet, kind_shape, make_problem, sift_exact
@@ -608,11 +608,9 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     equal max(fl(j - t), fl(t - (j - 1))), and a class's error from its last
     prime to x peaks at one of the two ends: the rows are bit-identical.
     """
-    if x < 2:
-        raise InputError(f"need x >= 2, got {x}")
+    x = integer(x, "x", least=2)
     tables.reach(x, f"x={x}")
-    if q_max < 1:
-        raise InputError(f"need q_max >= 1, got {q_max}")
+    q_max = integer(q_max, "q_max", least=1)
     tables.reach(q_max, f"q_max={q_max}")
     n = prime_pi(x, tables)
     if q_max * (n + _BV_SCAN_K_COST) > BV_SCAN_MAX_WORK:

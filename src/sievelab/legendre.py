@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import EULER_GAMMA, PrimeTables
-from .errors import CapacityError
+from .errors import CapacityError, finite
 from .problem import (
     MultiplicativeDensity,
     PrimeSet,
@@ -91,7 +91,7 @@ def problem_W(p: SieveProblem, z: float) -> MertensValue:
 
 
 def _subset_primes(p: SieveProblem, z: float) -> list[int]:
-    rp = [int(q) for q in sieve_primes(p, z)]
+    rp = [int(q) for q in sieve_primes(p, finite(z, "cut z", above=1))]
     if len(rp) > MAX_SUBSET_PRIMES:
         raise CapacityError(
             f"inclusion-exclusion over {len(rp)} primes needs 2^{len(rp)} divisors;"
@@ -113,6 +113,7 @@ def legendre_count(p: SieveProblem, z: float) -> int:
     term is zero.
 
     Raises:
+        InputError: z is not a finite number > 1.
         CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z, or
             a walk past problem.MAX_CHAIN_NODES nodes.
     """
@@ -132,6 +133,7 @@ def legendre_remainder_sum(p: SieveProblem, z: float) -> float:
     refused from the j-th prime on.
 
     Raises:
+        InputError: z is not a finite number > 1.
         CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z, or
             a walk past problem.MAX_CHAIN_NODES nodes.
     """

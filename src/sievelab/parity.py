@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables
 from .buchstab import BuchstabGrid, evaluate
-from .errors import InputError
+from .errors import InputError, finite, integer
 
 #: root_ceiling settles t**a >= x**b in integers while both have at most this many bits
 ROOT_EXACT_BITS = 1 << 16
@@ -45,15 +45,10 @@ class ParityRow:
     predict_minus: float
 
 
-def _check_range(x: int, tables: PrimeTables) -> None:
-    if x < 1:
-        raise InputError(f"need x >= 1, got {x}")
-    tables.reach(x, f"x={x}")
-
-
 def L_summatory(x: int, tables: PrimeTables) -> int:
     """Exact partial sum of lambda(n) for n <= x, read from the tables' summatory."""
-    _check_range(x, tables)
+    x = integer(x, "x", least=1)
+    tables.reach(x, f"x={x}")
     return int(tables.liouville_summatory()[x])
 
 
@@ -66,11 +61,8 @@ def root_ceiling(x: int, s: float) -> int:
     integers, so perfect powers land on the boundary instead of drifting
     across it.  Other exponents keep the float estimate with a small snap.
     """
-    if x < 1:
-        raise InputError(f"need x >= 1, got {x}")
-    if not 0 < s < math.inf:
-        raise InputError(f"need a finite s > 0, got {s}")
-    t = max(1, math.ceil(x ** (1.0 / s) - 1e-9))
+    x = integer(x, "x", least=1)
+    t = max(1, math.ceil(x ** (1.0 / finite(s, "s", above=0)) - 1e-9))
     a, b = float(s).as_integer_ratio()
     if max(a * t.bit_length(), b * x.bit_length()) <= ROOT_EXACT_BITS:
         n = x**b  # t = ceil(n^(1/a)), by integer Newton steps from the float estimate
@@ -90,9 +82,10 @@ def rough_signed_count(limit: int, p_min: int, sign: int, tables: PrimeTables) -
     """
     if sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
+    limit, p_min = integer(limit, "limit"), finite(p_min, "p_min")
     if limit < 1:
         return 0
-    _check_range(limit, tables)
+    tables.reach(limit, f"x={limit}")
     base = 1 if sign == -1 else 0
     if limit == 1:
         return base
@@ -103,10 +96,8 @@ def rough_signed_count(limit: int, p_min: int, sign: int, tables: PrimeTables) -
 
 
 def S_pm_exact(x: int, s: float, sign: int, tables: PrimeTables) -> int:
-    """Exact sifted count of the signed sequence down to z = x^(1/s)."""
-    _check_range(x, tables)
-    if s < 1:
-        raise InputError(f"need s >= 1, got {s}")
+    """Exact sifted count of the signed sequence down to z = x^(1/s), for s >= 1."""
+    finite(s, "s", least=1)
     return rough_signed_count(x, root_ceiling(x, s), sign, tables)
 
 
@@ -138,10 +129,8 @@ def prediction_row(
     the density-times-Mertens factor of a half-density sequence sifted to
     z = x^(1/s).
     """
-    _check_range(x, tables)
-    if x < 2:  # log x = 0 leaves the prediction's scale undefined
-        raise InputError(f"need x >= 2 for a prediction, got {x}")
-    if not 1 < s <= grid.s_max:
+    x = integer(x, "x", least=2)  # log x = 0 leaves the prediction's scale undefined
+    if finite(s, "s", above=1) > grid.s_max:
         raise InputError(f"need 1 < s <= {grid.s_max}, got {s}")
     scale = (x / 2.0) / (math.exp(EULER_GAMMA) * math.log(x) / s)
     return ParityRow(

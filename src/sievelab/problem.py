@@ -32,7 +32,6 @@ liouville_minus        F    {n <= x with an even number of prime factors}, X = x
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -40,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import PrimeTables, li_eval, squarefree_primes
-from .errors import CapacityError, DensityRangeError, InputError
+from .errors import CapacityError, DensityRangeError, InputError, finite, integer
 
 #: exact scans refuse problems with more members than this (a 100 MB interval mask)
 MAX_SCAN_MEMBERS = 100_000_000
@@ -83,6 +82,11 @@ class PrimeSet:
 
     kind: str = "all"
     m: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", integer(self.m, "prime set modulus m", least=1))
+        if self.m > np.iinfo(np.int64).max:  # select reduces it in int64
+            raise CapacityError(f"prime set modulus m = {self.m:.6g} is past int64")
 
     def select(self, primes: np.ndarray) -> np.ndarray:
         if self.kind == "all":
@@ -129,8 +133,8 @@ _W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
 
 
 def _interval(x: int, y: int) -> KindShape:
-    if x < 0 or y < 1:
-        raise InputError(f"interval needs x >= 0, y >= 1, got x={x} y={y}")
+    x = integer(x, "interval parameter x", least=0)
+    y = integer(y, "interval parameter y", least=1)
     label = f"interval[{x + 1}..{x + y}]"
 
     def members(tables: PrimeTables) -> np.ndarray:
@@ -142,8 +146,9 @@ def _interval(x: int, y: int) -> KindShape:
 
 
 def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
-    if x < 1 or k < 1:
-        raise InputError(f"progression needs x >= 1, k >= 1, got x={x} k={k}")
+    x = integer(x, "arithmetic_progression parameter x", least=1)
+    k = integer(k, "arithmetic_progression parameter k", least=1)
+    l = integer(l, "arithmetic_progression parameter l")
     if math.gcd(l, k) != 1:
         raise InputError(f"residue {l} not coprime to modulus {k}")
     l %= k
@@ -171,8 +176,9 @@ def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
 
 
 def _goldbach_product(two_n: int) -> KindShape:
-    if two_n < 6 or two_n % 2:
-        raise InputError(f"goldbach_product needs even 2N >= 6, got {two_n}")
+    two_n = integer(two_n, "goldbach_product parameter two_N", least=6)
+    if two_n % 2:
+        raise InputError(f"goldbach_product needs an even 2N, got {two_n}")
 
     label = f"goldbach 2N={two_n}"
 
@@ -190,8 +196,9 @@ def _goldbach_product(two_n: int) -> KindShape:
 
 
 def _shifted_prime(n_par: int) -> KindShape:
-    if n_par < 8 or n_par % 2:
-        raise InputError(f"shifted_prime needs even N >= 8, got {n_par}")
+    n_par = integer(n_par, "shifted_prime parameter N", least=8)
+    if n_par % 2:
+        raise InputError(f"shifted_prime needs an even N, got {n_par}")
 
     def members(tables: PrimeTables) -> np.ndarray:
         ps = tables.primes
@@ -207,8 +214,7 @@ def _shifted_prime(n_par: int) -> KindShape:
 
 
 def _square_plus_one(x: int) -> KindShape:
-    if x < 1:
-        raise InputError(f"square_plus_one needs x >= 1, got {x}")
+    x = integer(x, "square_plus_one parameter x", least=1)
 
     label = f"square_plus_one x={x}"
 
@@ -234,8 +240,7 @@ def _liouville(x: int, target: int) -> KindShape:
     (t + s L(t)) / 2 of them.
     """
     kind, sign = ("liouville_plus", "+") if target == -1 else ("liouville_minus", "-")
-    if x < 1:
-        raise InputError(f"{kind} needs x >= 1, got {x}")
+    x = integer(x, f"{kind} parameter x", least=1)
 
     def members(tables: PrimeTables) -> np.ndarray:
         return np.nonzero(tables.liouville_table()[: x + 1] == target)[0].astype(np.int64)
@@ -295,6 +300,7 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     Raises:
         InputError: unknown kind, a missing parameter, a parameter that is not
             an int or an integral float, or parameters outside the kind's domain.
+        CapacityError: a parameter past the range of a float, or a modulus past int64.
     """
     if kind not in KINDS:
         raise InputError(f"unknown problem kind {kind!r}")
@@ -302,11 +308,7 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     missing = [name for name in names if params.get(name) is None]
     if missing:
         raise InputError(f"{kind} needs parameter {', '.join(missing)}")
-    values = [params[name] for name in names]
-    for name, v in zip(names, values):
-        if not (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()):
-            raise InputError(f"{kind} parameter {name} must be an integer, got {v!r}")
-    return shape(*map(int, values))
+    return shape(*(params[name] for name in names))
 
 
 def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
@@ -442,10 +444,10 @@ def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarr
     """Primes of the prime set below z (strict), ascending.
 
     Raises:
-        InputError: z is NaN or infinite.
+        InputError: z is not a finite number.
         CapacityError: the list reads the tables at z - 1, past their limit.
     """
-    tables.reach(z - 1, f"z={z}")
+    tables.reach(finite(z, "cut z") - 1, f"z={z}")
     return prime_set.select(tables.primes[tables.primes < z])
 
 
@@ -464,6 +466,7 @@ def sift_exact(p: SieveProblem, z: float) -> int:
     same primes below it returns it without a second scan.
 
     Raises:
+        InputError: z is not a finite number (a z <= 2 sifts nothing out).
         CapacityError: z beyond the tables, or more than MAX_SCAN_MEMBERS
             members to scan.
     """

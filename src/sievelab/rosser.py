@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, finite, integer
 from .legendre import problem_W
 from .problem import (
     SieveProblem,
@@ -33,7 +33,7 @@ from .problem import (
     sift_exact,
     whole_densities,
 )
-from .selberg import SieveReport, check_levels, one_sided_report
+from .selberg import SieveReport, one_sided_report
 
 #: truncated_mobius_sum is exact with at most this many sieve primes, float above
 EXACT_MOBIUS_PRIMES = 30
@@ -70,9 +70,7 @@ def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Frac
     term as the product of -w(q)/q in the order the walk adds the primes,
     largest first.
     """
-    if y <= 1:
-        raise InputError(f"need y > 1, got {y}")
-    admit = _chain_admit(y, sign)
+    admit = _chain_admit(finite(y, "level y", above=1), sign)
     primes = sieve_primes(p, z).tolist()
     exact = len(primes) <= EXACT_MOBIUS_PRIMES
     # negated factors: the walk's carried product is mu(d) w(d), or mu(d) w(d) / d
@@ -101,10 +99,11 @@ def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool =
     The bound for each side is X * M(sign) plus/minus the sum of |R_d|
     over the support; every support member automatically has d < y once
     z <= y, so the remainder stays controlled by the level.
+
+    Raises:
+        InputError: z is not a finite number > 1, or y not a finite number >= z.
     """
-    check_levels(y, z)
-    if z > y:
-        raise InputError(f"need 1 < z <= y, got z={z}, y={y}")
+    finite(y, "level y", least=finite(z, "cut z", above=1))
     notes = f"X*W(z) = {p.X * problem_W(p, z).W:.6g}"
     desc = sieve_primes(p, z).tolist()[::-1]
     exact = sift_exact(p, z) if with_exact else None
@@ -125,7 +124,8 @@ def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
     of the construction is lower_sum <= indicator <= upper_sum with
     indicator = 1 exactly when m = 1.
     """
-    facs = squarefree_primes(m, tables)
+    finite(y, "level y")
+    facs = squarefree_primes(integer(m, "m", least=1), tables)
     if len(facs) > 20:
         raise CapacityError(f"{m} has {len(facs)} prime factors; cap is 20")
     mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
@@ -155,12 +155,14 @@ def fundamental_lemma_report(
 
     As s grows both curves pinch to 1 and the scaled exact count should sit
     near, and eventually between, them.
+
+    Raises:
+        InputError: y not a finite number > 1, or an s not one >= 1 (so z <= y).
     """
+    finite(y, "level y", above=1)
     rows = []
     for s in s_values:
-        if s <= 0:
-            raise InputError(f"need s > 0, got {s}")
-        z = y ** (1.0 / s)
+        z = y ** (1.0 / finite(s, "s", least=1))
         mv = problem_W(p, z)
         exact = sift_exact(p, z)
         denom = p.X * mv.W

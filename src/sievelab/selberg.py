@@ -12,7 +12,6 @@ forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
-from .errors import CapacityError, InputError, ZeroDensityError
+from .errors import CapacityError, InputError, ZeroDensityError, finite, integer
 from .problem import (
     MultiplicativeDensity,
     PrimeSet,
@@ -65,26 +64,19 @@ class SieveReport:
     notes: str = ""
 
 
-def check_levels(y: float, z: float) -> None:
-    """Refuse a level y or a cut z that is not a finite number above 1."""
-    for name, v in (("level y", y), ("cut z", z)):
-        if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 1):
-            raise InputError(f"need a finite {name} > 1, got {v!r}")
-
-
 def one_sided_report(
     p: SieveProblem, y: float, z: float, sign: int, main: float, rem: float,
     exact: int | None, notes: str,
 ) -> SieveReport:
     """The report of one bound main + rem (sign +1, upper) or main - rem (sign -1).
 
-    s = log y / log z (None for z <= 1); ratio = bound / exact for a positive
-    exact count.
+    s = log y / log z for the level y > 1 and the cut z > 1 its caller checked;
+    ratio = bound / exact for a positive exact count.
     """
     bound = main + rem if sign == 1 else main - rem
     return SieveReport(
         problem=p.label, X=float(p.X), z=float(z), y=float(y),
-        s=math.log(y) / math.log(z) if z > 1 else None,
+        s=math.log(y) / math.log(z),
         main_term=main, remainder_bound=rem,
         upper_bound=bound if sign == 1 else None,
         lower_bound=None if sign == 1 else bound,
@@ -181,7 +173,7 @@ def lambda_weights(
     than enforced here.
     """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    g_values = {d: g for d, _, g, _, _ in _g_walk(xi, ps, omega)}
+    g_values = {d: g for d, _, g, _, _ in _g_walk(finite(xi, "xi"), ps, omega)}
     g_values[1] = Fraction(1)  # the walk starts from the int 1
     support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
     exact = len(support) <= MAX_EXACT_SUPPORT
@@ -257,9 +249,12 @@ def fundamental_upper_bound(
 
     The remainder enumerates every squarefree d < y built from the sieve
     primes below z, including those with no multiples among the members.
+
+    Raises:
+        InputError: y or z is not a finite number > 1.
     """
-    check_levels(y, z)
-    ps = sieve_primes(p, z).tolist()
+    finite(y, "level y", above=1)
+    ps = sieve_primes(p, finite(z, "cut z", above=1)).tolist()
     # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
     # the cap is refused here before G's exact sum is spent on it
     walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
@@ -291,11 +286,10 @@ def brun_titchmarsh(x: float, k: int, l: int, tables: PrimeTables) -> BrunTitchm
     and adds z/k + 1 for the small primes; the asymptotic form is
     2x / (phi(k) log(x/k)).
     """
-    if k < 1 or math.gcd(l, k) != 1:
-        raise InputError(f"need k >= 1 and gcd(l, k) = 1, got k={k} l={l}")
-    if x / k <= math.e:
-        raise InputError(f"need x/k > e, got {x / k}")
-    logq = math.log(x / k)
+    x, k, l = integer(x, "x"), integer(k, "modulus k", least=1), integer(l, "residue l")
+    if math.gcd(l, k) != 1:
+        raise InputError(f"need gcd(l, k) = 1, got k={k} l={l}")
+    logq = math.log(finite(x / k, "x/k", above=math.e))
     z = math.sqrt(x / k) / logq**3
     z_eff = max(z, 2.0)
     prob = make_problem("arithmetic_progression", {"x": x, "k": k, "l": l}, tables)
@@ -334,9 +328,8 @@ def goldbach_report(n_half: int, tables: PrimeTables) -> PairBoundReport:
 
     a(N) = prod over odd p | 2N of (p-1)/(p-2) times C2 2N / (log N)^2.
     """
+    n_half = integer(n_half, "N", least=3)
     two_n = 2 * n_half
-    if n_half < 3:
-        raise InputError(f"need N >= 3, got {n_half}")
     tables.reach(two_n, f"2N={two_n}")  # singular_factor factors 2N
     spf = tables.spf
     ps = tables.primes[tables.primes <= two_n - 2]
@@ -350,8 +343,7 @@ def goldbach_report(n_half: int, tables: PrimeTables) -> PairBoundReport:
 
 def twin_report(x: int, k: int, tables: PrimeTables) -> PairBoundReport:
     """Primes p <= x with p + 2k also prime, against the sieve bound."""
-    if x < 3 or k < 1:
-        raise InputError(f"need x >= 3 and k >= 1, got x={x} k={k}")
+    x, k = integer(x, "x", least=3), integer(k, "k", least=1)
     tables.reach(x + 2 * k, f"x + 2k = {x + 2 * k}")
     spf = tables.spf
     ps = tables.primes[tables.primes <= x]

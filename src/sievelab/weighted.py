@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables, factorize, integrate_adaptive
 from .buchstab import BuchstabGrid, evaluate
-from .errors import InputError
+from .errors import CapacityError, InputError, finite, integer
 from .problem import SieveProblem, sifted_members
 from .selberg import TWIN_CONSTANT, singular_factor
 
@@ -30,6 +30,7 @@ __all__ = [
     "richert_weight",
     "lambda_r",
     "level_condition",
+    "presieve_cut",
     "member_weight_term",
     "W_exact",
     "pr_count",
@@ -54,20 +55,14 @@ class WeightedConfig:
     gamma_level: float
 
     def __post_init__(self):
-        if self.N < 2:
-            raise InputError(f"need N >= 2, got {self.N}")
-        if self.r < 1:
-            raise InputError(f"need r >= 1, got {self.r}")
-        if not 0 < self.alpha < self.beta:
-            raise InputError(
-                f"need 0 < alpha < beta, got alpha={self.alpha} beta={self.beta}"
-            )
+        object.__setattr__(self, "N", integer(self.N, "N", least=2))
+        object.__setattr__(self, "r", integer(self.r, "r", least=1))
+        finite(self.beta, "beta", above=finite(self.alpha, "alpha", above=0))
         if (self.r + 1) * self.beta - 1 <= 0:
             raise InputError(
                 f"need (r+1)*beta > 1, got r={self.r} beta={self.beta}"
             )
-        if self.gamma_level <= 0:
-            raise InputError(f"need gamma_level > 0, got {self.gamma_level}")
+        finite(self.gamma_level, "gamma_level", above=0)
 
 
 def richert_weight(p: int, cfg: WeightedConfig) -> float:
@@ -76,7 +71,7 @@ def richert_weight(p: int, cfg: WeightedConfig) -> float:
     Raises:
         InputError: p above N^beta (the weight would go negative).
     """
-    log_ratio = math.log(p) / (cfg.beta * math.log(cfg.N))
+    log_ratio = math.log(integer(p, "p", least=2)) / (cfg.beta * math.log(cfg.N))
     if log_ratio > 1 + 1e-12:
         raise InputError(f"p={p} lies above N^beta = {cfg.N**cfg.beta:.6g}")
     w = cfg.beta / ((cfg.r + 1) * cfg.beta - 1) * (1.0 - log_ratio)
@@ -85,8 +80,7 @@ def richert_weight(p: int, cfg: WeightedConfig) -> float:
 
 def lambda_r(r: int) -> float:
     """Threshold exponent reciprocal for order-r almost primes."""
-    if r < 1:
-        raise InputError(f"need r >= 1, got {r}")
+    r = integer(r, "r", least=1)
     return r + 1 - math.log(4.0 / (1.0 + 3.0 ** (-r))) / math.log(3.0)
 
 
@@ -109,8 +103,7 @@ def level_condition(
     a, b, g = cfg.alpha, cfg.beta, cfg.gamma_level
     if g / a > grid.s_max or (g - a) / a > grid.s_max:
         raise InputError("gamma_level/alpha exceeds the grid range")
-    if g <= b:
-        raise InputError(f"need beta < gamma_level, got beta={b} gamma={g}")
+    finite(g, "gamma_level", above=b)
     c = b / ((cfg.r + 1) * b - 1)
     lhs = evaluate(grid, g / a, "f")
     # 1e-8 missed its own target by 38x at some configs (verify seed 57)
@@ -127,6 +120,14 @@ def level_condition(
     return margin_integral, margin_closed
 
 
+def presieve_cut(N: int, alpha: float) -> float:
+    """N^alpha, the cut of the pre-sieve (CapacityError past the range of a float)."""
+    try:
+        return integer(N, "N", least=2) ** finite(alpha, "alpha")
+    except OverflowError:
+        raise CapacityError(f"N^alpha = {N}^{alpha} is past the range of a float") from None
+
+
 def member_weight_term(n: int, cfg: WeightedConfig, tables: PrimeTables) -> float:
     """1 minus the window weight sum of one member; may be negative."""
     lo = cfg.alpha * math.log(cfg.N)
@@ -141,7 +142,7 @@ def member_weight_term(n: int, cfg: WeightedConfig, tables: PrimeTables) -> floa
 
 def W_exact(p: SieveProblem, cfg: WeightedConfig) -> float:
     """Exact weighted count over the survivors of the pre-sieve at N^alpha."""
-    z = cfg.N**cfg.alpha
+    z = presieve_cut(cfg.N, cfg.alpha)
     terms = [
         member_weight_term(int(n), cfg, p.tables) for n in sifted_members(p, z)
     ]
@@ -154,12 +155,13 @@ def pr_count(p: SieveProblem, r: int, alpha: float, N: int) -> int:
     Factors are counted with multiplicity; the unit has none.
 
     Raises:
-        InputError: r < 0.
-        CapacityError: a survivor beyond the factor tables.
+        InputError: r is not an integer >= 0, N not an integer >= 2, or alpha
+            not a finite number.
+        CapacityError: N^alpha past the range of a float, or a survivor beyond
+            the factor tables.
     """
-    if r < 0:
-        raise InputError(f"need r >= 0, got {r}")
-    surv = sifted_members(p, N**alpha)
+    r = integer(r, "r", least=0)
+    surv = sifted_members(p, presieve_cut(N, alpha))
     if surv.size == 0:
         return 0
     top = int(surv.max())
@@ -170,7 +172,7 @@ def pr_count(p: SieveProblem, r: int, alpha: float, N: int) -> int:
 
 def repeated_window_factor_count(p: SieveProblem, cfg: WeightedConfig) -> int:
     """Survivors divisible by p^2 for some window prime p in [N^a, N^b)."""
-    z = cfg.N**cfg.alpha
+    z = presieve_cut(cfg.N, cfg.alpha)
     lo = cfg.alpha * math.log(cfg.N)
     hi = cfg.beta * math.log(cfg.N)
     count = 0
@@ -202,8 +204,9 @@ def chen_report(N: int, tables: PrimeTables) -> ChenReport:
     is asymptotic.  triple_count tallies the m = p1 p2 p3 shape with
     p1 < N^(1/3) <= p2 <= p3 that the deeper arguments have to control.
     """
-    if N % 2 or N < 6:
-        raise InputError(f"need even N >= 6, got {N}")
+    N = integer(N, "N", least=6)
+    if N % 2:
+        raise InputError(f"need an even N, got {N}")
     tables.reach(N, f"N={N}")
     ps = tables.primes
     ps = ps[(ps >= 3) & (ps <= N - 3)]

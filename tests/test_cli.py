@@ -341,6 +341,9 @@ def test_progression_scan_sizes_tables_for_q(capsys):
          "--level-exponent", "1e12"],
         # 78,495 sieve primes: the refusal names 2^78495 without writing out its digits
         ["legendre", "--problem", "shifted_prime", "--n", "30", "--z", "1e6"],
+        # a modulus numpy cannot reduce: a traceback once, with any spelling of 10^30
+        ["legendre", "--problem", "arithmetic_progression", "--x", "100", "--k", "1e30",
+         "--l", "1", "--z", "10"],
     ],
 )
 def test_numbers_outside_the_domain_exit_2(capsys, argv):
@@ -357,6 +360,41 @@ def test_non_integral_problem_parameters_exit_2(capsys, flags):
     rc, out, _ = run(capsys, ["legendre", "--problem", "interval", "--x", "1e1", "--len", "1e2",
                               "--z", "10"])
     assert rc == 0 and "interval[11..110]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brun-titchmarsh", "--x", "1000.7", "--k", "3", "--l", "1"],
+        ["parity", "--x", "10000.5", "--s", "2"],
+        ["chen", "--n", "1000.5"],
+        [*_WEIGHTED[:-1], "10000.5", "--problem", "interval", "--x", "0", "--len", "1000"],
+        ["brun-titchmarsh", "--x", "1e6", "--scan-q", "2.5"],
+    ],
+)
+def test_non_integral_numbers_exit_2_before_any_tables(capsys, argv):
+    # the CLI once truncated these with int() and answered for the integer below
+    with table_builds() as builds:
+        rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "" and "must be an integer" in err
+    assert builds == []
+
+
+def test_integer_flags_parse_like_x(capsys):
+    base = ["brun-titchmarsh", "--x", "1e6", "--l", "7"]
+    rc, want, _ = run(capsys, base + ["--k", "101"])
+    assert rc == 0
+    assert run(capsys, base + ["--k", "1.01e2"]) == (0, want, "")
+    rc, out, err = run(capsys, base + ["--k", "1.5"])
+    assert rc == 2 and out == ""
+    assert err == "error: modulus k must be an integer >= 1, got 1.5\n"
+
+
+def test_only_verify_takes_a_seed(capsys):
+    _, subcommands = cli._build_parser()
+    seeded = [name for name, sp in subcommands.items() if "--seed" in sp._option_string_actions]
+    assert seeded == ["verify"]
+    assert run(capsys, ["chen", "--n", "10000", "--seed", "1"])[0] == 2
 
 
 def test_huge_exact_scan_refused_before_it_allocates(capsys):
