@@ -28,7 +28,7 @@ def finite(v, name: str, above=None, least=None):
         CapacityError: v is an int (or a Fraction) past the range of a float.
     """
     try:
-        ok = isinstance(v, (int, float, numbers.Real)) and math.isfinite(v)  # ints, floats first
+        ok = isinstance(v, (int, float, numbers.Real)) and math.isfinite(v)  # ABC tested last
     except OverflowError:  # every quantity is read as a float somewhere
         raise CapacityError(f"{name} is past the range of a float") from None
     if ok and (above is None or v > above) and (least is None or v >= least):
