@@ -341,7 +341,7 @@ def test_progression_scan_sizes_tables_for_q(capsys):
          "--level-exponent", "1e12"],
         # 78,495 sieve primes: the refusal names 2^78495 without writing out its digits
         ["legendre", "--problem", "shifted_prime", "--n", "30", "--z", "1e6"],
-        # a modulus numpy cannot reduce: a traceback once, with any spelling of 10^30
+        # a modulus past int64, which the prime set's numpy reduction cannot hold
         ["legendre", "--problem", "arithmetic_progression", "--x", "100", "--k", "1e30",
          "--l", "1", "--z", "10"],
     ],
@@ -373,7 +373,7 @@ def test_non_integral_problem_parameters_exit_2(capsys, flags):
     ],
 )
 def test_non_integral_numbers_exit_2_before_any_tables(capsys, argv):
-    # the CLI once truncated these with int() and answered for the integer below
+    # refused, never truncated to the integer below, and before any table is built
     with table_builds() as builds:
         rc, out, err = run(capsys, argv)
     assert rc == 2 and out == "" and "must be an integer" in err

@@ -146,7 +146,7 @@ def _nan_integrand(u: float) -> float:  # never called: the bounds are refused f
     raise AssertionError
 
 
-# each of these answered, or raised a foreign exception, before the one domain check
+# calls just outside a domain, each of which once slipped past every check
 PROBES = {
     "root_ceiling past a float": lambda c: root_ceiling(10**400, 1.1),
     "lemma at s = 1e-300": lambda c: S.fundamental_lemma_report(c["p"], 100, [1e-300], c["grid"]),
