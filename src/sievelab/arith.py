@@ -247,11 +247,16 @@ def pi_ap(x: float, k: int, l: int, tables: PrimeTables) -> int:
     tables.reach(x, f"x={x}")
     tables.reach(k, f"modulus k={k}")
     ps = tables.primes[: np.searchsorted(tables.primes, math.floor(x), side="right")]
-    return int(np.count_nonzero(ps % k == l % k))
+    ps = ps.astype(np.uint32)  # primes and k are within the tables, below 2^32
+    return int(np.count_nonzero(ps - ps // k * k == l % k))  # // by a scalar is vectorised; % is not
 
 
 def _simpson(f, a: float, b: float) -> float:
-    return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+    """Simpson's rule on [a, b]; an estimate that is not finite ends the quadrature."""
+    out = (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+    if not math.isfinite(out):
+        raise CapacityError(f"Simpson estimate {out} on [{a:.6g}, {b:.6g}] is not finite")
+    return out
 
 
 def _adaptive_simpson(f, a, b, whole, eps, depth):
@@ -275,6 +280,8 @@ def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
 
     Raises:
         InputError: a or b not a finite number, or rel_tol not a finite number > 0.
+        CapacityError: a Simpson estimate (on the whole interval or a part)
+            is not finite, as when f or the width overflows a float.
     """
     finite(rel_tol, "rel_tol", above=0)
     if finite(b, "b") <= finite(a, "a"):

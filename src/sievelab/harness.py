@@ -31,7 +31,7 @@ from .errors import CapacityError, InputError, integer
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
 from .problem import MultiplicativeDensity, PrimeSet, kind_shape, make_problem, sift_exact
-from .rosser import combinatorial_bounds, fundamental_lemma_report, sandwich_values
+from .rosser import chain_divisor_sums, combinatorial_bounds, fundamental_lemma_report
 from .selberg import (
     fundamental_upper_bound,
     goldbach_report,
@@ -213,10 +213,11 @@ def _suite_sieve_validity(seed) -> SuiteResult:
     )
     # the chain supports bracket the unit indicator on every divisor sum
     mob = t.mobius_table()
-    chains = [
-        (m, y, *sandwich_values(m, y, t))
-        for m in range(1, 10_001) if mob[m] != 0 for y in (100.0, 1000.0, 10_000.0)
-    ]
+    squarefree = np.flatnonzero(mob[1:10_001]) + 1
+    chains = []
+    for y in (100.0, 1000.0, 10_000.0):
+        lo, hi = (chain_divisor_sums(10_000, y, sign, t) for sign in (-1, 1))
+        chains += [(m, y, lo[m], int(m == 1), hi[m]) for m in squarefree.tolist()]
     total = len(chains)
     bad_lo = [f"m={m} y={y} lo={lo}" for m, y, lo, mid, _ in chains if not lo <= mid]
     bad_hi = [f"m={m} y={y} hi={hi}" for m, y, _, mid, hi in chains if not mid <= hi]

@@ -9,10 +9,11 @@ in closed form.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables
 from .errors import CapacityError, finite
@@ -20,8 +21,12 @@ from .problem import (
     MultiplicativeDensity,
     PrimeSet,
     SieveProblem,
+    Walk,
+    at_most,
     divisor_walk,
+    fsum_columns,
     primes_below,
+    remainder,
     sieve_primes,
 )
 
@@ -100,9 +105,9 @@ def _subset_primes(p: SieveProblem, z: float) -> list[int]:
     return rp
 
 
-def _pruned_walk(p: SieveProblem, rp: list[int]):
+def _pruned_walk(p: SieveProblem, rp: list[int]) -> Walk:
     """The divisors d <= n_bound, not below a node with #A_d = 0."""
-    return divisor_walk(p, rp, lambda d, nu, q: d * q <= p.n_bound, prune_empty=True)
+    return divisor_walk(p, rp, at_most(p.n_bound), prune_empty=True)
 
 
 def legendre_count(p: SieveProblem, z: float) -> int:
@@ -117,7 +122,11 @@ def legendre_count(p: SieveProblem, z: float) -> int:
         CapacityError: more than MAX_SUBSET_PRIMES sieve primes below z, or
             a walk past problem.MAX_CHAIN_NODES nodes.
     """
-    return sum(-c if nu % 2 else c for _, nu, _, c, _ in _pruned_walk(p, _subset_primes(p, z)))
+    walk = _pruned_walk(p, _subset_primes(p, z))
+    # |sum| <= sum of #A_d <= members * nodes; past int64 it is added as ints
+    signed = np.where(walk.nu % 2 == 1, -walk.count, walk.count)
+    small = p.n_bound * walk.d.size < 2**63
+    return int(signed.sum()) if small else sum(signed.tolist())
 
 
 def legendre_remainder_sum(p: SieveProblem, z: float) -> float:
@@ -141,13 +150,17 @@ def legendre_remainder_sum(p: SieveProblem, z: float) -> float:
     suf = [1.0] * (len(rp) + 1)
     for j in range(len(rp) - 1, -1, -1):
         suf[j] = suf[j + 1] * (1.0 + float(p.omega.at_prime(rp[j])) / rp[j])
-    X, top = float(p.X), p.n_bound
-    terms = []
-    for d, _, w, c, i in _pruned_walk(p, rp):
-        main = X * float(w) / d  # as remainder() computes it
-        if c == 0:
-            terms.append(main * suf[i])
-        else:
-            j = max(i, bisect.bisect_right(rp, top // d))
-            terms += (abs(c - main), main * (suf[j] - 1.0))
-    return math.fsum(terms)
+    suf = np.array(suf)
+    walk = _pruned_walk(p, rp)
+
+    def terms():  # a slice of nodes at a time, so no column of the whole walk is copied
+        for k in range(0, walk.d.size, 1 << 16):
+            d, c, w, i = (col[k:k + (1 << 16)] for col in (walk.d, walk.count, walk.v, walk.i))
+            rec = remainder(p, d, c, w)
+            empty = c == 0
+            j = np.maximum(i, np.searchsorted(rp, p.n_bound // d, side="right"))
+            yield rec.main[empty] * suf[i[empty]]
+            yield np.abs(rec.r[~empty])
+            yield rec.main[~empty] * (suf[j[~empty]] - 1.0)
+
+    return fsum_columns(terms())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables
 from .buchstab import BuchstabGrid, evaluate
-from .errors import InputError, finite, integer
+from .errors import CapacityError, InputError, finite, integer
 
 #: root_ceiling settles t**a >= x**b in integers while both have at most this many bits
 ROOT_EXACT_BITS = 1 << 16
@@ -62,7 +62,10 @@ def root_ceiling(x: int, s: float) -> int:
     across it.  Other exponents keep the float estimate with a small snap.
     """
     x = integer(x, "x", least=1)
-    t = max(1, math.ceil(x ** (1.0 / finite(s, "s", above=0)) - 1e-9))
+    try:
+        t = max(1, math.ceil(x ** (1.0 / finite(s, "s", above=0)) - 1e-9))
+    except OverflowError:
+        raise CapacityError(f"x^(1/s) = {x}^(1/{s}) is past the range of a float") from None
     a, b = float(s).as_integer_ratio()
     if max(a * t.bit_length(), b * x.bit_length()) <= ROOT_EXACT_BITS:
         n = x**b  # t = ceil(n^(1/a)), by integer Newton steps from the float estimate

@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,11 @@ MAX_SCAN_MEMBERS = 100_000_000
 
 #: a divisor walk refuses to visit more nodes than this unless its caller names a cap
 MAX_CHAIN_NODES = 2_000_000
+
+#: int64's largest value: members, divisors and counts stay at or below it
+INT64_MAX = int(np.iinfo(np.int64).max)
+_SQRT_INT64 = math.isqrt(INT64_MAX)
+_CBRT_INT64 = 2_097_151  # the largest q with q^3 <= INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,12 @@ class PrimeSet:
 
 
 class RemainderRecord(NamedTuple):
-    """One divisor's exact count against its expected share."""
+    """A divisor's exact count against its expected share (or columns of them)."""
 
-    d: int
-    count: int
-    main: float
-    r: float
+    d: int | np.ndarray
+    count: int | np.ndarray
+    main: float | np.ndarray
+    r: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,8 @@ class KindShape:
     ``need`` is the table limit the kind's own construction reads (0 when it
     reads none).  ``members`` builds the members from the tables.  ``count``,
     for the kinds with a closed formula for #A_d, binds that formula to the
-    tables, giving #A_d from (d, nu(d)); it is None for the kinds counted by a
-    scan of their stored members.
+    tables, giving #A_d from int64 arrays of d and nu(d), a whole walk level at
+    once; it is None for the kinds counted by a scan of their stored members.
     """
 
     label: str
@@ -126,7 +132,7 @@ class KindShape:
     omega: MultiplicativeDensity
     prime_set: PrimeSet
     members: Callable[[PrimeTables], np.ndarray]
-    count: Callable[[PrimeTables], Callable[[int, int], int]] | None = None
+    count: Callable[[PrimeTables], Callable[[np.ndarray, np.ndarray], np.ndarray]] | None = None
 
 
 _W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
@@ -158,21 +164,36 @@ def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
         _check_scan_size(label, -(-x // k))
         return np.arange(l if l >= 1 else k, x + 1, k, dtype=np.int64)
 
-    def count(d: int, nu: int) -> int:
-        if math.gcd(d, k) != 1:
-            return 0
-        # n = 0 mod d and n = l mod k; lift to the class c mod dk
-        inv = pow(d % k, -1, k) if k > 1 else 0
-        c = d * ((l * inv) % k) if k > 1 else d
-        if c == 0:
-            return x // (d * k)
-        return (x - c) // (d * k) + 1 if c <= x else 0
+    def count(d: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        # n = d m <= x with n = l mod k: m <= x // d with m = t mod k, t = l / d mod k in [1, k]
+        inv, unit = _inverse_mod(d, k)
+        t = (inv * l % k).astype(np.int64)
+        t[t == 0] = k
+        m = x // d
+        return np.where(unit & (t <= m), (m - t) // k + 1, 0)
 
     omega = MultiplicativeDensity(
         lambda p: Fraction(0) if k % p == 0 else Fraction(1), f"w(p) = 1 off p | {k}"
     )
     return KindShape(label, {"x": x, "k": k, "l": l}, x / k, x, 0, omega, PrimeSet("coprime", k),
                      members, lambda tables: count)
+
+
+def _inverse_mod(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^-1 mod k where gcd(a, k) = 1, that gcd == 1) for an int64 array a.
+
+    The extended Euclid steps run on the whole array at once; past
+    sqrt(int64) they run on exact ints, since l a^-1 is formed next.
+    """
+    wide = k > _SQRT_INT64
+    a = a.astype(object) if wide else np.asarray(a, dtype=np.int64)
+    r0, r1 = np.full_like(a, k), a % k
+    s0, s1 = np.zeros_like(a), np.ones_like(a)
+    while (going := r1 != 0).any():
+        q = np.where(going, r0 // np.where(going, r1, 1), 0)
+        r0, r1 = np.where(going, r1, r0), np.where(going, r0 - q * r1, r1)
+        s0, s1 = np.where(going, s1, s0), np.where(going, s0 - q * s1, s1)
+    return s0 % k, r0 == 1
 
 
 def _goldbach_product(two_n: int) -> KindShape:
@@ -245,12 +266,12 @@ def _liouville(x: int, target: int) -> KindShape:
     def members(tables: PrimeTables) -> np.ndarray:
         return np.nonzero(tables.liouville_table()[: x + 1] == target)[0].astype(np.int64)
 
-    def count(tables: PrimeTables) -> Callable[[int, int], int]:
+    def count(tables: PrimeTables) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         L = tables.liouville_summatory()
 
-        def count_d(d: int, nu: int) -> int:
+        def count_d(d: np.ndarray, nu: np.ndarray) -> np.ndarray:
             t = x // d
-            return (t + (-target if nu % 2 else target) * int(L[t])) // 2
+            return (t + target * (1 - 2 * (nu % 2)) * L[t].astype(np.int64)) // 2
 
         return count_d
 
@@ -289,7 +310,9 @@ class SieveProblem:
     prime_set: PrimeSet = field(compare=False)
     members: np.ndarray | None = field(default=None, compare=False)
     n_bound: int = field(default=0, compare=False)
-    count: Callable[[int, int], int] | None = field(default=None, repr=False, compare=False)
+    count: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: sift_exact's counts, keyed by the number of sieve primes below z
     _sifted: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -300,7 +323,8 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     Raises:
         InputError: unknown kind, a missing parameter, a parameter that is not
             an int or an integral float, or parameters outside the kind's domain.
-        CapacityError: a parameter past the range of a float, or a modulus past int64.
+        CapacityError: a parameter past the range of a float, or a modulus or
+            a member past int64.
     """
     if kind not in KINDS:
         raise InputError(f"unknown problem kind {kind!r}")
@@ -308,7 +332,10 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     missing = [name for name in names if params.get(name) is None]
     if missing:
         raise InputError(f"{kind} needs parameter {', '.join(missing)}")
-    return shape(*(params[name] for name in names))
+    out = shape(*(params[name] for name in names))
+    if out.n_bound > INT64_MAX:  # members, walked divisors and counts are int64
+        raise CapacityError(f"{out.label} has members up to {out.n_bound:.6g}, past int64")
+    return out
 
 
 def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
@@ -352,17 +379,19 @@ def count_Ad(p: SieveProblem, d: int) -> int:
         return 0
     if p.count is None:
         return int(np.count_nonzero(p.members % d == 0))
-    return p.count(d, len(fac))
+    return int(p.count(np.array([d], dtype=np.int64), np.array([len(fac)], dtype=np.int8))[0])
 
 
-def remainder(
-    p: SieveProblem, d: int, count: int | None = None, w: Fraction | int | None = None
-) -> RemainderRecord:
+def remainder(p: SieveProblem, d, count=None, w=None) -> RemainderRecord:
     """Exact count of A_d against its expected share X w(d)/d.
 
-    A divisor walk passes the #A_d and w(d) it carried; otherwise both are
-    rebuilt from d.
+    A divisor walk passes its columns of d, #A_d and w(d), and gets columns
+    back; a scalar d has both rebuilt from d when they are not given.  Each
+    main term is X w(d) / d with w(d) rounded once from its exact value.
     """
+    if isinstance(d, np.ndarray):
+        main = float(p.X) * np.asarray(w, dtype=np.float64) / d
+        return RemainderRecord(d=d, count=count, main=main, r=count - main)
     if w is None:
         w = p.omega.at_squarefree(squarefree_primes(d, p.tables))
     if count is None:
@@ -381,63 +410,232 @@ def whole_densities(omega: MultiplicativeDensity, primes: Sequence[int]) -> dict
     return out
 
 
+class Admit(NamedTuple):
+    """A walk's admission rule: node d takes the later primes q with q**power <= bound // d.
+
+    The rule is tested at the nodes whose nu(d) has the parity ``parity``
+    (at every node when it is None); a node of the other parity takes every
+    later prime.  ``power`` is 1 or 3 and ``bound`` an int >= 0, so the
+    primes a node takes are one run of the walk's prime list.
+    """
+
+    bound: int
+    power: int = 1
+    parity: int | None = None
+
+
+def below(y: float) -> Admit:
+    """d q < y, as the integer rule d q <= ceil(y) - 1."""
+    return Admit(max(math.ceil(y) - 1, 0))
+
+
+def at_most(n: int) -> Admit:
+    """d q <= n."""
+    return Admit(max(n, 0))
+
+
+class Walk(NamedTuple):
+    """Every node of a divisor walk, one column each, level by level.
+
+    d (int64), nu(d) (int8), the carried product v(d) (int64 where every
+    factor is an int no larger than its prime, float64 where every factor is
+    a float, else exact objects), #A_d (int64; None for a walk without a
+    problem) and the index i (int32) from which the later primes d may take
+    start.
+    """
+
+    d: np.ndarray
+    nu: np.ndarray
+    v: np.ndarray
+    count: np.ndarray | None
+    i: np.ndarray
+
+
 def divisor_walk(
     p: SieveProblem | None,
     primes: Sequence[int],
-    admit: Callable[[int, int, int], bool],
+    admit: Admit,
     factors: dict | None = None,
     prune_empty: bool = False,
     max_nodes: int | None = None,
-) -> Iterator[tuple[int, int, object, int | None, int]]:
-    """Depth-first walk of the squarefree d built from ``primes``, in their order.
+) -> Walk:
+    """The squarefree d built from ``primes``, in their order, as columns.
 
-    ``primes`` is strictly ascending or strictly descending, and the walk
-    reads the direction from it.  A node d extends to d q for each later
-    prime q that ``admit(d, nu(d), q)`` accepts, and yields (d, nu(d), v(d),
-    #A_d, i), carried down one step per node: v(d) = v(d / q) factors[q]
-    (default factors w(q), so v(d) = w(d)), #A_d is the kind's formula
-    or, for the member-scan kinds, the count of the parent's surviving
-    members that q divides, and the later primes d may take are primes[i:].
-    With p = None the walk needs ``factors`` and yields None for #A_d;
-    prune_empty skips the subtree below a node with #A_d = 0.
-
-    ``admit`` must be downward-closed in q: once it refuses q it refuses
-    every larger q.  The walk scans a node's candidates smallest first and
-    stops at the first refusal.
+    ``primes`` is strictly ascending or strictly descending (a rule with a
+    parity walks them descending).  A node d extends to d q for each later
+    prime q that ``admit`` takes; the level of nodes with nu(d) = k is built
+    from the level before in one step.  v(d) = v(d / q) factors[q] (default
+    factors w(q), so v(d) = w(d)); #A_d is the kind's formula or, for the
+    member-scan kinds, the count of the parent's members that q divides.
+    With p = None the walk needs ``factors``; prune_empty gives a node with
+    #A_d = 0 no children.
 
     Raises:
-        CapacityError: more than max_nodes nodes (MAX_CHAIN_NODES, read
-            when the walk starts, unless the caller names its own cap).
+        CapacityError: more than max_nodes nodes (MAX_CHAIN_NODES, read when
+            the walk starts, unless the caller names its own cap), refused
+            before the level that passes it is built; or a walk whose largest
+            divisor (the smaller of its bound and the product of its primes)
+            could pass int64, refused before it starts.
     """
     if max_nodes is None:
         max_nodes = MAX_CHAIN_NODES
-    primes = [int(q) for q in primes]
+    primes = np.asarray(primes, dtype=np.int64)
+    n = primes.size
     if factors is None:
-        factors = whole_densities(p.omega, primes)
+        factors = whole_densities(p.omega, primes.tolist())
+    f = _factor_column(factors, primes.tolist())
     scan = p is not None and p.count is None
-    n, ascending = len(primes), len(primes) < 2 or primes[0] < primes[1]
-    nodes = 0
-    # (index of the next prime, d, nu(d), v(d), members divisible by d / q)
-    stack: list = [(0, 1, 0, 1, p.members if scan else None)]
-    while stack:
-        i, d, nu, v, sub = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            raise CapacityError(f"divisor walk exceeds {max_nodes} nodes")
-        if scan:
-            if i and sub.size:  # i > 0: d = (d / q) q with q = primes[i - 1]
-                sub = sub[sub % primes[i - 1] == 0]
-            count = sub.size
-        else:
-            count = None if p is None else p.count(d, nu)
-        yield d, nu, v, count, i
-        if prune_empty and count == 0:
-            continue
-        for j in range(i, n) if ascending else range(n - 1, i - 1, -1):
-            q = primes[j]
-            if not admit(d, nu, q):
+    d = np.ones(1, dtype=np.int64)
+    nu = np.zeros(1, dtype=np.int8)
+    idx = np.zeros(1, dtype=np.int32)
+    v = np.ones(1, dtype=f.dtype)
+    count = None if p is None else (
+        np.array([p.members.size]) if scan else np.asarray(p.count(d, nu), dtype=np.int64)
+    )
+    levels = [[d, nu, v, count, idx]]
+    if n:
+        ascending = n < 2 or primes[0] < primes[1]
+        rising = primes if ascending else primes[::-1]
+        bound, keys = _integer_rule(admit, rising, ascending)
+        subs = [p.members] if scan else None
+        nodes = 1
+        for k in range(1, n + 1):
+            # the run of walk primes each node of level k - 1 takes
+            if admit.parity is None or (k - 1) % 2 == admit.parity:
+                taken = _taken(d, bound, keys, rising)
+                lo = idx if ascending else np.maximum(idx, n - taken)
+                size = np.maximum((taken if ascending else n) - lo, 0)
+            else:
+                lo, size = idx, n - idx
+            if prune_empty:
+                size[count == 0] = 0
+            total = int(size.sum())
+            if not total:
                 break
-            stack.append((j + 1, d * q, nu + 1, v * factors[q], sub))
+            nodes += total
+            if nodes > max_nodes:
+                raise CapacityError(f"divisor walk exceeds {max_nodes} nodes")
+            parent = np.repeat(np.arange(size.size), size)
+            j = np.arange(total) + np.repeat(lo - np.cumsum(size) + size, size)
+            q = primes[j]
+            d = d[parent] * q
+            nu = np.full(total, k, dtype=np.int8)
+            v = v[parent] * f[j]
+            idx = (j + 1).astype(np.int32)
+            if scan:
+                # members are kept only for nodes that may have children
+                count, subs = _scan_counts(subs, parent, q, idx < n)
+            elif p is not None:
+                count = np.asarray(p.count(d, nu), dtype=np.int64)
+            levels.append([d, nu, v, count, idx])
+    if len(levels) == 1:
+        return Walk(*levels[0])
+    cols = []
+    for c in range(5):  # one column at a time, its level pieces freed as it is joined
+        pieces = [level[c] for level in levels]
+        for level in levels:
+            level[c] = None
+        cols.append(None if pieces[0] is None else np.concatenate(pieces))
+    return Walk(*cols)
+
+
+def fsum_columns(cols: Iterable[np.ndarray]) -> float:
+    """math.fsum over the entries of float arrays, each read a chunk at a time."""
+    step = 1 << 16
+    return math.fsum(chain.from_iterable(
+        c[k:k + step].tolist() for c in cols for k in range(0, c.size, step)
+    ))
+
+
+def _factor_column(factors: dict, primes: list[int]) -> np.ndarray:
+    """factors[q] for each walk prime: int64 when each is an int of size at most
+    q (so every product stays at most d), float64 when each is a float, else
+    exact objects."""
+    vals = [factors[q] for q in primes]
+    if all(type(x) is int and abs(x) <= q for x, q in zip(vals, primes)):
+        return np.array(vals, dtype=np.int64)
+    if vals and all(type(x) is float for x in vals):
+        return np.array(vals, dtype=np.float64)
+    out = np.empty(len(vals), dtype=object)
+    out[:] = vals
+    return out
+
+
+def _capped_product(primes: list[int]) -> int:
+    """The product of the primes, or the first partial product past int64."""
+    out = 1
+    for q in primes:
+        out *= q
+        if out > INT64_MAX:
+            break
+    return out
+
+
+def _integer_rule(admit: Admit, rising: np.ndarray, ascending: bool) -> tuple[int, np.ndarray]:
+    """(bound, keys): a node d takes the walk primes whose key (the prime, or
+    its cube) is at most bound // d, at the levels the rule tests.
+
+    Raises:
+        InputError: a rule with a parity over ascending primes.
+        CapacityError: the walk's largest divisor could pass int64.
+    """
+    top = _capped_product(rising.tolist())
+    if admit.power == 1:
+        bound, keys = min(admit.bound, top), rising  # every d q divides the product
+    else:
+        if admit.parity is not None and not ascending:
+            # largest prime first, a node is below its bound or is one prime
+            top = min(top, max(admit.bound, int(rising[-1])))
+        elif admit.parity is not None and rising.size > 1:
+            raise InputError("a rule with a parity walks its primes largest first")
+        bound, keys = admit.bound, np.full(rising.size, INT64_MAX)
+        small = rising <= _CBRT_INT64  # a larger q has q^3 past every int64 bound
+        keys[small] = rising[small] ** 3
+        if bound == INT64_MAX:  # 2^63 - 1 has no cube factor, so no d q^3 equals it
+            bound -= 1
+    if min(bound, top) > INT64_MAX:
+        raise CapacityError(f"divisor walk to {min(bound, top):.3g} passes int64")
+    return bound, keys
+
+
+def _taken(d: np.ndarray, bound: int, keys: np.ndarray, rising: np.ndarray) -> np.ndarray:
+    """How many walk primes (keys: the primes, or their cubes, ascending) each node takes."""
+    if bound <= INT64_MAX:
+        return np.searchsorted(keys, bound // d, side="right")
+    # a chain level past int64: exact per node, each cube root capped at the largest prime
+    top = int(rising[-1])
+    return np.searchsorted(rising, [_icbrt_int(bound // x, top) for x in d.tolist()], "right")
+
+
+def _icbrt_int(b: int, cap: int) -> int:
+    """min(floor(b^(1/3)), cap) for ints b, cap >= 0."""
+    if b >= cap**3:
+        return cap
+    r = int(round(b ** (1 / 3)))  # b < cap^3 is small enough for a float estimate
+    while r**3 > b:
+        r -= 1
+    while (r + 1) ** 3 <= b:
+        r += 1
+    return r
+
+
+def _scan_counts(subs: list, parent: np.ndarray, q: np.ndarray, keep: np.ndarray):
+    """#A_d for a member-scan level, from each parent's members, and the members
+    of the nodes marked in ``keep`` (None for the others)."""
+    counts = np.empty(parent.size, dtype=np.int64)
+    out: list = [None] * parent.size
+    for k, (a, b, grow) in enumerate(zip(parent.tolist(), q.tolist(), keep.tolist())):
+        sub = subs[a]
+        if sub.size:
+            hit = sub % b == 0
+            if grow:
+                sub = sub[hit]
+            else:
+                counts[k] = np.count_nonzero(hit)
+                continue
+        counts[k] = sub.size
+        out[k] = sub
+    return counts, out
 
 
 def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarray:
@@ -448,7 +646,7 @@ def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarr
         CapacityError: the list reads the tables at z - 1, past their limit.
     """
     tables.reach(finite(z, "cut z") - 1, f"z={z}")
-    return prime_set.select(tables.primes[tables.primes < z])
+    return prime_set.select(tables.primes[: np.searchsorted(tables.primes, z)])
 
 
 def sieve_primes(p: SieveProblem, z: float) -> np.ndarray:

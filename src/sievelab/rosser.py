@@ -21,13 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
 from .errors import CapacityError, InputError, finite, integer
 from .legendre import problem_W
 from .problem import (
+    Admit,
     SieveProblem,
     divisor_walk,
+    fsum_columns,
     remainder,
     sieve_primes,
     sift_exact,
@@ -39,24 +43,20 @@ from .selberg import SieveReport, one_sided_report
 EXACT_MOBIUS_PRIMES = 30
 
 
-def _chain_admit(y: float, sign: int):
+def _chain_admit(y: float, sign: int) -> Admit:
     """The support's step rule for a walk over the primes, largest first.
 
     q at position nu + 1 (odd positions for sign = +1, even ones otherwise)
-    fails when d q^3 >= y; every extension keeps that prefix, so the whole
-    branch goes.
+    fails when d q^3 >= y, that is q^3 > (ceil(y) - 1) // d; every extension
+    keeps that prefix, so the whole branch goes.
 
     Raises:
         InputError: sign is neither +1 nor -1.
     """
     if sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
-    checked = 0 if sign == 1 else 1  # parity of nu(d) when position nu + 1 is checked
-
-    def admit(d: int, nu: int, q: int) -> bool:
-        return nu % 2 != checked or d * q * q * q < y
-
-    return admit
+    # checked at the parity of nu(d) where position nu + 1 is checked
+    return Admit(max(math.ceil(y) - 1, 0), 3, 0 if sign == 1 else 1)
 
 
 def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Fraction | float:
@@ -80,9 +80,9 @@ def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Frac
         factors = {q: -float(p.omega.at_prime(q)) / q for q in primes}
     walk = divisor_walk(None, primes[::-1], admit, factors)
     if not exact:
-        return math.fsum(t for _, _, t, _, _ in walk)
+        return fsum_columns([walk.v])
     lcm = math.prod(primes)
-    return Fraction(sum(t * (lcm // d) for d, _, t, _, _ in walk)) / lcm
+    return Fraction((lcm // walk.d.astype(object) * walk.v.astype(object)).sum()) / lcm
 
 
 @dataclass
@@ -111,7 +111,7 @@ def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool =
     for sign in (1, -1):
         m = truncated_mobius_sum(p, y, z, sign)
         walk = divisor_walk(p, desc, _chain_admit(y, sign))
-        rem = math.fsum(abs(remainder(p, d, c, w).r) for d, _, w, c, _ in walk)
+        rem = fsum_columns([np.abs(remainder(p, walk.d, walk.count, walk.v).r)])
         out[sign] = one_sided_report(p, y, z, sign, p.X * float(m), rem, exact, notes)
     return BoundPair(upper=out[1], lower=out[-1])
 
@@ -130,10 +130,29 @@ def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
         raise CapacityError(f"{m} has {len(facs)} prime factors; cap is 20")
     mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
     lo, hi = (
-        sum(v for _, _, v, _, _ in divisor_walk(None, facs[::-1], _chain_admit(y, s), mu))
-        for s in (-1, 1)
+        int(divisor_walk(None, facs[::-1], _chain_admit(y, s), mu).v.sum()) for s in (-1, 1)
     )
     return lo, (1 if m == 1 else 0), hi
+
+
+def chain_divisor_sums(n: int, y: float, sign: int, tables) -> np.ndarray:
+    """The truncated mu summed over the divisors of every m <= n, by m.
+
+    out[m] is sandwich_values(m, y)'s lower sum (sign -1) or upper sum
+    (sign +1) for squarefree m: whether d is in a support depends on d's
+    own primes alone, so one walk over the primes up to n gives the support
+    and each member d <= n adds mu(d) to its multiples.  out[0] is 0.
+    """
+    n = integer(n, "n", least=1)
+    tables.reach(n, f"n={n}")
+    primes = tables.primes[: np.searchsorted(tables.primes, n, side="right")]
+    walk = divisor_walk(None, primes[::-1].tolist(), _chain_admit(finite(y, "level y"), sign),
+                        dict.fromkeys(primes.tolist(), -1))
+    out = np.zeros(n + 1, dtype=np.int64)
+    keep = walk.d <= n
+    for d, mu in zip(walk.d[keep].tolist(), walk.v[keep].tolist()):
+        out[d::d] += mu
+    return out
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,19 @@ from .problem import (
     MultiplicativeDensity,
     PrimeSet,
     SieveProblem,
+    Walk,
+    below,
     divisor_walk,
+    fsum_columns,
     make_problem,
     primes_below,
     remainder,
     sieve_primes,
     sift_exact,
 )
+
+#: 3^nu as floats, for nu up to the 15 primes a divisor within int64 can have
+_POW3 = np.array([float(3**k) for k in range(16)])
 
 #: supports larger than this drop from exact rationals to floats
 MAX_EXACT_SUPPORT = 100_000
@@ -113,10 +119,10 @@ def _relevant_primes(
     return [int(q) for q in primes_below(z, prime_set, tables) if omega.at_prime(int(q)) > 0]
 
 
-def _g_walk(xi: float, ps: list[int], omega: MultiplicativeDensity):
+def _g_walk(xi: float, ps: list[int], omega: MultiplicativeDensity) -> Walk:
     """Walk the squarefree d < xi from ps, carrying g(d): g(p) = w(p)/(p - w(p))."""
     g_at = {p: (w := omega.at_prime(p)) / (p - w) for p in ps}
-    return divisor_walk(None, ps, lambda d, nu, q: d * q < xi, g_at, max_nodes=MAX_SUPPORT)
+    return divisor_walk(None, ps, below(xi), g_at, max_nodes=MAX_SUPPORT)
 
 
 def big_G(
@@ -128,7 +134,7 @@ def big_G(
 ) -> Fraction:
     """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes."""
     ps = _relevant_primes(z, omega, prime_set, tables)
-    return sum((g for _, _, g, _, _ in _g_walk(xi, ps, omega)), Fraction(0))
+    return sum(_g_walk(xi, ps, omega).v.tolist(), Fraction(0))
 
 
 def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -173,7 +179,8 @@ def lambda_weights(
     than enforced here.
     """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    g_values = {d: g for d, _, g, _, _ in _g_walk(finite(xi, "xi"), ps, omega)}
+    walk = _g_walk(finite(xi, "xi"), ps, omega)
+    g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)  # the walk starts from the int 1
     support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
     exact = len(support) <= MAX_EXACT_SUPPORT
@@ -257,8 +264,9 @@ def fundamental_upper_bound(
     ps = sieve_primes(p, finite(z, "cut z", above=1)).tolist()
     # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
     # the cap is refused here before G's exact sum is spent on it
-    walk = divisor_walk(p, ps, lambda d, nu, q: d * q < y, max_nodes=MAX_SUPPORT)
-    rem = math.fsum(3**nu * abs(remainder(p, d, c, w).r) for d, nu, w, c, _ in walk)
+    walk = divisor_walk(p, ps, below(y), max_nodes=MAX_SUPPORT)
+    r = remainder(p, walk.d, walk.count, walk.v).r
+    rem = fsum_columns([_POW3[walk.nu] * np.abs(r)])
     G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
     return one_sided_report(
         p, y, z, 1, float(p.X) / float(G), rem, sift_exact(p, z) if with_exact else None,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -281,3 +282,21 @@ def test_reach_refuses_non_finite_reads():
             t.reach(bad)
     with pytest.raises(CapacityError):
         t.reach(10**400)  # an int past any float still compares
+
+
+@pytest.mark.parametrize("x", [1, 2, 1000, 999_983.5, 1_000_000])
+def test_pi_ap_counts_as_the_int64_remainder_did(tables_big, x):
+    ps = tables_big.primes[tables_big.primes <= x]
+    for k in (1, 2, 3, 7, 10, 97, 210, 1000, 65_537, 999_983):
+        for l in {1, k - 1, 5 % k, 2 * k + 1}:
+            assert pi_ap(x, k, l, tables_big) == int(np.count_nonzero(ps % k == l % k)), (x, k, l)
+
+
+def test_non_finite_simpson_estimate_ends_the_quadrature():
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="not finite"):
+        integrate_adaptive(lambda u: 1.0 + u, 0, 1e300)
+    with pytest.raises(CapacityError, match="not finite"):
+        integrate_adaptive(lambda u: math.inf if u > 0.3 else 1.0, 0, 1)
+    assert time.perf_counter() - start < 1.0
+    assert integrate_adaptive(lambda u: 1.0 + u, 0, 1e150) == pytest.approx(5e299)

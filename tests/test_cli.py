@@ -405,6 +405,15 @@ def test_huge_exact_scan_refused_before_it_allocates(capsys):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["legendre", "--problem", "interval", "--x", "1e19", "--len", "10", "--z", "30"],
+    ["selberg", "--problem", "square_plus_one", "--x", "1e10", "--y", "100"],
+])
+def test_members_past_int64_exit_2(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "" and "past int64" in err
+
+
 _FUZZ_VALUES = st.sampled_from(
     ["0", "1", "1.5", "-5", "1e12", "nan", "inf", "2", "3", "7", "30", "50", "100", "200",
      "500", "2.5"]

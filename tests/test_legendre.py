@@ -19,6 +19,7 @@ from sievelab.legendre import (
 )
 from sievelab.problem import (
     ALL_KINDS,
+    at_most,
     count_Ad,
     divisor_walk,
     make_problem,
@@ -231,9 +232,9 @@ def test_remainder_sum_walks_the_count_tree(kind_problems, monkeypatch):
     walked = []
 
     def recording_walk(*args, **kwargs):
-        nodes = list(divisor_walk(*args, **kwargs))
-        walked.append([node[0] for node in nodes])
-        return iter(nodes)
+        walk = divisor_walk(*args, **kwargs)
+        walked.append(walk.d.tolist())
+        return walk
 
     monkeypatch.setattr(lg, "divisor_walk", recording_walk)
     for p in kind_problems:
@@ -248,15 +249,15 @@ def test_carried_state_equals_rebuilt(kind_problems):
     # past n_bound (8,101 for n^2 + 1 at x = 90) the carried members run empty
     for p in kind_problems:
         rp = [int(q) for q in sieve_primes(p, 30)]
-        seen = 0
-        for d, nu, w, c, i in divisor_walk(p, rp, lambda d, nu, q: True):
+        walk = divisor_walk(p, rp, at_most(problem.INT64_MAX))  # every subset of rp
+        for d, nu, w, c, i in zip(*(col.tolist() for col in walk)):
             fac = [q for q in rp if d % q == 0]
             assert (nu, w, c) == (len(fac), p.omega.at_squarefree(fac), count_Ad(p, d)), (
                 p.kind, d,
             )
             assert i == (rp.index(fac[-1]) + 1 if fac else 0), (p.kind, d)
-            seen += 1
-        assert seen == 2 ** len(rp)
+        assert sorted(walk.d.tolist()) == sorted(set(walk.d.tolist()))
+        assert walk.d.size == 2 ** len(rp)
 
 
 @st.composite

@@ -174,3 +174,10 @@ def test_row_validation(tables_small, grid):
         prediction_row(100, grid.s_max + 1, grid, tables_small)
     with pytest.raises(CapacityError):
         prediction_row(tables_small.limit + 1, 2.5, grid, tables_small)
+
+
+def test_root_past_a_float_is_a_capacity_error():
+    for x, s in ((10**6, 0.01), (2, 1e-5), (10**300, 0.5)):
+        with pytest.raises(CapacityError, match="past the range of a float"):
+            root_ceiling(x, s)
+    assert root_ceiling(10**6, 0.5) == 10**12

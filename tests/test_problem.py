@@ -232,34 +232,36 @@ def test_x_matches_member_scale(tables_small):
 
 
 def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
-    # a node refuses at most one prime, so admit runs at most twice per node
+    # a node takes one run of later primes, ending where its bound refuses: the walks
+    # behind these bounds visit exactly the nodes the per-node reference
+    # walk (one admit test per candidate, stopping at the first refusal) does
     import sievelab.legendre as lg
     import sievelab.rosser as rs
     import sievelab.selberg as sb
+    from walk_reference import reference_walk
 
-    tallies = []  # [admit calls, nodes] per walk
+    walks = []  # (arguments, walk) per walk
 
-    def counting_walk(p, primes, admit, *args, **kwargs):
-        tally = [0, 0]
-        tallies.append(tally)
-
-        def counted(d, nu, q):
-            tally[0] += 1
-            return admit(d, nu, q)
-
-        for node in problem.divisor_walk(p, primes, counted, *args, **kwargs):
-            tally[1] += 1
-            yield node
+    def recording_walk(p, primes, admit, *args, **kwargs):
+        walk = problem.divisor_walk(p, primes, admit, *args, **kwargs)
+        walks.append(((p, list(primes), admit, *args), kwargs, walk))
+        return walk
 
     for module in (lg, rs, sb):
-        monkeypatch.setattr(module, "divisor_walk", counting_walk)
+        monkeypatch.setattr(module, "divisor_walk", recording_walk)
     p = make_problem("liouville_minus", {"x": 995_000}, tables_big)
     lg.legendre_count(p, 100)
     sb.fundamental_upper_bound(p, 1e6, 100, with_exact=False)
     rs.combinatorial_bounds(p, 1e6, 100, with_exact=False)
-    for calls, nodes in tallies:
-        assert calls <= 2 * nodes
-    assert len(tallies) == 7  # legendre, G, quadratic remainder, M+ and M- with their remainders
+    assert len(walks) == 7  # legendre, G, quadratic remainder, M+ and M- with their remainders
+    for (q, primes, admit, *args), kwargs, walk in walks:
+
+        def admits(d, nu, r, admit=admit):  # the rule as the reference tests it, per candidate
+            checked = admit.parity is None or nu % 2 == admit.parity
+            return not checked or r**admit.power <= admit.bound // d
+
+        ref = sorted(node[0] for node in reference_walk(q, primes, admits, *args, **kwargs))
+        assert sorted(walk.d.tolist()) == ref
 
 
 def test_kind_shape_states_sizes_without_tables(kind_problems):
@@ -280,8 +282,8 @@ def test_kind_shape_states_sizes_without_tables(kind_problems):
 
 
 def test_stored_members_past_the_scan_cap_are_refused_before_they_are_built(tables_small):
-    for kind, params in (("goldbach_product", {"two_N": 10**12}),
-                         ("square_plus_one", {"x": 10**10})):
+    for kind, params in (("goldbach_product", {"two_N": 2 * 10**9}),
+                         ("square_plus_one", {"x": 10**9})):
         assert kind_shape(kind, params).need == 0
         with pytest.raises(CapacityError, match="exact scans stop at"):
             make_problem(kind, params, tables_small)
@@ -348,3 +350,33 @@ def test_one_scan_per_problem_and_prime_cut(tables_small, kind_problems, monkeyp
         first = KINDS[q.kind][0][0]
         other = make_problem(q.kind, {**q.params, first: q.params[first] + 2}, tables_small)
         assert p != other, q.kind
+
+
+def test_members_past_int64_are_refused(tables_small):
+    # members, walked divisors and counts are int64: a kind whose largest
+    # member passes it is refused by kind_shape, for the formula kinds too
+    for kind, params in (("interval", {"x": 10**19, "y": 10}),
+                         ("interval", {"x": 2**63 - 10, "y": 10}),
+                         ("arithmetic_progression", {"x": 2**63, "k": 3, "l": 1}),
+                         ("goldbach_product", {"two_N": 2 * 10**10}),
+                         ("square_plus_one", {"x": 10**10})):
+        with pytest.raises(CapacityError, match="past int64"):
+            kind_shape(kind, params)
+        with pytest.raises(CapacityError, match="past int64"):
+            make_problem(kind, params, tables_small)
+    at_edge = make_problem("interval", {"x": 2**63 - 11, "y": 10}, tables_small)
+    assert at_edge.n_bound == 2**63 - 1
+    assert sifted_members(at_edge, 30).tolist() == [
+        n for n in range(2**63 - 10, 2**63) if all(n % q for q in sieve_primes(at_edge, 30).tolist())
+    ]
+    assert legendre_count(at_edge, 30) == sifted_members(at_edge, 30).size
+
+
+@pytest.mark.parametrize("z", [0.5, 1, 2, 2.5, 3, 7.0, 97, 97.5, 100, 10_001])
+def test_primes_below_slices_the_old_mask(tables_small, z):
+    from sievelab.problem import primes_below
+
+    t = tables_small
+    for prime_set in (PrimeSet("all"), PrimeSet("coprime", 30), PrimeSet("two_or_one_mod_four")):
+        got = primes_below(z, prime_set, t)
+        assert got.tolist() == prime_set.select(t.primes[t.primes < z]).tolist()

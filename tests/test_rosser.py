@@ -35,7 +35,7 @@ def _in_factor_walk(facs, y: float, sign: int) -> bool:
     """Whether the chain walk over d's own prime factors reaches d."""
     desc = sorted(facs, reverse=True)
     walk = divisor_walk(None, desc, rosser._chain_admit(y, sign), dict.fromkeys(desc, -1))
-    return math.prod(facs) in {d for d, _, _, _, _ in walk}
+    return math.prod(facs) in set(walk.d.tolist())
 
 
 def test_membership_examples(tables_small):
@@ -79,8 +79,8 @@ def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
     # with factors -1 the carried product is mu(d)
     walk = divisor_walk(None, primes[::-1], rosser._chain_admit(y, sign), dict.fromkeys(primes, -1))
-    walked = {d: mu for d, _, mu, _, _ in walk}
-    assert walked == oracle
+    walked = dict(zip(walk.d.tolist(), walk.v.tolist()))
+    assert walked == oracle and walk.d.size == len(oracle)  # each node once
     assert all(d < y for d in oracle)  # so combinatorial_bounds needs no d < y filter
     expect = sum(Fraction(mu, d) for d, mu in oracle.items())
     assert truncated_mobius_sum(p, y, 30, sign) == expect
@@ -110,8 +110,8 @@ PROPS = settings(deadline=None, max_examples=200)
 def test_factor_walk_is_membership_in_walked_support(primes, y, sign):
     desc = sorted(primes, reverse=True)
     walk = divisor_walk(None, desc, rosser._chain_admit(y, sign), dict.fromkeys(desc, -1))
-    support = {d for d, _, _, _, _ in walk}
-    assert support == set(_oracle_support(primes, y, sign))
+    support = set(walk.d.tolist())
+    assert support == set(_oracle_support(primes, y, sign)) and walk.d.size == len(support)
     # membership of d depends on d's own factors only
     for r in range(len(primes) + 1):
         for sub in combinations(primes, r):
