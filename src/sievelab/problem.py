@@ -498,15 +498,17 @@ def divisor_walk(
         rising = primes if ascending else primes[::-1]
         bound, keys = _integer_rule(admit, rising, ascending)
         subs = [p.members] if scan else None
+
+        def runs(k, d, idx):  # (start, length) of the walk primes each node of level k takes
+            if admit.parity is not None and k % 2 != admit.parity:
+                return idx, n - idx
+            taken = _taken(d, bound, keys, rising)
+            lo = idx if ascending else np.maximum(idx, n - taken)
+            return lo, np.maximum((taken if ascending else n) - lo, 0)
+
+        lo, size = runs(0, d, idx)
         nodes = 1
         for k in range(1, n + 1):
-            # the run of walk primes each node of level k - 1 takes
-            if admit.parity is None or (k - 1) % 2 == admit.parity:
-                taken = _taken(d, bound, keys, rising)
-                lo = idx if ascending else np.maximum(idx, n - taken)
-                size = np.maximum((taken if ascending else n) - lo, 0)
-            else:
-                lo, size = idx, n - idx
             if prune_empty:
                 size[count == 0] = 0
             total = int(size.sum())
@@ -522,9 +524,9 @@ def divisor_walk(
             nu = np.full(total, k, dtype=np.int8)
             v = v[parent] * f[j]
             idx = (j + 1).astype(np.int32)
-            if scan:
-                # members are kept only for nodes that may have children
-                count, subs = _scan_counts(subs, parent, q, idx < n)
+            lo, size = runs(k, d, idx)
+            if scan:  # members are kept only for the nodes that have children
+                count, subs = _scan_counts(subs, parent, q, size > 0)
             elif p is not None:
                 count = np.asarray(p.count(d, nu), dtype=np.int64)
             levels.append([d, nu, v, count, idx])
@@ -561,16 +563,6 @@ def _factor_column(factors: dict, primes: list[int]) -> np.ndarray:
     return out
 
 
-def _capped_product(primes: list[int]) -> int:
-    """The product of the primes, or the first partial product past int64."""
-    out = 1
-    for q in primes:
-        out *= q
-        if out > INT64_MAX:
-            break
-    return out
-
-
 def _integer_rule(admit: Admit, rising: np.ndarray, ascending: bool) -> tuple[int, np.ndarray]:
     """(bound, keys): a node d takes the walk primes whose key (the prime, or
     its cube) is at most bound // d, at the levels the rule tests.
@@ -579,7 +571,8 @@ def _integer_rule(admit: Admit, rising: np.ndarray, ascending: bool) -> tuple[in
         InputError: a rule with a parity over ascending primes.
         CapacityError: the walk's largest divisor could pass int64.
     """
-    top = _capped_product(rising.tolist())
+    # the product of the primes, or of 16 of them: any 16 primes multiply past int64
+    top = math.prod(rising[:16].tolist())
     if admit.power == 1:
         bound, keys = min(admit.bound, top), rising  # every d q divides the product
     else:
