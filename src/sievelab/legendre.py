@@ -18,11 +18,11 @@ import numpy as np
 from .arith import EULER_GAMMA, PrimeTables
 from .errors import CapacityError, finite
 from .problem import (
+    Admit,
     MultiplicativeDensity,
     PrimeSet,
     SieveProblem,
     Walk,
-    at_most,
     divisor_walk,
     fsum_columns,
     primes_below,
@@ -107,7 +107,7 @@ def _subset_primes(p: SieveProblem, z: float) -> list[int]:
 
 def _pruned_walk(p: SieveProblem, rp: list[int]) -> Walk:
     """The divisors d <= n_bound, not below a node with #A_d = 0."""
-    return divisor_walk(p, rp, at_most(p.n_bound), prune_empty=True)
+    return divisor_walk(p, rp, Admit(p.n_bound), prune_empty=True)
 
 
 def legendre_count(p: SieveProblem, z: float) -> int:

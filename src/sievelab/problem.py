@@ -413,6 +413,8 @@ def whole_densities(omega: MultiplicativeDensity, primes: Sequence[int]) -> dict
 class Admit(NamedTuple):
     """A walk's admission rule: node d takes the later primes q with q**power <= bound // d.
 
+    ``Admit(n)`` is d q <= n; ``below(y)`` is d q < y.
+
     The rule is tested at the nodes whose nu(d) has the parity ``parity``
     (at every node when it is None); a node of the other parity takes every
     later prime.  ``power`` is 1 or 3 and ``bound`` an int >= 0, so the
@@ -427,11 +429,6 @@ class Admit(NamedTuple):
 def below(y: float) -> Admit:
     """d q < y, as the integer rule d q <= ceil(y) - 1."""
     return Admit(max(math.ceil(y) - 1, 0))
-
-
-def at_most(n: int) -> Admit:
-    """d q <= n."""
-    return Admit(max(n, 0))
 
 
 class Walk(NamedTuple):
@@ -556,7 +553,7 @@ def _factor_column(factors: dict, primes: list[int]) -> np.ndarray:
     vals = [factors[q] for q in primes]
     if all(type(x) is int and abs(x) <= q for x, q in zip(vals, primes)):
         return np.array(vals, dtype=np.int64)
-    if vals and all(type(x) is float for x in vals):
+    if all(type(x) is float for x in vals):
         return np.array(vals, dtype=np.float64)
     out = np.empty(len(vals), dtype=object)
     out[:] = vals

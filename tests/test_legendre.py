@@ -19,7 +19,7 @@ from sievelab.legendre import (
 )
 from sievelab.problem import (
     ALL_KINDS,
-    at_most,
+    Admit,
     count_Ad,
     divisor_walk,
     make_problem,
@@ -249,7 +249,7 @@ def test_carried_state_equals_rebuilt(kind_problems):
     # past n_bound (8,101 for n^2 + 1 at x = 90) the carried members run empty
     for p in kind_problems:
         rp = [int(q) for q in sieve_primes(p, 30)]
-        walk = divisor_walk(p, rp, at_most(problem.INT64_MAX))  # every subset of rp
+        walk = divisor_walk(p, rp, Admit(problem.INT64_MAX))  # every subset of rp
         for d, nu, w, c, i in zip(*(col.tolist() for col in walk)):
             fac = [q for q in rp if d % q == 0]
             assert (nu, w, c) == (len(fac), p.omega.at_squarefree(fac), count_Ad(p, d)), (

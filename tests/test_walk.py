@@ -28,8 +28,8 @@ from sievelab.arith import squarefree_primes
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import legendre_count, legendre_remainder_sum
 from sievelab.problem import (
+    Admit,
     INT64_MAX,
-    at_most,
     below,
     divisor_walk,
     make_problem,
@@ -136,7 +136,7 @@ def test_every_walk_consumer_equals_the_reference(kind_problems, z, y):
         # inclusion-exclusion: the pruned walk, its count and remainder sum
         if len(rp) <= 25 and y == 2.0:
             ref, count, rem = _ref_legendre(p, rp)
-            walk = divisor_walk(p, rp, at_most(p.n_bound), prune_empty=True)
+            walk = divisor_walk(p, rp, Admit(p.n_bound), prune_empty=True)
             assert _same(walk, ref), tag
             assert legendre_count(p, z) == count, tag
             assert legendre_remainder_sum(p, z) == rem, tag
@@ -187,7 +187,7 @@ def test_below_is_exact_where_d_q_equals_y(y):
     assert _same(divisor_walk(None, ps, below(y), factors), ref), y
     n = math.floor(y)
     ref = list(reference_walk(None, ps, at_most_admit(n), factors))
-    assert _same(divisor_walk(None, ps, at_most(n), factors), ref), n
+    assert _same(divisor_walk(None, ps, Admit(n), factors), ref), n
 
 
 # 945 = 7 * 5 * 3^3, 189 = 7 * 3^3 and 3^3 * 2 = 54 sit on the chain rule's edge
@@ -209,7 +209,7 @@ def test_products_near_2_to_the_53():
         assert _same(divisor_walk(None, ps, below(y), ones), ref), y
     for n in (2**53 - 1, 2**53, 2**53 + 1):
         ref = list(reference_walk(None, ps, at_most_admit(n), ones))
-        assert _same(divisor_walk(None, ps, at_most(n), ones), ref), n
+        assert _same(divisor_walk(None, ps, Admit(n), ones), ref), n
 
 
 def test_products_near_2_to_the_63():
@@ -218,11 +218,11 @@ def test_products_near_2_to_the_63():
     ones = dict.fromkeys(ps, 1)
     for n in (INT64_MAX, INT64_MAX - 1):
         ref = list(reference_walk(None, ps, at_most_admit(n), ones))
-        assert _same(divisor_walk(None, ps, at_most(n), ones), ref), n
+        assert _same(divisor_walk(None, ps, Admit(n), ones), ref), n
     ref = list(reference_walk(None, ps, below_admit(2.0**63), ones))
     assert _same(divisor_walk(None, ps, below(2.0**63), ones), ref)
     # a walk whose divisors could pass int64 is refused before it starts
-    for rule in (at_most(2**63), below(1e19), _chain_admit(1e30, 1)):
+    for rule in (Admit(2**63), below(1e19), _chain_admit(1e30, 1)):
         with pytest.raises(CapacityError, match="passes int64"):
             divisor_walk(None, ps[::-1] if rule.parity is not None else ps, rule, ones)
     # a chain level past int64 over primes whose product is not: exact per node
@@ -238,22 +238,22 @@ def test_counts_near_int64(tables_small):
     assert p.n_bound == INT64_MAX
     rp = [int(q) for q in sieve_primes(p, 30)]
     ref = list(reference_walk(p, rp, at_most_admit(p.n_bound)))
-    assert _same(divisor_walk(p, rp, at_most(p.n_bound)), ref)
+    assert _same(divisor_walk(p, rp, Admit(p.n_bound)), ref)
     assert legendre_count(p, 30) == sift_exact(p, 30)
     # a progression modulus past sqrt(int64): the inverses run on exact ints
     k = 2**62 + 1
     p = make_problem("arithmetic_progression", {"x": 2**62 + 10**6, "k": k, "l": 7}, tables_small)
     rp = [int(q) for q in sieve_primes(p, 30)]
     ref = list(reference_walk(p, rp, at_most_admit(p.n_bound)))
-    assert _same(divisor_walk(p, rp, at_most(p.n_bound)), ref)
+    assert _same(divisor_walk(p, rp, Admit(p.n_bound)), ref)
 
 
 def test_walk_refuses_before_the_level_past_its_cap():
     ps = PRIMES[:10]
     ones = dict.fromkeys(ps, 1)
-    assert divisor_walk(None, ps, at_most(10**12), ones, max_nodes=2**10).d.size == 2**10
+    assert divisor_walk(None, ps, Admit(10**12), ones, max_nodes=2**10).d.size == 2**10
     with pytest.raises(CapacityError, match="exceeds 1023 nodes"):
-        divisor_walk(None, ps, at_most(10**12), ones, max_nodes=2**10 - 1)
+        divisor_walk(None, ps, Admit(10**12), ones, max_nodes=2**10 - 1)
 
 
 def test_walk_over_no_primes_is_the_root(tables_small):
