@@ -636,7 +636,9 @@ def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarr
         CapacityError: the list reads the tables at z - 1, past their limit.
     """
     tables.reach(finite(z, "cut z") - 1, f"z={z}")
-    return prime_set.select(tables.primes[: np.searchsorted(tables.primes, z)])
+    # p < z is p <= ceil(z) - 1; an int key spares casting the primes to float
+    below_z = np.searchsorted(tables.primes, math.ceil(z) - 1, side="right")
+    return prime_set.select(tables.primes[:below_z])
 
 
 def sieve_primes(p: SieveProblem, z: float) -> np.ndarray:
