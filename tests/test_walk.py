@@ -288,8 +288,9 @@ def _reference_float_lambdas(xi, z, omega, prime_set, tables):
     }
 
 
-#: the largest relative change of a float-fallback weight from the old
-#: support order (depth first) to the walk's (level by level)
+#: bound on the relative change of a float-fallback weight from the old
+#: support order (depth first) to the walk's (level by level); the largest
+#: seen was 3.5e-14, at xi = z = 175,000 (support 106,384, unforced)
 FLOAT_WEIGHT_CHANGE = 1e-13
 
 
