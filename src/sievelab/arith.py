@@ -145,6 +145,7 @@ def build_tables(limit: int) -> PrimeTables:
     spf[unset] = idx[unset]
     primes = np.nonzero(spf == idx)[0].astype(np.int64)
     primes = primes[primes >= 2]
+    primes.flags.writeable = False  # shared: primes_below hands out slices of it
     return PrimeTables(limit=limit, spf=spf, primes=primes)
 
 
