@@ -232,9 +232,9 @@ def test_x_matches_member_scale(tables_small):
 
 
 def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
-    # a node takes one run of later primes, ending where its bound refuses: the walks
-    # behind these bounds visit exactly the nodes the per-node reference
-    # walk (one admit test per candidate, stopping at the first refusal) does
+    # a node takes one run of later primes, ending where its bound refuses:
+    # the walks behind these bounds visit exactly the nodes of the per-node
+    # reference walk (one admit test per candidate, stopping at the first refusal)
     import sievelab.legendre as lg
     import sievelab.rosser as rs
     import sievelab.selberg as sb
