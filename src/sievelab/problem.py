@@ -5,24 +5,31 @@ multiplicative local density w with w(p)/p approximating the proportion of A
 divisible by p, and the set of primes the sieve is allowed to use; the prime
 set is exactly the primes with w(p) > 0.  Each kind's record in KINDS states
 everything the kind decides: its sizes, its table need, its members, and how
-#A_d is counted (a closed formula in d and nu(d), or a scan of the stored
-members).  A problem's value is its kind, parameters and tables.  The exact
-operations here (count_Ad, sift_exact) are deliberately brute force; they are
-the ground truth every bound module is checked against.  The sift tests each
-prime only against the members the smaller primes left, and a problem keeps
-each exact sifted count it has computed, keyed by its sieve-prime cut (how
-many sieve primes lie below z), so bounds that share a cut share one scan.
+#A_d is counted.  A problem's value is its kind, parameters and tables.  The
+exact operations here (count_Ad, sift_exact) are the ground truth every bound
+module is checked against.
 
-Supported kinds (#A_d by formula F or member scan S):
+Every kind's members sit at the indices of a range [lo, hi], one member
+a_i per index i (a start mask drops the indices that hold none), and a prime
+q divides a_i exactly when i lies in one of rho(q) root classes mod q (as in
+Halberstam-Richert, Sieve Methods, ch. 1-2).  So the sift strikes those
+classes from a boolean mask over the range, one slice per class, and a
+problem keeps each exact sifted count it has computed, keyed by its
+sieve-prime cut (how many sieve primes lie below z), so bounds that share a
+cut share one sift.  For squarefree d the indices with d | a_i are the
+rho(d) classes mod d the Chinese remainder theorem builds from the roots of
+d's primes; kinds with no start mask count #A_d from those classes.
+
+Supported kinds (#A_d by formula F, CRT classes C or stored-member scan S):
 
 =====================  ===  ===============================================
 interval               F    {x+1, ..., x+y}, X = y, w = 1
 arithmetic_progression F    {n <= x : n = l mod k}, X = x/k, w(p) = 1 for p not | k
-goldbach_product       S    {n(2N-n) : 2 <= n <= 2N-2}, X = 2N,
+goldbach_product       C    {n(2N-n) : 2 <= n <= 2N-2}, X = 2N,
                             w(p) = 1 if p | 2N else 2
 shifted_prime          S    {N-p : p prime, 3 <= p <= N-3, p not | N}, X = Li(N),
                             w(p) = p/(p-1) for p not | N
-square_plus_one        S    {n^2+1 : n <= x}, X = x, w(2) = 1,
+square_plus_one        C    {n^2+1 : n <= x}, X = x, w(2) = 1,
                             w(p) = 2 if p = 1 mod 4 else 0
 liouville_plus         F    {n <= x with an odd number of prime factors}, X = x/2
 liouville_minus        F    {n <= x with an even number of prime factors}, X = x/2
@@ -42,7 +49,8 @@ import numpy as np
 from .arith import PrimeTables, li_eval, squarefree_primes
 from .errors import CapacityError, DensityRangeError, InputError, finite, integer
 
-#: exact scans refuse problems with more members than this (a 100 MB interval mask)
+#: exact scans (the sift, the member arrays) refuse an index range of more
+#: entries than this, before its 100 MB strike mask is allocated
 MAX_SCAN_MEMBERS = 100_000_000
 
 #: a divisor walk refuses to visit more nodes than this unless its caller names a cap
@@ -118,10 +126,15 @@ class KindShape:
     """What a problem kind states from its parameters alone, before any table is built.
 
     ``need`` is the table limit the kind's own construction reads (0 when it
-    reads none).  ``members`` builds the members from the tables.  ``count``,
-    for the kinds with a closed formula for #A_d, binds that formula to the
-    tables, giving #A_d from int64 arrays of d and nu(d), a whole walk level at
-    once; it is None for the kinds counted by a scan of their stored members.
+    reads none).  The members sit at the indices lo..hi: ``value`` gives the
+    member at each index of an int64 array, and ``start`` (None when every
+    index holds one) the mask of the indices that do, from the tables.  A
+    prime q divides the member at i exactly when i lies in one of the
+    classes ``roots(q)`` mod q.  ``count``, for the kinds with a closed
+    formula for #A_d, binds that formula to the tables, giving #A_d from
+    int64 arrays of d and nu(d), a whole walk level at once.  Without it,
+    #A_d counts the CRT classes of d over the range, or, for a kind with a
+    start mask, its stored members.
     """
 
     label: str
@@ -131,24 +144,31 @@ class KindShape:
     need: int
     omega: MultiplicativeDensity
     prime_set: PrimeSet
-    members: Callable[[PrimeTables], np.ndarray]
+    lo: int
+    hi: int
+    value: Callable[[np.ndarray], np.ndarray]
+    roots: Callable[[int], tuple[int, ...]]
+    start: Callable[[PrimeTables], np.ndarray] | None = None
     count: Callable[[PrimeTables], Callable[[np.ndarray, np.ndarray], np.ndarray]] | None = None
 
 
 _W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
 
 
+def _same(i: np.ndarray) -> np.ndarray:
+    return i
+
+
+def _zero(q: int) -> tuple[int, ...]:
+    return (0,)
+
+
 def _interval(x: int, y: int) -> KindShape:
     x = integer(x, "interval parameter x", least=0)
     y = integer(y, "interval parameter y", least=1)
-    label = f"interval[{x + 1}..{x + y}]"
-
-    def members(tables: PrimeTables) -> np.ndarray:
-        _check_scan_size(label, y)
-        return np.arange(x + 1, x + y + 1, dtype=np.int64)
-
-    return KindShape(label, {"x": x, "y": y}, float(y), x + y, 0, _W_ONE, PrimeSet("all"),
-                     members, lambda tables: lambda d, nu: (x + y) // d - x // d)
+    return KindShape(f"interval[{x + 1}..{x + y}]", {"x": x, "y": y}, float(y), x + y, 0, _W_ONE,
+                     PrimeSet("all"), x + 1, x + y, _same, _zero,
+                     count=lambda tables: lambda d, nu: (x + y) // d - x // d)
 
 
 def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
@@ -158,11 +178,10 @@ def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
     if math.gcd(l, k) != 1:
         raise InputError(f"residue {l} not coprime to modulus {k}")
     l %= k
-    label = f"progression x={x} k={k} l={l}"
+    first = l if l >= 1 else k  # the members are first + k j for j = 0, 1, ...
 
-    def members(tables: PrimeTables) -> np.ndarray:
-        _check_scan_size(label, -(-x // k))
-        return np.arange(l if l >= 1 else k, x + 1, k, dtype=np.int64)
+    def roots(q: int) -> tuple[int, ...]:  # q | first + k j exactly when j = -first / k mod q
+        return () if k % q == 0 else (-first * pow(k, -1, q) % q,)
 
     def count(d: np.ndarray, nu: np.ndarray) -> np.ndarray:
         # n = d m <= x with n = l mod k: m <= x // d with m = t mod k, t = l / d mod k in [1, k]
@@ -175,19 +194,21 @@ def _arithmetic_progression(x: int, k: int, l: int) -> KindShape:
     omega = MultiplicativeDensity(
         lambda p: Fraction(0) if k % p == 0 else Fraction(1), f"w(p) = 1 off p | {k}"
     )
-    return KindShape(label, {"x": x, "k": k, "l": l}, x / k, x, 0, omega, PrimeSet("coprime", k),
-                     members, lambda tables: count)
+    return KindShape(f"progression x={x} k={k} l={l}", {"x": x, "k": k, "l": l}, x / k, x, 0,
+                     omega, PrimeSet("coprime", k), 0, (x - first) // k,
+                     lambda j: first + k * j, roots, count=lambda tables: count)
 
 
-def _inverse_mod(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a^-1 mod k where gcd(a, k) = 1, that gcd == 1) for an int64 array a.
+def _inverse_mod(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """(a^-1 mod k where gcd(a, k) = 1, that gcd == 1), elementwise, for an
+    int64 array a and a modulus k: an int, or an int64 array of a's shape.
 
     The extended Euclid steps run on the whole array at once; past
     sqrt(int64) they run on exact ints, since l a^-1 is formed next.
     """
-    wide = k > _SQRT_INT64
+    wide = np.max(k) > _SQRT_INT64
     a = a.astype(object) if wide else np.asarray(a, dtype=np.int64)
-    r0, r1 = np.full_like(a, k), a % k
+    r0, r1 = np.zeros_like(a) + k, a % k
     s0, s1 = np.zeros_like(a), np.ones_like(a)
     while (going := r1 != 0).any():
         q = np.where(going, r0 // np.where(going, r1, 1), 0)
@@ -200,56 +221,61 @@ def _goldbach_product(two_n: int) -> KindShape:
     two_n = integer(two_n, "goldbach_product parameter two_N", least=6)
     if two_n % 2:
         raise InputError(f"goldbach_product needs an even 2N, got {two_n}")
-
-    label = f"goldbach 2N={two_n}"
-
-    def members(tables: PrimeTables) -> np.ndarray:
-        _check_scan_size(label, two_n - 3)
-        n = np.arange(2, two_n - 1, dtype=np.int64)
-        return n * (two_n - n)
-
     omega = MultiplicativeDensity(
         lambda p: Fraction(1) if two_n % p == 0 else Fraction(2),
         f"w(p) = 1 if p | {two_n} else 2",
     )
-    return KindShape(label, {"two_N": two_n}, float(two_n), two_n**2 // 4, 0,
-                     omega, PrimeSet("all"), members)
+    return KindShape(f"goldbach 2N={two_n}", {"two_N": two_n}, float(two_n), two_n**2 // 4, 0,
+                     omega, PrimeSet("all"), 2, two_n - 2, lambda n: n * (two_n - n),
+                     lambda q: (0,) if two_n % q == 0 else (0, two_n % q))
 
 
 def _shifted_prime(n_par: int) -> KindShape:
+    """N - p, indexed by p: q divides N - p exactly when p = N mod q."""
     n_par = integer(n_par, "shifted_prime parameter N", least=8)
     if n_par % 2:
         raise InputError(f"shifted_prime needs an even N, got {n_par}")
 
-    def members(tables: PrimeTables) -> np.ndarray:
+    def start(tables: PrimeTables) -> np.ndarray:  # the primes 3 <= p <= N - 3 not dividing N
         ps = tables.primes
-        ps = ps[(ps >= 3) & (ps <= n_par - 3)]
-        return (n_par - ps[n_par % ps != 0]).astype(np.int64)
+        ps = ps[np.searchsorted(ps, 3):np.searchsorted(ps, n_par - 3, side="right")]
+        keep = np.zeros(n_par - 5, dtype=bool)
+        keep[ps[n_par % ps != 0] - 3] = True
+        return keep
 
     omega = MultiplicativeDensity(
         lambda p: Fraction(0) if n_par % p == 0 else Fraction(p, p - 1),
         f"w(p) = p/(p-1) off p | {n_par}",
     )
     return KindShape(f"shifted N={n_par}", {"N": n_par}, li_eval(n_par), n_par - 3, n_par,
-                     omega, PrimeSet("coprime", n_par), members)
+                     omega, PrimeSet("coprime", n_par), 3, n_par - 3, lambda p: n_par - p,
+                     lambda q: (n_par % q,), start)
+
+
+def _sqrt_minus_one(q: int) -> int:
+    """The r < q with r^2 = -1 mod q, for a prime q = 1 mod 4: a^((q-1)/4)
+    for the least quadratic non-residue a, since a^((q-1)/2) = -1."""
+    a = 2
+    while pow(a, (q - 1) // 2, q) != q - 1:
+        a += 1
+    return pow(a, (q - 1) // 4, q)
 
 
 def _square_plus_one(x: int) -> KindShape:
     x = integer(x, "square_plus_one parameter x", least=1)
 
-    label = f"square_plus_one x={x}"
-
-    def members(tables: PrimeTables) -> np.ndarray:
-        _check_scan_size(label, x)
-        n = np.arange(1, x + 1, dtype=np.int64)
-        return n * n + 1
+    def roots(q: int) -> tuple[int, ...]:  # q | n^2 + 1: n odd for q = 2, n = +-sqrt(-1) mod q
+        if q == 2 or q % 4 == 3:
+            return (1,) if q == 2 else ()
+        r = _sqrt_minus_one(q)
+        return (r, q - r)
 
     omega = MultiplicativeDensity(
         lambda p: Fraction(1) if p == 2 else (Fraction(2) if p % 4 == 1 else Fraction(0)),
         "w(2) = 1, w(p) = 2 for p = 1 mod 4, else 0",
     )
-    return KindShape(label, {"x": x}, float(x), x * x + 1, 0,
-                     omega, PrimeSet("two_or_one_mod_four"), members)
+    return KindShape(f"square_plus_one x={x}", {"x": x}, float(x), x * x + 1, 0,
+                     omega, PrimeSet("two_or_one_mod_four"), 1, x, lambda n: n * n + 1, roots)
 
 
 def _liouville(x: int, target: int) -> KindShape:
@@ -263,8 +289,8 @@ def _liouville(x: int, target: int) -> KindShape:
     kind, sign = ("liouville_plus", "+") if target == -1 else ("liouville_minus", "-")
     x = integer(x, f"{kind} parameter x", least=1)
 
-    def members(tables: PrimeTables) -> np.ndarray:
-        return np.nonzero(tables.liouville_table()[: x + 1] == target)[0].astype(np.int64)
+    def start(tables: PrimeTables) -> np.ndarray:
+        return tables.liouville_table()[1 : x + 1] == target
 
     def count(tables: PrimeTables) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         L = tables.liouville_summatory()
@@ -276,7 +302,7 @@ def _liouville(x: int, target: int) -> KindShape:
         return count_d
 
     return KindShape(f"liouville{sign} x={x}", {"x": x}, x / 2.0, x, x, _W_ONE, PrimeSet("all"),
-                     members, count)
+                     1, x, _same, _zero, start, count)
 
 
 #: kind -> (its integer parameters, in order; its shape from them)
@@ -297,8 +323,9 @@ class SieveProblem:
     """One sifting problem (A, X, w, P), as make_problem builds it.
 
     Its value is its kind, parameters and tables; every other field follows
-    from them.  ``members`` is stored only for the kinds counted by a member
-    scan, and ``count`` gives #A_d from (d, nu(d)) for the others.
+    from them.  ``count`` gives #A_d from (d, nu(d)) for the formula kinds;
+    ``members`` is stored only for shifted_prime, whose #A_d counts primes in
+    a class and so is a scan of its members; ``shape`` is the kind's shape.
     """
 
     kind: str
@@ -313,6 +340,7 @@ class SieveProblem:
     count: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    shape: KindShape | None = field(default=None, repr=False, compare=False)
     #: sift_exact's counts, keyed by the number of sieve primes below z
     _sifted: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -344,32 +372,35 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     Raises:
         InputError: as kind_shape.
         CapacityError: the kind's construction reads past the supplied tables,
-            or it would store more than MAX_SCAN_MEMBERS members.
+            or the members it stores span more than MAX_SCAN_MEMBERS indices.
     """
     shape = kind_shape(kind, params)
     tables.reach(shape.need, f"{shape.label} (table need {shape.need})")
-    scan = shape.count is None
-    return SieveProblem(
+    p = SieveProblem(
         kind=kind, params=shape.params, tables=tables, label=shape.label, X=shape.X,
         omega=shape.omega, prime_set=shape.prime_set, n_bound=shape.n_bound,
-        members=shape.members(tables) if scan else None,
-        count=None if scan else shape.count(tables),
+        count=None if shape.count is None else shape.count(tables), shape=shape,
     )
+    if shape.count is None and shape.start is not None:  # no closed count: a member scan
+        p.members = members_array(p)
+    return p
 
 
 def _check_scan_size(label: str, size: int) -> None:
     if size > MAX_SCAN_MEMBERS:
-        raise CapacityError(f"{label} has {size} members; exact scans stop at {MAX_SCAN_MEMBERS}")
+        raise CapacityError(
+            f"{label} spans {size} indices; exact scans stop at {MAX_SCAN_MEMBERS}"
+        )
 
 
 def members_array(p: SieveProblem) -> np.ndarray:
-    """The members of A as an int64 array (stored for the member-scan kinds,
-    generated on the fly for the others).
+    """The members of A as an int64 array, in index order (stored for
+    shifted_prime, read off the index range for the others).
 
     Raises:
-        CapacityError: more than MAX_SCAN_MEMBERS members to generate.
+        CapacityError: an index range of more than MAX_SCAN_MEMBERS entries.
     """
-    return kind_shape(p.kind, p.params).members(p.tables) if p.members is None else p.members
+    return _values(p, _strike(p, [])) if p.members is None else p.members
 
 
 def count_Ad(p: SieveProblem, d: int) -> int:
@@ -377,8 +408,15 @@ def count_Ad(p: SieveProblem, d: int) -> int:
     fac = squarefree_primes(d, p.tables)
     if d > p.n_bound:  # every member is positive and at most n_bound
         return 0
-    if p.count is None:
+    if p.members is not None:
         return int(np.count_nonzero(p.members % d == 0))
+    if p.count is None:  # d's CRT classes, lifted one prime at a time as _crt_counts does
+        s, cls, m = p.shape, [0], 1
+        for q in fac:
+            inv = pow(m, -1, q)
+            cls = [c + m * ((r - c) * inv % q) for c in cls for r in s.roots(q)]
+            m *= q
+        return sum((s.hi - c) // d - (s.lo - 1 - c) // d for c in cls)
     return int(p.count(np.array([d], dtype=np.int64), np.array([len(fac)], dtype=np.int8))[0])
 
 
@@ -462,8 +500,9 @@ def divisor_walk(
     parity walks them descending).  A node d extends to d q for each later
     prime q that ``admit`` takes; the level of nodes with nu(d) = k is built
     from the level before in one step.  v(d) = v(d / q) factors[q] (default
-    factors w(q), so v(d) = w(d)); #A_d is the kind's formula or, for the
-    member-scan kinds, the count of the parent's members that q divides.
+    factors w(q), so v(d) = w(d)); #A_d is the kind's formula, the count over
+    the CRT classes each node lifts from its parent's and q's roots, or, for
+    shifted_prime, the count of the parent's members that q divides.
     With p = None the walk needs ``factors``; prune_empty gives a node with
     #A_d = 0 no children.
 
@@ -481,20 +520,27 @@ def divisor_walk(
     if factors is None:
         factors = whole_densities(p.omega, primes.tolist())
     f = _factor_column(factors, primes.tolist())
-    scan = p is not None and p.count is None
+    scan = p is not None and p.members is not None
+    crt = p is not None and p.count is None and not scan
     d = np.ones(1, dtype=np.int64)
     nu = np.zeros(1, dtype=np.int8)
     idx = np.zeros(1, dtype=np.int32)
     v = np.ones(1, dtype=f.dtype)
-    count = None if p is None else (
-        np.array([p.members.size]) if scan else np.asarray(p.count(d, nu), dtype=np.int64)
-    )
+    if p is None:
+        count = None
+    elif p.count is None:  # d = 1 divides every member
+        count = np.array([p.members.size if scan else _range_size(p.shape)], dtype=np.int64)
+    else:
+        count = np.asarray(p.count(d, nu), dtype=np.int64)
     levels = [[d, nu, v, count, idx]]
     if n:
         ascending = n < 2 or primes[0] < primes[1]
         rising = primes if ascending else primes[::-1]
         bound, keys = _integer_rule(admit, rising, ascending)
         subs = [p.members] if scan else None
+        if crt:  # node a's classes are cls[seg[a]:seg[a + 1]]; d = 1 has the one class 0
+            cls, seg = np.zeros(1, dtype=np.int64), np.array([0, 1])
+            roots = _root_table(p.shape, primes)
 
         def runs(k, d, idx):  # (start, length) of the walk primes each node of level k takes
             if admit.parity is not None and k % 2 != admit.parity:
@@ -517,13 +563,17 @@ def divisor_walk(
             parent = np.repeat(np.arange(size.size), size)
             j = np.arange(total) + np.repeat(lo - np.cumsum(size) + size, size)
             q = primes[j]
-            d = d[parent] * q
+            dp = d[parent]
+            d = dp * q
             nu = np.full(total, k, dtype=np.int8)
             v = v[parent] * f[j]
             idx = (j + 1).astype(np.int32)
             lo, size = runs(k, d, idx)
             if scan:  # members are kept only for the nodes that have children
                 count, subs = _scan_counts(subs, parent, q, size > 0)
+            elif crt:  # and so are classes
+                count, cls, seg = _crt_counts(p.shape, cls, seg, parent, dp, q, roots[:, j],
+                                              size > 0)
             elif p is not None:
                 count = np.asarray(p.count(d, nu), dtype=np.int64)
             levels.append([d, nu, v, count, idx])
@@ -628,6 +678,47 @@ def _scan_counts(subs: list, parent: np.ndarray, q: np.ndarray, keep: np.ndarray
     return counts, out
 
 
+def _range_size(shape: KindShape) -> int:
+    return max(shape.hi - shape.lo + 1, 0)
+
+
+def _root_table(shape: KindShape, primes: np.ndarray) -> np.ndarray:
+    """shape.roots(q) for each prime, one column each, padded with -1."""
+    rs = [shape.roots(q) for q in primes.tolist()]
+    out = np.full((max([1, *map(len, rs)]), len(rs)), -1, dtype=np.int64)
+    for j, r in enumerate(rs):
+        out[: len(r), j] = r
+    return out
+
+
+def _crt_counts(shape: KindShape, cls, seg, parent, dp, q, roots, keep):
+    """#A_d for a level of CRT-counted nodes, and the classes of those marked in keep.
+
+    ``cls[seg[a]:seg[a + 1]]`` are parent a's index classes mod its d that
+    are at most hi (each lift of a larger class is larger still); ``dp`` and
+    ``q`` are each child's parent d and prime, and ``roots`` their roots mod
+    q, one row per root, -1 where q has fewer.  A class c mod d and a root r
+    mod q lift to c + d ((r - c) d^-1 mod q), the class mod d q both give.
+    """
+    m = seg[parent + 1] - seg[parent]  # classes per child
+    child = np.repeat(np.arange(parent.size), m)
+    c = cls[np.arange(child.size) + np.repeat(seg[parent] - np.cumsum(m) + m, m)]
+    inv = _inverse_mod(dp % q, q)[0][child]  # one inverse per child, spread to its classes
+    qc, dc = q[child], dp[child]
+    # (r - c) mod q and d^-1 mod q are below q, so their product is below q^2,
+    # inside int64 for q below the tables' limit (arith.MAX_TABLE_ENTRIES);
+    # c + d t is below d q, a divisor of the walk
+    lift = np.stack([c + dc * ((r[child] - c) % qc * inv % qc) for r in roots], axis=1)
+    ok = (roots[:, child].T >= 0) & (lift <= shape.hi)
+    owner = np.broadcast_to(child[:, None], lift.shape)[ok]
+    lift = lift[ok]
+    d = (dp * q)[owner]
+    ends = np.searchsorted(owner, np.arange(parent.size + 1))
+    total = np.concatenate(([0], np.cumsum((shape.hi - lift) // d - (shape.lo - 1 - lift) // d)))
+    seg = np.concatenate(([0], np.cumsum(np.where(keep, np.diff(ends), 0))))
+    return total[ends[1:]] - total[ends[:-1]], lift[keep[owner]], seg
+
+
 def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarray:
     """Primes of the prime set below z (strict), ascending.
 
@@ -649,16 +740,16 @@ def sieve_primes(p: SieveProblem, z: float) -> np.ndarray:
 def sift_exact(p: SieveProblem, z: float) -> int:
     """Count members of A with no prime factor p < z from the prime set.
 
-    This is the brute-force ground truth: every relevant prime below z is
-    tested by divisibility against the members (the interval by striking
-    its multiples from a mask).  The count is kept on the problem, keyed by
-    the number of sieve primes below z, so a later call at any z with the
-    same primes below it returns it without a second scan.
+    This is the exact ground truth: every relevant prime below z strikes
+    its root classes from a mask over the kind's index range.  The count is
+    kept on the problem, keyed by the number of sieve primes below z, so a
+    later call at any z with the same primes below it returns it without a
+    second sift.
 
     Raises:
         InputError: z is not a finite number (a z <= 2 sifts nothing out).
-        CapacityError: z beyond the tables, or more than MAX_SCAN_MEMBERS
-            members to scan.
+        CapacityError: z beyond the tables, or an index range of more than
+            MAX_SCAN_MEMBERS entries.
     """
     rp = sieve_primes(p, z)
     cut = rp.size
@@ -668,31 +759,33 @@ def sift_exact(p: SieveProblem, z: float) -> int:
 
 
 def _count_survivors(p: SieveProblem, rp: np.ndarray) -> int:
-    """The brute-force scan behind sift_exact, for the sieve primes rp."""
-    if p.kind == "interval":
-        x, y = p.params["x"], p.params["y"]
-        _check_scan_size(p.label, y)
-        keep = np.ones(y, dtype=bool)
-        for q in rp:
-            q = int(q)
-            start = (-(x + 1)) % q
-            keep[start::q] = False
-        return int(np.count_nonzero(keep))
-    return _survivors(members_array(p), rp).size
+    """The sift behind sift_exact, for the sieve primes rp."""
+    return int(np.count_nonzero(_strike(p, rp)))
 
 
 def sifted_members(p: SieveProblem, z: float) -> np.ndarray:
-    """The members surviving the cut at z, as values, in member order.
+    """The members surviving the cut at z, as values, in member order
+    (index order: shifted_prime's N - p descend)."""
+    return _values(p, _strike(p, sieve_primes(p, z)))
 
-    Brute force: each prime below z, smallest first, is tested only against
-    the members no smaller prime divides.
+
+def _strike(p: SieveProblem, rp) -> np.ndarray:
+    """A mask over the index range, True where a member lies that no prime
+    of rp divides: each prime strikes its root classes, a slice each.
+
+    Raises:
+        CapacityError: more than MAX_SCAN_MEMBERS indices, refused before
+            the mask is allocated.
     """
-    rp = sieve_primes(p, z)
-    return _survivors(members_array(p), rp)
+    s = p.shape
+    _check_scan_size(p.label, _range_size(s))
+    keep = np.ones(_range_size(s), dtype=bool) if s.start is None else s.start(p.tables)
+    for q in np.asarray(rp, dtype=np.int64).tolist():
+        for r in s.roots(q):
+            keep[(r - s.lo) % q::q] = False
+    return keep
 
 
-def _survivors(mem: np.ndarray, rp: np.ndarray) -> np.ndarray:
-    """The members of mem no prime of rp divides, as a new array."""
-    for q in rp:
-        mem = mem[mem % int(q) != 0]
-    return mem if rp.size else mem.copy()
+def _values(p: SieveProblem, keep: np.ndarray) -> np.ndarray:
+    """The members at the indices marked in keep, in index order."""
+    return p.shape.value(p.shape.lo + np.flatnonzero(keep))

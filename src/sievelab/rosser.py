@@ -42,6 +42,10 @@ from .selberg import SieveReport, one_sided_report
 #: truncated_mobius_sum is exact with at most this many sieve primes, float above
 EXACT_MOBIUS_PRIMES = 30
 
+#: sandwich_values refuses an m with more prime factors than this (its walks
+#: range over up to 2^k divisors of an m with k of them)
+MAX_SANDWICH_FACTORS = 20
+
 
 def _chain_admit(y: float, sign: int) -> Admit:
     """The support's step rule for a walk over the primes, largest first.
@@ -126,8 +130,10 @@ def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
     """
     finite(y, "level y")
     facs = squarefree_primes(integer(m, "m", least=1), tables)
-    if len(facs) > 20:
-        raise CapacityError(f"{m} has {len(facs)} prime factors; cap is 20")
+    if len(facs) > MAX_SANDWICH_FACTORS:
+        raise CapacityError(
+            f"{m} has {len(facs)} prime factors; cap is {MAX_SANDWICH_FACTORS}"
+        )
     mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
     lo, hi = (
         int(divisor_walk(None, facs[::-1], _chain_admit(y, s), mu).v.sum()) for s in (-1, 1)

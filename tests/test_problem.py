@@ -281,12 +281,35 @@ def test_kind_shape_states_sizes_without_tables(kind_problems):
         assert sieve_primes(p, 1000).tolist() == positive, p.kind
 
 
-def test_stored_members_past_the_scan_cap_are_refused_before_they_are_built(tables_small):
-    for kind, params in (("goldbach_product", {"two_N": 2 * 10**9}),
-                         ("square_plus_one", {"x": 10**9})):
+def _periodic_count(f, lo: int, hi: int, m: int) -> int:
+    """#{lo <= n <= hi : gcd(f(n), m) = 1}, one period of m at a time."""
+    good = [math.gcd(f(n), m) == 1 for n in range(m)]
+    full, rest = divmod(hi - lo + 1, m)
+    return full * sum(good) + sum(good[n % m] for n in range(hi - rest + 1, hi + 1))
+
+
+def test_scans_past_the_cap_are_refused_before_the_mask_is_built(tables_small):
+    import tracemalloc
+
+    # the CRT kinds store no members, so these problems build and count
+    # exactly; every scan of their 2e9 and 1e9 indices is refused before
+    # its mask is allocated
+    for kind, params, f, lo, z in (
+        ("goldbach_product", {"two_N": 2 * 10**9}, lambda n: n * (2 * 10**9 - n), 2, 12),
+        ("square_plus_one", {"x": 10**9}, lambda n: n * n + 1, 1, 30),
+    ):
         assert kind_shape(kind, params).need == 0
-        with pytest.raises(CapacityError, match="exact scans stop at"):
-            make_problem(kind, params, tables_small)
+        p = make_problem(kind, params, tables_small)
+        assert p.members is None
+        m = math.prod(sieve_primes(p, z).tolist())
+        assert legendre_count(p, z) == _periodic_count(f, lo, kind_shape(kind, params).hi, m)
+        for scan in (sift_exact, sifted_members, lambda p, z: members_array(p)):
+            tracemalloc.start()
+            with pytest.raises(CapacityError, match="exact scans stop at"):
+                scan(p, z)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1 << 20, (kind, peak)
 
 
 def test_prime_cut_past_the_tables_is_refused():

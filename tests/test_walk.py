@@ -5,21 +5,27 @@ Every consumer of the walk is compared with the same quantity computed from
 and every walk with the reference's node set, columns included.  The walk
 rules are given to the reference in their original form (d q < y,
 d q <= n, d q^3 < y), so the integer bounds are checked too, at the edges
-where d q equals y and where products reach 2^53 and 2^63.
+where d q equals y and where products reach 2^53 and 2^63.  The strike
+sift and the CRT counts are compared with the member scans they replaced
+(``reference_survivors`` and the reference walk's per-child filter).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from walk_reference import (
     at_most_admit,
     below_admit,
     chain_admit,
     nodes,
+    reference_members,
+    reference_survivors,
     reference_walk,
 )
 
@@ -31,11 +37,14 @@ from sievelab.problem import (
     Admit,
     INT64_MAX,
     below,
+    count_Ad,
     divisor_walk,
     make_problem,
+    members_array,
     remainder,
     sieve_primes,
     sift_exact,
+    sifted_members,
 )
 from sievelab.rosser import (
     _chain_admit,
@@ -173,6 +182,68 @@ def test_sandwich_values_and_divisor_sums_equal_the_reference(tables_small, y):
         )
         assert sandwich_values(m, y, tables_small) == (lo, int(m == 1), hi), (m, y)
         assert (sums[-1][m], sums[1][m]) == (lo, hi), (m, y)
+
+
+# -- the strike sift and the CRT counts against the member scan --------------
+
+
+def _draws():
+    """Three parameter draws per kind (a fixed seed), then the edges: q | 2N
+    (2N = 2310 = 2 3 5 7 11, and 2N = 6), q = 2 for both CRT kinds (always
+    one of their sieve primes), a progression with k = 1 and one with no
+    members, Liouville at x = 1 and an interval from 0."""
+    r = random.Random("strike-and-crt")
+    out = []
+    for _ in range(3):
+        k = r.randrange(1, 40)
+        l = r.choice([l for l in range(k) if math.gcd(l, k) == 1])
+        out += [
+            ("interval", {"x": r.randrange(0, 10**6), "y": r.randrange(1, 3_000)}),
+            ("arithmetic_progression", {"x": r.randrange(1, 30_000), "k": k, "l": l}),
+            ("goldbach_product", {"two_N": 2 * r.randrange(3, 1_500)}),
+            ("shifted_prime", {"N": 2 * r.randrange(4, 5_000)}),
+            ("square_plus_one", {"x": r.randrange(1, 3_000)}),
+            ("liouville_plus", {"x": r.randrange(1, 10_000)}),
+            ("liouville_minus", {"x": r.randrange(1, 10_000)}),
+        ]
+    return out + [
+        ("goldbach_product", {"two_N": 2_310}),
+        ("goldbach_product", {"two_N": 6}),
+        ("square_plus_one", {"x": 1}),
+        ("square_plus_one", {"x": 2}),
+        ("arithmetic_progression", {"x": 2_000, "k": 1, "l": 0}),
+        ("arithmetic_progression", {"x": 5, "k": 7, "l": 6}),
+        ("liouville_plus", {"x": 1}),
+        ("liouville_minus", {"x": 1}),
+        ("interval", {"x": 0, "y": 3_000}),
+        ("shifted_prime", {"N": 8}),
+    ]
+
+
+STRIKE_CASES = _draws()
+
+
+@pytest.mark.parametrize(
+    "kind,params", STRIKE_CASES, ids=[f"{k}-{sorted(v.items())}" for k, v in STRIKE_CASES]
+)
+def test_strike_and_crt_counts_equal_the_member_scan(tables_small, kind, params):
+    p = make_problem(kind, params, tables_small)
+    mem = reference_members(p)
+    assert members_array(p).dtype == mem.dtype and members_array(p).tolist() == mem.tolist()
+    for z in (1.5, 2, 3, 7, 30, 60, 200):
+        rp = sieve_primes(p, z)
+        want = reference_survivors(mem, rp)
+        got = sifted_members(p, z)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), z
+        assert sift_exact(p, z) == want.size, z
+    rp = [int(q) for q in sieve_primes(p, 60)]
+    for y in (30.0, 1e4):  # every node's #A_d, the CRT kinds' against the per-child filter
+        assert _same(divisor_walk(p, rp, below(y)), reference_walk(p, rp, below_admit(y))), y
+    rp = rp[:8]
+    walk = divisor_walk(p, rp, Admit(p.n_bound), prune_empty=True)
+    assert _same(walk, reference_walk(p, rp, at_most_admit(p.n_bound), prune_empty=True))
+    for d in divisor_walk(None, rp, below(3e4), dict.fromkeys(rp, 1)).d.tolist():
+        assert count_Ad(p, d) == np.count_nonzero(mem % d == 0), d
 
 
 # -- rule edges ---------------------------------------------------------------

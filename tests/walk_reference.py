@@ -1,4 +1,4 @@
-"""The per-node divisor walk the package's column walker replaced, kept as a reference.
+"""The per-node divisor walk and the member scans the package replaced, kept as references.
 
 ``reference_walk`` is the depth-first generator ``problem.divisor_walk``
 used to be: it yields (d, nu(d), v(d), #A_d, i) one node at a time, asks a
@@ -6,12 +6,19 @@ callable ``admit(d, nu, q)`` before each child and stops at the first
 refusal.  The ``*_admit`` helpers state each walk rule in its original form
 (d q < y, d q <= n, d q^3 < y at the checked positions), so a test that
 compares the two walkers also checks the integer bounds the column walker
-reads the rules as.
+reads the rules as.  For a kind with no closed formula the reference walk
+counts #A_d by the old per-child filter: it keeps each node's members and
+tests them against the node's last prime.  ``reference_members`` builds
+every kind's members as the kinds built them before they gained an index
+range, and ``reference_survivors`` is the old sift, which tests each prime
+only against the members the smaller primes left.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from sievelab.errors import CapacityError
 from sievelab.problem import MAX_CHAIN_NODES, whole_densities
@@ -40,7 +47,7 @@ def reference_walk(p, primes, admit, factors=None, prune_empty=False, max_nodes=
     scan = p is not None and p.count is None
     n, ascending = len(primes), len(primes) < 2 or primes[0] < primes[1]
     nodes = 0
-    stack: list = [(0, 1, 0, 1, p.members if scan else None)]
+    stack: list = [(0, 1, 0, 1, reference_members(p) if scan else None)]
     while stack:
         i, d, nu, v, sub = stack.pop()
         nodes += 1
@@ -60,6 +67,35 @@ def reference_walk(p, primes, admit, factors=None, prune_empty=False, max_nodes=
             if not admit(d, nu, q):
                 break
             stack.append((j + 1, d * q, nu + 1, v * factors[q], sub))
+
+
+def reference_members(p) -> np.ndarray:
+    """The members of A as an int64 array, in member order."""
+    par = p.params
+    if p.kind == "interval":
+        return np.arange(par["x"] + 1, par["x"] + par["y"] + 1, dtype=np.int64)
+    if p.kind == "arithmetic_progression":
+        k, l = par["k"], par["l"]
+        return np.arange(l if l >= 1 else k, par["x"] + 1, k, dtype=np.int64)
+    if p.kind == "goldbach_product":
+        n = np.arange(2, par["two_N"] - 1, dtype=np.int64)
+        return n * (par["two_N"] - n)
+    if p.kind == "shifted_prime":
+        ps = p.tables.primes
+        ps = ps[(ps >= 3) & (ps <= par["N"] - 3)]
+        return (par["N"] - ps[par["N"] % ps != 0]).astype(np.int64)
+    if p.kind == "square_plus_one":
+        n = np.arange(1, par["x"] + 1, dtype=np.int64)
+        return n * n + 1
+    target = -1 if p.kind == "liouville_plus" else 1
+    return np.nonzero(p.tables.liouville_table()[: par["x"] + 1] == target)[0].astype(np.int64)
+
+
+def reference_survivors(mem: np.ndarray, rp) -> np.ndarray:
+    """The members of mem no prime of rp divides, as a new array."""
+    for q in rp:
+        mem = mem[mem % int(q) != 0]
+    return mem if len(rp) else mem.copy()
 
 
 def _count(p, d, nu):
