@@ -18,7 +18,7 @@ problem keeps each exact sifted count it has computed, keyed by its
 sieve-prime cut (how many sieve primes lie below z), so bounds that share a
 cut share one sift.  For squarefree d the indices with d | a_i are the
 rho(d) classes mod d the Chinese remainder theorem builds from the roots of
-d's primes; kinds with no start mask count #A_d from those classes.
+d's primes; the kinds marked C below count #A_d over those classes.
 
 Supported kinds (#A_d by formula F, CRT classes C or stored-member scan S):
 
@@ -155,19 +155,11 @@ class KindShape:
 _W_ONE = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
 
 
-def _same(i: np.ndarray) -> np.ndarray:
-    return i
-
-
-def _zero(q: int) -> tuple[int, ...]:
-    return (0,)
-
-
 def _interval(x: int, y: int) -> KindShape:
     x = integer(x, "interval parameter x", least=0)
     y = integer(y, "interval parameter y", least=1)
     return KindShape(f"interval[{x + 1}..{x + y}]", {"x": x, "y": y}, float(y), x + y, 0, _W_ONE,
-                     PrimeSet("all"), x + 1, x + y, _same, _zero,
+                     PrimeSet("all"), x + 1, x + y, lambda n: n, lambda q: (0,),
                      count=lambda tables: lambda d, nu: (x + y) // d - x // d)
 
 
@@ -302,7 +294,7 @@ def _liouville(x: int, target: int) -> KindShape:
         return count_d
 
     return KindShape(f"liouville{sign} x={x}", {"x": x}, x / 2.0, x, x, _W_ONE, PrimeSet("all"),
-                     1, x, _same, _zero, start, count)
+                     1, x, lambda n: n, lambda q: (0,), start, count)
 
 
 #: kind -> (its integer parameters, in order; its shape from them)
