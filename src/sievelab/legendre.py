@@ -2,7 +2,7 @@
 
 The inclusion-exclusion count over squarefree divisors of the product of
 sieve primes below z is exact but exponential in the number of primes, so
-it is capped; it serves as a second ground truth against the member scan.
+it is capped; it serves as a second ground truth against the strike sift.
 The remainder sum walks the count's pruned tree and adds what it prunes
 in closed form.
 """
@@ -113,7 +113,7 @@ def _pruned_walk(p: SieveProblem, rp: list[int]) -> Walk:
 def legendre_count(p: SieveProblem, z: float) -> int:
     """Exact sifted count by inclusion-exclusion over the primes below z.
 
-    Equals the member-scan count; subtrees whose divisor already exceeds the
+    Equals sift_exact's count; subtrees whose divisor already exceeds the
     largest member (or has no multiples in A) are pruned since every deeper
     term is zero.
 

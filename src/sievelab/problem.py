@@ -196,11 +196,12 @@ def _inverse_mod(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     int64 array a and a modulus k: an int, or an int64 array of a's shape.
 
     The extended Euclid steps run on the whole array at once; past
-    sqrt(int64) they run on exact ints, since l a^-1 is formed next.
+    sqrt(int64) they run on exact ints, since l a^-1 is formed next.  An
+    array of moduli holds walk primes, below the tables' limit.
     """
-    wide = np.max(k) > _SQRT_INT64
+    wide = isinstance(k, int) and k > _SQRT_INT64
     a = a.astype(object) if wide else np.asarray(a, dtype=np.int64)
-    r0, r1 = np.zeros_like(a) + k, a % k
+    r0, r1 = np.full_like(a, k), a % k
     s0, s1 = np.zeros_like(a), np.ones_like(a)
     while (going := r1 != 0).any():
         q = np.where(going, r0 // np.where(going, r1, 1), 0)
