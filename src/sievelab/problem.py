@@ -56,6 +56,10 @@ MAX_SCAN_MEMBERS = 100_000_000
 #: a divisor walk refuses to visit more nodes than this unless its caller names a cap
 MAX_CHAIN_NODES = 2_000_000
 
+#: a divisor walk refuses to lift more CRT classes than this at one level,
+#: before it gathers them (the level then peaks near 200 MB)
+MAX_WALK_CLASSES = 4_000_000
+
 #: int64's largest value: members, divisors and counts stay at or below it
 INT64_MAX = int(np.iinfo(np.int64).max)
 _SQRT_INT64 = math.isqrt(INT64_MAX)
@@ -502,9 +506,11 @@ def divisor_walk(
     Raises:
         CapacityError: more than max_nodes nodes (MAX_CHAIN_NODES, read when
             the walk starts, unless the caller names its own cap), refused
-            before the level that passes it is built; or a walk whose largest
-            divisor (the smaller of its bound and the product of its primes)
-            could pass int64, refused before it starts.
+            before the level that passes it is built; a level that would lift
+            more than MAX_WALK_CLASSES CRT classes, refused before they are
+            gathered; or a walk whose largest divisor (the smaller of its
+            bound and the product of its primes) could pass int64, refused
+            before it starts.
     """
     if max_nodes is None:
         max_nodes = MAX_CHAIN_NODES
@@ -694,6 +700,11 @@ def _crt_counts(shape: KindShape, cls, seg, parent, dp, q, roots, keep):
     mod q lift to c + d ((r - c) d^-1 mod q), the class mod d q both give.
     """
     m = seg[parent + 1] - seg[parent]  # classes per child
+    lifts = int(m.sum()) * len(roots)
+    if lifts > MAX_WALK_CLASSES:
+        raise CapacityError(
+            f"divisor walk lifts {lifts} CRT classes at one level; cap is {MAX_WALK_CLASSES}"
+        )
     child = np.repeat(np.arange(parent.size), m)
     c = cls[np.arange(child.size) + np.repeat(seg[parent] - np.cumsum(m) + m, m)]
     inv = _inverse_mod(dp % q, q)[0][child]  # one inverse per child, spread to its classes

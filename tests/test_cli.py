@@ -414,6 +414,14 @@ def test_members_past_int64_exit_2(capsys, argv):
     assert rc == 2 and out == "" and "past int64" in err
 
 
+def test_crt_walk_past_its_class_cap_exits_2(capsys):
+    # goldbach at 2N = 2e9 stores no members; its Legendre walk to z = 100
+    # would lift about 8.8 million classes at one level
+    rc, out, err = run(capsys, ["legendre", "--problem", "goldbach_product", "--two-n", "2e9",
+                                "--z", "100"])
+    assert rc == 2 and out == "" and "CRT classes at one level" in err
+
+
 _FUZZ_VALUES = st.sampled_from(
     ["0", "1", "1.5", "-5", "1e12", "nan", "inf", "2", "3", "7", "30", "50", "100", "200",
      "500", "2.5"]

@@ -29,6 +29,7 @@ from walk_reference import (
     reference_walk,
 )
 
+import sievelab.problem as problem
 import sievelab.selberg as selberg
 from sievelab.arith import squarefree_primes
 from sievelab.errors import CapacityError, InputError
@@ -325,6 +326,26 @@ def test_walk_refuses_before_the_level_past_its_cap():
     assert divisor_walk(None, ps, Admit(10**12), ones, max_nodes=2**10).d.size == 2**10
     with pytest.raises(CapacityError, match="exceeds 1023 nodes"):
         divisor_walk(None, ps, Admit(10**12), ones, max_nodes=2**10 - 1)
+
+
+def test_walk_refuses_a_level_past_its_class_cap(tables_small, monkeypatch):
+    p = make_problem("goldbach_product", {"two_N": 2_000}, tables_small)
+    rp = [int(q) for q in sieve_primes(p, 30)]
+    lifts = []
+    crt_counts = problem._crt_counts
+
+    def recording(shape, cls, seg, parent, dp, q, roots, keep):
+        lifts.append(int((seg[parent + 1] - seg[parent]).sum()) * len(roots))
+        return crt_counts(shape, cls, seg, parent, dp, q, roots, keep)
+
+    monkeypatch.setattr(problem, "_crt_counts", recording)
+    want = nodes(divisor_walk(p, rp, Admit(p.n_bound)))
+    monkeypatch.setattr(problem, "_crt_counts", crt_counts)
+    monkeypatch.setattr(problem, "MAX_WALK_CLASSES", max(lifts))
+    assert nodes(divisor_walk(p, rp, Admit(p.n_bound))) == want
+    monkeypatch.setattr(problem, "MAX_WALK_CLASSES", max(lifts) - 1)
+    with pytest.raises(CapacityError, match="CRT classes at one level"):
+        divisor_walk(p, rp, Admit(p.n_bound))
 
 
 def test_walk_over_no_primes_is_the_root(tables_small):
