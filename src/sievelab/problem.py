@@ -383,13 +383,6 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     return p
 
 
-def _check_scan_size(label: str, size: int) -> None:
-    if size > MAX_SCAN_MEMBERS:
-        raise CapacityError(
-            f"{label} spans {size} indices; exact scans stop at {MAX_SCAN_MEMBERS}"
-        )
-
-
 def members_array(p: SieveProblem) -> np.ndarray:
     """The members of A as an int64 array, in index order (stored for
     shifted_prime, read off the index range for the others).
@@ -781,9 +774,12 @@ def _strike(p: SieveProblem, rp) -> np.ndarray:
         CapacityError: more than MAX_SCAN_MEMBERS indices, refused before
             the mask is allocated.
     """
-    s = p.shape
-    _check_scan_size(p.label, _range_size(s))
-    keep = np.ones(_range_size(s), dtype=bool) if s.start is None else s.start(p.tables)
+    s, size = p.shape, _range_size(p.shape)
+    if size > MAX_SCAN_MEMBERS:
+        raise CapacityError(
+            f"{p.label} spans {size} indices; exact scans stop at {MAX_SCAN_MEMBERS}"
+        )
+    keep = np.ones(size, dtype=bool) if s.start is None else s.start(p.tables)
     for q in np.asarray(rp, dtype=np.int64).tolist():
         for r in s.roots(q):
             keep[(r - s.lo) % q::q] = False
