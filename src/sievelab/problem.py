@@ -788,4 +788,6 @@ def _strike(p: SieveProblem, rp) -> np.ndarray:
 
 def _values(p: SieveProblem, keep: np.ndarray) -> np.ndarray:
     """The members at the indices marked in keep, in index order."""
-    return p.shape.value(p.shape.lo + np.flatnonzero(keep))
+    i = np.flatnonzero(keep)
+    i += p.shape.lo  # in place: at the scan cap the index array is 800 MB
+    return p.shape.value(i)
