@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InputError, finite, integer
+from .errors import CapacityError, InputError, finite, integer, within
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -131,10 +131,7 @@ def build_tables(limit: int) -> PrimeTables:
         CapacityError: limit + 1 > MAX_TABLE_ENTRIES.
     """
     limit = integer(limit, "table limit", least=2)
-    if limit + 1 > MAX_TABLE_ENTRIES:
-        raise CapacityError(
-            f"table of {limit + 1} entries exceeds the cap of {MAX_TABLE_ENTRIES}"
-        )
+    within(limit + 1, MAX_TABLE_ENTRIES, "table entries")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import EULER_GAMMA
-from .errors import CapacityError, InputError, finite, integer
+from .errors import InputError, finite, integer, within
 
 #: most grid points build_grid allocates (three float64 arrays of this length)
 MAX_GRID_CELLS = 5_000_000
@@ -98,11 +98,7 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
     m = round(1.0 / finite(step, "step", above=0))
     if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
         raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
-    k_top = smax * m
-    if k_top > MAX_GRID_CELLS:
-        raise CapacityError(
-            f"grid of s_max/step = {k_top} points exceeds the cap of {MAX_GRID_CELLS}"
-        )
+    k_top = within(smax * m, MAX_GRID_CELLS, "grid points s_max/step")
     s = np.arange(k_top + 1, dtype=np.float64) / m
     s[0] = np.nan
     F = np.full(k_top + 1, np.nan)

@@ -1,4 +1,5 @@
-"""Exception types shared across the sieve modules, and the one check of a number's domain."""
+"""Exception types shared across the sieve modules, the one check of a number's
+domain and the one check of a predicted cost against its cap."""
 
 import math
 import numbers
@@ -9,7 +10,7 @@ class InputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Raised when a request would exceed a configured size budget."""
+    """Raised when a request would exceed a configured size budget (see ``within``)."""
 
 
 class ZeroDensityError(ValueError):
@@ -50,3 +51,17 @@ def integer(v, name: str, least=None) -> int:
             return v
     bound = f" >= {least}" if least is not None else ""
     raise InputError(f"{name} must be an integer{bound}, got {v!r}")
+
+
+def within(work: int, cap: int, what: str) -> int:
+    """work, checked to be at most ``cap``: a predicted cost (entries, nodes,
+    pairs, a largest value) compared before the work is done.
+
+    Ints compare exactly, past 2^63 too.
+
+    Raises:
+        CapacityError: work > cap; the message names what, the work and the cap.
+    """
+    if work > cap:
+        raise CapacityError(f"{what}: {work} is past the cap of {cap}")
+    return work

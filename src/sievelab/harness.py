@@ -27,10 +27,12 @@ from .arith import (
     prime_pi,
 )
 from .buchstab import BuchstabGrid, build_grid, evaluate
-from .errors import CapacityError, InputError, integer
+from .errors import InputError, integer, within
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
-from .problem import MultiplicativeDensity, PrimeSet, kind_shape, make_problem, sift_exact
+from .problem import (
+    INT64_MAX, MultiplicativeDensity, PrimeSet, kind_shape, make_problem, sift_exact,
+)
 from .rosser import chain_divisor_sums, combinatorial_bounds, fundamental_lemma_report
 from .selberg import (
     fundamental_upper_bound,
@@ -185,8 +187,7 @@ def _suite_selberg_weights(seed) -> SuiteResult:
 def _mu_plus_divisor_sums(values: dict[int, Fraction], n_max: int) -> tuple[np.ndarray, int]:
     """(sums, den): den is the lcm of the denominators, sums[n] is den * (sum over d | n) as int64."""
     scaled, den = over_common_denominator(values)
-    if sum(map(abs, scaled.values())) >= 2**63:
-        raise CapacityError(f"divisor sums scaled by {den} could overflow int64")
+    within(sum(map(abs, scaled.values())), INT64_MAX, f"divisor sums scaled by {den} (int64)")
     sums = np.zeros(n_max + 1, dtype=np.int64)
     for d, v in scaled.items():
         sums[d::d] += v
@@ -614,8 +615,8 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     q_max = integer(q_max, "q_max", least=1)
     tables.reach(q_max, f"q_max={q_max}")
     n = prime_pi(x, tables)
-    if q_max * (n + _BV_SCAN_K_COST) > BV_SCAN_MAX_WORK:
-        raise CapacityError(f"{q_max} moduli over {n} primes: cap is {BV_SCAN_MAX_WORK}")
+    within(q_max * (n + _BV_SCAN_K_COST), BV_SCAN_MAX_WORK,
+           f"scan work of {q_max} moduli over {n} primes")
     ps = tables.primes[:n]
     li, li_x = _li_at_primes(ps, x)
     rem_type = np.uint8 if q_max <= 256 else np.uint16  # the cap admits < 2**16 moduli

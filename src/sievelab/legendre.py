@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables
-from .errors import CapacityError, finite
+from .errors import finite, within
 from .problem import (
     Admit,
     MultiplicativeDensity,
@@ -30,9 +29,6 @@ from .problem import (
     sieve_primes,
 )
 
-#: switch from exact rational products to compensated floats above this z
-EXACT_PRODUCT_Z = 10_000
-
 #: refuse inclusion-exclusion, and its remainder sum, over more primes than this
 MAX_SUBSET_PRIMES = 25
 
@@ -42,15 +38,13 @@ class MertensValue:
     """Euler products over the primes below z.
 
     V is the product of (1 - 1/p) over all primes p < z; W is the product of
-    (1 - w(p)/p) over the sieve primes below z.  Exact rational values are
-    kept when z is small enough that they stay cheap.
+    (1 - w(p)/p) over the sieve primes below z.  Both are only read as
+    floats, so each is exp of the fsum of its factors' log1p.
     """
 
     z: float
     V: float
     W: float
-    V_exact: Fraction | None = None
-    W_exact: Fraction | None = None
 
     def v_normalized(self) -> float:
         """V(z) log z e^gamma, which drifts to 1 as z grows."""
@@ -69,25 +63,10 @@ def mertens_products(
         CapacityError: z exceeds what the tables cover.
     """
     ps_all = primes_below(z, PrimeSet(), tables)
-    ps_sel = prime_set.select(ps_all)
-    if z <= EXACT_PRODUCT_Z:
-        v_exact = Fraction(1)
-        for p in ps_all:
-            v_exact *= Fraction(int(p) - 1, int(p))
-        w_exact = Fraction(1)
-        for p in ps_sel:
-            w_exact *= 1 - omega.at_prime(int(p)) / int(p)
-        return MertensValue(
-            z=float(z), V=float(v_exact), W=float(w_exact),
-            V_exact=v_exact, W_exact=w_exact,
-        )
-    v = math.exp(math.fsum(math.log1p(-1.0 / int(p)) for p in ps_all))
-    w_logs = []
-    for p in ps_sel:
-        wp = omega.at_prime(int(p))
-        if wp:
-            w_logs.append(math.log1p(-float(wp) / int(p)))
-    return MertensValue(z=float(z), V=v, W=math.exp(math.fsum(w_logs)))
+    v = math.fsum(math.log1p(-1.0 / int(p)) for p in ps_all)
+    w = math.fsum(math.log1p(-float(omega.at_prime(int(p))) / int(p))
+                  for p in prime_set.select(ps_all))
+    return MertensValue(z=float(z), V=math.exp(v), W=math.exp(w))
 
 
 def problem_W(p: SieveProblem, z: float) -> MertensValue:
@@ -97,11 +76,7 @@ def problem_W(p: SieveProblem, z: float) -> MertensValue:
 
 def _subset_primes(p: SieveProblem, z: float) -> list[int]:
     rp = [int(q) for q in sieve_primes(p, finite(z, "cut z", above=1))]
-    if len(rp) > MAX_SUBSET_PRIMES:
-        raise CapacityError(
-            f"inclusion-exclusion over {len(rp)} primes needs 2^{len(rp)} divisors;"
-            f" cap is {MAX_SUBSET_PRIMES} primes"
-        )
+    within(len(rp), MAX_SUBSET_PRIMES, "inclusion-exclusion sieve primes")
     return rp
 
 

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .arith import PrimeTables, li_eval, squarefree_primes
-from .errors import CapacityError, DensityRangeError, InputError, finite, integer
+from .errors import DensityRangeError, InputError, finite, integer, within
 
 #: exact scans (the sift, the member arrays) refuse an index range of more
 #: entries than this, before its 100 MB strike mask is allocated
@@ -102,9 +102,8 @@ class PrimeSet:
     m: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "m", integer(self.m, "prime set modulus m", least=1))
-        if self.m > np.iinfo(np.int64).max:  # select reduces it in int64
-            raise CapacityError(f"prime set modulus m = {self.m:.6g} is past int64")
+        m = integer(self.m, "prime set modulus m", least=1)
+        object.__setattr__(self, "m", within(m, INT64_MAX, "prime set modulus m (int64)"))
 
     def select(self, primes: np.ndarray) -> np.ndarray:
         if self.kind == "all":
@@ -358,8 +357,8 @@ def kind_shape(kind: str, params: dict) -> KindShape:
     if missing:
         raise InputError(f"{kind} needs parameter {', '.join(missing)}")
     out = shape(*(params[name] for name in names))
-    if out.n_bound > INT64_MAX:  # members, walked divisors and counts are int64
-        raise CapacityError(f"{out.label} has members up to {out.n_bound:.6g}, past int64")
+    # members, walked divisors and counts are int64
+    within(out.n_bound, INT64_MAX, f"{out.label} largest member (int64)")
     return out
 
 
@@ -390,7 +389,11 @@ def members_array(p: SieveProblem) -> np.ndarray:
     Raises:
         CapacityError: an index range of more than MAX_SCAN_MEMBERS entries.
     """
-    return _values(p, _strike(p, [])) if p.members is None else p.members
+    if p.members is not None:
+        return p.members
+    if p.shape.start is None:  # every index holds a member: no mask to strike
+        return _values(p, np.arange(_scan_size(p), dtype=np.int64))
+    return _values(p, np.flatnonzero(_strike(p, [])))
 
 
 def count_Ad(p: SieveProblem, d: int) -> int:
@@ -549,9 +552,7 @@ def divisor_walk(
             total = int(size.sum())
             if not total:
                 break
-            nodes += total
-            if nodes > max_nodes:
-                raise CapacityError(f"divisor walk exceeds {max_nodes} nodes")
+            nodes = within(nodes + total, max_nodes, "divisor walk nodes")
             parent = np.repeat(np.arange(size.size), size)
             j = np.arange(total) + np.repeat(lo - np.cumsum(size) + size, size)
             q = primes[j]
@@ -625,8 +626,7 @@ def _integer_rule(admit: Admit, rising: np.ndarray, ascending: bool) -> tuple[in
         keys[small] = rising[small] ** 3
         if bound == INT64_MAX:  # 2^63 - 1 has no cube factor, so no d q^3 equals it
             bound -= 1
-    if min(bound, top) > INT64_MAX:
-        raise CapacityError(f"divisor walk to {min(bound, top):.3g} passes int64")
+    within(min(bound, top), INT64_MAX, "divisor walk's largest divisor (int64)")
     return bound, keys
 
 
@@ -693,11 +693,7 @@ def _crt_counts(shape: KindShape, cls, seg, parent, dp, q, roots, keep):
     mod q lift to c + d ((r - c) d^-1 mod q), the class mod d q both give.
     """
     m = seg[parent + 1] - seg[parent]  # classes per child
-    lifts = int(m.sum()) * len(roots)
-    if lifts > MAX_WALK_CLASSES:
-        raise CapacityError(
-            f"divisor walk lifts {lifts} CRT classes at one level; cap is {MAX_WALK_CLASSES}"
-        )
+    within(int(m.sum()) * len(roots), MAX_WALK_CLASSES, "CRT classes one walk level lifts")
     child = np.repeat(np.arange(parent.size), m)
     c = cls[np.arange(child.size) + np.repeat(seg[parent] - np.cumsum(m) + m, m)]
     inv = _inverse_mod(dp % q, q)[0][child]  # one inverse per child, spread to its classes
@@ -763,7 +759,7 @@ def _count_survivors(p: SieveProblem, rp: np.ndarray) -> int:
 def sifted_members(p: SieveProblem, z: float) -> np.ndarray:
     """The members surviving the cut at z, as values, in member order
     (index order: shifted_prime's N - p descend)."""
-    return _values(p, _strike(p, sieve_primes(p, z)))
+    return _values(p, np.flatnonzero(_strike(p, sieve_primes(p, z))))
 
 
 def _strike(p: SieveProblem, rp) -> np.ndarray:
@@ -774,11 +770,7 @@ def _strike(p: SieveProblem, rp) -> np.ndarray:
         CapacityError: more than MAX_SCAN_MEMBERS indices, refused before
             the mask is allocated.
     """
-    s, size = p.shape, _range_size(p.shape)
-    if size > MAX_SCAN_MEMBERS:
-        raise CapacityError(
-            f"{p.label} spans {size} indices; exact scans stop at {MAX_SCAN_MEMBERS}"
-        )
+    s, size = p.shape, _scan_size(p)
     keep = np.ones(size, dtype=bool) if s.start is None else s.start(p.tables)
     for q in np.asarray(rp, dtype=np.int64).tolist():
         for r in s.roots(q):
@@ -786,8 +778,16 @@ def _strike(p: SieveProblem, rp) -> np.ndarray:
     return keep
 
 
-def _values(p: SieveProblem, keep: np.ndarray) -> np.ndarray:
-    """The members at the indices marked in keep, in index order."""
-    i = np.flatnonzero(keep)
+def _scan_size(p: SieveProblem) -> int:
+    """The size of the index range an exact scan covers.
+
+    Raises:
+        CapacityError: more than MAX_SCAN_MEMBERS indices.
+    """
+    return within(_range_size(p.shape), MAX_SCAN_MEMBERS, f"{p.label} exact scan indices")
+
+
+def _values(p: SieveProblem, i: np.ndarray) -> np.ndarray:
+    """The members at the int64 offsets i into the index range (i is shifted in place)."""
     i += p.shape.lo  # in place: at the scan cap the index array is 800 MB
     return p.shape.value(i)

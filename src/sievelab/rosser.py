@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
-from .errors import CapacityError, InputError, finite, integer
+from .errors import InputError, finite, integer, within
 from .legendre import problem_W
 from .problem import (
     Admit,
@@ -35,12 +34,8 @@ from .problem import (
     remainder,
     sieve_primes,
     sift_exact,
-    whole_densities,
 )
 from .selberg import SieveReport, one_sided_report
-
-#: truncated_mobius_sum is exact with at most this many sieve primes, float above
-EXACT_MOBIUS_PRIMES = 30
 
 #: sandwich_values refuses an m with more prime factors than this (its walks
 #: range over up to 2^k divisors of an m with k of them)
@@ -63,30 +58,19 @@ def _chain_admit(y: float, sign: int) -> Admit:
     return Admit(max(math.ceil(y) - 1, 0), 3, 0 if sign == 1 else 1)
 
 
-def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> Fraction | float:
+def truncated_mobius_sum(p: SieveProblem, y: float, z: float, sign: int) -> float:
     """Main-term density sum over the truncated support.
 
     Computes the sum of mu(d) w(d) / d over support members built from the
-    problem's sieve primes below z: an exact rational with at most
-    EXACT_MOBIUS_PRIMES primes, a float with more.  The exact path sums
-    mu(d) w(d) (L / d), an integer wherever w is, with L the product of the
-    primes, and divides by L once at the end.  The float path carries each
-    term as the product of -w(q)/q in the order the walk adds the primes,
-    largest first.
+    problem's sieve primes below z, as the fsum of one float per member:
+    the product of -w(q)/q in the order the walk adds the primes, largest
+    first.
     """
     admit = _chain_admit(finite(y, "level y", above=1), sign)
     primes = sieve_primes(p, z).tolist()
-    exact = len(primes) <= EXACT_MOBIUS_PRIMES
-    # negated factors: the walk's carried product is mu(d) w(d), or mu(d) w(d) / d
-    if exact:
-        factors = {q: -w for q, w in whole_densities(p.omega, primes).items()}
-    else:
-        factors = {q: -float(p.omega.at_prime(q)) / q for q in primes}
-    walk = divisor_walk(None, primes[::-1], admit, factors)
-    if not exact:
-        return fsum_columns([walk.v])
-    lcm = math.prod(primes)
-    return Fraction((lcm // walk.d.astype(object) * walk.v.astype(object)).sum()) / lcm
+    # negated factors: the walk's carried product is mu(d) w(d) / d
+    factors = {q: -float(p.omega.at_prime(q)) / q for q in primes}
+    return fsum_columns([divisor_walk(None, primes[::-1], admit, factors).v])
 
 
 @dataclass
@@ -102,7 +86,10 @@ def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool =
 
     The bound for each side is X * M(sign) plus/minus the sum of |R_d|
     over the support; every support member automatically has d < y once
-    z <= y, so the remainder stays controlled by the level.
+    z <= y, so the remainder stays controlled by the level.  X * M(sign) is
+    the fsum of mu(d) X w(d)/d, the main terms the R_d are taken against,
+    so a bound the exact identity makes tight is not pushed past the exact
+    count by a rounding of M(sign) scaled by X.
 
     Raises:
         InputError: z is not a finite number > 1, or y not a finite number >= z.
@@ -113,10 +100,11 @@ def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool =
     exact = sift_exact(p, z) if with_exact else None
     out = {}
     for sign in (1, -1):
-        m = truncated_mobius_sum(p, y, z, sign)
         walk = divisor_walk(p, desc, _chain_admit(y, sign))
-        rem = fsum_columns([np.abs(remainder(p, walk.d, walk.count, walk.v).r)])
-        out[sign] = one_sided_report(p, y, z, sign, p.X * float(m), rem, exact, notes)
+        rec = remainder(p, walk.d, walk.count, walk.v)
+        main = fsum_columns([np.where(walk.nu % 2 == 1, -rec.main, rec.main)])
+        rem = fsum_columns([np.abs(rec.r)])
+        out[sign] = one_sided_report(p, y, z, sign, main, rem, exact, notes)
     return BoundPair(upper=out[1], lower=out[-1])
 
 
@@ -130,10 +118,7 @@ def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
     """
     finite(y, "level y")
     facs = squarefree_primes(integer(m, "m", least=1), tables)
-    if len(facs) > MAX_SANDWICH_FACTORS:
-        raise CapacityError(
-            f"{m} has {len(facs)} prime factors; cap is {MAX_SANDWICH_FACTORS}"
-        )
+    within(len(facs), MAX_SANDWICH_FACTORS, f"prime factors of {m}")
     mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
     lo, hi = (
         int(divisor_walk(None, facs[::-1], _chain_admit(y, s), mu).v.sum()) for s in (-1, 1)

@@ -3,7 +3,7 @@
 The upper-bound weights lambda_d are the minimizers of the quadratic form
 sum over (d1, d2) of lambda_d1 lambda_d2 w([d1,d2])/[d1,d2] subject to
 lambda_1 = 1, supported on squarefree d < xi built from the sieve primes
-below z.  Everything here is kept in exact rationals while the support is
+below z.  The weights are kept in exact rationals while the support is
 small, so the structural identities (the Moebius-inversion identity linking
 lambda to the diagonalized variables, the monotonicity inequality that
 forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
-from .errors import CapacityError, InputError, ZeroDensityError, finite, integer
+from .errors import InputError, ZeroDensityError, finite, integer, within
 from .problem import (
     MultiplicativeDensity,
     PrimeSet,
@@ -119,9 +119,13 @@ def _relevant_primes(
     return [int(q) for q in primes_below(z, prime_set, tables) if omega.at_prime(int(q)) > 0]
 
 
-def _g_walk(xi: float, ps: list[int], omega: MultiplicativeDensity) -> Walk:
-    """Walk the squarefree d < xi from ps, carrying g(d): g(p) = w(p)/(p - w(p))."""
-    g_at = {p: (w := omega.at_prime(p)) / (p - w) for p in ps}
+def _g_at(ps: list[int], omega: MultiplicativeDensity) -> dict[int, Fraction]:
+    """g(p) = w(p)/(p - w(p)) for each prime of ps."""
+    return {p: (w := omega.at_prime(p)) / (p - w) for p in ps}
+
+
+def _g_walk(xi: float, ps: list[int], g_at: dict) -> Walk:
+    """Walk the squarefree d < xi from ps, carrying g(d) from g_at (Fractions or floats)."""
     return divisor_walk(None, ps, below(xi), g_at, max_nodes=MAX_SUPPORT)
 
 
@@ -131,10 +135,14 @@ def big_G(
     omega: MultiplicativeDensity,
     prime_set: PrimeSet,
     tables: PrimeTables,
-) -> Fraction:
-    """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes."""
+) -> float:
+    """G(xi, z) = sum of g(l) over squarefree l < xi from the sieve primes.
+
+    The fsum of one float per l, g(l) carried as a product of the float g(p).
+    """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    return sum(_g_walk(xi, ps, omega).v.tolist(), Fraction(0))
+    g_at = {p: float(g) for p, g in _g_at(ps, omega).items()}
+    return fsum_columns([_g_walk(xi, ps, g_at).v])
 
 
 def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -179,7 +187,7 @@ def lambda_weights(
     than enforced here.
     """
     ps = _relevant_primes(z, omega, prime_set, tables)
-    walk = _g_walk(finite(xi, "xi"), ps, omega)
+    walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)  # the walk starts from the int 1
     support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
@@ -220,9 +228,7 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
     Raises:
         CapacityError: |support|^2 pairs exceed MAX_MU_PLUS_PAIRS.
     """
-    n = len(w.lambdas)
-    if n**2 > MAX_MU_PLUS_PAIRS:
-        raise CapacityError(f"mu+ over {n} weights is {n**2} pairs; cap is {MAX_MU_PLUS_PAIRS}")
+    within(len(w.lambdas) ** 2, MAX_MU_PLUS_PAIRS, f"mu+ pairs of {len(w.lambdas)} weights")
     nums, den = over_common_denominator(w.lambdas)
     items = list(nums.items())
     sums: dict[int, int] = defaultdict(int)
@@ -263,13 +269,13 @@ def fundamental_upper_bound(
     finite(y, "level y", above=1)
     ps = sieve_primes(p, finite(z, "cut z", above=1)).tolist()
     # the remainder's support (d < y) holds G's (d < sqrt(y)), so a walk past
-    # the cap is refused here before G's exact sum is spent on it
+    # the cap is refused here before G's walk is built
     walk = divisor_walk(p, ps, below(y), max_nodes=MAX_SUPPORT)
     r = remainder(p, walk.d, walk.count, walk.v).r
     rem = fsum_columns([_POW3[walk.nu] * np.abs(r)])
     G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
     return one_sided_report(
-        p, y, z, 1, float(p.X) / float(G), rem, sift_exact(p, z) if with_exact else None,
+        p, y, z, 1, float(p.X) / G, rem, sift_exact(p, z) if with_exact else None,
         f"quadratic-form sieve, G support primes={len(ps)}",
     )
 

@@ -280,7 +280,7 @@ def test_progression_scan_cap(capsys):
     start = time.perf_counter()
     rc, _, err = run(capsys, ["brun-titchmarsh", "--x", "1000000", "--scan-q",
                               "100000"])
-    assert rc == 2 and "cap is" in err
+    assert rc == 2 and "past the cap of 100000000" in err
     # refused before the scan starts, not after minutes of it
     assert time.perf_counter() - start < 10
     rc, out, _ = run(capsys, ["brun-titchmarsh", "--x", "1000000", "--scan-q",
@@ -401,7 +401,7 @@ def test_huge_exact_scan_refused_before_it_allocates(capsys):
     start = time.perf_counter()
     rc, out, err = run(capsys, ["selberg", "--problem", "interval", "--x", "0",
                                 "--len", "1e12", "--y", "100"])
-    assert rc == 2 and out == "" and "exact scans stop at" in err
+    assert rc == 2 and out == "" and "exact scan indices: 1000000000000 is past the cap of" in err
     assert time.perf_counter() - start < 1
 
 
@@ -411,7 +411,8 @@ def test_huge_exact_scan_refused_before_it_allocates(capsys):
 ])
 def test_members_past_int64_exit_2(capsys, argv):
     rc, out, err = run(capsys, argv)
-    assert rc == 2 and out == "" and "past int64" in err
+    assert rc == 2 and out == "" and "largest member (int64)" in err
+    assert "past the cap of 9223372036854775807" in err
 
 
 def test_crt_walk_past_its_class_cap_exits_2(capsys):
@@ -419,7 +420,8 @@ def test_crt_walk_past_its_class_cap_exits_2(capsys):
     # would lift about 8.8 million classes at one level
     rc, out, err = run(capsys, ["legendre", "--problem", "goldbach_product", "--two-n", "2e9",
                                 "--z", "100"])
-    assert rc == 2 and out == "" and "CRT classes at one level" in err
+    assert rc == 2 and out == "" and "CRT classes one walk level lifts" in err
+    assert "past the cap of 4000000" in err
 
 
 _FUZZ_VALUES = st.sampled_from(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievelab as S
-from sievelab.errors import finite, integer
+from sievelab.errors import finite, integer, within
 from sievelab.parity import root_ceiling
 
 PACKAGE_ERRORS = (S.InputError, S.CapacityError, S.ZeroDensityError, S.DensityRangeError)
@@ -221,3 +221,14 @@ def test_integer_takes_ints_and_integral_floats_only():
         integer(1, "n", least=2)
     with pytest.raises(S.CapacityError):
         integer(10**400, "n")
+
+
+def test_within_compares_a_predicted_cost_exactly():
+    assert within(1000, 1000, "table entries") == 1000
+    with pytest.raises(S.CapacityError, match=r"^table entries: 1001 is past the cap of 1000$"):
+        within(1001, 1000, "table entries")
+    # past 2^63 ints compare exactly: as floats, 2^63 + 1 and 2^63 are equal
+    assert float(2**63 + 1) == float(2**63)
+    assert within(2**63, 2**63, "n") == 2**63
+    with pytest.raises(S.CapacityError, match=f"n: {2**63 + 1} is past the cap of {2**63}$"):
+        within(2**63 + 1, 2**63, "n")

@@ -198,7 +198,8 @@ def test_bv_scan_rejects_bad_ranges(tables_small):
 
 def test_bv_scan_work_cap(tables_mid):
     # 17,984 primes to 2e5 over 10^4 moduli is past the cap
-    with pytest.raises(CapacityError, match="cap is"):
+    refused = "scan work of 10000 moduli .* past the cap of 100000000$"
+    with pytest.raises(CapacityError, match=refused):
         bv_scan(200_000, 10_000, tables_mid)
 
 

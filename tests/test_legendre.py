@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from exact_reference import close, exact_mertens
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,25 +82,18 @@ def test_remainder_sum_past_int64_divisors(tables_small):
 def test_mertens_products_exact(tables_small):
     p = make_problem("interval", {"x": 0, "y": 10}, tables_small)
     mv = problem_W(p, 10)
-    assert mv.V_exact == Fraction(8, 35)
-    assert mv.W_exact == Fraction(8, 35)
+    assert exact_mertens(10, p.omega, p.prime_set, tables_small) == (Fraction(8, 35),) * 2
+    assert close(mv.V, Fraction(8, 35)) and close(mv.W, Fraction(8, 35))
     assert abs(mv.V - 8 / 35) < 1e-15
 
 
-def test_mertens_float_path_matches_exact(tables_mid):
-    p = make_problem("interval", {"x": 0, "y": 10}, tables_mid)
-    exact = problem_W(p, 9_000)
-    from sievelab import legendre as lg
-
-    old = lg.EXACT_PRODUCT_Z
-    lg.EXACT_PRODUCT_Z = 10
-    try:
-        floats = problem_W(p, 9_000)
-    finally:
-        lg.EXACT_PRODUCT_Z = old
-    assert floats.V_exact is None
-    assert abs(floats.V - exact.V) < 1e-12
-    assert abs(floats.W - exact.W) < 1e-12
+def test_mertens_float_path_matches_exact(kind_problems):
+    # every kind's density and prime set, to z = 10^4 (the tables' limit)
+    for z in (2, 3, 10, 100.5, 1_000, 3_000, 9_000, 10_000):
+        for p in kind_problems:
+            mv = problem_W(p, z)
+            v, w = exact_mertens(z, p.omega, p.prime_set, p.tables)
+            assert close(mv.V, v) and close(mv.W, w), (p.kind, z)
 
 
 def test_mertens_normalization_drifts_to_one(tables_big):
@@ -111,10 +105,10 @@ def test_mertens_normalization_drifts_to_one(tables_big):
 def test_subset_cap(tables_small, monkeypatch):
     p = make_problem("interval", {"x": 0, "y": 10_000}, tables_small)
     monkeypatch.setattr(lg, "MAX_SUBSET_PRIMES", 10)
-    with pytest.raises(CapacityError) as err:
+    refused = "inclusion-exclusion sieve primes: 12 is past the cap of 10$"
+    with pytest.raises(CapacityError, match=refused):
         legendre_count(p, 40)  # 12 primes
-    assert "2^" in str(err.value)
-    with pytest.raises(CapacityError, match="cap is 10 primes"):
+    with pytest.raises(CapacityError, match=refused):
         legendre_remainder_sum(p, 40)  # the same cap, refused before the walk
 
 
@@ -139,15 +133,16 @@ def test_walk_cap_refuses_one_node_past_it(tables_small, monkeypatch):
     legendre_remainder_sum(p, 40)
     monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size - 1)
     for call in (legendre_count, legendre_remainder_sum):
-        with pytest.raises(CapacityError, match=f"exceeds {size - 1} nodes"):
+        with pytest.raises(CapacityError, match=f"walk nodes: .* past the cap of {size - 1}$"):
             call(p, 40)
 
 
 def test_progression_with_sieve_set_excluding_k(tables_small):
     # modulus primes are unavailable to the sieve and W reflects that
     prob = make_problem("arithmetic_progression", {"x": 10_000, "k": 6, "l": 1}, tables_small)
-    mv = problem_W(prob, 12)
-    assert mv.W_exact == (1 - Fraction(1, 5)) * (1 - Fraction(1, 7)) * (1 - Fraction(1, 11))
+    want = (1 - Fraction(1, 5)) * (1 - Fraction(1, 7)) * (1 - Fraction(1, 11))
+    assert exact_mertens(12, prob.omega, prob.prime_set, tables_small)[1] == want
+    assert close(problem_W(prob, 12).W, want)
     assert legendre_count(prob, 12) == sift_exact(prob, 12)
 
 

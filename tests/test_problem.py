@@ -11,6 +11,7 @@ from sievelab.arith import build_tables
 from sievelab.errors import CapacityError, DensityRangeError, InputError
 from sievelab.legendre import legendre_count, mertens_products
 from sievelab.problem import (
+    INT64_MAX,
     KINDS,
     PrimeSet,
     count_Ad,
@@ -253,7 +254,7 @@ def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
     lg.legendre_count(p, 100)
     sb.fundamental_upper_bound(p, 1e6, 100, with_exact=False)
     rs.combinatorial_bounds(p, 1e6, 100, with_exact=False)
-    assert len(walks) == 7  # legendre, G, quadratic remainder, M+ and M- with their remainders
+    assert len(walks) == 5  # legendre, G, quadratic remainder, the M+ and M- supports
     for (q, primes, admit, *args), kwargs, walk in walks:
 
         def admits(d, nu, r, admit=admit):  # the rule as the reference tests it, per candidate
@@ -281,6 +282,19 @@ def test_kind_shape_states_sizes_without_tables(kind_problems):
         assert sieve_primes(p, 1000).tolist() == positive, p.kind
 
 
+def test_members_array_without_a_start_mask_allocates_no_mask(tables_small):
+    import tracemalloc
+
+    # a 10^6-entry interval: its 8 MB of int64 members and no bool mask beside them
+    p = make_problem("interval", {"x": 0, "y": 10**6}, tables_small)
+    tracemalloc.start()
+    mem = members_array(p)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert mem.dtype == np.int64 and np.array_equal(mem, np.arange(1, 10**6 + 1))
+    assert peak < 8_000_000 + 524_288, peak
+
+
 def _periodic_count(f, lo: int, hi: int, m: int) -> int:
     """#{lo <= n <= hi : gcd(f(n), m) = 1}, one period of m at a time."""
     good = [math.gcd(f(n), m) == 1 for n in range(m)]
@@ -305,7 +319,7 @@ def test_scans_past_the_cap_are_refused_before_the_mask_is_built(tables_small):
         assert legendre_count(p, z) == _periodic_count(f, lo, kind_shape(kind, params).hi, m)
         for scan in (sift_exact, sifted_members, lambda p, z: members_array(p)):
             tracemalloc.start()
-            with pytest.raises(CapacityError, match="exact scans stop at"):
+            with pytest.raises(CapacityError, match="scan indices: .* past the cap of 100000000$"):
                 scan(p, z)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
@@ -383,9 +397,9 @@ def test_members_past_int64_are_refused(tables_small):
                          ("arithmetic_progression", {"x": 2**63, "k": 3, "l": 1}),
                          ("goldbach_product", {"two_N": 2 * 10**10}),
                          ("square_plus_one", {"x": 10**10})):
-        with pytest.raises(CapacityError, match="past int64"):
+        with pytest.raises(CapacityError, match=f"largest member .* past the cap of {INT64_MAX}$"):
             kind_shape(kind, params)
-        with pytest.raises(CapacityError, match="past int64"):
+        with pytest.raises(CapacityError, match=f"largest member .* past the cap of {INT64_MAX}$"):
             make_problem(kind, params, tables_small)
     at_edge = make_problem("interval", {"x": 2**63 - 11, "y": 10}, tables_small)
     assert at_edge.n_bound == 2**63 - 1

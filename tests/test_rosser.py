@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from exact_reference import exact_mobius, mobius_close
 from hypothesis import given, settings, strategies as st
 
 import sievelab.problem as problem
@@ -26,9 +27,10 @@ from sievelab.selberg import _relevant_primes, fundamental_upper_bound
 
 def test_frozen_small_sums(tables_small):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
-    assert truncated_mobius_sum(p, 100, 6, 1) == Fraction(1, 3)
-    assert truncated_mobius_sum(p, 100, 6, -1) == Fraction(7, 30)
-    assert truncated_mobius_sum(p, 100, 5, 1) == Fraction(1, 3)
+    for z, sign, want in ((6, 1, Fraction(1, 3)), (6, -1, Fraction(7, 30)), (5, 1, Fraction(1, 3))):
+        exact, scale = exact_mobius(p, 100, z, sign)
+        assert exact == want
+        assert mobius_close(truncated_mobius_sum(p, 100, z, sign), exact, scale), (z, sign)
 
 
 def _in_factor_walk(facs, y: float, sign: int) -> bool:
@@ -83,7 +85,8 @@ def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     assert walked == oracle and walk.d.size == len(oracle)  # each node once
     assert all(d < y for d in oracle)  # so combinatorial_bounds needs no d < y filter
     expect = sum(Fraction(mu, d) for d, mu in oracle.items())
-    assert truncated_mobius_sum(p, y, 30, sign) == expect
+    scale = sum(Fraction(1, d) for d in oracle)
+    assert mobius_close(truncated_mobius_sum(p, y, 30, sign), expect, scale)
 
 
 def test_divisor_sums_bracket_unit_indicator(tables_small):
@@ -160,8 +163,7 @@ def test_two_sided_bounds_trap_exact(tables_mid):
         assert "X*W(z)" in bp.upper.notes
 
 
-def test_upper_main_term_tracks_limit_curve(tables_mid, grid, monkeypatch):
-    monkeypatch.setattr(rosser, "EXACT_MOBIUS_PRIMES", -1)  # the float path at every z
+def test_upper_main_term_tracks_limit_curve(tables_mid, grid):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_mid)
     # the gap to the limit curve closes like a fractional power of 1/log y,
     # slow enough that 1e6 still sits ~12% out; 1e8 gets under 10%
@@ -215,15 +217,17 @@ def _reference_support(primes_desc, y, sign):
 
 
 def _reference_mobius(p, y, z, sign, exact):
+    """(the sum, the sum of the terms' sizes) as exact Fractions, or the float sum."""
     desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
     if exact:
-        total = Fraction(0)
+        total = size = Fraction(0)
         for _, facs in _reference_support(desc, y, sign):
             term = Fraction(1)
             for q in facs:
                 term *= Fraction(p.omega.at_prime(q), q)
             total += -term if len(facs) % 2 else term
-        return total
+            size += term
+        return total, size
     terms = []
     for _, facs in _reference_support(desc, y, sign):
         t = 1.0
@@ -237,10 +241,9 @@ def _reference_bounds(p, y, z):
     desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
     out = []
     for sign in (1, -1):
-        main = p.X * float(_reference_mobius(p, y, z, sign, len(desc) <= 30))
-        rem = math.fsum(
-            abs(remainder(p, d).r) for d, _ in _reference_support(desc, y, sign) if d < y
-        )
+        recs = [(remainder(p, d), len(f)) for d, f in _reference_support(desc, y, sign) if d < y]
+        main = math.fsum(-r.main if nu % 2 else r.main for r, nu in recs)
+        rem = math.fsum(abs(r.r) for r, _ in recs)
         out.append(main + sign * rem)
     return out
 
@@ -256,22 +259,26 @@ def test_bounds_equal_per_node_reference(kind_problems, y, z):
         assert got == _reference_bounds(p, y, z), (p.kind, y, z)
 
 
-# z <= 2: no sieve prime, the sum is 1; y <= 8: the upper support is d = 1 alone
+# z <= 2: no sieve prime, the sum is 1; y <= 8: the upper support is d = 1 alone;
+# ``exact`` also holds the float to the two exact references
 @pytest.mark.parametrize(
     "y,z,exact",
     [(1e4, 50.0, True), (1e6, 100.0, True), (1e6, 100.0, False), (1e6, 1000.0, False),
      (1e4, 2.0, True), (1e4, 1.5, False), (8.0, 50.0, True), (5.0, 100.0, False)],
 )
-def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact, monkeypatch):
-    monkeypatch.setattr(rosser, "EXACT_MOBIUS_PRIMES", 10**9 if exact else -1)
+def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact):
     quad = next(p for p in kind_problems if p.kind == "square_plus_one")
     # w(p) = 0 for p = 3 mod 4: with every prime offered, those primes must drop out
     every_prime = dataclasses.replace(quad, prime_set=PrimeSet("all"))
     for p in [*kind_problems, every_prime]:
         for sign in (1, -1):
             got = truncated_mobius_sum(p, y, z, sign)
-            assert got == _reference_mobius(p, y, z, sign, exact), (p.kind, y, z, sign)
-            assert isinstance(got, Fraction if exact else float)
+            assert got == _reference_mobius(p, y, z, sign, False), (p.kind, y, z, sign)
+            assert isinstance(got, float)
+            if exact:
+                m, scale = exact_mobius(p, y, z, sign)
+                assert (m, scale) == _reference_mobius(p, y, z, sign, True)
+                assert mobius_close(got, m, scale), (p.kind, y, z, sign)
             if z <= 2 or (y <= 8 and sign == 1):
                 assert got == 1
     assert truncated_mobius_sum(every_prime, 1e4, 50.0, 1) == truncated_mobius_sum(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_reference import close, exact_G
 
 import sievelab.selberg as sb
 from sievelab.errors import CapacityError, InputError
@@ -75,7 +76,8 @@ def test_g_value_closed_forms(tables_small):
 
 
 def test_big_G_frozen(tables_small):
-    assert big_G(5, 5, ONES, ALL, tables_small) == Fraction(5, 2)
+    assert exact_G(5, 5, ONES, ALL, tables_small) == Fraction(5, 2)
+    assert close(big_G(5, 5, ONES, ALL, tables_small), Fraction(5, 2))
 
 
 def test_big_G_grows_like_log(tables_small):
@@ -110,7 +112,8 @@ def test_big_G_progression_euler_phi(tables_small):
         for q in fac:
             phi *= q - 1
         want += Fraction(1, phi)
-    assert got == want
+    assert exact_G(30, 30, ONES, ps, tables_small) == want
+    assert close(got, want)
 
 
 def test_lambda_weights_tiny_frozen(tables_small):
@@ -195,7 +198,8 @@ def _quadratic_y(w, omega):
 @pytest.mark.parametrize("omega,z,xi", GRID)
 def test_weights_equal_quadratic_reference(omega, z, xi, tables_small):
     w = lambda_weights(xi, z, omega, ALL, tables_small)
-    assert w.G == big_G(xi, z, omega, ALL, tables_small)
+    assert w.G == exact_G(xi, z, omega, ALL, tables_small)
+    assert close(big_G(xi, z, omega, ALL, tables_small), w.G)
     assert all(
         g == math.prod(Fraction(omega.at_prime(p), p - omega.at_prime(p)) for p in w.factors[d])
         for d, g in w.g_values.items()
@@ -325,7 +329,8 @@ def test_mu_plus_pair_cap(tables_small, monkeypatch):
     monkeypatch.setattr(sb, "MAX_MU_PLUS_PAIRS", pairs)
     assert mu_plus(w).values[1] == 1
     monkeypatch.setattr(sb, "MAX_MU_PLUS_PAIRS", pairs - 1)
-    with pytest.raises(CapacityError, match="cap is"):
+    refused = f"mu\\+ pairs .*: {pairs} is past the cap of {pairs - 1}$"
+    with pytest.raises(CapacityError, match=refused):
         mu_plus(w)
 
 

@@ -7,7 +7,9 @@ rules are given to the reference in their original form (d q < y,
 d q <= n, d q^3 < y), so the integer bounds are checked too, at the edges
 where d q equals y and where products reach 2^53 and 2^63.  The strike
 sift and the CRT counts are compared with the member scans they replaced
-(``reference_survivors`` and the reference walk's per-child filter).
+(``reference_survivors`` and the reference walk's per-child filter).  The
+float sums M+- and G are also held to the exact rationals of
+``exact_reference``, within the bounds stated there.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_reference import close, exact_mobius, mobius_close
 from walk_reference import (
     at_most_admit,
     below_admit,
@@ -95,24 +98,10 @@ def _ref_legendre(p, rp):
     return walk, count, math.fsum(terms)
 
 
-def _ref_mobius(p, y, desc, sign, exact):
-    if exact:
-        factors = {q: -w for q, w in _whole(p, desc).items()}
-    else:
-        factors = {q: -float(p.omega.at_prime(q)) / q for q in desc}
-    walk = list(reference_walk(None, desc, chain_admit(y, sign), factors))
-    if not exact:
-        return walk, math.fsum(t for _, _, t, _, _ in walk)
-    lcm = math.prod(desc)
-    return walk, Fraction(sum(t * (lcm // d) for d, _, t, _, _ in walk)) / lcm
-
-
-def _whole(p, primes):
-    out = {}
-    for q in primes:
-        w = p.omega.at_prime(q)
-        out[q] = w.numerator if w.denominator == 1 else w
-    return out
+def _ref_mobius(p, y, desc, sign):
+    factors = {q: -float(p.omega.at_prime(q)) / q for q in desc}
+    walk = reference_walk(None, desc, chain_admit(y, sign), factors)
+    return math.fsum(t for _, _, t, _, _ in walk)
 
 
 def _g_at(omega, ps):
@@ -137,12 +126,13 @@ def test_every_walk_consumer_equals_the_reference(kind_problems, z, y):
             for sign, rep in ((1, pair.upper), (-1, pair.lower)):
                 ref = list(reference_walk(p, desc, chain_admit(y, sign)))
                 assert _same(divisor_walk(p, desc, _chain_admit(y, sign)), ref), (*tag, sign)
-                rem = math.fsum(abs(r.r) for r in _ref_remainders(p, ref))
-                assert rep.remainder_bound == rem, (*tag, sign)
-                exact = len(desc) <= 30
-                _, m = _ref_mobius(p, y, desc, sign, exact)
+                recs = _ref_remainders(p, ref)
+                assert rep.remainder_bound == math.fsum(abs(r.r) for r in recs), (*tag, sign)
+                main = math.fsum(-r.main if nu % 2 else r.main for (_, nu, *_), r in zip(ref, recs))
+                assert rep.main_term == main, (*tag, sign)
+                m = _ref_mobius(p, y, desc, sign)
                 assert truncated_mobius_sum(p, y, z, sign) == m, (*tag, sign)
-                assert rep.main_term == p.X * float(m), (*tag, sign)
+                assert mobius_close(m, *exact_mobius(p, y, z, sign)), (*tag, sign)
         # inclusion-exclusion: the pruned walk, its count and remainder sum
         if len(rp) <= 25 and y == 2.0:
             ref, count, rem = _ref_legendre(p, rp)
@@ -159,9 +149,11 @@ def test_selberg_walks_equal_the_reference(kind_problems, z, xi):
         g_at = _g_at(p.omega, ps)
         ref = list(reference_walk(None, ps, below_admit(xi), g_at, max_nodes=MAX_SUPPORT))
         assert _same(divisor_walk(None, ps, below(xi), g_at, max_nodes=MAX_SUPPORT), ref)
-        assert big_G(xi, z, p.omega, p.prime_set, p.tables) == sum(
-            (g for _, _, g, _, _ in ref), Fraction(0)
-        )
+        floats = {q: float(g) for q, g in g_at.items()}
+        G = big_G(xi, z, p.omega, p.prime_set, p.tables)
+        assert G == math.fsum(g for _, _, g, _, _ in reference_walk(
+            None, ps, below_admit(xi), floats, max_nodes=MAX_SUPPORT))
+        assert close(G, sum((g for _, _, g, _, _ in ref), Fraction(0))), (p.kind, z, xi)
         w = lambda_weights(xi, z, p.omega, p.prime_set, p.tables)
         want = {d: g for d, _, g, _, _ in ref}
         want[1] = Fraction(1)
@@ -231,6 +223,8 @@ def test_strike_and_crt_counts_equal_the_member_scan(tables_small, kind, params)
     p = make_problem(kind, params, tables_small)
     mem = reference_members(p)
     assert members_array(p).dtype == mem.dtype and members_array(p).tolist() == mem.tolist()
+    struck = problem._values(p, np.flatnonzero(problem._strike(p, [])))
+    assert members_array(p).dtype == struck.dtype and members_array(p).tolist() == struck.tolist()
     for z in (1.5, 2, 3, 7, 30, 60, 200):
         rp = sieve_primes(p, z)
         want = reference_survivors(mem, rp)
@@ -295,7 +289,7 @@ def test_products_near_2_to_the_63():
     assert _same(divisor_walk(None, ps, below(2.0**63), ones), ref)
     # a walk whose divisors could pass int64 is refused before it starts
     for rule in (Admit(2**63), below(1e19), _chain_admit(1e30, 1)):
-        with pytest.raises(CapacityError, match="passes int64"):
+        with pytest.raises(CapacityError, match=f"largest divisor .* past the cap of {INT64_MAX}$"):
             divisor_walk(None, ps[::-1] if rule.parity is not None else ps, rule, ones)
     # a chain level past int64 over primes whose product is not: exact per node
     desc = ps[:15][::-1]
@@ -324,7 +318,7 @@ def test_walk_refuses_before_the_level_past_its_cap():
     ps = PRIMES[:10]
     ones = dict.fromkeys(ps, 1)
     assert divisor_walk(None, ps, Admit(10**12), ones, max_nodes=2**10).d.size == 2**10
-    with pytest.raises(CapacityError, match="exceeds 1023 nodes"):
+    with pytest.raises(CapacityError, match="divisor walk nodes: .* past the cap of 1023$"):
         divisor_walk(None, ps, Admit(10**12), ones, max_nodes=2**10 - 1)
 
 
@@ -344,7 +338,8 @@ def test_walk_refuses_a_level_past_its_class_cap(tables_small, monkeypatch):
     monkeypatch.setattr(problem, "MAX_WALK_CLASSES", max(lifts))
     assert nodes(divisor_walk(p, rp, Admit(p.n_bound))) == want
     monkeypatch.setattr(problem, "MAX_WALK_CLASSES", max(lifts) - 1)
-    with pytest.raises(CapacityError, match="CRT classes at one level"):
+    refused = f"CRT classes .*: {max(lifts)} is past the cap of {max(lifts) - 1}$"
+    with pytest.raises(CapacityError, match=refused):
         divisor_walk(p, rp, Admit(p.n_bound))
 
 
