@@ -102,7 +102,7 @@ class PrimeSet:
     m: int = 1
 
     def __post_init__(self):
-        m = integer(self.m, "prime set modulus m", least=1)
+        m = integer(self.m, "prime set modulus m", least=1)  # select reduces it in int64
         object.__setattr__(self, "m", within(m, INT64_MAX, "prime set modulus m (int64)"))
 
     def select(self, primes: np.ndarray) -> np.ndarray:
