@@ -18,16 +18,17 @@ problem keeps each exact sifted count it has computed, keyed by its
 sieve-prime cut (how many sieve primes lie below z), so bounds that share a
 cut share one sift.  For squarefree d the indices with d | a_i are the
 rho(d) classes mod d the Chinese remainder theorem builds from the roots of
-d's primes; the kinds marked C below count #A_d over those classes.
+d's primes; the kinds marked C below count #A_d over those classes, by a
+floor formula over [lo, hi] or, for shifted_prime, on its prime mask.
 
-Supported kinds (#A_d by formula F, CRT classes C or stored-member scan S):
+Supported kinds (#A_d by formula F or CRT classes C):
 
 =====================  ===  ===============================================
 interval               F    {x+1, ..., x+y}, X = y, w = 1
 arithmetic_progression F    {n <= x : n = l mod k}, X = x/k, w(p) = 1 for p not | k
 goldbach_product       C    {n(2N-n) : 2 <= n <= 2N-2}, X = 2N,
                             w(p) = 1 if p | 2N else 2
-shifted_prime          S    {N-p : p prime, 3 <= p <= N-3, p not | N}, X = Li(N),
+shifted_prime          C    {N-p : p prime, 3 <= p <= N-3, p not | N}, X = Li(N),
                             w(p) = p/(p-1) for p not | N
 square_plus_one        C    {n^2+1 : n <= x}, X = x, w(2) = 1,
                             w(p) = 2 if p = 1 mod 4 else 0
@@ -137,7 +138,7 @@ class KindShape:
     formula for #A_d, binds that formula to the tables, giving #A_d from
     int64 arrays of d and nu(d), a whole walk level at once.  Without it,
     #A_d counts the CRT classes of d over the range, or, for a kind with a
-    start mask, its stored members.
+    start mask (shifted_prime), on that mask.
     """
 
     label: str
@@ -320,8 +321,9 @@ class SieveProblem:
 
     Its value is its kind, parameters and tables; every other field follows
     from them.  ``count`` gives #A_d from (d, nu(d)) for the formula kinds;
-    ``members`` is stored only for shifted_prime, whose #A_d counts primes in
-    a class and so is a scan of its members; ``shape`` is the kind's shape.
+    ``mask`` is the start mask of a kind without a formula (shifted_prime:
+    p is a prime not dividing N), stored because its #A_d counts classes on
+    it; ``shape`` is the kind's shape.
     """
 
     kind: str
@@ -331,7 +333,7 @@ class SieveProblem:
     X: float = field(compare=False)
     omega: MultiplicativeDensity = field(compare=False)
     prime_set: PrimeSet = field(compare=False)
-    members: np.ndarray | None = field(default=None, compare=False)
+    mask: np.ndarray | None = field(default=None, repr=False, compare=False)
     n_bound: int = field(default=0, compare=False)
     count: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False
@@ -368,7 +370,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     Raises:
         InputError: as kind_shape.
         CapacityError: the kind's construction reads past the supplied tables,
-            or the members it stores span more than MAX_SCAN_MEMBERS indices.
+            or the mask it stores spans more than MAX_SCAN_MEMBERS indices.
     """
     shape = kind_shape(kind, params)
     tables.reach(shape.need, f"{shape.label} (table need {shape.need})")
@@ -377,20 +379,19 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         omega=shape.omega, prime_set=shape.prime_set, n_bound=shape.n_bound,
         count=None if shape.count is None else shape.count(tables), shape=shape,
     )
-    if shape.count is None and shape.start is not None:  # no closed count: a member scan
-        p.members = members_array(p)
+    if shape.count is None and shape.start is not None:  # no closed count: classes on the mask
+        _scan_size(p)
+        p.mask = shape.start(tables)
     return p
 
 
 def members_array(p: SieveProblem) -> np.ndarray:
-    """The members of A as an int64 array, in index order (stored for
-    shifted_prime, read off the index range for the others).
+    """The members of A as an int64 array, in index order, read off the
+    index range (and its start mask, where the kind has one).
 
     Raises:
         CapacityError: an index range of more than MAX_SCAN_MEMBERS entries.
     """
-    if p.members is not None:
-        return p.members
     if p.shape.start is None:  # every index holds a member: no mask to strike
         return _values(p, np.arange(_scan_size(p), dtype=np.int64))
     return _values(p, np.flatnonzero(_strike(p, [])))
@@ -401,15 +402,14 @@ def count_Ad(p: SieveProblem, d: int) -> int:
     fac = squarefree_primes(d, p.tables)
     if d > p.n_bound:  # every member is positive and at most n_bound
         return 0
-    if p.members is not None:
-        return int(np.count_nonzero(p.members % d == 0))
     if p.count is None:  # d's CRT classes, lifted one prime at a time as _crt_counts does
         s, cls, m = p.shape, [0], 1
         for q in fac:
             inv = pow(m, -1, q)
             cls = [c + m * ((r - c) * inv % q) for c in cls for r in s.roots(q)]
             m *= q
-        return sum((s.hi - c) // d - (s.lo - 1 - c) // d for c in cls)
+        return int(_class_counts(s, p.mask, np.array(cls, dtype=np.int64),
+                                 np.full(len(cls), d, dtype=np.int64)).sum())
     return int(p.count(np.array([d], dtype=np.int64), np.array([len(fac)], dtype=np.int8))[0])
 
 
@@ -493,9 +493,9 @@ def divisor_walk(
     parity walks them descending).  A node d extends to d q for each later
     prime q that ``admit`` takes; the level of nodes with nu(d) = k is built
     from the level before in one step.  v(d) = v(d / q) factors[q] (default
-    factors w(q), so v(d) = w(d)); #A_d is the kind's formula, the count over
-    the CRT classes each node lifts from its parent's and q's roots, or, for
-    shifted_prime, the count of the parent's members that q divides.
+    factors w(q), so v(d) = w(d)); #A_d is the kind's formula or the count
+    over the CRT classes each node lifts from its parent's and q's roots
+    (one class for shifted_prime, whose primes each have one root).
     With p = None the walk needs ``factors``; prune_empty gives a node with
     #A_d = 0 no children.
 
@@ -515,16 +515,16 @@ def divisor_walk(
     if factors is None:
         factors = whole_densities(p.omega, primes.tolist())
     f = _factor_column(factors, primes.tolist())
-    scan = p is not None and p.members is not None
-    crt = p is not None and p.count is None and not scan
+    crt = p is not None and p.count is None
     d = np.ones(1, dtype=np.int64)
     nu = np.zeros(1, dtype=np.int8)
     idx = np.zeros(1, dtype=np.int32)
     v = np.ones(1, dtype=f.dtype)
     if p is None:
         count = None
-    elif p.count is None:  # d = 1 divides every member
-        count = np.array([p.members.size if scan else _range_size(p.shape)], dtype=np.int64)
+    elif crt:  # node a's classes are cls[seg[a]:seg[a + 1]]; d = 1 has the one class 0
+        cls, seg = np.zeros(1, dtype=np.int64), np.array([0, 1])
+        count = _class_counts(p.shape, p.mask, cls, d)
     else:
         count = np.asarray(p.count(d, nu), dtype=np.int64)
     levels = [[d, nu, v, count, idx]]
@@ -532,9 +532,7 @@ def divisor_walk(
         ascending = n < 2 or primes[0] < primes[1]
         rising = primes if ascending else primes[::-1]
         bound, keys = _integer_rule(admit, rising, ascending)
-        subs = [p.members] if scan else None
-        if crt:  # node a's classes are cls[seg[a]:seg[a + 1]]; d = 1 has the one class 0
-            cls, seg = np.zeros(1, dtype=np.int64), np.array([0, 1])
+        if crt:
             roots = _root_table(p.shape, primes)
 
         def runs(k, d, idx):  # (start, length) of the walk primes each node of level k takes
@@ -562,11 +560,9 @@ def divisor_walk(
             v = v[parent] * f[j]
             idx = (j + 1).astype(np.int32)
             lo, size = runs(k, d, idx)
-            if scan:  # members are kept only for the nodes that have children
-                count, subs = _scan_counts(subs, parent, q, size > 0)
-            elif crt:  # and so are classes
-                count, cls, seg = _crt_counts(p.shape, cls, seg, parent, dp, q, roots[:, j],
-                                              size > 0)
+            if crt:  # classes are kept only for the nodes that have children
+                count, cls, seg = _crt_counts(p.shape, p.mask, cls, seg, parent, dp, q,
+                                              roots[:, j], size > 0)
             elif p is not None:
                 count = np.asarray(p.count(d, nu), dtype=np.int64)
             levels.append([d, nu, v, count, idx])
@@ -651,29 +647,6 @@ def _icbrt_int(b: int, cap: int) -> int:
     return r
 
 
-def _scan_counts(subs: list, parent: np.ndarray, q: np.ndarray, keep: np.ndarray):
-    """#A_d for a member-scan level, from each parent's members, and the members
-    of the nodes marked in ``keep`` (None for the others)."""
-    counts = np.empty(parent.size, dtype=np.int64)
-    out: list = [None] * parent.size
-    for k, (a, b, grow) in enumerate(zip(parent.tolist(), q.tolist(), keep.tolist())):
-        sub = subs[a]
-        if sub.size:
-            hit = sub % b == 0
-            if grow:
-                sub = sub[hit]
-            else:
-                counts[k] = np.count_nonzero(hit)
-                continue
-        counts[k] = sub.size
-        out[k] = sub
-    return counts, out
-
-
-def _range_size(shape: KindShape) -> int:
-    return max(shape.hi - shape.lo + 1, 0)
-
-
 def _root_table(shape: KindShape, primes: np.ndarray) -> np.ndarray:
     """shape.roots(q) for each prime, one column each, padded with -1."""
     rs = [shape.roots(q) for q in primes.tolist()]
@@ -683,14 +656,15 @@ def _root_table(shape: KindShape, primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crt_counts(shape: KindShape, cls, seg, parent, dp, q, roots, keep):
+def _crt_counts(shape: KindShape, mask, cls, seg, parent, dp, q, roots, keep):
     """#A_d for a level of CRT-counted nodes, and the classes of those marked in keep.
 
     ``cls[seg[a]:seg[a + 1]]`` are parent a's index classes mod its d that
     are at most hi (each lift of a larger class is larger still); ``dp`` and
     ``q`` are each child's parent d and prime, and ``roots`` their roots mod
     q, one row per root, -1 where q has fewer.  A class c mod d and a root r
-    mod q lift to c + d ((r - c) d^-1 mod q), the class mod d q both give.
+    mod q lift to c + d ((r - c) d^-1 mod q), the class mod d q both give, and
+    each class is counted over the range, or on ``mask`` where there is one.
     """
     m = seg[parent + 1] - seg[parent]  # classes per child
     within(int(m.sum()) * len(roots), MAX_WALK_CLASSES, "CRT classes one walk level lifts")
@@ -707,9 +681,18 @@ def _crt_counts(shape: KindShape, cls, seg, parent, dp, q, roots, keep):
     lift = lift[ok]
     d = (dp * q)[owner]
     ends = np.searchsorted(owner, np.arange(parent.size + 1))
-    total = np.concatenate(([0], np.cumsum((shape.hi - lift) // d - (shape.lo - 1 - lift) // d)))
+    total = np.concatenate(([0], np.cumsum(_class_counts(shape, mask, lift, d))))
     seg = np.concatenate(([0], np.cumsum(np.where(keep, np.diff(ends), 0))))
     return total[ends[1:]] - total[ends[:-1]], lift[keep[owner]], seg
+
+
+def _class_counts(shape: KindShape, mask, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The members in each index class c mod d (int64 columns): the floor
+    count over [lo, hi], or, on a start mask, one strided slice each."""
+    if mask is None:
+        return (shape.hi - c) // d - (shape.lo - 1 - c) // d
+    return np.fromiter((np.count_nonzero(mask[(a - shape.lo) % b::b])
+                        for a, b in zip(c.tolist(), d.tolist())), dtype=np.int64, count=c.size)
 
 
 def primes_below(z: float, prime_set: PrimeSet, tables: PrimeTables) -> np.ndarray:
@@ -771,7 +754,10 @@ def _strike(p: SieveProblem, rp) -> np.ndarray:
             the mask is allocated.
     """
     s, size = p.shape, _scan_size(p)
-    keep = np.ones(size, dtype=bool) if s.start is None else s.start(p.tables)
+    if p.mask is not None:  # the stored mask, struck in a copy
+        keep = p.mask.copy()
+    else:
+        keep = np.ones(size, dtype=bool) if s.start is None else s.start(p.tables)
     for q in np.asarray(rp, dtype=np.int64).tolist():
         for r in s.roots(q):
             keep[(r - s.lo) % q::q] = False
@@ -784,7 +770,8 @@ def _scan_size(p: SieveProblem) -> int:
     Raises:
         CapacityError: more than MAX_SCAN_MEMBERS indices.
     """
-    return within(_range_size(p.shape), MAX_SCAN_MEMBERS, f"{p.label} exact scan indices")
+    size = max(p.shape.hi - p.shape.lo + 1, 0)
+    return within(size, MAX_SCAN_MEMBERS, f"{p.label} exact scan indices")
 
 
 def _values(p: SieveProblem, i: np.ndarray) -> np.ndarray:

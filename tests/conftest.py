@@ -30,7 +30,7 @@ def grid():
 
 @pytest.fixture(scope="session")
 def kind_problems(tables_small):
-    """One small problem of each kind, the member-scan kinds included."""
+    """One small problem of each kind, the CRT-counted kinds included."""
     from sievelab.problem import make_problem
 
     cases = [

@@ -305,7 +305,7 @@ def _periodic_count(f, lo: int, hi: int, m: int) -> int:
 def test_scans_past_the_cap_are_refused_before_the_mask_is_built(tables_small):
     import tracemalloc
 
-    # the CRT kinds store no members, so these problems build and count
+    # the CRT kinds store no mask, so these problems build and count
     # exactly; every scan of their 2e9 and 1e9 indices is refused before
     # its mask is allocated
     for kind, params, f, lo, z in (
@@ -314,7 +314,7 @@ def test_scans_past_the_cap_are_refused_before_the_mask_is_built(tables_small):
     ):
         assert kind_shape(kind, params).need == 0
         p = make_problem(kind, params, tables_small)
-        assert p.members is None
+        assert p.mask is None
         m = math.prod(sieve_primes(p, z).tolist())
         assert legendre_count(p, z) == _periodic_count(f, lo, kind_shape(kind, params).hi, m)
         for scan in (sift_exact, sifted_members, lambda p, z: members_array(p)):

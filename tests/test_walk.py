@@ -184,7 +184,9 @@ def _draws():
     """Three parameter draws per kind (a fixed seed), then the edges: q | 2N
     (2N = 2310 = 2 3 5 7 11, and 2N = 6), q = 2 for both CRT kinds (always
     one of their sieve primes), a progression with k = 1 and one with no
-    members, Liouville at x = 1 and an interval from 0."""
+    members, Liouville at x = 1, an interval from 0, and N - p with every
+    prime up to 11 dividing N (N = 2310) and with the prime N/2 off the
+    mask (N = 9998 = 2 4999)."""
     r = random.Random("strike-and-crt")
     out = []
     for _ in range(3):
@@ -210,6 +212,8 @@ def _draws():
         ("liouville_minus", {"x": 1}),
         ("interval", {"x": 0, "y": 3_000}),
         ("shifted_prime", {"N": 8}),
+        ("shifted_prime", {"N": 2_310}),
+        ("shifted_prime", {"N": 9_998}),
     ]
 
 
@@ -328,9 +332,9 @@ def test_walk_refuses_a_level_past_its_class_cap(tables_small, monkeypatch):
     lifts = []
     crt_counts = problem._crt_counts
 
-    def recording(shape, cls, seg, parent, dp, q, roots, keep):
+    def recording(shape, mask, cls, seg, parent, dp, q, roots, keep):
         lifts.append(int((seg[parent + 1] - seg[parent]).sum()) * len(roots))
-        return crt_counts(shape, cls, seg, parent, dp, q, roots, keep)
+        return crt_counts(shape, mask, cls, seg, parent, dp, q, roots, keep)
 
     monkeypatch.setattr(problem, "_crt_counts", recording)
     want = nodes(divisor_walk(p, rp, Admit(p.n_bound)))
