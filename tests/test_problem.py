@@ -305,9 +305,9 @@ def _periodic_count(f, lo: int, hi: int, m: int) -> int:
 def test_scans_past_the_cap_are_refused_before_the_mask_is_built(tables_small):
     import tracemalloc
 
-    # the CRT kinds store no mask, so these problems build and count
-    # exactly; every scan of their 2e9 and 1e9 indices is refused before
-    # its mask is allocated
+    # goldbach and n^2 + 1 store no mask (and no members), so these
+    # problems build and count exactly; every scan of their 2e9 and 1e9
+    # indices is refused before its mask is allocated
     for kind, params, f, lo, z in (
         ("goldbach_product", {"two_N": 2 * 10**9}, lambda n: n * (2 * 10**9 - n), 2, 12),
         ("square_plus_one", {"x": 10**9}, lambda n: n * n + 1, 1, 30),
