@@ -592,6 +592,14 @@ def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
     return li, li[-1] + tail
 
 
+def _worst_class(jump, sizes, coprime, mean: float) -> float:
+    """The largest error over the coprime classes: at a jump, or at y = x.
+
+    A class without primes has jump 0 and size 0: its error is mean, at y = x.
+    """
+    return float(max(jump[coprime].max(), np.abs(sizes[coprime] - mean).max()))
+
+
 def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     """Worst progression error per modulus k <= q_max, scanned exactly.
 
@@ -604,11 +612,17 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     CapacityError before they start.
 
     Per k the residues are radix sorted (uint8 to q_max = 256, else uint16),
-    classes start where the sorted residue changes, ranks j come from one
-    repeat and coprimality is tested on the class labels.  With
-    t = Li(p)/phi(k), monotone rounding makes max(|j - t|, |(j - 1) - t|)
-    equal max(fl(j - t), fl(t - (j - 1))), and a class's error from its last
-    prime to x peaks at one of the two ends: the rows are bit-identical.
+    class sizes and starts come from one bincount and ranks j from one
+    repeat.  With t = Li(p)/phi(k), monotone rounding makes
+    max(|j - t|, |(j - 1) - t|) equal max(fl(j - t), fl(t - (j - 1))), and a
+    class's error from its last prime to x peaks at one of the two ends.
+
+    A modulus 2k with k odd is not scanned.  Its coprime classes are the odd
+    lifts of k's, phi(2k) = phi(k), and each holds the same primes as its
+    class mod k except that 2 mod k loses p = 2.  So row 2k keeps k's jump
+    maxima and sizes, and only that class is rescanned, with ranks
+    1 ... size - 1.  Every t and every exact float j is the one a scan of
+    2k would use, so the rows are bit-identical.
     """
     x = integer(x, "x", least=2)
     tables.reach(x, f"x={x}")
@@ -621,25 +635,32 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     li, li_x = _li_at_primes(ps, x)
     rem_type = np.uint8 if q_max <= 256 else np.uint16  # the cap admits < 2**16 moduli
     ps32, ranks = ps.astype(np.uint32), np.arange(1.0, n + 1)
-    rows = []
+    errors = [0.0] * (q_max + 1)
     for k in range(1, q_max + 1):
+        if k % 4 == 2:  # derived from the odd k // 2 below
+            continue
         phi = mult_stats(k, tables).phi
         rem = (ps32 - ps32 // k * k).astype(rem_type)  # // by a scalar is vectorised; % is not
         # a stable sort of small ints is a radix sort: positions ascend per class
         order = np.argsort(rem, kind="stable")
-        cls = rem[order]
-        starts = np.flatnonzero(np.diff(cls, prepend=cls[:1] + 1))  # x + 1 != x, wrapped too
-        sizes = np.diff(starts, append=n)
+        sizes = np.bincount(rem, minlength=k)
+        starts = np.cumsum(sizes) - sizes
+        full = np.flatnonzero(sizes)
         # the j-th prime of a class lifts its count from j - 1 to j
-        j = ranks - np.repeat(starts, sizes)
+        j = ranks - np.repeat(starts[full], sizes[full])
         at = li[order] / phi
-        jump = np.maximum.reduceat(np.maximum(j - at, at - (j - 1)), starts)
-        coprime = np.gcd(cls[starts], np.int64(k)) == 1
-        ends = np.abs(sizes[coprime] - li_x / phi)
-        # a coprime class without primes counts 0; its error peaks at y = x
-        empty = li_x / phi if ends.size < phi else 0.0
-        best = max(np.max(jump[coprime], initial=0.0), np.max(ends, initial=empty))
-        rows.append((k, float(best)))
+        jump = np.zeros(k)
+        jump[full] = np.maximum.reduceat(np.maximum(j - at, at - (j - 1)), starts[full])
+        coprime = np.gcd(np.arange(k), k) == 1
+        errors[k] = _worst_class(jump, sizes, coprime, li_x / phi)
+        if k % 2 and 2 * k <= q_max:  # row 2k: the class of 2 mod k loses p = 2
+            c = 2 % k
+            sizes[c] -= 1
+            at = li[order[starts[c] + 1:starts[c] + 1 + sizes[c]]] / phi
+            j = ranks[:sizes[c]]
+            jump[c] = np.max(np.maximum(j - at, at - (j - 1)), initial=0.0)
+            errors[2 * k] = _worst_class(jump, sizes, coprime, li_x / phi)
+    rows = [(k, errors[k]) for k in range(1, q_max + 1)]
     return BVScanResult(
         x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)
     )

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeTables, factorize, mult_stats, pi_ap, squarefree_primes
+from .arith import PrimeTables, factorize, mult_stats, pi_ap
 from .errors import InputError, ZeroDensityError, finite, integer, within
 from .problem import (
     MultiplicativeDensity,
@@ -162,12 +162,23 @@ def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
     return out
 
 
-def _divisors(facs: tuple[int, ...]) -> list[int]:
-    """Every divisor of the squarefree product of the primes in ``facs``."""
-    divs = [1]
-    for p in facs:
-        divs += [d * p for d in divs]
-    return divs
+def _superset_sums(support: dict[int, tuple[int, ...]], values: dict) -> dict:
+    """F(d) = sum of values[m] over the support multiples m of d.
+
+    The support holds every divisor of each of its members, so the sums run
+    over supersets one prime q at a time (Yates): F(m / q) += F(m) for each m
+    that q divides.  Each value travels along nu(m) edges instead of being
+    added into all 2^nu(m) divisors.
+    """
+    by_prime: dict[int, list[int]] = defaultdict(list)
+    for m, facs in support.items():
+        for q in facs:
+            by_prime[q].append(m)
+    out = dict(values)
+    for q, ms in by_prime.items():
+        for m in ms:
+            out[m // q] += out[m]
+    return out
 
 
 def lambda_weights(
@@ -180,7 +191,9 @@ def lambda_weights(
     """Compute the optimal weights lambda_d for squarefree d < xi.
 
     lambda_d = mu(d) (d / w(d)) sum of g(m) over support multiples m of d, / G;
-    each g(m) is added into its 2^nu(m) divisors, not |support|^2 pair tests.
+    the sums over multiples are superset sums, sum of nu(m) additions, not
+    2^nu(m) per m or |support|^2 pair tests.  Each node's primes come from
+    its parent's in the ascending walk: factors[d] = factors[d / q] + (q,).
 
     lambda_1 is exactly 1 and every |lambda_d| <= 1; both are consequences
     of the closed-form solution and are asserted by the test suite rather
@@ -190,9 +203,12 @@ def lambda_weights(
     walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)  # the walk starts from the int 1
-    support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
-    exact = len(support) <= MAX_EXACT_SUPPORT
-    w_values = _multiplicative(support, {p: omega.at_prime(p) for p in ps})
+    factors: dict[int, tuple[int, ...]] = {1: ()}
+    for d, i in zip(walk.d[1:].tolist(), walk.i[1:].tolist()):
+        q = ps[i - 1]  # the walk is ascending: d's largest prime
+        factors[d] = factors[d // q] + (q,)
+    exact = len(factors) <= MAX_EXACT_SUPPORT
+    w_values = _multiplicative(factors.items(), {p: omega.at_prime(p) for p in ps})
     G = sum(g_values.values(), Fraction(0))
     if G == 0:
         raise ZeroDensityError("G(xi, z) = 0: no usable divisors below xi")
@@ -201,18 +217,15 @@ def lambda_weights(
     else:
         g = {d: float(v) for d, v in g_values.items()}
         total = math.fsum(g.values())
-    multiples = dict.fromkeys(g, Fraction(0) if exact else 0.0)
-    for m, facs in support:
-        for d in _divisors(facs):
-            multiples[d] += g[m]
+    multiples = _superset_sums(factors, g)
     lambdas: dict[int, Fraction] = {}
-    for d, facs in support:
+    for d, facs in factors.items():
         scale = d / w_values[d] if exact else d / float(w_values[d])
         sign = -1 if len(facs) % 2 else 1
         lambdas[d] = sign * scale * multiples[d] / total
     return SelbergWeights(
         xi=float(xi), z=float(z), G=G, lambdas=lambdas,
-        g_values=g_values, factors=dict(support), omega=omega, primes=ps, exact=exact,
+        g_values=g_values, factors=factors, omega=omega, primes=ps, exact=exact,
     )
 
 
@@ -243,15 +256,13 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
 def y_values(w: SelbergWeights) -> dict[int, Fraction]:
     """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d.
 
-    Exact weights add int numerators over one common denominator D.
+    The sums over multiples are superset sums, as in lambda_weights; exact
+    weights add int numerators over one common denominator D.
     """
     w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
     terms = {d: w_values[d] * lam / d for d, lam in w.lambdas.items()}
     nums, den = over_common_denominator(terms) if w.exact else (terms, 1)
-    out = dict.fromkeys(w.lambdas, 0)
-    for d, a in nums.items():
-        for l in _divisors(w.factors[d]):
-            out[l] += a
+    out = _superset_sums(w.factors, nums)
     return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out
 
 

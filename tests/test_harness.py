@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_reference import reference_bv_scan
 
 from sievelab.arith import li_eval, mult_stats, pi_ap, prime_pi
 from sievelab.errors import CapacityError, InputError
@@ -178,6 +180,22 @@ def test_bv_scan_equals_sort_reference(x, q_max, tables_mid):
     rows, total = _sort_scan(x, q_max, tables_mid)
     assert scan.rows == rows
     assert scan.total == total
+
+
+#: x = 2 and 3 leave the class 2 mod k holding only p = 2; q_max = 2 is the
+#: k = 2 row from k = 1; past 256 the residues are uint16
+BV_XS = [2, 3, 10, 97, 1000, 999_900, 10**6] + random.Random(0).sample(range(4, 10**6), 3)
+BV_QS = [1, 2, 3, 6, 7, 50, 100, 257, 300]
+
+
+@pytest.mark.parametrize("x", BV_XS)
+def test_bv_scan_equals_the_per_modulus_scan(x, tables_big):
+    # a reference row depends on k alone, so one scan to 300 serves every q_max
+    rows = reference_bv_scan(x, max(BV_QS), tables_big).rows
+    for q_max in BV_QS:
+        scan = bv_scan(x, q_max, tables_big)
+        assert scan.rows == rows[:q_max], q_max
+        assert scan.total == math.fsum(e for _, e in rows[:q_max]), q_max
 
 
 def test_bv_scan_cap_keeps_residues_in_uint16():

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_reference import close, exact_G
+from exact_reference import (
+    FLOAT_WEIGHT_CHANGE,
+    close,
+    exact_G,
+    reference_lambda_weights,
+    reference_y_values,
+    y_term_scale,
+)
 
 import sievelab.selberg as sb
 from sievelab.errors import CapacityError, InputError
@@ -274,13 +281,51 @@ def test_one_sided_bounds_refuse_levels_without_meaning(y, z, tables_small, monk
 
 
 def test_float_fallback_support(tables_small, monkeypatch):
-    import sievelab.selberg as sb
-
     monkeypatch.setattr(sb, "MAX_EXACT_SUPPORT", 4)
     w = lambda_weights(30, 20, ONES, ALL, tables_small)
     assert not w.exact
     assert w.lambdas[1] == pytest.approx(1.0, abs=1e-12)
     assert all(abs(v) <= 1 + 1e-9 for v in w.lambdas.values())
+    # the superset sums add the floats in another order than the 2^nu
+    # divisor sums; y_l cancels, so its change is bounded by its terms' size
+    for omega, prime_set in SCAN_DENSITIES.values():
+        for xi, z in ((30, 20), (3000, 200)):
+            got = lambda_weights(xi, z, omega, prime_set, tables_small)
+            want = reference_lambda_weights(xi, z, omega, prime_set, tables_small)
+            assert not got.exact and got.lambdas.keys() == want.lambdas.keys()
+            for d, v in want.lambdas.items():
+                assert abs(got.lambdas[d] - v) <= FLOAT_WEIGHT_CHANGE * abs(v), (xi, d)
+            ys, scale = y_values(got), y_term_scale(got)
+            for l, v in reference_y_values(got).items():
+                assert abs(ys[l] - v) <= FLOAT_WEIGHT_CHANGE * scale[l], (xi, l)
+
+
+#: the densities and prime sets of the benchmark's weights-scan workload
+SCAN_DENSITIES = {
+    "ones": (ONES, ALL),
+    "pairs": (MultiplicativeDensity(lambda p: Fraction(1 if p == 2 else 2), "w(p) = 2, p > 2"), ALL),
+    "quadratic": (QUAD, PrimeSet("two_or_one_mod_four")),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_DENSITIES)
+@pytest.mark.parametrize("xi", [200, 1000, 3000])
+def test_superset_sums_equal_the_divisor_sums(name, xi, tables_small):
+    omega, prime_set = SCAN_DENSITIES[name]
+    got = lambda_weights(xi, 200, omega, prime_set, tables_small)
+    want = reference_lambda_weights(xi, 200, omega, prime_set, tables_small)
+    assert got.exact and want.exact
+    assert list(got.factors.items()) == list(want.factors.items())
+    assert (got.lambdas, got.G, got.g_values) == (want.lambdas, want.G, want.g_values)
+    assert y_values(got) == reference_y_values(want)
+
+
+def test_walk_factors_past_the_table_equal_trial_division(tables_small):
+    # d up to 30,000 is past the 10^4 table, where squarefree_primes trial-divides
+    got = lambda_weights(30_000, 100, ONES, ALL, tables_small)
+    want = reference_lambda_weights(30_000, 100, ONES, ALL, tables_small)
+    assert max(got.factors) > tables_small.limit
+    assert got.factors == want.factors and got.lambdas == want.lambdas
 
 
 def test_fundamental_upper_bound_is_upper(tables_small):

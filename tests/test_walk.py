@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_reference import close, exact_mobius, mobius_close
+from exact_reference import FLOAT_WEIGHT_CHANGE, _divisors, close, exact_mobius, mobius_close
 from walk_reference import (
     at_most_admit,
     below_admit,
@@ -371,18 +371,12 @@ def _reference_float_lambdas(xi, z, omega, prime_set, tables):
     total = math.fsum(g.values())
     multiples = dict.fromkeys(g, 0.0)
     for m, facs in support:
-        for d in selberg._divisors(facs):
+        for d in _divisors(facs):
             multiples[d] += g[m]
     return {
         d: (-1 if len(facs) % 2 else 1) * (d / float(w_values[d])) * multiples[d] / total
         for d, facs in support
     }
-
-
-#: bound on the relative change of a float-fallback weight from the old
-#: support order (depth first) to the walk's (level by level); the largest
-#: seen was 3.5e-14, at xi = z = 175,000 (support 106,384, unforced)
-FLOAT_WEIGHT_CHANGE = 1e-13
 
 
 @pytest.mark.parametrize("xi,z", [(3000.0, 200.0), (20_000.0, 100.0)])
