@@ -592,12 +592,14 @@ def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
     return li, li[-1] + tail
 
 
-def _worst_class(jump, sizes, coprime, mean: float) -> float:
+def _worst_class(jump, sizes, coprime, mean: float, phi: int) -> float:
     """The largest error over the coprime classes: at a jump, or at y = x.
 
-    A class without primes has jump 0 and size 0: its error is mean, at y = x.
+    A coprime class without primes counts 0, so its error peaks at y = x.
     """
-    return float(max(jump[coprime].max(), np.abs(sizes[coprime] - mean).max()))
+    ends = np.abs(sizes[coprime] - mean)
+    empty = mean if ends.size < phi else 0.0
+    return float(max(np.max(jump[coprime], initial=0.0), np.max(ends, initial=empty)))
 
 
 def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
@@ -612,8 +614,10 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     CapacityError before they start.
 
     Per k the residues are radix sorted (uint8 to q_max = 256, else uint16),
-    class sizes and starts come from one bincount and ranks j from one
-    repeat.  With t = Li(p)/phi(k), monotone rounding makes
+    the sizes and starts of the classes that hold primes come from one
+    bincount (no longer than the largest residue, so no step costs O(k)),
+    ranks j from one repeat, and coprimality is tested on the class labels.
+    With t = Li(p)/phi(k), monotone rounding makes
     max(|j - t|, |(j - 1) - t|) equal max(fl(j - t), fl(t - (j - 1))), and a
     class's error from its last prime to x peaks at one of the two ends.
 
@@ -643,23 +647,23 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
         rem = (ps32 - ps32 // k * k).astype(rem_type)  # // by a scalar is vectorised; % is not
         # a stable sort of small ints is a radix sort: positions ascend per class
         order = np.argsort(rem, kind="stable")
-        sizes = np.bincount(rem, minlength=k)
+        sizes = np.bincount(rem)
+        labels = np.flatnonzero(sizes)  # the classes that hold primes
+        sizes = sizes[labels]
         starts = np.cumsum(sizes) - sizes
-        full = np.flatnonzero(sizes)
         # the j-th prime of a class lifts its count from j - 1 to j
-        j = ranks - np.repeat(starts[full], sizes[full])
+        j = ranks - np.repeat(starts, sizes)
         at = li[order] / phi
-        jump = np.zeros(k)
-        jump[full] = np.maximum.reduceat(np.maximum(j - at, at - (j - 1)), starts[full])
-        coprime = np.gcd(np.arange(k), k) == 1
-        errors[k] = _worst_class(jump, sizes, coprime, li_x / phi)
+        jump = np.maximum.reduceat(np.maximum(j - at, at - (j - 1)), starts)
+        coprime = np.gcd(labels, k) == 1
+        errors[k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
         if k % 2 and 2 * k <= q_max:  # row 2k: the class of 2 mod k loses p = 2
-            c = 2 % k
+            c = np.searchsorted(labels, 2 % k)
             sizes[c] -= 1
             at = li[order[starts[c] + 1:starts[c] + 1 + sizes[c]]] / phi
             j = ranks[:sizes[c]]
             jump[c] = np.max(np.maximum(j - at, at - (j - 1)), initial=0.0)
-            errors[2 * k] = _worst_class(jump, sizes, coprime, li_x / phi)
+            errors[2 * k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
     rows = [(k, errors[k]) for k in range(1, q_max + 1)]
     return BVScanResult(
         x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)
