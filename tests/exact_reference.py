@@ -39,13 +39,13 @@ from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _multiplicative, _r
 
 TOL = Fraction(1, 10**14)  # 1e-14, as an exact rational
 
-#: bound on the change of a float-fallback lambda_d from the old summation
-#: order (depth-first support, each g(m) added into its 2^nu(m) divisors),
-#: relative to lambda_d; and of a y_l, relative to the sum of its terms'
-#: |w(d) lambda_d / d|, since y_l cancels (relative to y_l itself the change
-#: reached 1.1e-12 for the twin density at xi = z = 1e5).  The largest seen
-#: were 8.4e-14 for lambda and 1.5e-15 for y, at xi = z = 175,000 (support
-#: 106,384, unforced) and at xi = z = 1e5
+#: bound on the change of a float-fallback value from the old summation
+#: orders (each term added into its 2^nu divisors, over the support depth
+#: first or level by level) to the superset sums: for lambda_d relative to
+#: lambda_d, for y_l relative to the sum of its terms' |w(d) lambda_d / d|,
+#: since y_l cancels (relative to y_l itself the change reached 1.1e-12 for
+#: w(p) = 2 at xi = z = 1e5).  The largest seen were 8.4e-14 for lambda, at
+#: xi = z = 175,000 (support 106,384, unforced), and 1.5e-15 for y
 FLOAT_WEIGHT_CHANGE = 1e-13
 
 
