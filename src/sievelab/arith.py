@@ -168,6 +168,30 @@ def factorize(n: int, tables: PrimeTables) -> list[tuple[int, int]]:
     return out
 
 
+def factor_columns(n: np.ndarray, tables: PrimeTables) -> list[tuple]:
+    """factorize over a column of ints n >= 1, one round of primes at a time:
+    round k gives (rows, q, e) for the entries with k or more distinct
+    primes, their rows in n, their k-th smallest prime q and its exponent e.
+
+    Raises:
+        CapacityError: an entry beyond the tables, before any is factored.
+    """
+    if n.size:
+        tables.reach(top := int(n.max()), f"member {top}")
+    rounds, rows = [], np.flatnonzero(n > 1)
+    m = n[rows].astype(np.int64)
+    while rows.size:
+        q = tables.spf[m].astype(np.int64)
+        m //= q
+        e = np.ones_like(q)
+        while (more := m % q == 0).any():
+            m[more] //= q[more]
+            e += more
+        rounds.append((rows, q, e))
+        rows, m = rows[m > 1], m[m > 1]
+    return rounds
+
+
 def squarefree_primes(d: int, tables: PrimeTables) -> list[int]:
     """Prime factors of a squarefree d, ascending.
 

@@ -385,18 +385,6 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     return p
 
 
-def members_array(p: SieveProblem) -> np.ndarray:
-    """The members of A as an int64 array, in index order, read off the
-    index range (and its start mask, where the kind has one).
-
-    Raises:
-        CapacityError: an index range of more than MAX_SCAN_MEMBERS entries.
-    """
-    if p.shape.start is None:  # every index holds a member: no mask to strike
-        return _values(p, np.arange(_scan_size(p), dtype=np.int64))
-    return _values(p, np.flatnonzero(_strike(p, [])))
-
-
 def count_Ad(p: SieveProblem, d: int) -> int:
     """Exact number of members of A divisible by d (d squarefree, d >= 1)."""
     fac = squarefree_primes(d, p.tables)

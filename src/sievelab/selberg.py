@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTables, factorize, mult_stats, pi_ap
-from .errors import InputError, ZeroDensityError, finite, integer, within
+from .errors import InputError, finite, integer, within
 from .problem import (
     MultiplicativeDensity,
     PrimeSet,
@@ -33,6 +33,7 @@ from .problem import (
     remainder,
     sieve_primes,
     sift_exact,
+    whole_densities,
 )
 
 #: 3^nu as floats, for nu up to the 15 primes a divisor within int64 can have
@@ -100,6 +101,7 @@ class SelbergWeights:
     lambdas: dict[int, Fraction]
     g_values: dict[int, Fraction]
     factors: dict[int, tuple[int, ...]]
+    w_values: dict[int, int | Fraction]
     omega: MultiplicativeDensity
     primes: list[int]
     exact: bool = True
@@ -151,17 +153,6 @@ def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int]
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
-def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
-    """f(d) for each (d, factors) of a support, f multiplicative with f(p) = at[p].
-
-    Every d must follow d / (its largest prime), as in an ascending walk.
-    """
-    out: dict[int, Fraction] = {}
-    for d, facs in support:
-        out[d] = out[d // facs[-1]] * at[facs[-1]] if facs else Fraction(1)
-    return out
-
-
 def _superset_sums(support: dict[int, tuple[int, ...]], values: dict) -> dict:
     """F(d) = sum of values[m] over the support multiples m of d.
 
@@ -190,10 +181,15 @@ def lambda_weights(
 ) -> SelbergWeights:
     """Compute the optimal weights lambda_d for squarefree d < xi.
 
-    lambda_d = mu(d) (d / w(d)) sum of g(m) over support multiples m of d, / G;
-    the sums over multiples are superset sums, sum of nu(m) additions, not
-    2^nu(m) per m or |support|^2 pair tests.  Each node's primes come from
-    its parent's in the ascending walk: factors[d] = factors[d / q] + (q,).
+    lambda_d = mu(d) (d / w(d)) M(d) / G, with M(d) the sum of g(m) over the
+    support multiples m of d and G = M(1).  The M(d) are superset sums, sum
+    of nu(m) additions, not 2^nu(m) per m or |support|^2 pair tests.  Each
+    node's primes and w(d) come from its parent's in the ascending walk:
+    factors[d] = factors[d / q] + (q,) and w(d) = w(d / q) w(q), with w(q)
+    from whole_densities, so a whole density multiplies as plain ints.  An
+    exact lambda_d is Fraction(mu(d) d, w(d)) * M(d) / G.  Past
+    MAX_EXACT_SUPPORT the M(d) are float sums, divided by the fsum of the
+    float g(l); G stays the exact sum.
 
     lambda_1 is exactly 1 and every |lambda_d| <= 1; both are consequences
     of the closed-form solution and are asserted by the test suite rather
@@ -203,29 +199,28 @@ def lambda_weights(
     walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)  # the walk starts from the int 1
+    w_at = whole_densities(omega, ps)
     factors: dict[int, tuple[int, ...]] = {1: ()}
+    w_values: dict[int, int | Fraction] = {1: 1}
     for d, i in zip(walk.d[1:].tolist(), walk.i[1:].tolist()):
         q = ps[i - 1]  # the walk is ascending: d's largest prime
         factors[d] = factors[d // q] + (q,)
+        w_values[d] = w_values[d // q] * w_at[q]
     exact = len(factors) <= MAX_EXACT_SUPPORT
-    w_values = _multiplicative(factors.items(), {p: omega.at_prime(p) for p in ps})
-    G = sum(g_values.values(), Fraction(0))
-    if G == 0:
-        raise ZeroDensityError("G(xi, z) = 0: no usable divisors below xi")
     if exact:
-        g, total = g_values, G
+        multiples = _superset_sums(factors, g_values)
+        G = multiples[1]
+        lambdas = {d: Fraction(-d if len(f) % 2 else d, w_values[d]) * multiples[d] / G
+                   for d, f in factors.items()}
     else:
         g = {d: float(v) for d, v in g_values.items()}
-        total = math.fsum(g.values())
-    multiples = _superset_sums(factors, g)
-    lambdas: dict[int, Fraction] = {}
-    for d, facs in factors.items():
-        scale = d / w_values[d] if exact else d / float(w_values[d])
-        sign = -1 if len(facs) % 2 else 1
-        lambdas[d] = sign * scale * multiples[d] / total
+        multiples, total = _superset_sums(factors, g), math.fsum(g.values())
+        G = sum(g_values.values(), Fraction(0))
+        lambdas = {d: (-1 if len(f) % 2 else 1) * (d / float(w_values[d])) * multiples[d] / total
+                   for d, f in factors.items()}
     return SelbergWeights(
-        xi=float(xi), z=float(z), G=G, lambdas=lambdas,
-        g_values=g_values, factors=factors, omega=omega, primes=ps, exact=exact,
+        xi=float(xi), z=float(z), G=G, lambdas=lambdas, g_values=g_values,
+        factors=factors, w_values=w_values, omega=omega, primes=ps, exact=exact,
     )
 
 
@@ -256,11 +251,12 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
 def y_values(w: SelbergWeights) -> dict[int, Fraction]:
     """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d.
 
-    The sums over multiples are superset sums, as in lambda_weights; exact
-    weights add int numerators over one common denominator D.
+    w(d) is the one lambda_weights built (an int where the density is
+    whole).  The sums over multiples are superset sums, as in
+    lambda_weights; exact weights add int numerators over one common
+    denominator D.
     """
-    w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
-    terms = {d: w_values[d] * lam / d for d, lam in w.lambdas.items()}
+    terms = {d: lam * w.w_values[d] / d for d, lam in w.lambdas.items()}
     nums, den = over_common_denominator(terms) if w.exact else (terms, 1)
     out = _superset_sums(w.factors, nums)
     return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out

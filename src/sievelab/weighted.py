@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import EULER_GAMMA, PrimeTables, factorize, integrate_adaptive
+from .arith import EULER_GAMMA, PrimeTables, factor_columns, integrate_adaptive
 from .buchstab import BuchstabGrid, evaluate
 from .errors import CapacityError, InputError, finite, integer
 from .problem import SieveProblem, sifted_members
@@ -128,25 +128,31 @@ def presieve_cut(N: int, alpha: float) -> float:
         raise CapacityError(f"N^alpha = {N}^{alpha} is past the range of a float") from None
 
 
+def _window_terms(members: np.ndarray, cfg: WeightedConfig, tables: PrimeTables) -> tuple:
+    """(terms, square): 1 minus each member's window weight sum, its weights
+    added in ascending prime order, and whether a window prime divides it
+    twice.  Each distinct prime is placed in [N^alpha, N^beta) by math.log,
+    as the window is defined."""
+    lo, hi = cfg.alpha * math.log(cfg.N), cfg.beta * math.log(cfg.N)
+    total, square = np.zeros(members.size), np.zeros(members.size, dtype=bool)
+    for rows, q, e in factor_columns(members, tables):
+        distinct, at = np.unique(q, return_inverse=True)
+        inside = np.array([lo <= math.log(x) < hi for x in distinct.tolist()], dtype=bool)
+        weight = [richert_weight(x, cfg) if ok else 0.0 for x, ok in zip(distinct.tolist(), inside)]
+        total[rows] += np.array(weight)[at]
+        square[rows] |= inside[at] & (e >= 2)
+    return 1.0 - total, square
+
+
 def member_weight_term(n: int, cfg: WeightedConfig, tables: PrimeTables) -> float:
     """1 minus the window weight sum of one member; may be negative."""
-    lo = cfg.alpha * math.log(cfg.N)
-    hi = cfg.beta * math.log(cfg.N)
-    total = 0.0
-    for q, _ in factorize(n, tables):
-        lq = math.log(q)
-        if lo <= lq < hi:
-            total += richert_weight(q, cfg)
-    return 1.0 - total
+    return float(_window_terms(np.array([integer(n, "n", least=1)]), cfg, tables)[0][0])
 
 
 def W_exact(p: SieveProblem, cfg: WeightedConfig) -> float:
     """Exact weighted count over the survivors of the pre-sieve at N^alpha."""
-    z = presieve_cut(cfg.N, cfg.alpha)
-    terms = [
-        member_weight_term(int(n), cfg, p.tables) for n in sifted_members(p, z)
-    ]
-    return math.fsum(terms)
+    surv = sifted_members(p, presieve_cut(cfg.N, cfg.alpha))
+    return math.fsum(_window_terms(surv, cfg, p.tables)[0].tolist())
 
 
 def pr_count(p: SieveProblem, r: int, alpha: float, N: int) -> int:
@@ -162,26 +168,16 @@ def pr_count(p: SieveProblem, r: int, alpha: float, N: int) -> int:
     """
     r = integer(r, "r", least=0)
     surv = sifted_members(p, presieve_cut(N, alpha))
-    if surv.size == 0:
-        return 0
-    top = int(surv.max())
-    p.tables.reach(top, f"member {top}")
-    big = p.tables.big_omega_table()
-    return int(np.count_nonzero(big[surv] <= r))
+    big = np.zeros(surv.size, dtype=np.int64)  # Omega of each survivor
+    for rows, _, e in factor_columns(surv, p.tables):
+        big[rows] += e
+    return int(np.count_nonzero(big <= r))
 
 
 def repeated_window_factor_count(p: SieveProblem, cfg: WeightedConfig) -> int:
     """Survivors divisible by p^2 for some window prime p in [N^a, N^b)."""
-    z = presieve_cut(cfg.N, cfg.alpha)
-    lo = cfg.alpha * math.log(cfg.N)
-    hi = cfg.beta * math.log(cfg.N)
-    count = 0
-    for n in sifted_members(p, z):
-        for q, e in factorize(int(n), p.tables):
-            if e >= 2 and lo <= math.log(q) < hi:
-                count += 1
-                break
-    return count
+    surv = sifted_members(p, presieve_cut(cfg.N, cfg.alpha))
+    return int(np.count_nonzero(_window_terms(surv, cfg, p.tables)[1]))
 
 
 @dataclass(frozen=True)
@@ -216,15 +212,11 @@ def chen_report(N: int, tables: PrimeTables) -> ChenReport:
 
     reference = 0.335 * TWIN_CONSTANT * singular_factor(N, tables) * N / math.log(N) ** 2
 
+    # m = p1 p2 p3 sorted with multiplicity: p1 = spf(m), p2 = spf(m / p1)
     cut = N ** (1.0 / 3.0)
-    triple = 0
-    for n in m[big[m] == 3]:
-        fac = []
-        for q, e in factorize(int(n), tables):
-            fac.extend([q] * e)
-        fac.sort()
-        if fac[0] < cut <= fac[1]:
-            triple += 1
+    three = m[big[m] == 3]
+    p1 = tables.spf[three]
+    triple = int(np.count_nonzero((p1 < cut) & (cut <= tables.spf[three // p1])))
     return ChenReport(
         N=N, count=count, reference=reference, ratio=count / reference,
         triple_count=triple,

@@ -20,6 +20,18 @@ each node factored from scratch and each term added into all 2^nu of its
 divisors (the package sums over supersets).  These are held ``==`` to the
 package, except on the float path past MAX_EXACT_SUPPORT, where the sums
 run in another order and ``FLOAT_WEIGHT_CHANGE`` bounds the change.
+``previous_lambda_weights`` and ``previous_y_values`` are the two kernels as
+they were before G came from the superset sums and w(d) from the whole
+densities: w(d) a product of Fractions, rebuilt by y_values, G summed a
+second time and four Fraction operations per lambda_d.  They are held
+``==`` to the package on both paths, float bit for bit.
+
+The third part holds the weighted sieve's per-member loops, each survivor
+factored alone by ``factorize``: W_exact and member_weight_term,
+repeated_window_factor_count and chen_report's triple count, and pr_count
+as it read Omega from the tables' big_omega_table.  The package peels the
+survivors' primes off the spf table in columns (``arith.factor_columns``);
+its results are held ``==`` to these.
 """
 
 from __future__ import annotations
@@ -30,12 +42,20 @@ from fractions import Fraction
 import numpy as np
 
 import sievelab.selberg as selberg
-from sievelab.arith import mult_stats, prime_pi, squarefree_primes
+import sievelab.weighted as weighted
+from sievelab.arith import factorize, mult_stats, prime_pi, squarefree_primes
 from sievelab.errors import ZeroDensityError, finite
 from sievelab.harness import BVScanResult, _li_at_primes
-from sievelab.problem import PrimeSet, divisor_walk, primes_below, sieve_primes, whole_densities
+from sievelab.problem import (
+    PrimeSet,
+    divisor_walk,
+    primes_below,
+    sieve_primes,
+    sifted_members,
+    whole_densities,
+)
 from sievelab.rosser import _chain_admit
-from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _multiplicative, _relevant_primes
+from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _relevant_primes, _superset_sums
 
 TOL = Fraction(1, 10**14)  # 1e-14, as an exact rational
 
@@ -123,6 +143,17 @@ def _divisors(facs: tuple[int, ...]) -> list[int]:
     return divs
 
 
+def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
+    """f(d) for each (d, factors) of a support, f multiplicative with f(p) = at[p].
+
+    Every d must follow d / (its largest prime), as in an ascending walk.
+    """
+    out: dict[int, Fraction] = {}
+    for d, facs in support:
+        out[d] = out[d // facs[-1]] * at[facs[-1]] if facs else Fraction(1)
+    return out
+
+
 def reference_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
     """lambda_weights with each node factored by squarefree_primes and each
     g(m) added into its 2^nu(m) divisors; floats past MAX_EXACT_SUPPORT."""
@@ -152,7 +183,8 @@ def reference_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
         lambdas[d] = sign * scale * multiples[d] / total
     return SelbergWeights(
         xi=float(xi), z=float(z), G=G, lambdas=lambdas,
-        g_values=g_values, factors=dict(support), omega=omega, primes=ps, exact=exact,
+        g_values=g_values, factors=dict(support), w_values=w_values, omega=omega, primes=ps,
+        exact=exact,
     )
 
 
@@ -176,3 +208,105 @@ def y_term_scale(w: SelbergWeights) -> dict[int, float]:
         for l in _divisors(w.factors[d]):
             out[l] += abs(float(w_values[d] * lam / d))
     return out
+
+
+def previous_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
+    """lambda_weights as it was before G came from the superset sums: w(d) a
+    product of Fractions, G a second sum of the g(l), and each lambda_d four
+    Fraction operations.  Its float path past MAX_EXACT_SUPPORT is the one
+    the package keeps, so the two agree bit for bit there."""
+    ps = _relevant_primes(z, omega, prime_set, tables)
+    walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
+    g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
+    g_values[1] = Fraction(1)
+    factors: dict[int, tuple[int, ...]] = {1: ()}
+    for d, i in zip(walk.d[1:].tolist(), walk.i[1:].tolist()):
+        q = ps[i - 1]
+        factors[d] = factors[d // q] + (q,)
+    exact = len(factors) <= selberg.MAX_EXACT_SUPPORT
+    w_values = _multiplicative(factors.items(), {p: omega.at_prime(p) for p in ps})
+    G = sum(g_values.values(), Fraction(0))
+    if exact:
+        g, total = g_values, G
+    else:
+        g = {d: float(v) for d, v in g_values.items()}
+        total = math.fsum(g.values())
+    multiples = _superset_sums(factors, g)
+    lambdas = {}
+    for d, facs in factors.items():
+        scale = d / w_values[d] if exact else d / float(w_values[d])
+        sign = -1 if len(facs) % 2 else 1
+        lambdas[d] = sign * scale * multiples[d] / total
+    return SelbergWeights(
+        xi=float(xi), z=float(z), G=G, lambdas=lambdas, g_values=g_values, factors=factors,
+        w_values=w_values, omega=omega, primes=ps, exact=exact,
+    )
+
+
+def previous_y_values(w: SelbergWeights) -> dict:
+    """y_values as it was before it read the weights' w(d): w(d) rebuilt as
+    a product of Fractions, each term w(d) lambda_d / d."""
+    w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
+    terms = {d: w_values[d] * lam / d for d, lam in w.lambdas.items()}
+    nums, den = selberg.over_common_denominator(terms) if w.exact else (terms, 1)
+    out = _superset_sums(w.factors, nums)
+    return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out
+
+
+def reference_member_weight_term(n, cfg, tables) -> float:
+    """1 minus the window weight sum of one member, factored alone."""
+    lo = cfg.alpha * math.log(cfg.N)
+    hi = cfg.beta * math.log(cfg.N)
+    total = 0.0
+    for q, _ in factorize(n, tables):
+        lq = math.log(q)
+        if lo <= lq < hi:
+            total += weighted.richert_weight(q, cfg)
+    return 1.0 - total
+
+
+def reference_W_exact(p, cfg) -> float:
+    """W_exact with each survivor factored alone."""
+    z = weighted.presieve_cut(cfg.N, cfg.alpha)
+    terms = [reference_member_weight_term(int(n), cfg, p.tables) for n in sifted_members(p, z)]
+    return math.fsum(terms)
+
+
+def reference_pr_count(p, r, alpha, N) -> int:
+    """pr_count with Omega read from the big_omega_table of the whole tables."""
+    surv = sifted_members(p, weighted.presieve_cut(N, alpha))
+    if surv.size == 0:
+        return 0
+    p.tables.reach(int(surv.max()))
+    return int(np.count_nonzero(p.tables.big_omega_table()[surv] <= r))
+
+
+def reference_repeated_window_factor_count(p, cfg) -> int:
+    """repeated_window_factor_count with each survivor factored alone."""
+    z = weighted.presieve_cut(cfg.N, cfg.alpha)
+    lo = cfg.alpha * math.log(cfg.N)
+    hi = cfg.beta * math.log(cfg.N)
+    count = 0
+    for n in sifted_members(p, z):
+        for q, e in factorize(int(n), p.tables):
+            if e >= 2 and lo <= math.log(q) < hi:
+                count += 1
+                break
+    return count
+
+
+def reference_triple_count(N, tables) -> int:
+    """chen_report's triple_count with each m = N - p of Omega(m) = 3 factored alone."""
+    ps = tables.primes
+    m = N - ps[(ps >= 3) & (ps <= N - 3)]
+    big = tables.big_omega_table()
+    cut = N ** (1.0 / 3.0)
+    triple = 0
+    for n in m[big[m] == 3]:
+        fac = []
+        for q, e in factorize(int(n), tables):
+            fac.extend([q] * e)
+        fac.sort()
+        if fac[0] < cut <= fac[1]:
+            triple += 1
+    return triple

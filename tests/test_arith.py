@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sievelab.arith import (
     MAX_TABLE_ENTRIES,
     build_tables,
+    factor_columns,
     factorize,
     integrate_adaptive,
     li_eval,
@@ -68,6 +69,18 @@ def test_factorize_reconstructs(tables_small):
         for p, e in factorize(n, tables_small):
             prod *= p**e
         assert prod == n
+
+
+def test_factor_columns_equal_factorize(tables_small):
+    n = np.concatenate([np.arange(1, 10_001), np.arange(10_000, 0, -7), [1, 1, 4096, 9973]])
+    got = [[] for _ in range(n.size)]
+    for rows, q, e in factor_columns(n, tables_small):
+        for row, qq, ee in zip(rows.tolist(), q.tolist(), e.tolist()):
+            got[row].append((qq, ee))
+    assert got == [factorize(int(v), tables_small) for v in n.tolist()]
+    assert factor_columns(np.array([], dtype=np.int64), tables_small) == []
+    with pytest.raises(CapacityError, match="member 10001 beyond table limit"):
+        factor_columns(np.array([5, 10_001, 7]), tables_small)
 
 
 def test_mult_stats_values(tables_small):

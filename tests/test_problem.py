@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from walk_reference import members_array
 
 import sievelab.problem as problem
 from sievelab.arith import build_tables
@@ -17,7 +18,6 @@ from sievelab.problem import (
     count_Ad,
     kind_shape,
     make_problem,
-    members_array,
     remainder,
     sieve_primes,
     sift_exact,

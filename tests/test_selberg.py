@@ -9,6 +9,8 @@ from exact_reference import (
     FLOAT_WEIGHT_CHANGE,
     close,
     exact_G,
+    previous_lambda_weights,
+    previous_y_values,
     reference_lambda_weights,
     reference_y_values,
     y_term_scale,
@@ -318,6 +320,55 @@ def test_superset_sums_equal_the_divisor_sums(name, xi, tables_small):
     assert list(got.factors.items()) == list(want.factors.items())
     assert (got.lambdas, got.G, got.g_values) == (want.lambdas, want.G, want.g_values)
     assert y_values(got) == reference_y_values(want)
+
+
+HALF = MultiplicativeDensity(lambda p: Fraction(1, 2), "w = 1/2")
+#: densities whose w(d) is not an int (w = 1/2), and with some w(p) = 0 on
+#: the prime set, beside the benchmark's: the zeros leave their primes out
+#: of the support, and the halves keep w(d) a Fraction
+MIXED_DENSITIES = {
+    "half": (HALF, ALL),
+    "twin": (TWIN, ALL),
+    "quadratic-all": (QUAD, ALL),
+    "goldbach20": (GOLDBACH20, ALL),
+    **SCAN_DENSITIES,
+}
+
+
+@pytest.mark.parametrize("name", MIXED_DENSITIES)
+@pytest.mark.parametrize("xi,z", [(30, 20), (1000, 200), (3000, 200)])
+def test_weights_equal_the_references_for_every_density(name, xi, z, tables_small):
+    omega, prime_set = MIXED_DENSITIES[name]
+    got = lambda_weights(xi, z, omega, prime_set, tables_small)
+    assert got.exact
+    for want in (reference_lambda_weights(xi, z, omega, prime_set, tables_small),
+                 previous_lambda_weights(xi, z, omega, prime_set, tables_small)):
+        assert (got.lambdas, got.G, got.g_values) == (want.lambdas, want.G, want.g_values)
+        assert got.w_values == want.w_values
+    assert type(got.G) is Fraction and all(type(v) is Fraction for v in got.lambdas.values())
+    ys = y_values(got)
+    assert ys == reference_y_values(got) == previous_y_values(got)
+    assert all(type(v) is Fraction for v in ys.values())
+    # w(d) is an int exactly where every w(p), p | d, is whole
+    whole = {q: omega.at_prime(q).denominator == 1 for q in got.primes}
+    for d, v in got.w_values.items():
+        assert (type(v) is int) == all(whole[q] for q in got.factors[d]), (name, d)
+
+
+@pytest.mark.parametrize("name", MIXED_DENSITIES)
+def test_float_fallback_is_bit_identical_to_the_previous_path(name, tables_small, monkeypatch):
+    monkeypatch.setattr(sb, "MAX_EXACT_SUPPORT", 4)
+    omega, prime_set = MIXED_DENSITIES[name]
+    for xi, z in ((30, 20), (3000, 200)):
+        got = lambda_weights(xi, z, omega, prime_set, tables_small)
+        want = previous_lambda_weights(xi, z, omega, prime_set, tables_small)
+        assert not got.exact and not want.exact
+        assert got.G == want.G and type(got.G) is Fraction
+        assert list(got.lambdas) == list(want.lambdas)
+        assert [v.hex() for v in got.lambdas.values()] == [v.hex() for v in want.lambdas.values()]
+        ys, old = y_values(got), previous_y_values(want)
+        assert list(ys) == list(old)
+        assert [v.hex() for v in ys.values()] == [v.hex() for v in old.values()]
 
 
 def test_walk_factors_past_the_table_equal_trial_division(tables_small):

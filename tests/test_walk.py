@@ -21,11 +21,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_reference import FLOAT_WEIGHT_CHANGE, _divisors, close, exact_mobius, mobius_close
+from exact_reference import (
+    FLOAT_WEIGHT_CHANGE,
+    _divisors,
+    _multiplicative,
+    close,
+    exact_mobius,
+    mobius_close,
+)
 from walk_reference import (
     at_most_admit,
     below_admit,
     chain_admit,
+    members_array,
     nodes,
     reference_members,
     reference_survivors,
@@ -44,7 +52,6 @@ from sievelab.problem import (
     count_Ad,
     divisor_walk,
     make_problem,
-    members_array,
     remainder,
     sieve_primes,
     sift_exact,
@@ -366,7 +373,7 @@ def _reference_float_lambdas(xi, z, omega, prime_set, tables):
                 reference_walk(None, ps, below_admit(xi), _g_at(omega, ps), max_nodes=MAX_SUPPORT)}
     g_values[1] = Fraction(1)
     support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
-    w_values = selberg._multiplicative(support, {q: omega.at_prime(q) for q in ps})
+    w_values = _multiplicative(support, {q: omega.at_prime(q) for q in ps})
     g = {d: float(v) for d, v in g_values.items()}
     total = math.fsum(g.values())
     multiples = dict.fromkeys(g, 0.0)

@@ -4,10 +4,17 @@ import math
 import random
 
 import pytest
+from exact_reference import (
+    reference_member_weight_term,
+    reference_pr_count,
+    reference_repeated_window_factor_count,
+    reference_triple_count,
+    reference_W_exact,
+)
 
 from sievelab.buchstab import evaluate
 from sievelab.errors import CapacityError, InputError
-from sievelab.problem import make_problem, sift_exact
+from sievelab.problem import make_problem, sift_exact, sifted_members
 from sievelab.weighted import (
     WeightedConfig,
     W_exact,
@@ -178,3 +185,91 @@ def test_chen_counts(tables_mid):
         chen_report(21, tables_mid)
     with pytest.raises(CapacityError):
         chen_report(2 * tables_mid.limit, tables_mid)
+
+
+#: the three problems and configs of the weighted-margins suite
+SUITE_CONFIGS = [
+    ("shifted_prime", {"N": 10_000},
+     WeightedConfig(N=10_000, r=3, alpha=0.49 / 4, beta=0.49 / (1 + 3.0**-3), gamma_level=0.49)),
+    ("shifted_prime", {"N": 10_000},
+     WeightedConfig(N=10_000, r=2, alpha=0.55 / 4, beta=0.55 / (1 + 3.0**-2), gamma_level=0.55)),
+    ("interval", {"x": 0, "y": 100_000},
+     WeightedConfig(N=100_000, r=2, alpha=0.14, beta=0.45, gamma_level=0.5)),
+]
+
+
+def _column_equals_loop(p, cfg):
+    assert W_exact(p, cfg) == reference_W_exact(p, cfg)
+    assert repeated_window_factor_count(p, cfg) == reference_repeated_window_factor_count(p, cfg)
+    for r in (0, 1, cfg.r, 5):
+        assert pr_count(p, r, cfg.alpha, cfg.N) == reference_pr_count(p, r, cfg.alpha, cfg.N)
+
+
+@pytest.mark.parametrize("kind,params,cfg", SUITE_CONFIGS)
+def test_weighted_columns_equal_the_member_loops_on_the_suite_configs(kind, params, cfg, tables_mid):
+    _column_equals_loop(make_problem(kind, params, tables_mid), cfg)
+
+
+def _grid_problem(rng):
+    """A problem whose members all lie within tables to 200,000."""
+    kind = rng.choice(["interval", "shifted_prime", "goldbach_product", "square_plus_one",
+                       "arithmetic_progression", "liouville_minus"])
+    if kind == "interval":
+        x = rng.randrange(0, 150_000)
+        return kind, {"x": x, "y": rng.randrange(1, 200_000 - x)}
+    if kind == "shifted_prime":
+        return kind, {"N": 2 * rng.randrange(3, 100_000)}
+    if kind == "goldbach_product":
+        return kind, {"two_N": 2 * rng.randrange(3, 447)}
+    if kind == "square_plus_one":
+        return kind, {"x": rng.randrange(1, 447)}
+    if kind == "arithmetic_progression":
+        return kind, {"x": rng.randrange(10, 200_000), "k": rng.randrange(1, 50), "l": 1}
+    return kind, {"x": rng.randrange(2, 200_000)}
+
+
+def test_weighted_columns_equal_the_member_loops_on_a_grid(tables_mid):
+    rng = random.Random(20_261_019)
+    checked = 0
+    while checked < 40:
+        kind, params = _grid_problem(rng)
+        alpha = rng.uniform(0.03, 0.3)
+        beta = rng.uniform(alpha * 1.05, 0.8)
+        r = rng.choice([1, 2, 3, 4])
+        if (r + 1) * beta <= 1:
+            continue
+        p = make_problem(kind, params, tables_mid)
+        N = rng.choice([p.n_bound, rng.randrange(2, max(p.n_bound, 3))])
+        cfg = WeightedConfig(N=max(N, 2), r=r, alpha=alpha, beta=beta, gamma_level=beta + 0.01)
+        _column_equals_loop(p, cfg)
+        for n in sifted_members(p, 2)[:: max(1, int(p.X) // 50)].tolist():
+            assert member_weight_term(n, cfg, tables_mid) == reference_member_weight_term(
+                n, cfg, tables_mid), (kind, params, n)
+        checked += 1
+
+
+def test_weighted_columns_refuse_members_past_the_tables(tables_small):
+    # n(2N - n) reaches 250,000, past tables to 10^4
+    gp = make_problem("goldbach_product", {"two_N": 1_000}, tables_small)
+    cfg = WeightedConfig(N=1_000, r=3, alpha=0.1, beta=0.4, gamma_level=0.5)
+    for call in (W_exact, repeated_window_factor_count, lambda p, c: pr_count(p, 2, c.alpha, c.N)):
+        with pytest.raises(CapacityError, match="member 250000 beyond table limit"):
+            call(gp, cfg)
+    with pytest.raises(CapacityError):
+        member_weight_term(tables_small.limit + 1, cfg, tables_small)
+    with pytest.raises(InputError):
+        member_weight_term(0, cfg, tables_small)
+
+
+@pytest.mark.parametrize("N", [6, 20, 100, 1_000, 10_000, 10_002, 99_998, 200_000])
+def test_chen_triple_count_equals_the_member_loop(N, tables_mid):
+    assert chen_report(N, tables_mid).triple_count == reference_triple_count(N, tables_mid)
+
+
+def test_window_top_edge_is_open_in_columns(tables_mid):
+    # log 101 == 0.5 log 101^2 exactly, so 101 sits on the window's open top
+    # edge and 101^2, a survivor, has no repeated window prime
+    p = make_problem("interval", {"x": 0, "y": 101**2}, tables_mid)
+    cfg = WeightedConfig(N=101**2, r=2, alpha=0.1, beta=0.5, gamma_level=0.6)
+    assert 0.5 * math.log(101**2) == math.log(101)
+    _column_equals_loop(p, cfg)

@@ -11,7 +11,9 @@ counts #A_d by the old per-child filter: it keeps each node's members and
 tests them against the node's last prime.  ``reference_members`` builds
 every kind's members as the kinds built them before they gained an index
 range, and ``reference_survivors`` is the old sift, which tests each prime
-only against the members the smaller primes left.
+only against the members the smaller primes left.  ``members_array`` reads
+every member off a kind's index range, as the package did before no code
+of its own needed them all.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ import math
 import numpy as np
 
 from sievelab.errors import CapacityError
-from sievelab.problem import MAX_CHAIN_NODES, whole_densities
+from sievelab.problem import (
+    MAX_CHAIN_NODES,
+    SieveProblem,
+    _scan_size,
+    _strike,
+    _values,
+    whole_densities,
+)
 
 
 def below_admit(y):
@@ -122,3 +131,15 @@ def nodes(walk) -> list[tuple]:
     count = walk.count.tolist() if walk.count is not None else [None] * walk.d.size
     return sorted(zip(walk.d.tolist(), walk.nu.tolist(), walk.v.tolist(), count,
                       walk.i.tolist()))
+
+
+def members_array(p: SieveProblem) -> np.ndarray:
+    """The members of A as an int64 array, in index order, read off the
+    index range (and its start mask, where the kind has one).
+
+    Raises:
+        CapacityError: an index range of more than MAX_SCAN_MEMBERS entries.
+    """
+    if p.shape.start is None:  # every index holds a member: no mask to strike
+        return _values(p, np.arange(_scan_size(p), dtype=np.int64))
+    return _values(p, np.flatnonzero(_strike(p, [])))
