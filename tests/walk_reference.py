@@ -12,8 +12,8 @@ tests them against the node's last prime.  ``reference_members`` builds
 every kind's members as the kinds built them before they gained an index
 range, and ``reference_survivors`` is the old sift, which tests each prime
 only against the members the smaller primes left.  ``members_array`` reads
-every member off a kind's index range, as the package did before no code
-of its own needed them all.
+every member off a kind's index range; no code of the package needs the
+whole member list any more, so only the tests keep it.
 """
 
 from __future__ import annotations
