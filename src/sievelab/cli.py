@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
 from .buchstab import build_grid, evaluate, grid_cached
-from .errors import CapacityError, DensityRangeError, InputError, ZeroDensityError, finite, integer
+from .errors import CapacityError, DensityRangeError, InputError, finite, integer
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     except BrokenPipeError:
         return 0
-    except (InputError, CapacityError, DensityRangeError, ZeroDensityError, OSError) as exc:
+    except (InputError, CapacityError, DensityRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

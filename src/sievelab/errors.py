@@ -13,10 +13,6 @@ class CapacityError(RuntimeError):
     """Raised when a request would exceed a configured size budget (see ``within``)."""
 
 
-class ZeroDensityError(ValueError):
-    """Raised when a density value of zero makes a quantity undefined."""
-
-
 class DensityRangeError(ValueError):
     """Raised when a local density at a prime p falls outside [0, p)."""
 

@@ -9,6 +9,7 @@ that ownership exactly one-to-one.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -53,21 +54,16 @@ from .weighted import (
     repeated_window_factor_count,
 )
 
-_CTX: dict[str, object] = {}
-
-
+@functools.cache
 def shared_tables() -> PrimeTables:
     """Factor tables to 10^6, built once per process."""
-    if "tables" not in _CTX:
-        _CTX["tables"] = build_tables(1_000_200)
-    return _CTX["tables"]  # type: ignore[return-value]
+    return build_tables(1_000_200)
 
 
+@functools.cache
 def shared_grid() -> BuchstabGrid:
     """The production F/f grid, built once per process."""
-    if "grid" not in _CTX:
-        _CTX["grid"] = build_grid(30.0, 1e-4)
-    return _CTX["grid"]  # type: ignore[return-value]
+    return build_grid(30.0, 1e-4)
 
 
 @dataclass
@@ -99,6 +95,14 @@ class SuiteResult:
             )
 
 
+def _check_legendre(res: SuiteResult, problems, zs) -> None:
+    for p in problems:
+        for z in zs:
+            got, want = legendre_count(p, z), sift_exact(p, z)
+            res.check(f"{p.label} z={z}", "inclusion-exclusion == brute force", got == want,
+                      f"{got} vs {want}")
+
+
 def _suite_legendre(seed) -> SuiteResult:
     res = SuiteResult("legendre-exactness")
     t = shared_tables()
@@ -112,16 +116,7 @@ def _suite_legendre(seed) -> SuiteResult:
         make_problem("liouville_plus", {"x": 10_000}, t),
         make_problem("liouville_minus", {"x": 10_000}, t),
     ]
-    for p in probs:
-        for z in (2.0, 3.0, 11.0, 29.5, 30.0):
-            got = legendre_count(p, z)
-            want = sift_exact(p, z)
-            res.check(
-                f"{p.label} z={z}",
-                "inclusion-exclusion == brute force",
-                got == want,
-                f"{got} vs {want}",
-            )
+    _check_legendre(res, probs, (2.0, 3.0, 11.0, 29.5, 30.0))
     for p in probs:
         mv = problem_W(p, 25.0)
         s = sift_exact(p, 25.0)
@@ -303,37 +298,23 @@ def _suite_delay_grid(seed) -> SuiteResult:
     res = SuiteResult("delay-grid")
     g = shared_grid()
     eg = math.exp(EULER_GAMMA)
-    res.check(
-        "f(3)",
-        "matches 2 e^gamma log 2 / 3 to 1e-9",
-        abs(evaluate(g, 3, "f") - 2 * eg * math.log(2) / 3) <= 1e-9,
-        f"{evaluate(g, 3, 'f')!r}",
-    )
-    res.check(
-        "f(4)",
-        "matches 2 e^gamma log 3 / 4 to 1e-9",
-        abs(evaluate(g, 4, "f") - 2 * eg * math.log(3) / 4) <= 1e-9,
-        f"{evaluate(g, 4, 'f')!r}",
-    )
     inner = integrate_adaptive(lambda u: math.log(u) / (1.0 + u), 1.0, 2.0, 1e-13)
-    oracle = 0.5 * eg * (1.0 + inner)
-    res.check(
-        "F(4)",
-        "matches independent quadrature to 1e-6",
-        abs(evaluate(g, 4, "F") - oracle) <= 1e-6,
-        f"grid={evaluate(g, 4, 'F')!r} quad={oracle!r}",
+    # (which, s, target, tol, relation): closed forms, a quadrature, tail limits
+    points = (
+        ("f", 3, 2 * eg * math.log(2) / 3, 1e-9, "matches 2 e^gamma log 2 / 3 to 1e-9"),
+        ("f", 4, 2 * eg * math.log(3) / 4, 1e-9, "matches 2 e^gamma log 3 / 4 to 1e-9"),
+        ("F", 4, 0.5 * eg * (1.0 + inner), 1e-6, "matches independent quadrature to 1e-6"),
+        ("F", 15, 1, 1e-3, "|F(15) - 1| <= 1e-3"),
+        ("f", 15, 1, 1e-3, "|f(15) - 1| <= 1e-3"),
     )
+    for which, s, target, tol, relation in points:
+        got = evaluate(g, s, which)
+        res.check(
+            f"{which}({s})", relation, abs(got - target) <= tol, f"{got!r} vs {target!r}"
+        )
     res.check(
         "panel joins", "continuity defect <= 1e-6", g.join_error <= 1e-6,
         f"{g.join_error:.2e}",
-    )
-    res.check(
-        "F(15)", "|F(15) - 1| <= 1e-3", abs(evaluate(g, 15, "F") - 1) <= 1e-3,
-        f"{evaluate(g, 15, 'F')!r}",
-    )
-    res.check(
-        "f(15)", "|f(15) - 1| <= 1e-3", abs(evaluate(g, 15, "f") - 1) <= 1e-3,
-        f"{evaluate(g, 15, 'f')!r}",
     )
     fine = build_grid(30.0, 5e-5)
     ratio = round(g.step / fine.step)
@@ -363,25 +344,23 @@ def _suite_fundamental_lemma(seed) -> SuiteResult:
     return res
 
 
+def _check_signed_counts(res: SuiteResult, x: int, minus_s, plus_s, t: PrimeTables) -> None:
+    for s in minus_s:
+        v = S_pm_exact(x, s, -1, t)
+        res.check(f"minus x={x:g} s={s}", "count <= 2 below s = 2", v <= 2, str(v))
+    for s in plus_s:
+        got = S_pm_exact(x, s, 1, t)
+        ref = prime_pi(x, t) - prime_pi(x ** (1.0 / s), t)
+        res.check(f"plus x={x:g} s={s}", "within 2 of pi(x) - pi(x^(1/s))", abs(got - ref) <= 2,
+                  f"{got} vs {ref}")
+
+
 def _suite_parity(seed) -> SuiteResult:
     res = SuiteResult("parity-extremal")
     t = shared_tables()
     g = shared_grid()
     for x in (10**4, 10**5, 10**6):
-        for s in (1.0, 1.5, 2.0):
-            v = S_pm_exact(x, s, -1, t)
-            res.check(
-                f"minus x={x:g} s={s}", "count <= 2 below s = 2", v <= 2, str(v)
-            )
-        for s in (1.5, 2.5, 3.0):
-            got = S_pm_exact(x, s, 1, t)
-            ref = prime_pi(x, t) - prime_pi(x ** (1.0 / s), t)
-            res.check(
-                f"plus x={x:g} s={s}",
-                "within 2 of pi(x) - pi(x^(1/s))",
-                abs(got - ref) <= 2,
-                f"{got} vs {ref}",
-            )
+        _check_signed_counts(res, x, (1.0, 1.5, 2.0), (1.5, 2.5, 3.0), t)
     for x in (100, 999, 5000, 10_000):
         for s in (1.5, 2.0, 2.5, 3.0, 4.0):
             for sign in (1, -1):
@@ -403,8 +382,7 @@ def _suite_parity(seed) -> SuiteResult:
             gap <= 2.0 * err_unit,
             f"gap={gap:.1f} unit={err_unit:.1f}",
         )
-    row = prediction_row(x, 2.8, g, t)
-    ratio = row.exact_minus / row.predict_minus
+    ratio = row.exact_minus / row.predict_minus  # the last row, s = 2.8
     res.check(
         "prediction ratio x=1e6 s=2.8",
         "within [0.75, 1.25]",
@@ -698,20 +676,9 @@ def _suite_extended(seed) -> SuiteResult:
     because the larger factor tables take a while to build.
     """
     res = SuiteResult("extended")
-    if "tables10" not in _CTX:
-        _CTX["tables10"] = build_tables(10_000_200)
-    t: PrimeTables = _CTX["tables10"]  # type: ignore[assignment]
+    t = build_tables(10_000_200)
     x = 10_000_000
-    p = make_problem("interval", {"x": 0, "y": x}, t)
-    for z in (11.0, 30.0):
-        got = legendre_count(p, z)
-        want = sift_exact(p, z)
-        res.check(
-            f"interval 1e7 z={z:g}",
-            "inclusion-exclusion == brute force",
-            got == want,
-            f"{got} vs {want}",
-        )
+    _check_legendre(res, [make_problem("interval", {"x": 0, "y": x}, t)], (11.0, 30.0))
     rep = twin_report(x, 1, t)
     res.check(
         "twin x=1e7",
@@ -720,17 +687,7 @@ def _suite_extended(seed) -> SuiteResult:
         f"ratio={rep.ratio:.3f}",
     )
     _check_progressions(res, x, 20, t)
-    for s in (1.5, 2.0):
-        v = S_pm_exact(x, s, -1, t)
-        res.check(f"minus x=1e7 s={s}", "count <= 2 below s = 2", v <= 2, str(v))
-    got_p = S_pm_exact(x, 2.5, 1, t)
-    ref_p = prime_pi(x, t) - prime_pi(x ** (1 / 2.5), t)
-    res.check(
-        "plus x=1e7 s=2.5",
-        "within 2 of pi(x) - pi(x^(1/s))",
-        abs(got_p - ref_p) <= 2,
-        f"{got_p} vs {ref_p}",
-    )
+    _check_signed_counts(res, x, (1.5, 2.0), (2.5,), t)
     return res
 
 

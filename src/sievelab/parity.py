@@ -22,16 +22,6 @@ from .errors import CapacityError, InputError, finite, integer
 #: root_ceiling settles t**a >= x**b in integers while both have at most this many bits
 ROOT_EXACT_BITS = 1 << 16
 
-__all__ = [
-    "ParityRow",
-    "L_summatory",
-    "root_ceiling",
-    "rough_signed_count",
-    "S_pm_exact",
-    "recursion_check",
-    "prediction_row",
-]
-
 
 @dataclass(frozen=True)
 class ParityRow:

@@ -321,9 +321,10 @@ class SieveProblem:
 
     Its value is its kind, parameters and tables; every other field follows
     from them.  ``count`` gives #A_d from (d, nu(d)) for the formula kinds;
-    ``mask`` is the start mask of a kind without a formula (shifted_prime:
-    p is a prime not dividing N), stored because its #A_d counts classes on
-    it; ``shape`` is the kind's shape.
+    ``mask`` is the start mask of a kind that has one (shifted_prime: p is a
+    prime not dividing N; the Liouville kinds: lambda(n) = target), built
+    once here: every sift strikes a copy of it, and shifted_prime's #A_d
+    counts classes on it; ``shape`` is the kind's shape.
     """
 
     kind: str
@@ -379,7 +380,7 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
         omega=shape.omega, prime_set=shape.prime_set, n_bound=shape.n_bound,
         count=None if shape.count is None else shape.count(tables), shape=shape,
     )
-    if shape.count is None and shape.start is not None:  # no closed count: classes on the mask
+    if shape.start is not None:
         _scan_size(p)
         p.mask = shape.start(tables)
     return p
@@ -742,10 +743,7 @@ def _strike(p: SieveProblem, rp) -> np.ndarray:
             the mask is allocated.
     """
     s, size = p.shape, _scan_size(p)
-    if p.mask is not None:  # the stored mask, struck in a copy
-        keep = p.mask.copy()
-    else:
-        keep = np.ones(size, dtype=bool) if s.start is None else s.start(p.tables)
+    keep = np.ones(size, dtype=bool) if p.mask is None else p.mask.copy()
     for q in np.asarray(rp, dtype=np.int64).tolist():
         for r in s.roots(q):
             keep[(r - s.lo) % q::q] = False

@@ -25,20 +25,6 @@ from .errors import CapacityError, InputError, finite, integer
 from .problem import SieveProblem, sifted_members
 from .selberg import TWIN_CONSTANT, singular_factor
 
-__all__ = [
-    "WeightedConfig",
-    "richert_weight",
-    "lambda_r",
-    "level_condition",
-    "presieve_cut",
-    "member_weight_term",
-    "W_exact",
-    "pr_count",
-    "repeated_window_factor_count",
-    "ChenReport",
-    "chen_report",
-]
-
 
 @dataclass(frozen=True)
 class WeightedConfig:

@@ -44,7 +44,7 @@ import numpy as np
 import sievelab.selberg as selberg
 import sievelab.weighted as weighted
 from sievelab.arith import factorize, mult_stats, prime_pi, squarefree_primes
-from sievelab.errors import ZeroDensityError, finite
+from sievelab.errors import finite
 from sievelab.harness import BVScanResult, _li_at_primes
 from sievelab.problem import (
     PrimeSet,
@@ -165,8 +165,6 @@ def reference_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
     exact = len(support) <= selberg.MAX_EXACT_SUPPORT
     w_values = _multiplicative(support, {p: omega.at_prime(p) for p in ps})
     G = sum(g_values.values(), Fraction(0))
-    if G == 0:
-        raise ZeroDensityError("G(xi, z) = 0: no usable divisors below xi")
     if exact:
         g, total = g_values, G
     else:

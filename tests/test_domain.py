@@ -1,5 +1,5 @@
 """The library's numeric domain: every public function that takes numbers either
-answers or raises one of the package's four errors, quickly."""
+answers or raises one of the package's three errors, quickly."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sievelab as S
 from sievelab.errors import finite, integer, within
 from sievelab.parity import root_ceiling
 
-PACKAGE_ERRORS = (S.InputError, S.CapacityError, S.ZeroDensityError, S.DensityRangeError)
+PACKAGE_ERRORS = (S.InputError, S.CapacityError, S.DensityRangeError)
 
 #: numbers outside most domains, and a few small ones inside them
 BAD = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 1, 1e300, 10**400, "a"]
@@ -92,7 +92,7 @@ NO_NUMBERS = {
     "ChenReport", "DensityRangeError", "FundamentalRow", "InputError", "MertensValue",
     "MultStats", "MultiplicativeDensity", "PairBoundReport", "ParityRow", "PrimeTables",
     "SelbergWeights", "SieveProblem", "SieveReport", "SieveWeights", "SuiteResult",
-    "ZeroDensityError", "W_exact", "coverage_problems", "level_condition", "mu_plus",
+    "W_exact", "coverage_problems", "level_condition", "mu_plus",
     "repeated_window_factor_count", "run_suite", "save_grid", "y_values",
 }
 

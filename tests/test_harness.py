@@ -72,6 +72,30 @@ def test_all_aggregates_and_passes():
     assert r.elapsed > 0.0
 
 
+#: each quick suite's number of cases; a fold of shared checks keeps them all
+SUITE_CASES = {
+    "legendre-exactness": 43,
+    "selberg-validity": 80,
+    "sieve-validity": 136_498,
+    "bound-sandwich": 22,
+    "mertens-products": 3,
+    "delay-grid": 7,
+    "fundamental-lemma": 4,
+    "parity-extremal": 62,
+    "brun-titchmarsh": 774,
+    "pair-bounds": 56,
+    "weighted-margins": 8,
+    "chen-almost-primes": 4,
+    "progression-errors": 2,
+}
+
+
+def test_each_suite_keeps_its_case_count():
+    assert list(SUITE_CASES) == [n for n in SUITES if n != "extended"]
+    assert {name: run_suite(name).cases for name in SUITE_CASES} == SUITE_CASES
+    assert sum(SUITE_CASES.values()) == 137_563
+
+
 @pytest.mark.parametrize("seed", [57, 146])
 def test_weighted_margins_pass_at_once_failing_seeds(seed):
     # a 1e-8 quadrature tolerance put the two margin forms 1.1e-6 and

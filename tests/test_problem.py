@@ -123,6 +123,21 @@ def test_liouville_counts_read_the_summatory_as_a_local_cumsum(tables_mid):
             assert count_Ad(p, d) == want, (kind, d)
 
 
+def test_liouville_start_mask_is_built_once(tables_small, monkeypatch):
+    # the mask lambda(n) = target is read off the Liouville table when the
+    # problem is built; a sift at each new cut strikes a copy of it
+    p = make_problem("liouville_plus", {"x": 5_000}, tables_small)
+    members = members_array(p)
+    reads = []
+    table = type(tables_small).liouville_table
+    monkeypatch.setattr(type(tables_small), "liouville_table",
+                        lambda self: reads.append(self) or table(self))
+    for z in (10, 30):
+        assert sift_exact(p, z) == brute_sift(members, tables_small.primes.tolist(), z)
+    assert reads == []
+    assert np.array_equal(p.mask, tables_small.liouville_table()[1:5_001] == -1)
+
+
 def test_liouville_minus_tiny(tables_small):
     lm = make_problem("liouville_minus", {"x": 100}, tables_small)
     assert sift_exact(lm, 10) == 1  # only n = 1 survives
