@@ -26,6 +26,9 @@ EULER_GAMMA = 0.5772156649015329
 #: Hard ceiling on table size (entries).
 MAX_TABLE_ENTRIES = 200_000_000
 
+#: entries per block of the prime scan and of the Omega fill
+_CHUNK = 1 << 20
+
 
 @dataclass(unsafe_hash=True)
 class PrimeTables:
@@ -58,36 +61,31 @@ class PrimeTables:
         if finite(n, what or "a table read") > self.limit:
             raise CapacityError(f"{what or n} beyond table limit {self.limit}")
 
-    def _prime_factor_counts(self, powers: bool) -> np.ndarray:
-        """int16 count of the prime factors of each n <= limit (Omega if powers, else nu).
-
-        A prime above sqrt(limit) divides n at most once, so those primes are
-        added by cofactor m: all q <= limit/m at once.
-        """
-        lim = self.limit
-        out = np.zeros(lim + 1, dtype=np.int16)
-        split = int(np.searchsorted(self.primes, math.isqrt(lim), side="right"))
-        for p in self.primes[:split].tolist():
-            q = p
-            while q <= lim:
-                out[q::q] += 1
-                q = q * p if powers else lim + 1  # nu counts each prime once
-        large = self.primes[split:]
-        for m in range(1, lim // (math.isqrt(lim) + 1) + 1):
-            out[m * large[: np.searchsorted(large, lim // m, side="right")]] += 1
-        return out
-
     def big_omega_table(self) -> np.ndarray:
-        """int16 array with Omega(n) (prime factors with multiplicity)."""
+        """int16 array with Omega(n) (prime factors with multiplicity).
+
+        Omega(n) = Omega(n / spf(n)) + 1, and n / spf(n) <= n / 2, so the
+        blocks [lo, min(2 lo, lo + chunk)) filled in ascending order read
+        only entries already filled.
+        """
         if self._big_omega is None:
-            self._big_omega = self._prime_factor_counts(powers=True)
+            big, lo = np.zeros(self.limit + 1, dtype=np.int16), 2
+            while lo <= self.limit:
+                hi = min(2 * lo, lo + _CHUNK, self.limit + 1)
+                cofactor = np.arange(lo, hi, dtype=np.int32)
+                cofactor //= self.spf[lo:hi]
+                np.add(big[cofactor], 1, out=big[lo:hi])
+                lo = hi
+            self._big_omega = big
         return self._big_omega
 
     def liouville_table(self) -> np.ndarray:
         """int8 array with (-1)**Omega(n); entry 0 is unused and set to 0."""
         if self._liouville is None:
-            big = self.big_omega_table()
-            liou = np.where(big & 1, -1, 1).astype(np.int8)
+            liou = np.empty(self.limit + 1, dtype=np.int8)
+            np.bitwise_and(self.big_omega_table(), 1, out=liou, casting="unsafe")
+            liou *= -2
+            liou += 1
             liou[0] = 0
             self._liouville = liou
         return self._liouville
@@ -99,12 +97,15 @@ class PrimeTables:
         return self._liouville_sum
 
     def mobius_table(self) -> np.ndarray:
-        """int8 array with mu(n); entry 0 is unused and set to 0."""
+        """int8 array with mu(n); entry 0 is unused and set to 0.
+
+        mu(n) = lambda(n) on squarefree n and 0 elsewhere, so mu is lambda
+        with the multiples of each p^2 (p <= sqrt(limit)) set to 0.
+        """
         if self._mobius is None:
-            nu = self._prime_factor_counts(powers=False)
-            squarefree = nu == self.big_omega_table()
-            mu = np.where(squarefree, np.where(nu & 1, -1, 1), 0).astype(np.int8)
-            mu[0] = 0
+            mu = self.liouville_table().copy()
+            for p in self.primes[self.primes <= math.isqrt(self.limit)].tolist():
+                mu[p * p :: p * p] = 0
             self._mobius = mu
         return self._mobius
 
@@ -132,16 +133,22 @@ def build_tables(limit: int) -> PrimeTables:
     """
     limit = integer(limit, "table limit", least=2)
     within(limit + 1, MAX_TABLE_ENTRIES, "table entries")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    idx = np.arange(limit + 1, dtype=np.int32)
-    unset = spf == 0
-    spf[unset] = idx[unset]
-    primes = np.nonzero(spf == idx)[0].astype(np.int64)
-    primes = primes[primes >= 2]
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)  # primality up to sqrt(limit)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    # spf(n) = n until a prime p <= sqrt(n) divides n; storing the largest
+    # prime first leaves each composite's smallest prime as its last store
+    spf = np.arange(limit + 1, dtype=np.int32)
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    found = []  # the primes: the n >= 2 with spf(n) = n, compared a chunk at a time
+    for lo in range(2, limit + 1, _CHUNK):
+        block = spf[lo : lo + _CHUNK]
+        found.append(np.flatnonzero(block == np.arange(lo, lo + block.size, dtype=np.int32)) + lo)
+    primes = np.concatenate(found)
     primes.flags.writeable = False  # shared: primes_below hands out slices of it
     return PrimeTables(limit=limit, spf=spf, primes=primes)
 

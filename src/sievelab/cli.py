@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
 from .buchstab import build_grid, evaluate, grid_cached
-from .errors import CapacityError, DensityRangeError, InputError, finite, integer
+from .errors import CapacityError, DensityRangeError, InputError, finite, integer, within
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
@@ -148,11 +148,7 @@ def _tables(*needs: float) -> PrimeTables:
     counts.  The level y is never factored, so it is not a need.
     """
     need = max(10_000, *needs)
-    if need > MAX_CLI_TABLES:
-        raise InputError(
-            f"parameters need factor tables to {need:.0f}; the command line caps"
-            f" them at {MAX_CLI_TABLES}"
-        )
+    within(math.ceil(need), MAX_CLI_TABLES, "command-line factor tables")
     return build_tables(int(need) + 200)
 
 
@@ -288,32 +284,21 @@ def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    results = [run_suite(args.suite, args.seed)]
-    if args.extended and args.suite == "all":
-        results.append(run_suite("extended", args.seed))
-    passed = all(r.passed for r in results)
+    r = run_suite(args.suite, args.seed)
+    code = 0 if r.passed else 1
     if args.format == "json":
-        out = [
-            {
-                "suite": r.name,
-                "cases": r.cases,
-                "failures": [list(f) for f in r.failures],
-                "elapsed": r.elapsed,
-                "passed": r.passed,
-            }
-            for r in results
-        ]
-        return emit_report(out if len(out) > 1 else out[0], "json"), 0 if passed else 1
-    lines = []
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        lines.append(
-            f"{r.name}: {status} ({r.cases} cases, {len(r.failures)} failures,"
-            f" {r.elapsed:.2f}s)"
-        )
-        for cid, rel, obs in r.failures:
-            lines.append(f"  {cid} | expected {rel} | got {obs}")
-    return "\n".join(lines), 0 if passed else 1
+        out = {
+            "suite": r.name,
+            "cases": r.cases,
+            "failures": [list(f) for f in r.failures],
+            "elapsed": r.elapsed,
+            "passed": r.passed,
+        }
+        return emit_report(out, "json"), code
+    status = "pass" if r.passed else "FAIL"
+    lines = [f"{r.name}: {status} ({r.cases} cases, {len(r.failures)} failures, {r.elapsed:.2f}s)"]
+    lines += [f"  {cid} | expected {rel} | got {obs}" for cid, rel, obs in r.failures]
+    return "\n".join(lines), code
 
 
 _COMMANDS = {
@@ -398,7 +383,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("verify", parents=[common])
     sp.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--extended", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     return parser, sub.choices
 

@@ -115,15 +115,18 @@ class SieveWeights:
     values: dict[int, Fraction]
 
 
-def _relevant_primes(
+def _sieve_densities(
     z: float, omega: MultiplicativeDensity, prime_set: PrimeSet, tables: PrimeTables
-) -> list[int]:
-    return [int(q) for q in primes_below(z, prime_set, tables) if omega.at_prime(int(q)) > 0]
+) -> dict[int, int | Fraction]:
+    """w(p) for the sieve primes p < z with w(p) > 0, ascending, read once each
+    (an int where it is whole, as whole_densities gives it)."""
+    w_at = whole_densities(omega, primes_below(z, prime_set, tables).tolist())
+    return {p: w for p, w in w_at.items() if w > 0}
 
 
-def _g_at(ps: list[int], omega: MultiplicativeDensity) -> dict[int, Fraction]:
-    """g(p) = w(p)/(p - w(p)) for each prime of ps."""
-    return {p: (w := omega.at_prime(p)) / (p - w) for p in ps}
+def _g_at(w_at: dict[int, int | Fraction]) -> dict[int, Fraction]:
+    """g(p) = w(p)/(p - w(p)) for each prime of w_at."""
+    return {p: Fraction(w, p - w) for p, w in w_at.items()}
 
 
 def _g_walk(xi: float, ps: list[int], g_at: dict) -> Walk:
@@ -142,9 +145,9 @@ def big_G(
 
     The fsum of one float per l, g(l) carried as a product of the float g(p).
     """
-    ps = _relevant_primes(z, omega, prime_set, tables)
-    g_at = {p: float(g) for p, g in _g_at(ps, omega).items()}
-    return fsum_columns([_g_walk(xi, ps, g_at).v])
+    w_at = _sieve_densities(z, omega, prime_set, tables)
+    g_at = {p: float(g) for p, g in _g_at(w_at).items()}
+    return fsum_columns([_g_walk(xi, list(w_at), g_at).v])
 
 
 def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -186,7 +189,7 @@ def lambda_weights(
     of nu(m) additions, not 2^nu(m) per m or |support|^2 pair tests.  Each
     node's primes and w(d) come from its parent's in the ascending walk:
     factors[d] = factors[d / q] + (q,) and w(d) = w(d / q) w(q), with w(q)
-    from whole_densities, so a whole density multiplies as plain ints.  An
+    from _sieve_densities, so a whole density multiplies as plain ints.  An
     exact lambda_d is Fraction(mu(d) d, w(d)) * M(d) / G.  Past
     MAX_EXACT_SUPPORT the M(d) are float sums, divided by the fsum of the
     float g(l); G stays the exact sum.
@@ -195,11 +198,11 @@ def lambda_weights(
     of the closed-form solution and are asserted by the test suite rather
     than enforced here.
     """
-    ps = _relevant_primes(z, omega, prime_set, tables)
-    walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
+    w_at = _sieve_densities(z, omega, prime_set, tables)
+    ps = list(w_at)
+    walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)  # the walk starts from the int 1
-    w_at = whole_densities(omega, ps)
     factors: dict[int, tuple[int, ...]] = {1: ()}
     w_values: dict[int, int | Fraction] = {1: 1}
     for d, i in zip(walk.d[1:].tolist(), walk.i[1:].tolist()):

@@ -55,7 +55,7 @@ from sievelab.problem import (
     whole_densities,
 )
 from sievelab.rosser import _chain_admit
-from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _relevant_primes, _superset_sums
+from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _sieve_densities, _superset_sums
 
 TOL = Fraction(1, 10**14)  # 1e-14, as an exact rational
 
@@ -95,8 +95,8 @@ def exact_mobius(p, y, z, sign) -> tuple[Fraction, Fraction]:
 
 def exact_G(xi, z, omega, prime_set, tables) -> Fraction:
     """G(xi, z), the sum of g(l) over the squarefree l < xi from the sieve primes."""
-    ps = _relevant_primes(z, omega, prime_set, tables)
-    return sum(_g_walk(xi, ps, _g_at(ps, omega)).v.tolist(), Fraction(0))
+    w_at = _sieve_densities(z, omega, prime_set, tables)
+    return sum(_g_walk(xi, list(w_at), _g_at(w_at)).v.tolist(), Fraction(0))
 
 
 def close(got: float, exact: Fraction) -> bool:
@@ -157,8 +157,9 @@ def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
 def reference_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
     """lambda_weights with each node factored by squarefree_primes and each
     g(m) added into its 2^nu(m) divisors; floats past MAX_EXACT_SUPPORT."""
-    ps = _relevant_primes(z, omega, prime_set, tables)
-    walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
+    w_at = _sieve_densities(z, omega, prime_set, tables)
+    ps = list(w_at)
+    walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)
     support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
@@ -213,8 +214,9 @@ def previous_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
     product of Fractions, G a second sum of the g(l), and each lambda_d four
     Fraction operations.  Its float path past MAX_EXACT_SUPPORT is the one
     the package keeps, so the two agree bit for bit there."""
-    ps = _relevant_primes(z, omega, prime_set, tables)
-    walk = _g_walk(finite(xi, "xi"), ps, _g_at(ps, omega))
+    w_at = _sieve_densities(z, omega, prime_set, tables)
+    ps = list(w_at)
+    walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)
     factors: dict[int, tuple[int, ...]] = {1: ()}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,79 @@ def test_omega_and_mobius_equal_slice_reference(limit):
     assert t.big_omega_table().dtype == np.int16 and t.mobius_table().dtype == np.int8
     assert np.array_equal(t.big_omega_table(), big)
     assert np.array_equal(t.mobius_table(), mu)
+
+
+def _reference_spf_and_primes(limit):
+    """The masked spf sieve the tables were built with before one store per prime:
+    each prime stores itself only where no smaller prime has."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    idx = np.arange(limit + 1, dtype=np.int32)
+    unset = spf == 0
+    spf[unset] = idx[unset]
+    primes = np.nonzero(spf == idx)[0].astype(np.int64)
+    return spf, primes[primes >= 2]
+
+
+def _reference_prime_factor_counts(limit, primes, powers):
+    """The two passes Omega (powers) and nu were counted with before the
+    recurrence: strided adds for the primes up to sqrt(limit), then the
+    larger primes added by cofactor."""
+    out = np.zeros(limit + 1, dtype=np.int16)
+    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for p in primes[:split].tolist():
+        q = p
+        while q <= limit:
+            out[q::q] += 1
+            q = q * p if powers else limit + 1
+    large = primes[split:]
+    for m in range(1, limit // (math.isqrt(limit) + 1) + 1):
+        out[m * large[: np.searchsorted(large, limit // m, side="right")]] += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "limit",
+    # prime squares, then both sides of the 2^20 chunk and Omega block edges
+    [2, 3, 48, 49, 50, 120, 121, 122, 10_200, 1_000_200, 2**20 - 1, 2**20, 2**20 + 1, 2**21 + 1],
+)
+def test_tables_equal_the_masked_sieve_and_two_pass_reference(limit):
+    spf, primes = _reference_spf_and_primes(limit)
+    big = _reference_prime_factor_counts(limit, primes, powers=True)
+    nu = _reference_prime_factor_counts(limit, primes, powers=False)
+    liou = np.where(big & 1, -1, 1).astype(np.int8)
+    liou[0] = 0
+    mu = np.where(nu == big, np.where(nu & 1, -1, 1), 0).astype(np.int8)
+    mu[0] = 0
+    t = build_tables(limit)
+    got = {"mu": t.mobius_table(), "lambda": t.liouville_table(), "Omega": t.big_omega_table(),
+           "L": t.liouville_summatory(), "spf": t.spf, "primes": t.primes}
+    want = {"mu": mu, "lambda": liou, "Omega": big, "L": np.cumsum(liou, dtype=np.int32),
+            "spf": spf, "primes": primes}
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and np.array_equal(got[name], arr), (name, limit)
+    assert not t.primes.flags.writeable
+
+
+def _traced_peak(build) -> int:
+    """Peak bytes traced while build() runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tables_build_without_full_size_temporaries():
+    limit = 4_000_200
+    entries = limit + 1
+    assert _traced_peak(lambda: build_tables(limit)) <= 7 * entries
+    t = build_tables(limit)  # fresh: no Omega, lambda or mu yet
+    assert _traced_peak(lambda: (t.liouville_table(), t.mobius_table())) <= 6 * entries
 
 
 def test_pi_ap_frozen_values(tables_small):

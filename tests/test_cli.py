@@ -231,7 +231,8 @@ def test_weighted_sizes_tables_for_the_members_it_factors(capsys):
     # n^2 + 1 up to 1e8 + 1 is past the command line's table cap: refused before any build
     with table_builds() as builds:
         rc, out, err = run(capsys, _WEIGHTED + ["--problem", "square_plus_one", "--x", "10000"])
-    assert rc == 2 and out == "" and "caps" in err
+    assert rc == 2 and out == ""
+    assert "command-line factor tables: 100000001 is past the cap of 20000200" in err
     assert builds == []
 
 

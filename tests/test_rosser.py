@@ -22,7 +22,7 @@ from sievelab.rosser import (
     sandwich_values,
     truncated_mobius_sum,
 )
-from sievelab.selberg import _relevant_primes, fundamental_upper_bound
+from sievelab.selberg import _sieve_densities, fundamental_upper_bound
 
 
 def test_frozen_small_sums(tables_small):
@@ -218,7 +218,7 @@ def _reference_support(primes_desc, y, sign):
 
 def _reference_mobius(p, y, z, sign, exact):
     """(the sum, the sum of the terms' sizes) as exact Fractions, or the float sum."""
-    desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
+    desc = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))[::-1]
     if exact:
         total = size = Fraction(0)
         for _, facs in _reference_support(desc, y, sign):
@@ -238,7 +238,7 @@ def _reference_mobius(p, y, z, sign, exact):
 
 
 def _reference_bounds(p, y, z):
-    desc = _relevant_primes(z, p.omega, p.prime_set, p.tables)[::-1]
+    desc = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))[::-1]
     out = []
     for sign in (1, -1):
         recs = [(remainder(p, d), len(f)) for d, f in _reference_support(desc, y, sign) if d < y]

@@ -21,7 +21,7 @@ from sievelab.errors import CapacityError, InputError
 from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, remainder, sift_exact
 from sievelab.selberg import (
     TWIN_CONSTANT,
-    _relevant_primes,
+    _sieve_densities,
     big_G,
     brun_titchmarsh,
     fundamental_upper_bound,
@@ -50,7 +50,7 @@ def _support(ps, bound, skip=()):
 
 def _restricted_G(xi, z, omega, tables, skip):
     """G(xi, z) summed over l coprime to the primes in skip."""
-    ps = _relevant_primes(z, omega, ALL, tables)
+    ps = list(_sieve_densities(z, omega, ALL, tables))
     return sum(
         (math.prod(Fraction(omega.at_prime(p), p - omega.at_prime(p)) for p in facs)
          for _, facs in _support(ps, xi, skip)),
@@ -371,6 +371,17 @@ def test_float_fallback_is_bit_identical_to_the_previous_path(name, tables_small
         assert [v.hex() for v in ys.values()] == [v.hex() for v in old.values()]
 
 
+def test_each_density_is_read_once_per_sieve_prime(tables_small):
+    reads = []
+    omega = MultiplicativeDensity(lambda p: reads.append(p) or (0 if p == 3 else 2 if p > 2 else 1))
+    for build in (sb.lambda_weights, sb.big_G):
+        reads.clear()
+        build(3000.0, 200, omega, ALL, tables_small)
+        assert sorted(reads) == [int(p) for p in tables_small.primes[tables_small.primes < 200]]
+    w = sb.lambda_weights(3000.0, 200, omega, ALL, tables_small)
+    assert 3 not in w.primes and w.primes[:2] == [2, 5]  # w(3) = 0 sieves nothing
+
+
 def test_walk_factors_past_the_table_equal_trial_division(tables_small):
     # d up to 30,000 is past the 10^4 table, where squarefree_primes trial-divides
     got = lambda_weights(30_000, 100, ONES, ALL, tables_small)
@@ -394,7 +405,7 @@ def test_fundamental_upper_bound_is_upper(tables_small):
 
 def _reference_upper_bound(p, y, z):
     """The quadratic-form bound with every R_d rebuilt from d, one node at a time."""
-    ps = _relevant_primes(z, p.omega, p.prime_set, p.tables)
+    ps = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))
     G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
     rem = math.fsum(3 ** len(f) * abs(remainder(p, d).r) for d, f in _support(ps, y))
     return float(p.X) / float(G) + rem, rem
@@ -411,7 +422,7 @@ def test_upper_bound_equals_per_node_reference(kind_problems, y, z):
 
 def test_support_cap_fires_past_its_size(tables_small, monkeypatch):
     p = make_problem("interval", {"x": 0, "y": 10_000}, tables_small)
-    size = len(_support(_relevant_primes(20, p.omega, p.prime_set, p.tables), 400))
+    size = len(_support(list(_sieve_densities(20, p.omega, p.prime_set, p.tables)), 400))
     monkeypatch.setattr(sb, "MAX_SUPPORT", size)
     fundamental_upper_bound(p, 400, 20, with_exact=False)
     monkeypatch.setattr(sb, "MAX_SUPPORT", size - 1)

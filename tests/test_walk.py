@@ -66,7 +66,7 @@ from sievelab.rosser import (
 )
 from sievelab.selberg import (
     MAX_SUPPORT,
-    _relevant_primes,
+    _sieve_densities,
     big_G,
     fundamental_upper_bound,
     lambda_weights,
@@ -152,7 +152,7 @@ def test_every_walk_consumer_equals_the_reference(kind_problems, z, y):
 @pytest.mark.parametrize("z,xi", [(7, 100.0), (30, 945.0), (60, 3000.5), (60, 30030.0)])
 def test_selberg_walks_equal_the_reference(kind_problems, z, xi):
     for p in kind_problems:
-        ps = _relevant_primes(z, p.omega, p.prime_set, p.tables)
+        ps = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))
         g_at = _g_at(p.omega, ps)
         ref = list(reference_walk(None, ps, below_admit(xi), g_at, max_nodes=MAX_SUPPORT))
         assert _same(divisor_walk(None, ps, below(xi), g_at, max_nodes=MAX_SUPPORT), ref)
@@ -368,7 +368,7 @@ def test_walk_over_no_primes_is_the_root(tables_small):
 
 def _reference_float_lambdas(xi, z, omega, prime_set, tables):
     """lambda_weights' float path with its support in the reference walk's order."""
-    ps = _relevant_primes(z, omega, prime_set, tables)
+    ps = list(_sieve_densities(z, omega, prime_set, tables))
     g_values = {d: g for d, _, g, _, _ in
                 reference_walk(None, ps, below_admit(xi), _g_at(omega, ps), max_nodes=MAX_SUPPORT)}
     g_values[1] = Fraction(1)
