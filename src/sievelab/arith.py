@@ -199,41 +199,6 @@ def factor_columns(n: np.ndarray, tables: PrimeTables) -> list[tuple]:
     return rounds
 
 
-def squarefree_primes(d: int, tables: PrimeTables) -> list[int]:
-    """Prime factors of a squarefree d, ascending.
-
-    Within the table this is ``factorize``; above it, trial division by the
-    table primes, whose cofactor must be 1 or a prime they certify.
-
-    Raises:
-        InputError: d < 1 or d not squarefree.
-        CapacityError: a cofactor the table primes cannot certify.
-    """
-    try:
-        fac = factorize(d, tables)
-    except CapacityError:  # d is past the table: trial division below
-        pass
-    else:
-        if any(e > 1 for _, e in fac):
-            raise InputError(f"{d} is not squarefree")
-        return [q for q, _ in fac]
-    out: list[int] = []
-    m = d
-    for q in tables.primes:
-        q = int(q)
-        if q * q > m:
-            break
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                raise InputError(f"{d} is not squarefree")
-            out.append(q)
-    if m > 1:  # no table prime up to sqrt(m) divides m: prime if the table reaches sqrt(m)
-        tables.reach(math.isqrt(m), f"the root of cofactor {m}")
-        out.append(m)
-    return out
-
-
 def mult_stats(n: int, tables: PrimeTables) -> MultStats:
     """Compute (mu, nu, Omega, (-1)**Omega, phi) for one integer via the spf table.
 

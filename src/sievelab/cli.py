@@ -148,8 +148,7 @@ def _tables(*needs: float) -> PrimeTables:
     counts.  The level y is never factored, so it is not a need.
     """
     need = max(10_000, *needs)
-    within(math.ceil(need), MAX_CLI_TABLES, "command-line factor tables")
-    return build_tables(int(need) + 200)
+    return build_tables(within(int(need) + 200, MAX_CLI_TABLES, "command-line factor tables"))
 
 
 def _problem(args: argparse.Namespace, z: float, factored: bool = False) -> SieveProblem:

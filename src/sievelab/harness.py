@@ -672,8 +672,8 @@ def _suite_bv(seed) -> SuiteResult:
 def _suite_extended(seed) -> SuiteResult:
     """Spot checks rerun at ten times the quick-suite scale.
 
-    Not part of 'all'; the command line gates it behind its own flag
-    because the larger factor tables take a while to build.
+    Not part of 'all', because the larger factor tables take a while to
+    build; ``verify --suite extended`` runs it.
     """
     res = SuiteResult("extended")
     t = build_tables(10_000_200)

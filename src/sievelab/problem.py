@@ -6,8 +6,8 @@ divisible by p, and the set of primes the sieve is allowed to use; the prime
 set is exactly the primes with w(p) > 0.  Each kind's record in KINDS states
 everything the kind decides: its sizes, its table need, its members, and how
 #A_d is counted.  A problem's value is its kind, parameters and tables.  The
-exact operations here (count_Ad, sift_exact) are the ground truth every bound
-module is checked against.
+exact counts here (divisor_walk's #A_d column, sift_exact) are the ground
+truth every bound module is checked against.
 
 Every kind's members sit at the indices of a range [lo, hi], one member
 a_i per index i (a start mask drops the indices that hold none), and a prime
@@ -47,7 +47,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import PrimeTables, li_eval, squarefree_primes
+from .arith import PrimeTables, li_eval
 from .errors import DensityRangeError, InputError, finite, integer, within
 
 #: exact scans (the sift, the member arrays) refuse an index range of more
@@ -84,12 +84,6 @@ class MultiplicativeDensity:
             raise DensityRangeError(f"w({p}) = {w} outside [0, {p})")
         return w
 
-    def at_squarefree(self, prime_factors: list[int]) -> Fraction:
-        out = Fraction(1)
-        for p in prime_factors:
-            out *= self.at_prime(p)
-        return out
-
 
 @dataclass(frozen=True)
 class PrimeSet:
@@ -117,12 +111,12 @@ class PrimeSet:
 
 
 class RemainderRecord(NamedTuple):
-    """A divisor's exact count against its expected share (or columns of them)."""
+    """Columns of divisors' exact counts against their expected shares."""
 
-    d: int | np.ndarray
-    count: int | np.ndarray
-    main: float | np.ndarray
-    r: float | np.ndarray
+    d: np.ndarray
+    count: np.ndarray
+    main: np.ndarray
+    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -386,37 +380,14 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     return p
 
 
-def count_Ad(p: SieveProblem, d: int) -> int:
-    """Exact number of members of A divisible by d (d squarefree, d >= 1)."""
-    fac = squarefree_primes(d, p.tables)
-    if d > p.n_bound:  # every member is positive and at most n_bound
-        return 0
-    if p.count is None:  # d's CRT classes, lifted one prime at a time as _crt_counts does
-        s, cls, m = p.shape, [0], 1
-        for q in fac:
-            inv = pow(m, -1, q)
-            cls = [c + m * ((r - c) * inv % q) for c in cls for r in s.roots(q)]
-            m *= q
-        return int(_class_counts(s, p.mask, np.array(cls, dtype=np.int64),
-                                 np.full(len(cls), d, dtype=np.int64)).sum())
-    return int(p.count(np.array([d], dtype=np.int64), np.array([len(fac)], dtype=np.int8))[0])
+def remainder(p: SieveProblem, d: np.ndarray, count: np.ndarray, w: np.ndarray) -> RemainderRecord:
+    """Exact counts of A_d against their expected shares X w(d)/d, by column.
 
-
-def remainder(p: SieveProblem, d, count=None, w=None) -> RemainderRecord:
-    """Exact count of A_d against its expected share X w(d)/d.
-
-    A divisor walk passes its columns of d, #A_d and w(d), and gets columns
-    back; a scalar d has both rebuilt from d when they are not given.  Each
-    main term is X w(d) / d with w(d) rounded once from its exact value.
+    A divisor walk passes its columns of d, #A_d and w(d) and gets columns
+    back.  Each main term is X w(d) / d with w(d) rounded once from its
+    exact value.
     """
-    if isinstance(d, np.ndarray):
-        main = float(p.X) * np.asarray(w, dtype=np.float64) / d
-        return RemainderRecord(d=d, count=count, main=main, r=count - main)
-    if w is None:
-        w = p.omega.at_squarefree(squarefree_primes(d, p.tables))
-    if count is None:
-        count = count_Ad(p, d)
-    main = float(p.X) * float(w) / d
+    main = float(p.X) * np.asarray(w, dtype=np.float64) / d
     return RemainderRecord(d=d, count=count, main=main, r=count - main)
 
 

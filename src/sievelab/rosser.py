@@ -22,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import squarefree_primes
 from .buchstab import BuchstabGrid, evaluate
-from .errors import InputError, finite, integer, within
+from .errors import InputError, finite, integer
 from .legendre import problem_W
 from .problem import (
     Admit,
@@ -36,11 +35,6 @@ from .problem import (
     sift_exact,
 )
 from .selberg import SieveReport, one_sided_report
-
-#: sandwich_values refuses an m with more prime factors than this (its walks
-#: range over up to 2^k divisors of an m with k of them)
-MAX_SANDWICH_FACTORS = 20
-
 
 def _chain_admit(y: float, sign: int) -> Admit:
     """The support's step rule for a walk over the primes, largest first.
@@ -108,31 +102,15 @@ def combinatorial_bounds(p: SieveProblem, y: float, z: float, with_exact: bool =
     return BoundPair(upper=out[1], lower=out[-1])
 
 
-def sandwich_values(m: int, y: float, tables) -> tuple[int, int, int]:
-    """Divisor sums showing the supports really bracket the unit indicator.
-
-    For squarefree m returns (lower_sum, indicator, upper_sum) where each
-    sum runs the truncated mu over all divisors of m; the defining property
-    of the construction is lower_sum <= indicator <= upper_sum with
-    indicator = 1 exactly when m = 1.
-    """
-    finite(y, "level y")
-    facs = squarefree_primes(integer(m, "m", least=1), tables)
-    within(len(facs), MAX_SANDWICH_FACTORS, f"prime factors of {m}")
-    mu = dict.fromkeys(facs, -1)  # the walk's carried product is then mu(d)
-    lo, hi = (
-        int(divisor_walk(None, facs[::-1], _chain_admit(y, s), mu).v.sum()) for s in (-1, 1)
-    )
-    return lo, (1 if m == 1 else 0), hi
-
-
 def chain_divisor_sums(n: int, y: float, sign: int, tables) -> np.ndarray:
     """The truncated mu summed over the divisors of every m <= n, by m.
 
-    out[m] is sandwich_values(m, y)'s lower sum (sign -1) or upper sum
-    (sign +1) for squarefree m: whether d is in a support depends on d's
-    own primes alone, so one walk over the primes up to n gives the support
-    and each member d <= n adds mu(d) to its multiples.  out[0] is 0.
+    out[m] is the lower sum (sign -1) or upper sum (sign +1) over the
+    divisors of m; for squarefree m, lower <= [m = 1] <= upper is what makes
+    the supports bracket the sifted count.  Whether d is in a support
+    depends on d's own primes alone, so one walk over the primes up to n
+    gives the support and each member d <= n adds mu(d) to its multiples.
+    out[0] is 0.
     """
     n = integer(n, "n", least=1)
     tables.reach(n, f"n={n}")

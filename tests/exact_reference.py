@@ -43,7 +43,7 @@ import numpy as np
 
 import sievelab.selberg as selberg
 import sievelab.weighted as weighted
-from sievelab.arith import factorize, mult_stats, prime_pi, squarefree_primes
+from sievelab.arith import factorize, mult_stats, prime_pi
 from sievelab.errors import finite
 from sievelab.harness import BVScanResult, _li_at_primes
 from sievelab.problem import (
@@ -155,14 +155,15 @@ def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
 
 
 def reference_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
-    """lambda_weights with each node factored by squarefree_primes and each
-    g(m) added into its 2^nu(m) divisors; floats past MAX_EXACT_SUPPORT."""
+    """lambda_weights with each node factored by trial division by the sieve
+    primes and each g(m) added into its 2^nu(m) divisors; floats past
+    MAX_EXACT_SUPPORT."""
     w_at = _sieve_densities(z, omega, prime_set, tables)
     ps = list(w_at)
     walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)
-    support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
+    support = [(d, tuple(q for q in ps if d % q == 0)) for d in g_values]
     exact = len(support) <= selberg.MAX_EXACT_SUPPORT
     w_values = _multiplicative(support, {p: omega.at_prime(p) for p in ps})
     G = sum(g_values.values(), Fraction(0))

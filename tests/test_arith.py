@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sievelab.arith import (
     MAX_TABLE_ENTRIES,
@@ -18,7 +17,6 @@ from sievelab.arith import (
     mult_stats,
     pi_ap,
     prime_pi,
-    squarefree_primes,
 )
 from sievelab.errors import CapacityError, InputError
 
@@ -267,50 +265,7 @@ def test_input_errors(tables_small):
         mult_stats(10**7, tables_small)
 
 
-def _trial_primes(n: int) -> list[int]:
-    """Prime factors of n with multiplicity, by trial division."""
-    out, f = [], 2
-    while f * f <= n:
-        while n % f == 0:
-            out.append(f)
-            n //= f
-        f += 1
-    return out + [n] if n > 1 else out
-
-
-# tables_small has limit 1e4, so most draws take the trial-division branch
-@settings(deadline=None, max_examples=300)
-@given(st.integers(min_value=1, max_value=10**8))
-def test_squarefree_primes_against_trial_division(tables_small, n):
-    want = _trial_primes(n)
-    if len(set(want)) < len(want):
-        with pytest.raises(InputError, match="not squarefree"):
-            squarefree_primes(n, tables_small)
-    else:
-        assert squarefree_primes(n, tables_small) == want
-
-
-def test_squarefree_primes_domain(tables_small):
-    assert squarefree_primes(1, tables_small) == []
-    assert squarefree_primes(9973 * 10007, tables_small) == [9973, 10007]
-    for bad in (0, -6):
-        with pytest.raises(InputError):
-            squarefree_primes(bad, tables_small)
-    with pytest.raises(InputError):
-        squarefree_primes(4 * 10007, tables_small)
-    # a cofactor above limit^2 cannot be certified prime by the table primes
-    with pytest.raises(CapacityError):
-        squarefree_primes(10007 * 10009, tables_small)
-
-
 _REACH_LIMIT = 1000  # even, so the goldbach and chen boundaries fall on it
-
-
-def _root_prime(n):
-    """The smallest prime m with isqrt(m) == n (NaN passes through)."""
-    if n != n:
-        return n
-    return next(m for m in range(n * n, (n + 1) ** 2) if _is_prime_trial(m))
 
 
 def _reach_calls():
@@ -327,7 +282,6 @@ def _reach_calls():
     interval = lambda t: make_problem("interval", {"x": 0, "y": 100}, t)
     calls = [
         ("factorize", lambda t, n: factorize(n, t), True),
-        ("squarefree_primes", lambda t, n: squarefree_primes(_root_prime(n), t), True),
         ("prime_pi", lambda t, n: prime_pi(n, t), True),
         ("pi_ap", lambda t, n: pi_ap(n, 3, 1, t), True),
         # the need comes from integer parameters, so no NaN reaches it

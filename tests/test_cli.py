@@ -232,8 +232,19 @@ def test_weighted_sizes_tables_for_the_members_it_factors(capsys):
     with table_builds() as builds:
         rc, out, err = run(capsys, _WEIGHTED + ["--problem", "square_plus_one", "--x", "10000"])
     assert rc == 2 and out == ""
-    assert "command-line factor tables: 100000001 is past the cap of 20000200" in err
+    assert "command-line factor tables: 100000201 is past the cap of 20000200" in err
     assert builds == []
+
+
+def test_table_cap_compares_the_limit_it_builds(capsys):
+    # the tables reach the largest need + 200, and that limit meets the cap
+    cap = cli.MAX_CLI_TABLES
+    with mock.patch.object(cli, "build_tables", lambda limit: limit):
+        assert cli._tables(cap - 200) == cap
+    with table_builds() as builds:
+        rc, out, err = run(capsys, ["parity", "--x", str(cap - 199), "--s", "2"])
+    assert rc == 2 and out == "" and builds == []
+    assert f"command-line factor tables: {cap + 1} is past the cap of {cap}" in err
 
 
 @pytest.mark.parametrize("command", ["selberg", "rosser"])

@@ -68,7 +68,6 @@ CALLS = {
     "combinatorial_bounds": (lambda c, y, z: S.combinatorial_bounds(c["p"], y, z), (100, 5)),
     "fundamental_lemma_report": (
         lambda c, y, s: S.fundamental_lemma_report(c["p"], y, [s], c["grid"]), (100, 2)),
-    "sandwich_values": (lambda c, m, y: S.sandwich_values(m, y, c["t"]), (30, 100)),
     "truncated_mobius_sum": (lambda c, y, z, sign: S.truncated_mobius_sum(c["p"], y, z, sign),
                              (100, 10, 1)),
     "brun_titchmarsh": (lambda c, x, k, l: S.brun_titchmarsh(x, k, l, c["t"]), (1000, 3, 1)),

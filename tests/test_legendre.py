@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from exact_reference import close, exact_mertens
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from walk_reference import members_array
 
 import sievelab.legendre as lg
 import sievelab.problem as problem
@@ -21,10 +23,8 @@ from sievelab.legendre import (
 from sievelab.problem import (
     ALL_KINDS,
     Admit,
-    count_Ad,
     divisor_walk,
     make_problem,
-    remainder,
     sieve_primes,
     sift_exact,
 )
@@ -146,14 +146,20 @@ def test_progression_with_sieve_set_excluding_k(tables_small):
     assert legendre_count(prob, 12) == sift_exact(prob, 12)
 
 
+def _scan_count(mem, d: int) -> int:
+    """#A_d by scanning the members."""
+    return int(np.count_nonzero(mem % d == 0))
+
+
 def _reference_count(p, z):
-    """Inclusion-exclusion one node at a time, #A_d rebuilt from each d."""
+    """Inclusion-exclusion one node at a time, #A_d scanned for each d."""
     rp = [int(q) for q in sieve_primes(p, z)]
+    mem = members_array(p)
     total = 0
     stack = [(0, 1, 1)]
     while stack:
         i, d, sign = stack.pop()
-        c = count_Ad(p, d)
+        c = _scan_count(mem, d)
         total += sign * c
         if c == 0:
             continue
@@ -166,15 +172,18 @@ def _reference_count(p, z):
 
 
 def _reference_remainders(p, z):
-    """Every R_d one node at a time, rebuilt from each d."""
+    """Every (#A_d, R_d) one node at a time: #A_d scanned, w(d) the exact
+    product of w(q), and the main term X w(d)/d with w(d) rounded once."""
     rp = [int(q) for q in sieve_primes(p, z)]
+    mem = members_array(p)
     out = []
-    stack = [(0, 1)]
+    stack = [(0, 1, Fraction(1))]
     while stack:
-        i, d = stack.pop()
-        out.append(remainder(p, d))
+        i, d, wd = stack.pop()
+        c = _scan_count(mem, d)
+        out.append((c, c - float(p.X) * float(wd) / d))
         for j in range(i, len(rp)):
-            stack.append((j + 1, d * rp[j]))
+            stack.append((j + 1, d * rp[j], wd * p.omega.at_prime(rp[j])))
     return out
 
 
@@ -183,16 +192,17 @@ def _exact_remainder_sum(p, z):
 
     Every d has main term X w(d)/d, and their sum over all d is X times the
     product of 1 + w(q)/q; #A_d = 0 for d past the largest member, so only
-    the d up to it need their count, each rebuilt from d.
+    the d up to it need their count, each scanned from the members.
     """
     rp = [int(q) for q in sieve_primes(p, z)]
+    mem = members_array(p)
     X = Fraction(p.X)
     w = {q: p.omega.at_prime(q) for q in rp}
     total = X * math.prod((1 + w[q] / q for q in rp), start=Fraction(1))
     stack = [(0, 1, Fraction(1))]
     while stack:
         i, d, wd = stack.pop()
-        c, main = count_Ad(p, d), X * wd / d
+        c, main = _scan_count(mem, d), X * wd / d
         if c:  # |R_d| = main where c = 0, and total already holds it
             total += abs(c - main) - main
         for j in range(i, len(rp)):
@@ -210,8 +220,8 @@ def test_walk_equals_per_node_reference(kind_problems, z):
         assert legendre_count(p, z) == _reference_count(p, z), (p.kind, z)
         records = _reference_remainders(p, z)
         got = legendre_remainder_sum(p, z)
-        if all(r.count for r in records):
-            assert got == math.fsum(abs(r.r) for r in records), (p.kind, z)
+        if all(c for c, _ in records):
+            assert got == math.fsum(abs(r) for _, r in records), (p.kind, z)
         else:
             assert math.isclose(got, _exact_remainder_sum(p, z), rel_tol=1e-12), (p.kind, z)
 
@@ -244,12 +254,12 @@ def test_carried_state_equals_rebuilt(kind_problems):
     # past n_bound (8,101 for n^2 + 1 at x = 90) the carried members run empty
     for p in kind_problems:
         rp = [int(q) for q in sieve_primes(p, 30)]
+        mem = members_array(p)
         walk = divisor_walk(p, rp, Admit(problem.INT64_MAX))  # every subset of rp
         for d, nu, w, c, i in zip(*(col.tolist() for col in walk)):
             fac = [q for q in rp if d % q == 0]
-            assert (nu, w, c) == (len(fac), p.omega.at_squarefree(fac), count_Ad(p, d)), (
-                p.kind, d,
-            )
+            wd = math.prod(map(p.omega.at_prime, fac), start=Fraction(1))
+            assert (nu, w, c) == (len(fac), wd, _scan_count(mem, d)), (p.kind, d)
             assert i == (rp.index(fac[-1]) + 1 if fac else 0), (p.kind, d)
         assert sorted(walk.d.tolist()) == sorted(set(walk.d.tolist()))
         assert walk.d.size == 2 ** len(rp)

@@ -8,14 +8,15 @@ import pytest
 from walk_reference import members_array
 
 import sievelab.problem as problem
-from sievelab.arith import build_tables
+from sievelab.arith import build_tables, factorize
 from sievelab.errors import CapacityError, DensityRangeError, InputError
 from sievelab.legendre import legendre_count, mertens_products
 from sievelab.problem import (
     INT64_MAX,
     KINDS,
+    Admit,
     PrimeSet,
-    count_Ad,
+    divisor_walk,
     kind_shape,
     make_problem,
     remainder,
@@ -40,12 +41,30 @@ def brute_sift(members, primes, z) -> int:
     return kept
 
 
+def remainder_row(p, d: int):
+    """remainder's (d, #A_d, main, R_d) for one squarefree d, read off a walk of d's divisors."""
+    walk = divisor_walk(p, [q for q, _ in factorize(d, p.tables)], Admit(d))
+    rec = remainder(p, walk.d, walk.count, walk.v)
+    k = int(np.flatnonzero(walk.d == d)[0])
+    return type(rec)(*(col[k] for col in rec))
+
+
+def omega_at(omega, fac) -> Fraction:
+    """w(d) as the exact product of w(q) over d's primes."""
+    return math.prod(map(omega.at_prime, fac), start=Fraction(1))
+
+
+def scan_count(members: np.ndarray, d: int) -> int:
+    return int(np.count_nonzero(members % d == 0))
+
+
 def test_interval_sift_small(tables_small):
     p = make_problem("interval", {"x": 0, "y": 30}, tables_small)
     assert sift_exact(p, 7) == 8  # {1, 7, 11, 13, 17, 19, 23, 29}
     assert sift_exact(p, 2) == 30
-    assert count_Ad(p, 6) == 5
-    assert remainder(p, 6).r == 0.0
+    rec = remainder_row(p, 6)
+    assert rec.count == scan_count(members_array(p), 6) == 5
+    assert rec.r == 0.0
 
 
 def test_interval_remainder_at_most_one(tables_small):
@@ -54,7 +73,7 @@ def test_interval_remainder_at_most_one(tables_small):
     for d in range(1, 300):
         if mu[d] == 0:
             continue
-        assert abs(remainder(p, d).r) <= 1.0
+        assert abs(remainder_row(p, d).r) <= 1.0
 
 
 def test_goldbach_density_counts_roots(tables_small):
@@ -62,14 +81,14 @@ def test_goldbach_density_counts_roots(tables_small):
     p = make_problem("goldbach_product", {"two_N": two_n}, tables_small)
     for d in (3, 5, 7, 11, 13, 15, 21, 35):
         fac = [q for q in (3, 5, 7, 11, 13) if d % q == 0]
-        w = p.omega.at_squarefree(fac)
+        w = omega_at(p.omega, fac)
         roots = sum(1 for m in range(d) if (m * (two_n - m)) % d == 0)
         assert w == roots
 
 
 def test_goldbach_frozen_count(tables_small):
     p = make_problem("goldbach_product", {"two_N": 20}, tables_small)
-    assert count_Ad(p, 3) == 12
+    assert remainder_row(p, 3).count == scan_count(members_array(p), 3) == 12
     assert members_array(p).size == 17
 
 
@@ -80,7 +99,7 @@ def test_shifted_prime_members(tables_small):
     want = sorted(n_par - q for q in odd_primes if n_par % q)
     assert sorted(members_array(p).tolist()) == want
     # density vanishes on p | N: main term must be zero there
-    rec = remainder(p, 5)
+    rec = remainder_row(p, 5)
     assert rec.main == 0.0 and rec.count == rec.r + 0.0
     assert p.omega.at_prime(3) == Fraction(3, 2)
 
@@ -94,7 +113,7 @@ def test_square_plus_one_density(tables_small):
     for d in (5, 13, 10, 65):
         fac = [q for q in (2, 5, 13) if d % q == 0]
         roots = sum(1 for m in range(d) if (m * m + 1) % d == 0)
-        assert p.omega.at_squarefree(fac) == roots
+        assert omega_at(p.omega, fac) == roots
 
 
 def test_liouville_counts(tables_mid):
@@ -102,11 +121,11 @@ def test_liouville_counts(tables_mid):
     lm = make_problem("liouville_minus", {"x": 10_000}, tables_mid)
     assert members_array(lp).size + members_array(lm).size == 10_000
     assert 1 in members_array(lm)
-    # count_Ad via the tables' summatory equals a direct scan
+    # #A_d via the tables' summatory equals a direct scan
     for prob in (lp, lm):
         mem = members_array(prob)
         for d in (1, 2, 3, 5, 6, 30, 210):
-            assert count_Ad(prob, d) == int(np.count_nonzero(mem % d == 0))
+            assert remainder_row(prob, d).count == scan_count(mem, d)
     assert sift_exact(lm, 10) > 0
 
 
@@ -117,10 +136,12 @@ def test_liouville_counts_read_the_summatory_as_a_local_cumsum(tables_mid):
     mob = tables_mid.mobius_table()
     for kind, target in (("liouville_plus", -1), ("liouville_minus", 1)):
         p = make_problem(kind, {"x": x}, tables_mid)
-        for d in np.flatnonzero(mob[: 10_001]).tolist():
+        walk = divisor_walk(p, tables_mid.primes[tables_mid.primes <= 10_000], Admit(10_000))
+        assert walk.d.size == np.count_nonzero(mob[1:10_001])  # every squarefree d <= 10^4
+        for d, got in zip(walk.d.tolist(), walk.count.tolist()):
             t = x // d
             want = int(plus[t]) if target == mob[d] else t - int(plus[t])
-            assert count_Ad(p, d) == want, (kind, d)
+            assert got == want, (kind, d)
 
 
 def test_liouville_start_mask_is_built_once(tables_small, monkeypatch):
@@ -163,9 +184,8 @@ def test_progression_count_closed_form(tables_small):
     p = make_problem("arithmetic_progression", {"x": 997, "k": 10, "l": 3}, tables_small)
     mem = members_array(p)
     for d in (1, 3, 7, 21, 11, 2, 5):
-        want = int(np.count_nonzero(mem % d == 0))
-        assert count_Ad(p, d) == want
-    assert count_Ad(p, 2) == 0 and count_Ad(p, 5) == 0
+        assert remainder_row(p, d).count == scan_count(mem, d)
+    assert remainder_row(p, 2).count == 0 and remainder_row(p, 5).count == 0
 
 
 def test_input_validation(tables_small):
@@ -177,9 +197,6 @@ def test_input_validation(tables_small):
         make_problem("shifted_prime", {"N": 101}, tables_small)
     with pytest.raises(InputError):
         make_problem("no_such_kind", {}, tables_small)
-    p = make_problem("interval", {"x": 0, "y": 10}, tables_small)
-    with pytest.raises(InputError):
-        count_Ad(p, 12)  # not squarefree
 
 
 def test_missing_parameter_is_an_input_error(tables_small):

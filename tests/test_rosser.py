@@ -5,21 +5,22 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from exact_reference import exact_mobius, mobius_close
 from hypothesis import given, settings, strategies as st
+from walk_reference import members_array
 
 import sievelab.problem as problem
 import sievelab.rosser as rosser
-from sievelab.arith import squarefree_primes
 from sievelab.buchstab import evaluate
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import problem_W
-from sievelab.problem import PrimeSet, divisor_walk, make_problem, remainder, sift_exact
+from sievelab.problem import PrimeSet, divisor_walk, make_problem, sift_exact
 from sievelab.rosser import (
+    chain_divisor_sums,
     combinatorial_bounds,
     fundamental_lemma_report,
-    sandwich_values,
     truncated_mobius_sum,
 )
 from sievelab.selberg import _sieve_densities, fundamental_upper_bound
@@ -91,13 +92,13 @@ def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
 
 def test_divisor_sums_bracket_unit_indicator(tables_small):
     mob = tables_small.mobius_table()
-    for m in range(1, 2000):
-        if mob[m] == 0:
-            continue
-        for y in (100.0, 1000.0):
-            lo, mid, hi = sandwich_values(m, y, tables_small)
-            assert lo <= mid <= hi, (m, y)
-    assert sandwich_values(1, 100.0, tables_small) == (1, 1, 1)
+    for y in (100.0, 1000.0):
+        lo, hi = (chain_divisor_sums(1999, y, s, tables_small) for s in (-1, 1))
+        for m in range(1, 2000):
+            if mob[m] == 0:
+                continue
+            assert lo[m] <= int(m == 1) <= hi[m], (m, y)
+        assert lo[1] == hi[1] == 1
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
@@ -121,28 +122,29 @@ def test_factor_walk_is_membership_in_walked_support(primes, y, sign):
             assert _in_factor_walk(sub, y, sign) == (math.prod(sub) in support), (sub, y, sign)
 
 
-def _bitmask_sandwich(m, y, tables):
-    """The 2^k subset loop sandwich_values replaced, on the position rule."""
-    facs = squarefree_primes(m, tables)
+def _bitmask_sandwich(facs, y):
+    """The truncated mu summed over the divisors of prod(facs) by a 2^k
+    subset loop on the position rule: (lower sum, [facs empty], upper sum)."""
     lo = hi = 0
     for mask in range(1 << len(facs)):
         sub = [facs[i] for i in range(len(facs)) if mask >> i & 1]
         mu = -1 if len(sub) % 2 else 1
         lo += mu if _position_rule(sub, y, -1) else 0
         hi += mu if _position_rule(sub, y, 1) else 0
-    return lo, (1 if m == 1 else 0), hi
+    return lo, int(not facs), hi
 
 
-# products of up to 9 of these pass 1e4, the table limit, so both branches of
-# squarefree_primes are drawn
 @PROPS
 @given(
     st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=9),
     st.floats(min_value=2.0, max_value=1e7),
 )
-def test_sandwich_values_equal_bitmask_loop(tables_small, primes, y):
-    m = math.prod(primes)
-    assert sandwich_values(m, y, tables_small) == _bitmask_sandwich(m, y, tables_small)
+def test_sandwich_values_equal_bitmask_loop(primes, y):
+    # the chain walk over m's primes sums the truncated mu over m's divisors
+    desc = sorted(primes, reverse=True)
+    mu = dict.fromkeys(desc, -1)  # the walk's carried product is then mu(d)
+    lo, hi = (int(divisor_walk(None, desc, rosser._chain_admit(y, s), mu).v.sum()) for s in (-1, 1))
+    assert (lo, int(not primes), hi) == _bitmask_sandwich(primes, y)
 
 
 def test_two_sided_bounds_trap_exact(tables_mid):
@@ -239,12 +241,18 @@ def _reference_mobius(p, y, z, sign, exact):
 
 def _reference_bounds(p, y, z):
     desc = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))[::-1]
+    mem = members_array(p)
     out = []
     for sign in (1, -1):
-        recs = [(remainder(p, d), len(f)) for d, f in _reference_support(desc, y, sign) if d < y]
-        main = math.fsum(-r.main if nu % 2 else r.main for r, nu in recs)
-        rem = math.fsum(abs(r.r) for r, _ in recs)
-        out.append(main + sign * rem)
+        mains, rems = [], []
+        for d, f in _reference_support(desc, y, sign):
+            if d >= y:
+                continue
+            wd = math.prod(map(p.omega.at_prime, f), start=Fraction(1))
+            main = float(p.X) * float(wd) / d
+            mains.append(-main if len(f) % 2 else main)
+            rems.append(abs(int(np.count_nonzero(mem % d == 0)) - main))
+        out.append(math.fsum(mains) + sign * math.fsum(rems))
     return out
 
 

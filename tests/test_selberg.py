@@ -15,10 +15,11 @@ from exact_reference import (
     reference_y_values,
     y_term_scale,
 )
+from walk_reference import members_array
 
 import sievelab.selberg as sb
 from sievelab.errors import CapacityError, InputError
-from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, remainder, sift_exact
+from sievelab.problem import MultiplicativeDensity, PrimeSet, make_problem, sift_exact
 from sievelab.selberg import (
     TWIN_CONSTANT,
     _sieve_densities,
@@ -46,6 +47,11 @@ def _support(ps, bound, skip=()):
                 break
             stack.append((j + 1, nd, facs + (usable[j],)))
     return items
+
+
+def _w_at(omega, facs) -> Fraction:
+    """w(d) as the exact product of w(q) over d's primes."""
+    return math.prod(map(omega.at_prime, facs), start=Fraction(1))
 
 
 def _restricted_G(xi, z, omega, tables, skip):
@@ -157,7 +163,7 @@ def test_weight_contracts_on_grid(omega, z, xi, tables_small):
         for l, yl in yv.items():
             if l % d == 0:
                 lhs += (-1 if len(w.factors[l]) % 2 else 1) * yl
-        om_d = omega.at_squarefree(list(w.factors[d]))
+        om_d = _w_at(omega, w.factors[d])
         sign = -1 if len(w.factors[d]) % 2 else 1
         assert lhs == sign * om_d * w.lambdas[d] / d
 
@@ -196,7 +202,7 @@ def _quadratic_y(w, omega):
     """Reference y_l: one pass over the weights for each l."""
     return {
         l: sum(
-            (omega.at_squarefree(list(w.factors[d])) * lam / d
+            (_w_at(omega, w.factors[d]) * lam / d
              for d, lam in w.lambdas.items() if d % l == 0),
             Fraction(0),
         )
@@ -233,7 +239,7 @@ def _fraction_loop_y(w):
     """Reference y_l: every term added to its divisors as a Fraction."""
     out = dict.fromkeys(w.lambdas, Fraction(0))
     for d, lam in w.lambdas.items():
-        term = w.omega.at_squarefree(list(w.factors[d])) * lam / d
+        term = _w_at(w.omega, w.factors[d]) * lam / d
         for l in out:
             if d % l == 0:
                 out[l] += term
@@ -383,7 +389,8 @@ def test_each_density_is_read_once_per_sieve_prime(tables_small):
 
 
 def test_walk_factors_past_the_table_equal_trial_division(tables_small):
-    # d up to 30,000 is past the 10^4 table, where squarefree_primes trial-divides
+    # d up to 30,000 is past the 10^4 table; the reference factors each d by
+    # trial division by the sieve primes
     got = lambda_weights(30_000, 100, ONES, ALL, tables_small)
     want = reference_lambda_weights(30_000, 100, ONES, ALL, tables_small)
     assert max(got.factors) > tables_small.limit
@@ -404,10 +411,16 @@ def test_fundamental_upper_bound_is_upper(tables_small):
 
 
 def _reference_upper_bound(p, y, z):
-    """The quadratic-form bound with every R_d rebuilt from d, one node at a time."""
+    """The quadratic-form bound with every R_d rebuilt from d, one node at a
+    time: #A_d scanned and X w(d)/d with w(d) rounded once."""
     ps = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))
     G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
-    rem = math.fsum(3 ** len(f) * abs(remainder(p, d).r) for d, f in _support(ps, y))
+    mem = members_array(p)
+    rem = math.fsum(
+        3 ** len(f) * abs(int(np.count_nonzero(mem % d == 0)) - float(p.X) * float(w) / d)
+        for d, f in _support(ps, y)
+        for w in [_w_at(p.omega, f)]
+    )
     return float(p.X) / float(G) + rem, rem
 
 

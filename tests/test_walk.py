@@ -42,17 +42,15 @@ from walk_reference import (
 
 import sievelab.problem as problem
 import sievelab.selberg as selberg
-from sievelab.arith import squarefree_primes
+from sievelab.arith import factorize
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import legendre_count, legendre_remainder_sum
 from sievelab.problem import (
     Admit,
     INT64_MAX,
     below,
-    count_Ad,
     divisor_walk,
     make_problem,
-    remainder,
     sieve_primes,
     sift_exact,
     sifted_members,
@@ -61,7 +59,6 @@ from sievelab.rosser import (
     _chain_admit,
     chain_divisor_sums,
     combinatorial_bounds,
-    sandwich_values,
     truncated_mobius_sum,
 )
 from sievelab.selberg import (
@@ -85,7 +82,9 @@ GRID = [(z, y) for z in (2, 7, 30, 60) for y in (2.0, 100.0, 945.0, 3000.5, 3003
 
 
 def _ref_remainders(p, walk):
-    return [remainder(p, d, c, w) for d, _, w, c, _ in walk]
+    """Each node's (main, R_d), the main term X w(d)/d with w(d) rounded once."""
+    mains = [float(p.X) * float(w) / d for d, _, w, _, _ in walk]
+    return [(main, c - main) for main, (_, _, _, c, _) in zip(mains, walk)]
 
 
 def _ref_legendre(p, rp):
@@ -124,7 +123,8 @@ def test_every_walk_consumer_equals_the_reference(kind_problems, z, y):
         # the quadratic-form remainder over d < y
         ref = list(reference_walk(p, rp, below_admit(y), max_nodes=MAX_SUPPORT))
         assert _same(divisor_walk(p, rp, below(y), max_nodes=MAX_SUPPORT), ref), tag
-        want = math.fsum(3**nu * abs(r.r) for (_, nu, *_), r in zip(ref, _ref_remainders(p, ref)))
+        recs = _ref_remainders(p, ref)
+        want = math.fsum(3**nu * abs(r) for (_, nu, *_), (_, r) in zip(ref, recs))
         quad = fundamental_upper_bound(p, y, z, with_exact=False)
         assert quad.remainder_bound == want, tag
         # the chain supports, their main terms and remainders
@@ -134,8 +134,8 @@ def test_every_walk_consumer_equals_the_reference(kind_problems, z, y):
                 ref = list(reference_walk(p, desc, chain_admit(y, sign)))
                 assert _same(divisor_walk(p, desc, _chain_admit(y, sign)), ref), (*tag, sign)
                 recs = _ref_remainders(p, ref)
-                assert rep.remainder_bound == math.fsum(abs(r.r) for r in recs), (*tag, sign)
-                main = math.fsum(-r.main if nu % 2 else r.main for (_, nu, *_), r in zip(ref, recs))
+                assert rep.remainder_bound == math.fsum(abs(r) for _, r in recs), (*tag, sign)
+                main = math.fsum(-m if nu % 2 else m for (_, nu, *_), (m, _) in zip(ref, recs))
                 assert rep.main_term == main, (*tag, sign)
                 m = _ref_mobius(p, y, desc, sign)
                 assert truncated_mobius_sum(p, y, z, sign) == m, (*tag, sign)
@@ -174,13 +174,13 @@ def test_sandwich_values_and_divisor_sums_equal_the_reference(tables_small, y):
     for m in range(1, 2001):
         if not mob[m]:
             continue
-        facs = squarefree_primes(m, tables_small)[::-1]
+        facs = [q for q, _ in factorize(m, tables_small)][::-1]
         lo, hi = (
             sum(v for _, _, v, _, _ in reference_walk(
                 None, facs, chain_admit(y, s), dict.fromkeys(facs, -1)))
             for s in (-1, 1)
         )
-        assert sandwich_values(m, y, tables_small) == (lo, int(m == 1), hi), (m, y)
+        assert lo <= int(m == 1) <= hi, (m, y)
         assert (sums[-1][m], sums[1][m]) == (lo, hi), (m, y)
 
 
@@ -248,8 +248,9 @@ def test_strike_and_crt_counts_equal_the_member_scan(tables_small, kind, params)
     rp = rp[:8]
     walk = divisor_walk(p, rp, Admit(p.n_bound), prune_empty=True)
     assert _same(walk, reference_walk(p, rp, at_most_admit(p.n_bound), prune_empty=True))
-    for d in divisor_walk(None, rp, below(3e4), dict.fromkeys(rp, 1)).d.tolist():
-        assert count_Ad(p, d) == np.count_nonzero(mem % d == 0), d
+    walk = divisor_walk(p, rp, below(3e4))  # past the 10^4 tables
+    for d, c in zip(walk.d.tolist(), walk.count.tolist()):
+        assert c == np.count_nonzero(mem % d == 0), d
 
 
 # -- rule edges ---------------------------------------------------------------
@@ -372,7 +373,7 @@ def _reference_float_lambdas(xi, z, omega, prime_set, tables):
     g_values = {d: g for d, _, g, _, _ in
                 reference_walk(None, ps, below_admit(xi), _g_at(omega, ps), max_nodes=MAX_SUPPORT)}
     g_values[1] = Fraction(1)
-    support = [(d, tuple(squarefree_primes(d, tables))) for d in g_values]
+    support = [(d, tuple(q for q in ps if d % q == 0)) for d in g_values]
     w_values = _multiplicative(support, {q: omega.at_prime(q) for q in ps})
     g = {d: float(v) for d, v in g_values.items()}
     total = math.fsum(g.values())
