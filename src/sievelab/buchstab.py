@@ -14,8 +14,9 @@ The grid builder integrates the equivalent integral forms
     s f(s) = 4 f(4) + integral of F(t - 1) from 4 to s,
 
 one unit-length panel at a time with cumulative composite Simpson on a step
-that divides 1 exactly, so the delayed argument t - 1 always lands back on
-the grid.  Closed forms override the grid on their validity ranges.
+1/m that divides 1 exactly, so the delayed argument t - 1 always lands back
+on the grid.  Closed forms override the grid on their validity ranges.  The
+grid holds F and f and nothing else: s_k is formed from k where it is read.
 
 Building a grid costs far less than parsing one back from text, so the CSV
 cache of ``grid_cached`` is an export only: it is written, never read.
@@ -33,49 +34,76 @@ import numpy as np
 from .arith import EULER_GAMMA
 from .errors import InputError, finite, integer, within
 
-#: most grid points build_grid allocates (three float64 arrays of this length)
+#: most grid points build_grid allocates (two float64 arrays of this length)
 MAX_GRID_CELLS = 5_000_000
 _SAVE_CHUNK = 8192  # rows formatted per write
+_TWO_EG = 2.0 * math.exp(EULER_GAMMA)
 
 
 @dataclass
 class BuchstabGrid:
-    """Tabulated F and f on {k * step : k = 1..s_max/step}."""
+    """F and f at s_k = k/m, k = 1..s_max*m (index 0 is NaN), and nothing else:
+    s_k is the float64 quotient k/m, formed by ``s_values`` where it is read."""
 
-    step: float
+    m: int
     s_max: float
-    s: np.ndarray
     F_values: np.ndarray
     f_values: np.ndarray
     join_error: float
 
+    @property
+    def step(self) -> float:
+        return 1.0 / self.m
 
-def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of samples g on a uniform grid, Simpson accuracy.
+    def s_values(self, lo: int, hi: int) -> np.ndarray:
+        """s_k = k/m for lo <= k < hi."""
+        s = np.arange(lo, hi, dtype=np.float64)
+        s /= self.m
+        return s
+
+
+def _cumulative_simpson(g: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Cumulative integral of samples g on a uniform grid, Simpson accuracy, into out.
 
     Even offsets use composite Simpson pairs; odd offsets add the standard
-    three-point half-panel rule.  len(g) must be odd (even panel count).
+    three-point half-panel rule.  len(g) must be odd (even panel count), and
+    out, of the same length, must not overlap g.
     """
-    n = g.size - 1
-    if n % 2:
+    if (g.size - 1) % 2:
         raise InputError("cumulative Simpson needs an even number of panels")
-    out = np.empty(g.size)
     out[0] = 0.0
-    pair = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
-    out[2::2] = np.cumsum(pair)
-    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * g[0:-2:2] + 8.0 * g[1:-1:2] - g[2::2])
+    out[2::2] = np.cumsum((h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2]))
+    odd = np.multiply(g[1:-1:2], 8.0, out=out[1::2])  # one temporary fewer at a time
+    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * g[0:-2:2] + odd - g[2::2])
     return out
 
 
-def _closed_F(s: np.ndarray) -> np.ndarray:
-    return 2.0 * math.exp(EULER_GAMMA) / s
-
-
-def _closed_f(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    hi = s > 2.0
-    out[hi] = 2.0 * math.exp(EULER_GAMMA) * np.log(s[hi] - 1.0) / s[hi]
-    return out
+def _closed_forms(g: BuchstabGrid) -> float:
+    """Fill F on (0, 3] and f on (0, 4] from their closed forms, a unit panel at
+    a time, and return the largest |f - closed f| on (2, 4] with f rebuilt from
+    the integral form of the closed F."""
+    m, worst, start = g.m, 0.0, 0.0  # 2 f(2) = 0
+    g.f_values[1 : 2 * m + 1] = 0.0
+    for j in range(4):
+        s = g.s_values(j * m + 1, (j + 1) * m + 1)
+        if j < 3:
+            np.divide(_TWO_EG, s, out=g.F_values[j * m + 1 : (j + 1) * m + 1])
+        if j >= 2:
+            f = np.subtract(s, 1.0, out=g.f_values[j * m + 1 : (j + 1) * m + 1])
+            np.log(f, out=f)
+            f *= _TWO_EG
+            f /= s
+    del s  # at most two unit panels of temporaries at a time
+    buf = np.empty(m + 1)
+    for j in (2, 3):
+        seg = _cumulative_simpson(g.F_values[(j - 1) * m : j * m + 1], 1.0 / m, buf)
+        seg += start
+        start = seg[-1]
+        err = seg[1:]
+        err /= g.s_values(j * m + 1, (j + 1) * m + 1)
+        err -= g.f_values[j * m + 1 : (j + 1) * m + 1]
+        worst = max(worst, float(np.max(np.abs(err, out=err))))
+    return worst
 
 
 def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
@@ -92,50 +120,32 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
 
     The returned ``join_error`` is the largest difference on 2 < s <= 4
     between the integral-form value of f and its closed form, a direct
-    measure of the panel scheme's accuracy.
+    measure of the panel scheme's accuracy.  Beside F and f, only one unit
+    panel's temporaries are held at a time.
     """
     smax = integer(s_max, "s_max", least=6)
     m = round(1.0 / finite(step, "step", above=0))
     if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
         raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
     k_top = within(smax * m, MAX_GRID_CELLS, "grid points s_max/step")
-    s = np.arange(k_top + 1, dtype=np.float64) / m
-    s[0] = np.nan
-    F = np.full(k_top + 1, np.nan)
-    f = np.full(k_top + 1, np.nan)
-    h = 1.0 / m
-
-    F[1 : 3 * m + 1] = _closed_F(s[1 : 3 * m + 1])
-    f[1 : 4 * m + 1] = _closed_f(s[1 : 4 * m + 1])
-
-    # accuracy probe: rebuild f on (2, 4] from the integral form and compare
-    probe = np.empty(2 * m + 1)
-    start = 0.0  # 2 f(2) = 0
-    for j in (2, 3):
-        seg = _cumulative_simpson(_closed_F(s[(j - 1) * m : j * m + 1]), h)
-        probe[(j - 2) * m : (j - 1) * m + 1] = start + seg
-        start += seg[-1]
-    join_error = float(
-        np.max(np.abs(probe[1:] / s[2 * m + 1 : 4 * m + 1] - f[2 * m + 1 : 4 * m + 1]))
-    )
-
+    g = BuchstabGrid(m, float(smax), np.full(k_top + 1, np.nan), np.full(k_top + 1, np.nan), 0.0)
+    g.join_error = _closed_forms(g)
+    F, f, h = g.F_values, g.f_values, 1.0 / m
     for j in range(3, smax):
-        # advance s F(s) across [j, j+1] using f on [j-1, j]
-        base = j * F[j * m]
-        seg = _cumulative_simpson(f[(j - 1) * m : j * m + 1], h)
-        F[j * m : (j + 1) * m + 1] = (base + seg) / s[j * m : (j + 1) * m + 1]
-        if j >= 4:
-            base = j * f[j * m]
-            seg = _cumulative_simpson(F[(j - 1) * m : j * m + 1], h)
-            f[j * m : (j + 1) * m + 1] = (base + seg) / s[j * m : (j + 1) * m + 1]
-    return BuchstabGrid(
-        step=h, s_max=float(smax), s=s, F_values=F, f_values=f, join_error=join_error
-    )
+        # advance s F(s) across [j, j+1] using f on [j-1, j], and s f(s) using F
+        lo, hi = j * m, (j + 1) * m + 1
+        s = g.s_values(lo, hi)
+        for out, src in ((F, f), (f, F)) if j >= 4 else ((F, f),):
+            base = j * out[lo]
+            panel = _cumulative_simpson(src[lo - m : hi - m], h, out[lo:hi])
+            panel += base
+            panel /= s
+    return g
 
 
 def _csv_rows(grid: BuchstabGrid, lo: int, hi: int) -> str:
-    cols = (grid.s[lo:hi].tolist(), grid.F_values[lo:hi].tolist(), grid.f_values[lo:hi].tolist())
-    return "".join(f"{s:.17g},{F:.17g},{f:.17g}\n" for s, F, f in zip(*cols))
+    cols = (grid.s_values(lo, hi), grid.F_values[lo:hi], grid.f_values[lo:hi])
+    return "".join(f"{s:.17g},{F:.17g},{f:.17g}\n" for s, F, f in zip(*(c.tolist() for c in cols)))
 
 
 def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
@@ -149,8 +159,8 @@ def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
     try:
         with open(tmp, "w") as fh:
             fh.write("s,F,f\n")
-            for lo in range(1, grid.s.size, _SAVE_CHUNK):
-                fh.write(_csv_rows(grid, lo, min(lo + _SAVE_CHUNK, grid.s.size)))
+            for lo in range(1, grid.F_values.size, _SAVE_CHUNK):
+                fh.write(_csv_rows(grid, lo, min(lo + _SAVE_CHUNK, grid.F_values.size)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -159,7 +169,7 @@ def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
 def _holds_grid(path: str | Path, grid: BuchstabGrid) -> bool:
     """Whether ``path`` has the header, first row (step) and last row (s_max) of this grid."""
     head = ("s,F,f\n" + _csv_rows(grid, 1, 2)).encode()
-    tail = ("\n" + _csv_rows(grid, grid.s.size - 1, grid.s.size)).encode()
+    tail = ("\n" + _csv_rows(grid, grid.F_values.size - 1, grid.F_values.size)).encode()
     try:
         with open(path, "rb") as fh:
             if fh.read(len(head)) != head or fh.seek(0, os.SEEK_END) < len(head) + len(tail):
@@ -195,18 +205,16 @@ def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
     if finite(s, "s", above=0) > grid.s_max:
         raise InputError(f"s = {s} outside (0, {grid.s_max}]")
     if which == "F" and s <= 3.0:
-        return 2.0 * math.exp(EULER_GAMMA) / s
+        return _TWO_EG / s
     if which == "f":
         if s <= 2.0:
             return 0.0
         if s <= 4.0:
-            return 2.0 * math.exp(EULER_GAMMA) * math.log(s - 1.0) / s
+            return _TWO_EG * math.log(s - 1.0) / s
     vals = grid.F_values if which == "F" else grid.f_values
-    m = round(1.0 / grid.step)
-    k = int(math.floor(s * m))
-    lo = min(max(k - 1, 1), vals.size - 4)
-    xs = grid.s[lo : lo + 4]
-    ys = vals[lo : lo + 4]
+    lo = min(max(math.floor(s * grid.m) - 1, 1), vals.size - 4)
+    xs = [(lo + i) / grid.m for i in range(4)]
+    ys = vals[lo : lo + 4].tolist()
     out = 0.0
     for i in range(4):
         term = ys[i]

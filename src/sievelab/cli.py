@@ -205,7 +205,8 @@ def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
     grid = grid_cached(args.s_max, args.step, args.cache or None)
     if args.format == "csv":
-        cols = (grid.s[1:].tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
+        top = grid.F_values.size
+        cols = (grid.s_values(1, top).tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
         return "\n".join(["s,F,f", *(f"{s:.12g},{F:.12g},{f:.12g}" for s, F, f in zip(*cols))]), 0
     rows = [
         {"s": float(s), "F": evaluate(grid, float(s), "F"), "f": evaluate(grid, float(s), "f")}

@@ -409,12 +409,15 @@ class Admit(NamedTuple):
     The rule is tested at the nodes whose nu(d) has the parity ``parity``
     (at every node when it is None); a node of the other parity takes every
     later prime.  ``power`` is 1 or 3 and ``bound`` an int >= 0, so the
-    primes a node takes are one run of the walk's prime list.
+    primes a node takes are one run of the walk's prime list.  A second rule,
+    d q <= cap, holds at every node (the default cap, 2^63 - 1, admits every
+    int64 product); a node takes the intersection of the two runs.
     """
 
     bound: int
     power: int = 1
     parity: int | None = None
+    cap: int = INT64_MAX
 
 
 def below(y: float) -> Admit:
@@ -496,9 +499,12 @@ def divisor_walk(
             roots = _root_table(p.shape, primes)
 
         def runs(k, d, idx):  # (start, length) of the walk primes each node of level k takes
-            if admit.parity is not None and k % 2 != admit.parity:
+            tested = admit.parity is None or k % 2 == admit.parity
+            if not tested and admit.cap >= INT64_MAX:  # no rule at this level
                 return idx, n - idx
-            taken = _taken(d, bound, keys, rising)
+            taken = _taken(d, bound, keys, rising) if tested else n
+            if admit.cap < INT64_MAX:  # the two runs' intersection: the shorter prefix
+                taken = np.minimum(taken, np.searchsorted(rising, admit.cap // d, side="right"))
             lo = idx if ascending else np.maximum(idx, n - taken)
             return lo, np.maximum((taken if ascending else n) - lo, 0)
 
@@ -582,7 +588,8 @@ def _integer_rule(admit: Admit, rising: np.ndarray, ascending: bool) -> tuple[in
         keys[small] = rising[small] ** 3
         if bound == INT64_MAX:  # 2^63 - 1 has no cube factor, so no d q^3 equals it
             bound -= 1
-    within(min(bound, top), INT64_MAX, "divisor walk's largest divisor (int64)")
+    # every d is at most max(cap, 1) <= cap + 1; the default cap, 2^63 - 1, bounds nothing
+    within(min(bound, top, admit.cap + 1), INT64_MAX, "divisor walk's largest divisor (int64)")
     return bound, keys
 
 

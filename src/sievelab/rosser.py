@@ -108,18 +108,17 @@ def chain_divisor_sums(n: int, y: float, sign: int, tables) -> np.ndarray:
     out[m] is the lower sum (sign -1) or upper sum (sign +1) over the
     divisors of m; for squarefree m, lower <= [m = 1] <= upper is what makes
     the supports bracket the sifted count.  Whether d is in a support
-    depends on d's own primes alone, so one walk over the primes up to n
-    gives the support and each member d <= n adds mu(d) to its multiples.
-    out[0] is 0.
+    depends on d's own primes alone, so one walk over the primes up to n,
+    held to d <= n at every node, gives the support's members d <= n, and
+    each adds mu(d) to its multiples.  out[0] is 0.
     """
     n = integer(n, "n", least=1)
     tables.reach(n, f"n={n}")
     primes = tables.primes[: np.searchsorted(tables.primes, n, side="right")]
-    walk = divisor_walk(None, primes[::-1].tolist(), _chain_admit(finite(y, "level y"), sign),
-                        dict.fromkeys(primes.tolist(), -1))
+    admit = _chain_admit(finite(y, "level y"), sign)._replace(cap=n)
+    walk = divisor_walk(None, primes[::-1].tolist(), admit, dict.fromkeys(primes.tolist(), -1))
     out = np.zeros(n + 1, dtype=np.int64)
-    keep = walk.d <= n
-    for d, mu in zip(walk.d[keep].tolist(), walk.v[keep].tolist()):
+    for d, mu in zip(walk.d.tolist(), walk.v.tolist()):
         out[d::d] += mu
     return out
 

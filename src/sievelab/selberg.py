@@ -257,12 +257,16 @@ def y_values(w: SelbergWeights) -> dict[int, Fraction]:
     w(d) is the one lambda_weights built (an int where the density is
     whole).  The sums over multiples are superset sums, as in
     lambda_weights; exact weights add int numerators over one common
-    denominator D.
+    denominator D, each term w(d) lambda_d / d built as one Fraction from
+    the numerators and denominators (w(d) an int or a Fraction).
     """
-    terms = {d: lam * w.w_values[d] / d for d, lam in w.lambdas.items()}
-    nums, den = over_common_denominator(terms) if w.exact else (terms, 1)
-    out = _superset_sums(w.factors, nums)
-    return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out
+    wv, lams = w.w_values, w.lambdas.items()
+    if not w.exact:
+        return _superset_sums(w.factors, {d: lam * wv[d] / d for d, lam in lams})
+    terms = {d: Fraction(lam.numerator * wv[d].numerator, lam.denominator * wv[d].denominator * d)
+             for d, lam in lams}
+    nums, den = over_common_denominator(terms)
+    return {l: Fraction(a, den) for l, a in _superset_sums(w.factors, nums).items()}
 
 
 def fundamental_upper_bound(

@@ -32,18 +32,26 @@ repeated_window_factor_count and chen_report's triple count, and pr_count
 as it read Omega from the tables' big_omega_table.  The package peels the
 survivors' primes off the spf table in columns (``arith.factor_columns``);
 its results are held ``==`` to these.
+
+The fourth part holds the delay grid as it was built when it kept a full
+column of s beside F and f: one full-size ``arange`` for s, the closed
+forms and the accuracy probe on full-size slices, and ``evaluate`` reading
+its four points from the s column.  The package now forms each s_k from its
+index and works a unit panel at a time; its F, f, join_error and every
+evaluated value are held ``==`` to these.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 import sievelab.selberg as selberg
 import sievelab.weighted as weighted
-from sievelab.arith import factorize, mult_stats, prime_pi
+from sievelab.arith import EULER_GAMMA, factorize, mult_stats, prime_pi
 from sievelab.errors import finite
 from sievelab.harness import BVScanResult, _li_at_primes
 from sievelab.problem import (
@@ -311,3 +319,91 @@ def reference_triple_count(N, tables) -> int:
         if fac[0] < cut <= fac[1]:
             triple += 1
     return triple
+
+
+@dataclass
+class PreviousGrid:
+    """The delay grid with its column of s_k = k/m."""
+
+    step: float
+    s_max: float
+    s: np.ndarray
+    F_values: np.ndarray
+    f_values: np.ndarray
+    join_error: float
+
+
+def _previous_cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
+    out = np.empty(g.size)
+    out[0] = 0.0
+    pair = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
+    out[2::2] = np.cumsum(pair)
+    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * g[0:-2:2] + 8.0 * g[1:-1:2] - g[2::2])
+    return out
+
+
+def _previous_closed_F(s: np.ndarray) -> np.ndarray:
+    return 2.0 * math.exp(EULER_GAMMA) / s
+
+
+def _previous_closed_f(s: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(s)
+    hi = s > 2.0
+    out[hi] = 2.0 * math.exp(EULER_GAMMA) * np.log(s[hi] - 1.0) / s[hi]
+    return out
+
+
+def previous_build_grid(s_max: int, step: float) -> PreviousGrid:
+    """build_grid with a full-size s column and full-size temporaries."""
+    m = round(1.0 / step)
+    k_top = s_max * m
+    s = np.arange(k_top + 1, dtype=np.float64) / m
+    s[0] = np.nan
+    F = np.full(k_top + 1, np.nan)
+    f = np.full(k_top + 1, np.nan)
+    h = 1.0 / m
+    F[1 : 3 * m + 1] = _previous_closed_F(s[1 : 3 * m + 1])
+    f[1 : 4 * m + 1] = _previous_closed_f(s[1 : 4 * m + 1])
+    probe = np.empty(2 * m + 1)
+    start = 0.0
+    for j in (2, 3):
+        seg = _previous_cumulative_simpson(_previous_closed_F(s[(j - 1) * m : j * m + 1]), h)
+        probe[(j - 2) * m : (j - 1) * m + 1] = start + seg
+        start += seg[-1]
+    join_error = float(
+        np.max(np.abs(probe[1:] / s[2 * m + 1 : 4 * m + 1] - f[2 * m + 1 : 4 * m + 1]))
+    )
+    for j in range(3, s_max):
+        base = j * F[j * m]
+        seg = _previous_cumulative_simpson(f[(j - 1) * m : j * m + 1], h)
+        F[j * m : (j + 1) * m + 1] = (base + seg) / s[j * m : (j + 1) * m + 1]
+        if j >= 4:
+            base = j * f[j * m]
+            seg = _previous_cumulative_simpson(F[(j - 1) * m : j * m + 1], h)
+            f[j * m : (j + 1) * m + 1] = (base + seg) / s[j * m : (j + 1) * m + 1]
+    return PreviousGrid(h, float(s_max), s, F, f, join_error)
+
+
+def previous_evaluate(grid: PreviousGrid, s: float, which: str) -> float:
+    """evaluate with its four points read from the s column as float64."""
+    if which == "F" and s <= 3.0:
+        return 2.0 * math.exp(EULER_GAMMA) / s
+    if which == "f":
+        if s <= 2.0:
+            return 0.0
+        if s <= 4.0:
+            return 2.0 * math.exp(EULER_GAMMA) * math.log(s - 1.0) / s
+    vals = grid.F_values if which == "F" else grid.f_values
+    m = round(1.0 / grid.step)
+    k = int(math.floor(s * m))
+    lo = min(max(k - 1, 1), vals.size - 4)
+    xs = grid.s[lo : lo + 4]
+    ys = vals[lo : lo + 4]
+    out = 0.0
+    for i in range(4):
+        term = ys[i]
+        for j in range(4):
+            if j != i:
+                term *= (s - xs[j]) / (xs[i] - xs[j])
+        out += term
+    return float(out)

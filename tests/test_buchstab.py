@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sievelab import buchstab
+from exact_reference import previous_build_grid, previous_evaluate
+from sievelab import buchstab, harness
 from sievelab.arith import EULER_GAMMA, integrate_adaptive
 from sievelab.buchstab import build_grid, evaluate, grid_cached, save_grid
 from sievelab.errors import CapacityError, InputError
+from sievelab.harness import shared_grid
 
 EG = math.exp(EULER_GAMMA)
 
@@ -63,10 +67,47 @@ def test_limits_at_large_s(grid):
 
 def test_halved_step_stability(grid):
     fine = build_grid(30, 5e-5)
-    ratio = round(grid.step / fine.step)
-    idx = np.arange(1, grid.s.size) * ratio
-    assert np.nanmax(np.abs(grid.F_values[1:] - fine.F_values[idx])) <= 1e-8
-    assert np.nanmax(np.abs(grid.f_values[1:] - fine.f_values[idx])) <= 1e-8
+    ratio = fine.m // grid.m
+    buf = np.empty(grid.F_values.size - 1)
+    for coarse, finer in ((grid.F_values, fine.F_values), (grid.f_values, fine.f_values)):
+        np.subtract(coarse[1:], finer[ratio::ratio], out=buf)
+        assert np.nanmax(np.abs(buf, out=buf)) <= 1e-8
+
+
+@pytest.mark.parametrize("s_max, step", [(30, 1e-4), (30, 5e-5), (20, 1e-4), (11, 2e-4), (6, 1e-3)])
+def test_grid_equals_the_grid_with_an_s_column(s_max, step):
+    g, old = build_grid(s_max, step), previous_build_grid(s_max, step)
+    assert np.array_equal(g.F_values, old.F_values, equal_nan=True)
+    assert np.array_equal(g.f_values, old.f_values, equal_nan=True)
+    assert g.join_error == old.join_error and g.step == old.step
+    assert np.array_equal(g.s_values(1, g.F_values.size), old.s[1:])
+    rng = random.Random(f"grid:{s_max}:{step}")
+    points = [rng.uniform(0.0, s_max) for _ in range(500)]
+    points += [rng.randrange(1, g.F_values.size) / g.m for _ in range(200)]
+    points += [2.0, 3.0, 4.0, 4.0 + step / 3, s_max - step / 3, float(s_max)]
+    for s in points:
+        for which in ("F", "f"):
+            got = evaluate(g, s, which)
+            assert got == previous_evaluate(old, s, which) and type(got) is float, (s, which)
+
+
+def test_grid_memory_is_two_columns(monkeypatch):
+    shared_grid()  # the suite's coarse grid, built before the trace
+    tracemalloc.start()
+    try:
+        fine = build_grid(30, 5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(harness, "build_grid", lambda s_max, step: fine)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert harness._suite_delay_grid(0).passed
+        suite = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (2 * 8 * 600_001)  # F and f of 600,001 float64 each
+    # the suite's checks, the halved-step comparison among them, hold at most
+    # one float64 buffer of the coarse grid's size
+    assert suite <= 1.05 * 8 * 300_001
 
 
 def test_interpolation_vs_fine_grid(grid):
@@ -126,8 +167,8 @@ def _reference_save(grid, path):
     """The per-row writer save_grid replaced."""
     with open(path, "w") as fh:
         fh.write("s,F,f\n")
-        for k in range(1, grid.s.size):
-            fh.write(f"{grid.s[k]:.17g},{grid.F_values[k]:.17g},{grid.f_values[k]:.17g}\n")
+        for k in range(1, grid.F_values.size):
+            fh.write(f"{k / grid.m:.17g},{grid.F_values[k]:.17g},{grid.f_values[k]:.17g}\n")
 
 
 def test_chunked_writer_equals_per_row_writer(grid, tmp_path):
@@ -160,7 +201,7 @@ def test_grid_cell_cap_is_predicted(monkeypatch):
     with pytest.raises(CapacityError):
         build_grid(1e9, 1e-4)  # 1e13 points: refused before anything is allocated
     monkeypatch.setattr(buchstab, "MAX_GRID_CELLS", 6000)
-    assert build_grid(6, 1e-3).s.size == 6001
+    assert build_grid(6, 1e-3).F_values.size == 6001
     with pytest.raises(CapacityError):
         build_grid(7, 1e-3)
 

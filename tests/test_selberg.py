@@ -329,14 +329,16 @@ def test_superset_sums_equal_the_divisor_sums(name, xi, tables_small):
 
 
 HALF = MultiplicativeDensity(lambda p: Fraction(1, 2), "w = 1/2")
-#: densities whose w(d) is not an int (w = 1/2), and with some w(p) = 0 on
-#: the prime set, beside the benchmark's: the zeros leave their primes out
-#: of the support, and the halves keep w(d) a Fraction
+#: densities whose w(d) is not an int (w = 1/2 and p/(p - 1)), and with some
+#: w(p) = 0 on the prime set, beside the benchmark's: the zeros leave their
+#: primes out of the support, and the others keep w(d) a Fraction
 MIXED_DENSITIES = {
     "half": (HALF, ALL),
     "twin": (TWIN, ALL),
     "quadratic-all": (QUAD, ALL),
     "goldbach20": (GOLDBACH20, ALL),
+    "p/(p-1)": (MultiplicativeDensity(lambda p: Fraction(p, p - 1), "w(p) = p/(p - 1)"),
+                PrimeSet("coprime", 2)),
     **SCAN_DENSITIES,
 }
 

@@ -35,6 +35,7 @@ from walk_reference import (
     chain_admit,
     members_array,
     nodes,
+    previous_chain_divisor_sums,
     reference_members,
     reference_survivors,
     reference_walk,
@@ -276,6 +277,34 @@ def test_chain_is_exact_where_d_q3_equals_y(y, sign):
     mu = dict.fromkeys(desc, -1)
     ref = list(reference_walk(None, desc, chain_admit(y, sign), mu))
     assert _same(divisor_walk(None, desc, _chain_admit(y, sign), mu), ref), (y, sign)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 54, 189, 210, 1000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chain_with_a_cap_is_exact_where_d_q_equals_n(n, sign):
+    desc = PRIMES[::-1]  # their product passes int64; the cap keeps every d <= n
+    mu = dict.fromkeys(desc, -1)
+    for y in (27.0, 945.0, 1e5, 1e30):
+        chain = chain_admit(y, sign)
+        ref = list(reference_walk(None, desc, lambda d, nu, q: chain(d, nu, q) and d * q <= n, mu))
+        got = divisor_walk(None, desc, _chain_admit(y, sign)._replace(cap=n), mu)
+        assert _same(got, ref), (n, y, sign)
+
+
+def test_chain_divisor_sums_walk_only_the_kept_divisors(tables_small):
+    for n in (1, 2, 3, 10, 97, 210, 999, 1999, 2000):
+        for y in (1.0, 2.0, 8.0, 30.0, 945.0, 1e4, 1e5, 1e6):
+            for sign in (1, -1):
+                want = previous_chain_divisor_sums(n, y, sign, tables_small)
+                assert np.array_equal(chain_divisor_sums(n, y, sign, tables_small), want), (n, y)
+    desc = tables_small.primes[tables_small.primes <= 2000][::-1].tolist()
+    mu = dict.fromkeys(desc, -1)
+    assert divisor_walk(None, desc, _chain_admit(1e5, -1), mu).d.size == 2448
+    assert divisor_walk(None, desc, _chain_admit(1e5, -1)._replace(cap=2000), mu).d.size == 1055
+    # past y = n^3 every squarefree d <= n is in both supports: the sums are [m = 1]
+    for sign in (1, -1):
+        out = chain_divisor_sums(2000, 1e12, sign, tables_small)
+        assert out[1] == 1 and not out[2:].any() and out[0] == 0
 
 
 def test_products_near_2_to_the_53():

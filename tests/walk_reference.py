@@ -14,6 +14,9 @@ range, and ``reference_survivors`` is the old sift, which tests each prime
 only against the members the smaller primes left.  ``members_array`` reads
 every member off a kind's index range; no code of the package needs the
 whole member list any more, so only the tests keep it.
+``previous_chain_divisor_sums`` walks the whole chain support over the
+primes up to n and only then keeps the d <= n, as ``chain_divisor_sums``
+did before its walk held d q <= n at every node.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from sievelab.problem import (
     _scan_size,
     _strike,
     _values,
+    divisor_walk,
     whole_densities,
 )
+from sievelab.rosser import _chain_admit
 
 
 def below_admit(y):
@@ -143,3 +148,15 @@ def members_array(p: SieveProblem) -> np.ndarray:
     if p.shape.start is None:  # every index holds a member: no mask to strike
         return _values(p, np.arange(_scan_size(p), dtype=np.int64))
     return _values(p, np.flatnonzero(_strike(p, [])))
+
+
+def previous_chain_divisor_sums(n, y, sign, tables) -> np.ndarray:
+    """chain_divisor_sums by the whole chain walk, filtered to d <= n afterwards."""
+    primes = tables.primes[: np.searchsorted(tables.primes, n, side="right")]
+    walk = divisor_walk(None, primes[::-1].tolist(), _chain_admit(y, sign),
+                        dict.fromkeys(primes.tolist(), -1))
+    out = np.zeros(n + 1, dtype=np.int64)
+    keep = walk.d <= n
+    for d, mu in zip(walk.d[keep].tolist(), walk.v[keep].tolist()):
+        out[d::d] += mu
+    return out
