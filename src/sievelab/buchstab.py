@@ -73,7 +73,7 @@ def _cumulative_simpson(g: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         raise InputError("cumulative Simpson needs an even number of panels")
     out[0] = 0.0
     out[2::2] = np.cumsum((h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2]))
-    odd = np.multiply(g[1:-1:2], 8.0, out=out[1::2])  # one temporary fewer at a time
+    odd = np.multiply(g[1:-1:2], 8.0, out=out[1::2])  # staged in place: one temporary fewer
     out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * g[0:-2:2] + odd - g[2::2])
     return out
 
@@ -93,7 +93,7 @@ def _closed_forms(g: BuchstabGrid) -> float:
             np.log(f, out=f)
             f *= _TWO_EG
             f /= s
-    del s  # at most two unit panels of temporaries at a time
+    del s  # freed before the probe's buffer: two unit panels of temporaries at most
     buf = np.empty(m + 1)
     for j in (2, 3):
         seg = _cumulative_simpson(g.F_values[(j - 1) * m : j * m + 1], 1.0 / m, buf)
