@@ -15,11 +15,20 @@ The grid builder integrates the equivalent integral forms
 
 one unit-length panel at a time with cumulative composite Simpson on a step
 1/m that divides 1 exactly, so the delayed argument t - 1 always lands back
-on the grid.  Closed forms override the grid on their validity ranges.  The
-grid holds F and f and nothing else: s_k is formed from k where it is read.
+on the grid.  Closed forms override the grid on their validity ranges.
+
+The integration is one generator of unit panels: it yields F and f on
+[j, j + 1], m + 1 points each, and keeps only the unit before, which is all
+the delay equations read.  ``build_grid`` fills its two columns from that
+stream; ``grid_panels`` hands it out as it comes, so a check against a finer
+grid (the halved-step check of the acceptance suite) holds four unit panels,
+not the finer grid.  The grid holds F and f and nothing else: s_k is formed
+from k where it is read.
 
 Building a grid costs far less than parsing one back from text, so the CSV
-cache of ``grid_cached`` is an export only: it is written, never read.
+cache of ``grid_cached`` is an export only: it is written, never read.  It
+and ``buchstab --format csv`` share one writer, ``write_csv``, which formats
+a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -57,9 +66,13 @@ class BuchstabGrid:
 
     def s_values(self, lo: int, hi: int) -> np.ndarray:
         """s_k = k/m for lo <= k < hi."""
-        s = np.arange(lo, hi, dtype=np.float64)
-        s /= self.m
-        return s
+        return _s_values(self.m, lo, hi)
+
+
+def _s_values(m: int, lo: int, hi: int) -> np.ndarray:
+    s = np.arange(lo, hi, dtype=np.float64)
+    s /= m
+    return s
 
 
 def _cumulative_simpson(g: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
@@ -78,32 +91,109 @@ def _cumulative_simpson(g: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_forms(g: BuchstabGrid) -> float:
-    """Fill F on (0, 3] and f on (0, 4] from their closed forms, a unit panel at
-    a time, and return the largest |f - closed f| on (2, 4] with f rebuilt from
-    the integral form of the closed F."""
-    m, worst, start = g.m, 0.0, 0.0  # 2 f(2) = 0
-    g.f_values[1 : 2 * m + 1] = 0.0
-    for j in range(4):
-        s = g.s_values(j * m + 1, (j + 1) * m + 1)
-        if j < 3:
-            np.divide(_TWO_EG, s, out=g.F_values[j * m + 1 : (j + 1) * m + 1])
-        if j >= 2:
-            f = np.subtract(s, 1.0, out=g.f_values[j * m + 1 : (j + 1) * m + 1])
-            np.log(f, out=f)
-            f *= _TWO_EG
-            f /= s
-    del s  # freed before the probe's buffer: two unit panels of temporaries at most
-    buf = np.empty(m + 1)
+def _closed_F(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """F(s) = 2 e^gamma / s, valid on (0, 3]."""
+    return np.divide(_TWO_EG, s, out=out)
+
+
+def _closed_f(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f(s) = 2 e^gamma log(s - 1) / s, valid on [2, 4]."""
+    f = np.subtract(s, 1.0, out=out)
+    np.log(f, out=f)
+    f *= _TWO_EG
+    f /= s
+    return f
+
+
+def _join_error(m: int) -> float:
+    """The largest |f - closed f| on (2, 4] with f rebuilt from the integral
+    form of the closed F, one unit panel at a time."""
+    worst, start = 0.0, 0.0  # 2 f(2) = 0
+    F, buf, f = np.empty(m + 1), np.empty(m + 1), np.empty(m)
     for j in (2, 3):
-        seg = _cumulative_simpson(g.F_values[(j - 1) * m : j * m + 1], 1.0 / m, buf)
+        _closed_F(_s_values(m, (j - 1) * m, j * m + 1), F)
+        seg = _cumulative_simpson(F, 1.0 / m, buf)
         seg += start
         start = seg[-1]
+        s = _s_values(m, j * m + 1, (j + 1) * m + 1)
         err = seg[1:]
-        err /= g.s_values(j * m + 1, (j + 1) * m + 1)
-        err -= g.f_values[j * m + 1 : (j + 1) * m + 1]
+        err /= s
+        err -= _closed_f(s, f)
         worst = max(worst, float(np.max(np.abs(err, out=err))))
     return worst
+
+
+def _grid_size(s_max: float, step: float) -> tuple[int, int]:
+    """(s_max, m) for a grid of step 1/m on (0, s_max], its size checked first."""
+    smax = integer(s_max, "s_max", least=6)
+    m = round(1.0 / finite(step, "step", above=0))
+    if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
+        raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
+    within(smax * m, MAX_GRID_CELLS, "grid points s_max/step")
+    return smax, m
+
+
+def _panels(smax: int, m: int, F_col: np.ndarray | None = None, f_col: np.ndarray | None = None):
+    """Yield F and f on [j, j+1], m + 1 points each, for j = 0 .. smax - 1.
+
+    Each pair holds the grid's values, both ends included (s_0 is NaN).  The
+    first point of a panel that is integrated replaces the last point of the
+    one before, so panel j is yielded once panel j + 1 is built.  With
+    columns F_col and f_col each panel is a view written into them; without,
+    each function has two buffers used in turn, so a pair is valid until the
+    next is asked for and beside them only one unit of temporaries is held.
+    """
+    h = 1.0 / m
+
+    def units(col):
+        if col is not None:
+            return [col[j * m : (j + 1) * m + 1] for j in range(smax)]
+        pair = (np.empty(m + 1), np.empty(m + 1))
+        return [pair[j % 2] for j in range(smax)]
+
+    def advance(out, src, prev, j, s):
+        # s out(s) = j out(j) + integral of src(t - 1) from j to s, src on [j-1, j]
+        base = j * prev[-1]
+        _cumulative_simpson(src, h, out)
+        out += base
+        out /= s
+        prev[-1] = out[0]
+
+    for j, (F, f) in enumerate(zip(units(F_col), units(f_col))):
+        s = _s_values(m, j * m, (j + 1) * m + 1)
+        if j == 0:
+            s[0] = np.nan  # s_0 is no point of the grid
+        if j < 3:
+            _closed_F(s, F)
+        else:
+            advance(F, f_prev, F_prev, j, s)  # reads f on [j-1, j]
+        if j < 2:
+            np.multiply(s, 0.0, out=f)  # f = 0, and NaN at s_0
+        elif j < 4:
+            _closed_f(s, f)
+        else:
+            advance(f, F_prev, f_prev, j, s)  # reads F on [j-1, j], its end just replaced
+        del s
+        if j:
+            yield F_prev, f_prev
+        F_prev, f_prev = F, f
+    yield F_prev, f_prev
+
+
+def grid_panels(s_max: float = 30.0, step: float = 1e-4):
+    """Stream the grid of ``build_grid(s_max, step)`` as (F, f) unit panels.
+
+    Panel j holds F and f at s_k = k/m for k = j m .. (j + 1) m, m = 1/step,
+    bit for bit the values of ``build_grid``'s columns; neighbours share their
+    end point.  The arrays are two buffers per function used in turn: a pair
+    is valid until the next is asked for, and the memory is that of four
+    unit panels and one of temporaries, whatever s_max.
+
+    Raises:
+        InputError, CapacityError: as ``build_grid``, before anything is built.
+    """
+    smax, m = _grid_size(s_max, step)
+    return _panels(smax, m)
 
 
 def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
@@ -120,32 +210,31 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
 
     The returned ``join_error`` is the largest difference on 2 < s <= 4
     between the integral-form value of f and its closed form, a direct
-    measure of the panel scheme's accuracy.  Beside F and f, only one unit
-    panel's temporaries are held at a time.
+    measure of the panel scheme's accuracy.  The columns are filled from the
+    panel stream, which writes each panel in place: beside F and f, only one
+    unit panel's temporaries are held at a time.
     """
-    smax = integer(s_max, "s_max", least=6)
-    m = round(1.0 / finite(step, "step", above=0))
-    if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
-        raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
-    k_top = within(smax * m, MAX_GRID_CELLS, "grid points s_max/step")
-    g = BuchstabGrid(m, float(smax), np.full(k_top + 1, np.nan), np.full(k_top + 1, np.nan), 0.0)
-    g.join_error = _closed_forms(g)
-    F, f, h = g.F_values, g.f_values, 1.0 / m
-    for j in range(3, smax):
-        # advance s F(s) across [j, j+1] using f on [j-1, j], and s f(s) using F
-        lo, hi = j * m, (j + 1) * m + 1
-        s = g.s_values(lo, hi)
-        for out, src in ((F, f), (f, F)) if j >= 4 else ((F, f),):
-            base = j * out[lo]
-            panel = _cumulative_simpson(src[lo - m : hi - m], h, out[lo:hi])
-            panel += base
-            panel /= s
+    smax, m = _grid_size(s_max, step)
+    join_error = _join_error(m)  # its buffers are freed before the columns exist
+    g = BuchstabGrid(m, float(smax), np.empty(smax * m + 1), np.empty(smax * m + 1), join_error)
+    for _ in _panels(smax, m, g.F_values, g.f_values):
+        pass
     return g
 
 
-def _csv_rows(grid: BuchstabGrid, lo: int, hi: int) -> str:
-    cols = (grid.s_values(lo, hi), grid.F_values[lo:hi], grid.f_values[lo:hi])
-    return "".join(f"{s:.17g},{F:.17g},{f:.17g}\n" for s, F, f in zip(*(c.tolist() for c in cols)))
+def _csv_rows(grid: BuchstabGrid, lo: int, hi: int, digits: int = 17) -> str:
+    """Rows k = lo .. hi - 1 as "s,F,f" lines at ``digits`` significant digits."""
+    rows = np.column_stack((grid.s_values(lo, hi), grid.F_values[lo:hi], grid.f_values[lo:hi]))
+    return f"%.{digits}g,%.{digits}g,%.{digits}g\n" * (hi - lo) % tuple(rows.ravel().tolist())
+
+
+def write_csv(grid: BuchstabGrid, fh, digits: int = 17) -> None:
+    """Write the grid to the text stream fh as CSV with header s,F,f, one
+    chunk of _SAVE_CHUNK rows per write, so only one chunk is held as text."""
+    fh.write("s,F,f\n")
+    top = grid.F_values.size
+    for lo in range(1, top, _SAVE_CHUNK):
+        fh.write(_csv_rows(grid, lo, min(lo + _SAVE_CHUNK, top), digits))
 
 
 def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
@@ -158,9 +247,7 @@ def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write("s,F,f\n")
-            for lo in range(1, grid.F_values.size, _SAVE_CHUNK):
-                fh.write(_csv_rows(grid, lo, min(lo + _SAVE_CHUNK, grid.F_values.size)))
+            write_csv(grid, fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
-from .buchstab import build_grid, evaluate, grid_cached
+from .buchstab import build_grid, evaluate, grid_cached, write_csv
 from .errors import CapacityError, DensityRangeError, InputError, finite, integer, within
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
@@ -204,10 +204,9 @@ def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
     grid = grid_cached(args.s_max, args.step, args.cache or None)
-    if args.format == "csv":
-        top = grid.F_values.size
-        cols = (grid.s_values(1, top).tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
-        return "\n".join(["s,F,f", *(f"{s:.12g},{F:.12g},{f:.12g}" for s, F, f in zip(*cols))]), 0
+    if args.format == "csv":  # written a chunk of rows at a time, not returned as one text
+        write_csv(grid, sys.stdout, digits=12)
+        return "", 0
     rows = [
         {"s": float(s), "F": evaluate(grid, float(s), "F"), "f": evaluate(grid, float(s), "f")}
         for s in range(2, int(grid.s_max) + 1)

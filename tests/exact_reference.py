@@ -39,12 +39,20 @@ forms and the accuracy probe on full-size slices, and ``evaluate`` reading
 its four points from the s column.  The package now forms each s_k from its
 index and works a unit panel at a time; its F, f, join_error and every
 evaluated value are held ``==`` to these.
+
+The fifth part holds the grid's two CSV exports as they were written before
+they shared one chunked row writer: ``buchstab --format csv`` joined every
+row into one text for ``print``, and ``save_grid`` formatted each chunk of
+rows with one f-string per row.  The package's bytes are held ``==`` to
+these.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -407,3 +415,28 @@ def previous_evaluate(grid: PreviousGrid, s: float, which: str) -> float:
                 term *= (s - xs[j]) / (xs[i] - xs[j])
         out += term
     return float(out)
+
+
+def previous_csv_text(grid) -> str:
+    """What ``buchstab --format csv`` printed: every row joined, then print's newline."""
+    top = grid.F_values.size
+    cols = (grid.s_values(1, top).tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
+    return "\n".join(["s,F,f", *(f"{s:.12g},{F:.12g},{f:.12g}" for s, F, f in zip(*cols))]) + "\n"
+
+
+def previous_save_grid(grid, path) -> None:
+    """save_grid with each chunk of 8,192 rows formatted one f-string per row."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("s,F,f\n")
+            for lo in range(1, grid.F_values.size, 8192):
+                hi = min(lo + 8192, grid.F_values.size)
+                cols = (grid.s_values(lo, hi), grid.F_values[lo:hi], grid.f_values[lo:hi])
+                fh.write("".join(
+                    f"{s:.17g},{F:.17g},{f:.17g}\n" for s, F, f in zip(*(c.tolist() for c in cols))
+                ))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -1,20 +1,28 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from exact_reference import previous_build_grid, previous_evaluate
+from exact_reference import (
+    previous_build_grid,
+    previous_csv_text,
+    previous_evaluate,
+    previous_save_grid,
+)
 from sievelab import buchstab, harness
 from sievelab.arith import EULER_GAMMA, integrate_adaptive
-from sievelab.buchstab import build_grid, evaluate, grid_cached, save_grid
+from sievelab.buchstab import build_grid, evaluate, grid_cached, grid_panels, save_grid, write_csv
+from sievelab.cli import main
 from sievelab.errors import CapacityError, InputError
 from sievelab.harness import shared_grid
 
 EG = math.exp(EULER_GAMMA)
+GRID_PAIRS = [(30, 1e-4), (30, 5e-5), (20, 1e-4), (11, 2e-4), (6, 1e-3)]
 
 
 def test_closed_forms_frozen(grid):
@@ -66,15 +74,27 @@ def test_limits_at_large_s(grid):
 
 
 def test_halved_step_stability(grid):
-    fine = build_grid(30, 5e-5)
-    ratio = fine.m // grid.m
-    buf = np.empty(grid.F_values.size - 1)
-    for coarse, finer in ((grid.F_values, fine.F_values), (grid.f_values, fine.f_values)):
-        np.subtract(coarse[1:], finer[ratio::ratio], out=buf)
-        assert np.nanmax(np.abs(buf, out=buf)) <= 1e-8
+    # the step-5e-5 grid a unit panel at a time: its point k * ratio is grid's point k
+    buf = np.empty(grid.m)
+    for j, panel in enumerate(grid_panels(30, 5e-5)):
+        ratio, lo = (panel[0].size - 1) // grid.m, j * grid.m
+        for coarse, finer in zip((grid.F_values, grid.f_values), panel):
+            np.subtract(coarse[lo + 1 : lo + grid.m + 1], finer[ratio::ratio], out=buf)
+            assert np.nanmax(np.abs(buf, out=buf)) <= 1e-8
 
 
-@pytest.mark.parametrize("s_max, step", [(30, 1e-4), (30, 5e-5), (20, 1e-4), (11, 2e-4), (6, 1e-3)])
+@pytest.mark.parametrize("s_max, step", GRID_PAIRS)
+def test_panels_equal_the_grid_columns(s_max, step):
+    g, old = build_grid(s_max, step), previous_build_grid(s_max, step)
+    m, count = g.m, 0
+    for j, (F, f) in enumerate(grid_panels(s_max, step)):  # compared as each arrives
+        for got, col in zip((F, f, F, f), (g.F_values, g.f_values, old.F_values, old.f_values)):
+            assert np.array_equal(got, col[j * m : (j + 1) * m + 1], equal_nan=True), j
+        count += 1
+    assert count == s_max
+
+
+@pytest.mark.parametrize("s_max, step", GRID_PAIRS)
 def test_grid_equals_the_grid_with_an_s_column(s_max, step):
     g, old = build_grid(s_max, step), previous_build_grid(s_max, step)
     assert np.array_equal(g.F_values, old.F_values, equal_nan=True)
@@ -91,13 +111,12 @@ def test_grid_equals_the_grid_with_an_s_column(s_max, step):
             assert got == previous_evaluate(old, s, which) and type(got) is float, (s, which)
 
 
-def test_grid_memory_is_two_columns(monkeypatch):
+def test_grid_memory_is_two_columns():
     shared_grid()  # the suite's coarse grid, built before the trace
     tracemalloc.start()
     try:
-        fine = build_grid(30, 5e-5)
+        build_grid(30, 5e-5)
         peak = tracemalloc.get_traced_memory()[1]
-        monkeypatch.setattr(harness, "build_grid", lambda s_max, step: fine)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         assert harness._suite_delay_grid(0).passed
@@ -105,9 +124,11 @@ def test_grid_memory_is_two_columns(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * (2 * 8 * 600_001)  # F and f of 600,001 float64 each
-    # the suite's checks, the halved-step comparison among them, hold at most
-    # one float64 buffer of the coarse grid's size
-    assert suite <= 1.05 * 8 * 300_001
+    # the halved-step check streams the step-5e-5 grid: four fine unit panels
+    # (F and f, the previous and the current), one of s, one of Simpson
+    # temporaries and a buffer of one coarse unit (half a fine one) make 6.5
+    # units of 20,001 float64, bounded by 8
+    assert suite <= 8 * 8 * 20_001
 
 
 def test_interpolation_vs_fine_grid(grid):
@@ -183,7 +204,7 @@ def test_save_grid_is_atomic(tmp_path, monkeypatch):
     g = build_grid(6, 1e-3)
     calls = []
 
-    def failing_rows(grid, lo, hi):
+    def failing_rows(grid, lo, hi, digits):
         calls.append(lo)
         if len(calls) == 2:
             raise OSError("disk full")
@@ -195,6 +216,31 @@ def test_save_grid_is_atomic(tmp_path, monkeypatch):
         save_grid(g, path)
     assert path.read_text() == "previous export\n"
     assert [f.name for f in tmp_path.iterdir()] == ["grid.csv"]
+
+
+@pytest.mark.parametrize("s_max, step", [(30, 1e-4), (8, 1e-3), (6, 1e-3)])
+def test_exports_equal_the_previous_writers(s_max, step, capsys, tmp_path):
+    g = build_grid(s_max, step)
+    assert main(["buchstab", "--s-max", str(s_max), "--step", str(step), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.encode() == previous_csv_text(g).encode()
+    save_grid(g, tmp_path / "new.csv")
+    previous_save_grid(g, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_export_holds_one_chunk(grid):
+    # per row: three floats as Python objects (72 bytes), their list and tuple
+    # slots (48), the float64 stack (24), the row's format (19) and its text
+    # (at most 75) make under 256 bytes, so a chunk of 8,192 rows under 2 MiB
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            for digits in (12, 17):  # --format csv and save_grid
+                write_csv(grid, sink, digits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8192 * 256
 
 
 def test_grid_cell_cap_is_predicted(monkeypatch):

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sievelab
 from sievelab import cli, harness
 from sievelab.arith import build_tables
 from sievelab.cli import _json_value, main
@@ -152,6 +156,19 @@ def test_buchstab_csv_grid(capsys):
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(6.0)
     assert float(last[1]) >= float(last[2])
+
+
+def test_buchstab_csv_into_a_closed_pipe_exits_0():
+    src = str(Path(sievelab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sievelab.cli", "buchstab", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"s,F,f\n"
+    proc.stdout.close()  # the reader leaves partway through the rows
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0 and err == b""
 
 
 def test_buchstab_cache_reused(tmp_path, capsys):

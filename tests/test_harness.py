@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from exact_reference import reference_bv_scan
 
-from sievelab.arith import li_eval, mult_stats, pi_ap, prime_pi
+from sievelab.arith import build_tables, li_eval, mult_stats, pi_ap, prime_pi
 from sievelab.errors import CapacityError, InputError
 from sievelab.harness import (
     _BV_SCAN_K_COST,
@@ -279,3 +280,18 @@ def test_progression_counts_equal_pi_ap(tables_big):
         assert got == pi_ap(1_000_000, k, l, tables_big), (k, l)
         assert ceiling == 2.0 * 1_000_000 / (mult_stats(k, tables_big).phi * math.log(1_000_000 / k))
     assert {(k, l) for k, l, _, _ in cases if k <= 4} == {(1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)}
+
+
+@pytest.mark.parametrize("x, q_max", [(10**6, 50), (10**7, 20)])
+def test_bv_scan_transient_per_prime(x, q_max):
+    # bv_scan in progression-errors sets the peak of verify --suite all; its
+    # traced transient (69.0 to 70.2 bytes per prime when this bound was set)
+    # stays at most 72 bytes per prime up to x
+    t = build_tables(x + 1)
+    tracemalloc.start()
+    try:
+        bv_scan(x, q_max, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * prime_pi(x, t)
