@@ -19,11 +19,10 @@ on the grid.  Closed forms override the grid on their validity ranges.
 
 The integration is one generator of unit panels: it yields F and f on
 [j, j + 1], m + 1 points each, and keeps only the unit before, which is all
-the delay equations read.  ``build_grid`` fills its two columns from that
-stream; ``grid_panels`` hands it out as it comes, so a check against a finer
-grid (the halved-step check of the acceptance suite) holds four unit panels,
-not the finer grid.  The grid holds F and f and nothing else: s_k is formed
-from k where it is read.
+the delay equations read.  ``build_grid`` fills its two columns from it, and
+``grid_panels`` hands it out, so the halved-step check of the acceptance
+suite holds four panels of the finer grid, not the whole of it.  The grid
+holds F and f and nothing else: s_k is formed from k where it is read.
 
 Building a grid costs far less than parsing one back from text, so the CSV
 cache of ``grid_cached`` is an export only: it is written, never read.  It
@@ -91,11 +90,6 @@ def _cumulative_simpson(g: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_F(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """F(s) = 2 e^gamma / s, valid on (0, 3]."""
-    return np.divide(_TWO_EG, s, out=out)
-
-
 def _closed_f(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """f(s) = 2 e^gamma log(s - 1) / s, valid on [2, 4]."""
     f = np.subtract(s, 1.0, out=out)
@@ -111,7 +105,7 @@ def _join_error(m: int) -> float:
     worst, start = 0.0, 0.0  # 2 f(2) = 0
     F, buf, f = np.empty(m + 1), np.empty(m + 1), np.empty(m)
     for j in (2, 3):
-        _closed_F(_s_values(m, (j - 1) * m, j * m + 1), F)
+        np.divide(_TWO_EG, _s_values(m, (j - 1) * m, j * m + 1), out=F)  # closed F
         seg = _cumulative_simpson(F, 1.0 / m, buf)
         seg += start
         start = seg[-1]
@@ -136,12 +130,10 @@ def _grid_size(s_max: float, step: float) -> tuple[int, int]:
 def _panels(smax: int, m: int, F_col: np.ndarray | None = None, f_col: np.ndarray | None = None):
     """Yield F and f on [j, j+1], m + 1 points each, for j = 0 .. smax - 1.
 
-    Each pair holds the grid's values, both ends included (s_0 is NaN).  The
-    first point of a panel that is integrated replaces the last point of the
-    one before, so panel j is yielded once panel j + 1 is built.  With
-    columns F_col and f_col each panel is a view written into them; without,
-    each function has two buffers used in turn, so a pair is valid until the
-    next is asked for and beside them only one unit of temporaries is held.
+    The first point of an integrated panel replaces the last point of the one
+    before, so panel j is yielded once panel j + 1 is built.  Each panel is a
+    view into F_col and f_col when they are given, else one of two buffers
+    per function used in turn.
     """
     h = 1.0 / m
 
@@ -164,7 +156,7 @@ def _panels(smax: int, m: int, F_col: np.ndarray | None = None, f_col: np.ndarra
         if j == 0:
             s[0] = np.nan  # s_0 is no point of the grid
         if j < 3:
-            _closed_F(s, F)
+            np.divide(_TWO_EG, s, out=F)  # F = 2 e^gamma / s
         else:
             advance(F, f_prev, F_prev, j, s)  # reads f on [j-1, j]
         if j < 2:
@@ -183,11 +175,10 @@ def _panels(smax: int, m: int, F_col: np.ndarray | None = None, f_col: np.ndarra
 def grid_panels(s_max: float = 30.0, step: float = 1e-4):
     """Stream the grid of ``build_grid(s_max, step)`` as (F, f) unit panels.
 
-    Panel j holds F and f at s_k = k/m for k = j m .. (j + 1) m, m = 1/step,
-    bit for bit the values of ``build_grid``'s columns; neighbours share their
-    end point.  The arrays are two buffers per function used in turn: a pair
-    is valid until the next is asked for, and the memory is that of four
-    unit panels and one of temporaries, whatever s_max.
+    Panel j holds F and f at s_k = k/m, k = j m .. (j + 1) m, m = 1/step, bit
+    for bit ``build_grid``'s values (s_0 is NaN).  A pair is valid until the
+    next is asked for: four unit panels and one of temporaries are held,
+    whatever s_max.
 
     Raises:
         InputError, CapacityError: as ``build_grid``, before anything is built.
@@ -210,9 +201,8 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
 
     The returned ``join_error`` is the largest difference on 2 < s <= 4
     between the integral-form value of f and its closed form, a direct
-    measure of the panel scheme's accuracy.  The columns are filled from the
-    panel stream, which writes each panel in place: beside F and f, only one
-    unit panel's temporaries are held at a time.
+    measure of the panel scheme's accuracy.  The panel stream writes into the
+    columns: beside F and f, only one unit panel's temporaries are held.
     """
     smax, m = _grid_size(s_max, step)
     join_error = _join_error(m)  # its buffers are freed before the columns exist

@@ -204,7 +204,7 @@ def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
     grid = grid_cached(args.s_max, args.step, args.cache or None)
-    if args.format == "csv":  # written a chunk of rows at a time, not returned as one text
+    if args.format == "csv":  # streamed: only one chunk of rows is held as text
         write_csv(grid, sys.stdout, digits=12)
         return "", 0
     rows = [

@@ -22,7 +22,6 @@ from sievelab.errors import CapacityError, InputError
 from sievelab.harness import shared_grid
 
 EG = math.exp(EULER_GAMMA)
-GRID_PAIRS = [(30, 1e-4), (30, 5e-5), (20, 1e-4), (11, 2e-4), (6, 1e-3)]
 
 
 def test_closed_forms_frozen(grid):
@@ -83,22 +82,17 @@ def test_halved_step_stability(grid):
             assert np.nanmax(np.abs(buf, out=buf)) <= 1e-8
 
 
-@pytest.mark.parametrize("s_max, step", GRID_PAIRS)
-def test_panels_equal_the_grid_columns(s_max, step):
-    g, old = build_grid(s_max, step), previous_build_grid(s_max, step)
-    m, count = g.m, 0
-    for j, (F, f) in enumerate(grid_panels(s_max, step)):  # compared as each arrives
-        for got, col in zip((F, f, F, f), (g.F_values, g.f_values, old.F_values, old.f_values)):
-            assert np.array_equal(got, col[j * m : (j + 1) * m + 1], equal_nan=True), j
-        count += 1
-    assert count == s_max
-
-
-@pytest.mark.parametrize("s_max, step", GRID_PAIRS)
+@pytest.mark.parametrize("s_max, step", [(30, 1e-4), (30, 5e-5), (20, 1e-4), (11, 2e-4), (6, 1e-3)])
 def test_grid_equals_the_grid_with_an_s_column(s_max, step):
     g, old = build_grid(s_max, step), previous_build_grid(s_max, step)
     assert np.array_equal(g.F_values, old.F_values, equal_nan=True)
     assert np.array_equal(g.f_values, old.f_values, equal_nan=True)
+    m, count = g.m, 0
+    for j, (F, f) in enumerate(grid_panels(s_max, step)):  # each panel compared as it arrives
+        assert np.array_equal(F, old.F_values[j * m : (j + 1) * m + 1], equal_nan=True), j
+        assert np.array_equal(f, old.f_values[j * m : (j + 1) * m + 1], equal_nan=True), j
+        count += 1
+    assert count == s_max
     assert g.join_error == old.join_error and g.step == old.step
     assert np.array_equal(g.s_values(1, g.F_values.size), old.s[1:])
     rng = random.Random(f"grid:{s_max}:{step}")
@@ -228,10 +222,12 @@ def test_exports_equal_the_previous_writers(s_max, step, capsys, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_csv_export_holds_one_chunk(grid):
+def test_csv_export_holds_one_chunk():
     # per row: three floats as Python objects (72 bytes), their list and tuple
     # slots (48), the float64 stack (24), the row's format (19) and its text
-    # (at most 75) make under 256 bytes, so a chunk of 8,192 rows under 2 MiB
+    # (at most 75) make under 256 bytes, so a chunk of 8,192 rows under 2 MiB;
+    # the grid's 30,000 rows, held at once, would pass that several times over
+    grid = build_grid(30, 1e-3)
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
