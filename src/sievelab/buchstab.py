@@ -177,8 +177,8 @@ def grid_panels(s_max: float = 30.0, step: float = 1e-4):
 
     Panel j holds F and f at s_k = k/m, k = j m .. (j + 1) m, m = 1/step, bit
     for bit ``build_grid``'s values (s_0 is NaN).  A pair is valid until the
-    next is asked for: four unit panels and one of temporaries are held,
-    whatever s_max.
+    next is asked for: four unit panels, one of s and one of temporaries are
+    held, whatever s_max.
 
     Raises:
         InputError, CapacityError: as ``build_grid``, before anything is built.
