@@ -1,10 +1,11 @@
 """Cross-module verification suites binding every bound to brute force.
 
 Each suite replays one family of guarantees, from exact identities to the
-empirical bound checks, against freshly computed ground truth.  The
-registry at the bottom maps suite names to their runners and declares
-which package invariant each suite owns; a static coverage check keeps
-that ownership exactly one-to-one.
+empirical bound checks, against freshly computed ground truth.  Every
+check names the package invariant it tests, and a suite's result counts
+its cases per invariant; the registry at the bottom maps suite names to
+their runners.  The test suite holds the 29 invariants and asserts that
+each is observed in exactly one quick suite.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import functools
 import math
 import random
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +35,7 @@ from .errors import InputError, integer, within
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
 from .problem import (
-    INT64_MAX, MultiplicativeDensity, PrimeSet, kind_shape, make_problem, sift_exact,
+    INT64_MAX, kind_shape, make_problem, sift_exact,
 )
 from .rosser import chain_divisor_sums, combinatorial_bounds, fundamental_lemma_report
 from .selberg import (
@@ -68,26 +71,29 @@ def shared_grid() -> BuchstabGrid:
 
 @dataclass
 class SuiteResult:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite, with its cases per invariant tag."""
 
     name: str
     cases: int = 0
     failures: list[tuple[str, str, str]] = field(default_factory=list)
     elapsed: float = 0.0
+    invariants: Counter[str] = field(default_factory=Counter)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, case_id: str, relation: str, ok: bool, observed: str = "") -> None:
+    def check(self, tag: str, case_id: str, relation: str, ok: bool, observed: str = "") -> None:
         self.cases += 1
+        self.invariants[tag] += 1
         if not ok:
             self.failures.append((case_id, relation, observed))
 
     def check_bulk(
-        self, case_id: str, relation: str, total: int, violations: list[str]
+        self, tag: str, case_id: str, relation: str, total: int, violations: list[str]
     ) -> None:
         self.cases += total
+        self.invariants[tag] += total
         if violations:
             head = "; ".join(violations[:5])
             self.failures.append(
@@ -99,12 +105,11 @@ def _check_legendre(res: SuiteResult, problems, zs) -> None:
     for p in problems:
         for z in zs:
             got, want = legendre_count(p, z), sift_exact(p, z)
-            res.check(f"{p.label} z={z}", "inclusion-exclusion == brute force", got == want,
-                      f"{got} vs {want}")
+            res.check("legendre-exact-equality", f"{p.label} z={z}",
+                      "inclusion-exclusion == brute force", got == want, f"{got} vs {want}")
 
 
-def _suite_legendre(seed) -> SuiteResult:
-    res = SuiteResult("legendre-exactness")
+def _suite_legendre(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     start = time.monotonic()
     probs = [
@@ -123,40 +128,35 @@ def _suite_legendre(seed) -> SuiteResult:
         gap = abs(s - p.X * mv.W)
         rem = legendre_remainder_sum(p, 25.0)
         res.check(
+            "legendre-remainder-bracket",
             f"{p.label} bracket z=25",
             "|S - X W| <= sum |R_d|",
             gap <= rem + 1e-9,
             f"gap={gap:.3f} rem={rem:.3f}",
         )
     dt = time.monotonic() - start
-    res.check("runtime", "under 10 s", dt < 10.0, f"{dt:.2f}s")
-    return res
+    res.check("legendre-exact-equality", "runtime", "under 10 s", dt < 10.0, f"{dt:.2f}s")
 
 
-def _contract_densities() -> list[tuple[str, MultiplicativeDensity, PrimeSet]]:
-    """(name, w, prime set) of four problem kinds; "twin" is the Goldbach w at 2N = 8."""
-    shapes = [
+def _suite_selberg_weights(res: SuiteResult, seed: int) -> None:
+    t = shared_tables()
+    shapes = [  # the densities of four problem kinds; "twin" is the Goldbach w at 2N = 8
         ("ones", kind_shape("interval", {"x": 0, "y": 1})),
         ("twin", kind_shape("goldbach_product", {"two_N": 8})),
         ("gold20", kind_shape("goldbach_product", {"two_N": 20})),
         ("quad", kind_shape("square_plus_one", {"x": 1})),
     ]
-    return [(name, shape.omega, shape.prime_set) for name, shape in shapes]
-
-
-def _suite_selberg_weights(seed) -> SuiteResult:
-    res = SuiteResult("selberg-validity")
-    t = shared_tables()
-    for name, omega, pset in _contract_densities():
+    for name, shape in shapes:
         for z in (20.0, 50.0):
             for xi in (50.0, 200.0):
-                w = lambda_weights(xi, z, omega, pset, t)
+                w = lambda_weights(xi, z, shape.omega, shape.prime_set, t)
                 cid = f"{name} z={z} xi={xi}"
-                res.check(cid, "weights exact rationals", w.exact, "float fallback")
+                res.check("selberg-diagonal-identity", cid, "weights exact rationals",
+                          w.exact, "float fallback")
+                res.check("selberg-lambda-unit", cid, "lambda_1 == 1",
+                          w.lambdas.get(1) == 1, str(w.lambdas.get(1)))
                 res.check(
-                    cid, "lambda_1 == 1", w.lambdas.get(1) == 1, str(w.lambdas.get(1))
-                )
-                res.check(
+                    "selberg-lambda-bounded",
                     cid,
                     "|lambda_d| <= 1 exactly",
                     all(-1 <= v <= 1 for v in w.lambdas.values()),
@@ -167,16 +167,17 @@ def _suite_selberg_weights(seed) -> SuiteResult:
                     ys[l] == (-1 if len(w.factors[l]) % 2 else 1) * w.g_values[l] / w.G
                     for l in w.lambdas
                 )
-                res.check(cid, "y_l == mu(l) g(l) / G exactly", ok, "identity broken")
+                res.check("selberg-diagonal-identity", cid, "y_l == mu(l) g(l) / G exactly",
+                          ok, "identity broken")
                 mono = all(
-                    math.prod(Fraction(p) / (p - omega.at_prime(p)) for p in facs)
+                    math.prod(Fraction(p) / (p - shape.omega.at_prime(p)) for p in facs)
                     * sum((g for l, g in w.g_values.items()
                            if l < xi / d and all(l % p for p in facs)), Fraction(0))
                     <= w.G
                     for d, facs in w.factors.items()
                 )
-                res.check(cid, "restricted sum * correction <= G exactly", mono, "monotonicity")
-    return res
+                res.check("selberg-sum-monotonicity", cid,
+                          "restricted sum * correction <= G exactly", mono, "monotonicity")
 
 
 def _mu_plus_divisor_sums(values: dict[int, Fraction], n_max: int) -> tuple[np.ndarray, int]:
@@ -189,8 +190,7 @@ def _mu_plus_divisor_sums(values: dict[int, Fraction], n_max: int) -> tuple[np.n
     return sums, den
 
 
-def _suite_sieve_validity(seed) -> SuiteResult:
-    res = SuiteResult("sieve-validity")
+def _suite_sieve_validity(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     # quadratic-form upper weights dominate the coprimality indicator
     ones = kind_shape("interval", {"x": 0, "y": 1})  # w = 1 on every prime
@@ -202,6 +202,7 @@ def _suite_sieve_validity(seed) -> SuiteResult:
         coprime[q::q] = 0
     low = np.flatnonzero(sums[1:] < coprime[1:] * den) + 1
     res.check_bulk(
+        "selberg-upper-dominates-indicator",
         "sum of mu+(d) over d | n, n <= 1e5",
         ">= [gcd(n, P) = 1]",
         n_max,
@@ -217,13 +218,10 @@ def _suite_sieve_validity(seed) -> SuiteResult:
     total = len(chains)
     bad_lo = [f"m={m} y={y} lo={lo}" for m, y, lo, mid, _ in chains if not lo <= mid]
     bad_hi = [f"m={m} y={y} hi={hi}" for m, y, _, mid, hi in chains if not mid <= hi]
-    res.check_bulk(
-        "lower chain sum, squarefree m <= 1e4", "<= [m = 1]", total, bad_lo
-    )
-    res.check_bulk(
-        "upper chain sum, squarefree m <= 1e4", ">= [m = 1]", total, bad_hi
-    )
-    return res
+    res.check_bulk("chain-divisor-sandwich", "lower chain sum, squarefree m <= 1e4",
+                   "<= [m = 1]", total, bad_lo)
+    res.check_bulk("chain-divisor-sandwich", "upper chain sum, squarefree m <= 1e4",
+                   ">= [m = 1]", total, bad_hi)
 
 
 def _sandwich_configs(t: PrimeTables) -> list[tuple]:
@@ -251,8 +249,7 @@ def _sandwich_configs(t: PrimeTables) -> list[tuple]:
     ]
 
 
-def _suite_bound_sandwich(seed) -> SuiteResult:
-    res = SuiteResult("bound-sandwich")
+def _suite_bound_sandwich(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     start = time.monotonic()
     configs = _sandwich_configs(t)
@@ -262,6 +259,7 @@ def _suite_bound_sandwich(seed) -> SuiteResult:
         upper_q = fundamental_upper_bound(p, y, z, with_exact=False).upper_bound
         cid = f"{p.label} y={y:g} z={z:g}"
         res.check(
+            "two-sided-bound-sandwich",
             cid,
             "chain lower <= exact <= min(chain upper, quadratic upper)",
             pair.lower.lower_bound <= exact + 1e-9
@@ -270,52 +268,46 @@ def _suite_bound_sandwich(seed) -> SuiteResult:
             f"lo={pair.lower.lower_bound:.1f} exact={exact} "
             f"hi={pair.upper.upper_bound:.1f} quad={upper_q:.1f}",
         )
-    res.check(
-        "config count", ">= 20 configurations", len(configs) >= 20, str(len(configs))
-    )
+    res.check("two-sided-bound-sandwich", "config count", ">= 20 configurations",
+              len(configs) >= 20, str(len(configs)))
     dt = time.monotonic() - start
-    res.check("runtime", "under 5 min", dt < 300.0, f"{dt:.1f}s")
-    return res
+    res.check("two-sided-bound-sandwich", "runtime", "under 5 min", dt < 300.0, f"{dt:.1f}s")
 
 
-def _suite_mertens(seed) -> SuiteResult:
-    res = SuiteResult("mertens-products")
+def _suite_mertens(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     ones = kind_shape("interval", {"x": 0, "y": 1})  # w = 1 on every prime
     for z in (1000.0, 10_000.0, 100_000.0):
         mv = mertens_products(z, ones.omega, ones.prime_set, t)
         drift = abs(mv.v_normalized() - 1.0)
         res.check(
+            "mertens-normalized-drift",
             f"z={z:g}",
             "|V(z) log z e^gamma - 1| <= 0.05",
             drift <= 0.05,
             f"drift={drift:.5f}",
         )
-    return res
 
 
-def _suite_delay_grid(seed) -> SuiteResult:
-    res = SuiteResult("delay-grid")
+def _suite_delay_grid(res: SuiteResult, seed: int) -> None:
     g = shared_grid()
     eg = math.exp(EULER_GAMMA)
     inner = integrate_adaptive(lambda u: math.log(u) / (1.0 + u), 1.0, 2.0, 1e-13)
-    # (which, s, target, tol, relation): closed forms, a quadrature, tail limits
-    points = (
-        ("f", 3, 2 * eg * math.log(2) / 3, 1e-9, "matches 2 e^gamma log 2 / 3 to 1e-9"),
-        ("f", 4, 2 * eg * math.log(3) / 4, 1e-9, "matches 2 e^gamma log 3 / 4 to 1e-9"),
-        ("F", 4, 0.5 * eg * (1.0 + inner), 1e-6, "matches independent quadrature to 1e-6"),
-        ("F", 15, 1, 1e-3, "|F(15) - 1| <= 1e-3"),
-        ("f", 15, 1, 1e-3, "|f(15) - 1| <= 1e-3"),
+    closed, tails = "delay-closed-forms", "delay-tail-limits"
+    points = (  # (tag, which, s, target, tol, relation)
+        (closed, "f", 3, 2 * eg * math.log(2) / 3, 1e-9, "matches 2 e^gamma log 2 / 3 to 1e-9"),
+        (closed, "f", 4, 2 * eg * math.log(3) / 4, 1e-9, "matches 2 e^gamma log 3 / 4 to 1e-9"),
+        ("delay-independent-quadrature", "F", 4, 0.5 * eg * (1.0 + inner), 1e-6,
+         "matches independent quadrature to 1e-6"),
+        (tails, "F", 15, 1, 1e-3, "|F(15) - 1| <= 1e-3"),
+        (tails, "f", 15, 1, 1e-3, "|f(15) - 1| <= 1e-3"),
     )
-    for which, s, target, tol, relation in points:
+    for tag, which, s, target, tol, relation in points:
         got = evaluate(g, s, which)
-        res.check(
-            f"{which}({s})", relation, abs(got - target) <= tol, f"{got!r} vs {target!r}"
-        )
-    res.check(
-        "panel joins", "continuity defect <= 1e-6", g.join_error <= 1e-6,
-        f"{g.join_error:.2e}",
-    )
+        res.check(tag, f"{which}({s})", relation, abs(got - target) <= tol,
+                  f"{got!r} vs {target!r}")
+    res.check("delay-join-continuity", "panel joins", "continuity defect <= 1e-6",
+              g.join_error <= 1e-6, f"{g.join_error:.2e}")
     # the step-5e-5 grid, a unit panel at a time: its point k * ratio is g's point k
     worst, buf = 0.0, np.empty(g.m)
     for j, panel in enumerate(grid_panels(30.0, 5e-5)):
@@ -323,40 +315,37 @@ def _suite_delay_grid(seed) -> SuiteResult:
         for a, b in zip((g.F_values, g.f_values), panel):
             np.subtract(a[lo + 1 : lo + g.m + 1], b[ratio::ratio], out=buf)
             worst = max(worst, float(np.nanmax(np.abs(buf, out=buf))))
-    res.check(
-        "halved step", "grid values stable to 1e-8", worst <= 1e-8, f"{worst:.2e}"
-    )
-    return res
+    res.check("delay-step-stability", "halved step", "grid values stable to 1e-8",
+              worst <= 1e-8, f"{worst:.2e}")
 
 
-def _suite_fundamental_lemma(seed) -> SuiteResult:
-    res = SuiteResult("fundamental-lemma")
+def _suite_fundamental_lemma(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     g = shared_grid()
     p = make_problem("interval", {"x": 0, "y": 1_000_000}, t)
     for row in fundamental_lemma_report(p, 10_000.0, [3.0, 4.0, 6.0, 8.0], g):
         res.check(
+            "fundamental-lemma-window",
             f"s={row.s:g} z={row.z:.2f}",
             "S / (X W) within [f(s) - 0.05, F(s) + 0.05]",
             row.lower_curve - 0.05 <= row.scaled <= row.upper_curve + 0.05,
             f"scaled={row.scaled:.4f} f={row.lower_curve:.4f} F={row.upper_curve:.4f}",
         )
-    return res
 
 
 def _check_signed_counts(res: SuiteResult, x: int, minus_s, plus_s, t: PrimeTables) -> None:
     for s in minus_s:
         v = S_pm_exact(x, s, -1, t)
-        res.check(f"minus x={x:g} s={s}", "count <= 2 below s = 2", v <= 2, str(v))
+        res.check("parity-minus-floor", f"minus x={x:g} s={s}", "count <= 2 below s = 2",
+                  v <= 2, str(v))
     for s in plus_s:
         got = S_pm_exact(x, s, 1, t)
         ref = prime_pi(x, t) - prime_pi(x ** (1.0 / s), t)
-        res.check(f"plus x={x:g} s={s}", "within 2 of pi(x) - pi(x^(1/s))", abs(got - ref) <= 2,
-                  f"{got} vs {ref}")
+        res.check("parity-plus-prime-count", f"plus x={x:g} s={s}",
+                  "within 2 of pi(x) - pi(x^(1/s))", abs(got - ref) <= 2, f"{got} vs {ref}")
 
 
-def _suite_parity(seed) -> SuiteResult:
-    res = SuiteResult("parity-extremal")
+def _suite_parity(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     g = shared_grid()
     for x in (10**4, 10**5, 10**6):
@@ -366,6 +355,7 @@ def _suite_parity(seed) -> SuiteResult:
             for sign in (1, -1):
                 lhs, rhs = recursion_check(x, s, sign, t)
                 res.check(
+                    "parity-recursion-exact",
                     f"recursion x={x} s={s} sign={sign:+d}",
                     "exact identity",
                     lhs == rhs,
@@ -377,6 +367,7 @@ def _suite_parity(seed) -> SuiteResult:
         row = prediction_row(x, s, g, t)
         gap = abs(row.exact_minus - row.predict_minus)
         res.check(
+            "parity-prediction-window",
             f"prediction x=1e6 s={s}",
             "minus count within 2.0 x / (log x)^2 of prediction",
             gap <= 2.0 * err_unit,
@@ -384,12 +375,12 @@ def _suite_parity(seed) -> SuiteResult:
         )
     ratio = row.exact_minus / row.predict_minus  # the last row, s = 2.8
     res.check(
+        "parity-prediction-window",
         "prediction ratio x=1e6 s=2.8",
         "within [0.75, 1.25]",
         0.75 <= ratio <= 1.25,
         f"{ratio:.4f}",
     )
-    return res
 
 
 def _progression_cases(x: int, k_max: int, tables: PrimeTables):
@@ -405,25 +396,25 @@ def _check_progressions(res: SuiteResult, x: int, k_max: int, tables: PrimeTable
     cases = list(_progression_cases(x, k_max, tables))
     bad = [f"k={k} l={l}: {got} > {cap:.1f}" for k, l, got, cap in cases if not got <= cap]
     res.check_bulk(
+        "progression-upper-bound",
         f"pi(1e{round(math.log10(x))}; k, l) for k <= {k_max}",
         "<= 2x / (phi(k) log(x/k))", len(cases), bad,
     )
 
 
-def _suite_brun_titchmarsh(seed) -> SuiteResult:
-    res = SuiteResult("brun-titchmarsh")
+def _suite_brun_titchmarsh(res: SuiteResult, seed: int) -> None:
     _check_progressions(res, 1_000_000, 50, shared_tables())
-    return res
 
 
-def _suite_pair_bounds(seed) -> SuiteResult:
-    res = SuiteResult("pair-bounds")
+def _suite_pair_bounds(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     small = twin_report(1000, 1, t)
-    res.check("twin exact x=1000", "count == 35", small.exact == 35, str(small.exact))
+    res.check("twin-bound-ratio", "twin exact x=1000", "count == 35", small.exact == 35,
+              str(small.exact))
     for x in (10**4, 10**5, 10**6):
         rep = twin_report(x, 1, t)
         res.check(
+            "twin-bound-ratio",
             f"twin x={x:g}",
             "bound >= exact",
             rep.bound >= rep.exact,
@@ -431,41 +422,36 @@ def _suite_pair_bounds(seed) -> SuiteResult:
         )
         if x == 10**6:
             res.check(
+                "twin-bound-ratio",
                 "twin ratio x=1e6",
                 "bound/exact within [2.5, 4.5]",
                 2.5 <= rep.ratio <= 4.5,
                 f"{rep.ratio:.3f}",
             )
     g100 = goldbach_report(50, t)
-    res.check(
-        "pair count 2N=100", "ordered representations == 12", g100.exact == 12,
-        str(g100.exact),
-    )
-    bad: list[str] = []
-    count = 0
-    for n_half in range(1000, 50_001, 1000):
-        rep = goldbach_report(n_half, t)
-        count += 1
-        if not rep.bound >= rep.exact:
-            bad.append(f"2N={2 * n_half}: {rep.bound:.1f} < {rep.exact}")
-    res.check_bulk("pair bound, 50 even sizes <= 1e5", ">= exact count", count, bad)
-    return res
+    res.check("goldbach-bound-examples", "pair count 2N=100",
+              "ordered representations == 12", g100.exact == 12, str(g100.exact))
+    reps = [(n, goldbach_report(n, t)) for n in range(1000, 50_001, 1000)]
+    bad = [f"2N={2 * n}: {r.bound:.1f} < {r.exact}" for n, r in reps if not r.bound >= r.exact]
+    res.check_bulk("goldbach-bound-examples", "pair bound, 50 even sizes <= 1e5",
+                   ">= exact count", len(reps), bad)
 
 
-def _suite_weighted(seed) -> SuiteResult:
-    res = SuiteResult("weighted-margins")
+def _suite_weighted(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     g = shared_grid()
     l2 = lambda_r(2)
+    thresholds = "almost-prime-threshold-values"
     res.check(
+        thresholds,
         "Lambda_2",
         "equals 1.834043767146470 to 1e-9",
         abs(l2 - 1.834043767146470) <= 1e-9,
         f"{l2!r}",
     )
-    res.check("Lambda_2 floor", ">= 11/6", l2 >= 11 / 6, f"{l2!r}")
+    res.check(thresholds, "Lambda_2 floor", ">= 11/6", l2 >= 11 / 6, f"{l2!r}")
     ok = all(r - 2 / 7 < lambda_r(r) < r - 1 / 7 for r in range(2, 13))
-    res.check("Lambda_r bracket r=2..12", "r - 2/7 < Lambda_r < r - 1/7", ok, "")
+    res.check(thresholds, "Lambda_r bracket r=2..12", "r - 2/7 < Lambda_r < r - 1/7", ok, "")
     rng = random.Random(seed)
     checked = 0
     worst = 0.0
@@ -485,14 +471,14 @@ def _suite_weighted(seed) -> SuiteResult:
             sign_ok = False
         checked += 1
     res.check(
+        "margin-form-agreement",
         "margin forms, 100 admissible configs",
         "integral and closed agree to 1e-6",
         worst <= 1e-6,
         f"worst={worst:.2e}",
     )
-    res.check(
-        "margin signs, 100 admissible configs", "same sign", sign_ok, "disagreement"
-    )
+    res.check("margin-form-agreement", "margin signs, 100 admissible configs", "same sign",
+              sign_ok, "disagreement")
     shifted = make_problem("shifted_prime", {"N": 10_000}, t)
     interval = make_problem("interval", {"x": 0, "y": 100_000}, t)
     configs = [
@@ -508,29 +494,27 @@ def _suite_weighted(seed) -> SuiteResult:
         cap = pr_count(p, cfg.r, cfg.alpha, N=cfg.N)
         sq = repeated_window_factor_count(p, cfg)
         res.check(
+            "weighted-sum-dominated",
             f"{p.label} r={cfg.r}",
             "weighted sum <= almost-prime count + square-factor count",
             w <= cap + sq + 1e-9,
             f"W={w:.2f} count={cap} squares={sq}",
         )
-    return res
 
 
-def _suite_chen(seed) -> SuiteResult:
-    res = SuiteResult("chen-almost-primes")
+def _suite_chen(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
-    res.check(
-        "N=20 enumeration", "count == 6", chen_report(20, t).count == 6, ""
-    )
+    res.check("chen-frozen-example", "N=20 enumeration", "count == 6",
+              chen_report(20, t).count == 6, "")
     for n in (10**4, 10**5, 2 * 10**5):
         rep = chen_report(n, t)
         res.check(
+            "chen-count-floor",
             f"N={n:g}",
             "count >= 0.335 C2 (prod (p-1)/(p-2)) N / (log N)^2",
             rep.count >= rep.reference,
             f"count={rep.count} ref={rep.reference:.1f}",
         )
-    return res
 
 
 #: most evaluations bv_scan takes on; one modulus costs pi(x) + _BV_SCAN_K_COST
@@ -578,6 +562,17 @@ def _worst_class(jump, sizes, coprime, mean: float, phi: int) -> float:
     ends = np.abs(sizes[coprime] - mean)
     empty = mean if ends.size < phi else 0.0
     return float(max(np.max(jump[coprime], initial=0.0), np.max(ends, initial=empty)))
+
+
+def _jump_errors(at: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max(j - at, at - (j - 1)) per prime, in the buffers of at and j and one more.
+
+    Both arguments are overwritten.  Callers pass fresh arrays and keep no name
+    for them, so a modulus holds three float arrays of its primes at once.
+    """
+    up = j - at
+    j -= 1
+    return np.maximum(up, np.subtract(at, j, out=j), out=up)
 
 
 def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
@@ -630,17 +625,19 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
         sizes = sizes[labels]
         starts = np.cumsum(sizes) - sizes
         # the j-th prime of a class lifts its count from j - 1 to j
-        j = ranks - np.repeat(starts, sizes)
-        at = li[order] / phi
-        jump = np.maximum.reduceat(np.maximum(j - at, at - (j - 1)), starts)
+        jump = np.maximum.reduceat(
+            _jump_errors(li[order] / phi, ranks - np.repeat(starts, sizes)), starts
+        )
         coprime = np.gcd(labels, k) == 1
         errors[k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
         if k % 2 and 2 * k <= q_max:  # row 2k: the class of 2 mod k loses p = 2
             c = np.searchsorted(labels, 2 % k)
             sizes[c] -= 1
-            at = li[order[starts[c] + 1:starts[c] + 1 + sizes[c]]] / phi
-            j = ranks[:sizes[c]]
-            jump[c] = np.max(np.maximum(j - at, at - (j - 1)), initial=0.0)
+            lo = starts[c] + 1  # its primes past 2 (no view of order outlives k)
+            jump[c] = np.max(
+                _jump_errors(li[order[lo:lo + sizes[c]]] / phi, np.arange(1.0, sizes[c] + 1)),
+                initial=0.0,
+            )
             errors[2 * k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
     rows = [(k, errors[k]) for k in range(1, q_max + 1)]
     return BVScanResult(
@@ -648,11 +645,11 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     )
 
 
-def _suite_bv(seed) -> SuiteResult:
-    res = SuiteResult("progression-errors")
+def _suite_bv(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
     scan = bv_scan(1_000_000, 50, t)
     res.check(
+        "progression-error-ceiling",
         "sum of E1(1e6, k), k <= 50",
         "<= 1e6 / log(1e6)",
         scan.total <= 1_000_000 / math.log(1_000_000),
@@ -661,26 +658,26 @@ def _suite_bv(seed) -> SuiteResult:
     e1 = dict(scan.rows)[1]
     direct = abs(prime_pi(1_000_000, t) - li_eval(1_000_000.0))
     res.check(
+        "progression-error-ceiling",
         "k=1 row",
         ">= |pi(x) - Li(x)| at the endpoint",
         e1 >= direct - 1e-3,
         f"E1={e1:.2f} endpoint={direct:.2f}",
     )
-    return res
 
 
-def _suite_extended(seed) -> SuiteResult:
+def _suite_extended(res: SuiteResult, seed: int) -> None:
     """Spot checks rerun at ten times the quick-suite scale.
 
     Not part of 'all', because the larger factor tables take a while to
     build; ``verify --suite extended`` runs it.
     """
-    res = SuiteResult("extended")
     t = build_tables(10_000_200)
     x = 10_000_000
     _check_legendre(res, [make_problem("interval", {"x": 0, "y": x}, t)], (11.0, 30.0))
     rep = twin_report(x, 1, t)
     res.check(
+        "twin-bound-ratio",
         "twin x=1e7",
         "bound >= exact and bound/exact within [2.5, 4.5]",
         rep.bound >= rep.exact and 2.5 <= rep.ratio <= 4.5,
@@ -688,101 +685,24 @@ def _suite_extended(seed) -> SuiteResult:
     )
     _check_progressions(res, x, 20, t)
     _check_signed_counts(res, x, (1.5, 2.0), (2.5,), t)
-    return res
 
 
-#: every package invariant owned by exactly one suite below
-STATIC_INVARIANTS: tuple[str, ...] = (
-    "legendre-exact-equality",
-    "legendre-remainder-bracket",
-    "selberg-lambda-unit",
-    "selberg-lambda-bounded",
-    "selberg-diagonal-identity",
-    "selberg-sum-monotonicity",
-    "selberg-upper-dominates-indicator",
-    "chain-divisor-sandwich",
-    "two-sided-bound-sandwich",
-    "mertens-normalized-drift",
-    "delay-closed-forms",
-    "delay-independent-quadrature",
-    "delay-join-continuity",
-    "delay-tail-limits",
-    "delay-step-stability",
-    "fundamental-lemma-window",
-    "parity-minus-floor",
-    "parity-plus-prime-count",
-    "parity-recursion-exact",
-    "parity-prediction-window",
-    "progression-upper-bound",
-    "twin-bound-ratio",
-    "goldbach-bound-examples",
-    "almost-prime-threshold-values",
-    "margin-form-agreement",
-    "weighted-sum-dominated",
-    "chen-count-floor",
-    "chen-frozen-example",
-    "progression-error-ceiling",
-)
-
-SUITES: dict[str, tuple] = {
-    "legendre-exactness": (
-        _suite_legendre,
-        ("legendre-exact-equality", "legendre-remainder-bracket"),
-    ),
-    "selberg-validity": (
-        _suite_selberg_weights,
-        (
-            "selberg-lambda-unit",
-            "selberg-lambda-bounded",
-            "selberg-diagonal-identity",
-            "selberg-sum-monotonicity",
-        ),
-    ),
-    "sieve-validity": (
-        _suite_sieve_validity,
-        ("selberg-upper-dominates-indicator", "chain-divisor-sandwich"),
-    ),
-    "bound-sandwich": (_suite_bound_sandwich, ("two-sided-bound-sandwich",)),
-    "mertens-products": (_suite_mertens, ("mertens-normalized-drift",)),
-    "delay-grid": (
-        _suite_delay_grid,
-        (
-            "delay-closed-forms",
-            "delay-independent-quadrature",
-            "delay-join-continuity",
-            "delay-tail-limits",
-            "delay-step-stability",
-        ),
-    ),
-    "fundamental-lemma": (_suite_fundamental_lemma, ("fundamental-lemma-window",)),
-    "parity-extremal": (
-        _suite_parity,
-        (
-            "parity-minus-floor",
-            "parity-plus-prime-count",
-            "parity-recursion-exact",
-            "parity-prediction-window",
-        ),
-    ),
-    "brun-titchmarsh": (_suite_brun_titchmarsh, ("progression-upper-bound",)),
-    "pair-bounds": (
-        _suite_pair_bounds,
-        ("twin-bound-ratio", "goldbach-bound-examples"),
-    ),
-    "weighted-margins": (
-        _suite_weighted,
-        (
-            "almost-prime-threshold-values",
-            "margin-form-agreement",
-            "weighted-sum-dominated",
-        ),
-    ),
-    "chen-almost-primes": (
-        _suite_chen,
-        ("chen-count-floor", "chen-frozen-example"),
-    ),
-    "progression-errors": (_suite_bv, ("progression-error-ceiling",)),
-    "extended": (_suite_extended, ()),
+#: suite name -> runner; a runner records its checks on the result it is given
+SUITES: dict[str, Callable[[SuiteResult, int], None]] = {
+    "legendre-exactness": _suite_legendre,
+    "selberg-validity": _suite_selberg_weights,
+    "sieve-validity": _suite_sieve_validity,
+    "bound-sandwich": _suite_bound_sandwich,
+    "mertens-products": _suite_mertens,
+    "delay-grid": _suite_delay_grid,
+    "fundamental-lemma": _suite_fundamental_lemma,
+    "parity-extremal": _suite_parity,
+    "brun-titchmarsh": _suite_brun_titchmarsh,
+    "pair-bounds": _suite_pair_bounds,
+    "weighted-margins": _suite_weighted,
+    "chen-almost-primes": _suite_chen,
+    "progression-errors": _suite_bv,
+    "extended": _suite_extended,
 }
 
 #: acceptance criterion number -> suite carrying it
@@ -802,22 +722,6 @@ ACCEPTANCE_SUITES: dict[int, str] = {
 }
 
 
-def coverage_problems() -> list[str]:
-    """Invariant tags missing from or duplicated in the suite registry."""
-    seen: dict[str, int] = {}
-    for _, (_, covers) in SUITES.items():
-        for tag in covers:
-            seen[tag] = seen.get(tag, 0) + 1
-    problems = []
-    for tag in STATIC_INVARIANTS:
-        n = seen.pop(tag, 0)
-        if n != 1:
-            problems.append(f"{tag}: registered {n} times")
-    for tag, n in seen.items():
-        problems.append(f"{tag}: not in the static list ({n} registrations)")
-    return problems
-
-
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
     """Run one registered suite, or 'all' for every suite in order.
 
@@ -830,12 +734,13 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
         for sub in (run_suite(n, seed) for n in SUITES if n != "extended"):
             agg.cases += sub.cases
             agg.elapsed += sub.elapsed
-            for cid, rel, obs in sub.failures:
-                agg.failures.append((f"{sub.name}: {cid}", rel, obs))
+            agg.invariants.update(sub.invariants)
+            agg.failures += [(f"{sub.name}: {cid}", rel, obs) for cid, rel, obs in sub.failures]
         return agg
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
+    res = SuiteResult(name)
     start = time.monotonic()
-    result = SUITES[name][0](seed)
-    result.elapsed = time.monotonic() - start
-    return result
+    SUITES[name](res, seed)
+    res.elapsed = time.monotonic() - start
+    return res

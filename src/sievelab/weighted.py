@@ -130,11 +130,6 @@ def _window_terms(members: np.ndarray, cfg: WeightedConfig, tables: PrimeTables)
     return 1.0 - total, square
 
 
-def member_weight_term(n: int, cfg: WeightedConfig, tables: PrimeTables) -> float:
-    """1 minus the window weight sum of one member; may be negative."""
-    return float(_window_terms(np.array([integer(n, "n", least=1)]), cfg, tables)[0][0])
-
-
 def W_exact(p: SieveProblem, cfg: WeightedConfig) -> float:
     """Exact weighted count over the survivors of the pre-sieve at N^alpha."""
     surv = sifted_members(p, presieve_cut(cfg.N, cfg.alpha))

@@ -27,7 +27,7 @@ second time and four Fraction operations per lambda_d.  They are held
 ``==`` to the package on both paths, float bit for bit.
 
 The third part holds the weighted sieve's per-member loops, each survivor
-factored alone by ``factorize``: W_exact and member_weight_term,
+factored alone by ``factorize``: W_exact and each member's term,
 repeated_window_factor_count and chen_report's triple count, and pr_count
 as it read Omega from the tables' big_omega_table.  The package peels the
 survivors' primes off the spf table in columns (``arith.factor_columns``);

@@ -113,7 +113,7 @@ def test_grid_memory_is_two_columns():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        assert harness._suite_delay_grid(0).passed
+        assert harness.run_suite("delay-grid").passed
         suite = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

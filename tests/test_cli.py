@@ -18,7 +18,6 @@ import sievelab
 from sievelab import cli, harness
 from sievelab.arith import build_tables
 from sievelab.cli import _json_value, main
-from sievelab.harness import SuiteResult
 from sievelab.problem import ALL_KINDS
 
 
@@ -332,12 +331,10 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    def bad(seed):
-        r = SuiteResult("always-bad")
-        r.check("one", "x == y", False, "1 vs 2")
-        return r
+    def bad(res, seed):
+        res.check("always-bad", "one", "x == y", False, "1 vs 2")
 
-    monkeypatch.setitem(harness.SUITES, "always-bad", (bad, ()))
+    monkeypatch.setitem(harness.SUITES, "always-bad", bad)
     rc, out, _ = run(capsys, ["verify", "--suite", "always-bad",
                               "--format", "table"])
     assert rc == 1

@@ -79,7 +79,6 @@ CALLS = {
     "WeightedConfig": (lambda c, *v: S.WeightedConfig(*v), (1000, 3, 0.1225, 0.4725, 0.49)),
     "chen_report": (lambda c, n: S.chen_report(n, c["t"]), (100,)),
     "lambda_r": (lambda c, r: S.lambda_r(r), (2,)),
-    "member_weight_term": (lambda c, n: S.member_weight_term(n, c["cfg"], c["t"]), (30,)),
     "pr_count": (lambda c, r, alpha, n: S.pr_count(c["p"], r, alpha, N=n), (2, 0.1, 100)),
     "richert_weight": (lambda c, p: S.richert_weight(p, c["cfg"]), (3,)),
 }
@@ -91,7 +90,7 @@ NO_NUMBERS = {
     "ChenReport", "DensityRangeError", "FundamentalRow", "InputError", "MertensValue",
     "MultStats", "MultiplicativeDensity", "PairBoundReport", "ParityRow", "PrimeTables",
     "SelbergWeights", "SieveProblem", "SieveReport", "SieveWeights", "SuiteResult",
-    "W_exact", "coverage_problems", "level_condition", "mu_plus",
+    "W_exact", "level_condition", "mu_plus",
     "repeated_window_factor_count", "run_suite", "save_grid", "y_values",
 }
 

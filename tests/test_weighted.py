@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from exact_reference import (
     reference_member_weight_term,
@@ -18,10 +19,10 @@ from sievelab.problem import make_problem, sift_exact, sifted_members
 from sievelab.weighted import (
     WeightedConfig,
     W_exact,
+    _window_terms,
     chen_report,
     lambda_r,
     level_condition,
-    member_weight_term,
     pr_count,
     repeated_window_factor_count,
     richert_weight,
@@ -67,12 +68,10 @@ def test_many_factor_members_get_nonpositive_terms(tables_big):
     cfg = WeightedConfig(N=1_000_000, r=2, alpha=0.05, beta=0.4, gamma_level=0.5)
     nu = tables_big.mobius_table()  # only used to spot squarefree quickly
     big = tables_big.big_omega_table()
-    checked = 0
-    for n in range(30, 1_000_000, 997):
-        if nu[n] != 0 and big[n] >= 3:
-            assert member_weight_term(n, cfg, tables_big) <= 1e-12, n
-            checked += 1
-    assert checked > 100
+    ns = np.array([n for n in range(30, 1_000_000, 997) if nu[n] != 0 and big[n] >= 3])
+    terms = _window_terms(ns, cfg, tables_big)[0]
+    assert ns.size > 100
+    assert np.all(terms <= 1e-12), ns[terms > 1e-12]
 
 
 def test_margin_sign_flips_at_threshold(grid):
@@ -242,9 +241,9 @@ def test_weighted_columns_equal_the_member_loops_on_a_grid(tables_mid):
         N = rng.choice([p.n_bound, rng.randrange(2, max(p.n_bound, 3))])
         cfg = WeightedConfig(N=max(N, 2), r=r, alpha=alpha, beta=beta, gamma_level=beta + 0.01)
         _column_equals_loop(p, cfg)
-        for n in sifted_members(p, 2)[:: max(1, int(p.X) // 50)].tolist():
-            assert member_weight_term(n, cfg, tables_mid) == reference_member_weight_term(
-                n, cfg, tables_mid), (kind, params, n)
+        members = sifted_members(p, 2)[:: max(1, int(p.X) // 50)]
+        for n, term in zip(members.tolist(), _window_terms(members, cfg, tables_mid)[0].tolist()):
+            assert term == reference_member_weight_term(n, cfg, tables_mid), (kind, params, n)
         checked += 1
 
 
@@ -255,10 +254,6 @@ def test_weighted_columns_refuse_members_past_the_tables(tables_small):
     for call in (W_exact, repeated_window_factor_count, lambda p, c: pr_count(p, 2, c.alpha, c.N)):
         with pytest.raises(CapacityError, match="member 250000 beyond table limit"):
             call(gp, cfg)
-    with pytest.raises(CapacityError):
-        member_weight_term(tables_small.limit + 1, cfg, tables_small)
-    with pytest.raises(InputError):
-        member_weight_term(0, cfg, tables_small)
 
 
 @pytest.mark.parametrize("N", [6, 20, 100, 1_000, 10_000, 10_002, 99_998, 200_000])
