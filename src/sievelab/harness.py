@@ -536,10 +536,19 @@ def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
     a = ps[:-1].astype(np.float64)
     b = ps[1:].astype(np.float64)
     h = (b - a) / 4.0
-    seg = h / 3.0 * (
-        1.0 / np.log(a) + 4.0 / np.log(a + h) + 2.0 / np.log(a + 2 * h)
-        + 4.0 / np.log(a + 3 * h) + 1.0 / np.log(b)
-    )
+    # h/3 (1/log a + 4/log(a + h) + 2/log(a + 2h) + 4/log(a + 3h) + 1/log b),
+    # each quotient formed in one buffer and added into seg in that order
+    seg = np.log(a)
+    np.divide(1.0, seg, out=seg)
+    t = np.empty_like(seg)
+    for k, c in ((1, 4.0), (2, 2.0), (3, 4.0)):
+        np.multiply(k, h, out=t)
+        t += a
+        seg += np.divide(c, np.log(t, out=t), out=t)
+    seg += np.divide(1.0, np.log(b, out=t), out=t)
+    h /= 3.0
+    seg *= h
+    del h, t  # freed before the Li column is allocated
     # fixed panels are not accurate enough while 1/log u is still curved
     for i in np.nonzero(a < 10_000.0)[0]:
         seg[i] = integrate_adaptive(

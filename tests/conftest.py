@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from oracle import KIND_POINTS, Oracle
 
 from sievelab.arith import build_tables
 
@@ -33,13 +34,10 @@ def kind_problems(tables_small):
     """One small problem of each kind, the CRT-counted kinds included."""
     from sievelab.problem import make_problem
 
-    cases = [
-        ("interval", {"x": 137, "y": 4_000}),
-        ("arithmetic_progression", {"x": 9_000, "k": 7, "l": 3}),
-        ("goldbach_product", {"two_N": 2_000}),
-        ("shifted_prime", {"N": 5_000}),
-        ("square_plus_one", {"x": 90}),
-        ("liouville_plus", {"x": 8_000}),
-        ("liouville_minus", {"x": 6_000}),
-    ]
-    return [make_problem(kind, params, tables_small) for kind, params in cases]
+    return [make_problem(kind, params, tables_small) for kind, params in KIND_POINTS]
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """The brute force every count path is compared with, built once."""
+    return Oracle()

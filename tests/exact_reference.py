@@ -1,50 +1,27 @@
-"""Computations the package replaced, kept as references for its tests.
+"""What is left of the computations the package replaced: the references
+that check what the oracle (``oracle.py``) does not.
 
-The first part holds the exact rational sums the package now keeps only as
-floats.  V(z), W(z), the truncated Moebius sums M+- and Selberg's G(xi, z)
-are read only as floats, so the package sums them in floats alone.  These
-are the ``Fraction`` computations it carried before: the Mertens products, M+-
-scaled by the product L of the sieve primes (mu(d) w(d) (L / d) is an
-integer wherever w is) and the ``Fraction`` sum of g(l).  The floats are
-held to them within bounds fixed before they were first compared:
-
-- V, W and G: relative error at most ``TOL``;
-- M+-: error at most ``TOL`` times the sum of |mu(d) w(d) / d| over the
-  walked support, since where terms cancel the value itself can be far
-  smaller than its terms.
-
-The second part holds the exact kernels that now do less work for the same
-result: ``bv_scan`` with every modulus scanned (the package derives each
-k = 2 (mod 4) row from its odd half), and lambda_weights and y_values with
-each node factored from scratch and each term added into all 2^nu of its
-divisors (the package sums over supersets).  These are held ``==`` to the
-package, except on the float path past MAX_EXACT_SUPPORT, where the sums
-run in another order and ``FLOAT_WEIGHT_CHANGE`` bounds the change.
-``previous_lambda_weights`` and ``previous_y_values`` are the two kernels as
-they were before G came from the superset sums and w(d) from the whole
-densities: w(d) a product of Fractions, rebuilt by y_values, G summed a
-second time and four Fraction operations per lambda_d.  They are held
-``==`` to the package on both paths, float bit for bit.
-
-The third part holds the weighted sieve's per-member loops, each survivor
-factored alone by ``factorize``: W_exact and each member's term,
-repeated_window_factor_count and chen_report's triple count, and pr_count
-as it read Omega from the tables' big_omega_table.  The package peels the
-survivors' primes off the spf table in columns (``arith.factor_columns``);
-its results are held ``==`` to these.
-
-The fourth part holds the delay grid as it was built when it kept a full
-column of s beside F and f: one full-size ``arange`` for s, the closed
-forms and the accuracy probe on full-size slices, and ``evaluate`` reading
-its four points from the s column.  The package now forms each s_k from its
-index and works a unit panel at a time; its F, f, join_error and every
-evaluated value are held ``==`` to these.
-
-The fifth part holds the grid's two CSV exports as they were written before
-they shared one chunked row writer: ``buchstab --format csv`` joined every
-row into one text for ``print``, and ``save_grid`` formatted each chunk of
-rows with one f-string per row.  The package's bytes are held ``==`` to
-these.
+1. Rounding bounds.  V(z), W(z), M+- and G(xi, z) are floats in the package.
+   ``exact_mertens`` and ``exact_G`` give V, W and G as exact rationals, over
+   the oracle's primes and supports (the oracle's ``mobius_exact`` gives M+-
+   and the sum A of its terms' sizes).  The floats are held to them within
+   bounds fixed before they were first compared: V, W and G to a relative
+   error of ``TOL`` (``close``), M+- to ``TOL`` times A (``mobius_close``),
+   since where terms cancel the value itself can be far smaller than A.
+2. Exact kernels that now do less work for the same result: ``bv_scan`` with
+   every modulus scanned, and lambda_weights and y_values with each node
+   factored alone and each term added into its 2^nu divisors (``reference_*``)
+   or as they were before the superset sums (``previous_*``).  They are held
+   ``==`` to the package, and on the float path past MAX_EXACT_SUPPORT either
+   bit for bit (``previous_*``) or within ``FLOAT_WEIGHT_CHANGE``.
+3. The weighted sieve's per-member loops, each survivor factored alone:
+   W_exact, repeated_window_factor_count, chen_report's triple count, and
+   pr_count reading Omega from the big_omega_table.  Held ``==``.
+4. The delay grid built with a full column of s beside F and f, and
+   ``evaluate`` reading its four points from that column.  F, f, join_error
+   and every evaluated value are held ``==`` to these.
+5. The grid's two CSV exports as written before they shared one chunked row
+   writer.  Their bytes are held ``==``.
 """
 
 from __future__ import annotations
@@ -56,21 +33,14 @@ from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
+from oracle import below, brute, primes_below, support, w_product
 
 import sievelab.selberg as selberg
 import sievelab.weighted as weighted
 from sievelab.arith import EULER_GAMMA, factorize, mult_stats, prime_pi
 from sievelab.errors import finite
 from sievelab.harness import BVScanResult, _li_at_primes
-from sievelab.problem import (
-    PrimeSet,
-    divisor_walk,
-    primes_below,
-    sieve_primes,
-    sifted_members,
-    whole_densities,
-)
-from sievelab.rosser import _chain_admit
+from sievelab.problem import sifted_members
 from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _sieve_densities, _superset_sums
 
 TOL = Fraction(1, 10**14)  # 1e-14, as an exact rational
@@ -85,34 +55,21 @@ TOL = Fraction(1, 10**14)  # 1e-14, as an exact rational
 FLOAT_WEIGHT_CHANGE = 1e-13
 
 
-def exact_mertens(z, omega, prime_set, tables) -> tuple[Fraction, Fraction]:
+def exact_mertens(z, omega, prime_set) -> tuple[Fraction, Fraction]:
     """(V, W): the products of (1 - 1/p) over every prime p < z and of
     (1 - w(p)/p) over the prime set's primes below z."""
-    ps_all = primes_below(z, PrimeSet(), tables)
-    v = Fraction(1)
-    for p in ps_all:
-        v *= Fraction(int(p) - 1, int(p))
-    w = Fraction(1)
-    for p in prime_set.select(ps_all):
-        w *= 1 - omega.at_prime(int(p)) / int(p)
-    return v, w
+    ps = primes_below(z)
+    v = math.prod((Fraction(p - 1, p) for p in ps), start=Fraction(1))
+    selected = prime_set.select(np.array(ps, dtype=np.int64)).tolist()
+    return v, w_product(lambda p: 1 - omega.at_prime(p) / p, selected)
 
 
-def exact_mobius(p, y, z, sign) -> tuple[Fraction, Fraction]:
-    """(M, A): M the sum of mu(d) w(d) / d over the truncated support of the
-    given sign, A the sum of |mu(d) w(d) / d| over it."""
-    primes = sieve_primes(p, z).tolist()
-    factors = {q: -w for q, w in whole_densities(p.omega, primes).items()}
-    walk = divisor_walk(None, primes[::-1], _chain_admit(y, sign), factors)
-    lcm = math.prod(primes)
-    scaled = lcm // walk.d.astype(object) * walk.v.astype(object)
-    return Fraction(scaled.sum()) / lcm, Fraction(abs(scaled).sum()) / lcm
-
-
-def exact_G(xi, z, omega, prime_set, tables) -> Fraction:
-    """G(xi, z), the sum of g(l) over the squarefree l < xi from the sieve primes."""
-    w_at = _sieve_densities(z, omega, prime_set, tables)
-    return sum(_g_walk(xi, list(w_at), _g_at(w_at)).v.tolist(), Fraction(0))
+def exact_G(xi, z, omega, prime_set) -> Fraction:
+    """G(xi, z), the sum of g(l) over the squarefree l < xi from the sieve
+    primes (the prime set's primes below z with w(p) > 0)."""
+    ps = prime_set.select(np.array(primes_below(z), dtype=np.int64)).tolist()
+    g = {p: brute.g_value([p], omega.at_prime) for p in ps if omega.at_prime(p) > 0}
+    return sum((v for _, _, v, _, _ in support(list(g), below(xi), g)), Fraction(0))
 
 
 def close(got: float, exact: Fraction) -> bool:

@@ -178,20 +178,6 @@ def test_cache_with_a_cut_body_is_rewritten(tmp_path):
         assert path.read_bytes() == whole
 
 
-def _reference_save(grid, path):
-    """The per-row writer save_grid replaced."""
-    with open(path, "w") as fh:
-        fh.write("s,F,f\n")
-        for k in range(1, grid.F_values.size):
-            fh.write(f"{k / grid.m:.17g},{grid.F_values[k]:.17g},{grid.f_values[k]:.17g}\n")
-
-
-def test_chunked_writer_equals_per_row_writer(grid, tmp_path):
-    save_grid(grid, tmp_path / "new.csv")
-    _reference_save(grid, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
 def test_save_grid_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "grid.csv"
     path.write_text("previous export\n")

@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
-import numpy as np
 import pytest
 from exact_reference import close, exact_mertens
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from walk_reference import members_array
+from oracle import at_most, walk_nodes
 
 import sievelab.legendre as lg
 import sievelab.problem as problem
@@ -17,7 +15,6 @@ from sievelab.errors import CapacityError
 from sievelab.legendre import (
     legendre_count,
     legendre_remainder_sum,
-    mertens_products,
     problem_W,
 )
 from sievelab.problem import (
@@ -82,7 +79,7 @@ def test_remainder_sum_past_int64_divisors(tables_small):
 def test_mertens_products_exact(tables_small):
     p = make_problem("interval", {"x": 0, "y": 10}, tables_small)
     mv = problem_W(p, 10)
-    assert exact_mertens(10, p.omega, p.prime_set, tables_small) == (Fraction(8, 35),) * 2
+    assert exact_mertens(10, p.omega, p.prime_set) == (Fraction(8, 35),) * 2
     assert close(mv.V, Fraction(8, 35)) and close(mv.W, Fraction(8, 35))
     assert abs(mv.V - 8 / 35) < 1e-15
 
@@ -92,7 +89,7 @@ def test_mertens_float_path_matches_exact(kind_problems):
     for z in (2, 3, 10, 100.5, 1_000, 3_000, 9_000, 10_000):
         for p in kind_problems:
             mv = problem_W(p, z)
-            v, w = exact_mertens(z, p.omega, p.prime_set, p.tables)
+            v, w = exact_mertens(z, p.omega, p.prime_set)
             assert close(mv.V, v) and close(mv.W, w), (p.kind, z)
 
 
@@ -112,22 +109,10 @@ def test_subset_cap(tables_small, monkeypatch):
         legendre_remainder_sum(p, 40)  # the same cap, refused before the walk
 
 
-def _pruned_tree_size(x: int, y: int, ps: list[int]) -> int:
-    """Nodes of the interval (x, x+y]'s pruned tree: squarefree d <= x + y over ps
-    (ascending), each built from a parent d / max(d) with a multiple in the interval."""
-    count = lambda d: (x + y) // d - x // d
-    size = 0
-    for k in range(len(ps) + 1):
-        for sub in combinations(ps, k):
-            prefixes = [math.prod(sub[:i]) for i in range(1, k + 1)]
-            if all(d <= x + y for d in prefixes) and all(count(d) for d in prefixes[:-1]):
-                size += 1
-    return size
-
-
-def test_walk_cap_refuses_one_node_past_it(tables_small, monkeypatch):
+def test_walk_cap_refuses_one_node_past_it(tables_small, oracle, monkeypatch):
     p = make_problem("interval", {"x": 500, "y": 300}, tables_small)
-    size = _pruned_tree_size(500, 300, [int(q) for q in sieve_primes(p, 40)])
+    rp = oracle.sieve_primes(p, 40)
+    size = len(oracle.nodes(p, rp, at_most(p.n_bound), prune_empty=True))
     monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size)
     assert legendre_count(p, 40) == sift_exact(p, 40)
     legendre_remainder_sum(p, 40)
@@ -141,95 +126,24 @@ def test_progression_with_sieve_set_excluding_k(tables_small):
     # modulus primes are unavailable to the sieve and W reflects that
     prob = make_problem("arithmetic_progression", {"x": 10_000, "k": 6, "l": 1}, tables_small)
     want = (1 - Fraction(1, 5)) * (1 - Fraction(1, 7)) * (1 - Fraction(1, 11))
-    assert exact_mertens(12, prob.omega, prob.prime_set, tables_small)[1] == want
+    assert exact_mertens(12, prob.omega, prob.prime_set)[1] == want
     assert close(problem_W(prob, 12).W, want)
     assert legendre_count(prob, 12) == sift_exact(prob, 12)
 
 
-def _scan_count(mem, d: int) -> int:
-    """#A_d by scanning the members."""
-    return int(np.count_nonzero(mem % d == 0))
-
-
-def _reference_count(p, z):
-    """Inclusion-exclusion one node at a time, #A_d scanned for each d."""
-    rp = [int(q) for q in sieve_primes(p, z)]
-    mem = members_array(p)
-    total = 0
-    stack = [(0, 1, 1)]
-    while stack:
-        i, d, sign = stack.pop()
-        c = _scan_count(mem, d)
-        total += sign * c
-        if c == 0:
-            continue
-        for j in range(i, len(rp)):
-            nd = d * rp[j]
-            if nd > p.n_bound:
-                break
-            stack.append((j + 1, nd, -sign))
-    return total
-
-
-def _reference_remainders(p, z):
-    """Every (#A_d, R_d) one node at a time: #A_d scanned, w(d) the exact
-    product of w(q), and the main term X w(d)/d with w(d) rounded once."""
-    rp = [int(q) for q in sieve_primes(p, z)]
-    mem = members_array(p)
-    out = []
-    stack = [(0, 1, Fraction(1))]
-    while stack:
-        i, d, wd = stack.pop()
-        c = _scan_count(mem, d)
-        out.append((c, c - float(p.X) * float(wd) / d))
-        for j in range(i, len(rp)):
-            stack.append((j + 1, d * rp[j], wd * p.omega.at_prime(rp[j])))
-    return out
-
-
-def _exact_remainder_sum(p, z):
-    """Sum of |R_d| as an exact Fraction, X at its exact binary value.
-
-    Every d has main term X w(d)/d, and their sum over all d is X times the
-    product of 1 + w(q)/q; #A_d = 0 for d past the largest member, so only
-    the d up to it need their count, each scanned from the members.
-    """
-    rp = [int(q) for q in sieve_primes(p, z)]
-    mem = members_array(p)
-    X = Fraction(p.X)
-    w = {q: p.omega.at_prime(q) for q in rp}
-    total = X * math.prod((1 + w[q] / q for q in rp), start=Fraction(1))
-    stack = [(0, 1, Fraction(1))]
-    while stack:
-        i, d, wd = stack.pop()
-        c, main = _scan_count(mem, d), X * wd / d
-        if c:  # |R_d| = main where c = 0, and total already holds it
-            total += abs(c - main) - main
-        for j in range(i, len(rp)):
-            if d * rp[j] > p.n_bound:
-                break
-            stack.append((j + 1, d * rp[j], wd * w[rp[j]]))
-    return total
-
-
 @pytest.mark.parametrize("z", [2, 7, 23, 32])
-def test_walk_equals_per_node_reference(kind_problems, z):
+def test_walk_equals_per_node_reference(kind_problems, oracle, z):
     # with no empty divisor the sum walks every node and adds no tail, so
-    # its terms are the per-node ones; otherwise the tails round differently
+    # its terms are the per-node |R_d|; otherwise it adds each tail's main terms
     for p in kind_problems:
-        assert legendre_count(p, z) == _reference_count(p, z), (p.kind, z)
-        records = _reference_remainders(p, z)
-        got = legendre_remainder_sum(p, z)
-        if all(c for c, _ in records):
-            assert got == math.fsum(abs(r) for _, r in records), (p.kind, z)
-        else:
-            assert math.isclose(got, _exact_remainder_sum(p, z), rel_tol=1e-12), (p.kind, z)
+        assert legendre_count(p, z) == oracle.sifted(p, z), (p.kind, z)
+        assert legendre_remainder_sum(p, z) == oracle.legendre_remainder_sum(p, z), (p.kind, z)
 
 
 @pytest.mark.parametrize("z", [2, 7, 23, 32, 60])
-def test_remainder_sum_equals_exact_reference(kind_problems, z):
+def test_remainder_sum_equals_exact_reference(kind_problems, oracle, z):
     for p in kind_problems:
-        exact = _exact_remainder_sum(p, z)
+        exact = oracle.remainder_sum_exact(p, z)
         assert math.isclose(legendre_remainder_sum(p, z), exact, rel_tol=1e-12), (p.kind, z)
 
 
@@ -250,18 +164,12 @@ def test_remainder_sum_walks_the_count_tree(kind_problems, monkeypatch):
             assert len(walked) == 2 and walked[0] == walked[1], (p.kind, z)
 
 
-def test_carried_state_equals_rebuilt(kind_problems):
+def test_carried_state_equals_rebuilt(kind_problems, oracle):
     # past n_bound (8,101 for n^2 + 1 at x = 90) the carried members run empty
     for p in kind_problems:
-        rp = [int(q) for q in sieve_primes(p, 30)]
-        mem = members_array(p)
+        rp = oracle.sieve_primes(p, 30)
         walk = divisor_walk(p, rp, Admit(problem.INT64_MAX))  # every subset of rp
-        for d, nu, w, c, i in zip(*(col.tolist() for col in walk)):
-            fac = [q for q in rp if d % q == 0]
-            wd = math.prod(map(p.omega.at_prime, fac), start=Fraction(1))
-            assert (nu, w, c) == (len(fac), wd, _scan_count(mem, d)), (p.kind, d)
-            assert i == (rp.index(fac[-1]) + 1 if fac else 0), (p.kind, d)
-        assert sorted(walk.d.tolist()) == sorted(set(walk.d.tolist()))
+        assert walk_nodes(walk) == sorted(oracle.nodes(p, rp, at_most(problem.INT64_MAX)))
         assert walk.d.size == 2 ** len(rp)
 
 

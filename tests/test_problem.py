@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from walk_reference import members_array
+from oracle import at_most, w_product
 
 import sievelab.problem as problem
-from sievelab.arith import build_tables, factorize
+from sievelab.arith import build_tables
 from sievelab.errors import CapacityError, DensityRangeError, InputError
 from sievelab.legendre import legendre_count, mertens_products
 from sievelab.problem import (
@@ -27,53 +27,30 @@ from sievelab.problem import (
 from sievelab.selberg import big_G, fundamental_upper_bound
 
 
-def brute_sift(members, primes, z) -> int:
-    kept = 0
-    for n in members:
-        ok = True
-        for p in primes:
-            if p >= z:
-                break
-            if n % p == 0:
-                ok = False
-                break
-        kept += ok
-    return kept
-
-
-def remainder_row(p, d: int):
-    """remainder's (d, #A_d, main, R_d) for one squarefree d, read off a walk of d's divisors."""
-    walk = divisor_walk(p, [q for q, _ in factorize(d, p.tables)], Admit(d))
+def remainder_rows(oracle, p, primes, n) -> dict:
+    """remainder's (#A_d, main, R_d) for each d <= n from primes, by d, held
+    equal to the oracle's."""
+    walk = divisor_walk(p, primes, Admit(n))
     rec = remainder(p, walk.d, walk.count, walk.v)
-    k = int(np.flatnonzero(walk.d == d)[0])
-    return type(rec)(*(col[k] for col in rec))
+    got = dict(zip(rec.d.tolist(), zip(rec.count.tolist(), rec.main.tolist(), rec.r.tolist())))
+    nodes = oracle.nodes(p, primes, at_most(n))
+    assert got == {d: (c, *rec) for (d, _, _, c, _), rec in zip(nodes, oracle.remainders(p, nodes))}
+    return got
 
 
-def omega_at(omega, fac) -> Fraction:
-    """w(d) as the exact product of w(q) over d's primes."""
-    return math.prod(map(omega.at_prime, fac), start=Fraction(1))
-
-
-def scan_count(members: np.ndarray, d: int) -> int:
-    return int(np.count_nonzero(members % d == 0))
-
-
-def test_interval_sift_small(tables_small):
+def test_interval_sift_small(tables_small, oracle):
     p = make_problem("interval", {"x": 0, "y": 30}, tables_small)
     assert sift_exact(p, 7) == 8  # {1, 7, 11, 13, 17, 19, 23, 29}
     assert sift_exact(p, 2) == 30
-    rec = remainder_row(p, 6)
-    assert rec.count == scan_count(members_array(p), 6) == 5
-    assert rec.r == 0.0
+    count, _, r = remainder_rows(oracle, p, [2, 3], 6)[6]
+    assert (count, r) == (5, 0.0)
 
 
-def test_interval_remainder_at_most_one(tables_small):
+def test_interval_remainder_at_most_one(tables_small, oracle):
     p = make_problem("interval", {"x": 137, "y": 1000}, tables_small)
-    mu = tables_small.mobius_table()
-    for d in range(1, 300):
-        if mu[d] == 0:
-            continue
-        assert abs(remainder_row(p, d).r) <= 1.0
+    rows = remainder_rows(oracle, p, oracle.sieve_primes(p, 300), 299)  # every squarefree d < 300
+    assert len(rows) == np.count_nonzero(tables_small.mobius_table()[1:300])
+    assert all(abs(r) <= 1.0 for _, _, r in rows.values())
 
 
 def test_goldbach_density_counts_roots(tables_small):
@@ -81,26 +58,26 @@ def test_goldbach_density_counts_roots(tables_small):
     p = make_problem("goldbach_product", {"two_N": two_n}, tables_small)
     for d in (3, 5, 7, 11, 13, 15, 21, 35):
         fac = [q for q in (3, 5, 7, 11, 13) if d % q == 0]
-        w = omega_at(p.omega, fac)
+        w = w_product(p.omega.at_prime, fac)
         roots = sum(1 for m in range(d) if (m * (two_n - m)) % d == 0)
         assert w == roots
 
 
-def test_goldbach_frozen_count(tables_small):
+def test_goldbach_frozen_count(tables_small, oracle):
     p = make_problem("goldbach_product", {"two_N": 20}, tables_small)
-    assert remainder_row(p, 3).count == scan_count(members_array(p), 3) == 12
-    assert members_array(p).size == 17
+    assert remainder_rows(oracle, p, [3], 3)[3][0] == 12
+    assert sift_exact(p, 2) == 17
 
 
-def test_shifted_prime_members(tables_small):
+def test_shifted_prime_members(tables_small, oracle):
     n_par = 100
     p = make_problem("shifted_prime", {"N": n_par}, tables_small)
     odd_primes = [q for q in range(3, 98) if all(q % r for r in range(2, q))]
     want = sorted(n_par - q for q in odd_primes if n_par % q)
-    assert sorted(members_array(p).tolist()) == want
+    assert sorted(sifted_members(p, 2).tolist()) == want
     # density vanishes on p | N: main term must be zero there
-    rec = remainder_row(p, 5)
-    assert rec.main == 0.0 and rec.count == rec.r + 0.0
+    count, main, r = remainder_rows(oracle, p, [5], 5)[5]
+    assert main == 0.0 and count == r + 0.0
     assert p.omega.at_prime(3) == Fraction(3, 2)
 
 
@@ -113,19 +90,17 @@ def test_square_plus_one_density(tables_small):
     for d in (5, 13, 10, 65):
         fac = [q for q in (2, 5, 13) if d % q == 0]
         roots = sum(1 for m in range(d) if (m * m + 1) % d == 0)
-        assert omega_at(p.omega, fac) == roots
+        assert w_product(p.omega.at_prime, fac) == roots
 
 
-def test_liouville_counts(tables_mid):
+def test_liouville_counts(tables_mid, oracle):
     lp = make_problem("liouville_plus", {"x": 10_000}, tables_mid)
     lm = make_problem("liouville_minus", {"x": 10_000}, tables_mid)
-    assert members_array(lp).size + members_array(lm).size == 10_000
-    assert 1 in members_array(lm)
-    # #A_d via the tables' summatory equals a direct scan
+    assert sift_exact(lp, 2) + sift_exact(lm, 2) == 10_000
+    assert 1 in sifted_members(lm, 2)
+    # #A_d via the tables' summatory equals a direct scan, for every d | 210
     for prob in (lp, lm):
-        mem = members_array(prob)
-        for d in (1, 2, 3, 5, 6, 30, 210):
-            assert remainder_row(prob, d).count == scan_count(mem, d)
+        assert len(remainder_rows(oracle, prob, [2, 3, 5, 7], 210)) == 16
     assert sift_exact(lm, 10) > 0
 
 
@@ -144,17 +119,16 @@ def test_liouville_counts_read_the_summatory_as_a_local_cumsum(tables_mid):
             assert got == want, (kind, d)
 
 
-def test_liouville_start_mask_is_built_once(tables_small, monkeypatch):
+def test_liouville_start_mask_is_built_once(tables_small, oracle, monkeypatch):
     # the mask lambda(n) = target is read off the Liouville table when the
     # problem is built; a sift at each new cut strikes a copy of it
     p = make_problem("liouville_plus", {"x": 5_000}, tables_small)
-    members = members_array(p)
     reads = []
     table = type(tables_small).liouville_table
     monkeypatch.setattr(type(tables_small), "liouville_table",
                         lambda self: reads.append(self) or table(self))
     for z in (10, 30):
-        assert sift_exact(p, z) == brute_sift(members, tables_small.primes.tolist(), z)
+        assert sift_exact(p, z) == oracle.sifted(p, z)
     assert reads == []
     assert np.array_equal(p.mask, tables_small.liouville_table()[1:5_001] == -1)
 
@@ -164,7 +138,7 @@ def test_liouville_minus_tiny(tables_small):
     assert sift_exact(lm, 10) == 1  # only n = 1 survives
 
 
-def test_sift_matches_brute_force_all_kinds(tables_small):
+def test_sift_matches_brute_force_all_kinds(tables_small, oracle):
     probs = [
         make_problem("interval", {"x": 50, "y": 200}, tables_small),
         make_problem("arithmetic_progression", {"x": 500, "k": 6, "l": 5}, tables_small),
@@ -175,17 +149,13 @@ def test_sift_matches_brute_force_all_kinds(tables_small):
     ]
     for prob in probs:
         for z in (2, 5, 11, 23.5):
-            ps = [int(q) for q in sieve_primes(prob, z)]
-            want = brute_sift(members_array(prob).tolist(), ps, float("inf"))
-            assert sift_exact(prob, z) == want, (prob.label, z)
+            assert sift_exact(prob, z) == oracle.sifted(prob, z), (prob.label, z)
 
 
-def test_progression_count_closed_form(tables_small):
+def test_progression_count_closed_form(tables_small, oracle):
     p = make_problem("arithmetic_progression", {"x": 997, "k": 10, "l": 3}, tables_small)
-    mem = members_array(p)
-    for d in (1, 3, 7, 21, 11, 2, 5):
-        assert remainder_row(p, d).count == scan_count(mem, d)
-    assert remainder_row(p, 2).count == 0 and remainder_row(p, 5).count == 0
+    rows = remainder_rows(oracle, p, [2, 3, 5, 7, 11], 21)  # d = 1, 3, 7, 21, 11, 2, 5 among them
+    assert rows[2][0] == 0 and rows[5][0] == 0
 
 
 def test_input_validation(tables_small):
@@ -223,27 +193,27 @@ def test_integral_floats_are_integer_parameters(tables_small):
     assert make_problem("interval", {"x": np.int64(10), "y": 100}, tables_small) == ints
 
 
-def test_exact_scans_refuse_more_members_than_the_cap(monkeypatch, tables_small):
+def test_exact_scans_refuse_more_members_than_the_cap(monkeypatch, tables_small, oracle):
     huge = make_problem("interval", {"x": 0, "y": 10**12}, tables_small)
     with pytest.raises(CapacityError):
         sift_exact(huge, 100)  # a 10^12-byte mask, refused before it is allocated
     with pytest.raises(CapacityError):
-        members_array(huge)
+        sifted_members(huge, 2)
     monkeypatch.setattr(problem, "MAX_SCAN_MEMBERS", 1000)
     at_cap = [
         make_problem("interval", {"x": 5, "y": 1000}, tables_small),
         make_problem("arithmetic_progression", {"x": 3000, "k": 3, "l": 1}, tables_small),
     ]
     for p in at_cap:
-        assert members_array(p).size == 1000
-        assert sift_exact(p, 30) == brute_sift(members_array(p), sieve_primes(p, 30), 30)
+        assert sifted_members(p, 2).size == 1000
+        assert sift_exact(p, 30) == oracle.sifted(p, 30)
     over = [
         make_problem("interval", {"x": 5, "y": 1001}, tables_small),
         make_problem("arithmetic_progression", {"x": 3001, "k": 3, "l": 1}, tables_small),
     ]
     for p in over:
         with pytest.raises(CapacityError):
-            members_array(p)
+            sifted_members(p, 2)
         with pytest.raises(CapacityError):
             sift_exact(p, 30)
 
@@ -256,22 +226,21 @@ def test_density_range_guard():
         bad.at_prime(5)
 
 
-def test_x_matches_member_scale(tables_small):
+def test_x_matches_member_scale(tables_small, oracle):
     iv = make_problem("interval", {"x": 3, "y": 47}, tables_small)
     assert iv.X == 47.0
     ap = make_problem("arithmetic_progression", {"x": 1000, "k": 8, "l": 1}, tables_small)
     assert ap.X == 125.0
-    assert abs(members_array(ap).size - ap.X) <= 1.0
+    assert abs(oracle.members(ap).size - ap.X) <= 1.0
 
 
-def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
+def test_walk_stops_at_first_refusal(tables_big, oracle, monkeypatch):
     # a node takes one run of later primes, ending where its bound refuses:
-    # the walks behind these bounds visit exactly the nodes of the per-node
-    # reference walk (one admit test per candidate, stopping at the first refusal)
+    # the walks behind these bounds visit exactly the nodes of the oracle's
+    # support (one admit test per candidate, stopping at the first refusal)
     import sievelab.legendre as lg
     import sievelab.rosser as rs
     import sievelab.selberg as sb
-    from walk_reference import reference_walk
 
     walks = []  # (arguments, walk) per walk
 
@@ -293,15 +262,16 @@ def test_walk_stops_at_first_refusal(tables_big, monkeypatch):
             checked = admit.parity is None or nu % 2 == admit.parity
             return not checked or r**admit.power <= admit.bound // d
 
-        ref = sorted(node[0] for node in reference_walk(q, primes, admits, *args, **kwargs))
-        assert sorted(walk.d.tolist()) == ref
+        prune = kwargs.get("prune_empty", False)  # the one walk whose counts shape it
+        ref = oracle.nodes(q if prune else None, primes, admits, prune_empty=prune)
+        assert sorted(walk.d.tolist()) == sorted(node[0] for node in ref)
 
 
-def test_kind_shape_states_sizes_without_tables(kind_problems):
+def test_kind_shape_states_sizes_without_tables(kind_problems, oracle):
     for p in kind_problems:
         shape = kind_shape(p.kind, p.params)
         assert (shape.label, shape.X, shape.n_bound) == (p.label, p.X, p.n_bound)
-        assert int(members_array(p).max()) <= shape.n_bound
+        assert int(oracle.members(p).max()) <= shape.n_bound
         # tables to exactly the kind's need are enough; one short of it is refused
         lo = max(shape.need, 30)
         assert make_problem(p.kind, p.params, build_tables(lo)).n_bound == p.n_bound
@@ -312,19 +282,6 @@ def test_kind_shape_states_sizes_without_tables(kind_problems):
         below = p.tables.primes[p.tables.primes < 1000].tolist()
         positive = [q for q in below if p.omega.at_prime(q) > 0]
         assert sieve_primes(p, 1000).tolist() == positive, p.kind
-
-
-def test_members_array_without_a_start_mask_allocates_no_mask(tables_small):
-    import tracemalloc
-
-    # a 10^6-entry interval: its 8 MB of int64 members and no bool mask beside them
-    p = make_problem("interval", {"x": 0, "y": 10**6}, tables_small)
-    tracemalloc.start()
-    mem = members_array(p)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert mem.dtype == np.int64 and np.array_equal(mem, np.arange(1, 10**6 + 1))
-    assert peak < 8_000_000 + 524_288, peak
 
 
 def _periodic_count(f, lo: int, hi: int, m: int) -> int:
@@ -349,7 +306,7 @@ def test_scans_past_the_cap_are_refused_before_the_mask_is_built(tables_small):
         assert p.mask is None
         m = math.prod(sieve_primes(p, z).tolist())
         assert legendre_count(p, z) == _periodic_count(f, lo, kind_shape(kind, params).hi, m)
-        for scan in (sift_exact, sifted_members, lambda p, z: members_array(p)):
+        for scan in (sift_exact, sifted_members):
             tracemalloc.start()
             with pytest.raises(CapacityError, match="scan indices: .* past the cap of 100000000$"):
                 scan(p, z)
@@ -373,24 +330,14 @@ def test_prime_cut_past_the_tables_is_refused():
             call()
 
 
-def _mask_scan(p, z):
-    """The full-mask scan: every prime against every member."""
-    mem = members_array(p)
-    keep = np.ones(mem.size, dtype=bool)
-    for q in sieve_primes(p, z):
-        np.logical_and(keep, mem % int(q) != 0, out=keep)
-    return mem[keep]
-
-
-def test_shrinking_scan_keeps_the_mask_scans_values_in_order(kind_problems):
+def test_shrinking_scan_keeps_the_mask_scans_values_in_order(kind_problems, oracle):
     for p in kind_problems:
         for z in (1.5, 2, 3, 30, 60):
-            got, want = sifted_members(p, z), _mask_scan(p, z)
+            got, want = sifted_members(p, z), oracle.survivors(p, z)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), (p.kind, z)
-        assert sifted_members(p, 2) is not members_array(p)  # a new array, as the mask gave
 
 
-def test_one_scan_per_problem_and_prime_cut(tables_small, kind_problems, monkeypatch):
+def test_one_scan_per_problem_and_prime_cut(tables_small, kind_problems, oracle, monkeypatch):
     from sievelab.rosser import combinatorial_bounds
 
     scans = []
@@ -403,10 +350,10 @@ def test_one_scan_per_problem_and_prime_cut(tables_small, kind_problems, monkeyp
         p = make_problem(kind, params, tables_small)
         pair = combinatorial_bounds(p, 1e4, 30, with_exact=True)
         quad = fundamental_upper_bound(p, 1e4, 30)
-        assert pair.upper.exact_count == quad.exact_count == _mask_scan(p, 30).size
+        assert pair.upper.exact_count == quad.exact_count == oracle.sifted(p, 30)
         assert scans == [10]
         assert sift_exact(p, 31) == quad.exact_count and scans == [10]  # 31 adds no prime
-        assert sift_exact(p, 32) == _mask_scan(p, 32).size and scans == [10, 11]
+        assert sift_exact(p, 32) == oracle.sifted(p, 32) and scans == [10, 11]
         again = make_problem(kind, params, tables_small)
         assert repr(again) == repr(p) and "_sifted" not in repr(p)  # the memo is not shown
         assert sift_exact(again, 30) == quad.exact_count and scans == [10, 11, 10]

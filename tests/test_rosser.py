@@ -5,11 +5,10 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
-from exact_reference import exact_mobius, mobius_close
+from exact_reference import mobius_close
 from hypothesis import given, settings, strategies as st
-from walk_reference import members_array
+from oracle import chain, support
 
 import sievelab.problem as problem
 import sievelab.rosser as rosser
@@ -23,13 +22,13 @@ from sievelab.rosser import (
     fundamental_lemma_report,
     truncated_mobius_sum,
 )
-from sievelab.selberg import _sieve_densities, fundamental_upper_bound
+from sievelab.selberg import fundamental_upper_bound
 
 
-def test_frozen_small_sums(tables_small):
+def test_frozen_small_sums(tables_small, oracle):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
     for z, sign, want in ((6, 1, Fraction(1, 3)), (6, -1, Fraction(7, 30)), (5, 1, Fraction(1, 3))):
-        exact, scale = exact_mobius(p, 100, z, sign)
+        exact, scale = oracle.mobius_exact(p, 100, z, sign)
         assert exact == want
         assert mobius_close(truncated_mobius_sum(p, 100, z, sign), exact, scale), (z, sign)
 
@@ -54,39 +53,25 @@ def test_membership_examples(tables_small):
         rosser._chain_admit(100, 0)
 
 
-def _position_rule(facs, y: float, sign: int) -> bool:
-    """The chain check by positions: p1 > p2 > ..., p1...p_{l-1} p_l^3 < y at checked l."""
-    prefix = 1
-    for i, q in enumerate(sorted(facs, reverse=True)):
-        if ((i + 1) % 2 == 1) == (sign == 1) and prefix * q**3 >= y:
-            return False
-        prefix *= q
-    return True
-
-
-def _oracle_support(primes: list[int], y: float, sign: int) -> dict[int, int]:
-    """Exhaustive squarefree enumeration with an independent chain check."""
-    out = {1: 1}
-    for r in range(1, len(primes) + 1):
-        for combo in combinations(primes, r):
-            if _position_rule(combo, y, sign):
-                out[math.prod(combo)] = -1 if r % 2 else 1
-    return out
+def _mu_support(primes, y: float, sign: int) -> dict[int, int]:
+    """mu(d) for each d of the oracle's chain support over primes, largest first."""
+    desc = sorted(primes, reverse=True)
+    return {d: mu for d, _, mu, _, _ in support(desc, chain(y, sign), dict.fromkeys(desc, -1))}
 
 
 @pytest.mark.parametrize("y", [100.0, 1000.0])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_pruned_walk_matches_exhaustive(tables_small, y, sign):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    oracle = _oracle_support(primes, y, sign)
+    want = _mu_support(primes, y, sign)
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
     # with factors -1 the carried product is mu(d)
     walk = divisor_walk(None, primes[::-1], rosser._chain_admit(y, sign), dict.fromkeys(primes, -1))
     walked = dict(zip(walk.d.tolist(), walk.v.tolist()))
-    assert walked == oracle and walk.d.size == len(oracle)  # each node once
-    assert all(d < y for d in oracle)  # so combinatorial_bounds needs no d < y filter
-    expect = sum(Fraction(mu, d) for d, mu in oracle.items())
-    scale = sum(Fraction(1, d) for d in oracle)
+    assert walked == want and walk.d.size == len(want)  # each node once
+    assert all(d < y for d in want)  # so combinatorial_bounds needs no d < y filter
+    expect = sum(Fraction(mu, d) for d, mu in want.items())
+    scale = sum(Fraction(1, d) for d in want)
     assert mobius_close(truncated_mobius_sum(p, y, 30, sign), expect, scale)
 
 
@@ -102,7 +87,7 @@ def test_divisor_sums_bracket_unit_indicator(tables_small):
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
-PROPS = settings(deadline=None, max_examples=200)
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 @PROPS
@@ -114,24 +99,12 @@ PROPS = settings(deadline=None, max_examples=200)
 def test_factor_walk_is_membership_in_walked_support(primes, y, sign):
     desc = sorted(primes, reverse=True)
     walk = divisor_walk(None, desc, rosser._chain_admit(y, sign), dict.fromkeys(desc, -1))
-    support = set(walk.d.tolist())
-    assert support == set(_oracle_support(primes, y, sign)) and walk.d.size == len(support)
+    walked = set(walk.d.tolist())
+    assert walked == set(_mu_support(primes, y, sign)) and walk.d.size == len(walked)
     # membership of d depends on d's own factors only
     for r in range(len(primes) + 1):
         for sub in combinations(primes, r):
-            assert _in_factor_walk(sub, y, sign) == (math.prod(sub) in support), (sub, y, sign)
-
-
-def _bitmask_sandwich(facs, y):
-    """The truncated mu summed over the divisors of prod(facs) by a 2^k
-    subset loop on the position rule: (lower sum, [facs empty], upper sum)."""
-    lo = hi = 0
-    for mask in range(1 << len(facs)):
-        sub = [facs[i] for i in range(len(facs)) if mask >> i & 1]
-        mu = -1 if len(sub) % 2 else 1
-        lo += mu if _position_rule(sub, y, -1) else 0
-        hi += mu if _position_rule(sub, y, 1) else 0
-    return lo, int(not facs), hi
+            assert _in_factor_walk(sub, y, sign) == (math.prod(sub) in walked), (sub, y, sign)
 
 
 @PROPS
@@ -144,7 +117,7 @@ def test_sandwich_values_equal_bitmask_loop(primes, y):
     desc = sorted(primes, reverse=True)
     mu = dict.fromkeys(desc, -1)  # the walk's carried product is then mu(d)
     lo, hi = (int(divisor_walk(None, desc, rosser._chain_admit(y, s), mu).v.sum()) for s in (-1, 1))
-    assert (lo, int(not primes), hi) == _bitmask_sandwich(primes, y)
+    assert (lo, hi) == tuple(sum(_mu_support(primes, y, s).values()) for s in (-1, 1))
 
 
 def test_two_sided_bounds_trap_exact(tables_mid):
@@ -202,69 +175,16 @@ def test_validation_and_capacity(tables_small, monkeypatch):
         truncated_mobius_sum(p, 1000.0, 30.0, -1)
 
 
-def _reference_support(primes_desc, y, sign):
-    """The support walk that rebuilds each term from its factor tuple."""
-    want_odd = sign == 1
-    yield 1, ()
-    stack = [(0, 1, ())]
-    while stack:
-        idx, prod, facs = stack.pop()
-        pos_checked = ((len(facs) + 1) % 2 == 1) == want_odd
-        for j in range(idx, len(primes_desc)):
-            q = primes_desc[j]
-            if pos_checked and prod * q * q * q >= y:
-                continue
-            yield prod * q, facs + (q,)
-            stack.append((j + 1, prod * q, facs + (q,)))
-
-
-def _reference_mobius(p, y, z, sign, exact):
-    """(the sum, the sum of the terms' sizes) as exact Fractions, or the float sum."""
-    desc = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))[::-1]
-    if exact:
-        total = size = Fraction(0)
-        for _, facs in _reference_support(desc, y, sign):
-            term = Fraction(1)
-            for q in facs:
-                term *= Fraction(p.omega.at_prime(q), q)
-            total += -term if len(facs) % 2 else term
-            size += term
-        return total, size
-    terms = []
-    for _, facs in _reference_support(desc, y, sign):
-        t = 1.0
-        for q in facs:
-            t *= float(p.omega.at_prime(q)) / q
-        terms.append(-t if len(facs) % 2 else t)
-    return math.fsum(terms)
-
-
-def _reference_bounds(p, y, z):
-    desc = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))[::-1]
-    mem = members_array(p)
-    out = []
-    for sign in (1, -1):
-        mains, rems = [], []
-        for d, f in _reference_support(desc, y, sign):
-            if d >= y:
-                continue
-            wd = math.prod(map(p.omega.at_prime, f), start=Fraction(1))
-            main = float(p.X) * float(wd) / d
-            mains.append(-main if len(f) % 2 else main)
-            rems.append(abs(int(np.count_nonzero(mem % d == 0)) - main))
-        out.append(math.fsum(mains) + sign * math.fsum(rems))
-    return out
-
-
 # 945 = 7 * 5 * 3^3 and 189 = 7 * 3^3 sit on the step rule's boundary
 @pytest.mark.parametrize(
     "y,z", [(100.0, 10.0), (189.0, 10.0), (945.0, 10.0), (3_000.0, 25.0), (20_000.0, 40.0)]
 )
-def test_bounds_equal_per_node_reference(kind_problems, y, z):
+def test_bounds_equal_per_node_reference(kind_problems, oracle, y, z):
     for p in kind_problems:
         bp = combinatorial_bounds(p, y, z, with_exact=False)
+        (up, up_rem), (lo, lo_rem) = (oracle.chain_sums(p, y, z, sign) for sign in (1, -1))
         got = [bp.upper.upper_bound, bp.lower.lower_bound]
-        assert got == _reference_bounds(p, y, z), (p.kind, y, z)
+        assert got == [up + up_rem, lo - lo_rem], (p.kind, y, z)
 
 
 # z <= 2: no sieve prime, the sum is 1; y <= 8: the upper support is d = 1 alone;
@@ -274,19 +194,17 @@ def test_bounds_equal_per_node_reference(kind_problems, y, z):
     [(1e4, 50.0, True), (1e6, 100.0, True), (1e6, 100.0, False), (1e6, 1000.0, False),
      (1e4, 2.0, True), (1e4, 1.5, False), (8.0, 50.0, True), (5.0, 100.0, False)],
 )
-def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact):
+def test_mobius_sum_equals_per_node_reference(kind_problems, oracle, y, z, exact):
     quad = next(p for p in kind_problems if p.kind == "square_plus_one")
     # w(p) = 0 for p = 3 mod 4: with every prime offered, those primes must drop out
     every_prime = dataclasses.replace(quad, prime_set=PrimeSet("all"))
     for p in [*kind_problems, every_prime]:
         for sign in (1, -1):
             got = truncated_mobius_sum(p, y, z, sign)
-            assert got == _reference_mobius(p, y, z, sign, False), (p.kind, y, z, sign)
+            assert got == oracle.mobius(p, y, z, sign), (p.kind, y, z, sign)
             assert isinstance(got, float)
             if exact:
-                m, scale = exact_mobius(p, y, z, sign)
-                assert (m, scale) == _reference_mobius(p, y, z, sign, True)
-                assert mobius_close(got, m, scale), (p.kind, y, z, sign)
+                assert mobius_close(got, *oracle.mobius_exact(p, y, z, sign)), (p.kind, y, z, sign)
             if z <= 2 or (y <= 8 and sign == 1):
                 assert got == 1
     assert truncated_mobius_sum(every_prime, 1e4, 50.0, 1) == truncated_mobius_sum(
@@ -296,7 +214,7 @@ def test_mobius_sum_equals_per_node_reference(kind_problems, y, z, exact):
 
 def test_chain_cap_fires_past_its_size(tables_small, monkeypatch):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_small)
-    size = len(list(_reference_support([29, 23, 19, 17, 13, 11, 7, 5, 3, 2], 1000.0, -1)))
+    size = len(support([29, 23, 19, 17, 13, 11, 7, 5, 3, 2], chain(1000.0, -1)))
     monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size)
     truncated_mobius_sum(p, 1000.0, 30.0, -1)
     monkeypatch.setattr(problem, "MAX_CHAIN_NODES", size - 1)

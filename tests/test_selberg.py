@@ -15,7 +15,7 @@ from exact_reference import (
     reference_y_values,
     y_term_scale,
 )
-from walk_reference import members_array
+from oracle import below, brute, support, w_product
 
 import sievelab.selberg as sb
 from sievelab.errors import CapacityError, InputError
@@ -33,35 +33,11 @@ from sievelab.selberg import (
     y_values,
 )
 
-def _support(ps, bound, skip=()):
-    """Reference support: every squarefree d < bound from ps avoiding skip, with factors."""
-    items = []
-    usable = [p for p in ps if p not in skip]
-    stack = [(0, 1, ())]
-    while stack:
-        i, d, facs = stack.pop()
-        items.append((d, facs))
-        for j in range(i, len(usable)):
-            nd = d * usable[j]
-            if nd >= bound:
-                break
-            stack.append((j + 1, nd, facs + (usable[j],)))
-    return items
-
-
-def _w_at(omega, facs) -> Fraction:
-    """w(d) as the exact product of w(q) over d's primes."""
-    return math.prod(map(omega.at_prime, facs), start=Fraction(1))
-
-
 def _restricted_G(xi, z, omega, tables, skip):
     """G(xi, z) summed over l coprime to the primes in skip."""
-    ps = list(_sieve_densities(z, omega, ALL, tables))
-    return sum(
-        (math.prod(Fraction(omega.at_prime(p), p - omega.at_prime(p)) for p in facs)
-         for _, facs in _support(ps, xi, skip)),
-        Fraction(0),
-    )
+    ps = [p for p in _sieve_densities(z, omega, ALL, tables) if p not in skip]
+    g = {p: brute.g_value([p], omega.at_prime) for p in ps}
+    return sum((v for _, _, v, _, _ in support(ps, below(xi), g)), Fraction(0))
 
 
 ONES = MultiplicativeDensity(lambda p: Fraction(1), "w = 1")
@@ -91,7 +67,7 @@ def test_g_value_closed_forms(tables_small):
 
 
 def test_big_G_frozen(tables_small):
-    assert exact_G(5, 5, ONES, ALL, tables_small) == Fraction(5, 2)
+    assert exact_G(5, 5, ONES, ALL) == Fraction(5, 2)
     assert close(big_G(5, 5, ONES, ALL, tables_small), Fraction(5, 2))
 
 
@@ -127,7 +103,7 @@ def test_big_G_progression_euler_phi(tables_small):
         for q in fac:
             phi *= q - 1
         want += Fraction(1, phi)
-    assert exact_G(30, 30, ONES, ps, tables_small) == want
+    assert exact_G(30, 30, ONES, ps) == want
     assert close(got, want)
 
 
@@ -163,7 +139,7 @@ def test_weight_contracts_on_grid(omega, z, xi, tables_small):
         for l, yl in yv.items():
             if l % d == 0:
                 lhs += (-1 if len(w.factors[l]) % 2 else 1) * yl
-        om_d = _w_at(omega, w.factors[d])
+        om_d = w_product(omega.at_prime, w.factors[d])
         sign = -1 if len(w.factors[d]) % 2 else 1
         assert lhs == sign * om_d * w.lambdas[d] / d
 
@@ -202,7 +178,7 @@ def _quadratic_y(w, omega):
     """Reference y_l: one pass over the weights for each l."""
     return {
         l: sum(
-            (_w_at(omega, w.factors[d]) * lam / d
+            (w_product(omega.at_prime, w.factors[d]) * lam / d
              for d, lam in w.lambdas.items() if d % l == 0),
             Fraction(0),
         )
@@ -213,12 +189,9 @@ def _quadratic_y(w, omega):
 @pytest.mark.parametrize("omega,z,xi", GRID)
 def test_weights_equal_quadratic_reference(omega, z, xi, tables_small):
     w = lambda_weights(xi, z, omega, ALL, tables_small)
-    assert w.G == exact_G(xi, z, omega, ALL, tables_small)
+    assert w.G == exact_G(xi, z, omega, ALL)
     assert close(big_G(xi, z, omega, ALL, tables_small), w.G)
-    assert all(
-        g == math.prod(Fraction(omega.at_prime(p), p - omega.at_prime(p)) for p in w.factors[d])
-        for d, g in w.g_values.items()
-    )
+    assert all(g == brute.g_value(w.factors[d], omega.at_prime) for d, g in w.g_values.items())
     assert w.lambdas == _quadratic_lambdas(w, omega)
     assert y_values(w) == _quadratic_y(w, omega)
 
@@ -239,7 +212,7 @@ def _fraction_loop_y(w):
     """Reference y_l: every term added to its divisors as a Fraction."""
     out = dict.fromkeys(w.lambdas, Fraction(0))
     for d, lam in w.lambdas.items():
-        term = _w_at(w.omega, w.factors[d]) * lam / d
+        term = w_product(w.omega.at_prime, w.factors[d]) * lam / d
         for l in out:
             if d % l == 0:
                 out[l] += term
@@ -412,32 +385,17 @@ def test_fundamental_upper_bound_is_upper(tables_small):
         assert rep.upper_bound >= rep.exact_count
 
 
-def _reference_upper_bound(p, y, z):
-    """The quadratic-form bound with every R_d rebuilt from d, one node at a
-    time: #A_d scanned and X w(d)/d with w(d) rounded once."""
-    ps = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))
-    G = big_G(math.sqrt(y), z, p.omega, p.prime_set, p.tables)
-    mem = members_array(p)
-    rem = math.fsum(
-        3 ** len(f) * abs(int(np.count_nonzero(mem % d == 0)) - float(p.X) * float(w) / d)
-        for d, f in _support(ps, y)
-        for w in [_w_at(p.omega, f)]
-    )
-    return float(p.X) / float(G) + rem, rem
-
-
 @pytest.mark.parametrize("y,z", [(100, 10), (2_000, 20), (20_000, 40)])
-def test_upper_bound_equals_per_node_reference(kind_problems, y, z):
+def test_upper_bound_equals_per_node_reference(kind_problems, oracle, y, z):
     for p in kind_problems:
         rep = fundamental_upper_bound(p, y, z, with_exact=False)
-        assert (rep.upper_bound, rep.remainder_bound) == _reference_upper_bound(p, y, z), (
-            p.kind, y, z,
-        )
+        main, rem = oracle.quadratic_sums(p, y, z)
+        assert (rep.upper_bound, rep.remainder_bound) == (main + rem, rem), (p.kind, y, z)
 
 
 def test_support_cap_fires_past_its_size(tables_small, monkeypatch):
     p = make_problem("interval", {"x": 0, "y": 10_000}, tables_small)
-    size = len(_support(list(_sieve_densities(20, p.omega, p.prime_set, p.tables)), 400))
+    size = len(support(list(_sieve_densities(20, p.omega, p.prime_set, p.tables)), below(400)))
     monkeypatch.setattr(sb, "MAX_SUPPORT", size)
     fundamental_upper_bound(p, 400, 20, with_exact=False)
     monkeypatch.setattr(sb, "MAX_SUPPORT", size - 1)

@@ -1,22 +1,20 @@
-"""The column divisor walk against the per-node reference walk it replaced.
+"""The column divisor walk and every consumer of it, against the oracle.
 
-Every consumer of the walk is compared with the same quantity computed from
-``walk_reference.reference_walk`` (exact values and float sums with ==),
-and every walk with the reference's node set, columns included.  The walk
-rules are given to the reference in their original form (d q < y,
-d q <= n, d q^3 < y), so the integer bounds are checked too, at the edges
-where d q equals y and where products reach 2^53 and 2^63.  The strike
-sift and the CRT counts are compared with the member scans they replaced
-(``reference_survivors`` and the reference walk's per-child filter).  The
-float sums M+- and G are also held to the exact rationals of
-``exact_reference``, within the bounds stated there.
+Every walk is compared with the oracle's node-by-node enumeration of the
+same support, columns included, and every consumer (the remainder sums,
+main terms, bounds, Moebius sums, G and the Legendre count) with the
+oracle's sums over it, exact values and float sums with ==.  The oracle
+states each walk rule in its original form (d q < y, d q <= n,
+d q^3 < y), so the integer bounds are checked too, at the edges where
+d q equals y and where products reach 2^53 and 2^63.  The strike sift and
+the CRT counts are compared with the oracle's member scans.  The float
+sums M+- and G are also held to exact rationals, within the bounds stated
+in ``exact_reference``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,24 +24,12 @@ from exact_reference import (
     _divisors,
     _multiplicative,
     close,
-    exact_mobius,
     mobius_close,
 )
-from walk_reference import (
-    at_most_admit,
-    below_admit,
-    chain_admit,
-    members_array,
-    nodes,
-    previous_chain_divisor_sums,
-    reference_members,
-    reference_survivors,
-    reference_walk,
-)
+from oracle import GRID, STRIKE_POINTS, at_most, below as below_rule, chain, support, walk_nodes
 
 import sievelab.problem as problem
 import sievelab.selberg as selberg
-from sievelab.arith import factorize
 from sievelab.errors import CapacityError, InputError
 from sievelab.legendre import legendre_count, legendre_remainder_sum
 from sievelab.problem import (
@@ -64,7 +50,6 @@ from sievelab.rosser import (
 )
 from sievelab.selberg import (
     MAX_SUPPORT,
-    _sieve_densities,
     big_G,
     fundamental_upper_bound,
     lambda_weights,
@@ -74,184 +59,92 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
 def _same(walk, ref) -> bool:
-    return nodes(walk) == sorted(ref)
-
-
-# -- the derandomized grid: seven kinds, the cuts and levels below ------------
-
-GRID = [(z, y) for z in (2, 7, 30, 60) for y in (2.0, 100.0, 945.0, 3000.5, 30030.0)]
-
-
-def _ref_remainders(p, walk):
-    """Each node's (main, R_d), the main term X w(d)/d with w(d) rounded once."""
-    mains = [float(p.X) * float(w) / d for d, _, w, _, _ in walk]
-    return [(main, c - main) for main, (_, _, _, c, _) in zip(mains, walk)]
-
-
-def _ref_legendre(p, rp):
-    walk = list(reference_walk(p, rp, at_most_admit(p.n_bound), prune_empty=True))
-    count = sum(-c if nu % 2 else c for _, nu, _, c, _ in walk)
-    suf = [1.0] * (len(rp) + 1)
-    for j in range(len(rp) - 1, -1, -1):
-        suf[j] = suf[j + 1] * (1.0 + float(p.omega.at_prime(rp[j])) / rp[j])
-    terms = []
-    for d, _, w, c, i in walk:
-        main = float(p.X) * float(w) / d
-        if c == 0:
-            terms.append(main * suf[i])
-        else:
-            j = max(i, bisect.bisect_right(rp, p.n_bound // d))
-            terms += (abs(c - main), main * (suf[j] - 1.0))
-    return walk, count, math.fsum(terms)
-
-
-def _ref_mobius(p, y, desc, sign):
-    factors = {q: -float(p.omega.at_prime(q)) / q for q in desc}
-    walk = reference_walk(None, desc, chain_admit(y, sign), factors)
-    return math.fsum(t for _, _, t, _, _ in walk)
-
-
-def _g_at(omega, ps):
-    return {q: (w := omega.at_prime(q)) / (q - w) for q in ps}
+    return walk_nodes(walk) == sorted(ref)
 
 
 @pytest.mark.parametrize("z,y", GRID)
-def test_every_walk_consumer_equals_the_reference(kind_problems, z, y):
+def test_every_walk_consumer_equals_the_reference(kind_problems, oracle, z, y):
     for p in kind_problems:
-        rp = [int(q) for q in sieve_primes(p, z)]
+        rp = oracle.sieve_primes(p, z)
         desc = rp[::-1]
         tag = (p.kind, z, y)
-        # the quadratic-form remainder over d < y
-        ref = list(reference_walk(p, rp, below_admit(y), max_nodes=MAX_SUPPORT))
+        assert sieve_primes(p, z).tolist() == rp, tag
+        # the quadratic-form bound over d < y
+        ref = oracle.nodes(p, rp, below_rule(y))
         assert _same(divisor_walk(p, rp, below(y), max_nodes=MAX_SUPPORT), ref), tag
-        recs = _ref_remainders(p, ref)
-        want = math.fsum(3**nu * abs(r) for (_, nu, *_), (_, r) in zip(ref, recs))
         quad = fundamental_upper_bound(p, y, z, with_exact=False)
-        assert quad.remainder_bound == want, tag
+        assert (quad.main_term, quad.remainder_bound) == oracle.quadratic_sums(p, y, z), tag
         # the chain supports, their main terms and remainders
         if z <= y:
             pair = combinatorial_bounds(p, y, z, with_exact=False)
             for sign, rep in ((1, pair.upper), (-1, pair.lower)):
-                ref = list(reference_walk(p, desc, chain_admit(y, sign)))
+                ref = oracle.nodes(p, desc, chain(y, sign))
                 assert _same(divisor_walk(p, desc, _chain_admit(y, sign)), ref), (*tag, sign)
-                recs = _ref_remainders(p, ref)
-                assert rep.remainder_bound == math.fsum(abs(r) for _, r in recs), (*tag, sign)
-                main = math.fsum(-m if nu % 2 else m for (_, nu, *_), (m, _) in zip(ref, recs))
-                assert rep.main_term == main, (*tag, sign)
-                m = _ref_mobius(p, y, desc, sign)
+                sums = oracle.chain_sums(p, y, z, sign)
+                assert (rep.main_term, rep.remainder_bound) == sums, (*tag, sign)
+                m = oracle.mobius(p, y, z, sign)
                 assert truncated_mobius_sum(p, y, z, sign) == m, (*tag, sign)
-                assert mobius_close(m, *exact_mobius(p, y, z, sign)), (*tag, sign)
+                assert mobius_close(m, *oracle.mobius_exact(p, y, z, sign)), (*tag, sign)
         # inclusion-exclusion: the pruned walk, its count and remainder sum
         if len(rp) <= 25 and y == 2.0:
-            ref, count, rem = _ref_legendre(p, rp)
+            ref = oracle.nodes(p, rp, at_most(p.n_bound), prune_empty=True)
             walk = divisor_walk(p, rp, Admit(p.n_bound), prune_empty=True)
             assert _same(walk, ref), tag
-            assert legendre_count(p, z) == count, tag
-            assert legendre_remainder_sum(p, z) == rem, tag
+            assert legendre_count(p, z) == oracle.sifted(p, z), tag
+            assert legendre_remainder_sum(p, z) == oracle.legendre_remainder_sum(p, z), tag
 
 
 @pytest.mark.parametrize("z,xi", [(7, 100.0), (30, 945.0), (60, 3000.5), (60, 30030.0)])
-def test_selberg_walks_equal_the_reference(kind_problems, z, xi):
+def test_selberg_walks_equal_the_reference(kind_problems, oracle, z, xi):
     for p in kind_problems:
-        ps = list(_sieve_densities(z, p.omega, p.prime_set, p.tables))
-        g_at = _g_at(p.omega, ps)
-        ref = list(reference_walk(None, ps, below_admit(xi), g_at, max_nodes=MAX_SUPPORT))
+        g_at = oracle.g(p, z)
+        ps = list(g_at)
+        ref = support(ps, below_rule(xi), g_at)
         assert _same(divisor_walk(None, ps, below(xi), g_at, max_nodes=MAX_SUPPORT), ref)
-        floats = {q: float(g) for q, g in g_at.items()}
         G = big_G(xi, z, p.omega, p.prime_set, p.tables)
-        assert G == math.fsum(g for _, _, g, _, _ in reference_walk(
-            None, ps, below_admit(xi), floats, max_nodes=MAX_SUPPORT))
+        assert G == oracle.G(p, xi, z)
         assert close(G, sum((g for _, _, g, _, _ in ref), Fraction(0))), (p.kind, z, xi)
         w = lambda_weights(xi, z, p.omega, p.prime_set, p.tables)
         want = {d: g for d, _, g, _, _ in ref}
-        want[1] = Fraction(1)
         assert w.g_values == want and w.exact, (p.kind, z, xi)
 
 
 @pytest.mark.parametrize("y", [2.0, 30.0, 100.0, 945.0, 1e4])
-def test_sandwich_values_and_divisor_sums_equal_the_reference(tables_small, y):
-    sums = {s: chain_divisor_sums(2000, y, s, tables_small) for s in (-1, 1)}
+def test_sandwich_values_and_divisor_sums_equal_the_reference(tables_small, oracle, y):
+    lo, hi = (oracle.divisor_sums(2000, y, s) for s in (-1, 1))
+    assert np.array_equal(chain_divisor_sums(2000, y, -1, tables_small), lo), y
+    assert np.array_equal(chain_divisor_sums(2000, y, 1, tables_small), hi), y
     mob = tables_small.mobius_table()
     for m in range(1, 2001):
-        if not mob[m]:
-            continue
-        facs = [q for q, _ in factorize(m, tables_small)][::-1]
-        lo, hi = (
-            sum(v for _, _, v, _, _ in reference_walk(
-                None, facs, chain_admit(y, s), dict.fromkeys(facs, -1)))
-            for s in (-1, 1)
-        )
-        assert lo <= int(m == 1) <= hi, (m, y)
-        assert (sums[-1][m], sums[1][m]) == (lo, hi), (m, y)
+        if mob[m]:
+            assert lo[m] <= int(m == 1) <= hi[m], (m, y)
 
 
 # -- the strike sift and the CRT counts against the member scan --------------
 
 
-def _draws():
-    """Three parameter draws per kind (a fixed seed), then the edges: q | 2N
-    (2N = 2310 = 2 3 5 7 11, and 2N = 6), q = 2 for both CRT kinds (always
-    one of their sieve primes), a progression with k = 1 and one with no
-    members, Liouville at x = 1, an interval from 0, and N - p with every
-    prime up to 11 dividing N (N = 2310) and with the prime N/2 off the
-    mask (N = 9998 = 2 4999)."""
-    r = random.Random("strike-and-crt")
-    out = []
-    for _ in range(3):
-        k = r.randrange(1, 40)
-        l = r.choice([l for l in range(k) if math.gcd(l, k) == 1])
-        out += [
-            ("interval", {"x": r.randrange(0, 10**6), "y": r.randrange(1, 3_000)}),
-            ("arithmetic_progression", {"x": r.randrange(1, 30_000), "k": k, "l": l}),
-            ("goldbach_product", {"two_N": 2 * r.randrange(3, 1_500)}),
-            ("shifted_prime", {"N": 2 * r.randrange(4, 5_000)}),
-            ("square_plus_one", {"x": r.randrange(1, 3_000)}),
-            ("liouville_plus", {"x": r.randrange(1, 10_000)}),
-            ("liouville_minus", {"x": r.randrange(1, 10_000)}),
-        ]
-    return out + [
-        ("goldbach_product", {"two_N": 2_310}),
-        ("goldbach_product", {"two_N": 6}),
-        ("square_plus_one", {"x": 1}),
-        ("square_plus_one", {"x": 2}),
-        ("arithmetic_progression", {"x": 2_000, "k": 1, "l": 0}),
-        ("arithmetic_progression", {"x": 5, "k": 7, "l": 6}),
-        ("liouville_plus", {"x": 1}),
-        ("liouville_minus", {"x": 1}),
-        ("interval", {"x": 0, "y": 3_000}),
-        ("shifted_prime", {"N": 8}),
-        ("shifted_prime", {"N": 2_310}),
-        ("shifted_prime", {"N": 9_998}),
-    ]
-
-
-STRIKE_CASES = _draws()
-
-
 @pytest.mark.parametrize(
-    "kind,params", STRIKE_CASES, ids=[f"{k}-{sorted(v.items())}" for k, v in STRIKE_CASES]
+    "kind,params", STRIKE_POINTS, ids=[f"{k}-{sorted(v.items())}" for k, v in STRIKE_POINTS]
 )
-def test_strike_and_crt_counts_equal_the_member_scan(tables_small, kind, params):
+def test_strike_and_crt_counts_equal_the_member_scan(tables_small, oracle, kind, params):
     p = make_problem(kind, params, tables_small)
-    mem = reference_members(p)
-    assert members_array(p).dtype == mem.dtype and members_array(p).tolist() == mem.tolist()
+    mem = oracle.members(p)
     struck = problem._values(p, np.flatnonzero(problem._strike(p, [])))
-    assert members_array(p).dtype == struck.dtype and members_array(p).tolist() == struck.tolist()
+    assert struck.dtype == mem.dtype and struck.tolist() == mem.tolist()
     for z in (1.5, 2, 3, 7, 30, 60, 200):
-        rp = sieve_primes(p, z)
-        want = reference_survivors(mem, rp)
+        want = oracle.survivors(p, z)
         got = sifted_members(p, z)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), z
         assert sift_exact(p, z) == want.size, z
-    rp = [int(q) for q in sieve_primes(p, 60)]
-    for y in (30.0, 1e4):  # every node's #A_d, the CRT kinds' against the per-child filter
-        assert _same(divisor_walk(p, rp, below(y)), reference_walk(p, rp, below_admit(y))), y
+    rp = oracle.sieve_primes(p, 60)
+    for y in (30.0, 1e4):  # every node's #A_d, the CRT kinds' included
+        assert _same(divisor_walk(p, rp, below(y)), oracle.nodes(p, rp, below_rule(y))), y
     rp = rp[:8]
     walk = divisor_walk(p, rp, Admit(p.n_bound), prune_empty=True)
-    assert _same(walk, reference_walk(p, rp, at_most_admit(p.n_bound), prune_empty=True))
+    assert _same(walk, oracle.nodes(p, rp, at_most(p.n_bound), prune_empty=True))
     walk = divisor_walk(p, rp, below(3e4))  # past the 10^4 tables
     for d, c in zip(walk.d.tolist(), walk.count.tolist()):
-        assert c == np.count_nonzero(mem % d == 0), d
+        assert c == oracle.count(p, d), d
 
 
 # -- rule edges ---------------------------------------------------------------
@@ -262,10 +155,10 @@ def test_strike_and_crt_counts_equal_the_member_scan(tables_small, kind, params)
 def test_below_is_exact_where_d_q_equals_y(y):
     ps = PRIMES[:5]
     factors = dict.fromkeys(ps, 1)
-    ref = list(reference_walk(None, ps, below_admit(y), factors))
+    ref = support(ps, below_rule(y), factors)
     assert _same(divisor_walk(None, ps, below(y), factors), ref), y
     n = math.floor(y)
-    ref = list(reference_walk(None, ps, at_most_admit(n), factors))
+    ref = support(ps, at_most(n), factors)
     assert _same(divisor_walk(None, ps, Admit(n), factors), ref), n
 
 
@@ -275,7 +168,7 @@ def test_below_is_exact_where_d_q_equals_y(y):
 def test_chain_is_exact_where_d_q3_equals_y(y, sign):
     desc = PRIMES[:8][::-1]
     mu = dict.fromkeys(desc, -1)
-    ref = list(reference_walk(None, desc, chain_admit(y, sign), mu))
+    ref = support(desc, chain(y, sign), mu)
     assert _same(divisor_walk(None, desc, _chain_admit(y, sign), mu), ref), (y, sign)
 
 
@@ -285,17 +178,16 @@ def test_chain_with_a_cap_is_exact_where_d_q_equals_n(n, sign):
     desc = PRIMES[::-1]  # their product passes int64; the cap keeps every d <= n
     mu = dict.fromkeys(desc, -1)
     for y in (27.0, 945.0, 1e5, 1e30):
-        chain = chain_admit(y, sign)
-        ref = list(reference_walk(None, desc, lambda d, nu, q: chain(d, nu, q) and d * q <= n, mu))
+        ref = support(desc, chain(y, sign, cap=n), mu)
         got = divisor_walk(None, desc, _chain_admit(y, sign)._replace(cap=n), mu)
         assert _same(got, ref), (n, y, sign)
 
 
-def test_chain_divisor_sums_walk_only_the_kept_divisors(tables_small):
+def test_chain_divisor_sums_walk_only_the_kept_divisors(tables_small, oracle):
     for n in (1, 2, 3, 10, 97, 210, 999, 1999, 2000):
         for y in (1.0, 2.0, 8.0, 30.0, 945.0, 1e4, 1e5, 1e6):
             for sign in (1, -1):
-                want = previous_chain_divisor_sums(n, y, sign, tables_small)
+                want = oracle.divisor_sums(n, y, sign)
                 assert np.array_equal(chain_divisor_sums(n, y, sign, tables_small), want), (n, y)
     desc = tables_small.primes[tables_small.primes <= 2000][::-1].tolist()
     mu = dict.fromkeys(desc, -1)
@@ -312,10 +204,10 @@ def test_products_near_2_to_the_53():
     assert math.prod(ps) > 2**53 > math.prod(ps[:13])
     ones = dict.fromkeys(ps, 1)
     for y in (2.0**53, math.nextafter(2.0**53, math.inf), 2.0**53 - 2):
-        ref = list(reference_walk(None, ps, below_admit(y), ones))
+        ref = support(ps, below_rule(y), ones)
         assert _same(divisor_walk(None, ps, below(y), ones), ref), y
     for n in (2**53 - 1, 2**53, 2**53 + 1):
-        ref = list(reference_walk(None, ps, at_most_admit(n), ones))
+        ref = support(ps, at_most(n), ones)
         assert _same(divisor_walk(None, ps, Admit(n), ones), ref), n
 
 
@@ -324,9 +216,9 @@ def test_products_near_2_to_the_63():
     assert math.prod(ps) > INT64_MAX > math.prod(ps[:15])
     ones = dict.fromkeys(ps, 1)
     for n in (INT64_MAX, INT64_MAX - 1):
-        ref = list(reference_walk(None, ps, at_most_admit(n), ones))
+        ref = support(ps, at_most(n), ones)
         assert _same(divisor_walk(None, ps, Admit(n), ones), ref), n
-    ref = list(reference_walk(None, ps, below_admit(2.0**63), ones))
+    ref = support(ps, below_rule(2.0**63), ones)
     assert _same(divisor_walk(None, ps, below(2.0**63), ones), ref)
     # a walk whose divisors could pass int64 is refused before it starts
     for rule in (Admit(2**63), below(1e19), _chain_admit(1e30, 1)):
@@ -335,23 +227,23 @@ def test_products_near_2_to_the_63():
     # a chain level past int64 over primes whose product is not: exact per node
     desc = ps[:15][::-1]
     for y, sign in ((1e30, 1), (1e30, -1), (2.0**63, 1), (2.0**64, -1)):
-        ref = list(reference_walk(None, desc, chain_admit(y, sign), ones))
+        ref = support(desc, chain(y, sign), ones)
         assert _same(divisor_walk(None, desc, _chain_admit(y, sign), ones), ref), (y, sign)
 
 
-def test_counts_near_int64(tables_small):
+def test_counts_near_int64(tables_small, oracle):
     x = INT64_MAX - 10**6
     p = make_problem("interval", {"x": x, "y": 10**6}, tables_small)
     assert p.n_bound == INT64_MAX
     rp = [int(q) for q in sieve_primes(p, 30)]
-    ref = list(reference_walk(p, rp, at_most_admit(p.n_bound)))
+    ref = oracle.nodes(p, rp, at_most(p.n_bound))
     assert _same(divisor_walk(p, rp, Admit(p.n_bound)), ref)
     assert legendre_count(p, 30) == sift_exact(p, 30)
     # a progression modulus past sqrt(int64): the inverses run on exact ints
     k = 2**62 + 1
     p = make_problem("arithmetic_progression", {"x": 2**62 + 10**6, "k": k, "l": 7}, tables_small)
     rp = [int(q) for q in sieve_primes(p, 30)]
-    ref = list(reference_walk(p, rp, at_most_admit(p.n_bound)))
+    ref = oracle.nodes(p, rp, at_most(p.n_bound))
     assert _same(divisor_walk(p, rp, Admit(p.n_bound)), ref)
 
 
@@ -374,10 +266,10 @@ def test_walk_refuses_a_level_past_its_class_cap(tables_small, monkeypatch):
         return crt_counts(shape, mask, cls, seg, parent, dp, q, roots, keep)
 
     monkeypatch.setattr(problem, "_crt_counts", recording)
-    want = nodes(divisor_walk(p, rp, Admit(p.n_bound)))
+    want = walk_nodes(divisor_walk(p, rp, Admit(p.n_bound)))
     monkeypatch.setattr(problem, "_crt_counts", crt_counts)
     monkeypatch.setattr(problem, "MAX_WALK_CLASSES", max(lifts))
-    assert nodes(divisor_walk(p, rp, Admit(p.n_bound))) == want
+    assert walk_nodes(divisor_walk(p, rp, Admit(p.n_bound))) == want
     monkeypatch.setattr(problem, "MAX_WALK_CLASSES", max(lifts) - 1)
     refused = f"CRT classes .*: {max(lifts)} is past the cap of {max(lifts) - 1}$"
     with pytest.raises(CapacityError, match=refused):
@@ -387,8 +279,8 @@ def test_walk_refuses_a_level_past_its_class_cap(tables_small, monkeypatch):
 def test_walk_over_no_primes_is_the_root(tables_small):
     p = make_problem("arithmetic_progression", {"x": 1000, "k": 7, "l": 3}, tables_small)
     walk = divisor_walk(p, [], below(100.0))
-    assert nodes(walk) == [(1, 0, 1, 143, 0)]
-    assert nodes(divisor_walk(None, [], _chain_admit(10.0, -1), {})) == [(1, 0, 1, None, 0)]
+    assert walk_nodes(walk) == [(1, 0, 1, 143, 0)]
+    assert walk_nodes(divisor_walk(None, [], _chain_admit(10.0, -1), {})) == [(1, 0, 1, None, 0)]
     with pytest.raises(InputError):
         _chain_admit(10.0, 0)
 
@@ -396,32 +288,30 @@ def test_walk_over_no_primes_is_the_root(tables_small):
 # -- the float fallback of lambda_weights ----------------------------------
 
 
-def _reference_float_lambdas(xi, z, omega, prime_set, tables):
-    """lambda_weights' float path with its support in the reference walk's order."""
-    ps = list(_sieve_densities(z, omega, prime_set, tables))
-    g_values = {d: g for d, _, g, _, _ in
-                reference_walk(None, ps, below_admit(xi), _g_at(omega, ps), max_nodes=MAX_SUPPORT)}
-    g_values[1] = Fraction(1)
-    support = [(d, tuple(q for q in ps if d % q == 0)) for d in g_values]
-    w_values = _multiplicative(support, {q: omega.at_prime(q) for q in ps})
-    g = {d: float(v) for d, v in g_values.items()}
+def _reference_float_lambdas(oracle, p, xi, z):
+    """lambda_weights' float path with its support in the oracle's order."""
+    g_at = oracle.g(p, z)
+    ps = list(g_at)
+    g = {d: float(v) for d, _, v, _, _ in support(ps, below_rule(xi), g_at)}
+    factored = [(d, tuple(q for q in ps if d % q == 0)) for d in g]
+    w_values = _multiplicative(factored, {q: p.omega.at_prime(q) for q in ps})
     total = math.fsum(g.values())
     multiples = dict.fromkeys(g, 0.0)
-    for m, facs in support:
+    for m, facs in factored:
         for d in _divisors(facs):
             multiples[d] += g[m]
     return {
         d: (-1 if len(facs) % 2 else 1) * (d / float(w_values[d])) * multiples[d] / total
-        for d, facs in support
+        for d, facs in factored
     }
 
 
 @pytest.mark.parametrize("xi,z", [(3000.0, 200.0), (20_000.0, 100.0)])
-def test_float_weights_move_by_at_most_the_stated_amount(tables_small, monkeypatch, xi, z):
+def test_float_weights_move_by_at_most_the_stated_amount(tables_small, oracle, monkeypatch, xi, z):
     monkeypatch.setattr(selberg, "MAX_EXACT_SUPPORT", 10)  # the float path on a small support
     p = make_problem("interval", {"x": 0, "y": 10}, tables_small)
     got = lambda_weights(xi, z, p.omega, p.prime_set, tables_small)
-    want = _reference_float_lambdas(xi, z, p.omega, p.prime_set, tables_small)
+    want = _reference_float_lambdas(oracle, p, xi, z)
     assert not got.exact and got.lambdas.keys() == want.keys()
     change = max(abs(got.lambdas[d] - v) / abs(v) for d, v in want.items() if v)
     assert change <= FLOAT_WEIGHT_CHANGE
