@@ -68,7 +68,8 @@ MUTANTS = [
 
 
 def failed_tests(package_dir: Path, tests: list[str]) -> tuple[int, set[str]]:
-    """(pytest's exit code, the ids of the tests that failed) with the package imported from package_dir."""
+    """pytest's exit code and the ids of the tests that failed, with the
+    package imported from package_dir."""
     env = dict(os.environ, PYTHONPATH=str(package_dir), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
@@ -92,7 +93,7 @@ def main() -> int:
         named = sorted({t for *_, tests in MUTANTS for t in tests})
         code, failed = failed_tests(Path(tmp), named)
         if code != 0:
-            print(f"the named tests do not pass on the unchanged package (exit {code}): {sorted(failed)}")
+            print(f"the named tests fail on the unchanged package (exit {code}): {sorted(failed)}")
             return 2
         survivors = 0
         for name, old, new, breaks, tests in MUTANTS:

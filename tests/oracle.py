@@ -228,7 +228,8 @@ class Oracle:
     def chain_sums(self, p, y, z, sign) -> tuple[float, float]:
         """(main, rem) of a chain bound: the fsums of mu(d) X w(d)/d and of
         |R_d| over the d < y of the support from the sieve primes below z."""
-        nodes = [n for n in self.nodes(p, self.sieve_primes(p, z)[::-1], chain(y, sign)) if n[0] < y]
+        desc = self.sieve_primes(p, z)[::-1]
+        nodes = [n for n in self.nodes(p, desc, chain(y, sign)) if n[0] < y]
         recs = self.remainders(p, nodes)
         main = math.fsum(-m if nu % 2 else m for (_, nu, *_), (m, _) in zip(nodes, recs))
         return main, math.fsum(abs(r) for _, r in recs)
@@ -248,7 +249,8 @@ class Oracle:
         """(main, rem) of the quadratic-form bound: X / G(sqrt(y), z), and the
         fsum of 3^nu(d) |R_d| over the squarefree d < y from the sieve primes."""
         nodes = self.nodes(p, self.sieve_primes(p, z), below(y))
-        rem = math.fsum(3**nu * abs(r) for (_, nu, *_), (_, r) in zip(nodes, self.remainders(p, nodes)))
+        recs = self.remainders(p, nodes)
+        rem = math.fsum(3**nu * abs(r) for (_, nu, *_), (_, r) in zip(nodes, recs))
         return float(p.X) / self.G(p, math.sqrt(y), z), rem
 
     def _mobius_support(self, p, y, z, sign, exact):
@@ -284,7 +286,8 @@ class Oracle:
             if c == 0:  # itself and its whole subtree
                 terms.append(main * suf[i])
             else:  # the children past n_bound and their subtrees
-                terms += (abs(r), main * (suf[max(i, bisect.bisect_right(rp, p.n_bound // d))] - 1.0))
+                j = max(i, bisect.bisect_right(rp, p.n_bound // d))
+                terms += (abs(r), main * (suf[j] - 1.0))
         return math.fsum(terms)
 
     def remainder_sum_exact(self, p, z) -> Fraction:
