@@ -1,8 +1,8 @@
 """The upper and lower limit curves F and f of the linear sieve.
 
-Integrates the coupled delay equations on a uniform grid, compares a
-few values against closed forms known on the first panels, and shows
-both curves collapsing onto 1 exponentially fast.
+Solves the coupled delay equations one unit [k, k + 1] at a time as
+power series, compares a few values against closed forms known on the
+first units, and shows both curves collapsing onto 1 exponentially fast.
 """
 
 import math
@@ -12,7 +12,7 @@ from sievelab import EULER_GAMMA, build_grid, evaluate
 grid = build_grid(30.0, 1e-4)
 eg = math.exp(EULER_GAMMA)
 
-print("closed forms on the early panels")
+print("closed forms on the early units")
 checks = [
     ("F(2)", evaluate(grid, 2.0, "F"), eg),
     ("F(3)", evaluate(grid, 3.0, "F"), 2.0 * eg / 3.0),
@@ -24,7 +24,7 @@ for name, got, want in checks:
     print(f"  {name} = {got:.12f}   closed form {want:.12f}   diff {abs(got-want):.2e}")
 
 print()
-print(f"join defect across panel boundaries: {grid.join_error:.2e}")
+print(f"series f against its closed form on (2, 4]: {grid.join_error:.2e}")
 
 print()
 print("F and f approach 1 from opposite sides")

@@ -8,26 +8,35 @@ with F(s) = 2 e^gamma / s on 0 < s <= 3 and f(s) = 0 on 0 < s <= 2 (hence
 f(s) = 2 e^gamma log(s - 1)/s on 2 <= s <= 4).  Both tend to 1 from their
 respective sides as s grows.
 
-The grid builder integrates the equivalent integral forms
+On each unit [k, k + 1] the builder writes s (F(s) - 1) and s (f(s) - 1)
+as power series in u = s - k - 1/2 (Marsaglia, Zaman and Marsaglia, Math.
+Comp. 53, 1989; Wheeler, Trans. AMS 318, 1990).  F = f = 1 solves the delay
+equations, so the deviations from 1 do too, and s - 1 has the same u on the
+unit before: with D = s (F - 1) and d = s (f - 1),
 
-    s F(s) = 3 F(3) + integral of f(t - 1) from 3 to s,
-    s f(s) = 4 f(4) + integral of F(t - 1) from 4 to s,
+    dD/du on unit k = (d on unit k - 1) / (k - 1/2 + u),
 
-one unit-length panel at a time with cumulative composite Simpson on a step
-1/m that divides 1 exactly, so the delayed argument t - 1 always lands back
-on the grid.  Closed forms override the grid on their validity ranges.
+and the same with D and d swapped.  So each unit's series is the other
+function's series on the unit before times the geometric series of
+1/(k - 1/2 + u), integrated term by term, plus the constant that makes it
+continuous at s = k.  It starts from D = 2 e^gamma - s on units 0-2 and
+d = -s on units 0-1, so unit 2 of f is the series of its closed form, and
+``join_error`` is how far apart the two are.  The series hold deviations
+because F - f falls below the rounding of a number near 1 from about s = 13
+(F(14) - 1 = 3.5e-17); series of s F and s f put F below f there.
 
-The integration is one generator of unit panels: it yields F and f on
-[j, j + 1], m + 1 points each, and keeps only the unit before, which is all
-the delay equations read.  ``build_grid`` fills its two columns from it, and
-``grid_panels`` hands it out, so the halved-step check of the acceptance
-suite holds four panels of the finer grid, not the whole of it.  The grid
-holds F and f and nothing else: s_k is formed from k where it is read.
+Since |u| <= 1/2 and k - 1/2 >= 3/2, each term of 1/(k - 1/2 + u) is at
+most a third of the one before.  ``TERMS`` = 40 truncates at 3^-40, about
+1e-19, below the float64 rounding; half as many still agree with 40 to
+about 1e-11 on (3, 30], which the delay-grid suite checks to 1e-8, and 24
+would not (1e-7 between 24 and 12).  A grid holds 2 x 40 coefficients per
+unit and the step 1/m of its nodes s_k = k/m, nothing of full size: F and f
+at the nodes are tabulated a chunk at a time where they are read.
 
 Building a grid costs far less than parsing one back from text, so the CSV
 cache of ``grid_cached`` is an export only: it is written, never read.  It
-and ``buchstab --format csv`` share one writer, ``write_csv``, which formats
-a chunk of rows at a time.
+and ``buchstab --format csv`` share one writer, ``write_csv``, which
+tabulates and formats a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -42,79 +51,86 @@ import numpy as np
 from .arith import EULER_GAMMA
 from .errors import InputError, finite, integer, within
 
-#: most grid points build_grid allocates (two float64 arrays of this length)
+#: most nodes s_k = k/m a grid spans (s_max/step), one export row each
 MAX_GRID_CELLS = 5_000_000
+#: coefficients per unit of each series
+TERMS = 40
 _SAVE_CHUNK = 8192  # rows formatted per write
 _TWO_EG = 2.0 * math.exp(EULER_GAMMA)
 
 
 @dataclass
 class BuchstabGrid:
-    """F and f at s_k = k/m, k = 1..s_max*m (index 0 is NaN), and nothing else:
-    s_k is the float64 quotient k/m, formed by ``s_values`` where it is read."""
+    """F and f on (0, s_max] as per-unit series, with nodes s_k = k/m for the
+    export: ``series[0, k]`` and ``series[1, k]`` are the coefficients of
+    s (F(s) - 1) and s (f(s) - 1) in u = s - k - 1/2 on [k, k + 1]."""
 
     m: int
     s_max: float
-    F_values: np.ndarray
-    f_values: np.ndarray
+    series: np.ndarray
     join_error: float
 
     @property
     def step(self) -> float:
         return 1.0 / self.m
 
+    @property
+    def nodes(self) -> int:
+        """The last node's index, s_max * m; the nodes are k = 1 .. nodes."""
+        return round(self.s_max) * self.m
+
     def s_values(self, lo: int, hi: int) -> np.ndarray:
         """s_k = k/m for lo <= k < hi."""
-        return _s_values(self.m, lo, hi)
+        s = np.arange(lo, hi, dtype=np.float64)
+        s /= self.m
+        return s
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """F and f (rows 0 and 1) at s_k for 1 <= lo <= k < hi <= nodes + 1, each
+        from the series of the unit [j, j + 1) that holds s_k (s_max from the
+        last): ``evaluate``'s values bit for bit off its closed forms.  F on
+        (0, 3] and f on (0, 2] are their closed forms, since s (F - 1) and
+        s (f - 1) carry fewer of their digits than F and f have as s falls to 0."""
+        s = self.s_values(lo, hi)
+        out = np.empty((2, s.size))
+        last = self.series.shape[1] - 1
+        for j in range(min(lo // self.m, last), min((hi - 1) // self.m, last) + 1):
+            a = max(j * self.m - lo, 0)
+            b = s.size if j == last else min((j + 1) * self.m - lo, s.size)
+            out[:, a:b] = _horner(self.series[:, j].T[..., None], s[a:b] - j - 0.5)
+        out /= s
+        out += 1.0
+        two, three = (min(max(j * self.m + 1 - lo, 0), s.size) for j in (2, 3))
+        out[0, :three] = _TWO_EG / s[:three]
+        out[1, :two] = 0.0
+        return out
 
 
-def _s_values(m: int, lo: int, hi: int) -> np.ndarray:
-    s = np.arange(lo, hi, dtype=np.float64)
-    s /= m
-    return s
+def _horner(coeffs, u):
+    """The sum of coeffs[n] u^n; u a float or an array broadcast with coeffs[n]."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * u + c
+    return acc
 
 
-def _cumulative_simpson(g: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """Cumulative integral of samples g on a uniform grid, Simpson accuracy, into out.
-
-    Even offsets use composite Simpson pairs; odd offsets add the standard
-    three-point half-panel rule.  len(g) must be odd (even panel count), and
-    out, of the same length, must not overlap g.
-    """
-    if (g.size - 1) % 2:
-        raise InputError("cumulative Simpson needs an even number of panels")
-    out[0] = 0.0
-    out[2::2] = np.cumsum((h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2]))
-    odd = np.multiply(g[1:-1:2], 8.0, out=out[1::2])  # staged in place: one temporary fewer
-    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * g[0:-2:2] + odd - g[2::2])
+def _series(smax: int, terms: int) -> np.ndarray:
+    """s (F - 1) and s (f - 1) on the units [k, k + 1], k < smax, as ``terms``
+    coefficients in u = s - k - 1/2: array [which, k, n], which 0 for F and 1 for f."""
+    out = np.zeros((2, smax, terms))
+    # the start, with s = k + 1/2 + u: s (F - 1) = 2 e^gamma - s on (0, 3], s (f - 1) = -s on (0, 2]
+    out[0, :3, 0] = _TWO_EG - 0.5 - np.arange(3)
+    out[1, :2, 0] = -0.5 - np.arange(2)
+    out[0, :3, 1] = out[1, :2, 1] = -1.0
+    n = np.arange(terms)
+    up, down = 0.5**n, (-0.5) ** n  # u^n at the unit's two ends
+    for k in range(2, smax):
+        inv = (-1.0 / (k - 0.5)) ** n / (k - 0.5)  # 1/(k - 1/2 + u)
+        for i in (1,) if k == 2 else (0, 1):  # F from unit 3 on, f from unit 2
+            new = out[i, k]
+            new[1:] = np.convolve(out[1 - i, k - 1], inv)[: terms - 1] / n[1:]
+            new[0] = out[i, k - 1] @ up - new @ down  # continuous at s = k
     return out
-
-
-def _closed_f(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """f(s) = 2 e^gamma log(s - 1) / s, valid on [2, 4]."""
-    f = np.subtract(s, 1.0, out=out)
-    np.log(f, out=f)
-    f *= _TWO_EG
-    f /= s
-    return f
-
-
-def _join_error(m: int) -> float:
-    """The largest |f - closed f| on (2, 4] with f rebuilt from the integral
-    form of the closed F, one unit panel at a time."""
-    worst, start = 0.0, 0.0  # 2 f(2) = 0
-    F, buf, f = np.empty(m + 1), np.empty(m + 1), np.empty(m)
-    for j in (2, 3):
-        np.divide(_TWO_EG, _s_values(m, (j - 1) * m, j * m + 1), out=F)  # closed F
-        seg = _cumulative_simpson(F, 1.0 / m, buf)
-        seg += start
-        start = seg[-1]
-        s = _s_values(m, j * m + 1, (j + 1) * m + 1)
-        err = seg[1:]
-        err /= s
-        err -= _closed_f(s, f)
-        worst = max(worst, float(np.max(np.abs(err, out=err))))
-    return worst
 
 
 def _grid_size(s_max: float, step: float) -> tuple[int, int]:
@@ -127,102 +143,44 @@ def _grid_size(s_max: float, step: float) -> tuple[int, int]:
     return smax, m
 
 
-def _panels(smax: int, m: int, F_col: np.ndarray | None = None, f_col: np.ndarray | None = None):
-    """Yield F and f on [j, j+1], m + 1 points each, for j = 0 .. smax - 1.
-
-    The first point of an integrated panel replaces the last point of the one
-    before, so panel j is yielded once panel j + 1 is built.  Each panel is a
-    view into F_col and f_col when they are given, else one of two buffers
-    per function used in turn.
-    """
-    h = 1.0 / m
-
-    def units(col):
-        if col is not None:
-            return [col[j * m : (j + 1) * m + 1] for j in range(smax)]
-        pair = (np.empty(m + 1), np.empty(m + 1))
-        return [pair[j % 2] for j in range(smax)]
-
-    def advance(out, src, prev, j, s):
-        # s out(s) = j out(j) + integral of src(t - 1) from j to s, src on [j-1, j]
-        base = j * prev[-1]
-        _cumulative_simpson(src, h, out)
-        out += base
-        out /= s
-        prev[-1] = out[0]
-
-    for j, (F, f) in enumerate(zip(units(F_col), units(f_col))):
-        s = _s_values(m, j * m, (j + 1) * m + 1)
-        if j == 0:
-            s[0] = np.nan  # s_0 is no point of the grid
-        if j < 3:
-            np.divide(_TWO_EG, s, out=F)  # F = 2 e^gamma / s
-        else:
-            advance(F, f_prev, F_prev, j, s)  # reads f on [j-1, j]
-        if j < 2:
-            np.multiply(s, 0.0, out=f)  # f = 0, and NaN at s_0
-        elif j < 4:
-            _closed_f(s, f)
-        else:
-            advance(f, F_prev, f_prev, j, s)  # reads F on [j-1, j], its end just replaced
-        del s
-        if j:
-            yield F_prev, f_prev
-        F_prev, f_prev = F, f
-    yield F_prev, f_prev
-
-
-def grid_panels(s_max: float = 30.0, step: float = 1e-4):
-    """Stream the grid of ``build_grid(s_max, step)`` as (F, f) unit panels.
-
-    Panel j holds F and f at s_k = k/m, k = j m .. (j + 1) m, m = 1/step, bit
-    for bit ``build_grid``'s values (s_0 is NaN).  A pair is valid until the
-    next is asked for: four unit panels, one of s and one of temporaries are
-    held, whatever s_max.
-
-    Raises:
-        InputError, CapacityError: as ``build_grid``, before anything is built.
-    """
-    smax, m = _grid_size(s_max, step)
-    return _panels(smax, m)
-
-
 def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
-    """Tabulate F and f up to s_max.
+    """F and f on (0, s_max] as per-unit series, with nodes at spacing step.
 
     Args:
         s_max: integer >= 6; the grid covers (0, s_max].
-        step: grid spacing; 1/step must be an even integer and step <= 1e-3.
+        step: spacing of the nodes s_k = k/m that the CSV export tabulates and
+            ``join_error`` reads; 1/step must be an even integer and step <= 1e-3.
 
     Raises:
         InputError: s_max or step outside the domain above.
         CapacityError: s_max/step exceeds MAX_GRID_CELLS; checked before
-            anything is allocated.
+            anything is built.
 
-    The returned ``join_error`` is the largest difference on 2 < s <= 4
-    between the integral-form value of f and its closed form, a direct
-    measure of the panel scheme's accuracy.  The panel stream writes into the
-    columns: beside F and f, only one unit panel's temporaries are held.
+    The returned ``join_error`` is the largest difference, over the nodes of
+    2 < s <= 4, between f from the series (the integral form of the closed F)
+    and its closed form, a direct measure of the recursion's accuracy.
     """
     smax, m = _grid_size(s_max, step)
-    join_error = _join_error(m)  # its buffers are freed before the columns exist
-    g = BuchstabGrid(m, float(smax), np.empty(smax * m + 1), np.empty(smax * m + 1), join_error)
-    for _ in _panels(smax, m, g.F_values, g.f_values):
-        pass
+    g = BuchstabGrid(m, float(smax), _series(smax, TERMS), 0.0)
+    for lo in (2 * m + 1, 3 * m + 1):  # one unit of nodes at a time
+        s = g.s_values(lo, lo + m)
+        err = g.values(lo, lo + m)[1] - _TWO_EG * np.log(s - 1.0) / s  # f closed on [2, 4]
+        g.join_error = max(g.join_error, float(np.max(np.abs(err))))
     return g
 
 
 def _csv_rows(grid: BuchstabGrid, lo: int, hi: int, digits: int = 17) -> str:
     """Rows k = lo .. hi - 1 as "s,F,f" lines at ``digits`` significant digits."""
-    rows = np.column_stack((grid.s_values(lo, hi), grid.F_values[lo:hi], grid.f_values[lo:hi]))
+    rows = np.column_stack((grid.s_values(lo, hi), *grid.values(lo, hi)))
     return f"%.{digits}g,%.{digits}g,%.{digits}g\n" * (hi - lo) % tuple(rows.ravel().tolist())
 
 
 def write_csv(grid: BuchstabGrid, fh, digits: int = 17) -> None:
-    """Write the grid to the text stream fh as CSV with header s,F,f, one
-    chunk of _SAVE_CHUNK rows per write, so only one chunk is held as text."""
+    """Write F and f at the grid's nodes to the text stream fh as CSV with
+    header s,F,f, one chunk of _SAVE_CHUNK rows per write, so only one chunk
+    is held as text."""
     fh.write("s,F,f\n")
-    top = grid.F_values.size
+    top = grid.nodes + 1
     for lo in range(1, top, _SAVE_CHUNK):
         fh.write(_csv_rows(grid, lo, min(lo + _SAVE_CHUNK, top), digits))
 
@@ -246,7 +204,7 @@ def save_grid(grid: BuchstabGrid, path: str | Path) -> None:
 def _holds_grid(path: str | Path, grid: BuchstabGrid) -> bool:
     """Whether ``path`` has the header, first row (step) and last row (s_max) of this grid."""
     head = ("s,F,f\n" + _csv_rows(grid, 1, 2)).encode()
-    tail = ("\n" + _csv_rows(grid, grid.F_values.size - 1, grid.F_values.size)).encode()
+    tail = ("\n" + _csv_rows(grid, grid.nodes, grid.nodes + 1)).encode()
     try:
         with open(path, "rb") as fh:
             if fh.read(len(head)) != head or fh.seek(0, os.SEEK_END) < len(head) + len(tail):
@@ -271,8 +229,8 @@ def grid_cached(s_max: float = 30.0, step: float = 1e-4, cache: str | Path | Non
 def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
     """Evaluate F or f at s, preferring closed forms where they hold.
 
-    Off the closed-form ranges the value is cubic interpolation through the
-    four nearest grid points, kept inside the tabulated range.
+    Off the closed-form ranges the value is the series of the unit [k, k + 1)
+    that holds s (s_max from the last), summed by Horner's rule and divided by s.
 
     Raises:
         InputError: s not a finite number in (0, s_max], or which not in {"F", "f"}.
@@ -288,15 +246,5 @@ def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
             return 0.0
         if s <= 4.0:
             return _TWO_EG * math.log(s - 1.0) / s
-    vals = grid.F_values if which == "F" else grid.f_values
-    lo = min(max(math.floor(s * grid.m) - 1, 1), vals.size - 4)
-    xs = [(lo + i) / grid.m for i in range(4)]
-    ys = vals[lo : lo + 4].tolist()
-    out = 0.0
-    for i in range(4):
-        term = ys[i]
-        for j in range(4):
-            if j != i:
-                term *= (s - xs[j]) / (xs[i] - xs[j])
-        out += term
-    return float(out)
+    k = min(int(s), grid.series.shape[1] - 1)
+    return 1.0 + _horner(grid.series["Ff".index(which), k].tolist(), s - k - 0.5) / s

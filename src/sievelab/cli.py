@@ -357,8 +357,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("buchstab", parents=[common])
     sp.add_argument("--s-max", type=float, default=30.0)
-    sp.add_argument("--step", type=float, default=1e-4)
-    sp.add_argument("--cache", default=None, help="export the grid to this CSV (never read)")
+    sp.add_argument("--step", type=float, default=1e-4, help="spacing of the exported s rows")
+    sp.add_argument("--cache", default=None, help="export F and f to this CSV (never read)")
 
     sp = sub.add_parser("weighted", parents=[common, prob])
     sp.add_argument("--r", type=float, default=None)

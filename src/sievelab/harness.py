@@ -16,7 +16,7 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,7 @@ from .arith import (
     mult_stats,
     prime_pi,
 )
-from .buchstab import BuchstabGrid, build_grid, evaluate, grid_panels
+from .buchstab import TERMS, BuchstabGrid, _series, build_grid, evaluate
 from .errors import InputError, integer, within
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
@@ -306,16 +306,14 @@ def _suite_delay_grid(res: SuiteResult, seed: int) -> None:
         got = evaluate(g, s, which)
         res.check(tag, f"{which}({s})", relation, abs(got - target) <= tol,
                   f"{got!r} vs {target!r}")
-    res.check("delay-join-continuity", "panel joins", "continuity defect <= 1e-6",
-              g.join_error <= 1e-6, f"{g.join_error:.2e}")
-    # the step-5e-5 grid, a unit panel at a time: its point k * ratio is g's point k
-    worst, buf = 0.0, np.empty(g.m)
-    for j, panel in enumerate(grid_panels(30.0, 5e-5)):
-        ratio, lo = (panel[0].size - 1) // g.m, j * g.m
-        for a, b in zip((g.F_values, g.f_values), panel):
-            np.subtract(a[lo + 1 : lo + g.m + 1], b[ratio::ratio], out=buf)
-            worst = max(worst, float(np.nanmax(np.abs(buf, out=buf))))
-    res.check("delay-step-stability", "halved step", "grid values stable to 1e-8",
+    res.check("delay-join-continuity", "series f on (2, 4] against its closed form",
+              "continuity defect <= 1e-6", g.join_error <= 1e-6, f"{g.join_error:.2e}")
+    # the same recursion with half the terms per unit, one unit of nodes at a time
+    half, worst = replace(g, series=_series(round(g.s_max), TERMS // 2)), 0.0
+    for lo in range(3 * g.m + 1, g.nodes + 1, g.m):
+        diff = g.values(lo, lo + g.m) - half.values(lo, lo + g.m)
+        worst = max(worst, float(np.max(np.abs(diff))))
+    res.check("delay-step-stability", "half the series terms", "values on (3, 30] stable to 1e-8",
               worst <= 1e-8, f"{worst:.2e}")
 
 

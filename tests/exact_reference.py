@@ -17,11 +17,17 @@ that check what the oracle (``oracle.py``) does not.
 3. The weighted sieve's per-member loops, each survivor factored alone:
    W_exact, repeated_window_factor_count, chen_report's triple count, and
    pr_count reading Omega from the big_omega_table.  Held ``==``.
-4. The delay grid built with a full column of s beside F and f, and
-   ``evaluate`` reading its four points from that column.  F, f, join_error
-   and every evaluated value are held ``==`` to these.
-5. The grid's two CSV exports as written before they shared one chunked row
-   writer.  Their bytes are held ``==``.
+4. The delay grid as composite Simpson integrated it, one unit panel at a
+   time, with a full column of s beside F and f, and ``evaluate`` as cubic
+   interpolation through its four nearest points.  The package's per-unit
+   series are held to it within bounds fixed before they were first
+   compared: 1e-13 at step 1e-4 and below, where the grid's own error is
+   4.8e-14, and that times (step/1e-4)^4, Simpson's order, at coarser steps.
+   F at s <= 3 and f at s <= 4 are held ``==``.
+5. The grid's two CSV exports as the Simpson grid's writers wrote them,
+   before they shared one chunked row writer.  The package's exports keep
+   their header, row count and row format, and each value is within 1e-13
+   of the Simpson grid's before it is rounded to the export's digits.
 """
 
 from __future__ import annotations
@@ -374,14 +380,13 @@ def previous_evaluate(grid: PreviousGrid, s: float, which: str) -> float:
     return float(out)
 
 
-def previous_csv_text(grid) -> str:
+def previous_csv_text(grid: PreviousGrid) -> str:
     """What ``buchstab --format csv`` printed: every row joined, then print's newline."""
-    top = grid.F_values.size
-    cols = (grid.s_values(1, top).tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
+    cols = (grid.s[1:].tolist(), grid.F_values[1:].tolist(), grid.f_values[1:].tolist())
     return "\n".join(["s,F,f", *(f"{s:.12g},{F:.12g},{f:.12g}" for s, F, f in zip(*cols))]) + "\n"
 
 
-def previous_save_grid(grid, path) -> None:
+def previous_save_grid(grid: PreviousGrid, path) -> None:
     """save_grid with each chunk of 8,192 rows formatted one f-string per row."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -390,7 +395,7 @@ def previous_save_grid(grid, path) -> None:
             fh.write("s,F,f\n")
             for lo in range(1, grid.F_values.size, 8192):
                 hi = min(lo + 8192, grid.F_values.size)
-                cols = (grid.s_values(lo, hi), grid.F_values[lo:hi], grid.f_values[lo:hi])
+                cols = (grid.s[lo:hi], grid.F_values[lo:hi], grid.f_values[lo:hi])
                 fh.write("".join(
                     f"{s:.17g},{F:.17g},{f:.17g}\n" for s, F, f in zip(*(c.tolist() for c in cols))
                 ))

@@ -113,34 +113,6 @@ def test_tables_agree_with_mult_stats(tables_small):
         assert int(big[n]) == s.big_omega
 
 
-def _reference_omega_and_mobius(t):
-    """The per-prime slice loops the tables were built with before the two-pass rewrite."""
-    big = np.zeros(t.limit + 1, dtype=np.int16)
-    nu = np.zeros(t.limit + 1, dtype=np.int16)
-    squarefree = np.ones(t.limit + 1, dtype=bool)
-    for p in t.primes:
-        q = int(p)
-        nu[q::q] += 1
-        while q <= t.limit:
-            big[q::q] += 1
-            q *= int(p)
-        if int(p) * int(p) <= t.limit:
-            squarefree[int(p) * int(p) :: int(p) * int(p)] = False
-    mu = np.where(squarefree, np.where(nu & 1, -1, 1), 0).astype(np.int8)
-    mu[0] = 0
-    return big, mu
-
-
-@pytest.mark.parametrize("limit", [2, 3, 48, 49, 50, 120, 121, 122, 10_200, 1_000_200])
-def test_omega_and_mobius_equal_slice_reference(limit):
-    # limits on and around prime squares move primes across the sqrt(limit) split
-    t = build_tables(limit)
-    big, mu = _reference_omega_and_mobius(t)
-    assert t.big_omega_table().dtype == np.int16 and t.mobius_table().dtype == np.int8
-    assert np.array_equal(t.big_omega_table(), big)
-    assert np.array_equal(t.mobius_table(), mu)
-
-
 def _reference_spf_and_primes(limit):
     """The masked spf sieve the tables were built with before one store per prime:
     each prime stores itself only where no smaller prime has."""
