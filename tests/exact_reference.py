@@ -23,7 +23,9 @@ that check what the oracle (``oracle.py``) does not.
    series are held to it within bounds fixed before they were first
    compared: 1e-13 at step 1e-4 and below, where the grid's own error is
    4.8e-14, and that times (step/1e-4)^4, Simpson's order, at coarser steps.
-   F at s <= 3 and f at s <= 4 are held ``==``.
+   On (3, 3 + step) the cubic reaches across s = 3, where F'' jumps, and is
+   no reference (1.9e-10 off at step 1e-4); the tests hold F to quadrature
+   there.  ``evaluate``'s F at s <= 3 and f at s <= 4 are held ``==``.
 5. The grid's two CSV exports as the Simpson grid's writers wrote them,
    before they shared one chunked row writer.  The package's exports keep
    their header, row count and row format, and each value is within 1e-13

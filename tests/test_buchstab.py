@@ -143,12 +143,13 @@ def test_grid_memory_is_two_columns():
     finally:
         tracemalloc.stop()
     assert g.series.nbytes == 2 * 30 * TERMS * 8
-    # the join pass over one unit of 20,001 nodes: 16 float64 a node, half of
-    # one column (600,001 float64) and a sixth of the two the Simpson grid held
+    # the join pass over one unit of 20,001 nodes: 16 float64 a node, about half
+    # of one column (600,001 float64) and a quarter of the two the Simpson grid held
     assert peak <= 16 * 8 * 20_001
-    # the half-terms check over one unit of the shared grid's 10,001 nodes: 24
-    # float64 a node, under one column of that grid (300,001 float64)
-    assert suite <= 24 * 8 * 10_001
+    # the half-terms check works a unit of the shared grid's nodes at a time;
+    # held to the bound of the streamed Simpson check it replaces (8 units of
+    # 20,001 float64), under one column of the shared grid (300,001 float64)
+    assert suite <= 8 * 8 * 20_001
 
 
 def test_interpolation_vs_fine_grid(grid):
