@@ -9,33 +9,33 @@ import math
 
 from sievelab import EULER_GAMMA, build_grid, evaluate
 
-grid = build_grid(30.0, 1e-4)
 eg = math.exp(EULER_GAMMA)
 
 print("closed forms on the early units")
 checks = [
-    ("F(2)", evaluate(grid, 2.0, "F"), eg),
-    ("F(3)", evaluate(grid, 3.0, "F"), 2.0 * eg / 3.0),
-    ("f(2.5)", evaluate(grid, 2.5, "f"), 2.0 * eg * math.log(1.5) / 2.5),
-    ("f(3)", evaluate(grid, 3.0, "f"), 2.0 * eg * math.log(2.0) / 3.0),
-    ("f(4)", evaluate(grid, 4.0, "f"), 2.0 * eg * math.log(3.0) / 4.0),
+    ("F(2)", evaluate(2.0, "F"), eg),
+    ("F(3)", evaluate(3.0, "F"), 2.0 * eg / 3.0),
+    ("f(2.5)", evaluate(2.5, "f"), 2.0 * eg * math.log(1.5) / 2.5),
+    ("f(3)", evaluate(3.0, "f"), 2.0 * eg * math.log(2.0) / 3.0),
+    ("f(4)", evaluate(4.0, "f"), 2.0 * eg * math.log(3.0) / 4.0),
 ]
 for name, got, want in checks:
     print(f"  {name} = {got:.12f}   closed form {want:.12f}   diff {abs(got-want):.2e}")
 
 print()
-print(f"series f against its closed form on (2, 4]: {grid.join_error:.2e}")
+join = build_grid(30.0, 1e-4).join_error
+print(f"series f against its closed form on (2, 4]: {join:.2e}")
 
 print()
 print("F and f approach 1 from opposite sides")
 print(f"  {'s':>4} {'f(s)':>14} {'F(s)':>14} {'F-f':>10}")
 for s in (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0):
-    fs = evaluate(grid, s, "f")
-    Fs = evaluate(grid, s, "F")
+    fs = evaluate(s, "f")
+    Fs = evaluate(s, "F")
     print(f"  {s:>4.0f} {fs:>14.10f} {Fs:>14.10f} {Fs - fs:>10.2e}")
 
 print()
 print("below s = 2 the lower curve is identically zero, so shallow")
 print("sifting can certify no survivors at all:")
 for s in (1.2, 1.6, 1.999):
-    print(f"  f({s}) = {evaluate(grid, s, 'f'):.6f}")
+    print(f"  f({s}) = {evaluate(s, 'f'):.6f}")

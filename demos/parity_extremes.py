@@ -9,7 +9,6 @@ and their rough-element counts land exactly on the limit curves F and f.
 from sievelab import (
     L_summatory,
     S_pm_exact,
-    build_grid,
     build_tables,
     prediction_row,
     prime_pi,
@@ -17,7 +16,6 @@ from sievelab import (
 )
 
 t = build_tables(1_000_200)
-grid = build_grid(30.0, 1e-4)
 
 x = 1_000_000
 print(f"signed summatory count at x = {x}: {L_summatory(x, t)}"
@@ -27,7 +25,7 @@ print()
 print("counts of n <= x with no prime factor below x^(1/s)")
 print(f"  {'s':>4} {'plus':>7} {'predict+':>10} {'minus':>7} {'predict-':>10}")
 for s in (2.0, 2.3, 2.5, 2.8, 3.0):
-    row = prediction_row(x, s, grid, t)
+    row = prediction_row(x, s, t)
     print(
         f"  {s:>4.1f} {row.exact_plus:>7} {row.predict_plus:>10.1f}"
         f" {row.exact_minus:>7} {row.predict_minus:>10.1f}"

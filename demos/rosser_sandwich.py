@@ -7,7 +7,6 @@ as the sifting depth parameter s = log y / log z varies.
 """
 
 from sievelab import (
-    build_grid,
     build_tables,
     combinatorial_bounds,
     fundamental_lemma_report,
@@ -34,9 +33,8 @@ for kind, params, y, z in configs:
 
 print()
 print("scaled count against the limit curves, interval x=10^6, y=10^4")
-grid = build_grid(30.0, 1e-4)
 p = make_problem("interval", {"x": 0, "y": 1_000_000}, t)
-rows = fundamental_lemma_report(p, 10_000.0, [2.0, 3.0, 4.0, 6.0, 8.0], grid)
+rows = fundamental_lemma_report(p, 10_000.0, [2.0, 3.0, 4.0, 6.0, 8.0])
 print(f"  {'s':>4} {'z':>8} {'f(s)':>8} {'scaled':>8} {'F(s)':>8}")
 for r in rows:
     print(

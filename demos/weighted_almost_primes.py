@@ -9,7 +9,6 @@ out of a one-line formula, and exact sums confirm the counting logic.
 from sievelab import (
     W_exact,
     WeightedConfig,
-    build_grid,
     build_tables,
     chen_report,
     lambda_r,
@@ -19,7 +18,6 @@ from sievelab import (
     repeated_window_factor_count,
 )
 
-grid = build_grid(30.0, 1e-4)
 t = build_tables(1_000_200)
 
 print("level thresholds: sifting with exponent gamma > 1/threshold works")
@@ -33,7 +31,7 @@ print(f"margin changes sign around gamma = {crit:.6f} for r = {r}")
 for gamma in (crit - 0.004, crit + 0.004):
     cfg = WeightedConfig(N=10**6, r=r, alpha=gamma / 4,
                          beta=gamma / (1 + 3.0**-r), gamma_level=gamma)
-    mi, mc = level_condition(cfg, grid)
+    mi, mc = level_condition(cfg)
     print(f"  gamma={gamma:.6f}: integral margin={mi:+.6f} closed={mc:+.6f}")
 
 print()

@@ -29,18 +29,24 @@ Since |u| <= 1/2 and k - 1/2 >= 3/2, each term of 1/(k - 1/2 + u) is at
 most a third of the one before.  ``TERMS`` = 40 truncates at 3^-40, about
 1e-19, below the float64 rounding; half as many still agree with 40 to
 about 1e-11 on (3, 30], which the delay-grid suite checks to 1e-8, and 24
-would not (1e-7 between 24 and 12).  A grid holds 2 x 40 coefficients per
-unit and the step 1/m of its nodes s_k = k/m, nothing of full size: F and f
-at the nodes are tabulated a chunk at a time where they are read.
+would not (1e-7 between 24 and 12).
 
-Building a grid costs far less than parsing one back from text, so the CSV
-cache of ``grid_cached`` is an export only: it is written, never read.  It
-and ``buchstab --format csv`` share one writer, ``write_csv``, which
-tabulates and formats a chunk of rows at a time.
+F and f are functions of s alone: ``evaluate`` (one s) and ``curves`` (an
+array of s) read one per-process copy of the series, 2 x 40 coefficients
+on each of the ``UNITS`` = 30 units, built on first use.  Past the last
+unit both return 1.0, which F and f already are in float64 from s = 14.02
+on, so s has no upper bound.
+
+A ``BuchstabGrid`` is only the export: the nodes s_k = k/m, k <= s_max m,
+and ``join_error`` on them.  Building a grid costs far less than parsing
+one back from text, so the CSV cache of ``grid_cached`` is written, never
+read.  It and ``buchstab --format csv`` share one writer, ``write_csv``,
+which tabulates and formats a chunk of rows at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -55,19 +61,19 @@ from .errors import InputError, finite, integer, within
 MAX_GRID_CELLS = 5_000_000
 #: coefficients per unit of each series
 TERMS = 40
+#: units [k, k + 1], k < UNITS, that the series cover; F = f = 1.0 past them
+UNITS = 30
 _SAVE_CHUNK = 8192  # rows formatted per write
 _TWO_EG = 2.0 * math.exp(EULER_GAMMA)
 
 
 @dataclass
 class BuchstabGrid:
-    """F and f on (0, s_max] as per-unit series, with nodes s_k = k/m for the
-    export: ``series[0, k]`` and ``series[1, k]`` are the coefficients of
-    s (F(s) - 1) and s (f(s) - 1) in u = s - k - 1/2 on [k, k + 1]."""
+    """The export of F and f: nodes s_k = k/m for 1 <= k <= s_max * m, and
+    ``join_error`` read on them."""
 
     m: int
     s_max: float
-    series: np.ndarray
     join_error: float
 
     @property
@@ -86,24 +92,8 @@ class BuchstabGrid:
         return s
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        """F and f (rows 0 and 1) at s_k for 1 <= lo <= k < hi <= nodes + 1, each
-        from the series of the unit [j, j + 1) that holds s_k (s_max from the
-        last): ``evaluate``'s values bit for bit off its closed forms.  F on
-        (0, 3] and f on (0, 2] are their closed forms, since s (F - 1) and
-        s (f - 1) carry fewer of their digits than F and f have as s falls to 0."""
-        s = self.s_values(lo, hi)
-        out = np.empty((2, s.size))
-        last = self.series.shape[1] - 1
-        for j in range(min(lo // self.m, last), min((hi - 1) // self.m, last) + 1):
-            a = max(j * self.m - lo, 0)
-            b = s.size if j == last else min((j + 1) * self.m - lo, s.size)
-            out[:, a:b] = _horner(self.series[:, j].T[..., None], s[a:b] - j - 0.5)
-        out /= s
-        out += 1.0
-        two, three = (min(max(j * self.m + 1 - lo, 0), s.size) for j in (2, 3))
-        out[0, :three] = _TWO_EG / s[:three]
-        out[1, :two] = 0.0
-        return out
+        """F and f (rows 0 and 1) at s_k for 1 <= lo <= k < hi."""
+        return curves(self.s_values(lo, hi))
 
 
 def _horner(coeffs, u):
@@ -114,22 +104,46 @@ def _horner(coeffs, u):
     return acc
 
 
-def _series(smax: int, terms: int) -> np.ndarray:
-    """s (F - 1) and s (f - 1) on the units [k, k + 1], k < smax, as ``terms``
-    coefficients in u = s - k - 1/2: array [which, k, n], which 0 for F and 1 for f."""
-    out = np.zeros((2, smax, terms))
+@functools.cache
+def _series(terms: int = TERMS) -> np.ndarray:
+    """s (F - 1) and s (f - 1) on the units [k, k + 1], k < UNITS, as ``terms``
+    coefficients in u = s - k - 1/2: a read-only array [which, k, n], which 0
+    for F and 1 for f, built once per process."""
+    out = np.zeros((2, UNITS, terms))
     # the start, with s = k + 1/2 + u: s (F - 1) = 2 e^gamma - s on (0, 3], s (f - 1) = -s on (0, 2]
     out[0, :3, 0] = _TWO_EG - 0.5 - np.arange(3)
     out[1, :2, 0] = -0.5 - np.arange(2)
     out[0, :3, 1] = out[1, :2, 1] = -1.0
     n = np.arange(terms)
     up, down = 0.5**n, (-0.5) ** n  # u^n at the unit's two ends
-    for k in range(2, smax):
+    for k in range(2, UNITS):
         inv = (-1.0 / (k - 0.5)) ** n / (k - 0.5)  # 1/(k - 1/2 + u)
         for i in (1,) if k == 2 else (0, 1):  # F from unit 3 on, f from unit 2
             new = out[i, k]
             new[1:] = np.convolve(out[1 - i, k - 1], inv)[: terms - 1] / n[1:]
             new[0] = out[i, k - 1] @ up - new @ down  # continuous at s = k
+    out.flags.writeable = False
+    return out
+
+
+def curves(s: np.ndarray, terms: int = TERMS) -> np.ndarray:
+    """F and f (rows 0 and 1) at the ascending float64 s > 0, each from the
+    series of the unit [j, j + 1) that holds it and 1.0 past the last unit:
+    ``evaluate``'s values bit for bit off its closed forms.  F on (0, 3] and f
+    on (0, 2] are their closed forms, since s (F - 1) and s (f - 1) carry fewer
+    of their digits than F and f have as s falls to 0."""
+    coeffs = _series(terms)
+    out = np.zeros((2, s.size))
+    ends = np.searchsorted(s, np.arange(UNITS + 1))  # s[ends[j]:ends[j + 1]] in [j, j + 1)
+    for j in range(UNITS):
+        a, b = ends[j], ends[j + 1]
+        if a < b:
+            out[:, a:b] = _horner(coeffs[:, j].T[..., None], s[a:b] - j - 0.5)
+    out /= s
+    out += 1.0
+    two, three = np.searchsorted(s, (2.0, 3.0), side="right")
+    out[0, :three] = _TWO_EG / s[:three]
+    out[1, :two] = 0.0
     return out
 
 
@@ -137,19 +151,19 @@ def _grid_size(s_max: float, step: float) -> tuple[int, int]:
     """(s_max, m) for a grid of step 1/m on (0, s_max], its size checked first."""
     smax = integer(s_max, "s_max", least=6)
     m = round(1.0 / finite(step, "step", above=0))
-    if step > 1e-3 + 1e-15 or abs(1.0 / step - m) > 1e-6 or m % 2:
-        raise InputError(f"step must be <= 1e-3 with 1/step an even integer, got {step}")
+    if m < 1 or abs(1.0 / step - m) > 1e-6:
+        raise InputError(f"step must be 1/m for an integer m, got {step}")
     within(smax * m, MAX_GRID_CELLS, "grid points s_max/step")
     return smax, m
 
 
 def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
-    """F and f on (0, s_max] as per-unit series, with nodes at spacing step.
+    """The export of F and f on (0, s_max] at nodes of spacing step.
 
     Args:
-        s_max: integer >= 6; the grid covers (0, s_max].
+        s_max: integer >= 6; the export covers (0, s_max].
         step: spacing of the nodes s_k = k/m that the CSV export tabulates and
-            ``join_error`` reads; 1/step must be an even integer and step <= 1e-3.
+            ``join_error`` reads; 1/step must be an integer m.
 
     Raises:
         InputError: s_max or step outside the domain above.
@@ -161,10 +175,10 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
     and its closed form, a direct measure of the recursion's accuracy.
     """
     smax, m = _grid_size(s_max, step)
-    g = BuchstabGrid(m, float(smax), _series(smax, TERMS), 0.0)
+    g = BuchstabGrid(m, float(smax), 0.0)
     for lo in (2 * m + 1, 3 * m + 1):  # one unit of nodes at a time
         s = g.s_values(lo, lo + m)
-        err = g.values(lo, lo + m)[1] - _TWO_EG * np.log(s - 1.0) / s  # f closed on [2, 4]
+        err = curves(s)[1] - _TWO_EG * np.log(s - 1.0) / s  # f closed on [2, 4]
         g.join_error = max(g.join_error, float(np.max(np.abs(err))))
     return g
 
@@ -226,19 +240,19 @@ def grid_cached(s_max: float = 30.0, step: float = 1e-4, cache: str | Path | Non
     return g
 
 
-def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
-    """Evaluate F or f at s, preferring closed forms where they hold.
+def evaluate(s: float, which: str) -> float:
+    """F(s) or f(s), preferring closed forms where they hold.
 
     Off the closed-form ranges the value is the series of the unit [k, k + 1)
-    that holds s (s_max from the last), summed by Horner's rule and divided by s.
+    that holds s, summed by Horner's rule and divided by s, and 1.0 past the
+    last unit.
 
     Raises:
-        InputError: s not a finite number in (0, s_max], or which not in {"F", "f"}.
+        InputError: s not a finite number > 0, or which not in {"F", "f"}.
     """
     if which not in ("F", "f"):
         raise InputError(f"which must be 'F' or 'f', got {which!r}")
-    if finite(s, "s", above=0) > grid.s_max:
-        raise InputError(f"s = {s} outside (0, {grid.s_max}]")
+    finite(s, "s", above=0)
     if which == "F" and s <= 3.0:
         return _TWO_EG / s
     if which == "f":
@@ -246,5 +260,7 @@ def evaluate(grid: BuchstabGrid, s: float, which: str) -> float:
             return 0.0
         if s <= 4.0:
             return _TWO_EG * math.log(s - 1.0) / s
-    k = min(int(s), grid.series.shape[1] - 1)
-    return 1.0 + _horner(grid.series["Ff".index(which), k].tolist(), s - k - 0.5) / s
+    k = int(s)
+    if k >= UNITS:
+        return 1.0
+    return 1.0 + _horner(_series()["Ff".index(which), k].tolist(), s - k - 0.5) / s

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .arith import PrimeTables, build_tables
-from .buchstab import build_grid, evaluate, grid_cached, write_csv
+from .buchstab import evaluate, grid_cached, write_csv
 from .errors import CapacityError, DensityRangeError, InputError, finite, integer, within
 from .harness import SUITES, bv_scan, run_suite
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
@@ -55,15 +55,10 @@ def _num(v) -> str:
 
 
 def _json_value(v) -> str:
-    if v is None:
+    if v is None or isinstance(v, float) and not math.isfinite(v):
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, (float, Fraction)):
-        x = float(v)
-        return f"{x:.12g}" if math.isfinite(x) else "null"
+    if isinstance(v, (int, float, Fraction)):  # bool is an int
+        return _num(v)
     if isinstance(v, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_json_value(x)}" for k, x in v.items())
         return "{" + inner + "}"
@@ -208,11 +203,11 @@ def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
         write_csv(grid, sys.stdout, digits=12)
         return "", 0
     rows = [
-        {"s": float(s), "F": evaluate(grid, float(s), "F"), "f": evaluate(grid, float(s), "f")}
-        for s in range(2, int(grid.s_max) + 1)
+        {"s": float(s), "F": evaluate(float(s), "F"), "f": evaluate(float(s), "f")}
+        for s in range(2, int(args.s_max) + 1)
     ]
     if args.format == "json":
-        out = {"s_max": grid.s_max, "step": grid.step, "join_error": grid.join_error, "rows": rows}
+        out = {"s_max": args.s_max, "step": grid.step, "join_error": grid.join_error, "rows": rows}
         return emit_report(out, "json"), 0
     return emit_report(rows, args.format), 0
 
@@ -225,7 +220,7 @@ def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
         (n,) = _require(args, n=args.n)
         wc = WeightedConfig(N=n, r=r, alpha=args.alpha, beta=args.beta,
                             gamma_level=args.gamma_level)
-        mi, mc = level_condition(wc, build_grid(30.0, 1e-4))
+        mi, mc = level_condition(wc)
         out.update(alpha=wc.alpha, beta=wc.beta, gamma_level=wc.gamma_level,
                    margin_integral=mi, margin_closed=mc)
         if args.problem is not None:
@@ -241,10 +236,9 @@ def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
     if not args.s:
         raise InputError("parity needs --s (comma-separated list)")
     t = _tables(integer(x, "x"))
-    grid = build_grid(30.0, 1e-4)
     rows = []
     for s in args.s:
-        row = prediction_row(x, s, grid, t)
+        row = prediction_row(x, s, t)
         rows.append(
             {
                 "x": row.x,

@@ -16,7 +16,7 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,7 @@ from .arith import (
     mult_stats,
     prime_pi,
 )
-from .buchstab import TERMS, BuchstabGrid, _series, build_grid, evaluate
+from .buchstab import TERMS, UNITS, build_grid, curves, evaluate
 from .errors import InputError, integer, within
 from .legendre import legendre_count, legendre_remainder_sum, mertens_products, problem_W
 from .parity import S_pm_exact, recursion_check, prediction_row
@@ -61,12 +61,6 @@ from .weighted import (
 def shared_tables() -> PrimeTables:
     """Factor tables to 10^6, built once per process."""
     return build_tables(1_000_200)
-
-
-@functools.cache
-def shared_grid() -> BuchstabGrid:
-    """The production F/f grid, built once per process."""
-    return build_grid(30.0, 1e-4)
 
 
 @dataclass
@@ -290,7 +284,6 @@ def _suite_mertens(res: SuiteResult, seed: int) -> None:
 
 
 def _suite_delay_grid(res: SuiteResult, seed: int) -> None:
-    g = shared_grid()
     eg = math.exp(EULER_GAMMA)
     inner = integrate_adaptive(lambda u: math.log(u) / (1.0 + u), 1.0, 2.0, 1e-13)
     closed, tails = "delay-closed-forms", "delay-tail-limits"
@@ -303,25 +296,25 @@ def _suite_delay_grid(res: SuiteResult, seed: int) -> None:
         (tails, "f", 15, 1, 1e-3, "|f(15) - 1| <= 1e-3"),
     )
     for tag, which, s, target, tol, relation in points:
-        got = evaluate(g, s, which)
+        got = evaluate(s, which)
         res.check(tag, f"{which}({s})", relation, abs(got - target) <= tol,
                   f"{got!r} vs {target!r}")
+    join = build_grid(30.0, 1e-4).join_error
     res.check("delay-join-continuity", "series f on (2, 4] against its closed form",
-              "continuity defect <= 1e-6", g.join_error <= 1e-6, f"{g.join_error:.2e}")
-    # the same recursion with half the terms per unit, one unit of nodes at a time
-    half, worst = replace(g, series=_series(round(g.s_max), TERMS // 2)), 0.0
-    for lo in range(3 * g.m + 1, g.nodes + 1, g.m):
-        diff = g.values(lo, lo + g.m) - half.values(lo, lo + g.m)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    res.check("delay-step-stability", "half the series terms", "values on (3, 30] stable to 1e-8",
-              worst <= 1e-8, f"{worst:.2e}")
+              "continuity defect <= 1e-6", join <= 1e-6, f"{join:.2e}")
+    # the same recursion with half the terms per unit, at s = k/m, one unit of nodes at a time
+    worst, m = 0.0, 10_000
+    for j in range(3, UNITS):
+        s = np.arange(j * m + 1, (j + 1) * m + 1) / m
+        worst = max(worst, float(np.max(np.abs(curves(s) - curves(s, TERMS // 2)))))
+    res.check("delay-step-stability", "half the series terms",
+              f"values on (3, {UNITS}] stable to 1e-8", worst <= 1e-8, f"{worst:.2e}")
 
 
 def _suite_fundamental_lemma(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
-    g = shared_grid()
     p = make_problem("interval", {"x": 0, "y": 1_000_000}, t)
-    for row in fundamental_lemma_report(p, 10_000.0, [3.0, 4.0, 6.0, 8.0], g):
+    for row in fundamental_lemma_report(p, 10_000.0, [3.0, 4.0, 6.0, 8.0]):
         res.check(
             "fundamental-lemma-window",
             f"s={row.s:g} z={row.z:.2f}",
@@ -345,7 +338,6 @@ def _check_signed_counts(res: SuiteResult, x: int, minus_s, plus_s, t: PrimeTabl
 
 def _suite_parity(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
-    g = shared_grid()
     for x in (10**4, 10**5, 10**6):
         _check_signed_counts(res, x, (1.0, 1.5, 2.0), (1.5, 2.5, 3.0), t)
     for x in (100, 999, 5000, 10_000):
@@ -362,7 +354,7 @@ def _suite_parity(res: SuiteResult, seed: int) -> None:
     x = 10**6
     err_unit = x / math.log(x) ** 2
     for s in (2.3, 2.5, 2.8):
-        row = prediction_row(x, s, g, t)
+        row = prediction_row(x, s, t)
         gap = abs(row.exact_minus - row.predict_minus)
         res.check(
             "parity-prediction-window",
@@ -437,7 +429,6 @@ def _suite_pair_bounds(res: SuiteResult, seed: int) -> None:
 
 def _suite_weighted(res: SuiteResult, seed: int) -> None:
     t = shared_tables()
-    g = shared_grid()
     l2 = lambda_r(2)
     thresholds = "almost-prime-threshold-values"
     res.check(
@@ -463,7 +454,7 @@ def _suite_weighted(res: SuiteResult, seed: int) -> None:
             continue
         b = rng.uniform(b_lo, gl * 0.98)
         cfg = WeightedConfig(N=10**6, r=r, alpha=a, beta=b, gamma_level=gl)
-        mi, mc = level_condition(cfg, g)
+        mi, mc = level_condition(cfg)
         worst = max(worst, abs(mi - mc))
         if min(abs(mi), abs(mc)) > 1e-9 and (mi > 0) != (mc > 0):
             sign_ok = False
@@ -736,7 +727,6 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
     """
     if name == "all":
         shared_tables()
-        shared_grid()
         agg = SuiteResult("all")
         for sub in (run_suite(n, seed) for n in SUITES if n != "extended"):
             agg.cases += sub.cases

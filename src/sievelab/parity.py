@@ -5,7 +5,7 @@ function lambda(n) = (-1)^Omega(n) produces two sequences whose sifting
 counts hug the linear-sieve limit curves: the minus-signed integers sift
 down to almost nothing below s = 2 while the plus-signed ones keep a full
 prime count alive through s = 3.  Everything here is counted exactly from
-the factor tables; the curve predictions come from a BuchstabGrid.
+the factor tables; the curve predictions are F(s) and f(s).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import EULER_GAMMA, PrimeTables
-from .buchstab import BuchstabGrid, evaluate
+from .buchstab import evaluate
 from .errors import CapacityError, InputError, finite, integer
 
 #: root_ceiling settles t**a >= x**b in integers while both have at most this many bits
@@ -113,9 +113,7 @@ def recursion_check(x: int, s: float, sign: int, tables: PrimeTables) -> tuple[i
     return lhs, total
 
 
-def prediction_row(
-    x: int, s: float, grid: BuchstabGrid, tables: PrimeTables
-) -> ParityRow:
+def prediction_row(x: int, s: float, tables: PrimeTables) -> ParityRow:
     """Exact extremal counts with their first-order predictions.
 
     The predictions scale the limit curves by (x/2) / (e^gamma log x^(1/s)),
@@ -123,14 +121,13 @@ def prediction_row(
     z = x^(1/s).
     """
     x = integer(x, "x", least=2)  # log x = 0 leaves the prediction's scale undefined
-    if finite(s, "s", above=1) > grid.s_max:
-        raise InputError(f"need 1 < s <= {grid.s_max}, got {s}")
+    finite(s, "s", above=1)
     scale = (x / 2.0) / (math.exp(EULER_GAMMA) * math.log(x) / s)
     return ParityRow(
         x=x,
         s=float(s),
         exact_plus=S_pm_exact(x, s, 1, tables),
         exact_minus=S_pm_exact(x, s, -1, tables),
-        predict_plus=scale * evaluate(grid, s, "F"),
-        predict_minus=scale * evaluate(grid, s, "f"),
+        predict_plus=scale * evaluate(s, "F"),
+        predict_minus=scale * evaluate(s, "f"),
     )

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .buchstab import BuchstabGrid, evaluate
+from .buchstab import evaluate
 from .errors import InputError, finite, integer
 from .legendre import problem_W
 from .problem import (
@@ -136,7 +136,7 @@ class FundamentalRow:
 
 
 def fundamental_lemma_report(
-    p: SieveProblem, y: float, s_values: Sequence[float], grid: BuchstabGrid
+    p: SieveProblem, y: float, s_values: Sequence[float]
 ) -> list[FundamentalRow]:
     """Tabulate S(z) / (X W(z)) against f(s) and F(s) for z = y^(1/s).
 
@@ -159,8 +159,8 @@ def fundamental_lemma_report(
                 z=z,
                 exact=exact,
                 scaled=exact / denom,
-                lower_curve=evaluate(grid, float(s), "f"),
-                upper_curve=evaluate(grid, float(s), "F"),
+                lower_curve=evaluate(float(s), "f"),
+                upper_curve=evaluate(float(s), "F"),
             )
         )
     return rows

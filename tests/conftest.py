@@ -23,13 +23,6 @@ def tables_big():
 
 
 @pytest.fixture(scope="session")
-def grid():
-    from sievelab.buchstab import build_grid
-
-    return build_grid(30, 1e-4)
-
-
-@pytest.fixture(scope="session")
 def kind_problems(tables_small):
     """One small problem of each kind, the CRT-counted kinds included."""
     from sievelab.problem import make_problem

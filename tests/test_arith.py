@@ -243,14 +243,12 @@ _REACH_LIMIT = 1000  # even, so the goldbach and chen boundaries fall on it
 def _reach_calls():
     """Every call that holds a read against the tables, called to read at n; the
     flag says whether a NaN n reaches the check."""
-    from sievelab.buchstab import build_grid
     from sievelab.harness import bv_scan
     from sievelab.parity import L_summatory, S_pm_exact, prediction_row, rough_signed_count
     from sievelab.problem import PrimeSet, make_problem, primes_below, sift_exact
     from sievelab.selberg import goldbach_report, twin_report
     from sievelab.weighted import chen_report, pr_count
 
-    grid = build_grid(6, 1e-3)
     interval = lambda t: make_problem("interval", {"x": 0, "y": 100}, t)
     calls = [
         ("factorize", lambda t, n: factorize(n, t), True),
@@ -263,7 +261,7 @@ def _reach_calls():
         ("L_summatory", lambda t, n: L_summatory(n, t), True),
         ("rough_signed_count", lambda t, n: rough_signed_count(n, 2, 1, t), True),
         ("S_pm_exact", lambda t, n: S_pm_exact(n, 2, 1, t), True),
-        ("prediction_row", lambda t, n: prediction_row(n, 2.5, grid, t), True),
+        ("prediction_row", lambda t, n: prediction_row(n, 2.5, t), True),
         # 2N and N below are even: the read past the limit is at limit + 2
         ("goldbach_report", lambda t, n: goldbach_report((n + 1) // 2, t), True),
         ("twin_report", lambda t, n: twin_report(n - 2, 1, t), True),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import os
 import random
@@ -17,33 +19,42 @@ from exact_reference import (
 )
 from sievelab import buchstab, harness
 from sievelab.arith import EULER_GAMMA, integrate_adaptive
-from sievelab.buchstab import TERMS, _series, build_grid, evaluate, grid_cached, save_grid, write_csv
+from sievelab.buchstab import (
+    TERMS,
+    UNITS,
+    _series,
+    build_grid,
+    curves,
+    evaluate,
+    grid_cached,
+    save_grid,
+    write_csv,
+)
 from sievelab.cli import main
 from sievelab.errors import CapacityError, InputError
-from sievelab.harness import shared_grid
 
 EG = math.exp(EULER_GAMMA)
 
 
-def test_closed_forms_frozen(grid):
-    assert evaluate(grid, 2, "F") == pytest.approx(EG, abs=1e-15)
-    assert abs(evaluate(grid, 2, "F") - 1.7810724) < 1e-6
-    assert evaluate(grid, 1.5, "f") == 0.0
-    assert evaluate(grid, 3, "f") == pytest.approx(2 * EG * math.log(2) / 3, abs=1e-12)
-    assert evaluate(grid, 4, "f") == pytest.approx(2 * EG * math.log(3) / 4, abs=1e-12)
-    assert abs(evaluate(grid, 3, "f") - 0.823030) < 1e-6
-    assert abs(evaluate(grid, 4, "f") - 0.978354) < 1e-6
-    assert abs(evaluate(grid, 2.5, "f") - 0.577730) < 1e-6
+def test_closed_forms_frozen():
+    assert evaluate(2, "F") == pytest.approx(EG, abs=1e-15)
+    assert abs(evaluate(2, "F") - 1.7810724) < 1e-6
+    assert evaluate(1.5, "f") == 0.0
+    assert evaluate(3, "f") == pytest.approx(2 * EG * math.log(2) / 3, abs=1e-12)
+    assert evaluate(4, "f") == pytest.approx(2 * EG * math.log(3) / 4, abs=1e-12)
+    assert abs(evaluate(3, "f") - 0.823030) < 1e-6
+    assert abs(evaluate(4, "f") - 0.978354) < 1e-6
+    assert abs(evaluate(2.5, "f") - 0.577730) < 1e-6
 
 
-def test_F4_against_independent_quadrature(grid):
+def test_F4_against_independent_quadrature():
     inner = integrate_adaptive(lambda u: math.log(u) / (1.0 + u), 1.0, 2.0, 1e-13)
     oracle = 0.5 * EG * (1.0 + inner)
     assert abs(oracle - 1.02164) < 1e-5
-    assert abs(evaluate(grid, 4, "F") - oracle) <= 1e-6
+    assert abs(evaluate(4, "F") - oracle) <= 1e-6
 
 
-def test_F5_and_f5_against_nested_quadrature(grid):
+def test_F5_and_f5_against_nested_quadrature():
     # one panel beyond every closed form, via quadrature only
     def J(v):
         return integrate_adaptive(lambda u: math.log(u) / (1.0 + u), 1.0, v, 1e-12)
@@ -51,36 +62,50 @@ def test_F5_and_f5_against_nested_quadrature(grid):
     F4 = 0.5 * EG * (1.0 + J(2.0))
     F5 = (4 * F4 + 2 * EG * integrate_adaptive(
         lambda t: math.log(t - 2.0) / (t - 1.0), 4.0, 5.0, 1e-12)) / 5.0
-    assert abs(evaluate(grid, 5, "F") - F5) <= 1e-8
+    assert abs(evaluate(5, "F") - F5) <= 1e-8
 
     def F_34(t):
         return 2.0 * EG * (1.0 + J(t - 2.0)) / t
 
     f4 = 2 * EG * math.log(3.0) / 4.0
     f5 = (4 * f4 + integrate_adaptive(lambda t: F_34(t - 1.0), 4.0, 5.0, 1e-10)) / 5.0
-    assert abs(evaluate(grid, 5, "f") - f5) <= 1e-7
+    assert abs(evaluate(5, "f") - f5) <= 1e-7
 
 
-def test_join_error_tiny(grid):
-    assert grid.join_error <= 1e-6
+def test_join_error_tiny():
+    assert build_grid(30, 1e-4).join_error <= 1e-6
 
 
-def test_limits_at_large_s(grid):
-    assert abs(evaluate(grid, 15, "F") - 1.0) <= 1e-3
-    assert abs(evaluate(grid, 15, "f") - 1.0) <= 1e-3
+def test_limits_at_large_s():
+    assert abs(evaluate(15, "F") - 1.0) <= 1e-3
+    assert abs(evaluate(15, "f") - 1.0) <= 1e-3
     # upper stays above lower the whole way out
     for s in np.arange(0.5, 30.0, 0.37):
-        assert evaluate(grid, float(s), "F") >= evaluate(grid, float(s), "f")
+        assert evaluate(float(s), "F") >= evaluate(float(s), "f")
 
 
-def test_halved_step_stability(grid):
+def test_both_curves_are_one_past_the_last_unit():
+    # in float64 F and f are 1.0 from s = 14.02 on, so the series stop at
+    # UNITS and past it both are 1.0, with no upper bound on s
+    s = np.arange(14.02, UNITS + 1, 1e-3)
+    assert np.all(curves(s) == 1.0)
+    rng = random.Random("tail")
+    points = [float(k) for k in range(15, 5001)]
+    points += [rng.uniform(14.02, 5000) for _ in range(20_000)]
+    for s in points + [1e300]:
+        assert evaluate(s, "F") == evaluate(s, "f") == 1.0, s
+    assert np.array_equal(curves(np.array([30.0, 31.0, 1e300])), np.ones((2, 3)))
+
+
+def test_halved_step_stability():
     # the recursion with half its terms per unit agrees on (3, 30] to 1e-8 ...
-    half = replace(grid, series=_series(30, TERMS // 2))
+    grid = build_grid(30, 1e-4)
     # ... and F and f do not depend on the step: the step-5e-5 grid's node 2k is node k
     finer = build_grid(30, 5e-5)
     for lo in range(3 * grid.m + 1, grid.nodes + 1, grid.m):  # one unit of nodes at a time
         values = grid.values(lo, lo + grid.m)
-        assert np.max(np.abs(values - half.values(lo, lo + grid.m))) <= 1e-8
+        half = curves(grid.s_values(lo, lo + grid.m), TERMS // 2)
+        assert np.max(np.abs(values - half)) <= 1e-8
         assert np.array_equal(values, finer.values(2 * lo, 2 * (lo + grid.m))[:, ::2])
 
 
@@ -97,7 +122,7 @@ def test_grid_equals_the_grid_with_an_s_column(s_max, step):
     bound = 1e-13 * max(1.0, step / 1e-4) ** 4
     g, old = build_grid(s_max, step), previous_build_grid(s_max, step)
     assert g.step == old.step and g.nodes == old.F_values.size - 1
-    assert g.series.shape == (2, s_max, TERMS)
+    assert _series().shape == (2, UNITS, TERMS)
     assert np.array_equal(g.s_values(1, g.nodes + 1), old.s[1:])
     for lo in range(1, g.nodes + 1, g.m):  # every node, one unit at a time
         F, f = g.values(lo, lo + g.m)
@@ -111,7 +136,7 @@ def test_grid_equals_the_grid_with_an_s_column(s_max, step):
     points += [2.0, 3.0, 3.0 + step / 3, 4.0, 4.0 + step / 3, s_max - step / 3, float(s_max)]
     for s in points:
         for which in ("F", "f"):
-            got, want = evaluate(g, s, which), previous_evaluate(old, s, which)
+            got, want = evaluate(s, which), previous_evaluate(old, s, which)
             assert type(got) is float, (s, which)
             if s <= (3.0 if which == "F" else 4.0):
                 assert got == want, (s, which)
@@ -124,14 +149,15 @@ def test_grid_equals_the_grid_with_an_s_column(s_max, step):
     for k in nodes:  # evaluate off the closed forms is the nodes' values bit for bit
         s = k / g.m
         F, f = g.values(k, k + 1)[:, 0].tolist()
-        assert s <= 3.0 or evaluate(g, s, "F") == F, k
-        assert s <= 4.0 or evaluate(g, s, "f") == f, k
+        assert s <= 3.0 or evaluate(s, "F") == F, k
+        assert s <= 4.0 or evaluate(s, "f") == f, k
 
 
 def test_grid_memory_is_two_columns():
-    # no column: a grid holds 2 x 40 coefficients per unit, and F and f at the
-    # nodes are formed a unit of nodes at a time where they are read
-    shared_grid()  # the suite's grid, built before the trace
+    # no column: the series are 2 x 40 coefficients per unit, held once per
+    # process, and F and f at a grid's nodes are formed a unit of nodes at a
+    # time where they are read
+    _series()  # the process's series, built before the trace
     tracemalloc.start()
     try:
         g = build_grid(30, 5e-5)
@@ -142,21 +168,21 @@ def test_grid_memory_is_two_columns():
         suite = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert g.series.nbytes == 2 * 30 * TERMS * 8
+    assert _series().nbytes == 2 * UNITS * TERMS * 8
     # the join pass over one unit of 20,001 nodes: 16 float64 a node, about half
     # of one column (600,001 float64) and a quarter of the two the Simpson grid held
     assert peak <= 16 * 8 * 20_001
-    # the half-terms check works a unit of the shared grid's nodes at a time;
-    # held to the bound of the streamed Simpson check it replaces (8 units of
-    # 20,001 float64), under one column of the shared grid (300,001 float64)
+    # the half-terms check works a unit of nodes at a time; held to the bound
+    # of the streamed Simpson check it replaces (8 units of 20,001 float64),
+    # under one column of a step-1e-4 grid (300,001 float64)
     assert suite <= 8 * 8 * 20_001
 
 
-def test_interpolation_vs_fine_grid(grid):
+def test_interpolation_vs_fine_grid():
     fine = previous_build_grid(30, 5e-5)  # the Simpson grid at half the step
     for s in (4.3217, 6.90041, 13.5555, 29.2024):
         for which in ("F", "f"):
-            assert abs(evaluate(grid, s, which) - previous_evaluate(fine, s, which)) <= 1e-8
+            assert abs(evaluate(s, which) - previous_evaluate(fine, s, which)) <= 1e-8
 
 
 def _read_csv(path) -> np.ndarray:
@@ -182,7 +208,7 @@ def test_grid_cache_reuse_and_rebuild(tmp_path):
     assert path.exists()
     stamp = path.stat().st_mtime_ns
     g2 = grid_cached(8, 1e-3, cache=path)
-    assert np.array_equal(g1.series, g2.series)
+    assert g1 == g2
     assert np.array_equal(_read_csv(path)[:, 1:].T, g2.values(1, g2.nodes + 1))
     assert path.stat().st_mtime_ns == stamp  # a matching export is left untouched
     # the file is never read back: a hit carries the built grid's join_error
@@ -287,17 +313,49 @@ def test_grid_cell_cap_is_predicted(monkeypatch):
         build_grid(7, 1e-3)
 
 
-def test_input_errors(grid):
+def test_input_errors():
     with pytest.raises(InputError):
         build_grid(7.5, 1e-3)
+    for step in (0.3, 2.0, 1e300, 1e-3 * (1 + 1e-5)):  # 1/step not an integer >= 1
+        with pytest.raises(InputError):
+            build_grid(10, step)
+    # any step 1/m answers: the series, not the nodes, carry F and f
+    for step, m in ((4e-3, 250), (1 / 1001, 1001), (1.0, 1)):
+        g = build_grid(10, step)
+        assert g.m == m and g.nodes == 10 * m
     with pytest.raises(InputError):
-        build_grid(10, 4e-3)
+        evaluate(0.0, "F")
+    assert evaluate(31.0, "f") == 1.0  # past the last unit
     with pytest.raises(InputError):
-        evaluate(grid, 0.0, "F")
-    with pytest.raises(InputError):
-        evaluate(grid, 31.0, "f")
-    with pytest.raises(InputError):
-        evaluate(grid, 3.0, "g")
+        evaluate(3.0, "g")
     for s in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError):
-            evaluate(grid, s, "F")
+            evaluate(s, "F")
+
+
+def test_coarser_step_exports_every_other_row(capsys):
+    # step 0.002 is 1/500: its node k is the step-1e-3 export's node 2k, byte for byte
+    texts = []
+    for step in ("0.002", "1e-3"):
+        assert main(["buchstab", "--s-max", "12", "--step", step, "--format", "csv"]) == 0
+        texts.append(capsys.readouterr().out.splitlines())
+    coarse, fine = texts
+    assert coarse[0] == fine[0] == "s,F,f" and len(coarse) == 6001
+    assert coarse[1:] == fine[2::2]
+    for digits in (12, 17):
+        coarse, fine = io.StringIO(), io.StringIO()
+        write_csv(build_grid(12, 0.002), coarse, digits)
+        write_csv(build_grid(12, 1e-3), fine, digits)
+        assert coarse.getvalue().splitlines()[1:] == fine.getvalue().splitlines()[2::2]
+
+
+def test_exports_past_the_last_unit_keep_their_bytes(capsys):
+    # digests of the exports at s_max 200 taken before the series stopped at
+    # unit 30: every row past it is 1.0 for F and f, as the earlier series gave
+    assert main(["buchstab", "--s-max", "200", "--step", "1e-3", "--format", "csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d0cec61d15279146e150f0444220b331ec94f198a14048d145c578054de48864"
+    text = io.StringIO()
+    write_csv(build_grid(200, 1e-3), text)
+    digest = hashlib.sha256(text.getvalue().encode()).hexdigest()
+    assert digest == "e8b2a4aace90716a256f45d32291e75405ea33da40e480568fa0d781890675e7"

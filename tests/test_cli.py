@@ -186,6 +186,20 @@ def test_buchstab_cache_reused(tmp_path, capsys):
     assert 0 <= json.loads(out3)["join_error"] <= 1e-6
 
 
+def test_curves_answer_past_the_last_unit(capsys):
+    # F and f are functions of s, 1.0 past the series' last unit: s and gamma/alpha
+    # past 30 answer, and so does any step 1/m
+    rc, out, _ = run(capsys, ["parity", "--x", "10000", "--s", "31"])
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert row["predict+"] == row["predict-"] > 0
+    rc, out, _ = run(capsys, ["weighted", "--r", "2", "--alpha", "0.01", "--beta", "0.4",
+                              "--gamma-level", "0.5", "--n", "100"])
+    assert rc == 0 and json.loads(out)["margin_integral"] < 0
+    rc, out, _ = run(capsys, ["buchstab", "--s-max", "6", "--step", "0.002", "--format", "json"])
+    assert rc == 0 and json.loads(out)["step"] == 0.002
+
+
 def test_parity_table_header(capsys):
     rc, out, _ = run(capsys, [
         "parity", "--x", "10000", "--s", "2.5", "--format", "table",

@@ -26,11 +26,10 @@ SMALL = [2, 3, 7, 2.5]
 
 @pytest.fixture(scope="module")
 def ctx(tables_small):
-    grid = S.build_grid(6, 1e-3)
     omega = S.MultiplicativeDensity(lambda p: Fraction(1))
     cfg = S.WeightedConfig(N=1000, r=3, alpha=0.1225, beta=0.4725, gamma_level=0.49)
     return {
-        "t": tables_small, "grid": grid, "omega": omega, "cfg": cfg,
+        "t": tables_small, "omega": omega, "cfg": cfg,
         "p": S.make_problem("interval", {"x": 0, "y": 200}, tables_small),
     }
 
@@ -47,7 +46,7 @@ CALLS = {
     "prime_pi": (lambda c, x: S.prime_pi(x, c["t"]), (100,)),
     "build_grid": (lambda c, s_max, step: S.build_grid(s_max, step), (6, 1e-3)),
     "grid_cached": (lambda c, s_max, step: S.grid_cached(s_max, step), (6, 1e-3)),
-    "evaluate": (lambda c, s: S.evaluate(c["grid"], s, "F"), (2.5,)),
+    "evaluate": (lambda c, s: S.evaluate(s, "F"), (2.5,)),
     "bv_scan": (lambda c, x, q: S.bv_scan(x, q, c["t"]), (100, 3)),
     "legendre_count": (lambda c, z: S.legendre_count(c["p"], z), (10,)),
     "legendre_remainder_sum": (lambda c, z: S.legendre_remainder_sum(c["p"], z), (10,)),
@@ -56,7 +55,7 @@ CALLS = {
     "problem_W": (lambda c, z: S.problem_W(c["p"], z), (10,)),
     "L_summatory": (lambda c, x: S.L_summatory(x, c["t"]), (100,)),
     "S_pm_exact": (lambda c, x, s, sign: S.S_pm_exact(x, s, sign, c["t"]), (100, 2, 1)),
-    "prediction_row": (lambda c, x, s: S.prediction_row(x, s, c["grid"], c["t"]), (100, 2.5)),
+    "prediction_row": (lambda c, x, s: S.prediction_row(x, s, c["t"]), (100, 2.5)),
     "recursion_check": (lambda c, x, s, sign: S.recursion_check(x, s, sign, c["t"]), (100, 2, -1)),
     "rough_signed_count": (lambda c, n, p_min, sign: S.rough_signed_count(n, p_min, sign, c["t"]),
                            (100, 3, 1)),
@@ -67,7 +66,7 @@ CALLS = {
     "PrimeSet": (lambda c, m: S.PrimeSet("coprime", m), (6,)),
     "combinatorial_bounds": (lambda c, y, z: S.combinatorial_bounds(c["p"], y, z), (100, 5)),
     "fundamental_lemma_report": (
-        lambda c, y, s: S.fundamental_lemma_report(c["p"], y, [s], c["grid"]), (100, 2)),
+        lambda c, y, s: S.fundamental_lemma_report(c["p"], y, [s]), (100, 2)),
     "truncated_mobius_sum": (lambda c, y, z, sign: S.truncated_mobius_sum(c["p"], y, z, sign),
                              (100, 10, 1)),
     "brun_titchmarsh": (lambda c, x, k, l: S.brun_titchmarsh(x, k, l, c["t"]), (1000, 3, 1)),
@@ -86,7 +85,7 @@ CALLS = {
 #: public callables that take no number: result and input containers, the
 #: error types, and functions of containers alone (run_suite is tested below)
 NO_NUMBERS = {
-    "BVScanResult", "BoundPair", "BrunTitchmarshReport", "BuchstabGrid", "CapacityError",
+    "BVScanResult", "BoundPair", "BrunTitchmarshReport", "CapacityError",
     "ChenReport", "DensityRangeError", "FundamentalRow", "InputError", "MertensValue",
     "MultStats", "MultiplicativeDensity", "PairBoundReport", "ParityRow", "PrimeTables",
     "SelbergWeights", "SieveProblem", "SieveReport", "SieveWeights", "SuiteResult",
@@ -147,8 +146,14 @@ def _nan_integrand(u: float) -> float:  # never called: the bounds are refused f
 # calls just outside a domain, each of which once slipped past every check
 PROBES = {
     "root_ceiling past a float": lambda c: root_ceiling(10**400, 1.1),
-    "lemma at s = 1e-300": lambda c: S.fundamental_lemma_report(c["p"], 100, [1e-300], c["grid"]),
-    "prediction_row x = 10000.5": lambda c: S.prediction_row(10000.5, 2, c["grid"], c["t"]),
+    "lemma at s = 1e-300": lambda c: S.fundamental_lemma_report(c["p"], 100, [1e-300]),
+    "prediction_row x = 10000.5": lambda c: S.prediction_row(10000.5, 2, c["t"]),
+    "prediction_row s = 1": lambda c: S.prediction_row(100, 1, c["t"]),
+    "evaluate s = 0": lambda c: S.evaluate(0.0, "F"),
+    "evaluate s = -1": lambda c: S.evaluate(-1.0, "f"),
+    "evaluate s = nan": lambda c: S.evaluate(math.nan, "F"),
+    "evaluate s = inf": lambda c: S.evaluate(math.inf, "f"),
+    "evaluate which = g": lambda c: S.evaluate(2.5, "g"),
     "mult_stats n = 10.5": lambda c: S.mult_stats(10.5, c["t"]),
     "bv_scan x = 1000.5": lambda c: S.bv_scan(1000.5, 3, c["t"]),
     "pi_ap k = 3.5": lambda c: S.pi_ap(100, 3.5, 1, c["t"]),

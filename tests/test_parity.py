@@ -133,22 +133,22 @@ def test_smallest_prime_recursion_exact(tables_small):
                 assert lhs == rhs, (x, s, sign)
 
 
-def test_prediction_identities(tables_big, grid):
-    row = prediction_row(1_000_000, 2.0, grid, tables_big)
+def test_prediction_identities(tables_big):
+    row = prediction_row(1_000_000, 2.0, tables_big)
     assert row.predict_plus == pytest.approx(1_000_000 / math.log(1_000_000), rel=1e-12)
     assert row.predict_minus == 0.0
-    row = prediction_row(1_000_000, 2.5, grid, tables_big)
+    row = prediction_row(1_000_000, 2.5, tables_big)
     f25 = 2 * math.exp(EULER_GAMMA) * math.log(1.5) / 2.5
     want = (1_000_000 / 2.0) / (math.exp(EULER_GAMMA) * 0.4 * math.log(1_000_000)) * f25
     assert row.predict_minus == pytest.approx(want, rel=1e-9)
 
 
-def test_minus_side_tracks_prediction(tables_big, grid):
+def test_minus_side_tracks_prediction(tables_big):
     x = 1_000_000
     err_unit = x / math.log(x) ** 2
     ratios = {}
     for s in (2.3, 2.5, 2.8):
-        row = prediction_row(x, s, grid, tables_big)
+        row = prediction_row(x, s, tables_big)
         assert abs(row.exact_minus - row.predict_minus) <= 2.0 * err_unit, s
         ratios[s] = row.exact_minus / row.predict_minus
         assert row.exact_plus / row.predict_plus == pytest.approx(1.08, abs=0.1)
@@ -157,23 +157,27 @@ def test_minus_side_tracks_prediction(tables_big, grid):
     assert ratios[2.3] < ratios[2.5] < ratios[2.8]
 
 
-def test_minus_ratio_improves_with_x(tables_big, grid):
+def test_minus_ratio_improves_with_x(tables_big):
     prev = 0.0
     for x in (10**4, 10**5, 10**6):
-        row = prediction_row(x, 2.5, grid, tables_big)
+        row = prediction_row(x, 2.5, tables_big)
         r = row.exact_minus / row.predict_minus
         assert r > prev
         prev = r
     assert prev > 0.65
 
 
-def test_row_validation(tables_small, grid):
+def test_row_validation(tables_small):
     with pytest.raises(InputError):
-        prediction_row(100, 1.0, grid, tables_small)
-    with pytest.raises(InputError):
-        prediction_row(100, grid.s_max + 1, grid, tables_small)
+        prediction_row(100, 1.0, tables_small)
+    # past the last unit of the series F = f = 1.0, so both predictions are the scale
+    row = prediction_row(100, 31.0, tables_small)
+    scale = 50.0 / (math.exp(EULER_GAMMA) * math.log(100) / 31.0)
+    assert row.predict_plus == row.predict_minus == scale
+    assert (row.exact_plus, row.exact_minus) == (S_pm_exact(100, 31.0, 1, tables_small),
+                                                 S_pm_exact(100, 31.0, -1, tables_small))
     with pytest.raises(CapacityError):
-        prediction_row(tables_small.limit + 1, 2.5, grid, tables_small)
+        prediction_row(tables_small.limit + 1, 2.5, tables_small)
 
 
 def test_root_past_a_float_is_a_capacity_error():

@@ -138,7 +138,7 @@ def test_two_sided_bounds_trap_exact(tables_mid):
         assert "X*W(z)" in bp.upper.notes
 
 
-def test_upper_main_term_tracks_limit_curve(tables_mid, grid):
+def test_upper_main_term_tracks_limit_curve(tables_mid):
     p = make_problem("interval", {"x": 0, "y": 1000}, tables_mid)
     # the gap to the limit curve closes like a fractional power of 1/log y,
     # slow enough that 1e6 still sits ~12% out; 1e8 gets under 10%
@@ -147,16 +147,16 @@ def test_upper_main_term_tracks_limit_curve(tables_mid, grid):
             z = y ** (1.0 / s)
             m = truncated_mobius_sum(p, y, z, 1)
             w = problem_W(p, z).W
-            curve = evaluate(grid, s, "F")
+            curve = evaluate(s, "F")
             assert m / w <= curve
             assert abs(m / w - curve) / curve <= tol, (y, s)
             mlo = truncated_mobius_sum(p, y, z, -1)
-            assert mlo / w >= evaluate(grid, s, "f")
+            assert mlo / w >= evaluate(s, "f")
 
 
-def test_scaled_counts_between_limit_curves(tables_big, grid):
+def test_scaled_counts_between_limit_curves(tables_big):
     p = make_problem("interval", {"x": 0, "y": 1_000_000}, tables_big)
-    rows = fundamental_lemma_report(p, 10_000.0, [3.0, 4.0, 6.0, 8.0], grid)
+    rows = fundamental_lemma_report(p, 10_000.0, [3.0, 4.0, 6.0, 8.0])
     for row in rows:
         assert row.lower_curve - 0.05 <= row.scaled <= row.upper_curve + 0.05, row
     assert [round(r.z) for r in rows] == [22, 10, 5, 3]

@@ -13,7 +13,6 @@ from exact_reference import (
     reference_W_exact,
 )
 
-from sievelab.buchstab import evaluate
 from sievelab.errors import CapacityError, InputError
 from sievelab.problem import make_problem, sift_exact, sifted_members
 from sievelab.weighted import (
@@ -74,7 +73,7 @@ def test_many_factor_members_get_nonpositive_terms(tables_big):
     assert np.all(terms <= 1e-12), ns[terms > 1e-12]
 
 
-def test_margin_sign_flips_at_threshold(grid):
+def test_margin_sign_flips_at_threshold():
     for r in (2, 3):
         g0 = 1.0 / lambda_r(r)
         for eps, want_positive in ((-0.004, False), (0.004, True)):
@@ -82,13 +81,13 @@ def test_margin_sign_flips_at_threshold(grid):
             cfg = WeightedConfig(
                 N=10_000, r=r, alpha=g / 4, beta=g / (1 + 3.0**-r), gamma_level=g
             )
-            mi, mc = level_condition(cfg, grid)
+            mi, mc = level_condition(cfg)
             assert (mi > 0) is want_positive
             assert (mc > 0) is want_positive
             assert abs(mi - mc) <= 1e-6
 
 
-def test_margins_agree_on_admissible_grid(grid):
+def test_margins_agree_on_admissible_grid():
     rng = random.Random(0)
     checked = 0
     while checked < 100:
@@ -100,7 +99,7 @@ def test_margins_agree_on_admissible_grid(grid):
             continue
         b = rng.uniform(b_lo, g * 0.98)
         cfg = WeightedConfig(N=10**6, r=r, alpha=a, beta=b, gamma_level=g)
-        mi, mc = level_condition(cfg, grid)
+        mi, mc = level_condition(cfg)
         assert mc is not None
         assert abs(mi - mc) <= 1e-6
         if min(abs(mi), abs(mc)) > 1e-9:
@@ -108,20 +107,23 @@ def test_margins_agree_on_admissible_grid(grid):
         checked += 1
 
 
-def test_closed_margin_absent_outside_its_range(grid):
+def test_closed_margin_absent_outside_its_range():
     cfg = WeightedConfig(N=10**6, r=2, alpha=0.08, beta=0.4, gamma_level=0.5)
-    mi, mc = level_condition(cfg, grid)
+    mi, mc = level_condition(cfg)
     assert mc is None
     assert math.isfinite(mi)
 
 
-def test_level_condition_validation(grid):
+def test_level_condition_validation():
     cfg = WeightedConfig(N=100, r=2, alpha=0.12, beta=0.6, gamma_level=0.5)
     with pytest.raises(InputError):
-        level_condition(cfg, grid)  # beta above the level
+        level_condition(cfg)  # beta above the level
+    # gamma/alpha = 50 is past the series' last unit, where f = F = 1.0; F on
+    # [10, 49] is within 2e-10 of 1, so c = 2 times the integral of 1/v - 1/beta
     tiny = WeightedConfig(N=100, r=2, alpha=0.01, beta=0.4, gamma_level=0.5)
-    with pytest.raises(InputError):
-        level_condition(tiny, grid)  # gamma/alpha beyond the grid
+    mi, mc = level_condition(tiny)
+    assert mi == pytest.approx(1.0 - 2.0 * (math.log(40.0) - 0.39 / 0.4), abs=1e-8)
+    assert mc is None
 
 
 def test_threshold_beats_constraint_on_grid():
@@ -132,12 +134,12 @@ def test_threshold_beats_constraint_on_grid():
             assert g > (1 + 3.0**-r) / (r + 1)
 
 
-def test_weighted_sum_shifted_regime(tables_mid, grid):
+def test_weighted_sum_shifted_regime(tables_mid):
     g = 0.49
     cfg = WeightedConfig(
         N=10_000, r=3, alpha=g / 4, beta=g / (1 + 3.0**-3), gamma_level=g
     )
-    mi, mc = level_condition(cfg, grid)
+    mi, mc = level_condition(cfg)
     assert mi > 0 and mc > 0
     p = make_problem("shifted_prime", {"N": 10_000}, tables_mid)
     w = W_exact(p, cfg)
