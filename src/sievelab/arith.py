@@ -9,7 +9,9 @@ after a single table build.  The tables own two shared facts besides:
 whether a read at n fits them (``PrimeTables.reach``, the one place a
 request is held against ``limit``), and the Liouville summatory
 L(n) = sum of lambda(m) over m <= n (``liouville_summatory``), which the
-parity counts and both Liouville problem kinds read.
+parity counts and both Liouville problem kinds read.  Beside the
+progression count ``pi_ap`` sits ``bv_scan``, the worst progression error
+per modulus over every prime up to x.
 """
 
 from __future__ import annotations
@@ -243,6 +245,143 @@ def pi_ap(x: float, k: int, l: int, tables: PrimeTables) -> int:
     ps = tables.primes[: np.searchsorted(tables.primes, math.floor(x), side="right")]
     ps = ps.astype(np.uint32)  # primes and k are within the tables, below 2^32
     return int(np.count_nonzero(ps - ps // k * k == l % k))  # // by a scalar is vectorised; % is not
+
+
+#: most evaluations bv_scan takes on; one modulus costs pi(x) + _BV_SCAN_K_COST
+BV_SCAN_MAX_WORK = 10**8
+_BV_SCAN_K_COST = 2_000
+
+
+@dataclass(frozen=True)
+class BVScanResult:
+    """Max progression errors per modulus and their running total."""
+
+    x: int
+    q_max: int
+    rows: list[tuple[int, float]]
+    total: float
+
+
+def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
+    a = ps[:-1].astype(np.float64)
+    b = ps[1:].astype(np.float64)
+    h = (b - a) / 4.0
+    # h/3 (1/log a + 4/log(a + h) + 2/log(a + 2h) + 4/log(a + 3h) + 1/log b),
+    # each quotient formed in one buffer and added into seg in that order
+    seg = np.log(a)
+    np.divide(1.0, seg, out=seg)
+    t = np.empty_like(seg)
+    for k, c in ((1, 4.0), (2, 2.0), (3, 4.0)):
+        np.multiply(k, h, out=t)
+        t += a
+        seg += np.divide(c, np.log(t, out=t), out=t)
+    seg += np.divide(1.0, np.log(b, out=t), out=t)
+    h /= 3.0
+    seg *= h
+    del h, t  # freed before the Li column is allocated
+    # fixed panels are not accurate enough while 1/log u is still curved
+    for i in np.nonzero(a < 10_000.0)[0]:
+        seg[i] = integrate_adaptive(
+            lambda u: 1.0 / math.log(u), float(a[i]), float(b[i]), 1e-12
+        )
+    li = np.zeros(ps.size, dtype=np.float64)
+    np.cumsum(seg, out=li[1:])
+    tail = 0.0
+    last = float(ps[-1])
+    if x > last:
+        tail = integrate_adaptive(lambda u: 1.0 / math.log(u), last, float(x), 1e-10)
+    return li, li[-1] + tail
+
+
+def _worst_class(jump, sizes, coprime, mean: float, phi: int) -> float:
+    """The largest error over the coprime classes: at a jump, or at y = x.
+
+    A coprime class without primes counts 0, so its error peaks at y = x.
+    """
+    ends = np.abs(sizes[coprime] - mean)
+    empty = mean if ends.size < phi else 0.0
+    return float(max(np.max(jump[coprime], initial=0.0), np.max(ends, initial=empty)))
+
+
+def _jump_errors(at: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max(j - at, at - (j - 1)) per prime, in the buffers of at and j and one more.
+
+    Both arguments are overwritten.  Callers pass fresh arrays and keep no name
+    for them, so a modulus holds three float arrays of its primes at once.
+    """
+    up = j - at
+    j -= 1
+    return np.maximum(up, np.subtract(at, j, out=j), out=up)
+
+
+def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
+    """Worst progression error per modulus k <= q_max, scanned exactly.
+
+    For each k and each residue l coprime to k this takes the max over all
+    prime jump points y <= x (both sides of each jump, and the endpoint) of
+    |pi(y; k, l) - Li(y)/phi(k)|, then keeps the largest l.  k = 1 measures
+    |pi(y) - Li(y)| itself.  Li(y)/phi(k) only grows between two jumps of a
+    class, so only the jumps and y = x are evaluated: O(pi(x)) per modulus.
+    Scans beyond BV_SCAN_MAX_WORK, or with q_max beyond the tables, raise
+    CapacityError before they start.
+
+    Per k the residues are radix sorted (uint8 to q_max = 256, else uint16),
+    the sizes and starts of the classes that hold primes come from one
+    bincount (no longer than the largest residue, so no step costs O(k)),
+    ranks j from one repeat, and coprimality is tested on the class labels.
+    With t = Li(p)/phi(k), monotone rounding makes
+    max(|j - t|, |(j - 1) - t|) equal max(fl(j - t), fl(t - (j - 1))), and a
+    class's error from its last prime to x peaks at one of the two ends.
+
+    A modulus 2k with k odd is not scanned.  Its coprime classes are the odd
+    lifts of k's, phi(2k) = phi(k), and each holds the same primes as its
+    class mod k except that 2 mod k loses p = 2.  So row 2k keeps k's jump
+    maxima and sizes, and only that class is rescanned, with ranks
+    1 ... size - 1.  Every t and every exact float j is the one a scan of
+    2k would use, so the rows are bit-identical.
+    """
+    x = integer(x, "x", least=2)
+    tables.reach(x, f"x={x}")
+    q_max = integer(q_max, "q_max", least=1)
+    tables.reach(q_max, f"q_max={q_max}")
+    n = prime_pi(x, tables)
+    within(q_max * (n + _BV_SCAN_K_COST), BV_SCAN_MAX_WORK,
+           f"scan work of {q_max} moduli over {n} primes")
+    ps = tables.primes[:n]
+    li, li_x = _li_at_primes(ps, x)
+    rem_type = np.uint8 if q_max <= 256 else np.uint16  # the cap admits < 2**16 moduli
+    ps32, ranks = ps.astype(np.uint32), np.arange(1.0, n + 1)
+    errors = [0.0] * (q_max + 1)
+    for k in range(1, q_max + 1):
+        if k % 4 == 2:  # derived from the odd k // 2 below
+            continue
+        phi = mult_stats(k, tables).phi
+        rem = (ps32 - ps32 // k * k).astype(rem_type)  # // by a scalar is vectorised; % is not
+        # a stable sort of small ints is a radix sort: positions ascend per class
+        order = np.argsort(rem, kind="stable")
+        sizes = np.bincount(rem)
+        labels = np.flatnonzero(sizes)  # the classes that hold primes
+        sizes = sizes[labels]
+        starts = np.cumsum(sizes) - sizes
+        # the j-th prime of a class lifts its count from j - 1 to j
+        jump = np.maximum.reduceat(
+            _jump_errors(li[order] / phi, ranks - np.repeat(starts, sizes)), starts
+        )
+        coprime = np.gcd(labels, k) == 1
+        errors[k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
+        if k % 2 and 2 * k <= q_max:  # row 2k: the class of 2 mod k loses p = 2
+            c = np.searchsorted(labels, 2 % k)
+            sizes[c] -= 1
+            lo = starts[c] + 1  # its primes past 2 (no view of order outlives k)
+            jump[c] = np.max(
+                _jump_errors(li[order[lo:lo + sizes[c]]] / phi, np.arange(1.0, sizes[c] + 1)),
+                initial=0.0,
+            )
+            errors[2 * k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
+    rows = [(k, errors[k]) for k in range(1, q_max + 1)]
+    return BVScanResult(
+        x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)
+    )
 
 
 def _simpson(f, a: float, b: float) -> float:

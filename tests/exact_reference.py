@@ -45,9 +45,10 @@ from oracle import below, brute, primes_below, support, w_product
 
 import sievelab.selberg as selberg
 import sievelab.weighted as weighted
-from sievelab.arith import EULER_GAMMA, factorize, mult_stats, prime_pi
+from sievelab.arith import (
+    EULER_GAMMA, BVScanResult, _li_at_primes, factorize, mult_stats, prime_pi,
+)
 from sievelab.errors import finite
-from sievelab.harness import BVScanResult, _li_at_primes
 from sievelab.problem import sifted_members
 from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _sieve_densities, _superset_sums
 

@@ -58,7 +58,7 @@ MUTANTS = [
     ("weighted.py", "return max(0.0, w)", "return max(0.0, w * 1.01)",
      "the Richert weights, 1% high",
      ["tests/test_cli.py::test_weighted_sizes_tables_for_the_members_it_factors"], None),
-    ("harness.py", "np.maximum(up, np.subtract(at, j, out=j), out=up)",
+    ("arith.py", "np.maximum(up, np.subtract(at, j, out=j), out=up)",
      "np.minimum(up, np.subtract(at, j, out=j), out=up)",
      "the progression errors: the smaller of the two jump errors",
      ["tests/test_harness.py::test_bv_scan_matches_direct_recomputation"], None),

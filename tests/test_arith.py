@@ -243,7 +243,7 @@ _REACH_LIMIT = 1000  # even, so the goldbach and chen boundaries fall on it
 def _reach_calls():
     """Every call that holds a read against the tables, called to read at n; the
     flag says whether a NaN n reaches the check."""
-    from sievelab.harness import bv_scan
+    from sievelab.arith import bv_scan
     from sievelab.parity import L_summatory, S_pm_exact, prediction_row, rough_signed_count
     from sievelab.problem import PrimeSet, make_problem, primes_below, sift_exact
     from sievelab.selberg import goldbach_report, twin_report

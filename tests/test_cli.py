@@ -355,6 +355,45 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert "FAIL" in out and "1 vs 2" in out
 
 
+def test_verify_unknown_suite_exits_2_and_lists_the_suites(capsys):
+    # the name is checked once, by run_suite, not by the parser as well
+    rc, out, err = run(capsys, ["verify", "--suite", "nope"])
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert "unknown suite 'nope'" in err
+    assert all(name in err for name in [*harness.SUITES, "all"])
+
+
+_IMPORT_STAGES = """
+import contextlib, io, json, sys
+loaded = []
+def stage(name):
+    loaded.append([name, "sievelab.harness" in sys.modules])
+import sievelab
+stage("import sievelab")
+from sievelab import cli
+stage("import sievelab.cli")
+for argv in (["brun-titchmarsh", "--x", "100000", "--scan-q", "5"],
+             ["legendre", "--problem", "interval", "--x", "0", "--len", "1000", "--z", "10"],
+             ["verify", "--suite", "mertens-products"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    stage(argv[0])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_verify_loads_the_suites():
+    src = str(Path(sievelab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_STAGES], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import sievelab", False], ["import sievelab.cli", False],
+        ["brun-titchmarsh", False], ["legendre", False], ["verify", True],
+    ]
+
+
 def test_progression_scan_sizes_tables_for_q(capsys):
     # q_max beyond x: the tables cover the moduli, not only the primes up to x
     rc, out, err = run(capsys, ["brun-titchmarsh", "--x", "1000", "--scan-q", "20000"])

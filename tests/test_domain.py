@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import sievelab as S
 from sievelab.errors import finite, integer, within
+from sievelab.harness import run_suite
 from sievelab.parity import root_ceiling
 
 PACKAGE_ERRORS = (S.InputError, S.CapacityError, S.DensityRangeError)
@@ -83,14 +84,14 @@ CALLS = {
 }
 
 #: public callables that take no number: result and input containers, the
-#: error types, and functions of containers alone (run_suite is tested below)
+#: error types, and functions of containers alone
 NO_NUMBERS = {
     "BVScanResult", "BoundPair", "BrunTitchmarshReport", "CapacityError",
     "ChenReport", "DensityRangeError", "FundamentalRow", "InputError", "MertensValue",
     "MultStats", "MultiplicativeDensity", "PairBoundReport", "ParityRow", "PrimeTables",
-    "SelbergWeights", "SieveProblem", "SieveReport", "SieveWeights", "SuiteResult",
+    "SelbergWeights", "SieveProblem", "SieveReport", "SieveWeights",
     "W_exact", "level_condition", "mu_plus",
-    "repeated_window_factor_count", "run_suite", "save_grid", "y_values",
+    "repeated_window_factor_count", "save_grid", "y_values",
 }
 
 
@@ -181,7 +182,7 @@ def test_out_of_domain_calls_raise_a_package_error_at_once(ctx, call):
 def test_run_suite_refuses_unknown_names():
     for name in ("nope", math.nan, 1):
         with pytest.raises(S.InputError, match="unknown suite"):
-            S.run_suite(name)
+            run_suite(name)
 
 
 def test_an_integral_float_is_an_integer(tables_small):

@@ -8,18 +8,24 @@ import numpy as np
 import pytest
 from exact_reference import reference_bv_scan
 
-from sievelab.arith import build_tables, li_eval, mult_stats, pi_ap, prime_pi
+from sievelab.arith import (
+    _BV_SCAN_K_COST,
+    BV_SCAN_MAX_WORK,
+    _li_at_primes,
+    build_tables,
+    bv_scan,
+    li_eval,
+    mult_stats,
+    pi_ap,
+    prime_pi,
+)
 from sievelab.errors import CapacityError, InputError
 from sievelab.harness import (
-    _BV_SCAN_K_COST,
     ACCEPTANCE_SUITES,
-    BV_SCAN_MAX_WORK,
     SUITES,
     SuiteResult,
-    _li_at_primes,
     _mu_plus_divisor_sums,
     _progression_cases,
-    bv_scan,
     run_suite,
 )
 
