@@ -5,13 +5,16 @@ to a fixed limit plus the sorted array of primes below it.  Everything that
 needs factorizations, prime counts in progressions, or multiplicative
 statistics (mu, nu, Omega, the +-1 complete-multiplicativity indicator, phi)
 goes through one shared instance so the sieve work stays O(1) per query
-after a single table build.  The tables own two shared facts besides:
+after a single table build.  The tables own three shared facts besides:
 whether a read at n fits them (``PrimeTables.reach``, the one place a
-request is held against ``limit``), and the Liouville summatory
+request is held against ``limit``), the Liouville summatory
 L(n) = sum of lambda(m) over m <= n (``liouville_summatory``), which the
-parity counts and both Liouville problem kinds read.  Beside the
+parity counts and both Liouville problem kinds read, and Li(p) at the
+primes (``li_column``), built only as far as a scan has read.  Beside the
 progression count ``pi_ap`` sits ``bv_scan``, the worst progression error
-per modulus over every prime up to x.
+per modulus over every prime up to x.  It evaluates exactly only the runs
+of jumps whose bound tops the errors already known, and its rows equal
+those of a scan that evaluates every jump.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class PrimeTables:
     _big_omega: np.ndarray | None = field(default=None, repr=False, compare=False)
     _mobius: np.ndarray | None = field(default=None, repr=False, compare=False)
     _liouville_sum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _li: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def reach(self, n, what: str | None = None) -> None:
         """Check that a read at n fits the tables; ``what`` names the request.
@@ -97,6 +101,30 @@ class PrimeTables:
         if self._liouville_sum is None:
             self._liouville_sum = np.cumsum(self.liouville_table(), dtype=np.int32)
         return self._liouville_sum
+
+    def li_column(self, n: int) -> np.ndarray:
+        """float64 Li(p) = integral from 2 to p of du / log u at the first n primes.
+
+        Read-only; the column is built only as far as the largest n asked
+        for, and grows by the steps between its last prime and the n-th.
+        Each step is summed onto the column's end in order, so every prefix
+        is bit-identical to one cumulative sum of the steps from p = 2.
+
+        Raises:
+            InputError: n is not an integer >= 0.
+            CapacityError: n is past the number of primes in the tables.
+        """
+        n = within(integer(n, "prime count n", least=0), self.primes.size, "Li column primes")
+        li = self._li if self._li is not None else np.zeros(1)  # Li(2) = 0
+        if li.size < n:
+            steps = _li_steps(self.primes[li.size - 1 : n])
+            steps[0] += li[-1]
+            grown = np.empty(n)
+            grown[: li.size] = li
+            np.cumsum(steps, out=grown[li.size :])
+            grown.flags.writeable = False
+            self._li = li = grown
+        return li[:n]
 
     def mobius_table(self) -> np.ndarray:
         """int8 array with mu(n); entry 0 is unused and set to 0.
@@ -262,7 +290,8 @@ class BVScanResult:
     total: float
 
 
-def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
+def _li_steps(ps: np.ndarray) -> np.ndarray:
+    """Li(b) - Li(a) for each pair of consecutive primes a < b of ps."""
     a = ps[:-1].astype(np.float64)
     b = ps[1:].astype(np.float64)
     h = (b - a) / 4.0
@@ -278,40 +307,105 @@ def _li_at_primes(ps: np.ndarray, x: int) -> tuple[np.ndarray, float]:
     seg += np.divide(1.0, np.log(b, out=t), out=t)
     h /= 3.0
     seg *= h
-    del h, t  # freed before the Li column is allocated
     # fixed panels are not accurate enough while 1/log u is still curved
     for i in np.nonzero(a < 10_000.0)[0]:
         seg[i] = integrate_adaptive(
             lambda u: 1.0 / math.log(u), float(a[i]), float(b[i]), 1e-12
         )
-    li = np.zeros(ps.size, dtype=np.float64)
-    np.cumsum(seg, out=li[1:])
-    tail = 0.0
-    last = float(ps[-1])
-    if x > last:
-        tail = integrate_adaptive(lambda u: 1.0 / math.log(u), last, float(x), 1e-10)
-    return li, li[-1] + tail
+    return seg
 
 
-def _worst_class(jump, sizes, coprime, mean: float, phi: int) -> float:
-    """The largest error over the coprime classes: at a jump, or at y = x.
+def _li_past(p, x: int) -> float:
+    """Li(x) - Li(p) for the last prime p <= x."""
+    return integrate_adaptive(lambda u: 1.0 / math.log(u), float(p), float(x), 1e-10)
 
-    A coprime class without primes counts 0, so its error peaks at y = x.
+
+def _ends(sizes, mean: float, phi: int) -> float:
+    """The largest error of the coprime classes at y = x.
+
+    A coprime class without primes counts 0, so its error is the mean itself.
     """
-    ends = np.abs(sizes[coprime] - mean)
-    empty = mean if ends.size < phi else 0.0
-    return float(max(np.max(jump[coprime], initial=0.0), np.max(ends, initial=empty)))
+    ends = np.abs(sizes - mean)
+    return float(np.max(ends, initial=mean if ends.size < phi else 0.0))
 
 
 def _jump_errors(at: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """max(j - at, at - (j - 1)) per prime, in the buffers of at and j and one more.
+    """max(j - at, at - (j - 1)) per prime, in the buffer of j and one more.
 
-    Both arguments are overwritten.  Callers pass fresh arrays and keep no name
-    for them, so a modulus holds three float arrays of its primes at once.
+    j is overwritten: callers pass a fresh array and keep no name for it.
     """
     up = j - at
     j -= 1
     return np.maximum(up, np.subtract(at, j, out=j), out=up)
+
+
+def _runs(li, order, phi: int, starts, sizes, width: int) -> tuple:
+    """Cut classes into runs of ``width`` jumps; per run its first position in
+    order, the rank there and its last position, the larger jump error at its
+    two ends, and a bound on every jump error between them.
+
+    In a run of one class both the rank j and t = Li(p)/phi rise, and j rises
+    by 1 a jump.  So by monotone rounding, fl((j_last - 1) - t_first) bounds
+    fl(j - t) at every jump but the last, and fl(t_last - j_first) bounds
+    fl(t - (j - 1)) at every jump but the first; both ends are exact.
+    """
+    count = -(-sizes // width)
+    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    step *= width  # ranks before each run's first jump
+    head = np.repeat(starts, count) + step
+    tail = np.minimum(head + (width - 1), np.repeat(starts + sizes - 1, count))
+    jh = step + 1.0
+    jt = jh + (tail - head)
+    th = li[order[head]] / phi
+    tt = li[order[tail]] / phi
+    bound = np.maximum((jt - 1) - th, tt - jh)
+    ends = np.maximum(_jump_errors(th, jh.copy()), _jump_errors(tt, jt))
+    return head, jh, tail, float(np.max(ends, initial=0.0)), bound
+
+
+def _scan_runs(li, order, phi: int, runs: tuple, floor: float, width: int) -> float:
+    """The largest jump error in the runs whose bound tops floor, else 0."""
+    head, jh, tail, _, bound = runs
+    pick = np.flatnonzero(bound > floor)
+    if not pick.size:
+        return 0.0
+    offset = np.arange(width)
+    pos = head[pick, None] + offset
+    inside = pos <= tail[pick, None]
+    j = (jh[pick, None] + offset)[inside]
+    return float(np.max(_jump_errors(li[order[pos[inside]]] / phi, j)))
+
+
+def _modulus_rows(ps32, li, li_x, k: int, phi: int, pair: bool) -> list[float]:
+    """Row k of bv_scan, and row 2k after it if pair; no array outlives the call."""
+    rem_type = np.uint8 if k <= 256 else np.uint16  # the cap admits < 2**16 moduli
+    rem = (ps32 - ps32 // k * k).astype(rem_type)  # // by a scalar is vectorised; % is not
+    # a stable sort of small ints is a radix sort: positions ascend per class
+    order = np.argsort(rem, kind="stable")
+    sorted_rem = rem[order]  # each residue up to the largest is searched: no step costs O(k)
+    bounds = np.searchsorted(sorted_rem, np.arange(int(sorted_rem[-1]) + 1, dtype=rem_type))
+    sizes = np.diff(bounds, append=rem.size)
+    labels = np.flatnonzero(sizes)  # the classes that hold primes
+    labels = labels[np.gcd(labels, k) == 1]
+    starts, sizes = bounds[labels], sizes[labels]
+    width = max(1, min(16, rem.size // (4 * phi)))  # a quarter of the mean class, at most 16
+    mean = li_x / phi
+    if not pair:
+        runs = _runs(li, order, phi, starts, sizes, width)
+        floor = max(_ends(sizes, mean, phi), runs[3])
+        return [max(floor, _scan_runs(li, order, phi, runs, floor, width))]
+    # the class of 2 mod k: with p = 2 for row k, without it for row 2k
+    c = np.searchsorted(labels, 2 % k)
+    rest = np.arange(labels.size) != c
+    shared = _runs(li, order, phi, starts[rest], sizes[rest], width)
+    floors, scans = [], []
+    for lose in (0, 1):
+        own = _runs(li, order, phi, starts[c : c + 1] + lose, sizes[c : c + 1] - lose, width)
+        sizes[c] -= lose
+        floors.append(max(_ends(sizes, mean, phi), shared[3], own[3]))
+        scans.append(_scan_runs(li, order, phi, own, floors[-1], width))
+    common = _scan_runs(li, order, phi, shared, min(floors), width)
+    return [max(f, s, common) for f, s in zip(floors, scans)]
 
 
 def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
@@ -321,24 +415,32 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     prime jump points y <= x (both sides of each jump, and the endpoint) of
     |pi(y; k, l) - Li(y)/phi(k)|, then keeps the largest l.  k = 1 measures
     |pi(y) - Li(y)| itself.  Li(y)/phi(k) only grows between two jumps of a
-    class, so only the jumps and y = x are evaluated: O(pi(x)) per modulus.
-    Scans beyond BV_SCAN_MAX_WORK, or with q_max beyond the tables, raise
-    CapacityError before they start.
+    class, so only the jumps and y = x are candidates.  Li at the primes is
+    read from the tables' column (``PrimeTables.li_column``).  Scans beyond
+    BV_SCAN_MAX_WORK, or with q_max beyond the tables, raise CapacityError
+    before they start.
 
-    Per k the residues are radix sorted (uint8 to q_max = 256, else uint16),
-    the sizes and starts of the classes that hold primes come from one
-    bincount (no longer than the largest residue, so no step costs O(k)),
-    ranks j from one repeat, and coprimality is tested on the class labels.
-    With t = Li(p)/phi(k), monotone rounding makes
-    max(|j - t|, |(j - 1) - t|) equal max(fl(j - t), fl(t - (j - 1))), and a
+    Per k the residues are radix sorted (uint8 to k = 256, else uint16),
+    and the starts and sizes of the classes come from a search of the sorted
+    residues for each label up to the largest.  With t = Li(p)/phi(k), monotone
+    rounding makes max(|j - t|, |(j - 1) - t|) equal
+    max(fl(j - t), fl(t - (j - 1))) at the j-th prime of a class, and a
     class's error from its last prime to x peaks at one of the two ends.
+
+    Each coprime class is cut into runs of a quarter of the mean class size,
+    at most 16 jumps (``_runs``).
+    The errors at both ends of every run, and at y = x, are exact values of
+    the row, so their max is a floor under it; only the runs whose bound tops
+    that floor are evaluated jump by jump.  The row is the max of the floor
+    and those runs, the same float as the max over every jump.
 
     A modulus 2k with k odd is not scanned.  Its coprime classes are the odd
     lifts of k's, phi(2k) = phi(k), and each holds the same primes as its
-    class mod k except that 2 mod k loses p = 2.  So row 2k keeps k's jump
-    maxima and sizes, and only that class is rescanned, with ranks
-    1 ... size - 1.  Every t and every exact float j is the one a scan of
-    2k would use, so the rows are bit-identical.
+    class mod k except that 2 mod k loses p = 2.  So rows k and 2k share the
+    runs of every other class, and the class 2 mod k is cut twice: with
+    ranks 1 ... size for row k, and without p = 2, ranks 1 ... size - 1, for
+    row 2k.  Every t and every exact float j is the one a scan of 2k would
+    use, so the rows are bit-identical.
     """
     x = integer(x, "x", least=2)
     tables.reach(x, f"x={x}")
@@ -347,37 +449,17 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     n = prime_pi(x, tables)
     within(q_max * (n + _BV_SCAN_K_COST), BV_SCAN_MAX_WORK,
            f"scan work of {q_max} moduli over {n} primes")
-    ps = tables.primes[:n]
-    li, li_x = _li_at_primes(ps, x)
-    rem_type = np.uint8 if q_max <= 256 else np.uint16  # the cap admits < 2**16 moduli
-    ps32, ranks = ps.astype(np.uint32), np.arange(1.0, n + 1)
+    li = tables.li_column(n)
+    li_x = li[-1] + _li_past(tables.primes[n - 1], x)
+    ps32 = tables.primes[:n].astype(np.uint32)
     errors = [0.0] * (q_max + 1)
     for k in range(1, q_max + 1):
         if k % 4 == 2:  # derived from the odd k // 2 below
             continue
+        pair = k % 2 == 1 and 2 * k <= q_max
         phi = mult_stats(k, tables).phi
-        rem = (ps32 - ps32 // k * k).astype(rem_type)  # // by a scalar is vectorised; % is not
-        # a stable sort of small ints is a radix sort: positions ascend per class
-        order = np.argsort(rem, kind="stable")
-        sizes = np.bincount(rem)
-        labels = np.flatnonzero(sizes)  # the classes that hold primes
-        sizes = sizes[labels]
-        starts = np.cumsum(sizes) - sizes
-        # the j-th prime of a class lifts its count from j - 1 to j
-        jump = np.maximum.reduceat(
-            _jump_errors(li[order] / phi, ranks - np.repeat(starts, sizes)), starts
-        )
-        coprime = np.gcd(labels, k) == 1
-        errors[k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
-        if k % 2 and 2 * k <= q_max:  # row 2k: the class of 2 mod k loses p = 2
-            c = np.searchsorted(labels, 2 % k)
-            sizes[c] -= 1
-            lo = starts[c] + 1  # its primes past 2 (no view of order outlives k)
-            jump[c] = np.max(
-                _jump_errors(li[order[lo:lo + sizes[c]]] / phi, np.arange(1.0, sizes[c] + 1)),
-                initial=0.0,
-            )
-            errors[2 * k] = _worst_class(jump, sizes, coprime, li_x / phi, phi)
+        for m, e in zip((k, 2 * k), _modulus_rows(ps32, li, li_x, k, phi, pair)):
+            errors[m] = e
     rows = [(k, errors[k]) for k in range(1, q_max + 1)]
     return BVScanResult(
         x=x, q_max=q_max, rows=rows, total=math.fsum(e for _, e in rows)

@@ -41,7 +41,8 @@ A ``BuchstabGrid`` is only the export: the nodes s_k = k/m, k <= s_max m,
 and ``join_error`` on them.  Building a grid costs far less than parsing
 one back from text, so the CSV cache of ``grid_cached`` is written, never
 read.  It and ``buchstab --format csv`` share one writer, ``write_csv``,
-which tabulates and formats a chunk of rows at a time.
+which tabulates and formats a chunk of rows at a time and refuses an export
+of more than ``MAX_GRID_CELLS`` rows before it writes any.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ import numpy as np
 from .arith import EULER_GAMMA
 from .errors import InputError, finite, integer, within
 
-#: most nodes s_k = k/m a grid spans (s_max/step), one export row each
+#: most rows one ``buchstab`` route writes: s_max/step export rows (csv and
+#: the cache) or s_max - 1 rows at the integers (json and table); and most
+#: nodes of (2, 4], 2/step, that ``build_grid`` reads ``join_error`` on
 MAX_GRID_CELLS = 5_000_000
 #: coefficients per unit of each series
 TERMS = 40
@@ -148,12 +151,12 @@ def curves(s: np.ndarray, terms: int = TERMS) -> np.ndarray:
 
 
 def _grid_size(s_max: float, step: float) -> tuple[int, int]:
-    """(s_max, m) for a grid of step 1/m on (0, s_max], its size checked first."""
+    """(s_max, m) for a grid of step 1/m on (0, s_max], its join nodes checked first."""
     smax = integer(s_max, "s_max", least=6)
     m = round(1.0 / finite(step, "step", above=0))
     if m < 1 or abs(1.0 / step - m) > 1e-6:
         raise InputError(f"step must be 1/m for an integer m, got {step}")
-    within(smax * m, MAX_GRID_CELLS, "grid points s_max/step")
+    within(2 * m, MAX_GRID_CELLS, "join_error nodes 2/step")
     return smax, m
 
 
@@ -167,8 +170,9 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
 
     Raises:
         InputError: s_max or step outside the domain above.
-        CapacityError: s_max/step exceeds MAX_GRID_CELLS; checked before
-            anything is built.
+        CapacityError: 2/step exceeds MAX_GRID_CELLS; checked before
+            anything is built.  The export's s_max/step rows are checked
+            where they are written, by ``write_csv``.
 
     The returned ``join_error`` is the largest difference, over the nodes of
     2 < s <= 4, between f from the series (the integral form of the closed F)
@@ -176,8 +180,8 @@ def build_grid(s_max: float = 30.0, step: float = 1e-4) -> BuchstabGrid:
     """
     smax, m = _grid_size(s_max, step)
     g = BuchstabGrid(m, float(smax), 0.0)
-    for lo in (2 * m + 1, 3 * m + 1):  # one unit of nodes at a time
-        s = g.s_values(lo, lo + m)
+    for lo in range(2 * m + 1, 4 * m + 1, _SAVE_CHUNK):  # one chunk of nodes at a time
+        s = g.s_values(lo, min(lo + _SAVE_CHUNK, 4 * m + 1))
         err = curves(s)[1] - _TWO_EG * np.log(s - 1.0) / s  # f closed on [2, 4]
         g.join_error = max(g.join_error, float(np.max(np.abs(err))))
     return g
@@ -192,7 +196,13 @@ def _csv_rows(grid: BuchstabGrid, lo: int, hi: int, digits: int = 17) -> str:
 def write_csv(grid: BuchstabGrid, fh, digits: int = 17) -> None:
     """Write F and f at the grid's nodes to the text stream fh as CSV with
     header s,F,f, one chunk of _SAVE_CHUNK rows per write, so only one chunk
-    is held as text."""
+    is held as text.
+
+    Raises:
+        CapacityError: the grid's s_max/step rows exceed MAX_GRID_CELLS;
+            checked before anything is written.
+    """
+    within(grid.nodes, MAX_GRID_CELLS, "export rows s_max/step")
     fh.write("s,F,f\n")
     top = grid.nodes + 1
     for lo in range(1, top, _SAVE_CHUNK):

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .arith import PrimeTables, build_tables, bv_scan
-from .buchstab import evaluate, grid_cached, write_csv
+from .buchstab import MAX_GRID_CELLS, evaluate, grid_cached, write_csv
 from .errors import CapacityError, DensityRangeError, InputError, finite, integer, within
 from .legendre import legendre_count, legendre_remainder_sum, problem_W
 from .parity import prediction_row
@@ -201,6 +201,7 @@ def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "csv":  # streamed: only one chunk of rows is held as text
         write_csv(grid, sys.stdout, digits=12)
         return "", 0
+    within(round(grid.s_max) - 1, MAX_GRID_CELLS, "rows s_max - 1")
     rows = [
         {"s": float(s), "F": evaluate(float(s), "F"), "f": evaluate(float(s), "f")}
         for s in range(2, int(args.s_max) + 1)

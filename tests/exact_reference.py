@@ -9,7 +9,7 @@ that check what the oracle (``oracle.py``) does not.
    error of ``TOL`` (``close``), M+- to ``TOL`` times A (``mobius_close``),
    since where terms cancel the value itself can be far smaller than A.
 2. Exact kernels that now do less work for the same result: ``bv_scan`` with
-   every modulus scanned, and lambda_weights and y_values with each node
+   every modulus scanned at every jump, and lambda_weights and y_values with each node
    factored alone and each term added into its 2^nu divisors (``reference_*``)
    or as they were before the superset sums (``previous_*``).  They are held
    ``==`` to the package, and on the float path past MAX_EXACT_SUPPORT either
@@ -46,7 +46,7 @@ from oracle import below, brute, primes_below, support, w_product
 import sievelab.selberg as selberg
 import sievelab.weighted as weighted
 from sievelab.arith import (
-    EULER_GAMMA, BVScanResult, _li_at_primes, factorize, mult_stats, prime_pi,
+    EULER_GAMMA, BVScanResult, _li_past, _li_steps, factorize, mult_stats, prime_pi,
 )
 from sievelab.errors import finite
 from sievelab.problem import sifted_members
@@ -91,11 +91,19 @@ def mobius_close(got: float, exact: Fraction, scale: Fraction) -> bool:
     return abs(Fraction(got) - exact) <= TOL * scale
 
 
+def li_at_primes(ps, x) -> tuple[np.ndarray, float]:
+    """Li at each prime of ps, the primes up to x, as one cumulative sum of
+    the steps from p = 2, and Li(x): what ``PrimeTables.li_column`` grows."""
+    li = np.zeros(ps.size, dtype=np.float64)
+    np.cumsum(_li_steps(ps), out=li[1:])
+    return li, li[-1] + _li_past(ps[-1], x)
+
+
 def reference_bv_scan(x, q_max, tables) -> BVScanResult:
     """bv_scan with every modulus k <= q_max scanned over all primes <= x."""
     n = prime_pi(x, tables)
     ps = tables.primes[:n]
-    li, li_x = _li_at_primes(ps, x)
+    li, li_x = li_at_primes(ps, x)
     rem_type = np.uint8 if q_max <= 256 else np.uint16
     ps32, ranks = ps.astype(np.uint32), np.arange(1.0, n + 1)
     rows = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
 import os
 import random
@@ -17,7 +18,7 @@ from exact_reference import (
     previous_evaluate,
     previous_save_grid,
 )
-from sievelab import buchstab, harness
+from sievelab import buchstab, cli, harness
 from sievelab.arith import EULER_GAMMA, integrate_adaptive
 from sievelab.buchstab import (
     TERMS,
@@ -304,13 +305,44 @@ def test_csv_export_holds_one_chunk():
     assert peak <= 8192 * 256
 
 
-def test_grid_cell_cap_is_predicted(monkeypatch):
+def test_grid_cell_cap_is_predicted(monkeypatch, tmp_path):
+    # build_grid reads join_error on the 2/step nodes of (2, 4]; the export's
+    # s_max/step rows are held to the cap where they are written
+    with pytest.raises(CapacityError, match="join_error nodes"):
+        build_grid(6, 1e-7)  # 2e7 nodes: refused before anything is allocated
+    huge = build_grid(1e9, 1e-4)
+    sink = io.StringIO()
+    with pytest.raises(CapacityError, match="export rows"):
+        write_csv(huge, sink)  # 1e13 rows: refused before anything is written
+    assert sink.getvalue() == ""
     with pytest.raises(CapacityError):
-        build_grid(1e9, 1e-4)  # 1e13 points: refused before anything is allocated
+        save_grid(huge, tmp_path / "huge.csv")
+    with pytest.raises(CapacityError):
+        grid_cached(1e9, 1e-4, tmp_path / "huge.csv")
+    assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(buchstab, "MAX_GRID_CELLS", 6000)
-    assert build_grid(6, 1e-3).nodes == 6000
+    write_csv(build_grid(6, 1e-3), sink)
+    assert build_grid(6, 1e-3).nodes == 6000 and len(sink.getvalue().splitlines()) == 6001
     with pytest.raises(CapacityError):
-        build_grid(7, 1e-3)
+        write_csv(build_grid(7, 1e-3), io.StringIO())
+
+
+def test_each_buchstab_route_is_capped_by_the_rows_it_writes(capsys, monkeypatch, tmp_path):
+    # json and table print s_max - 1 rows at the integers, whatever the step;
+    # csv and the cache write s_max/step rows
+    assert main(["buchstab", "--s-max", "10000", "--step", "1e-3", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 9_999
+    for route in (["--format", "csv"], ["--cache", str(tmp_path / "grid.csv")]):
+        assert main(["buchstab", "--s-max", "10000", "--step", "1e-3", *route]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "export rows s_max/step: 10000000 is past the cap" in err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 9)
+    assert main(["buchstab", "--s-max", "10", "--format", "table"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10  # the header and 9 rows
+    for fmt in ("json", "table"):
+        assert main(["buchstab", "--s-max", "11", "--format", fmt]) == 2
+        assert "rows s_max - 1: 10 is past the cap of 9" in capsys.readouterr().err
 
 
 def test_input_errors():

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_reference import reference_bv_scan
+from exact_reference import li_at_primes, reference_bv_scan
 
+from sievelab import arith
 from sievelab.arith import (
     _BV_SCAN_K_COST,
     BV_SCAN_MAX_WORK,
-    _li_at_primes,
     build_tables,
     bv_scan,
     li_eval,
@@ -181,7 +181,7 @@ def test_bv_scan_k1_tracks_prime_count_error(tables_small):
 def _cumsum_scan(x, q_max, tables):
     """Reference scan: one cumulative count over all primes per residue class."""
     ps = tables.primes[tables.primes <= x]
-    li, li_x = _li_at_primes(ps, x)
+    li, li_x = li_at_primes(ps, x)
     rows = []
     for k in range(1, q_max + 1):
         phi = mult_stats(k, tables).phi
@@ -216,7 +216,7 @@ def _sort_scan(x, q_max, tables):
     """Reference scan: the int16/int64 argsort kernel with both absolute values."""
     n = int(np.searchsorted(tables.primes, x, side="right"))
     ps = tables.primes[:n]
-    li, li_x = _li_at_primes(ps, x)
+    li, li_x = li_at_primes(ps, x)
     rem_type = np.int16 if q_max <= np.iinfo(np.int16).max else np.int64
     rows = []
     for k in range(1, q_max + 1):
@@ -252,8 +252,11 @@ def test_bv_scan_equals_sort_reference(x, q_max, tables_mid):
 
 
 #: x = 2 and 3 leave the class 2 mod k holding only p = 2; q_max = 2 is the
-#: k = 2 row from k = 1; past 256 the residues are uint16
-BV_XS = [2, 3, 10, 97, 1000, 999_900, 10**6] + random.Random(0).sample(range(4, 200_000), 3)
+#: k = 2 row from k = 1; past 256 the residues are uint16.  pi(x) is 159, 160
+#: and 161 at x = 937, 941 and 947, and 1,599, 1,600 and 1,601 at 13,487,
+#: 13,499 and 13,513: a multiple of 16, the longest run, and one off it
+BV_XS = [2, 3, 10, 97, 1000, 999_900, 10**6] + random.Random(0).sample(range(4, 200_000), 3) + [
+    937, 941, 947, 13_487, 13_499, 13_513]
 BV_QS = [1, 2, 3, 6, 7, 50, 100, 257, 300]
 
 
@@ -265,6 +268,54 @@ def test_bv_scan_equals_the_per_modulus_scan(x, tables_big):
         scan = bv_scan(x, q_max, tables_big)
         assert scan.rows == rows[:q_max], q_max
         assert scan.total == math.fsum(e for _, e in rows[:q_max]), q_max
+
+
+def test_bv_scan_equals_the_per_modulus_scan_at_q_max_1000(tables_big):
+    # past k = 256 the residues are uint16, and at x = 1e5 most classes hold
+    # fewer than 64 jumps, so their runs are shorter than 16
+    scan = bv_scan(10**5, 1000, tables_big)
+    ref = reference_bv_scan(10**5, 1000, tables_big)
+    assert scan.rows == ref.rows
+    assert scan.total == ref.total
+
+
+def test_li_column_equals_li_at_primes_on_every_prefix(monkeypatch):
+    # grown, read again below its end and grown again, in the order scans ask
+    t = build_tables(300_000)
+    xs = [1000, 97, 2, 100_003, 12_345, 299_999, 299_993, 300_000]
+    want = [li_at_primes(t.primes[: prime_pi(x, t)], x)[0] for x in xs]
+    calls = []
+    steps = arith._li_steps
+    monkeypatch.setattr(arith, "_li_steps", lambda ps: calls.append(ps.size) or steps(ps))
+    for x, li in zip(xs, want):
+        got = t.li_column(li.size)
+        assert not got.flags.writeable
+        assert got.tobytes() == li.tobytes(), x
+    # each step between consecutive primes is integrated once: 1 + pi(300000) - 1
+    assert sum(calls) - len(calls) == prime_pi(300_000, t) - 1
+    assert t.li_column(0).size == 0
+    with pytest.raises(CapacityError, match="past the cap of 25997"):
+        t.li_column(25_998)
+    for n in (-1, 2.5, math.nan):
+        with pytest.raises(InputError):
+            t.li_column(n)
+
+
+def test_scans_read_the_li_column_without_rebuilding_it(monkeypatch):
+    t = build_tables(10**6)
+    calls = []
+    steps = arith._li_steps
+    monkeypatch.setattr(arith, "_li_steps", lambda ps: calls.append(ps.size) or steps(ps))
+    # a scan well below the table limit pays for its own primes only
+    first = bv_scan(10**4, 20, t)
+    assert calls == [prime_pi(10**4, t)]
+    # a second scan, at the same x or below, integrates nothing
+    assert bv_scan(10**4, 20, t) == first
+    bv_scan(5_000, 20, t)
+    assert calls == [prime_pi(10**4, t)]
+    # a scan further up integrates only the steps past the column's end
+    bv_scan(20_000, 20, t)
+    assert calls == [prime_pi(10**4, t), prime_pi(20_000, t) - prime_pi(10**4, t) + 1]
 
 
 def test_bv_scan_cap_keeps_residues_in_uint16():
@@ -340,3 +391,19 @@ def test_bv_scan_transient_per_prime(x, q_max):
     finally:
         tracemalloc.stop()
     assert peak <= 56 * prime_pi(x, t)
+
+
+@pytest.mark.parametrize("x, q_max", [(10**6, 50), (10**7, 20)])
+def test_bv_scan_loop_transient_per_prime_with_the_li_column_built(x, q_max):
+    # with Li(p) already on the tables, the scan holds its uint32 primes and
+    # one modulus's residues, order and run columns at a time: at most 28
+    # bytes per prime up to x
+    t = build_tables(x + 1)
+    t.li_column(prime_pi(x, t))
+    tracemalloc.start()
+    try:
+        bv_scan(x, q_max, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * prime_pi(x, t)
