@@ -466,23 +466,29 @@ def bv_scan(x: int, q_max: int, tables: PrimeTables) -> BVScanResult:
     )
 
 
-def _simpson(f, a: float, b: float) -> float:
-    """Simpson's rule on [a, b]; an estimate that is not finite ends the quadrature."""
-    out = (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+def _simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
+    """Simpson's rule on [a, b] from f at a, the midpoint and b; an estimate
+    that is not finite ends the quadrature."""
+    out = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     if not math.isfinite(out):
         raise CapacityError(f"Simpson estimate {out} on [{a:.6g}, {b:.6g}] is not finite")
     return out
 
 
-def _adaptive_simpson(f, a, b, whole, eps, depth):
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps, depth):
+    """Refine ``whole``, Simpson's rule on [a, b] from fa, fm and fb: each
+    level evaluates f only at the two new quarter points, left then right."""
     m = 0.5 * (a + b)
-    left = _simpson(f, a, m)
-    right = _simpson(f, m, b)
+    flm = f(0.5 * (a + m))
+    left = _simpson(a, m, fa, flm, fm)
+    frm = f(0.5 * (m + b))
+    right = _simpson(m, b, fm, frm, fb)
     delta = left + right - whole
     if abs(delta) <= 15.0 * eps or depth <= 0:
         return left + right + delta / 15.0
-    return _adaptive_simpson(f, a, m, left, 0.5 * eps, depth - 1) + _adaptive_simpson(
-        f, m, b, right, 0.5 * eps, depth - 1
+    return (
+        _adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * eps, depth - 1)
+        + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * eps, depth - 1)
     )
 
 
@@ -491,7 +497,8 @@ def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
 
     Each interval is split until two successive refinements agree to the
     (proportionally shared) tolerance; the Richardson-extrapolated value is
-    returned.
+    returned.  f is called once per point: a refinement reuses f at its
+    interval's ends and midpoint.
 
     Raises:
         InputError: a or b not a finite number, or rel_tol not a finite number > 0.
@@ -501,9 +508,10 @@ def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     finite(rel_tol, "rel_tol", above=0)
     if finite(b, "b") <= finite(a, "a"):
         return 0.0
-    whole = _simpson(f, a, b)
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = _simpson(a, b, fa, fm, fb)
     scale = max(abs(whole), 1e-30)
-    return _adaptive_simpson(f, a, b, whole, rel_tol * scale, 48)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, rel_tol * scale, 48)
 
 
 def li_eval(x: float) -> float:

@@ -3,6 +3,9 @@
 Subcommands pick a problem, run one bound or report, and emit it as an
 aligned table, JSON with fixed field names, or bare CSV.  `verify` runs
 the cross-module suites and exits nonzero when any case fails.
+
+The top level imports only the standard library and ``errors``; each
+command imports the modules it runs, so a cold command loads no others.
 """
 
 from __future__ import annotations
@@ -13,25 +16,14 @@ import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arith import PrimeTables, build_tables, bv_scan
-from .buchstab import MAX_GRID_CELLS, evaluate, grid_cached, write_csv
 from .errors import CapacityError, DensityRangeError, InputError, finite, integer, within
-from .legendre import legendre_count, legendre_remainder_sum, problem_W
-from .parity import prediction_row
-from .problem import ALL_KINDS, KINDS, SieveProblem, kind_shape, make_problem
-from .rosser import combinatorial_bounds
-from .selberg import SieveReport, brun_titchmarsh, fundamental_upper_bound
-from .weighted import (
-    WeightedConfig,
-    W_exact,
-    chen_report,
-    lambda_r,
-    level_condition,
-    pr_count,
-    presieve_cut,
-    repeated_window_factor_count,
-)
+
+if TYPE_CHECKING:
+    from .arith import PrimeTables
+    from .problem import SieveProblem
+    from .selberg import SieveReport
 
 MAX_CLI_TABLES = 20_000_200
 
@@ -125,6 +117,8 @@ def _require(args: argparse.Namespace, **named) -> list:
 
 
 def _problem_params(args: argparse.Namespace) -> tuple[str, dict]:
+    from .problem import ALL_KINDS, KINDS
+
     kind = args.problem
     if kind is None:
         raise InputError(f"{args.command} needs --problem (one of {', '.join(ALL_KINDS)})")
@@ -141,6 +135,8 @@ def _tables(*needs: float) -> PrimeTables:
     problem kind's own need, and whatever the command itself factors or
     counts.  The level y is never factored, so it is not a need.
     """
+    from .arith import build_tables
+
     need = max(10_000, *needs)
     return build_tables(within(int(need) + 200, MAX_CLI_TABLES, "command-line factor tables"))
 
@@ -148,6 +144,8 @@ def _tables(*needs: float) -> PrimeTables:
 def _problem(args: argparse.Namespace, z: float, factored: bool = False) -> SieveProblem:
     """The command's problem, on tables for the cut z, the kind's need and,
     when the command factors the members, the largest member."""
+    from .problem import kind_shape, make_problem
+
     kind, params = _problem_params(args)
     shape = kind_shape(kind, params)
     t = _tables(finite(z, "cut z") + 1, shape.need, shape.n_bound if factored else 0)
@@ -155,6 +153,9 @@ def _problem(args: argparse.Namespace, z: float, factored: bool = False) -> Siev
 
 
 def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
+    from .legendre import legendre_count, legendre_remainder_sum, problem_W
+    from .selberg import SieveReport
+
     (z,) = _require(args, z=args.z)
     p = _problem(args, z)
     count = legendre_count(p, z)
@@ -170,6 +171,8 @@ def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_selberg(args: argparse.Namespace) -> tuple[str, int]:
+    from .selberg import fundamental_upper_bound
+
     (y,) = _require(args, y=args.y)
     z = args.z if args.z is not None else math.sqrt(finite(y, "level y", above=1))
     p = _problem(args, z)
@@ -178,6 +181,9 @@ def _cmd_selberg(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
+    from .problem import kind_shape
+    from .rosser import combinatorial_bounds
+
     y = args.y
     if y is None:
         base = max(kind_shape(*_problem_params(args)).X, 3.0)
@@ -197,6 +203,8 @@ def _cmd_rosser(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
+    from .buchstab import MAX_GRID_CELLS, evaluate, grid_cached, write_csv
+
     grid = grid_cached(args.s_max, args.step, args.cache or None)
     if args.format == "csv":  # streamed: only one chunk of rows is held as text
         write_csv(grid, sys.stdout, digits=12)
@@ -213,6 +221,16 @@ def _cmd_buchstab(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
+    from .weighted import (
+        WeightedConfig,
+        W_exact,
+        lambda_r,
+        level_condition,
+        pr_count,
+        presieve_cut,
+        repeated_window_factor_count,
+    )
+
     (r,) = _require(args, r=args.r)
     out: dict = {"r": r, "threshold": lambda_r(r)}
     have_geometry = None not in (args.alpha, args.beta, args.gamma_level)
@@ -232,6 +250,8 @@ def _cmd_weighted(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
+    from .parity import prediction_row
+
     (x,) = _require(args, x=args.x)
     if not args.s:
         raise InputError("parity needs --s (comma-separated list)")
@@ -253,6 +273,8 @@ def _cmd_parity(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_chen(args: argparse.Namespace) -> tuple[str, int]:
+    from .weighted import chen_report
+
     (n,) = _require(args, n=args.n)
     t = _tables(integer(n, "N"))
     return emit_report(asdict(chen_report(n, t)), args.format), 0
@@ -263,6 +285,8 @@ def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
     q = args.scan_q
     t = _tables(integer(x, "x") + 1, 0 if q is None else integer(q, "q_max") + 1)
     if q is not None:
+        from .arith import bv_scan
+
         scan = bv_scan(x, q, t)
         rows = [{"k": k, "E1": e} for k, e in scan.rows]
         if args.format == "json":
@@ -272,6 +296,8 @@ def _cmd_brun_titchmarsh(args: argparse.Namespace) -> tuple[str, int]:
         if args.format == "table":
             text += f"\ntotal  {scan.total:.12g}"
         return text, 0
+    from .selberg import brun_titchmarsh
+
     k, l = _require(args, k=args.k, l=args.l)
     return emit_report(asdict(brun_titchmarsh(x, k, l, t)), args.format), 0
 
@@ -319,6 +345,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser, and the subcommand parsers by name."""
+    from .problem import ALL_KINDS  # argparse reads the choices as the flag is added
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="json")
     common.add_argument("--config", default=None, help="JSON file of flag defaults")

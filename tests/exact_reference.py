@@ -30,6 +30,9 @@ that check what the oracle (``oracle.py``) does not.
    before they shared one chunked row writer.  The package's exports keep
    their header, row count and row format, and each value is within 1e-13
    of the Simpson grid's before it is rounded to the export's digits.
+6. ``integrate_adaptive`` as it was before each level passed f at its end
+   points and midpoint down: every Simpson estimate evaluated f at all
+   three of its points, six calls per refined interval.  Held ``==``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import sievelab.weighted as weighted
 from sievelab.arith import (
     EULER_GAMMA, BVScanResult, _li_past, _li_steps, factorize, mult_stats, prime_pi,
 )
-from sievelab.errors import finite
+from sievelab.errors import CapacityError, finite
 from sievelab.problem import sifted_members
 from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _sieve_densities, _superset_sums
 
@@ -413,3 +416,34 @@ def previous_save_grid(grid: PreviousGrid, path) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+# -- 6. the adaptive quadrature -------------------------------------------
+
+
+def _previous_simpson(f, a: float, b: float) -> float:
+    out = (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
+    if not math.isfinite(out):
+        raise CapacityError(f"Simpson estimate {out} on [{a:.6g}, {b:.6g}] is not finite")
+    return out
+
+
+def _previous_adaptive_simpson(f, a, b, whole, eps, depth):
+    m = 0.5 * (a + b)
+    left = _previous_simpson(f, a, m)
+    right = _previous_simpson(f, m, b)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * eps or depth <= 0:
+        return left + right + delta / 15.0
+    return _previous_adaptive_simpson(f, a, m, left, 0.5 * eps, depth - 1) + (
+        _previous_adaptive_simpson(f, m, b, right, 0.5 * eps, depth - 1)
+    )
+
+
+def previous_integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
+    """integrate_adaptive with f evaluated at all three points of every Simpson estimate."""
+    finite(rel_tol, "rel_tol", above=0)
+    if finite(b, "b") <= finite(a, "a"):
+        return 0.0
+    whole = _previous_simpson(f, a, b)
+    return _previous_adaptive_simpson(f, a, b, whole, rel_tol * max(abs(whole), 1e-30), 48)

@@ -2,13 +2,17 @@
 
 Each entry is (file under src/sievelab, old text, new text, what it breaks,
 the Tier-1 tests that must fail, the ``verify`` case that must fail or None).
-``verify`` passes on the first eleven: its bound checks ask only that a bound
+``verify`` passes on the first ten: its bound checks ask only that a bound
 lie on the right side of the exact count, which a bound that claims more
 than its proof gives still does at the suites' sizes; ``sift_exact`` and
 every bound read the same cut and support rule, so a changed cut or support
 edge moves both sides of each check; and its bands are wide where constants
-enter.  The last two are mutants of the delay curves' series, and each names
-the delay-grid case, (suite, case id), that catches it.
+enter.  The next two are mutants of the delay curves' series, and each names
+the delay-grid case, (suite, case id), that catches it.  The last is a
+mutant of the quadrature kernel: its refinement no longer converges at any
+practical depth, so a run of ``verify`` would not end; the Tier-1 test it
+names caps the integrand's calls at those of the previous recursion and
+fails at once.
 
 Run from the root of the checkout:
 
@@ -76,6 +80,11 @@ MUTANTS = [
      "each unit's continuity constant taken at its far end, u = +1/2",
      ["tests/test_buchstab.py::test_join_error_tiny"],
      ("delay-grid", "series f on (2, 4] against its closed form")),
+    ("arith.py", "fa, flm, fm, left, 0.5 * eps, depth - 1)\n        + _adaptive_simpson(f, m, b, fm, frm, fb",
+     "fa, frm, fm, left, 0.5 * eps, depth - 1)\n        + _adaptive_simpson(f, m, b, fm, flm, fb",
+     "the quadrature: the two quarter-point values passed to the wrong halves",
+     ["tests/test_arith.py::test_quadrature_equals_the_previous_recursion_with_a_third_of_the_calls"],
+     None),
 ]
 
 

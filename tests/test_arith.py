@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from exact_reference import previous_integrate_adaptive
 
+from sievelab import weighted
 from sievelab.arith import (
     MAX_TABLE_ENTRIES,
+    _li_steps,
     build_tables,
     factor_columns,
     factorize,
@@ -311,3 +314,90 @@ def test_non_finite_simpson_estimate_ends_the_quadrature():
         integrate_adaptive(lambda u: math.inf if u > 0.3 else 1.0, 0, 1)
     assert time.perf_counter() - start < 1.0
     assert integrate_adaptive(lambda u: 1.0 + u, 0, 1e150) == pytest.approx(5e299)
+
+
+def _both_quadratures(f, a, b, rel_tol):
+    """The previous recursion and integrate_adaptive on f, each with the
+    points it evaluated.  integrate_adaptive may call f 3 + 2n times where
+    the previous recursion called it 3 + 6n times; one more call fails at
+    once, so a kernel that stops converging fails instead of running on."""
+    old_at, new_at = [], []
+    old = previous_integrate_adaptive(lambda u: old_at.append(u) or f(u), a, b, rel_tol)
+    budget = 3 + (len(old_at) - 3) // 3
+
+    def counted(u):
+        assert len(new_at) < budget, f"more than {budget} calls on [{a}, {b}]"
+        new_at.append(u)
+        return f(u)
+
+    return integrate_adaptive(counted, a, b, rel_tol), old, new_at, old_at
+
+
+#: the level_condition grid: gamma, alpha / gamma and the place of beta in
+#: [max(1.05 alpha, 1/(r+1) + 0.001), 0.98 gamma], for r = 2, 3, 4
+LEVEL_GAMMAS = (0.3, 0.45, 0.6, 0.75, 0.9)
+LEVEL_ALPHA_SHARES = (0.25, 0.3, 0.375, 0.45, 0.5)
+LEVEL_BETA_PLACES = (0.0, 1 / 3, 2 / 3, 1.0)
+
+#: where li_eval is held to the previous recursion
+LI_XS = (2.5, 3.0, 10.0, 97.5, 1e3, 1e4, 1e5, 1e6, 2e7)
+
+
+def _level_integrands(monkeypatch) -> list[tuple]:
+    """(f, a, b, rel_tol) of every level_condition quadrature over the grid."""
+    seen = []
+
+    def capture(f, a, b, rel_tol=1e-10):
+        seen.append((f, a, b, rel_tol))
+        return previous_integrate_adaptive(f, a, b, rel_tol)
+
+    monkeypatch.setattr(weighted, "integrate_adaptive", capture)
+    for r in (2, 3, 4):
+        for g in LEVEL_GAMMAS:
+            for share in LEVEL_ALPHA_SHARES:
+                a = g * share
+                lo, hi = max(1.05 * a, 1.0 / (r + 1) + 1e-3), 0.98 * g
+                for place in LEVEL_BETA_PLACES if lo < hi else ():
+                    b = lo + (hi - lo) * place
+                    weighted.level_condition(weighted.WeightedConfig(10**6, r, a, b, g))
+    return seen
+
+
+def test_quadrature_equals_the_previous_recursion_with_a_third_of_the_calls(monkeypatch):
+    # each refined interval evaluates f at its two quarter points only; the
+    # values, and the order of the new points, are the previous recursion's
+    inv_log = lambda u: 1.0 / math.log(u)  # noqa: E731
+    ps = build_tables(10_000).primes.tolist()
+    cases = _level_integrands(monkeypatch)
+    assert len(cases) == 280
+    cases += [(inv_log, float(a), float(b), 1e-12) for a, b in zip(ps, ps[1:])]
+    cases += [(inv_log, 2.0, x, 1e-10) for x in LI_XS]
+    for f, a, b, rel_tol in cases:
+        new, old, new_at, old_at = _both_quadratures(f, a, b, rel_tol)
+        assert new == old, (a, b)
+        # 3 + 2 calls per refined interval, against 3 + 6
+        assert len(old_at) - 3 == 3 * (len(new_at) - 3), (a, b)
+        assert list(dict.fromkeys(old_at)) == new_at, (a, b)
+    # the package's own callers: li_eval and the Li steps below 10^4
+    assert [li_eval(x) for x in LI_XS] == [
+        previous_integrate_adaptive(inv_log, 2.0, x) for x in LI_XS
+    ]
+    steps = _li_steps(np.array(ps))
+    assert steps.tolist() == [
+        previous_integrate_adaptive(inv_log, float(a), float(b), 1e-12) for a, b in zip(ps, ps[1:])
+    ]
+
+
+def test_quadrature_fails_where_the_previous_recursion_failed():
+    def raises_inside(u):
+        if 0.3 < u < 0.31:
+            raise ZeroDivisionError(repr(u))
+        return math.sin(20.0 * u)
+
+    for f in (raises_inside, lambda u: math.inf if u > 0.3 else 1.0):
+        errors = []
+        for quad in (integrate_adaptive, previous_integrate_adaptive):
+            with pytest.raises((ZeroDivisionError, CapacityError)) as info:
+                quad(f, 0.0, 1.0, 1e-12)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]

@@ -18,7 +18,7 @@ from exact_reference import (
     previous_evaluate,
     previous_save_grid,
 )
-from sievelab import buchstab, cli, harness
+from sievelab import buchstab, harness
 from sievelab.arith import EULER_GAMMA, integrate_adaptive
 from sievelab.buchstab import (
     TERMS,
@@ -337,11 +337,12 @@ def test_each_buchstab_route_is_capped_by_the_rows_it_writes(capsys, monkeypatch
         out, err = capsys.readouterr()
         assert out == "" and "export rows s_max/step: 10000000 is past the cap" in err
     assert list(tmp_path.iterdir()) == []
-    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 9)
-    assert main(["buchstab", "--s-max", "10", "--format", "table"]) == 0
+    # the cap is read off buchstab, its owner; step 1/4 keeps the 8 join nodes under it
+    monkeypatch.setattr(buchstab, "MAX_GRID_CELLS", 9)
+    assert main(["buchstab", "--s-max", "10", "--step", "0.25", "--format", "table"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10  # the header and 9 rows
     for fmt in ("json", "table"):
-        assert main(["buchstab", "--s-max", "11", "--format", fmt]) == 2
+        assert main(["buchstab", "--s-max", "11", "--step", "0.25", "--format", fmt]) == 2
         assert "rows s_max - 1: 10 is past the cap of 9" in capsys.readouterr().err
 
 

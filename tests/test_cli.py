@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievelab
-from sievelab import cli, harness
+from sievelab import arith, cli, harness
 from sievelab.arith import build_tables
 from sievelab.cli import _json_value, main
 from sievelab.problem import ALL_KINDS
@@ -29,14 +29,18 @@ def run(capsys, argv):
 
 @contextlib.contextmanager
 def table_builds():
-    """The limit of every cli.build_tables call made inside the block."""
+    """The limit of every table build the command line makes inside the block.
+
+    The command line reads ``build_tables`` off ``arith`` when it runs, so
+    the spy is put there; the package's own modules bound theirs at import.
+    """
     calls = []
 
     def spy(limit, *args, **kwargs):
         calls.append(limit)
         return build_tables(limit, *args, **kwargs)
 
-    with mock.patch.object(cli, "build_tables", spy):
+    with mock.patch.object(arith, "build_tables", spy):
         yield calls
 
 
@@ -269,7 +273,7 @@ def test_weighted_sizes_tables_for_the_members_it_factors(capsys):
 def test_table_cap_compares_the_limit_it_builds(capsys):
     # the tables reach the largest need + 200, and that limit meets the cap
     cap = cli.MAX_CLI_TABLES
-    with mock.patch.object(cli, "build_tables", lambda limit: limit):
+    with mock.patch.object(arith, "build_tables", lambda limit: limit):
         assert cli._tables(cap - 200) == cap
     with table_builds() as builds:
         rc, out, err = run(capsys, ["parity", "--x", str(cap - 199), "--s", "2"])
@@ -392,6 +396,84 @@ def test_only_verify_loads_the_suites():
         ["import sievelab", False], ["import sievelab.cli", False],
         ["brun-titchmarsh", False], ["legendre", False], ["verify", True],
     ]
+
+
+def _loaded_after(code: str) -> list:
+    """The last line a child process prints after running code, as JSON."""
+    src = str(Path(sievelab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOADED = """
+import json, sys
+def loaded():
+    return [sorted(m[9:] for m in sys.modules if m.startswith("sievelab.")), "numpy" in sys.modules]
+"""
+
+#: the nine modules the package's exports come from
+COMPUTING = ["arith", "buchstab", "errors", "legendre", "parity", "problem", "rosser",
+             "selberg", "weighted"]
+
+
+def test_a_bare_cli_import_loads_no_numpy():
+    assert _loaded_after(_LOADED + "import sievelab.cli\nprint(json.dumps(loaded()))") == [
+        ["cli", "errors"], False,
+    ]
+
+
+@pytest.mark.parametrize("read", ["sievelab.prime_pi", "sievelab.arith.prime_pi"])
+def test_the_package_loads_its_modules_on_the_first_public_read(read):
+    code = _LOADED + f"""
+import sievelab
+stages = [loaded()]
+names = dir(sievelab)
+stages.append(loaded())
+{read}
+stages += [loaded(), names == dir(sievelab), sievelab.__version__]
+namespace = {{}}
+exec("from sievelab import *", namespace)
+del namespace["__builtins__"]
+stages.append(sorted(namespace) == sievelab.__all__)
+stages.append(all(namespace[n] is getattr(sievelab, n) for n in sievelab.__all__))
+print(json.dumps(stages))
+"""
+    assert _loaded_after(code) == [
+        [[], False], [[], False], [COMPUTING, True], True, "0.1.0", True, True,
+    ]
+    assert len(sievelab.__all__) == 63 and sievelab.__all__ == sorted(sievelab.__all__)
+    assert set(dir(sievelab)) >= {*sievelab.__all__, *COMPUTING, "__version__"}
+
+
+#: the modules each command loads beside cli and errors; problem is read by the parser
+_COMMAND_MODULES = [
+    (["buchstab", "--s-max", "10"], ["arith", "buchstab", "problem"]),
+    (["parity", "--x", "10000", "--s", "2.5"], ["arith", "buchstab", "parity", "problem"]),
+    (["chen", "--n", "1000"], ["arith", "buchstab", "problem", "selberg", "weighted"]),
+    (["legendre", "--problem", "interval", "--x", "0", "--len", "1000", "--z", "10"],
+     ["arith", "legendre", "problem", "selberg"]),
+    (["brun-titchmarsh", "--x", "100000", "--scan-q", "5"], ["arith", "problem"]),
+    (["brun-titchmarsh", "--x", "100000", "--k", "3", "--l", "1"],
+     ["arith", "problem", "selberg"]),
+    (["verify", "--suite", "mertens-products"], [*COMPUTING, "harness"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _COMMAND_MODULES,
+                         ids=["buchstab", "parity", "chen", "legendre", "bt-scan-q", "bt-k-l",
+                              "verify"])
+def test_each_command_loads_only_its_modules(argv, modules):
+    code = _LOADED + f"""
+import contextlib, io
+from sievelab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+print(json.dumps(loaded()))
+"""
+    assert _loaded_after(code) == [sorted({"cli", "errors", *modules}), True]
 
 
 def test_progression_scan_sizes_tables_for_q(capsys):
