@@ -367,6 +367,16 @@ def test_verify_unknown_suite_exits_2_and_lists_the_suites(capsys):
     assert all(name in err for name in [*harness.SUITES, "all"])
 
 
+def _loaded_after(code: str) -> list:
+    """The last line a child process prints after running code, as JSON."""
+    src = str(Path(sievelab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 _IMPORT_STAGES = """
 import contextlib, io, json, sys
 loaded = []
@@ -387,25 +397,10 @@ print(json.dumps(loaded))
 
 
 def test_only_verify_loads_the_suites():
-    src = str(Path(sievelab.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_STAGES], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
+    assert _loaded_after(_IMPORT_STAGES) == [
         ["import sievelab", False], ["import sievelab.cli", False],
         ["brun-titchmarsh", False], ["legendre", False], ["verify", True],
     ]
-
-
-def _loaded_after(code: str) -> list:
-    """The last line a child process prints after running code, as JSON."""
-    src = str(Path(sievelab.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 _LOADED = """
