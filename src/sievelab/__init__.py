@@ -31,8 +31,8 @@ _EXPORTS = {
         "rough_signed_count",
     ),
     "problem": (
-        "MultiplicativeDensity", "PrimeSet", "SieveProblem", "make_problem", "sift_exact",
-        "sifted_members",
+        "MultiplicativeDensity", "PrimeSet", "SieveProblem", "SieveReport", "make_problem",
+        "sift_exact", "sifted_members",
     ),
     "rosser": (
         "BoundPair", "FundamentalRow", "combinatorial_bounds", "fundamental_lemma_report",
@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "selberg": (
         "TWIN_CONSTANT", "BrunTitchmarshReport", "PairBoundReport", "SelbergWeights",
-        "SieveReport", "SieveWeights", "brun_titchmarsh", "fundamental_upper_bound",
+        "SieveWeights", "brun_titchmarsh", "fundamental_upper_bound",
         "goldbach_report", "lambda_weights", "mu_plus", "twin_report", "y_values",
     ),
     "weighted": (

@@ -22,8 +22,7 @@ from .errors import CapacityError, DensityRangeError, InputError, finite, intege
 
 if TYPE_CHECKING:
     from .arith import PrimeTables
-    from .problem import SieveProblem
-    from .selberg import SieveReport
+    from .problem import SieveProblem, SieveReport
 
 MAX_CLI_TABLES = 20_000_200
 
@@ -154,7 +153,7 @@ def _problem(args: argparse.Namespace, z: float, factored: bool = False) -> Siev
 
 def _cmd_legendre(args: argparse.Namespace) -> tuple[str, int]:
     from .legendre import legendre_count, legendre_remainder_sum, problem_W
-    from .selberg import SieveReport
+    from .problem import SieveReport
 
     (z,) = _require(args, z=args.z)
     p = _problem(args, z)

@@ -380,6 +380,44 @@ def make_problem(kind: str, params: dict, tables: PrimeTables) -> SieveProblem:
     return p
 
 
+@dataclass
+class SieveReport:
+    """Common envelope for one sieve bound against the exact count."""
+
+    problem: str
+    X: float
+    z: float | None = None
+    y: float | None = None
+    s: float | None = None
+    main_term: float = 0.0
+    remainder_bound: float = 0.0
+    upper_bound: float | None = None
+    lower_bound: float | None = None
+    exact_count: int | None = None
+    ratio: float | None = None
+    notes: str = ""
+
+
+def one_sided_report(
+    p: SieveProblem, y: float, z: float, sign: int, main: float, rem: float,
+    exact: int | None, notes: str,
+) -> SieveReport:
+    """The report of one bound main + rem (sign +1, upper) or main - rem (sign -1).
+
+    s = log y / log z for the level y > 1 and the cut z > 1 its caller checked;
+    ratio = bound / exact for a positive exact count.
+    """
+    bound = main + rem if sign == 1 else main - rem
+    return SieveReport(
+        problem=p.label, X=float(p.X), z=float(z), y=float(y),
+        s=math.log(y) / math.log(z),
+        main_term=main, remainder_bound=rem,
+        upper_bound=bound if sign == 1 else None,
+        lower_bound=None if sign == 1 else bound,
+        exact_count=exact, ratio=bound / exact if exact else None, notes=notes,
+    )
+
+
 def remainder(p: SieveProblem, d: np.ndarray, count: np.ndarray, w: np.ndarray) -> RemainderRecord:
     """Exact counts of A_d against their expected shares X w(d)/d, by column.
 

@@ -28,13 +28,14 @@ from .legendre import problem_W
 from .problem import (
     Admit,
     SieveProblem,
+    SieveReport,
     divisor_walk,
     fsum_columns,
+    one_sided_report,
     remainder,
     sieve_primes,
     sift_exact,
 )
-from .selberg import SieveReport, one_sided_report
 
 def _chain_admit(y: float, sign: int) -> Admit:
     """The support's step rule for a walk over the primes, largest first.

@@ -24,11 +24,13 @@ from .problem import (
     MultiplicativeDensity,
     PrimeSet,
     SieveProblem,
+    SieveReport,
     Walk,
     below,
     divisor_walk,
     fsum_columns,
     make_problem,
+    one_sided_report,
     primes_below,
     remainder,
     sieve_primes,
@@ -51,44 +53,6 @@ MAX_MU_PLUS_PAIRS = 1_000_000
 #: the twin-prime constant C2 = 2 prod over odd primes p of (1 - (p-1)^-2), as
 #: 2 exp(numpy sum of log1p(-(p-1)^-2)) over the odd primes p <= 1e7 (tail below 1e-7)
 TWIN_CONSTANT = 1.3203236394309112
-
-
-@dataclass
-class SieveReport:
-    """Common envelope for one sieve bound against the exact count."""
-
-    problem: str
-    X: float
-    z: float | None = None
-    y: float | None = None
-    s: float | None = None
-    main_term: float = 0.0
-    remainder_bound: float = 0.0
-    upper_bound: float | None = None
-    lower_bound: float | None = None
-    exact_count: int | None = None
-    ratio: float | None = None
-    notes: str = ""
-
-
-def one_sided_report(
-    p: SieveProblem, y: float, z: float, sign: int, main: float, rem: float,
-    exact: int | None, notes: str,
-) -> SieveReport:
-    """The report of one bound main + rem (sign +1, upper) or main - rem (sign -1).
-
-    s = log y / log z for the level y > 1 and the cut z > 1 its caller checked;
-    ratio = bound / exact for a positive exact count.
-    """
-    bound = main + rem if sign == 1 else main - rem
-    return SieveReport(
-        problem=p.label, X=float(p.X), z=float(z), y=float(y),
-        s=math.log(y) / math.log(z),
-        main_term=main, remainder_bound=rem,
-        upper_bound=bound if sign == 1 else None,
-        lower_bound=None if sign == 1 else bound,
-        exact_count=exact, ratio=bound / exact if exact else None, notes=notes,
-    )
 
 
 @dataclass
@@ -156,6 +120,16 @@ def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int]
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
+def _multiples_by_prime(support: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """The members m of the support that each prime q divides, primes in the
+    order the members first name them."""
+    by_prime: dict[int, list[int]] = defaultdict(list)
+    for m, facs in support.items():
+        for q in facs:
+            by_prime[q].append(m)
+    return by_prime
+
+
 def _superset_sums(support: dict[int, tuple[int, ...]], values: dict) -> dict:
     """F(d) = sum of values[m] over the support multiples m of d.
 
@@ -164,15 +138,38 @@ def _superset_sums(support: dict[int, tuple[int, ...]], values: dict) -> dict:
     that q divides.  Each value travels along nu(m) edges instead of being
     added into all 2^nu(m) divisors.
     """
-    by_prime: dict[int, list[int]] = defaultdict(list)
-    for m, facs in support.items():
-        for q in facs:
-            by_prime[q].append(m)
     out = dict(values)
-    for q, ms in by_prime.items():
+    for q, ms in _multiples_by_prime(support).items():
         for m in ms:
             out[m // q] += out[m]
     return out
+
+
+def _superset_pair_sums(support: dict[int, tuple[int, ...]], num: dict, den: dict) -> None:
+    """_superset_sums of rationals held as int pairs in lowest terms, in place:
+    num[d] / den[d] becomes the sum over the support multiples of d.
+
+    Each add is Fraction's own gcd-reduced sum, inlined (Knuth, TAOCP vol. 2,
+    4.5.1): with g = gcd(da, db) and s = da / g, a/da + b/db is
+    t / (s db) with t = a (db / g) + b s, and gcd(t, s db) = gcd(t, g).  So
+    every pair stays in lowest terms and no Fraction is built.
+    """
+    gcd = math.gcd
+    for q, ms in _multiples_by_prime(support).items():
+        for m in ms:
+            t = m // q
+            na, da, nb, db = num[t], den[t], num[m], den[m]
+            g = gcd(da, db)
+            if g == 1:
+                num[t], den[t] = na * db + da * nb, da * db
+                continue
+            s = da // g
+            n = na * (db // g) + nb * s
+            g2 = gcd(n, g)
+            if g2 == 1:
+                num[t], den[t] = n, s * db
+            else:
+                num[t], den[t] = n // g2, s * (db // g2)
 
 
 def lambda_weights(
@@ -185,12 +182,15 @@ def lambda_weights(
     """Compute the optimal weights lambda_d for squarefree d < xi.
 
     lambda_d = mu(d) (d / w(d)) M(d) / G, with M(d) the sum of g(m) over the
-    support multiples m of d and G = M(1).  The M(d) are superset sums, sum
-    of nu(m) additions, not 2^nu(m) per m or |support|^2 pair tests.  Each
-    node's primes and w(d) come from its parent's in the ascending walk:
-    factors[d] = factors[d / q] + (q,) and w(d) = w(d / q) w(q), with w(q)
-    from _sieve_densities, so a whole density multiplies as plain ints.  An
-    exact lambda_d is Fraction(mu(d) d, w(d)) * M(d) / G.  Past
+    support multiples m of d and G = M(1).  The walk carries w(d) as its
+    column (int64 where every w(p) is whole), and each node's primes and g(d)
+    come from its parent's in the ascending walk: factors[d] = factors[d / q]
+    + (q,) and g(d) = g(d / q) g(q), from the integer numerator and
+    denominator of the parent's g.  The M(d) are superset sums, nu(m)
+    additions per m, of those numerators and denominators as int pairs in
+    lowest terms (_superset_pair_sums), so no Fraction is built in the walk
+    or the sums.  With w(d) = a(d)/b(d), an exact lambda_d is the one
+    Fraction(mu(d) d b(d) M_num, a(d) M_den) times 1/G, made once.  Past
     MAX_EXACT_SUPPORT the M(d) are float sums, divided by the fsum of the
     float g(l); G stays the exact sum.
 
@@ -200,21 +200,30 @@ def lambda_weights(
     """
     w_at = _sieve_densities(z, omega, prime_set, tables)
     ps = list(w_at)
-    walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
-    g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
-    g_values[1] = Fraction(1)  # the walk starts from the int 1
+    walk = divisor_walk(None, ps, below(finite(xi, "xi")), w_at, max_nodes=MAX_SUPPORT)
+    ds = walk.d.tolist()
+    w_values: dict[int, int | Fraction] = dict(zip(ds, walk.v.tolist()))
+    g_at = {p: (g.numerator, g.denominator) for p, g in _g_at(w_at).items()}
     factors: dict[int, tuple[int, ...]] = {1: ()}
-    w_values: dict[int, int | Fraction] = {1: 1}
-    for d, i in zip(walk.d[1:].tolist(), walk.i[1:].tolist()):
+    g_values = {1: Fraction(1)}
+    num, den = {1: 1}, {1: 1}  # g(d) in lowest terms; the exact path sums them into M(d)
+    for d, i in zip(ds[1:], walk.i[1:].tolist()):
         q = ps[i - 1]  # the walk is ascending: d's largest prime
-        factors[d] = factors[d // q] + (q,)
-        w_values[d] = w_values[d // q] * w_at[q]
+        t = d // q
+        factors[d] = factors[t] + (q,)
+        a, b = g_at[q]
+        g_d = g_values[d] = Fraction(num[t] * a, den[t] * b)
+        num[d], den[d] = g_d.numerator, g_d.denominator
     exact = len(factors) <= MAX_EXACT_SUPPORT
     if exact:
-        multiples = _superset_sums(factors, g_values)
-        G = multiples[1]
-        lambdas = {d: Fraction(-d if len(f) % 2 else d, w_values[d]) * multiples[d] / G
-                   for d, f in factors.items()}
+        _superset_pair_sums(factors, num, den)
+        G = Fraction(num[1], den[1])
+        inv_G = 1 / G
+        lambdas = {}
+        for d, f in factors.items():
+            w = w_values[d]
+            a, b = (w, 1) if type(w) is int else (w.numerator, w.denominator)
+            lambdas[d] = Fraction((-d if len(f) % 2 else d) * b * num[d], a * den[d]) * inv_G
     else:
         g = {d: float(v) for d, v in g_values.items()}
         multiples, total = _superset_sums(factors, g), math.fsum(g.values())

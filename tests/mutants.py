@@ -8,11 +8,16 @@ than its proof gives still does at the suites' sizes; ``sift_exact`` and
 every bound read the same cut and support rule, so a changed cut or support
 edge moves both sides of each check; and its bands are wide where constants
 enter.  The next two are mutants of the delay curves' series, and each names
-the delay-grid case, (suite, case id), that catches it.  The last is a
+the delay-grid case, (suite, case id), that catches it.  The next is a
 mutant of the quadrature kernel: its refinement no longer converges at any
-practical depth, so a run of ``verify`` would not end; the Tier-1 test it
-names caps the integrand's calls at those of the previous recursion and
-fails at once.
+practical depth.  The refinement cap (arith.MAX_QUAD_INTERVALS) refuses it,
+so ``verify`` exits 2 within seconds at the first suite that integrates
+(legendre-exactness, through li_eval); the run is refused whole and fails
+no single case, so the mutant names none.  The Tier-1 test it names caps
+the integrand's calls at those of the previous recursion and fails at
+once.  The last is a mutant of the exact Selberg weights' superset sums of
+int pairs, and names the selberg-validity case whose diagonal identity
+y_l == mu(l) g(l) / G catches it.
 
 Run from the root of the checkout:
 
@@ -80,11 +85,18 @@ MUTANTS = [
      "each unit's continuity constant taken at its far end, u = +1/2",
      ["tests/test_buchstab.py::test_join_error_tiny"],
      ("delay-grid", "series f on (2, 4] against its closed form")),
-    ("arith.py", "fa, flm, fm, left, 0.5 * eps, depth - 1)\n        + _adaptive_simpson(f, m, b, fm, frm, fb",
-     "fa, frm, fm, left, 0.5 * eps, depth - 1)\n        + _adaptive_simpson(f, m, b, fm, flm, fb",
+    ("arith.py",
+     "fa, flm, fm, left, 0.5 * eps, depth - 1, refined)\n        + _adaptive_simpson(f, m, b, fm, frm, fb",
+     "fa, frm, fm, left, 0.5 * eps, depth - 1, refined)\n        + _adaptive_simpson(f, m, b, fm, flm, fb",
      "the quadrature: the two quarter-point values passed to the wrong halves",
      ["tests/test_arith.py::test_quadrature_equals_the_previous_recursion_with_a_third_of_the_calls"],
      None),
+    ("selberg.py", "num[t], den[t] = n, s * db", "num[t], den[t] = n, da * db",
+     "the exact weights' pair add: denominators that share a factor multiplied whole",
+     ["tests/test_selberg.py::test_weights_equal_the_references_for_every_density[30-20-ones]",
+      "tests/test_selberg.py::test_weights_equal_the_references_for_every_density[3000-200-half]",
+      "tests/test_selberg.py::test_weights_equal_the_references_for_every_density[3000-200-p/(p-1)]"],
+     ("selberg-validity", "ones z=20.0 xi=50.0")),
 ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 import tracemalloc
 
@@ -10,6 +11,7 @@ from exact_reference import previous_integrate_adaptive
 
 from sievelab import weighted
 from sievelab.arith import (
+    MAX_QUAD_INTERVALS,
     MAX_TABLE_ENTRIES,
     _li_steps,
     build_tables,
@@ -298,11 +300,14 @@ def test_reach_refuses_non_finite_reads():
         t.reach(10**400)  # an int past any float still compares
 
 
-@pytest.mark.parametrize("x", [1, 2, 1000, 999_983.5, 1_000_000])
+@pytest.mark.parametrize("x", [-1, 0, 1, 1.5, 2, 1000, 999_983.5, 1_000_000, "limit"])
 def test_pi_ap_counts_as_the_int64_remainder_did(tables_big, x):
+    # pi_ap scans the primes (k = 1, 2 and 3 at every x >= 2) or reads the class's
+    # strided spf entries (at x = 1e6 from k = 97, and wherever its least member passes x)
+    x = tables_big.limit if x == "limit" else x
     ps = tables_big.primes[tables_big.primes <= x]
-    for k in (1, 2, 3, 7, 10, 97, 210, 1000, 65_537, 999_983):
-        for l in {1, k - 1, 5 % k, 2 * k + 1}:
+    for k in (1, 2, 3, 7, 10, 97, 210, 1000, 65_537, 999_983, tables_big.limit):
+        for l in {0, 1, k, k + 1, k - 1, 5 % k, 2 * k + 1}:  # l = 0 and 1 mod k among them
             assert pi_ap(x, k, l, tables_big) == int(np.count_nonzero(ps % k == l % k)), (x, k, l)
 
 
@@ -314,6 +319,14 @@ def test_non_finite_simpson_estimate_ends_the_quadrature():
         integrate_adaptive(lambda u: math.inf if u > 0.3 else 1.0, 0, 1)
     assert time.perf_counter() - start < 1.0
     assert integrate_adaptive(lambda u: 1.0 + u, 0, 1e150) == pytest.approx(5e299)
+
+
+def test_a_quadrature_that_does_not_settle_is_refused_within_a_second():
+    noise = random.Random(0)  # no refinement of noise ever agrees with the one before
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"quadrature intervals refined: {MAX_QUAD_INTERVALS + 1}"):
+        integrate_adaptive(lambda u: noise.random(), 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def _both_quadratures(f, a, b, rel_tol):

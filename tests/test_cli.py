@@ -449,7 +449,9 @@ _COMMAND_MODULES = [
     (["parity", "--x", "10000", "--s", "2.5"], ["arith", "buchstab", "parity", "problem"]),
     (["chen", "--n", "1000"], ["arith", "buchstab", "problem", "selberg", "weighted"]),
     (["legendre", "--problem", "interval", "--x", "0", "--len", "1000", "--z", "10"],
-     ["arith", "legendre", "problem", "selberg"]),
+     ["arith", "legendre", "problem"]),
+    (["rosser", "--problem", "interval", "--x", "0", "--len", "1000", "--y", "100"],
+     ["arith", "buchstab", "legendre", "problem", "rosser"]),
     (["brun-titchmarsh", "--x", "100000", "--scan-q", "5"], ["arith", "problem"]),
     (["brun-titchmarsh", "--x", "100000", "--k", "3", "--l", "1"],
      ["arith", "problem", "selberg"]),
@@ -458,8 +460,8 @@ _COMMAND_MODULES = [
 
 
 @pytest.mark.parametrize("argv, modules", _COMMAND_MODULES,
-                         ids=["buchstab", "parity", "chen", "legendre", "bt-scan-q", "bt-k-l",
-                              "verify"])
+                         ids=["buchstab", "parity", "chen", "legendre", "rosser", "bt-scan-q",
+                              "bt-k-l", "verify"])
 def test_each_command_loads_only_its_modules(argv, modules):
     code = _LOADED + f"""
 import contextlib, io
