@@ -189,8 +189,8 @@ def lambda_weights(
     denominator of the parent's g.  The M(d) are superset sums, nu(m)
     additions per m, of those numerators and denominators as int pairs in
     lowest terms (_superset_pair_sums), so no Fraction is built in the walk
-    or the sums.  With w(d) = a(d)/b(d), an exact lambda_d is the one
-    Fraction(mu(d) d b(d) M_num, a(d) M_den) times 1/G, made once.  Past
+    or the sums.  With w(d) = a(d)/b(d), an exact lambda_d is one Fraction,
+    Fraction(mu(d) d b(d) M_num, a(d) M_den), times 1/G (made once).  Past
     MAX_EXACT_SUPPORT the M(d) are float sums, divided by the fsum of the
     float g(l); G stays the exact sum.
 
