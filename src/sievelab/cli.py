@@ -116,12 +116,12 @@ def _require(args: argparse.Namespace, **named) -> list:
 
 
 def _problem_params(args: argparse.Namespace) -> tuple[str, dict]:
-    from .problem import ALL_KINDS, KINDS
+    from ._kinds import ALL_KINDS, KIND_PARAMS
 
     kind = args.problem
     if kind is None:
         raise InputError(f"{args.command} needs --problem (one of {', '.join(ALL_KINDS)})")
-    names = KINDS[kind][0]
+    names = KIND_PARAMS[kind]
     dests = [_PARAM_FLAG.get(name, name).replace("-", "_") for name in names]
     values = _require(args, **{dest: getattr(args, dest) for dest in dests})
     return kind, dict(zip(names, values))
@@ -344,7 +344,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser, and the subcommand parsers by name."""
-    from .problem import ALL_KINDS  # argparse reads the choices as the flag is added
+    from ._kinds import ALL_KINDS  # argparse reads the choices as the flag is added
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="json")
@@ -405,7 +405,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("verify", parents=[common])
     sp.add_argument("--suite", default="all")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="read only by the weighted-margins suite")
     return parser, sub.choices
 
 

@@ -147,7 +147,8 @@ def _suite_selberg_weights(res: SuiteResult, seed: int) -> None:
                 w = lambda_weights(xi, z, shape.omega, shape.prime_set, t)
                 cid = f"{name} z={z} xi={xi}"
                 res.check("selberg-diagonal-identity", cid, "weights exact rationals",
-                          w.exact, "float fallback")
+                          all(type(v) is Fraction for v in (w.G, *w.lambdas.values())),
+                          "not a Fraction")
                 res.check("selberg-lambda-unit", cid, "lambda_1 == 1",
                           w.lambdas.get(1) == 1, str(w.lambdas.get(1)))
                 res.check(

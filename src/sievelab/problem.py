@@ -49,6 +49,7 @@ import numpy as np
 
 from .arith import PrimeTables, li_eval
 from .errors import DensityRangeError, InputError, finite, integer, within
+from ._kinds import ALL_KINDS, KIND_PARAMS
 
 #: exact scans (the sift, the member arrays) refuse an index range of more
 #: entries than this, before its 100 MB strike mask is allocated
@@ -296,17 +297,17 @@ def _liouville(x: int, target: int) -> KindShape:
                      1, x, lambda n: n, lambda q: (0,), start, count)
 
 
-#: kind -> (its integer parameters, in order; its shape from them)
-KINDS: dict[str, tuple[tuple[str, ...], Callable[..., KindShape]]] = {
-    "interval": (("x", "y"), _interval),
-    "arithmetic_progression": (("x", "k", "l"), _arithmetic_progression),
-    "goldbach_product": (("two_N",), _goldbach_product),
-    "shifted_prime": (("N",), _shifted_prime),
-    "square_plus_one": (("x",), _square_plus_one),
-    "liouville_plus": (("x",), lambda x: _liouville(x, -1)),
-    "liouville_minus": (("x",), lambda x: _liouville(x, 1)),
+_SHAPES: dict[str, Callable[..., KindShape]] = {
+    "interval": _interval,
+    "arithmetic_progression": _arithmetic_progression,
+    "goldbach_product": _goldbach_product,
+    "shifted_prime": _shifted_prime,
+    "square_plus_one": _square_plus_one,
+    "liouville_plus": lambda x: _liouville(x, -1),
+    "liouville_minus": lambda x: _liouville(x, 1),
 }
-ALL_KINDS = tuple(KINDS)
+#: kind -> (its integer parameters, in order; its shape from them)
+KINDS = {kind: (KIND_PARAMS[kind], _SHAPES[kind]) for kind in ALL_KINDS}
 
 
 @dataclass

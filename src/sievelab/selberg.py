@@ -3,18 +3,20 @@
 The upper-bound weights lambda_d are the minimizers of the quadratic form
 sum over (d1, d2) of lambda_d1 lambda_d2 w([d1,d2])/[d1,d2] subject to
 lambda_1 = 1, supported on squarefree d < xi built from the sieve primes
-below z.  The weights are kept in exact rationals while the support is
-small, so the structural identities (the Moebius-inversion identity linking
-lambda to the diagonalized variables, the monotonicity inequality that
-forces |lambda_d| <= 1) can be asserted with == rather than tolerances.
+below z.  The weights are exact rationals at every admitted support, so
+the structural identities (the Moebius-inversion identity linking lambda to
+the diagonalized variables, the monotonicity inequality that forces
+|lambda_d| <= 1) can be asserted with == rather than tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .problem import (
     PrimeSet,
     SieveProblem,
     SieveReport,
-    Walk,
     below,
     divisor_walk,
     fsum_columns,
@@ -41,11 +42,13 @@ from .problem import (
 #: 3^nu as floats, for nu up to the 15 primes a divisor within int64 can have
 _POW3 = np.array([float(3**k) for k in range(16)])
 
-#: supports larger than this drop from exact rationals to floats
-MAX_EXACT_SUPPORT = 100_000
-
 #: refuse supports larger than this outright
 MAX_SUPPORT = 400_000
+
+#: lambda_weights' traced peak per support node, w = 1: the walk's columns,
+#: the factors, g(d), w(d) and the M(d) pairs (an upper bound, held at
+#: xi = z = 3e4 and 1e5 by test_weights_hold_at_most_the_stated_bytes_per_node)
+WEIGHT_BYTES_PER_NODE = 1_000
 
 #: refuse mu+ expansions over more (d1, d2) pairs than this (xi = 1000: 3.7e5)
 MAX_MU_PLUS_PAIRS = 1_000_000
@@ -57,18 +60,43 @@ TWIN_CONSTANT = 1.3203236394309112
 
 @dataclass
 class SelbergWeights:
-    """Optimal upper-bound weights and the algebra that produced them."""
+    """Optimal upper-bound weights, as G and, in lowest terms, M(d) = M_num[d] /
+    M_den[d], the sum of g(m) over the support multiples m of d (G = M(1))."""
 
     xi: float
     z: float
     G: Fraction
-    lambdas: dict[int, Fraction]
+    M_num: dict[int, int]
+    M_den: dict[int, int]
     g_values: dict[int, Fraction]
     factors: dict[int, tuple[int, ...]]
     w_values: dict[int, int | Fraction]
     omega: MultiplicativeDensity
     primes: list[int]
-    exact: bool = True
+
+    @cached_property
+    def lambdas(self) -> Mapping[int, Fraction]:
+        """lambda_d by d, read-only; each value is formed when it is read."""
+        return _Lambdas(self)
+
+
+class _Lambdas(Mapping):
+    """lambda_d = mu(d) d b(d) M(d) / (a(d) G), w(d) = a(d)/b(d): small ints, times 1/G."""
+
+    def __init__(self, w: SelbergWeights):
+        self._w, self._inv_G = w, 1 / w.G
+
+    def __getitem__(self, d: int) -> Fraction:
+        w, wd = self._w, self._w.w_values[d]
+        a, b = (wd, 1) if type(wd) is int else (wd.numerator, wd.denominator)
+        mu_d = -d if len(w.factors[d]) % 2 else d
+        return Fraction(mu_d * b * w.M_num[d], a * w.M_den[d]) * self._inv_G
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._w.factors)
+
+    def __len__(self) -> int:
+        return len(self._w.factors)
 
 
 @dataclass(frozen=True)
@@ -93,11 +121,6 @@ def _g_at(w_at: dict[int, int | Fraction]) -> dict[int, Fraction]:
     return {p: Fraction(w, p - w) for p, w in w_at.items()}
 
 
-def _g_walk(xi: float, ps: list[int], g_at: dict) -> Walk:
-    """Walk the squarefree d < xi from ps, carrying g(d) from g_at (Fractions or floats)."""
-    return divisor_walk(None, ps, below(xi), g_at, max_nodes=MAX_SUPPORT)
-
-
 def big_G(
     xi: float,
     z: float,
@@ -111,7 +134,8 @@ def big_G(
     """
     w_at = _sieve_densities(z, omega, prime_set, tables)
     g_at = {p: float(g) for p, g in _g_at(w_at).items()}
-    return fsum_columns([_g_walk(xi, list(w_at), g_at).v])
+    walk = divisor_walk(None, list(w_at), below(xi), g_at, max_nodes=MAX_SUPPORT)
+    return fsum_columns([walk.v])
 
 
 def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -120,42 +144,25 @@ def over_common_denominator(values: dict[int, Fraction]) -> tuple[dict[int, int]
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
-def _multiples_by_prime(support: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
-    """The members m of the support that each prime q divides, primes in the
-    order the members first name them."""
-    by_prime: dict[int, list[int]] = defaultdict(list)
+def _superset_pair_sums(support: dict[int, tuple[int, ...]], num: dict, den: dict) -> None:
+    """Sums over supersets of rationals held as int pairs in lowest terms, in
+    place: num[d] / den[d] becomes the sum over the support multiples of d.
+
+    The support holds every divisor of each of its members, so the sums run
+    one prime q at a time (Yates): F(m / q) += F(m) for each m that q
+    divides, and each value travels along nu(m) edges instead of being added
+    into all 2^nu(m) divisors.  Each add is Fraction's own gcd-reduced sum,
+    inlined (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(da, db) and
+    s = da / g, a/da + b/db is t / (s db) with t = a (db / g) + b s, and
+    gcd(t, s db) = gcd(t, g).  So every pair stays in lowest terms and no
+    Fraction is built.
+    """
+    by_prime: dict[int, list[int]] = defaultdict(list)  # primes in first-named order
     for m, facs in support.items():
         for q in facs:
             by_prime[q].append(m)
-    return by_prime
-
-
-def _superset_sums(support: dict[int, tuple[int, ...]], values: dict) -> dict:
-    """F(d) = sum of values[m] over the support multiples m of d.
-
-    The support holds every divisor of each of its members, so the sums run
-    over supersets one prime q at a time (Yates): F(m / q) += F(m) for each m
-    that q divides.  Each value travels along nu(m) edges instead of being
-    added into all 2^nu(m) divisors.
-    """
-    out = dict(values)
-    for q, ms in _multiples_by_prime(support).items():
-        for m in ms:
-            out[m // q] += out[m]
-    return out
-
-
-def _superset_pair_sums(support: dict[int, tuple[int, ...]], num: dict, den: dict) -> None:
-    """_superset_sums of rationals held as int pairs in lowest terms, in place:
-    num[d] / den[d] becomes the sum over the support multiples of d.
-
-    Each add is Fraction's own gcd-reduced sum, inlined (Knuth, TAOCP vol. 2,
-    4.5.1): with g = gcd(da, db) and s = da / g, a/da + b/db is
-    t / (s db) with t = a (db / g) + b s, and gcd(t, s db) = gcd(t, g).  So
-    every pair stays in lowest terms and no Fraction is built.
-    """
     gcd = math.gcd
-    for q, ms in _multiples_by_prime(support).items():
+    for q, ms in by_prime.items():
         for m in ms:
             t = m // q
             na, da, nb, db = num[t], den[t], num[m], den[m]
@@ -179,24 +186,20 @@ def lambda_weights(
     prime_set: PrimeSet,
     tables: PrimeTables,
 ) -> SelbergWeights:
-    """Compute the optimal weights lambda_d for squarefree d < xi.
+    """Compute the optimal weights lambda_d for squarefree d < xi, exactly.
 
     lambda_d = mu(d) (d / w(d)) M(d) / G, with M(d) the sum of g(m) over the
     support multiples m of d and G = M(1).  The walk carries w(d) as its
-    column (int64 where every w(p) is whole), and each node's primes and g(d)
-    come from its parent's in the ascending walk: factors[d] = factors[d / q]
-    + (q,) and g(d) = g(d / q) g(q), from the integer numerator and
-    denominator of the parent's g.  The M(d) are superset sums, nu(m)
-    additions per m, of those numerators and denominators as int pairs in
-    lowest terms (_superset_pair_sums), so no Fraction is built in the walk
-    or the sums.  With w(d) = a(d)/b(d), an exact lambda_d is one Fraction,
-    Fraction(mu(d) d b(d) M_num, a(d) M_den), times 1/G (made once).  Past
-    MAX_EXACT_SUPPORT the M(d) are float sums, divided by the fsum of the
-    float g(l); G stays the exact sum.
+    column (int64 where every w(p) is whole); each node's primes and g(d)
+    come from its parent d / q in the ascending walk, g(d) from the parent's
+    integer numerator and denominator.  The M(d) are superset sums of those
+    int pairs (_superset_pair_sums), so no Fraction is built past g(d).  The
+    weights keep G and the M(d) pairs and form each lambda_d, which carries
+    G's numerator and denominator, only when it is read.  Exact up to
+    MAX_SUPPORT nodes, in at most WEIGHT_BYTES_PER_NODE bytes a node.
 
     lambda_1 is exactly 1 and every |lambda_d| <= 1; both are consequences
-    of the closed-form solution and are asserted by the test suite rather
-    than enforced here.
+    of the closed-form solution and are asserted by the test suite.
     """
     w_at = _sieve_densities(z, omega, prime_set, tables)
     ps = list(w_at)
@@ -206,7 +209,7 @@ def lambda_weights(
     g_at = {p: (g.numerator, g.denominator) for p, g in _g_at(w_at).items()}
     factors: dict[int, tuple[int, ...]] = {1: ()}
     g_values = {1: Fraction(1)}
-    num, den = {1: 1}, {1: 1}  # g(d) in lowest terms; the exact path sums them into M(d)
+    num, den = {1: 1}, {1: 1}  # g(d) in lowest terms, then summed into M(d) in place
     for d, i in zip(ds[1:], walk.i[1:].tolist()):
         q = ps[i - 1]  # the walk is ascending: d's largest prime
         t = d // q
@@ -214,25 +217,10 @@ def lambda_weights(
         a, b = g_at[q]
         g_d = g_values[d] = Fraction(num[t] * a, den[t] * b)
         num[d], den[d] = g_d.numerator, g_d.denominator
-    exact = len(factors) <= MAX_EXACT_SUPPORT
-    if exact:
-        _superset_pair_sums(factors, num, den)
-        G = Fraction(num[1], den[1])
-        inv_G = 1 / G
-        lambdas = {}
-        for d, f in factors.items():
-            w = w_values[d]
-            a, b = (w, 1) if type(w) is int else (w.numerator, w.denominator)
-            lambdas[d] = Fraction((-d if len(f) % 2 else d) * b * num[d], a * den[d]) * inv_G
-    else:
-        g = {d: float(v) for d, v in g_values.items()}
-        multiples, total = _superset_sums(factors, g), math.fsum(g.values())
-        G = sum(g_values.values(), Fraction(0))
-        lambdas = {d: (-1 if len(f) % 2 else 1) * (d / float(w_values[d])) * multiples[d] / total
-                   for d, f in factors.items()}
+    _superset_pair_sums(factors, num, den)
     return SelbergWeights(
-        xi=float(xi), z=float(z), G=G, lambdas=lambdas, g_values=g_values,
-        factors=factors, w_values=w_values, omega=omega, primes=ps, exact=exact,
+        xi=float(xi), z=float(z), G=Fraction(num[1], den[1]), M_num=num, M_den=den,
+        g_values=g_values, factors=factors, w_values=w_values, omega=omega, primes=ps,
     )
 
 
@@ -249,7 +237,7 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
         CapacityError: |support|^2 pairs exceed MAX_MU_PLUS_PAIRS.
     """
     within(len(w.lambdas) ** 2, MAX_MU_PLUS_PAIRS, f"mu+ pairs of {len(w.lambdas)} weights")
-    nums, den = over_common_denominator(w.lambdas)
+    nums, den = over_common_denominator(dict(w.lambdas))  # each lambda_d formed once
     items = list(nums.items())
     sums: dict[int, int] = defaultdict(int)
     for i, (d1, a1) in enumerate(items):
@@ -263,19 +251,15 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
 def y_values(w: SelbergWeights) -> dict[int, Fraction]:
     """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d.
 
-    w(d) is the one lambda_weights built (an int where the density is
-    whole).  The sums over multiples are superset sums, as in
-    lambda_weights; exact weights add int numerators over one common
-    denominator D, each term w(d) lambda_d / d built as one Fraction from
-    the numerators and denominators (w(d) an int or a Fraction).
+    Each term is mu(d) M(d) / G, so y_l G is a superset sum of the int pairs
+    +-M(d) (_superset_pair_sums), and y_l is that one Fraction times 1/G.
+    Exact at every support, as the weights are.
     """
-    wv, lams = w.w_values, w.lambdas.items()
-    if not w.exact:
-        return _superset_sums(w.factors, {d: lam * wv[d] / d for d, lam in lams})
-    terms = {d: Fraction(lam.numerator * wv[d].numerator, lam.denominator * wv[d].denominator * d)
-             for d, lam in lams}
-    nums, den = over_common_denominator(terms)
-    return {l: Fraction(a, den) for l, a in _superset_sums(w.factors, nums).items()}
+    num = {d: -n if len(w.factors[d]) % 2 else n for d, n in w.M_num.items()}
+    den = dict(w.M_den)
+    _superset_pair_sums(w.factors, num, den)
+    inv_G = 1 / w.G
+    return {l: Fraction(n, den[l]) * inv_G for l, n in num.items()}
 
 
 def fundamental_upper_bound(

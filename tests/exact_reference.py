@@ -11,9 +11,9 @@ that check what the oracle (``oracle.py``) does not.
 2. Exact kernels that now do less work for the same result: ``bv_scan`` with
    every modulus scanned at every jump, and lambda_weights and y_values with each node
    factored alone and each term added into its 2^nu divisors (``reference_*``)
-   or as they were before the superset sums (``previous_*``).  They are held
-   ``==`` to the package, and on the float path past MAX_EXACT_SUPPORT either
-   bit for bit (``previous_*``) or within ``FLOAT_WEIGHT_CHANGE``.
+   or as they were before the superset sums of int pairs (``previous_*``),
+   every lambda_d a Fraction held in a dict.  They are held ``==`` to the
+   package, at every support.
 3. The weighted sieve's per-member loops, each survivor factored alone:
    W_exact, repeated_window_factor_count, chen_report's triple count, and
    pr_count reading Omega from the big_omega_table.  Held ``==``.
@@ -52,19 +52,10 @@ from sievelab.arith import (
     EULER_GAMMA, BVScanResult, _li_past, _li_steps, factorize, mult_stats, prime_pi,
 )
 from sievelab.errors import CapacityError, finite
-from sievelab.problem import sifted_members
-from sievelab.selberg import SelbergWeights, _g_at, _g_walk, _sieve_densities, _superset_sums
+from sievelab.problem import below as below_rule, divisor_walk, sifted_members
+from sievelab.selberg import MAX_SUPPORT, _g_at, _sieve_densities
 
 TOL = Fraction(1, 10**14)  # 1e-14, as an exact rational
-
-#: bound on the change of a float-fallback value from the old summation
-#: orders (each term added into its 2^nu divisors, over the support depth
-#: first or level by level) to the superset sums: for lambda_d relative to
-#: lambda_d, for y_l relative to the sum of its terms' |w(d) lambda_d / d|,
-#: since y_l cancels (relative to y_l itself the change reached 1.1e-12 for
-#: w(p) = 2 at xi = z = 1e5).  The largest seen were 8.4e-14 for lambda, at
-#: xi = z = 175,000 (support 106,384, unforced), and 1.5e-15 for y
-FLOAT_WEIGHT_CHANGE = 1e-13
 
 
 def exact_mertens(z, omega, prime_set) -> tuple[Fraction, Fraction]:
@@ -147,104 +138,110 @@ def _multiplicative(support, at: dict[int, Fraction]) -> dict[int, Fraction]:
     return out
 
 
-def reference_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
-    """lambda_weights with each node factored by trial division by the sieve
-    primes and each g(m) added into its 2^nu(m) divisors; floats past
-    MAX_EXACT_SUPPORT."""
+@dataclass
+class ReferenceWeights:
+    """The fields of SelbergWeights that the tests compare, with every
+    lambda_d a Fraction held in a dict."""
+
+    xi: float
+    z: float
+    G: Fraction
+    lambdas: dict[int, Fraction]
+    g_values: dict[int, Fraction]
+    factors: dict[int, tuple[int, ...]]
+    w_values: dict
+    omega: object
+    primes: list[int]
+
+
+def _g_walk_values(xi, z, omega, prime_set, tables) -> tuple[list[int], dict[int, Fraction]]:
+    """The sieve primes, and g(d) for each squarefree d < xi from them, in walk order."""
     w_at = _sieve_densities(z, omega, prime_set, tables)
     ps = list(w_at)
-    walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
+    walk = divisor_walk(None, ps, below_rule(finite(xi, "xi")), _g_at(w_at), max_nodes=MAX_SUPPORT)
     g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
     g_values[1] = Fraction(1)
+    return ps, g_values, walk
+
+
+def _superset_sums(support: dict[int, tuple[int, ...]], values: dict) -> dict:
+    """F(d) = sum of values[m] over the support multiples m of d, one prime q
+    at a time (Yates), as the package summed before it held int pairs."""
+    by_prime: dict[int, list[int]] = {}
+    for m, facs in support.items():
+        for q in facs:
+            by_prime.setdefault(q, []).append(m)
+    out = dict(values)
+    for q, ms in by_prime.items():
+        for m in ms:
+            out[m // q] += out[m]
+    return out
+
+
+def reference_lambda_weights(xi, z, omega, prime_set, tables) -> ReferenceWeights:
+    """lambda_weights with each node factored by trial division by the sieve
+    primes and each g(m) added into its 2^nu(m) divisors."""
+    ps, g_values, _ = _g_walk_values(xi, z, omega, prime_set, tables)
     support = [(d, tuple(q for q in ps if d % q == 0)) for d in g_values]
-    exact = len(support) <= selberg.MAX_EXACT_SUPPORT
     w_values = _multiplicative(support, {p: omega.at_prime(p) for p in ps})
     G = sum(g_values.values(), Fraction(0))
-    if exact:
-        g, total = g_values, G
-    else:
-        g = {d: float(v) for d, v in g_values.items()}
-        total = math.fsum(g.values())
-    multiples = dict.fromkeys(g, Fraction(0) if exact else 0.0)
+    multiples = dict.fromkeys(g_values, Fraction(0))
     for m, facs in support:
         for d in _divisors(facs):
-            multiples[d] += g[m]
+            multiples[d] += g_values[m]
     lambdas = {}
     for d, facs in support:
-        scale = d / w_values[d] if exact else d / float(w_values[d])
         sign = -1 if len(facs) % 2 else 1
-        lambdas[d] = sign * scale * multiples[d] / total
-    return SelbergWeights(
+        lambdas[d] = sign * (d / w_values[d]) * multiples[d] / G
+    return ReferenceWeights(
         xi=float(xi), z=float(z), G=G, lambdas=lambdas,
         g_values=g_values, factors=dict(support), w_values=w_values, omega=omega, primes=ps,
-        exact=exact,
     )
 
 
-def reference_y_values(w: SelbergWeights) -> dict:
+def reference_y_values(w) -> dict:
     """y_values with each numerator added into its 2^nu(d) divisors."""
     w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
     terms = {d: w_values[d] * lam / d for d, lam in w.lambdas.items()}
-    nums, den = selberg.over_common_denominator(terms) if w.exact else (terms, 1)
+    nums, den = selberg.over_common_denominator(terms)
     out = dict.fromkeys(w.lambdas, 0)
     for d, a in nums.items():
         for l in _divisors(w.factors[d]):
             out[l] += a
-    return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out
+    return {l: Fraction(a, den) for l, a in out.items()}
 
 
-def y_term_scale(w: SelbergWeights) -> dict[int, float]:
-    """For each l, the sum of |w(d) lambda_d / d| over the support multiples d of l."""
-    w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
-    out = dict.fromkeys(w.lambdas, 0.0)
-    for d, lam in w.lambdas.items():
-        for l in _divisors(w.factors[d]):
-            out[l] += abs(float(w_values[d] * lam / d))
-    return out
-
-
-def previous_lambda_weights(xi, z, omega, prime_set, tables) -> SelbergWeights:
+def previous_lambda_weights(xi, z, omega, prime_set, tables) -> ReferenceWeights:
     """lambda_weights as it was before G came from the superset sums: w(d) a
     product of Fractions, G a second sum of the g(l), and each lambda_d four
-    Fraction operations.  Its float path past MAX_EXACT_SUPPORT is the one
-    the package keeps, so the two agree bit for bit there."""
-    w_at = _sieve_densities(z, omega, prime_set, tables)
-    ps = list(w_at)
-    walk = _g_walk(finite(xi, "xi"), ps, _g_at(w_at))
-    g_values = dict(zip(walk.d.tolist(), walk.v.tolist()))
-    g_values[1] = Fraction(1)
+    Fraction operations."""
+    ps, g_values, walk = _g_walk_values(xi, z, omega, prime_set, tables)
     factors: dict[int, tuple[int, ...]] = {1: ()}
     for d, i in zip(walk.d[1:].tolist(), walk.i[1:].tolist()):
         q = ps[i - 1]
         factors[d] = factors[d // q] + (q,)
-    exact = len(factors) <= selberg.MAX_EXACT_SUPPORT
     w_values = _multiplicative(factors.items(), {p: omega.at_prime(p) for p in ps})
     G = sum(g_values.values(), Fraction(0))
-    if exact:
-        g, total = g_values, G
-    else:
-        g = {d: float(v) for d, v in g_values.items()}
-        total = math.fsum(g.values())
-    multiples = _superset_sums(factors, g)
+    multiples = _superset_sums(factors, g_values)
     lambdas = {}
     for d, facs in factors.items():
-        scale = d / w_values[d] if exact else d / float(w_values[d])
         sign = -1 if len(facs) % 2 else 1
-        lambdas[d] = sign * scale * multiples[d] / total
-    return SelbergWeights(
+        lambdas[d] = sign * (d / w_values[d]) * multiples[d] / G
+    return ReferenceWeights(
         xi=float(xi), z=float(z), G=G, lambdas=lambdas, g_values=g_values, factors=factors,
-        w_values=w_values, omega=omega, primes=ps, exact=exact,
+        w_values=w_values, omega=omega, primes=ps,
     )
 
 
-def previous_y_values(w: SelbergWeights) -> dict:
-    """y_values as it was before it read the weights' w(d): w(d) rebuilt as
-    a product of Fractions, each term w(d) lambda_d / d."""
+def previous_y_values(w) -> dict:
+    """y_values as it was before it read the weights' w(d) and the M(d) pairs:
+    w(d) rebuilt as a product of Fractions, each term w(d) lambda_d / d over
+    one common denominator."""
     w_values = _multiplicative(w.factors.items(), {p: w.omega.at_prime(p) for p in w.primes})
     terms = {d: w_values[d] * lam / d for d, lam in w.lambdas.items()}
-    nums, den = selberg.over_common_denominator(terms) if w.exact else (terms, 1)
+    nums, den = selberg.over_common_denominator(terms)
     out = _superset_sums(w.factors, nums)
-    return {l: Fraction(a, den) for l, a in out.items()} if w.exact else out
+    return {l: Fraction(a, den) for l, a in out.items()}
 
 
 def reference_member_weight_term(n, cfg, tables) -> float:

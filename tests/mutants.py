@@ -15,9 +15,10 @@ so ``verify`` exits 2 within seconds at the first suite that integrates
 (legendre-exactness, through li_eval); the run is refused whole and fails
 no single case, so the mutant names none.  The Tier-1 test it names caps
 the integrand's calls at those of the previous recursion and fails at
-once.  The last is a mutant of the exact Selberg weights' superset sums of
-int pairs, and names the selberg-validity case whose diagonal identity
-y_l == mu(l) g(l) / G catches it.
+once.  The last two are mutants of the exact Selberg weights: one of the
+superset sums of int pairs, one of the y sum over the pairs +-M(d), and each
+names the selberg-validity case whose diagonal identity y_l == mu(l) g(l) / G
+catches it.
 
 Run from the root of the checkout:
 
@@ -96,6 +97,12 @@ MUTANTS = [
      ["tests/test_selberg.py::test_weights_equal_the_references_for_every_density[30-20-ones]",
       "tests/test_selberg.py::test_weights_equal_the_references_for_every_density[3000-200-half]",
       "tests/test_selberg.py::test_weights_equal_the_references_for_every_density[3000-200-p/(p-1)]"],
+     ("selberg-validity", "ones z=20.0 xi=50.0")),
+    ("selberg.py", "num = {d: -n if len(w.factors[d]) % 2 else n for d, n in w.M_num.items()}",
+     "num = dict(w.M_num)",
+     "the y sum: the sign mu(d) of each M(d) dropped",
+     ["tests/test_selberg.py::test_weight_contracts_on_grid[omega0-10-20]",
+      "tests/test_selberg.py::test_weights_equal_the_references_for_every_density[30-20-ones]"],
      ("selberg-validity", "ones z=20.0 xi=50.0")),
 ]
 

@@ -420,6 +420,23 @@ def test_a_bare_cli_import_loads_no_numpy():
     ]
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["selberg", "--problem", "nope"], 2)],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_no_numpy(argv, code):
+    # the parser reads the kind names from _kinds, which imports nothing
+    run = _LOADED + f"""
+import contextlib, io
+from sievelab import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([*loaded(), code]))
+"""
+    assert _loaded_after(run) == [["_kinds", "cli", "errors"], False, code]
+
+
 @pytest.mark.parametrize("read", ["sievelab.prime_pi", "sievelab.arith.prime_pi"])
 def test_the_package_loads_its_modules_on_the_first_public_read(read):
     code = _LOADED + f"""
@@ -437,22 +454,22 @@ stages.append(all(namespace[n] is getattr(sievelab, n) for n in sievelab.__all__
 print(json.dumps(stages))
 """
     assert _loaded_after(code) == [
-        [[], False], [[], False], [COMPUTING, True], True, "0.1.0", True, True,
+        [[], False], [[], False], [sorted(["_kinds", *COMPUTING]), True], True, "0.1.0", True, True,
     ]
     assert len(sievelab.__all__) == 63 and sievelab.__all__ == sorted(sievelab.__all__)
     assert set(dir(sievelab)) >= {*sievelab.__all__, *COMPUTING, "__version__"}
 
 
-#: the modules each command loads beside cli and errors; problem is read by the parser
+#: the modules each command loads beside cli, errors and _kinds, which the parser reads
 _COMMAND_MODULES = [
-    (["buchstab", "--s-max", "10"], ["arith", "buchstab", "problem"]),
-    (["parity", "--x", "10000", "--s", "2.5"], ["arith", "buchstab", "parity", "problem"]),
+    (["buchstab", "--s-max", "10"], ["arith", "buchstab"]),
+    (["parity", "--x", "10000", "--s", "2.5"], ["arith", "buchstab", "parity"]),
     (["chen", "--n", "1000"], ["arith", "buchstab", "problem", "selberg", "weighted"]),
     (["legendre", "--problem", "interval", "--x", "0", "--len", "1000", "--z", "10"],
      ["arith", "legendre", "problem"]),
     (["rosser", "--problem", "interval", "--x", "0", "--len", "1000", "--y", "100"],
      ["arith", "buchstab", "legendre", "problem", "rosser"]),
-    (["brun-titchmarsh", "--x", "100000", "--scan-q", "5"], ["arith", "problem"]),
+    (["brun-titchmarsh", "--x", "100000", "--scan-q", "5"], ["arith"]),
     (["brun-titchmarsh", "--x", "100000", "--k", "3", "--l", "1"],
      ["arith", "problem", "selberg"]),
     (["verify", "--suite", "mertens-products"], [*COMPUTING, "harness"]),
@@ -470,7 +487,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main({argv!r}) == 0
 print(json.dumps(loaded()))
 """
-    assert _loaded_after(code) == [sorted({"cli", "errors", *modules}), True]
+    assert _loaded_after(code) == [sorted({"_kinds", "cli", "errors", *modules}), True]
 
 
 def test_progression_scan_sizes_tables_for_q(capsys):

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from exact_reference import (
-    FLOAT_WEIGHT_CHANGE,
     close,
     exact_G,
     previous_lambda_weights,
     previous_y_values,
     reference_lambda_weights,
     reference_y_values,
-    y_term_scale,
 )
 from oracle import below, brute, support, w_product
 
@@ -124,7 +127,6 @@ GRID = [
 @pytest.mark.parametrize("omega,z,xi", GRID)
 def test_weight_contracts_on_grid(omega, z, xi, tables_small):
     w = lambda_weights(xi, z, omega, ALL, tables_small)
-    assert w.exact
     assert w.lambdas[1] == 1
     assert all(abs(v) <= 1 for v in w.lambdas.values())
 
@@ -261,24 +263,45 @@ def test_one_sided_bounds_refuse_levels_without_meaning(y, z, tables_small, monk
             bound(p, y, z)
 
 
-def test_float_fallback_support(tables_small, monkeypatch):
-    monkeypatch.setattr(sb, "MAX_EXACT_SUPPORT", 4)
-    w = lambda_weights(30, 20, ONES, ALL, tables_small)
-    assert not w.exact
-    assert w.lambdas[1] == pytest.approx(1.0, abs=1e-12)
-    assert all(abs(v) <= 1 + 1e-9 for v in w.lambdas.values())
-    # the superset sums add the floats in another order than the 2^nu
-    # divisor sums; y_l cancels, so its change is bounded by its terms' size
-    for omega, prime_set in SCAN_DENSITIES.values():
-        for xi, z in ((30, 20), (3000, 200)):
-            got = lambda_weights(xi, z, omega, prime_set, tables_small)
-            want = reference_lambda_weights(xi, z, omega, prime_set, tables_small)
-            assert not got.exact and got.lambdas.keys() == want.lambdas.keys()
-            for d, v in want.lambdas.items():
-                assert abs(got.lambdas[d] - v) <= FLOAT_WEIGHT_CHANGE * abs(v), (xi, d)
-            ys, scale = y_values(got), y_term_scale(got)
-            for l, v in reference_y_values(got).items():
-                assert abs(ys[l] - v) <= FLOAT_WEIGHT_CHANGE * scale[l], (xi, l)
+def test_weights_past_a_hundred_thousand_nodes_are_exact():
+    # 103,350 nodes at xi = z = 1.7e5, past the 100,000 where the weights
+    # used to turn to floats, in a child process so its peak RSS is its own.
+    # The bound was written before the first run: 8 s and 300 MB.
+    code = """if True:
+        import resource, time
+        from fractions import Fraction
+        from sievelab import MultiplicativeDensity, PrimeSet, build_tables, lambda_weights
+        t = build_tables(170_001)
+        start = time.perf_counter()
+        w = lambda_weights(1.7e5, 1.7e5, MultiplicativeDensity(lambda p: Fraction(1)),
+                           PrimeSet("all"), t)
+        s = time.perf_counter() - start
+        top = max(w.factors)
+        exact = type(w.G) is Fraction and type(w.lambdas[top]) is Fraction
+        mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(len(w.lambdas), exact and w.lambdas[1] == 1 and abs(w.lambdas[top]) <= 1, s, mb)
+    """
+    src = str(Path(sb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    nodes, exact, s, mb = out.stdout.split()
+    assert (int(nodes), exact) == (103_350, "True")
+    assert float(s) <= 8.0 and float(mb) <= 300.0, (s, mb)
+
+
+@pytest.mark.parametrize("xi", [30_000, 100_000])
+def test_weights_hold_at_most_the_stated_bytes_per_node(xi, tables_mid):
+    # the traced peak of the call, the weights it returns included, against
+    # WEIGHT_BYTES_PER_NODE (stated before this test first ran)
+    tracemalloc.start()
+    try:
+        w = lambda_weights(xi, xi, ONES, ALL, tables_mid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = len(w.factors)
+    assert peak <= sb.WEIGHT_BYTES_PER_NODE * nodes, (nodes, peak / nodes)
 
 
 #: the densities and prime sets of the benchmark's weights-scan workload
@@ -295,7 +318,6 @@ def test_superset_sums_equal_the_divisor_sums(name, xi, tables_small):
     omega, prime_set = SCAN_DENSITIES[name]
     got = lambda_weights(xi, 200, omega, prime_set, tables_small)
     want = reference_lambda_weights(xi, 200, omega, prime_set, tables_small)
-    assert got.exact and want.exact
     assert list(got.factors.items()) == list(want.factors.items())
     assert (got.lambdas, got.G, got.g_values) == (want.lambdas, want.G, want.g_values)
     assert y_values(got) == reference_y_values(want)
@@ -321,7 +343,6 @@ MIXED_DENSITIES = {
 def test_weights_equal_the_references_for_every_density(name, xi, z, tables_small):
     omega, prime_set = MIXED_DENSITIES[name]
     got = lambda_weights(xi, z, omega, prime_set, tables_small)
-    assert got.exact
     for want in (reference_lambda_weights(xi, z, omega, prime_set, tables_small),
                  previous_lambda_weights(xi, z, omega, prime_set, tables_small)):
         assert (got.lambdas, got.G, got.g_values) == (want.lambdas, want.G, want.g_values)
@@ -337,19 +358,20 @@ def test_weights_equal_the_references_for_every_density(name, xi, z, tables_smal
 
 
 @pytest.mark.parametrize("name", MIXED_DENSITIES)
-def test_float_fallback_is_bit_identical_to_the_previous_path(name, tables_small, monkeypatch):
-    monkeypatch.setattr(sb, "MAX_EXACT_SUPPORT", 4)
+def test_lambdas_read_as_the_previous_dict(name, tables_small):
+    # lambdas is a read-only mapping that forms each value when it is read:
+    # the previous dict's keys in its order, its values and types, and y too
     omega, prime_set = MIXED_DENSITIES[name]
     for xi, z in ((30, 20), (3000, 200)):
-        got = lambda_weights(xi, z, omega, prime_set, tables_small)
+        w = lambda_weights(xi, z, omega, prime_set, tables_small)
         want = previous_lambda_weights(xi, z, omega, prime_set, tables_small)
-        assert not got.exact and not want.exact
-        assert got.G == want.G and type(got.G) is Fraction
-        assert list(got.lambdas) == list(want.lambdas)
-        assert [v.hex() for v in got.lambdas.values()] == [v.hex() for v in want.lambdas.values()]
-        ys, old = y_values(got), previous_y_values(want)
-        assert list(ys) == list(old)
-        assert [v.hex() for v in ys.values()] == [v.hex() for v in old.values()]
+        got = w.lambdas
+        assert len(got) == len(want.lambdas) and list(got.items()) == list(want.lambdas.items())
+        assert all(type(v) is Fraction for v in got.values())
+        assert 1 in got and 0 not in got and got.get(0) is None
+        with pytest.raises(TypeError):
+            got[1] = Fraction(0)
+        assert list(y_values(w).items()) == list(previous_y_values(w).items())
 
 
 def test_each_density_is_read_once_per_sieve_prime(tables_small):
