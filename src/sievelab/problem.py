@@ -47,9 +47,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._kinds import ALL_KINDS, KIND_PARAMS
 from .arith import PrimeTables, li_eval
 from .errors import DensityRangeError, InputError, finite, integer, within
-from ._kinds import ALL_KINDS, KIND_PARAMS
 
 #: exact scans (the sift, the member arrays) refuse an index range of more
 #: entries than this, before its 100 MB strike mask is allocated

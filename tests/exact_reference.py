@@ -154,8 +154,9 @@ class ReferenceWeights:
     primes: list[int]
 
 
-def _g_walk_values(xi, z, omega, prime_set, tables) -> tuple[list[int], dict[int, Fraction]]:
-    """The sieve primes, and g(d) for each squarefree d < xi from them, in walk order."""
+def _g_walk_values(xi, z, omega, prime_set, tables) -> tuple:
+    """The sieve primes, g(d) for each squarefree d < xi from them in walk
+    order, and the walk."""
     w_at = _sieve_densities(z, omega, prime_set, tables)
     ps = list(w_at)
     walk = divisor_walk(None, ps, below_rule(finite(xi, "xi")), _g_at(w_at), max_nodes=MAX_SUPPORT)
