@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,9 +45,9 @@ _POW3 = np.array([float(3**k) for k in range(16)])
 #: refuse supports larger than this outright
 MAX_SUPPORT = 400_000
 
-#: lambda_weights' traced peak per support node, w = 1: the walk's columns,
-#: the factors, g(d), w(d) and the M(d) pairs (an upper bound, held at
-#: xi = z = 3e4 and 1e5 by test_weights_hold_at_most_the_stated_bytes_per_node)
+#: traced peak per support node, w = 1, of lambda_weights then y_values with
+#: both results held: walk columns, factors, g(d), w(d), the M(d) and y_l G pairs
+#: (an upper bound at xi = z = 3e4 and 1e5: test_weights_hold_at_most_the_stated_bytes_per_node)
 WEIGHT_BYTES_PER_NODE = 1_000
 
 #: refuse mu+ expansions over more (d1, d2) pairs than this (xi = 1000: 3.7e5)
@@ -61,7 +61,8 @@ TWIN_CONSTANT = 1.3203236394309112
 @dataclass
 class SelbergWeights:
     """Optimal upper-bound weights, as G and, in lowest terms, M(d) = M_num[d] /
-    M_den[d], the sum of g(m) over the support multiples m of d (G = M(1))."""
+    M_den[d], the sum of g(m) over the support multiples m of d (G = M(1));
+    lambdas reads them as y_values' result does, an _OverG mapping of int pairs."""
 
     xi: float
     z: float
@@ -76,27 +77,30 @@ class SelbergWeights:
 
     @cached_property
     def lambdas(self) -> Mapping[int, Fraction]:
-        """lambda_d by d, read-only; each value is formed when it is read."""
-        return _Lambdas(self)
+        """lambda_d = mu(d) d b(d) M(d) / (a(d) G) by d, w(d) = a(d)/b(d)."""
+        def pair(d: int) -> tuple[int, int]:
+            wd = self.w_values[d]
+            a, b = (wd, 1) if type(wd) is int else (wd.numerator, wd.denominator)
+            mu_d = -d if len(self.factors[d]) % 2 else d
+            return mu_d * b * self.M_num[d], a * self.M_den[d]
+        return _OverG(self.factors, pair, self.G)
 
 
-class _Lambdas(Mapping):
-    """lambda_d = mu(d) d b(d) M(d) / (a(d) G), w(d) = a(d)/b(d): small ints, times 1/G."""
+class _OverG(Mapping):
+    """Read-only: key k -> Fraction(*pair(k)) / G, the int pair formed, and the
+    value with it, only when k is read; 1/G is held once.  Keys in keys' order."""
 
-    def __init__(self, w: SelbergWeights):
-        self._w, self._inv_G = w, 1 / w.G
+    def __init__(self, keys: dict, pair: Callable[[int], tuple[int, int]], G: Fraction):
+        self._keys, self._pair, self._inv_G = keys, pair, 1 / G
 
-    def __getitem__(self, d: int) -> Fraction:
-        w, wd = self._w, self._w.w_values[d]
-        a, b = (wd, 1) if type(wd) is int else (wd.numerator, wd.denominator)
-        mu_d = -d if len(w.factors[d]) % 2 else d
-        return Fraction(mu_d * b * w.M_num[d], a * w.M_den[d]) * self._inv_G
+    def __getitem__(self, k: int) -> Fraction:
+        return Fraction(*self._pair(k)) * self._inv_G
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._w.factors)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._w.factors)
+        return len(self._keys)
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def lambda_weights(
     int pairs (_superset_pair_sums), so no Fraction is built past g(d).  The
     weights keep G and the M(d) pairs and form each lambda_d, which carries
     G's numerator and denominator, only when it is read.  Exact up to
-    MAX_SUPPORT nodes, in at most WEIGHT_BYTES_PER_NODE bytes a node.
+    MAX_SUPPORT nodes, in WEIGHT_BYTES_PER_NODE bytes a node with y_values'.
 
     lambda_1 is exactly 1 and every |lambda_d| <= 1; both are consequences
     of the closed-form solution and are asserted by the test suite.
@@ -248,18 +252,18 @@ def mu_plus(w: SelbergWeights) -> SieveWeights:
     return SieveWeights(y=w.xi * w.xi, values={m: Fraction(a, den) for m, a in sums.items()})
 
 
-def y_values(w: SelbergWeights) -> dict[int, Fraction]:
+def y_values(w: SelbergWeights) -> Mapping[int, Fraction]:
     """Diagonalized variables y_l = sum over multiples d of l of w(d) lambda_d / d.
 
     Each term is mu(d) M(d) / G, so y_l G is a superset sum of the int pairs
-    +-M(d) (_superset_pair_sums), and y_l is that one Fraction times 1/G.
+    +-M(d) (_superset_pair_sums).  The result is the read-only _OverG mapping
+    of those pairs over G, as lambdas is: each y_l is formed when it is read.
     Exact at every support, as the weights are.
     """
     num = {d: -n if len(w.factors[d]) % 2 else n for d, n in w.M_num.items()}
     den = dict(w.M_den)
     _superset_pair_sums(w.factors, num, den)
-    inv_G = 1 / w.G
-    return {l: Fraction(n, den[l]) * inv_G for l, n in num.items()}
+    return _OverG(num, lambda l: (num[l], den[l]), w.G)
 
 
 def fundamental_upper_bound(

@@ -15,10 +15,11 @@ so ``verify`` exits 2 within seconds at the first suite that integrates
 (legendre-exactness, through li_eval); the run is refused whole and fails
 no single case, so the mutant names none.  The Tier-1 test it names caps
 the integrand's calls at those of the previous recursion and fails at
-once.  The last two are mutants of the exact Selberg weights: one of the
-superset sums of int pairs, one of the y sum over the pairs +-M(d), and each
-names the selberg-validity case whose diagonal identity y_l == mu(l) g(l) / G
-catches it.
+once.  The last three are mutants of the exact Selberg weights: one of the
+superset sums of int pairs, one of the y sum over the pairs +-M(d), and one
+of the mapping that forms both lambda_d and y_l from their int pairs over G.
+Each names the selberg-validity case whose diagonal identity
+y_l == mu(l) g(l) / G catches it; the last fails lambda_1 == 1 there too.
 
 Run from the root of the checkout:
 
@@ -103,6 +104,13 @@ MUTANTS = [
      "the y sum: the sign mu(d) of each M(d) dropped",
      ["tests/test_selberg.py::test_weight_contracts_on_grid[omega0-10-20]",
       "tests/test_selberg.py::test_weights_equal_the_references_for_every_density[30-20-ones]"],
+     ("selberg-validity", "ones z=20.0 xi=50.0")),
+    ("selberg.py", "return Fraction(*self._pair(k)) * self._inv_G",
+     "return Fraction(*self._pair(k)) * self._inv_G * self._inv_G",
+     "the pairs-over-G mapping of lambda_d and y_l: 1/G applied twice",
+     ["tests/test_selberg.py::test_lambda_weights_tiny_frozen",
+      "tests/test_selberg.py::test_weight_contracts_on_grid[omega0-10-20]",
+      "tests/test_selberg.py::test_lambdas_read_as_the_previous_dict[ones]"],
      ("selberg-validity", "ones z=20.0 xi=50.0")),
 ]
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,16 +293,20 @@ def test_weights_past_a_hundred_thousand_nodes_are_exact():
 
 @pytest.mark.parametrize("xi", [30_000, 100_000])
 def test_weights_hold_at_most_the_stated_bytes_per_node(xi, tables_mid):
-    # the traced peak of the call, the weights it returns included, against
-    # WEIGHT_BYTES_PER_NODE (stated before this test first ran)
+    # the traced peak of the weights, then of y_values with the weights and
+    # its result both held, against WEIGHT_BYTES_PER_NODE (stated before this
+    # test first ran, and not raised when y joined it)
     tracemalloc.start()
     try:
         w = lambda_weights(xi, xi, ONES, ALL, tables_mid)
+        peak_w = tracemalloc.get_traced_memory()[1]
+        ys = y_values(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     nodes = len(w.factors)
-    assert peak <= sb.WEIGHT_BYTES_PER_NODE * nodes, (nodes, peak / nodes)
+    assert len(ys) == nodes
+    assert peak <= sb.WEIGHT_BYTES_PER_NODE * nodes, (nodes, peak_w / nodes, peak / nodes)
 
 
 #: the densities and prime sets of the benchmark's weights-scan workload
@@ -371,7 +376,11 @@ def test_lambdas_read_as_the_previous_dict(name, tables_small):
         assert 1 in got and 0 not in got and got.get(0) is None
         with pytest.raises(TypeError):
             got[1] = Fraction(0)
-        assert list(y_values(w).items()) == list(previous_y_values(w).items())
+        ys = y_values(w)
+        assert list(ys.items()) == list(previous_y_values(w).items())
+        assert isinstance(ys, Mapping) and ys.get(0) is None
+        with pytest.raises(TypeError):
+            ys[1] = Fraction(0)
 
 
 def test_each_density_is_read_once_per_sieve_prime(tables_small):
