@@ -200,7 +200,7 @@ def lambda_weights(
     int pairs (_superset_pair_sums), so no Fraction is built past g(d).  The
     weights keep G and the M(d) pairs and form each lambda_d, which carries
     G's numerator and denominator, only when it is read.  Exact up to
-    MAX_SUPPORT nodes, in WEIGHT_BYTES_PER_NODE bytes a node with y_values'.
+    MAX_SUPPORT nodes; they and y_values' result take WEIGHT_BYTES_PER_NODE a node.
 
     lambda_1 is exactly 1 and every |lambda_d| <= 1; both are consequences
     of the closed-form solution and are asserted by the test suite.

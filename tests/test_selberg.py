@@ -295,7 +295,7 @@ def test_weights_past_a_hundred_thousand_nodes_are_exact():
 def test_weights_hold_at_most_the_stated_bytes_per_node(xi, tables_mid):
     # the traced peak of the weights, then of y_values with the weights and
     # its result both held, against WEIGHT_BYTES_PER_NODE (stated before this
-    # test first ran, and not raised when y joined it)
+    # test first ran)
     tracemalloc.start()
     try:
         w = lambda_weights(xi, xi, ONES, ALL, tables_mid)
